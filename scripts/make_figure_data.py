@@ -12,8 +12,7 @@ import pathlib
 
 from pbt_recycling import (
     frec,
-    frec_optimal_qubit,
-    frec_qubit,
+    frec_optimal,
     kround_lower_bound,
     resource_state_fidelity,
     v_qubit,
@@ -26,7 +25,7 @@ def recycling_curves(outdir: pathlib.Path, nmax: int):
         lines = ["N,d,frec,frec_opt,lower_bound_qubit"]
         for n in range(2, nmax + 1):
             f = frec(n, d).value
-            fo = fmt(frec_optimal_qubit(n).value) if d == 2 else ""
+            fo = fmt(frec_optimal(n, 2, v_qubit(n), v_qubit(n - 1)).value) if d == 2 else ""
             lb = fmt(1.0 - 11.0 / (4.0 * n)) if d == 2 else ""
             lines.append(f"{n},{d},{fmt(f)},{fo},{lb}")
         path = outdir / f"recycling_vs_ports_d{d}.csv"
@@ -38,7 +37,7 @@ def kround_curves(outdir: pathlib.Path, nmax: int):
     ks = (1, 2, 5, 10)
     lines = ["N," + ",".join(f"bound_k{k}" for k in ks)]
     for n in range(2, nmax + 1):
-        f1 = min(frec_qubit(n).value, 1.0)
+        f1 = min(frec(n, 2).value, 1.0)
         lines.append(f"{n}," + ",".join(fmt(kround_lower_bound(f1, k)) for k in ks))
     path = outdir / "kround_bounds_d2.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,8 +50,7 @@ class SweepRow:
 def _report_lines(report: FidelityReport) -> list[str]:
     return [
         f"F = {format_value(report.value)} "
-        f"(method={report.method}, ports={report.ports}, dim={report.dim}, "
-        f"log_space={'yes' if report.log_space_used else 'no'})"
+        f"(method={report.method}, ports={report.ports}, dim={report.dim})"
     ]
 
 
@@ -72,6 +70,12 @@ def _write_text(path: Optional[str], text: str):
         fh.write(text)
 
 
+def _qubit_pair(N: int) -> tuple[VCoefficients, VCoefficients]:
+    if N < 2:
+        raise ValueError("N must be at least 2 for the optimal protocol")
+    return opt.v_qubit(N), opt.v_qubit(N - 1)
+
+
 def _load_pair(parser, args) -> tuple[VCoefficients, VCoefficients]:
     if not args.vfile or not args.vfile_prev:
         parser.error("--optimal with --dim > 2 requires --vfile and --vfile-prev")
@@ -83,7 +87,7 @@ def _load_pair(parser, args) -> tuple[VCoefficients, VCoefficients]:
 def _cmd_frec(parser, args) -> int:
     if args.optimal:
         if args.dim == 2 and not args.vfile:
-            report = opt.frec_optimal_qubit(args.ports)
+            v_n, v_prev = _qubit_pair(args.ports)
         else:
             v_n, v_prev = _load_pair(parser, args)
             if v_n.ports != args.ports or v_n.dim != args.dim:
@@ -91,7 +95,7 @@ def _cmd_frec(parser, args) -> int:
                     f"coefficient file is for (N={v_n.ports}, d={v_n.dim}), "
                     f"requested (N={args.ports}, d={args.dim})"
                 )
-            report = opt.frec_optimal(args.ports, args.dim, v_n, v_prev)
+        report = opt.frec_optimal(args.ports, args.dim, v_n, v_prev)
     else:
         report = rec.frec(args.ports, args.dim)
     _emit(args, _report_lines(report), report.as_dict())
@@ -102,7 +106,7 @@ def _sweep_row(N: int, d: int, want_optimal: bool) -> SweepRow:
     value = rec.frec(N, d).value
     value_opt = None
     if want_optimal and d == 2 and N >= 2:
-        value_opt = opt.frec_optimal_qubit(N).value
+        value_opt = opt.frec_optimal(N, 2, *_qubit_pair(N)).value
     bound = 1.0 - 11.0 / (4.0 * N) if d == 2 else None
     return SweepRow(N, d, value, value_opt, bound)
 
@@ -110,13 +114,7 @@ def _sweep_row(N: int, d: int, want_optimal: bool) -> SweepRow:
 def _cmd_sweep(parser, args) -> int:
     if args.ports_min < 1 or args.ports_max < args.ports_min:
         parser.error("need 1 <= --ports-min <= --ports-max")
-    ns = range(args.ports_min, args.ports_max + 1)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda n: _sweep_row(n, args.dim, args.optimal), ns))
-    else:
-        rows = [_sweep_row(n, args.dim, args.optimal) for n in ns]
-    rows.sort(key=lambda r: (r.ports, r.dim))
+    rows = [_sweep_row(n, args.dim, args.optimal) for n in range(args.ports_min, args.ports_max + 1)]
     lines = ["N,d,frec,frec_opt,lower_bound_qubit"]
     for r in rows:
         lines.append(
@@ -200,22 +198,16 @@ def _cmd_oracle_verify(parser, args) -> int:
     f_closed = rec.frec(args.ports, args.dim).value
     f_oracle = orc.frec_oracle(args.ports, args.dim).value
     report.add("frec_formula_vs_oracle", abs(f_closed - f_oracle))
-    if args.dim == 2:
-        report.add(
-            "frec_qubit_vs_general",
-            abs(rec.frec_qubit(args.ports).value - f_closed),
-        )
     if args.optimal and args.ports >= 2:
         if args.dim == 2 and not args.vfile:
-            v_n, v_prev = opt.v_qubit(args.ports), opt.v_qubit(args.ports - 1)
-            fq = opt.frec_optimal_qubit(args.ports).value
+            v_n, v_prev = _qubit_pair(args.ports)
         else:
             if v is None:
                 raise CoefficientError("--optimal with --dim > 2 requires --vfile")
             if not args.vfile_prev:
                 raise CoefficientError("--optimal with --dim > 2 requires --vfile-prev")
             v_n, v_prev = v, opt.load_v_coefficients(args.vfile_prev)
-            fq = opt.frec_optimal(args.ports, args.dim, v_n, v_prev).value
+        fq = opt.frec_optimal(args.ports, args.dim, v_n, v_prev).value
         fo = orc.frec_optimal_oracle(args.ports, args.dim, v_n, v_prev).value
         report.add("frec_optimal_formula_vs_oracle", abs(fq - fo))
 
@@ -269,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dim", type=int, required=True)
     p_sweep.add_argument("--optimal", action="store_true")
     p_sweep.add_argument("--out", help="output path (default stdout)")
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_bound = sub.add_parser("bound", help="k-round lower bound")

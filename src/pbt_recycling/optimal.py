@@ -6,6 +6,19 @@ Young projectors whose weights are the dominant eigenvector of a tridiagonal
 carries that eigenvector (analytic and numeric routes), the optimal-protocol
 recycling fidelity, and the overlap between the optimal and plain resource
 states, cross-checkable in an angular-momentum parametrization.
+
+Both fidelities are sums of the Schur-Weyl probability p of ``partitions``
+(weights v_mu over frames of N boxes, v_alpha over frames of N-1 boxes):
+
+    frec_optimal = 1/(d sqrt(N)) * sum_alpha v_alpha c(alpha) S(alpha) V(alpha) / sqrt(p(alpha)),
+    V(alpha) = sum over one-box extensions mu of alpha of v_mu,
+    resource_state_fidelity = sum_mu v_mu sqrt(p(mu)),
+
+with c and S as in ``recycling``.  The first equals the exact-integer form
+d^(-3/2) sum_alpha v_alpha s(alpha) V(alpha) / sqrt(m_alpha (N d_alpha - d_theta)),
+s = sum sqrt(m_nu d_nu); the second equals sum_mu v_mu sqrt(d_mu m_mu / d^N).
+With the uniform weights v_mu = sqrt(p(mu)) the optimal form collapses to the
+plain recycling fidelity and the overlap to 1; the dense oracle pins both.
 """
 
 from __future__ import annotations
@@ -13,24 +26,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from math import comb, exp, factorial, log, sqrt
-from typing import Optional
+from math import factorial, sqrt
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .partitions import (
     Partition,
-    add_box,
     as_partition,
-    dim_irrep,
-    ln_dim_irrep,
-    ln_mult_schur_weyl,
-    mult_schur_weyl,
+    frame_table,
+    ln_schur_weyl_probability,
     partitions_bounded,
-    theta_dim,
 )
-from .recycling import kahan_sum, logsumexp, use_log_space
+from .recycling import height_correction, on_mask, one_box_frames
 from .reports import FidelityReport
 
 #: Normalization slack for coefficient vectors.
@@ -80,8 +88,9 @@ class VCoefficients:
 
     def __post_init__(self):
         expected = partitions_bounded(self.ports, self.dim)
+        expected_set = set(expected)
         missing = [p for p in expected if p not in self.entries]
-        extra = [p for p in self.entries if p not in set(expected)]
+        extra = [p for p in self.entries if p not in expected_set]
         if missing or extra:
             raise CoefficientError(
                 f"incomplete support: missing={[str(p) for p in missing]} "
@@ -90,12 +99,17 @@ class VCoefficients:
         vals = list(self.entries.values())
         if any(v < 0 for v in vals):
             raise CoefficientError("negative entry in coefficient set")
-        norm2 = kahan_sum(v * v for v in vals)
+        norm2 = math.fsum(v * v for v in vals)
         if abs(norm2 - 1.0) > NORM_TOL:
             raise CoefficientError(f"not normalized: sum of squares = {norm2}")
 
     def __getitem__(self, mu) -> float:
         return self.entries[as_partition(mu)]
+
+    def on_table(self, table: np.ndarray) -> np.ndarray:
+        """The weight of each row of a zero-padded frame table."""
+        by_parts = {p.parts: x for p, x in self.entries.items()}
+        return np.array([by_parts[tuple(x for x in row if x)] for row in table.tolist()], dtype=float)
 
     def as_document(self) -> dict:
         return {
@@ -109,13 +123,9 @@ class VCoefficients:
 
     @classmethod
     def uniform(cls, N: int, d: int) -> "VCoefficients":
-        """Weights reproducing the un-rotated state: v ~ sqrt(dim * mult)."""
-        entries = {}
-        for mu in partitions_bounded(N, d):
-            entries[mu] = exp(
-                0.5 * (ln_dim_irrep(mu) + ln_mult_schur_weyl(mu, d)) - 0.5 * N * log(d)
-            )
-        return cls(ports=N, dim=d, entries=entries)
+        """Weights reproducing the un-rotated state: v = sqrt(p) = sqrt(dim * mult / d^N)."""
+        sqrt_p = np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d))
+        return cls(ports=N, dim=d, entries=dict(zip(partitions_bounded(N, d), sqrt_p.tolist())))
 
 
 def parse_v_coefficients(document) -> VCoefficients:
@@ -291,18 +301,11 @@ def gamma_angular(N: int, j) -> float:
     return 2 ** (N + 2) / ((N + 2) * (twoj + 1) * dj) * s * s
 
 
-def frec_optimal(
-    N: int,
-    d: int,
-    vN: VCoefficients,
-    vNm1: VCoefficients,
-    log_space: Optional[bool] = None,
-) -> FidelityReport:
+def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
     """One-round recycling fidelity of the optimal protocol, arbitrary d.
 
-    The overall prefactor is d^(-3/2); with uniform coefficient sets the sum
-    collapses exactly to the non-optimal fidelity, and the dense oracle pins
-    the same normalization (see README conventions note).
+    The p-form sum of the module docstring; qubit ports take
+    ``vN = v_qubit(N)``, ``vNm1 = v_qubit(N - 1)``.
     """
     if N < 2:
         raise ValueError("N must be at least 2 for the optimal protocol")
@@ -314,132 +317,24 @@ def frec_optimal(
         raise CoefficientError(
             f"coefficient set for N-1 is labeled ({vNm1.ports}, {vNm1.dim})"
         )
-    ls = use_log_space(N, d, log_space)
-    if ls:
-        ln_terms = []
-        for alpha in partitions_bounded(N - 1, d):
-            va = vNm1[alpha]
-            if va == 0.0:
-                continue
-            d_a = dim_irrep(alpha)
-            d_th = theta_dim(alpha, d)
-            ln_s = logsumexp(
-                0.5 * (ln_mult_schur_weyl(nu, d) + ln_dim_irrep(nu))
-                for nu in add_box(alpha, d)
-            )
-            ln_base = (
-                log(va)
-                - 0.5 * ln_mult_schur_weyl(alpha, d)
-                + ln_s
-                - 0.5 * math.log(N * d_a - d_th)
-            )
-            for mu in add_box(alpha, d):
-                vm = vN[mu]
-                if vm > 0.0:
-                    ln_terms.append(ln_base + log(vm))
-        value = exp(logsumexp(ln_terms) - 1.5 * log(d))
-    else:
-        terms = []
-        for alpha in partitions_bounded(N - 1, d):
-            va = vNm1[alpha]
-            if va == 0.0:
-                continue
-            d_a = dim_irrep(alpha)
-            d_th = theta_dim(alpha, d)
-            m_a = mult_schur_weyl(alpha, d)
-            s = kahan_sum(
-                sqrt(mult_schur_weyl(nu, d) * dim_irrep(nu)) for nu in add_box(alpha, d)
-            )
-            base = va / sqrt(m_a) * s / sqrt(N * d_a - d_th)
-            for mu in add_box(alpha, d):
-                terms.append(base * vN[mu])
-        value = kahan_sum(terms) / d**1.5
-    return FidelityReport(value=value, method="optimal_general", ports=N, dim=d, log_space_used=ls)
+    alphas, grown, valid = one_box_frames(N, d)
+    ln_p = ln_schur_weyl_probability(np.concatenate([alphas, grown[valid]]), d)
+    ln_p_alpha, ln_p_grown = ln_p[: len(alphas)], on_mask(ln_p[len(alphas):], valid, -np.inf)
+    # S(alpha)/sqrt(p(alpha)) term by term, so no underflowing p is divided by
+    s_over_sqrt_p = np.exp(0.5 * (ln_p_grown - ln_p_alpha[:, None])).sum(axis=1)
+    big_v = on_mask(vN.on_table(grown[valid]), valid, 0.0).sum(axis=1)
+    terms = vNm1.on_table(alphas) * height_correction(alphas, d) * s_over_sqrt_p * big_v
+    value = math.fsum(terms) / (d * sqrt(N))
+    return FidelityReport(value=value, method="optimal_general", ports=N, dim=d)
 
 
-def frec_optimal_qubit(
-    N: int, log_space: Optional[bool] = None, verify: bool = False
-) -> FidelityReport:
-    """Optimal-protocol recycling fidelity for qubit ports, two-row form.
-
-    Evaluates the binomial specialization of the general sum with the
-    analytic eigenvector weights.  With ``verify=True`` the value is checked
-    against the frame-sum route and a discrepancy beyond 1e-9 raises.
-    """
-    if N < 2:
-        raise ValueError("N must be at least 2 for the optimal protocol")
-    vN = v_qubit(N)
-    vNm1 = v_qubit(N - 1)
-    ls = use_log_space(N, 2, log_space)
-    k = (N - 1) // 2  # == ceil(N/2 - 1)
-    tmax = N // 2  # largest valid second-row length for N boxes
-
-    def v_of(vc: VCoefficients, ports: int, l: int) -> float:
-        if l > ports // 2:
-            return 0.0
-        return vc[_partition_for_l(ports, l)]
-
-    terms = []
-    lnNp1 = log(N + 1)
-    for l in range(k + 1):
-        va = v_of(vNm1, N - 1, l)
-        if va == 0.0:
-            continue
-        vsum = v_of(vN, N, l) + v_of(vN, N, l + 1)
-        # two-row closed forms; d_th divides exactly (hook-length identity)
-        m_a = N - 2 * l
-        d_a = comb(N - 1, l) - (comb(N - 1, l - 1) if l else 0)
-        d_th = N * (N - l) * l * d_a // ((N + 1 - l) * (l + 1)) if l >= 1 else 0
-        if ls:
-            # bracket = sum over one-box extensions of sqrt(mult * dim)
-            t1 = log(N - 2 * l + 1) + 0.5 * (math.log(comb(N + 1, l)) - lnNp1)
-            if N - 2 * l - 1 > 0:
-                t2 = log(N - 2 * l - 1) + 0.5 * (math.log(comb(N + 1, l + 1)) - lnNp1)
-                ln_bracket = logsumexp([t1, t2])
-            else:
-                ln_bracket = t1
-            terms.append(
-                exp(log(va) + log(vsum) - 0.5 * log(m_a) + ln_bracket - 0.5 * math.log(N * d_a - d_th))
-            )
-        else:
-            b1 = (N - 2 * l + 1) * sqrt(comb(N + 1, l) / (N + 1))
-            b2 = (N - 2 * l - 1) * sqrt(comb(N + 1, l + 1) / (N + 1)) if N - 2 * l - 1 > 0 else 0.0
-            terms.append(va * vsum / sqrt(m_a) * (b1 + b2) / sqrt(N * d_a - d_th))
-    value = kahan_sum(terms) / (2.0 * sqrt(2.0))
-    report = FidelityReport(
-        value=value, method="optimal_qubit", ports=N, dim=2, log_space_used=ls
-    )
-    if verify:
-        general = frec_optimal(N, 2, vN, vNm1, log_space=log_space)
-        if abs(general.value - value) > 1e-9:
-            raise RuntimeError(
-                f"qubit form {value} disagrees with frame sum {general.value} at N={N}"
-            )
-    return report
-
-
-def resource_state_fidelity(
-    N: int, d: int, v: VCoefficients, log_space: Optional[bool] = None
-) -> FidelityReport:
-    """Overlap between the plain and rotated resource states: sum of v*sqrt(dim*mult)/sqrt(d^N)."""
+def resource_state_fidelity(N: int, d: int, v: VCoefficients) -> FidelityReport:
+    """Overlap between the plain and rotated resource states: sum of v * sqrt(p)."""
     if v.ports != N or v.dim != d:
         raise CoefficientError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    ls = use_log_space(N, d, log_space)
-    if ls:
-        ln_terms = []
-        for mu in partitions_bounded(N, d):
-            vm = v[mu]
-            if vm > 0.0:
-                ln_terms.append(
-                    log(vm) + 0.5 * (ln_dim_irrep(mu) + ln_mult_schur_weyl(mu, d))
-                )
-        value = exp(logsumexp(ln_terms) - 0.5 * N * log(d))
-    else:
-        value = kahan_sum(
-            v[mu] * sqrt(dim_irrep(mu) * mult_schur_weyl(mu, d))
-            for mu in partitions_bounded(N, d)
-        ) / sqrt(d**N)
-    return FidelityReport(value=value, method="general", ports=N, dim=d, log_space_used=ls)
+    table = frame_table(N, d)
+    value = math.fsum(v.on_table(table) * np.exp(0.5 * ln_schur_weyl_probability(table, d)))
+    return FidelityReport(value=value, method="general", ports=N, dim=d)
 
 
 def resource_state_fidelity_qubit_angular(N: int) -> float:
@@ -447,7 +342,7 @@ def resource_state_fidelity_qubit_angular(N: int) -> float:
     if N < 1:
         raise ValueError("N must be positive")
     jmin = 0 if N % 2 == 0 else 1  # doubled
-    total = kahan_sum(
+    total = math.fsum(
         (twoj + 1)
         * math.sin(math.pi * (twoj + 1) / (N + 2))
         / sqrt(factorial((N - twoj) // 2) * factorial((N + twoj) // 2 + 1))

@@ -1,9 +1,11 @@
 """Integer partitions (Young frames) and exact irrep combinatorics.
 
 Frames with height at most ``d`` label the blocks that the symmetric group
-and the diagonal unitary action carve out of ``(C^d)^{(x)n}``.  Everything
-here is exact integer arithmetic; companion ``ln_*`` accessors return
-logarithms for sums whose terms overflow any fixed-width float.
+and the diagonal unitary action carve out of ``(C^d)^{(x)n}``.  Dimensions and
+multiplicities are exact integers.  The closed forms use one floating-point
+quantity instead, the Schur-Weyl probability p(lam) = m_lam d_lam / d^n of a
+frame (the weights sum to 1 over the frames of n boxes), evaluated in log
+space over an integer frame table so that no term overflows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
+
+import numpy as np
 
 #: Capacity of the memoization caches for dimensions/multiplicities.  Sweeps
 #: re-query the same frames heavily; lru_cache is thread-safe.
@@ -70,66 +74,76 @@ def as_partition(p) -> Partition:
     return Partition(tuple(p))
 
 
+def _frame_tuples(n: int, max_height: int) -> list[tuple[int, ...]]:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if max_height < 1:
+        raise ValueError("max_height must be positive")
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, largest: int, acc: tuple[int, ...]):
+        if remaining == 0:
+            out.append(acc)
+            return
+        rows_left = max_height - len(acc)
+        if rows_left == 1:  # the bound below has kept remaining <= largest
+            out.append((*acc, remaining))
+            return
+        # Prune: a part below ceil(remaining / rows_left) would leave more boxes
+        # than the rows after it can hold at that width, so no frame lies there.
+        for part in range(min(remaining, largest), (remaining - 1) // rows_left, -1):
+            rec(remaining - part, part, (*acc, part))
+
+    rec(n, n, ())
+    return out
+
+
 def partitions_bounded(n: int, max_height: int) -> list[Partition]:
     """All partitions of ``n`` with height <= ``max_height``, descending lexicographic.
 
     ``n = 0`` yields the singleton list containing the empty partition.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if max_height < 1:
-        raise ValueError("max_height must be positive")
-    out: list[Partition] = []
-
-    def rec(remaining: int, largest: int, acc: list[int]):
-        if remaining == 0:
-            out.append(Partition(tuple(acc)))
-            return
-        if len(acc) == max_height:
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n if n > 0 else 1, [])
-    return out
+    return [Partition(p) for p in _frame_tuples(n, max_height)]
 
 
-def _column_heights(parts: tuple[int, ...]) -> list[int]:
-    cols = [0] * (parts[0] if parts else 0)
-    for row in parts:
-        for j in range(row):
-            cols[j] += 1
-    return cols
+def frame_table(n: int, d: int) -> np.ndarray:
+    """The frames of ``partitions_bounded(n, d)``, in that order, as an int table.
+
+    One row per frame, zero-padded to ``d`` columns.
+    """
+    rows = [p + (0,) * (d - len(p)) for p in _frame_tuples(n, d)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), d)
+
+
+#: Dimensions of the frames of n boxes share n! and most of their row factorials.
+_factorial = lru_cache(maxsize=CACHE_CAPACITY)(math.factorial)
 
 
 @lru_cache(maxsize=CACHE_CAPACITY)
 def _hook_product(parts: tuple[int, ...]) -> int:
-    cols = _column_heights(parts)
-    prod = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            prod *= (row - j) + (cols[j] - i) - 1
-    return prod
+    # Frobenius: prod of hooks = prod_i l_i! / prod_{i<j} (l_i - l_j), l_i = parts_i + k - 1 - i
+    k = len(parts)
+    shifted = [row + k - 1 - i for i, row in enumerate(parts)]
+    num = math.prod(_factorial(l) for l in shifted)
+    den = math.prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1:])
+    return num // den
 
 
 @lru_cache(maxsize=CACHE_CAPACITY)
 def _dim_irrep(parts: tuple[int, ...]) -> int:
-    return math.factorial(sum(parts)) // _hook_product(parts)
+    return _factorial(sum(parts)) // _hook_product(parts)
 
 
 @lru_cache(maxsize=CACHE_CAPACITY)
 def _mult_schur_weyl(parts: tuple[int, ...], d: int) -> int:
     if len(parts) > d:
         return 0
-    num = 1
-    for i, row in enumerate(parts):
-        for j in range(row):
-            num *= d + j - i
-    den = _hook_product(parts)
+    # Weyl dimension formula over the d rows, zero-padded
+    rows = parts + (0,) * (d - len(parts))
+    num = math.prod(rows[i] - rows[j] + j - i for i in range(d) for j in range(i + 1, d))
+    den = math.prod(math.factorial(k) for k in range(d))
     q, r = divmod(num, den)
-    assert r == 0, "hook-content product is always integral"
+    assert r == 0, "the Weyl dimension formula is integral"
     return q
 
 
@@ -155,25 +169,80 @@ def dims(alpha, d: int) -> IrrepDims:
     return IrrepDims(_dim_irrep(a.parts), _mult_schur_weyl(a.parts, d))
 
 
-@lru_cache(maxsize=CACHE_CAPACITY)
-def _ln_dim_irrep(parts: tuple[int, ...]) -> float:
-    return math.log(_dim_irrep(parts)) if parts else 0.0
+#: stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 for k = 0..15 (entry 0 unused),
+#: the exact table of C. Loader, "Fast and accurate computation of binomial
+#: probabilities" (2000); above 15 the Stirling series of ``_STIRLERR_SERIES`` is used.
+_STIRLERR_SMALL = np.array([
+    0.0,
+    0.08106146679532725821967026, 0.04134069595540929409382208,
+    0.02767792568499833914878929, 0.02079067210376509311152277,
+    0.01664469118982119216319487, 0.01387612882307074799874573,
+    0.01189670994589177009505572, 0.01041126526197209649747857,
+    0.009255462182712732917728637, 0.008330563433362871256469319,
+    0.007573675487951840794972024, 0.006942840107209529865664153,
+    0.006408994188004207068439631, 0.005951370112758847735624416,
+    0.00555473355196280137103869,
+])
+#: Coefficients 1/12, -1/360, 1/1260, -1/1680, 1/1188 of 1/k, 1/k^3, ..., 1/k^9.
+_STIRLERR_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+#: 1/(2j+1) for j = 1..8: the atanh series of bd0 below |v| < 0.1, cut below 1e-17.
+_BD0_SERIES = tuple(1 / (2 * j + 1) for j in range(1, 9))
 
 
-@lru_cache(maxsize=CACHE_CAPACITY)
-def _ln_mult_schur_weyl(parts: tuple[int, ...], d: int) -> float:
-    m = _mult_schur_weyl(parts, d)
-    return math.log(m) if m else float("-inf")
+def _ln_factorial_remainder(x: np.ndarray) -> np.ndarray:
+    """ln x! - (x ln x - x), elementwise over nonnegative ints (0 at x = 0)."""
+    xf = np.maximum(x, 1).astype(float)
+    inv2 = 1.0 / (xf * xf)
+    series = np.zeros_like(xf)
+    for coef in reversed(_STIRLERR_SERIES):
+        series = coef + series * inv2
+    stirlerr = np.where(x > 15, series / xf, _STIRLERR_SMALL[np.minimum(x, 15)])
+    return np.where(x > 0, 0.5 * np.log(2 * math.pi * xf) + stirlerr, 0.0)
 
 
-def ln_dim_irrep(alpha) -> float:
-    """log of dim_irrep, safe for frames whose dimension overflows a float."""
-    return _ln_dim_irrep(as_partition(alpha).parts)
+def _bd0(x: np.ndarray, n: np.ndarray, d: int) -> np.ndarray:
+    """Loader's deviance x ln(x/M) + M - x at M = n/d, elementwise.
+
+    The ratio v = (x - M)/(x + M) is formed from the exact integer d x - n.
+    """
+    num = d * x - n
+    n_safe = np.maximum(n, 1)
+    v = num / np.maximum(d * x + n, 1)
+    v2 = v * v
+    tail = np.zeros_like(v)
+    for coef in reversed(_BD0_SERIES):
+        tail = coef + tail * v2
+    series = (num / d) * v + 2.0 * x * v * v2 * tail
+    direct = x * np.log(np.where(x > 0, d * x, n_safe) / n_safe) + n / d - x
+    return np.where(np.abs(v) < 0.1, series, direct)
 
 
-def ln_mult_schur_weyl(alpha, d: int) -> float:
-    """log of mult_schur_weyl (``-inf`` when the multiplicity is 0)."""
-    return _ln_mult_schur_weyl(as_partition(alpha).parts, d)
+def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
+    """ln p(lam) = ln(m_lam d_lam / d^n) for each row of a frame table.
+
+    Rows are frames zero-padded to ``d`` columns (as from ``frame_table``);
+    they may have different box counts n.  p is the multinomial weight
+    n! / (prod_i lam_i! d^n), in Loader's saddle-point form, times
+    prod_{i<j} (lam_i - lam_j + j - i)^2 / ((lam_i + j - i) (j - i)),
+    the Weyl and hook-length factors.  No bigints; the absolute error in ln p
+    stays below 1e-13 * max(1, |ln p|).
+    """
+    lam = np.asarray(table, dtype=np.int64)
+    if lam.ndim != 2 or lam.shape[1] != d:
+        raise ValueError(f"frame table must have {d} columns")
+    if (lam < 0).any() or (lam[:, :-1] < lam[:, 1:]).any():
+        raise ValueError("frame table rows must be nonnegative and weakly decreasing")
+    n = lam.sum(axis=1)
+    g = _ln_factorial_remainder(np.column_stack([n, lam]))
+    i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))  # row pairs i < j
+    gap = j - i
+    diff = lam[:, i] - lam[:, j] + gap
+    return (
+        g[:, 0]
+        - g[:, 1:].sum(axis=1)
+        - _bd0(lam, n[:, None], d).sum(axis=1)
+        + np.log(diff * diff / ((lam[:, i] + gap) * gap)).sum(axis=1)
+    )
 
 
 def add_box(alpha, max_height: Optional[int] = None) -> list[Partition]:

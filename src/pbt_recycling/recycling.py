@@ -2,64 +2,91 @@
 
 The resource state degrades when the sender's square-root measurement fires;
 its overlap with the ideal post-teleportation state reduces to a sum over
-Young frames of one fewer box, weighted by exact dimensions and
-multiplicities.  Two evaluation paths are provided: direct floating point,
-and a log-space path with compensated summation for port counts where the
-individual terms overflow doubles.
+Young frames alpha of N-1 boxes and height <= d.  Every term is written with
+the Schur-Weyl probability p(lam) = m_lam d_lam / d^n of ``partitions``:
+
+    F = 1/(d sqrt(N)) * sum_alpha c(alpha) S(alpha)^2,
+    S(alpha) = sum over one-box extensions nu of alpha of sqrt(p(nu)),
+
+where c(alpha) = 1/sqrt(1 - prod_i h_i/(h_i + 1)) when alpha has height d,
+h_i being the first-column hook lengths of alpha, and c(alpha) = 1 otherwise.
+
+This equals the exact-integer form F = sqrt(N)/d^(N+1) * T, with the overlap
+trace T = sum_alpha k(alpha) s(alpha)^2 / N, s = sum_nu sqrt(m_nu d_nu) and
+k = sqrt(N d_alpha / (N d_alpha - d_theta)) for the over-height frame
+theta = alpha + (1,): s^2 = d^N S^2, and d_theta/(N d_alpha) is the hook
+product above.  On the bare sum sum_alpha k s^2 (without the 1/N) the
+normalisation is 1/(sqrt(N) d^(N+1)); sqrt(N)/d^(N+1) there would exceed 1
+already at N = d = 2.  F = 1/d at N = 1, and the dense-matrix oracle
+reproduces F.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb, exp, log, sqrt
-from typing import Optional
+from functools import lru_cache
+
+import numpy as np
 
 from .partitions import (
-    Partition,
+    CACHE_CAPACITY,
     add_box,
     as_partition,
     dim_irrep,
-    ln_dim_irrep,
-    ln_mult_schur_weyl,
+    frame_table,
+    ln_schur_weyl_probability,
     mult_schur_weyl,
-    partitions_bounded,
     theta_dim,
 )
 from .reports import FidelityReport
 
-#: Switch to the log-space path once the normalization d^(N+1) crosses 2^150.
-LOG_SPACE_BITS = 150.0
+
+def _check_point(N: int, d: int):
+    if N < 1:
+        raise ValueError("N must be positive")
+    if d < 2:
+        raise ValueError("d must be at least 2")
 
 
-def use_log_space(N: int, d: int, log_space: Optional[bool]) -> bool:
-    if log_space is not None:
-        return bool(log_space)
-    return (N + 1) * math.log2(d) >= LOG_SPACE_BITS
+def one_box_frames(N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frames alpha of N-1 boxes and their one-box extensions nu, height <= d.
+
+    Returns the frame table of alpha (F x d), the grown frames (F x d x d,
+    entry [f, i] adds a box to row i) and the mask of those that are frames.
+    """
+    alphas = frame_table(N - 1, d)
+    grown = alphas[:, None, :] + np.eye(d, dtype=alphas.dtype)
+    valid = np.ones(alphas.shape, dtype=bool)
+    valid[:, 1:] = alphas[:, :-1] > alphas[:, 1:]
+    return alphas, grown, valid
 
 
-def kahan_sum(values) -> float:
-    """Compensated summation; the terms here span many orders of magnitude."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+def on_mask(values: np.ndarray, valid: np.ndarray, fill: float) -> np.ndarray:
+    """An array shaped like ``valid`` holding ``values`` where it is set, else ``fill``."""
+    out = np.full(valid.shape, fill)
+    out[valid] = values
+    return out
 
 
-def logsumexp(ln_terms) -> float:
-    """log(sum(exp(t))) with the exponentials compensated against the max."""
-    terms = [t for t in ln_terms if t != float("-inf")]
-    if not terms:
-        return float("-inf")
-    m = max(terms)
-    return m + log(kahan_sum(exp(t - m) for t in terms))
+def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
+    """c(alpha) per row: 1/sqrt(1 - prod_i h_i/(h_i+1)) at height d, else 1."""
+    c = np.ones(len(alphas))
+    full = alphas[:, -1] > 0
+    hooks = alphas[full] + np.arange(d - 1, -1, -1)
+    c[full] = 1.0 / np.sqrt(-np.expm1(-np.log1p(1.0 / hooks).sum(axis=1)))
+    return c
 
 
-def srm_eigenvalue(alpha, nu, N: int, d: int, log_space: bool = False) -> float:
+@lru_cache(maxsize=CACHE_CAPACITY)
+def _recycling_sum(N: int, d: int) -> float:
+    """sum_alpha c(alpha) S(alpha)^2 (``frec`` and the trace share it)."""
+    alphas, grown, valid = one_box_frames(N, d)
+    s = np.exp(0.5 * on_mask(ln_schur_weyl_probability(grown[valid], d), valid, -np.inf)).sum(axis=1)
+    return math.fsum(height_correction(alphas, d) * s * s)
+
+
+def srm_eigenvalue(alpha, nu, N: int, d: int) -> float:
     """Eigenvalue of the summed-signal operator on the block labeled (alpha, nu).
 
     ``alpha`` has N-1 boxes, ``nu`` is ``alpha`` plus one box; both heights
@@ -72,17 +99,8 @@ def srm_eigenvalue(alpha, nu, N: int, d: int, log_space: bool = False) -> float:
         raise ValueError("frame exceeds local dimension")
     if v not in add_box(a):
         raise ValueError(f"{v} is not obtained from {a} by adding one box")
-    if log_space:
-        ln = (
-            log(N)
-            - N * log(d)
-            + ln_mult_schur_weyl(v, d)
-            + ln_dim_irrep(a)
-            - ln_mult_schur_weyl(a, d)
-            - ln_dim_irrep(v)
-        )
-        return exp(ln)
-    return (N / d**N) * (mult_schur_weyl(v, d) * dim_irrep(a)) / (mult_schur_weyl(a, d) * dim_irrep(v))
+    # one correctly rounded division of exact integers
+    return N * mult_schur_weyl(v, d) * dim_irrep(a) / (d**N * mult_schur_weyl(a, d) * dim_irrep(v))
 
 
 def povm_block_factor(alpha, N: int, d: int) -> float:
@@ -103,130 +121,20 @@ def povm_block_factor(alpha, N: int, d: int) -> float:
     return float(1 - Fraction(d_th, N * dim_irrep(a)))
 
 
-def _ln_sqrt_md_sum(alpha: Partition, d: int) -> float:
-    """log of sum over one-box extensions of sqrt(mult * dim), exact-int logs."""
-    return logsumexp(
-        0.5 * (ln_mult_schur_weyl(nu, d) + ln_dim_irrep(nu)) for nu in add_box(alpha, d)
-    )
+def trace_sqrt_povm_signal(N: int, d: int) -> float:
+    """Overlap trace between one SRM square root and its signal: d^N/N * sum_alpha c S^2.
 
-
-def _ln_trace_sqrt_povm_signal(N: int, d: int) -> float:
-    """log of the overlap trace between one SRM square root and its signal."""
-    ln_terms = []
-    for alpha in partitions_bounded(N - 1, d):
-        ln_s = _ln_sqrt_md_sum(alpha, d)
-        if ln_s == float("-inf"):
-            continue
-        if alpha.height < d:
-            ln_terms.append(2.0 * ln_s - log(N))
-        else:
-            d_a = dim_irrep(alpha)
-            d_th = theta_dim(alpha, d)
-            ln_pref = 0.5 * ln_dim_irrep(alpha) - 0.5 * math.log(N * d_a - d_th) - 0.5 * log(N)
-            ln_terms.append(2.0 * ln_s + ln_pref)
-    return logsumexp(ln_terms)
-
-
-def trace_sqrt_povm_signal(N: int, d: int, log_space: Optional[bool] = None) -> float:
-    """Overlap trace driving the recycling fidelity, summed over all frames.
-
-    Frames shorter than ``d`` contribute (1/N) (sum sqrt(m*dim))^2; frames of
-    height ``d`` carry the damped prefactor from the over-height correction.
+    Raises OverflowError once the trace itself exceeds the float range.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    if use_log_space(N, d, log_space):
-        return exp(_ln_trace_sqrt_povm_signal(N, d))
-    terms = []
-    for alpha in partitions_bounded(N - 1, d):
-        s = kahan_sum(
-            sqrt(mult_schur_weyl(nu, d) * dim_irrep(nu)) for nu in add_box(alpha, d)
-        )
-        if alpha.height < d:
-            terms.append(s * s / N)
-        else:
-            d_a = dim_irrep(alpha)
-            d_th = theta_dim(alpha, d)
-            terms.append(sqrt(d_a) / (sqrt(N * d_a - d_th) * sqrt(N)) * s * s)
-    return kahan_sum(terms)
+    _check_point(N, d)
+    return d**N / N * _recycling_sum(N, d)
 
 
-def _qubit_k(N: int) -> int:
-    # ceil(N/2 - 1) == floor((N-1)/2) for all N >= 1; the floor form is used
-    return (N - 1) // 2
-
-
-def _qubit_term_parts(N: int, l: int) -> tuple[float, float]:
-    """(prefactor, bracket) of one two-row term; bracket uses exact binomials."""
-    pref = sqrt((N + 1 - l) * (l + 1) / (N + 1))
-    b1 = (N - 2 * l + 1) * sqrt(comb(N + 1, l) / (N + 1))
-    b2 = (N - 2 * l - 1) * sqrt(comb(N + 1, l + 1) / (N + 1))
-    return pref, b1 + b2
-
-
-def _ln_trace_sqrt_povm_signal_qubit(N: int) -> float:
-    ln_terms = []
-    lnNp1 = log(N + 1)
-    for l in range(_qubit_k(N) + 1):
-        ln_pref = 0.5 * (log(N + 1 - l) + log(l + 1) - lnNp1)
-        # bracket in log space: both addends are nonnegative
-        t1 = log(N - 2 * l + 1) + 0.5 * (math.log(comb(N + 1, l)) - lnNp1)
-        if N - 2 * l - 1 > 0:
-            t2 = log(N - 2 * l - 1) + 0.5 * (math.log(comb(N + 1, l + 1)) - lnNp1)
-            ln_bracket = logsumexp([t1, t2])
-        else:
-            ln_bracket = t1
-        ln_terms.append(ln_pref + 2.0 * ln_bracket - log(N))
-    return logsumexp(ln_terms)
-
-
-def trace_sqrt_povm_signal_qubit(N: int, log_space: Optional[bool] = None) -> float:
-    """Two-row specialization of the overlap trace, binomials only."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if use_log_space(N, 2, log_space):
-        return exp(_ln_trace_sqrt_povm_signal_qubit(N))
-    terms = []
-    for l in range(_qubit_k(N) + 1):
-        pref, bracket = _qubit_term_parts(N, l)
-        terms.append(pref * bracket * bracket / N)
-    return kahan_sum(terms)
-
-
-def frec(N: int, d: int, log_space: Optional[bool] = None) -> FidelityReport:
+def frec(N: int, d: int) -> FidelityReport:
     """One-round recycling fidelity, arbitrary local dimension."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    ls = use_log_space(N, d, log_space)
-    if ls:
-        ln_f = 0.5 * log(N) - (N + 1) * log(d) + _ln_trace_sqrt_povm_signal(N, d)
-        value = exp(ln_f)
-    else:
-        value = sqrt(N) / d ** (N + 1) * trace_sqrt_povm_signal(N, d, log_space=False)
-    return FidelityReport(value=value, method="general", ports=N, dim=d, log_space_used=ls)
-
-
-def frec_qubit(N: int, log_space: Optional[bool] = None) -> FidelityReport:
-    """One-round recycling fidelity for qubit ports, two-row closed form.
-
-    The overall normalization is 1/(sqrt(N) 2^(N+1)) applied to the bare
-    two-row sum; see the conventions note in the README for why the commonly
-    quoted sqrt(N)/2^(N+1) variant is rejected (it exceeds 1 already at N=2,
-    while this form reproduces the exact dense-matrix oracle).
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    ls = use_log_space(N, 2, log_space)
-    if ls:
-        ln_f = 0.5 * log(N) - (N + 1) * log(2.0) + _ln_trace_sqrt_povm_signal_qubit(N)
-        value = exp(ln_f)
-    else:
-        value = sqrt(N) / 2 ** (N + 1) * trace_sqrt_povm_signal_qubit(N, log_space=False)
-    return FidelityReport(value=value, method="qubit_closed", ports=N, dim=2, log_space_used=ls)
+    _check_point(N, d)
+    value = _recycling_sum(N, d) / (d * math.sqrt(N))
+    return FidelityReport(value=value, method="general", ports=N, dim=d)
 
 
 def kround_lower_bound(f1: float, k: int) -> float:

