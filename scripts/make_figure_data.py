@@ -2,7 +2,7 @@
 """Emit the CSV data behind the standard plots (no rendering here).
 
 Outputs, under --outdir (default ./figure_data):
-  recycling_vs_ports_d{2,3,4}.csv   non-optimal and (d=2) optimal fidelity vs N
+  recycling_vs_ports_d{2,3,4}.csv   non-optimal and optimal fidelity vs N
   kround_bounds_d2.csv              k-round lower bounds for several k
   resource_fidelity_d2.csv          plain/rotated resource-state overlap vs N
 """
@@ -14,8 +14,9 @@ from pbt_recycling import (
     frec,
     frec_optimal,
     kround_lower_bound,
+    lower_bound_qubit,
     resource_state_fidelity,
-    v_qubit,
+    v_optimal,
 )
 from pbt_recycling.cli import format_value as fmt
 
@@ -25,8 +26,8 @@ def recycling_curves(outdir: pathlib.Path, nmax: int):
         lines = ["N,d,frec,frec_opt,lower_bound_qubit"]
         for n in range(2, nmax + 1):
             f = frec(n, d).value
-            fo = fmt(frec_optimal(n, 2, v_qubit(n), v_qubit(n - 1)).value) if d == 2 else ""
-            lb = fmt(1.0 - 11.0 / (4.0 * n)) if d == 2 else ""
+            fo = fmt(frec_optimal(n, d, v_optimal(n, d), v_optimal(n - 1, d)).value)
+            lb = fmt(lower_bound_qubit(n)) if d == 2 else ""
             lines.append(f"{n},{d},{fmt(f)},{fo},{lb}")
         path = outdir / f"recycling_vs_ports_d{d}.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -47,7 +48,7 @@ def kround_curves(outdir: pathlib.Path, nmax: int):
 def resource_curve(outdir: pathlib.Path, nmax: int):
     lines = ["N,d,resource_fidelity"]
     for n in range(1, nmax + 1):
-        lines.append(f"{n},2,{fmt(resource_state_fidelity(n, 2, v_qubit(n)).value)}")
+        lines.append(f"{n},2,{fmt(resource_state_fidelity(n, 2, v_optimal(n, 2)).value)}")
     path = outdir / "resource_fidelity_d2.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")

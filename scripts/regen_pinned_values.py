@@ -13,7 +13,7 @@ from pbt_recycling import (
     frec_optimal_oracle,
     frec_oracle,
     resource_fidelity_oracle,
-    v_qubit,
+    v_optimal,
 )
 
 GRID = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (1, 4), (2, 4)]
@@ -28,12 +28,12 @@ def main():
         }
     for N in (2, 3, 4, 5):
         entries[f"frec_optimal_oracle/N={N},d=2"] = {
-            "value": frec_optimal_oracle(N, 2, v_qubit(N), v_qubit(N - 1)).value,
+            "value": frec_optimal_oracle(N, 2, v_optimal(N, 2), v_optimal(N - 1, 2)).value,
             "provenance": "dense trace with analytic qubit rotation weights",
         }
     for N in (6, 7):
         entries[f"resource_fidelity_oracle/N={N},d=2"] = {
-            "value": resource_fidelity_oracle(N, 2, v_qubit(N)),
+            "value": resource_fidelity_oracle(N, 2, v_optimal(N, 2)),
             "provenance": "direct overlap of the rotated and plain resource vectors",
         }
     out = pathlib.Path(__file__).resolve().parents[1] / "src" / "pbt_recycling" / "data" / "pinned_values.json"

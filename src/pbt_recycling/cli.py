@@ -70,32 +70,30 @@ def _write_text(path: Optional[str], text: str):
         fh.write(text)
 
 
-def _qubit_pair(N: int) -> tuple[VCoefficients, VCoefficients]:
+def _load_weights(path: str, N: int, d: int) -> VCoefficients:
+    v = opt.load_v_coefficients(path)
+    if v.ports != N or v.dim != d:
+        raise CoefficientError(
+            f"coefficient file is for (N={v.ports}, d={v.dim}), requested (N={N}, d={d})"
+        )
+    return v
+
+
+def _weight_pair(parser, args) -> tuple[VCoefficients, VCoefficients]:
+    """Weights for N and N-1 ports: --vfile and --vfile-prev when given, else the optimal ones."""
+    if bool(args.vfile) != bool(args.vfile_prev):
+        parser.error("--vfile and --vfile-prev must be given together")
+    N, d = args.ports, args.dim
     if N < 2:
         raise ValueError("N must be at least 2 for the optimal protocol")
-    return opt.v_qubit(N), opt.v_qubit(N - 1)
-
-
-def _load_pair(parser, args) -> tuple[VCoefficients, VCoefficients]:
-    if not args.vfile or not args.vfile_prev:
-        parser.error("--optimal with --dim > 2 requires --vfile and --vfile-prev")
-    v_n = opt.load_v_coefficients(args.vfile)
-    v_prev = opt.load_v_coefficients(args.vfile_prev)
-    return v_n, v_prev
+    if args.vfile:
+        return _load_weights(args.vfile, N, d), _load_weights(args.vfile_prev, N - 1, d)
+    return opt.v_optimal(N, d), opt.v_optimal(N - 1, d)
 
 
 def _cmd_frec(parser, args) -> int:
     if args.optimal:
-        if args.dim == 2 and not args.vfile:
-            v_n, v_prev = _qubit_pair(args.ports)
-        else:
-            v_n, v_prev = _load_pair(parser, args)
-            if v_n.ports != args.ports or v_n.dim != args.dim:
-                raise CoefficientError(
-                    f"coefficient file is for (N={v_n.ports}, d={v_n.dim}), "
-                    f"requested (N={args.ports}, d={args.dim})"
-                )
-        report = opt.frec_optimal(args.ports, args.dim, v_n, v_prev)
+        report = opt.frec_optimal(args.ports, args.dim, *_weight_pair(parser, args))
     else:
         report = rec.frec(args.ports, args.dim)
     _emit(args, _report_lines(report), report.as_dict())
@@ -105,9 +103,9 @@ def _cmd_frec(parser, args) -> int:
 def _sweep_row(N: int, d: int, want_optimal: bool) -> SweepRow:
     value = rec.frec(N, d).value
     value_opt = None
-    if want_optimal and d == 2 and N >= 2:
-        value_opt = opt.frec_optimal(N, 2, *_qubit_pair(N)).value
-    bound = 1.0 - 11.0 / (4.0 * N) if d == 2 else None
+    if want_optimal and N >= 2:
+        value_opt = opt.frec_optimal(N, d, opt.v_optimal(N, d), opt.v_optimal(N - 1, d)).value
+    bound = rec.lower_bound_qubit(N) if d == 2 else None
     return SweepRow(N, d, value, value_opt, bound)
 
 
@@ -151,9 +149,11 @@ def _cmd_resource_fidelity(parser, args) -> int:
     if args.sweep:
         if args.ports_min is None or args.ports_max is None:
             parser.error("--sweep requires --ports-min and --ports-max")
+        if args.ports_min < 1 or args.ports_max < args.ports_min:
+            parser.error("need 1 <= --ports-min <= --ports-max")
         lines = ["N,d,resource_fidelity"]
         for n in range(args.ports_min, args.ports_max + 1):
-            value = opt.resource_state_fidelity(n, 2, opt.v_qubit(n)).value
+            value = opt.resource_state_fidelity(n, 2, opt.v_optimal(n, 2)).value
             lines.append(f"{n},2,{format_value(value)}")
         _write_text(args.out, "\n".join(lines) + "\n")
         return EXIT_OK
@@ -170,22 +170,19 @@ def _cmd_resource_fidelity(parser, args) -> int:
         value = opt.resource_state_fidelity_qubit_angular(args.ports)
         report = FidelityReport(value=value, method="angular", ports=args.ports, dim=2)
     else:
-        report = opt.resource_state_fidelity(args.ports, 2, opt.v_qubit(args.ports))
+        report = opt.resource_state_fidelity(args.ports, 2, opt.v_optimal(args.ports, 2))
     _emit(args, _report_lines(report), report.as_dict())
     return EXIT_OK
 
 
 def _cmd_oracle_verify(parser, args) -> int:
-    v = None
-    if args.vfile:
-        v = opt.load_v_coefficients(args.vfile)
-        if v.ports != args.ports or v.dim != args.dim:
-            raise CoefficientError(
-                f"coefficient file is for (N={v.ports}, d={v.dim}), "
-                f"requested (N={args.ports}, d={args.dim})"
-            )
-    elif args.dim == 2:
-        v = opt.v_qubit(args.ports)
+    optimal = args.optimal and args.ports >= 2
+    if optimal:
+        v, v_prev = _weight_pair(parser, args)
+    elif args.vfile:
+        v = _load_weights(args.vfile, args.ports, args.dim)
+    else:
+        v = opt.v_optimal(args.ports, args.dim)
     report = orc.verify_suite(
         args.ports,
         args.dim,
@@ -198,17 +195,9 @@ def _cmd_oracle_verify(parser, args) -> int:
     f_closed = rec.frec(args.ports, args.dim).value
     f_oracle = orc.frec_oracle(args.ports, args.dim).value
     report.add("frec_formula_vs_oracle", abs(f_closed - f_oracle))
-    if args.optimal and args.ports >= 2:
-        if args.dim == 2 and not args.vfile:
-            v_n, v_prev = _qubit_pair(args.ports)
-        else:
-            if v is None:
-                raise CoefficientError("--optimal with --dim > 2 requires --vfile")
-            if not args.vfile_prev:
-                raise CoefficientError("--optimal with --dim > 2 requires --vfile-prev")
-            v_n, v_prev = v, opt.load_v_coefficients(args.vfile_prev)
-        fq = opt.frec_optimal(args.ports, args.dim, v_n, v_prev).value
-        fo = orc.frec_optimal_oracle(args.ports, args.dim, v_n, v_prev).value
+    if optimal:
+        fq = opt.frec_optimal(args.ports, args.dim, v, v_prev).value
+        fo = orc.frec_optimal_oracle(args.ports, args.dim, v, v_prev).value
         report.add("frec_optimal_formula_vs_oracle", abs(fq - fo))
 
     if args.format == "json":
@@ -231,7 +220,7 @@ def _cmd_partitions(parser, args) -> int:
 
 
 def _cmd_vcoeffs(parser, args) -> int:
-    v = opt.v_qubit(args.ports)
+    v = opt.v_optimal(args.ports, 2)
     if args.out and args.out != "-":
         opt.save_v_coefficients(v, args.out)
     else:
@@ -250,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_frec.add_argument("--ports", type=int, required=True)
     p_frec.add_argument("--dim", type=int, required=True)
     p_frec.add_argument("--optimal", action="store_true")
-    p_frec.add_argument("--vfile", help="coefficient file for N ports")
-    p_frec.add_argument("--vfile-prev", help="coefficient file for N-1 ports")
+    p_frec.add_argument("--vfile", help="coefficient file for N ports (default: optimal weights)")
+    p_frec.add_argument("--vfile-prev", help="coefficient file for N-1 ports, with --vfile")
     p_frec.add_argument("--format", choices=("text", "json"), default="text")
     p_frec.set_defaults(func=_cmd_frec)
 
@@ -275,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_res.add_argument("--ports", type=int)
     p_res.add_argument("--method", choices=("schur", "angular"), default="schur")
-    p_res.add_argument("--vfile", help="coefficient file (required for dim > 2)")
+    p_res.add_argument("--vfile", help="coefficient file, any d (default: optimal qubit weights)")
     p_res.add_argument("--sweep", action="store_true")
     p_res.add_argument("--ports-min", type=int)
     p_res.add_argument("--ports-max", type=int)
@@ -290,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, required=True)
     p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--optimal", action="store_true")
-    p_verify.add_argument("--vfile", help="rotation weights for the checks")
-    p_verify.add_argument("--vfile-prev", help="weights for N-1 ports (optimal, dim > 2)")
+    p_verify.add_argument("--vfile", help="rotation weights for the checks (default: optimal weights)")
+    p_verify.add_argument("--vfile-prev", help="weights for N-1 ports, with --vfile under --optimal")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=_cmd_oracle_verify)
 
@@ -300,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_parts.add_argument("--max-height", type=int, required=True)
     p_parts.set_defaults(func=_cmd_partitions)
 
-    p_v = sub.add_parser("vcoeffs", help="emit qubit analytic coefficients")
+    p_v = sub.add_parser("vcoeffs", help="emit the optimal qubit coefficients")
     p_v.add_argument("--ports", type=int, required=True)
     p_v.add_argument("--out", help="output path (default stdout)")
     p_v.set_defaults(func=_cmd_vcoeffs)

@@ -1,11 +1,16 @@
-"""Optimal-protocol quantities: rotation coefficients and their fidelities.
+"""Optimal-protocol quantities: rotation weights and their fidelities.
 
 The optimal sender pre-rotates the shared state by a positive combination of
-Young projectors whose weights are the dominant eigenvector of a tridiagonal
-"teleportation" matrix (known explicitly for qubit ports).  This module
-carries that eigenvector (analytic and numeric routes), the optimal-protocol
-recycling fidelity, and the overlap between the optimal and plain resource
-states, cross-checkable in an angular-momentum parametrization.
+Young projectors.  Its weights v_mu over the frames mu of N boxes (height <= d)
+are the Perron vector of the teleportation matrix M = d^(-2) B^T B, where B is
+the 0/1 incidence matrix with B[alpha, mu] = 1 when mu is a frame alpha of
+N-1 boxes plus one box; lambda_max(M) is the entanglement fidelity of the
+optimal channel (Mozrzymas, Studzinski, Strelchuk, Horodecki, "Optimal
+port-based teleportation", arXiv:1707.08456).  At d = 2 the Perron vector is
+v_mu = 2/sqrt(N+2) sin(pi (mu_1 - mu_2 + 1)/(N+2)); above, ``v_optimal``
+solves for it.  This module also carries the optimal-protocol recycling
+fidelity and the overlap between the optimal and plain resource states,
+cross-checkable in an angular-momentum parametrization.
 
 Both fidelities are sums of the Schur-Weyl probability p of ``partitions``
 (weights v_mu over frames of N boxes, v_alpha over frames of N-1 boxes):
@@ -26,10 +31,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from math import factorial, sqrt
+from math import factorial, lgamma, sqrt
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .partitions import (
     Partition,
@@ -44,34 +48,13 @@ from .reports import FidelityReport
 #: Normalization slack for coefficient vectors.
 NORM_TOL = 1e-9
 
-#: Eigen-residual demanded from the numeric dominant eigenvector.
-RESIDUAL_TOL = 1e-12
+#: Relative eigen-residual demanded of the Perron vector, and the most negative
+#: entry tolerated before it is read as zero.
+PERRON_TOL = 1e-12
 
 
 class CoefficientError(ValueError):
     """Raised when a coefficient set or coefficient file fails validation."""
-
-
-@dataclass(frozen=True)
-class TriDiagonalMatrix:
-    """Symmetric tridiagonal matrix stored as diagonal and off-diagonal."""
-
-    diagonal: tuple[float, ...]
-    off_diagonal: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.off_diagonal) != max(len(self.diagonal) - 1, 0):
-            raise ValueError("off-diagonal length must be size - 1")
-
-    @property
-    def size(self) -> int:
-        return len(self.diagonal)
-
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal).astype(float)
-        if self.off_diagonal:
-            m += np.diag(self.off_diagonal, 1) + np.diag(self.off_diagonal, -1)
-        return m
 
 
 @dataclass(frozen=True)
@@ -176,99 +159,59 @@ def save_v_coefficients(v: VCoefficients, path):
         fh.write("\n")
 
 
-def teleportation_matrix_qubit(N: int) -> TriDiagonalMatrix:
-    """Tridiagonal matrix whose dominant eigenvector gives the qubit weights.
+def _from_table(N: int, d: int, table: np.ndarray, values: np.ndarray) -> VCoefficients:
+    """Weights given per row of a zero-padded frame table."""
+    frames = [Partition(tuple(x for x in row if x)) for row in table.tolist()]
+    return VCoefficients(ports=N, dim=d, entries=dict(zip(frames, values.tolist())))
 
-    Size floor(N/2 + 1); every entry is 1/4 except the middle diagonal 2/4 and
-    parity-dependent end cells.  For N = 1 the single cell is prescribed two
-    conflicting values by the parity rules, so the request is rejected.
+
+def _perron_weights(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(frame table of N boxes, Perron vector of d^(-2) B^T B on its rows), any d >= 2.
+
+    B is the incidence matrix of the frames of N-1 boxes against their
+    one-box extensions, all of height <= d.
+    """
+    # imported here: scipy.sparse adds a tenth of a second to every start-up
+    # of the package, and only d >= 3 needs it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import eigsh
+
+    alphas, grown, valid = one_box_frames(N, d)
+    table, cols = np.unique(grown[valid], axis=0, return_inverse=True)
+    if len(table) == 1:  # ARPACK needs more rows than eigenvectors
+        return table, np.ones(1)
+    rows = np.nonzero(valid)[0]
+    incidence = csr_matrix((np.ones(len(rows)), (rows, cols.ravel())), shape=(len(alphas), len(table)))
+    m = (incidence.T @ incidence) / d**2
+    w, u = eigsh(m, k=1, which="LA", v0=np.ones(len(table)))
+    v = u[:, 0] * np.sign(u[:, 0].sum())
+    v /= np.linalg.norm(v)
+    residual = np.linalg.norm(m @ v - w[0] * v)
+    if residual > PERRON_TOL * w[0]:
+        raise RuntimeError(f"Perron residual {residual} exceeds {PERRON_TOL} * {w[0]}")
+    if v.min() < -PERRON_TOL:
+        raise RuntimeError(f"Perron vector has a negative entry {v.min()}")
+    # entries below the solver's accuracy may come out as tiny negatives
+    return table, np.maximum(v, 0.0)
+
+
+def v_optimal(N: int, d: int) -> VCoefficients:
+    """Optimal-protocol weights: the Perron vector of the teleportation matrix.
+
+    d = 2 takes the closed form 2/sqrt(N+2) sin(pi k/(N+2)), k = mu_1 - mu_2 + 1,
+    with k folded to min(k, N+2-k) so the sine's argument stays in (0, pi/2];
+    d >= 3 takes a sparse eigensolve.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if N == 1:
-        raise ValueError(
-            "teleportation matrix is ambiguous for N=1 (single cell, conflicting end rules)"
-        )
-    t = N // 2 + 1
-    x1, x2 = (1.0, 1.0) if N % 2 == 0 else (1.0, 0.0)
-    diag = [0.5] * t
-    diag[0] = (2.0 - x1) / 4.0
-    diag[-1] = (2.0 - x2) / 4.0
-    return TriDiagonalMatrix(diagonal=tuple(diag), off_diagonal=tuple([0.25] * (t - 1)))
-
-
-def _partition_for_l(N: int, l: int) -> Partition:
-    return Partition((N - l, l) if l else (N,))
-
-
-def _vector_to_coefficients(N: int, vec: np.ndarray) -> VCoefficients:
-    if vec.sum() < 0:
-        vec = -vec
-    vec = vec / np.linalg.norm(vec)
-    if not (vec > 0).all():
-        raise ValueError("eigenvector positivity violated")
-    entries = {_partition_for_l(N, l): float(vec[l]) for l in range(len(vec))}
-    return VCoefficients(ports=N, dim=2, entries=entries)
-
-
-def v_qubit_analytic(N: int) -> VCoefficients:
-    """Dominant-eigenvector weights from the explicit sine formulas.
-
-    Index l (second-row length) runs over the full matrix size; row 0 of the
-    matrix corresponds to l = 0 (the one-row frame).  The normalized vector
-    must come out strictly positive.
-    """
-    if N < 2:
-        raise ValueError("analytic eigenvector requires N >= 2")
-    t = N // 2 + 1
-    vals = np.empty(t)
-    s0 = math.sin(N * math.pi / (N + 2))
-    for l in range(t):
-        if N % 2 == 0:
-            vals[l] = (
-                (-1) ** (N // 2 - l)
-                * (
-                    math.sin(((N + 2) / 2 - l) * N * math.pi / (N + 2))
-                    - math.sin((N / 2 - l) * N * math.pi / (N + 2))
-                )
-                / s0
-            )
-        else:
-            vals[l] = (-1) ** ((N - 1) // 2 - l) * math.sin(
-                ((N + 1) / 2 - l) * N * math.pi / (N + 2)
-            ) / s0
-    return _vector_to_coefficients(N, vals)
-
-
-def v_qubit_numeric(N: int, residual_tol: float = RESIDUAL_TOL) -> VCoefficients:
-    """Dominant eigenvector of the qubit teleportation matrix, solved numerically."""
-    m = teleportation_matrix_qubit(N)
-    w, u = eigh_tridiagonal(np.asarray(m.diagonal), np.asarray(m.off_diagonal))
-    vec = u[:, -1]
-    residual = np.linalg.norm(m.to_dense() @ vec - w[-1] * vec)
-    if residual > residual_tol:
-        raise RuntimeError(f"eigensolver residual {residual} exceeds {residual_tol}")
-    return _vector_to_coefficients(N, vec)
-
-
-def v_qubit(N: int) -> VCoefficients:
-    """Qubit weights for any N >= 1.
-
-    For N = 1 there is a single admissible frame, so normalization forces the
-    trivial coefficient set without consulting the (ambiguous) 1x1 matrix.
-    """
-    if N == 1:
-        return VCoefficients(ports=1, dim=2, entries={Partition((1,)): 1.0})
-    return v_qubit_analytic(N)
-
-
-def lambda_max_qubit(N: int) -> float:
-    """Largest eigenvalue of the qubit teleportation matrix (numeric)."""
-    m = teleportation_matrix_qubit(N)
-    w = eigh_tridiagonal(
-        np.asarray(m.diagonal), np.asarray(m.off_diagonal), eigvals_only=True
-    )
-    return float(w[-1])
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    if d > 2:
+        return _from_table(N, d, *_perron_weights(N, d))
+    table = frame_table(N, 2)
+    k = table[:, 0] - table[:, 1] + 1
+    k = np.minimum(k, N + 2 - k)
+    return _from_table(N, 2, table, 2.0 / sqrt(N + 2) * np.sin(np.pi * k / (N + 2)))
 
 
 def _as_half_integer(j) -> int:
@@ -304,8 +247,8 @@ def gamma_angular(N: int, j) -> float:
 def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
     """One-round recycling fidelity of the optimal protocol, arbitrary d.
 
-    The p-form sum of the module docstring; qubit ports take
-    ``vN = v_qubit(N)``, ``vNm1 = v_qubit(N - 1)``.
+    The p-form sum of the module docstring; the optimal protocol takes
+    ``vN = v_optimal(N, d)``, ``vNm1 = v_optimal(N - 1, d)``.
     """
     if N < 2:
         raise ValueError("N must be at least 2 for the optimal protocol")
@@ -338,14 +281,17 @@ def resource_state_fidelity(N: int, d: int, v: VCoefficients) -> FidelityReport:
 
 
 def resource_state_fidelity_qubit_angular(N: int) -> float:
-    """Same overlap computed in the total-spin parametrization (d = 2 only)."""
+    """Same overlap computed in the total-spin parametrization (d = 2 only).
+
+    Factorials enter as log-gamma sums, so no term overflows at large N.
+    """
     if N < 1:
         raise ValueError("N must be positive")
     jmin = 0 if N % 2 == 0 else 1  # doubled
-    total = math.fsum(
+    ln_prefactor = lgamma(N + 1) - (N - 2) * math.log(2) - math.log(N + 2)
+    return math.fsum(
         (twoj + 1)
         * math.sin(math.pi * (twoj + 1) / (N + 2))
-        / sqrt(factorial((N - twoj) // 2) * factorial((N + twoj) // 2 + 1))
+        * math.exp(0.5 * (ln_prefactor - lgamma((N - twoj) // 2 + 1) - lgamma((N + twoj) // 2 + 2)))
         for twoj in range(jmin, N + 1, 2)
     )
-    return sqrt(factorial(N) / (2 ** (N - 2) * (N + 2))) * total

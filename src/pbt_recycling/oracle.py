@@ -36,6 +36,9 @@ DEFAULT_DIM_CAP = 2**14
 #: Group-averaged projectors iterate all n! permutations; keep n modest.
 MAX_PROJECTOR_BOXES = 8
 
+#: Bytes the dense projectors of one (n, d) may hold; requests beyond it error out.
+PROJECTOR_BYTE_BUDGET = 1 << 30
+
 #: Relative support threshold: eigenvalues below tol*lambda_max count as kernel.
 SUPPORT_TOL = 1e-12
 
@@ -216,14 +219,22 @@ def srm_povm(
 
 @lru_cache(maxsize=32)
 def _young_projectors(n: int, d: int, dim_cap: int) -> dict[Partition, np.ndarray]:
-    """All group-averaged projectors for frames of n boxes, one pass over S(n)."""
+    """The group-averaged projectors for frames of n boxes and height <= d, one pass over S(n).
+
+    Taller frames are left out: their projectors vanish on (C^d)^(x)n.
+    """
     if n > MAX_PROJECTOR_BOXES:
         raise DimensionCapError(
             f"group-averaged projectors capped at {MAX_PROJECTOR_BOXES} boxes, got {n}"
         )
     dim = d**n
     _check_cap(dim, dim_cap)
-    shapes = [p.parts for p in partitions_bounded(n, n if n else 1)]
+    shapes = [p.parts for p in partitions_bounded(n, d)]
+    nbytes = len(shapes) * dim * dim * np.dtype(float).itemsize
+    if nbytes > PROJECTOR_BYTE_BUDGET:
+        raise DimensionCapError(
+            f"projectors for {n} boxes at d={d} need {nbytes} bytes, budget {PROJECTOR_BYTE_BUDGET}"
+        )
     sums: dict[tuple[int, ...], np.ndarray] = {s: np.zeros((dim, dim)) for s in shapes}
     powers = d ** np.arange(n - 1, -1, -1)
     idx = np.arange(dim)
@@ -238,16 +249,17 @@ def _young_projectors(n: int, d: int, dim_cap: int) -> dict[Partition, np.ndarra
             chi = character(s, ct)
             if chi:
                 np.add.at(sums[s], (rows, idx), float(chi))
-    out = {}
-    for s in shapes:
-        p = Partition(s)
-        out[p] = (dim_irrep(p) / math.factorial(n)) * sums[s]
-    return out
+    for s, m in sums.items():
+        m *= dim_irrep(s) / math.factorial(n)
+    return {Partition(s): m for s, m in sums.items()}
 
 
 def young_projector(mu, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """Group-averaged projector onto the isotypic block of frame ``mu``."""
+    """Group-averaged projector onto the isotypic block of frame ``mu`` (zero when taller than d)."""
     p = as_partition(mu)
+    if p.height > d:
+        _check_cap(d**p.n, dim_cap)
+        return DenseOperator(matrix=np.zeros((d**p.n, d**p.n)), hermitian=True)
     return DenseOperator(matrix=_young_projectors(p.n, d, dim_cap)[p], hermitian=True)
 
 

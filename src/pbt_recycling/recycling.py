@@ -137,6 +137,15 @@ def frec(N: int, d: int) -> FidelityReport:
     return FidelityReport(value=value, method="general", ports=N, dim=d)
 
 
+def lower_bound_qubit(N: int) -> float:
+    """The reference curve 1 - 11/(4N) printed beside the qubit recycling fidelity.
+
+    No derivation of it is recorded here; a test pins frec(N, 2) >= this
+    value for N = 1..3000.
+    """
+    return 1.0 - 11.0 / (4.0 * N)
+
+
 def kround_lower_bound(f1: float, k: int) -> float:
     """Lower bound after k rounds: 1 - 2k(1 - f1), returned raw.
 

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,7 +24,9 @@ def pinned():
 
 @pytest.fixture(scope="session")
 def vcoeff_path():
+    """Coefficient files from an offline optimisation, kept as regression fixtures."""
+
     def path_for(N, d):
-        return resources.files("pbt_recycling").joinpath(f"data/vcoeffs/v_n{N}_d{d}.json")
+        return Path(__file__).resolve().parent / "fixtures" / f"v_n{N}_d{d}.json"
 
     return path_for

@@ -8,7 +8,7 @@ same quantities through the general frame sum.
 import math
 from math import comb, sqrt
 
-from pbt_recycling.optimal import v_qubit
+from pbt_recycling.optimal import v_optimal
 from pbt_recycling.partitions import Partition
 
 
@@ -33,7 +33,7 @@ def frec_qubit(N: int) -> float:
 
 def frec_optimal_qubit(N: int) -> float:
     """Optimal-protocol recycling fidelity with the analytic weights, 2^(-3/2) normalisation."""
-    vN, vNm1 = v_qubit(N), v_qubit(N - 1)
+    vN, vNm1 = v_optimal(N, 2), v_optimal(N - 1, 2)
 
     def v_of(vc, ports, l):
         return vc[Partition((ports - l, l) if l else (ports,))] if l <= ports // 2 else 0.0

@@ -69,9 +69,19 @@ def test_frec_optimal_qubit_route(capsys):
     assert "method=optimal_general" in out
 
 
-def test_frec_optimal_needs_vfile_above_qubit(capsys):
+def test_frec_optimal_without_files_any_d(capsys):
+    from pbt_recycling.optimal import frec_optimal, v_optimal
+
+    code, out, _ = invoke(capsys, "frec", "--ports", "3", "--dim", "3", "--optimal", "--format", "json")
+    assert code == EXIT_OK
+    expected = frec_optimal(3, 3, v_optimal(3, 3), v_optimal(2, 3)).value
+    assert json.loads(out)["value"] == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("command", [["frec"], ["oracle", "verify"]])
+def test_vfile_without_vfile_prev_exits_2(capsys, vcoeff_path, command):
     with pytest.raises(SystemExit) as exc:
-        run(["frec", "--ports", "3", "--dim", "3", "--optimal"])
+        run([*command, "--ports", "3", "--dim", "3", "--optimal", "--vfile", str(vcoeff_path(3, 3))])
     assert exc.value.code == EXIT_USAGE
 
 
@@ -164,6 +174,19 @@ def test_sweep_d4_has_no_optimal_column_values(capsys, tmp_path):
         assert cols[3] == "" and cols[4] == ""
 
 
+def test_sweep_optimal_any_d(capsys, tmp_path):
+    out_path = tmp_path / "sweep3.csv"
+    code, _, _ = invoke(
+        capsys,
+        "sweep", "--ports-min", "2", "--ports-max", "12", "--dim", "3",
+        "--optimal", "--out", str(out_path),
+    )
+    assert code == EXIT_OK
+    for line in out_path.read_text().splitlines()[1:]:
+        cols = line.split(",")
+        assert cols[3] != "" and cols[4] == ""
+
+
 def test_sweep_bad_range(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["sweep", "--ports-min", "5", "--ports-max", "2", "--dim", "2"])
@@ -223,6 +246,25 @@ def test_resource_fidelity_sweep(capsys, tmp_path):
     assert row6[0] == "6" and float(row6[2]) == pytest.approx(0.9977, abs=5e-4)
 
 
+@pytest.mark.parametrize("N", [200, 1000])
+def test_resource_fidelity_angular_large_n(capsys, N):
+    values = []
+    for method in ("schur", "angular"):
+        code, out, _ = invoke(
+            capsys, "resource-fidelity", "--ports", str(N), "--method", method, "--format", "json"
+        )
+        assert code == EXIT_OK
+        values.append(json.loads(out)["value"])
+    assert values[1] == pytest.approx(values[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("low,high", [("0", "5"), ("5", "2")])
+def test_resource_fidelity_sweep_bad_range(capsys, low, high):
+    with pytest.raises(SystemExit) as exc:
+        run(["resource-fidelity", "--sweep", "--ports-min", low, "--ports-max", high])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_resource_fidelity_vfile(capsys, vcoeff_path, tmp_path):
     f = tmp_path / "v.json"
     f.write_text(vcoeff_path(3, 3).read_text())
@@ -249,6 +291,12 @@ def test_oracle_verify_optimal_note(capsys):
     assert code == EXIT_OK
     assert "frec_optimal_formula_vs_oracle" in out
     assert "rotated-signal-SRM" in out
+
+
+def test_oracle_verify_optimal_without_files(capsys):
+    code, out, _ = invoke(capsys, "oracle", "verify", "--optimal", "--ports", "3", "--dim", "3")
+    assert code == EXIT_OK
+    assert "PASS  frec_optimal_formula_vs_oracle" in out
 
 
 def test_oracle_verify_json(capsys):
@@ -278,12 +326,12 @@ def test_oracle_verify_strict_tol_fails(capsys):
 # -- vcoeffs ----------------------------------------------------------------------------------
 
 def test_vcoeffs_roundtrip(capsys, tmp_path):
-    from pbt_recycling.optimal import load_v_coefficients, v_qubit
+    from pbt_recycling.optimal import load_v_coefficients, v_optimal
 
     path = tmp_path / "v6.json"
     code, _, _ = invoke(capsys, "vcoeffs", "--ports", "6", "--out", str(path))
     assert code == EXIT_OK
-    assert load_v_coefficients(path) == v_qubit(6)
+    assert load_v_coefficients(path) == v_optimal(6, 2)
 
 
 def test_vcoeffs_stdout(capsys):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pbt_recycling.optimal import frec_optimal, resource_state_fidelity, v_qubit
+from pbt_recycling.optimal import frec_optimal, resource_state_fidelity, v_optimal
 from pbt_recycling.partitions import (
     add_box,
     dim_irrep,
@@ -101,7 +101,7 @@ def test_frec_matches_mpmath(N, d):
 
 def test_optimal_and_resource_fidelity_match_mpmath():
     N = 2000
-    vN, vNm1 = v_qubit(N), v_qubit(N - 1)
+    vN, vNm1 = v_optimal(N, 2), v_optimal(N - 1, 2)
     with mpmath.workdps(40):
         assert _rel(frec_optimal(N, 2, vN, vNm1).value, _mp_frec_optimal(N, 2, vN, vNm1)) <= 1e-13
         assert _rel(resource_state_fidelity(N, 2, vN).value, _mp_resource_fidelity(N, 2, vN)) <= 1e-13

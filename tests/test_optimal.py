@@ -2,6 +2,7 @@ import json
 import math
 from math import sqrt
 
+import mpmath
 import numpy as np
 import pytest
 from qubit_two_row import frec_optimal_qubit
@@ -9,21 +10,19 @@ from qubit_two_row import frec_optimal_qubit
 from pbt_recycling.optimal import (
     CoefficientError,
     VCoefficients,
+    _perron_weights,
     angular_dim,
     frec_optimal,
     gamma_angular,
-    lambda_max_qubit,
     load_v_coefficients,
     parse_v_coefficients,
     resource_state_fidelity,
     resource_state_fidelity_qubit_angular,
     save_v_coefficients,
-    teleportation_matrix_qubit,
-    v_qubit,
-    v_qubit_analytic,
-    v_qubit_numeric,
+    v_optimal,
 )
-from pbt_recycling.partitions import Partition, dim_irrep, mult_schur_weyl, partitions_bounded
+from pbt_recycling.oracle import build_optimizing_operator, channel_fidelity_oracle, frec_optimal_oracle
+from pbt_recycling.partitions import Partition, add_box, dim_irrep, mult_schur_weyl, partitions_bounded
 from pbt_recycling.recycling import frec
 
 
@@ -31,76 +30,63 @@ def P(*parts):
     return Partition(tuple(parts))
 
 
-# -- teleportation matrix ------------------------------------------------------
-
-def test_matrix_n2():
-    m = teleportation_matrix_qubit(2)
-    assert m.size == 2
-    np.testing.assert_allclose(m.to_dense(), np.array([[0.25, 0.25], [0.25, 0.25]]))
+#: (N, d) points where the optimal weights are checked against the dense oracle.
+ORACLE_POINTS = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
 
 
-def test_matrix_n3():
-    m = teleportation_matrix_qubit(3)
-    assert m.size == 2
-    assert m.diagonal == (0.25, 0.5)
-    assert m.off_diagonal == (0.25,)
+# -- optimal weights ------------------------------------------------------------
 
-
-def test_matrix_n1_rejected():
-    with pytest.raises(ValueError, match="ambiguous"):
-        teleportation_matrix_qubit(1)
-
-
-def test_matrix_sizes_by_parity():
-    for N in range(2, 30):
-        assert teleportation_matrix_qubit(N).size == N // 2 + 1
-
-
-# -- eigenvectors ------------------------------------------------------------
-
-def test_v_qubit_analytic_n2():
-    v = v_qubit_analytic(2)
+def test_v_optimal_qubit_n2():
+    v = v_optimal(2, 2)
     assert v[P(2)] == pytest.approx(1 / sqrt(2), abs=1e-14)
     assert v[P(1, 1)] == pytest.approx(1 / sqrt(2), abs=1e-14)
 
 
-def test_v_qubit_analytic_requires_two_ports():
-    with pytest.raises(ValueError):
-        v_qubit_analytic(1)
-    with pytest.raises(ValueError):
-        v_qubit_numeric(1)
+def test_v_optimal_rejects_bad_point():
+    for N, d in [(0, 2), (-1, 3), (3, 1)]:
+        with pytest.raises(ValueError):
+            v_optimal(N, d)
 
 
-def test_v_qubit_trivial_single_port():
-    v = v_qubit(1)
-    assert v[P(1)] == 1.0
-
-
-def test_analytic_matches_numeric():
-    for N in range(2, 41):
-        va = v_qubit_analytic(N)
-        vn = v_qubit_numeric(N)
-        for mu in partitions_bounded(N, 2):
-            assert va[mu] == pytest.approx(vn[mu], abs=1e-8)
-
-
-def test_analytic_eigen_residual_and_orientation():
-    # matrix row 0 corresponds to the one-row frame; the analytic vector must
-    # satisfy the eigen-equation in that orientation
-    for N in range(2, 41):
-        m = teleportation_matrix_qubit(N).to_dense()
-        v = v_qubit_analytic(N)
-        vec = np.array([v[P(N - l, l) if l else P(N)] for l in range(N // 2 + 1)])
-        lam = lambda_max_qubit(N)
-        assert np.linalg.norm(m @ vec - lam * vec) <= 1e-10
+def test_v_optimal_single_port():
+    for d in (2, 3, 4):
+        assert v_optimal(1, d)[P(1)] == 1.0
 
 
 def test_v_positive_and_normalized():
-    for N in (2, 7, 24, 41):
-        v = v_qubit_analytic(N)
+    for N, d in [(2, 2), (7, 2), (24, 2), (41, 2), (12, 3), (30, 3), (20, 4)]:
+        v = v_optimal(N, d)
         vals = list(v.entries.values())
         assert all(x > 0 for x in vals)
         assert sum(x * x for x in vals) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("N", [899, 1140])
+def test_v_optimal_qubit_matches_mpmath(N):
+    # the sine formula at 40 digits, unfolded argument
+    v = v_optimal(N, 2)
+    with mpmath.workdps(40):
+        for mu, x in v.entries.items():
+            k = mu.parts[0] - (mu.parts[1] if mu.height == 2 else 0) + 1
+            ref = 2 / mpmath.sqrt(N + 2) * mpmath.sin(mpmath.pi * k / (N + 2))
+            assert abs(x - ref) <= 1e-14 * ref
+
+
+def test_v_optimal_qubit_matches_perron_solve():
+    # the closed form is the Perron vector the general solve finds at d = 2
+    for N in range(1, 61):
+        table, vec = _perron_weights(N, 2)
+        v = v_optimal(N, 2)
+        for row, x in zip(table.tolist(), vec):
+            assert v[tuple(p for p in row if p)] == pytest.approx(x, abs=1e-10)
+
+
+def test_v_optimal_matches_fixture_files(vcoeff_path):
+    for N in (2, 3):
+        fixture = load_v_coefficients(vcoeff_path(N, 3))
+        v = v_optimal(N, 3)
+        for mu in partitions_bounded(N, 3):
+            assert v[mu] == pytest.approx(fixture[mu], abs=1e-8)
 
 
 # -- angular picture ------------------------------------------------------------
@@ -129,7 +115,7 @@ def test_gamma_positive_and_range_checks():
 def test_gamma_consistent_with_v():
     # both parametrize the same rotation: sqrt(2^N) v_l / sqrt(dim*mult) = sqrt(gamma)
     for N in range(2, 21):
-        v = v_qubit_analytic(N)
+        v = v_optimal(N, 2)
         for mu in partitions_bounded(N, 2):
             l = mu.parts[1] if mu.height == 2 else 0
             j = N / 2 - l
@@ -141,7 +127,7 @@ def test_gamma_consistent_with_v():
 
 def test_frec_optimal_qubit_pinned(pinned):
     for N in (2, 3, 4, 5):
-        assert frec_optimal(N, 2, v_qubit(N), v_qubit(N - 1)).value == pytest.approx(
+        assert frec_optimal(N, 2, v_optimal(N, 2), v_optimal(N - 1, 2)).value == pytest.approx(
             pinned[f"frec_optimal_oracle/N={N},d=2"], abs=1e-10
         )
 
@@ -149,14 +135,14 @@ def test_frec_optimal_qubit_pinned(pinned):
 def test_frec_optimal_matches_qubit_form():
     # the paper's two-row form, kept in the tests as the cross-check
     for N in range(2, 41):
-        general = frec_optimal(N, 2, v_qubit(N), v_qubit(N - 1)).value
+        general = frec_optimal(N, 2, v_optimal(N, 2), v_optimal(N - 1, 2)).value
         assert frec_optimal_qubit(N) == pytest.approx(general, abs=1e-12)
 
 
 def test_frec_optimal_qubit_verify_mode():
     # the two-row form verifies the frame sum to 1e-9 at scattered N
     for N in (2, 9, 24):
-        general = frec_optimal(N, 2, v_qubit(N), v_qubit(N - 1)).value
+        general = frec_optimal(N, 2, v_optimal(N, 2), v_optimal(N - 1, 2)).value
         assert abs(frec_optimal_qubit(N) - general) <= 1e-9
 
 
@@ -166,11 +152,18 @@ def test_frec_optimal_uniform_collapses_to_plain():
         assert uniform.value == pytest.approx(frec(N, d).value, abs=1e-12)
 
 
+def test_frec_optimal_matches_oracle_any_d():
+    for N, d in ORACLE_POINTS:
+        v_n, v_prev = v_optimal(N, d), v_optimal(N - 1, d)
+        oracle = frec_optimal_oracle(N, d, v_n, v_prev).value
+        assert frec_optimal(N, d, v_n, v_prev).value == pytest.approx(oracle, abs=1e-12)
+
+
 def test_frec_optimal_label_mismatch():
     with pytest.raises(CoefficientError):
-        frec_optimal(3, 2, v_qubit(2), v_qubit(2))
+        frec_optimal(3, 2, v_optimal(2, 2), v_optimal(2, 2))
     with pytest.raises(CoefficientError):
-        frec_optimal(3, 3, v_qubit(3), v_qubit(2))
+        frec_optimal(3, 3, v_optimal(3, 2), v_optimal(2, 2))
 
 
 # -- resource-state overlap ----------------------------------------------------------
@@ -182,26 +175,26 @@ def test_resource_fidelity_uniform_is_one():
 
 
 def test_resource_fidelity_pinned(pinned):
-    got = resource_state_fidelity(6, 2, v_qubit(6)).value
+    got = resource_state_fidelity(6, 2, v_optimal(6, 2)).value
     assert got == pytest.approx(pinned["resource_fidelity_oracle/N=6,d=2"], abs=1e-10)
     assert got == pytest.approx(0.9977, abs=5e-4)
 
 
 def test_resource_fidelity_angular_agrees():
     for N in range(1, 31):
-        schur = resource_state_fidelity(N, 2, v_qubit(N)).value
+        schur = resource_state_fidelity(N, 2, v_optimal(N, 2)).value
         assert resource_state_fidelity_qubit_angular(N) == pytest.approx(schur, abs=1e-9)
 
 
 def test_resource_fidelity_decreasing_tail():
-    values = [resource_state_fidelity(N, 2, v_qubit(N)).value for N in range(50, 61)]
+    values = [resource_state_fidelity(N, 2, v_optimal(N, 2)).value for N in range(50, 61)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 # -- coefficient files ------------------------------------------------------------
 
 def test_document_roundtrip(tmp_path):
-    v = v_qubit(5)
+    v = v_optimal(5, 2)
     path = tmp_path / "v.json"
     save_v_coefficients(v, path)
     loaded = load_v_coefficients(path)
@@ -261,12 +254,27 @@ def test_uniform_coefficients_valid():
 
 # -- cross-check against the channel picture ------------------------------------------
 
-def test_lambda_max_equals_optimal_channel_fidelity():
-    # the dominant eigenvalue of the teleportation matrix is the channel
-    # entanglement fidelity achieved by the corresponding rotation
-    from pbt_recycling.oracle import build_optimizing_operator, channel_fidelity_oracle
+def _lambda_max(v: VCoefficients) -> float:
+    """d^-2 |B v|^2, B the incidence of frames of N-1 boxes and their one-box extensions."""
+    N, d = v.ports, v.dim
+    return sum(
+        sum(v[nu] for nu in add_box(alpha, d)) ** 2 for alpha in partitions_bounded(N - 1, d)
+    ) / d**2
 
-    for N in (2, 3, 4):
-        rot = build_optimizing_operator(N, 2, v_qubit(N))
-        fid = channel_fidelity_oracle(N, 2, rotation=rot)
-        assert fid == pytest.approx(lambda_max_qubit(N), abs=1e-12)
+
+def test_lambda_max_equals_optimal_channel_fidelity():
+    # the Perron eigenvalue of the teleportation matrix is the channel
+    # entanglement fidelity the optimal rotation achieves, and no other
+    # positive weights do better
+    rng = np.random.default_rng(7)
+    for N, d in ORACLE_POINTS:
+        v = v_optimal(N, d)
+        fid = channel_fidelity_oracle(N, d, rotation=build_optimizing_operator(N, d, v))
+        assert fid == pytest.approx(_lambda_max(v), abs=1e-12)
+        frames = partitions_bounded(N, d)
+        for _ in range(5):
+            w = rng.random(len(frames)) + 0.05
+            w /= np.linalg.norm(w)
+            other = VCoefficients(ports=N, dim=d, entries=dict(zip(frames, w.tolist())))
+            assert channel_fidelity_oracle(N, d, rotation=build_optimizing_operator(N, d, other)) <= fid + 1e-12
+    assert _lambda_max(v_optimal(4, 3)) == pytest.approx(0.431042804619, abs=1e-12)

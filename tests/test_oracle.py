@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbt_recycling.optimal import VCoefficients, v_qubit
+from pbt_recycling.optimal import VCoefficients, v_optimal
 from pbt_recycling.oracle import (
     DEFAULT_DIM_CAP,
     DenseOperator,
@@ -239,7 +239,7 @@ def test_build_optimizing_operator_uniform_is_identity():
 def test_rotated_povm_trace_invariant():
     # conjugating the completed elements by the rotation preserves their trace
     for N, d in [(2, 2), (3, 2)]:
-        o = build_optimizing_operator(N, d, v_qubit(N) if d == 2 else VCoefficients.uniform(N, d))
+        o = build_optimizing_operator(N, d, v_optimal(N, d))
         o_full = np.kron(o.matrix, np.eye(d))
         for a in range(1, N + 1):
             _, _, completed = srm_povm(a, N, d)
@@ -250,6 +250,12 @@ def test_rotated_povm_trace_invariant():
 def test_projector_box_cap():
     with pytest.raises(DimensionCapError):
         young_projector(P(9), 2)
+
+
+def test_projector_byte_budget():
+    # 10 frames of 8 boxes fit in 3 rows: 10 dense 6561^2 arrays, about 3.4 GB
+    with pytest.raises(DimensionCapError, match="budget"):
+        young_projector(P(8), 3)
 
 
 # -- oracle fidelities ---------------------------------------------------------------------
@@ -269,7 +275,7 @@ def test_frec_optimal_oracle_uniform_reduces(pinned):
             N, d, VCoefficients.uniform(N, d), VCoefficients.uniform(N - 1, d)
         ).value
         assert got == pytest.approx(frec_oracle(N, d).value, abs=1e-10)
-    assert frec_optimal_oracle(2, 2, v_qubit(2), v_qubit(1)).value == pytest.approx(
+    assert frec_optimal_oracle(2, 2, v_optimal(2, 2), v_optimal(1, 2)).value == pytest.approx(
         pinned["frec_optimal_oracle/N=2,d=2"], abs=1e-12
     )
 
@@ -277,8 +283,8 @@ def test_frec_optimal_oracle_uniform_reduces(pinned):
 def test_frec_optimal_oracle_rotated_variant_agrees():
     # whitening undoes the block rotation: both measurement choices coincide
     for N, d in [(2, 2), (3, 2)]:
-        lit = frec_optimal_oracle(N, d, v_qubit(N), v_qubit(N - 1), rotated_srm=False).value
-        rot = frec_optimal_oracle(N, d, v_qubit(N), v_qubit(N - 1), rotated_srm=True).value
+        lit = frec_optimal_oracle(N, d, v_optimal(N, d), v_optimal(N - 1, d), rotated_srm=False).value
+        rot = frec_optimal_oracle(N, d, v_optimal(N, d), v_optimal(N - 1, d), rotated_srm=True).value
         assert rot == pytest.approx(lit, abs=1e-11)
 
 
@@ -310,7 +316,7 @@ def test_channel_fidelity_examples():
     assert channel_fidelity_oracle(1, 2) == pytest.approx(0.25, abs=1e-12)
     values = [channel_fidelity_oracle(N, 2) for N in range(1, 6)]
     assert all(b > a for a, b in zip(values, values[1:]))
-    rot = build_optimizing_operator(3, 2, v_qubit(3))
+    rot = build_optimizing_operator(3, 2, v_optimal(3, 2))
     assert channel_fidelity_oracle(3, 2, rotation=rot) > channel_fidelity_oracle(3, 2)
 
 
@@ -318,13 +324,13 @@ def test_resource_fidelity_oracle(pinned):
     assert resource_fidelity_oracle(3, 3, VCoefficients.uniform(3, 3)) == pytest.approx(
         1.0, abs=1e-12
     )
-    got = resource_fidelity_oracle(6, 2, v_qubit(6))
+    got = resource_fidelity_oracle(6, 2, v_optimal(6, 2))
     assert got == pytest.approx(pinned["resource_fidelity_oracle/N=6,d=2"], abs=1e-12)
     from pbt_recycling.optimal import resource_state_fidelity
 
     for N in range(1, 7):
-        closed = resource_state_fidelity(N, 2, v_qubit(N)).value
-        assert resource_fidelity_oracle(N, 2, v_qubit(N)) == pytest.approx(closed, abs=1e-11)
+        closed = resource_state_fidelity(N, 2, v_optimal(N, 2)).value
+        assert resource_fidelity_oracle(N, 2, v_optimal(N, 2)) == pytest.approx(closed, abs=1e-11)
 
 
 # -- the verification suite ----------------------------------------------------------------
@@ -337,7 +343,7 @@ def test_verify_suite_passes(N, d):
 
 
 def test_verify_suite_comparison_note():
-    report = verify_suite(2, 2, tol=1e-9, v=v_qubit(2), compare_optimal_povm=True)
+    report = verify_suite(2, 2, tol=1e-9, v=v_optimal(2, 2), compare_optimal_povm=True)
     assert report.all_passed
     assert any("rotated-signal-SRM" in note for note in report.notes)
 

@@ -17,6 +17,7 @@ from pbt_recycling.partitions import (
 from pbt_recycling.recycling import (
     frec,
     kround_lower_bound,
+    lower_bound_qubit,
     povm_block_factor,
     srm_eigenvalue,
     trace_sqrt_povm_signal,
@@ -140,6 +141,11 @@ def test_kround_errors():
         kround_lower_bound(-0.1, 1)
     with pytest.raises(ValueError):
         kround_lower_bound(0.5, 0)
+
+
+def test_lower_bound_qubit_below_frec():
+    assert lower_bound_qubit(4) == 1.0 - 11.0 / 16.0
+    assert all(frec(N, 2).value >= lower_bound_qubit(N) for N in range(1, 3001))
 
 
 # -- property tests ---------------------------------------------------------------
