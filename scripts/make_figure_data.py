@@ -24,9 +24,12 @@ from pbt_recycling.cli import format_value as fmt
 def recycling_curves(outdir: pathlib.Path, nmax: int):
     for d in (2, 3, 4):
         lines = ["N,d,frec,frec_opt,lower_bound_qubit"]
+        v_prev = v_optimal(1, d)
         for n in range(2, nmax + 1):
             f = frec(n, d).value
-            fo = fmt(frec_optimal(n, d, v_optimal(n, d), v_optimal(n - 1, d)).value)
+            v = v_optimal(n, d)
+            fo = fmt(frec_optimal(n, d, v, v_prev).value)
+            v_prev = v  # the next row's N - 1 weights
             lb = fmt(lower_bound_qubit(n)) if d == 2 else ""
             lines.append(f"{n},{d},{fmt(f)},{fo},{lb}")
         path = outdir / f"recycling_vs_ports_d{d}.csv"

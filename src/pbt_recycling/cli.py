@@ -100,21 +100,26 @@ def _cmd_frec(parser, args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(N: int, d: int, want_optimal: bool) -> SweepRow:
-    value = rec.frec(N, d).value
-    value_opt = None
-    if want_optimal and N >= 2:
-        value_opt = opt.frec_optimal(N, d, opt.v_optimal(N, d), opt.v_optimal(N - 1, d)).value
-    bound = rec.lower_bound_qubit(N) if d == 2 else None
-    return SweepRow(N, d, value, value_opt, bound)
+def _sweep_rows(n_min: int, n_max: int, d: int, want_optimal: bool):
+    """The rows for N = n_min..n_max; each N's optimal weights serve again as the next row's N - 1."""
+    v_prev = opt.v_optimal(n_min - 1, d) if want_optimal and n_min >= 2 else None
+    for N in range(n_min, n_max + 1):
+        value = rec.frec(N, d).value
+        value_opt = None
+        if want_optimal:
+            v = opt.v_optimal(N, d)
+            if N >= 2:
+                value_opt = opt.frec_optimal(N, d, v, v_prev).value
+            v_prev = v
+        bound = rec.lower_bound_qubit(N) if d == 2 else None
+        yield SweepRow(N, d, value, value_opt, bound)
 
 
 def _cmd_sweep(parser, args) -> int:
     if args.ports_min < 1 or args.ports_max < args.ports_min:
         parser.error("need 1 <= --ports-min <= --ports-max")
-    rows = [_sweep_row(n, args.dim, args.optimal) for n in range(args.ports_min, args.ports_max + 1)]
     lines = ["N,d,frec,frec_opt,lower_bound_qubit"]
-    for r in rows:
+    for r in _sweep_rows(args.ports_min, args.ports_max, args.dim, args.optimal):
         lines.append(
             ",".join(
                 [

@@ -4,6 +4,18 @@ Everything lives on (C^d)^(x)(N+1) with the port systems first and the input
 system last; basis indices are big-endian in the local digits.  Fidelities
 are computed directly from their defining expressions, against which every
 closed form in the package is checked.
+
+Every object is real in the computational basis, so every operator is a
+plain float64 ``np.ndarray``; the one eigensolve helper checks symmetry.
+
+Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
+allocates, it counts the dense arrays it will hold at once: operators,
+temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors)
+and the cache entries it creates (``_srm_bundle`` keeps one, ``_young_projectors``
+two; a miss evicts the oldest first; cached arrays are read-only).  Index
+arrays (d^n by n digits) are not counted.  Over the budget a call raises
+``DimensionCapError``, exit code 2 in the CLI.  ``MAX_PROJECTOR_BOXES`` caps
+the time of the n! projector loop.
 """
 
 from __future__ import annotations
@@ -11,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import sqrt
 from typing import Optional
 
@@ -30,14 +42,11 @@ from .partitions import (
 from .recycling import povm_block_factor, srm_eigenvalue, trace_sqrt_povm_signal
 from .reports import FidelityReport, VerifyReport
 
-#: Hard cap on dense operator dimension d^(N+1); requests beyond it error out.
-DEFAULT_DIM_CAP = 2**14
+#: Bytes of dense float64 arrays one oracle call may hold at once.
+ORACLE_BYTE_BUDGET = 1 << 30
 
 #: Group-averaged projectors iterate all n! permutations; keep n modest.
 MAX_PROJECTOR_BOXES = 8
-
-#: Bytes the dense projectors of one (n, d) may hold; requests beyond it error out.
-PROJECTOR_BYTE_BUDGET = 1 << 30
 
 #: Relative support threshold: eigenvalues below tol*lambda_max count as kernel.
 SUPPORT_TOL = 1e-12
@@ -45,39 +54,40 @@ SUPPORT_TOL = 1e-12
 #: Eigenvalues in (-1e-10, 0) are clamped to 0; more negative ones are an error.
 NEGATIVE_EIG_TOL = 1e-10
 
-#: State vectors on all 2N systems are capped separately (length d^(2N)).
-VECTOR_CAP = 1 << 22
+#: Dense arrays one eigensolve holds besides its input: LAPACK's copy, workspace and eigenvectors.
+_EIGH_ARRAYS = 4
 
 
 class DimensionCapError(RuntimeError):
-    """Raised when a dense construction would exceed the configured cap."""
+    """Raised when a dense construction would exceed ``ORACLE_BYTE_BUDGET``."""
 
 
-def _check_cap(dim: int, dim_cap: int):
-    if dim > dim_cap:
-        raise DimensionCapError(f"dense dimension {dim} exceeds cap {dim_cap}")
+def _require(*blocks: tuple[int, int]) -> None:
+    """Raise unless ``count`` dense dim x dim float64 arrays per (count, dim) block fit the budget."""
+    nbytes = sum(count * dim * dim * 8 for count, dim in blocks)
+    if nbytes > ORACLE_BYTE_BUDGET:
+        raise DimensionCapError(
+            f"dense arrays of {nbytes} bytes: exceeds cap, the byte budget is {ORACLE_BYTE_BUDGET}"
+        )
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """Square complex matrix on (C^d)^(x)n with an optional Hermitian flag."""
+def _memo(size: int):
+    """Memoise on the arguments; a miss first evicts the oldest entries, so at most ``size`` are held."""
 
-    matrix: np.ndarray
-    hermitian: bool = False
+    def decorate(build):
+        held: dict = {}
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if self.hermitian:
-            dev = np.abs(m - m.conj().T).max()
-            if dev > 1e-12:
-                raise ValueError(f"hermitian flag set but deviation is {dev}")
+        def cached(*key):
+            if key not in held:
+                while len(held) >= size:
+                    del held[next(iter(held))]
+                held[key] = build(*key)
+            return held[key]
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        cached.cache_clear = held.clear
+        return wraps(build)(cached)
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -89,26 +99,34 @@ class SpectrumReport:
     max_deviation: float
 
 
-def permutation_operator(perm, d: int, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """0/1 matrix permuting tensor factors by ``perm`` (0-based images).
+@lru_cache(maxsize=4)
+def _digits(d: int, n: int) -> np.ndarray:
+    """Base-d digits of every basis index of (C^d)^(x)n, most significant first (read-only)."""
+    digits = (np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
+    digits.flags.writeable = False
+    return digits
 
-    Factor ``k`` of the input becomes factor ``perm[k]`` of the output.
+
+def _permuted_indices(perm, d: int, n: int) -> np.ndarray:
+    """Where each basis index goes when factor ``k`` becomes factor ``perm[k]``.
+
+    The permutation operator V has V[rows[j], j] = 1, so (V X V^T)[rows][:, rows] = X.
     """
     perm = tuple(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    dim = d**n
-    _check_cap(dim, dim_cap)
-    inv = [0] * n
-    for k, pk in enumerate(perm):
-        inv[pk] = k
-    powers = d ** np.arange(n - 1, -1, -1)
-    idx = np.arange(dim)
-    digits = (idx[:, None] // powers[None, :]) % d
-    rows = digits[:, inv] @ powers
-    m = np.zeros((dim, dim))
-    m[rows, idx] = 1.0
-    return DenseOperator(matrix=m)
+    return _digits(d, n)[:, np.argsort(perm)] @ d ** np.arange(n - 1, -1, -1)
+
+
+def permutation_operator(perm, d: int, n: int) -> np.ndarray:
+    """0/1 matrix permuting tensor factors by ``perm`` (0-based images).
+
+    Factor ``k`` of the input becomes factor ``perm[k]`` of the output.
+    """
+    _require((1, d**n))
+    m = np.zeros((d**n, d**n))
+    m[_permuted_indices(perm, d, n), np.arange(d**n)] = 1.0
+    return m
 
 
 def transposition(i: int, j: int, n: int) -> tuple[int, ...]:
@@ -118,20 +136,28 @@ def transposition(i: int, j: int, n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def partial_transpose_last(op: DenseOperator, d: int, n: int) -> DenseOperator:
+def partial_transpose_last(op: np.ndarray, d: int, n: int) -> np.ndarray:
     """Transpose on the last tensor factor only."""
-    t = op.matrix.reshape((d,) * (2 * n))
-    t = np.swapaxes(t, n - 1, 2 * n - 1)
-    return DenseOperator(matrix=t.reshape(d**n, d**n))
+    t = np.swapaxes(op.reshape((d,) * (2 * n)), n - 1, 2 * n - 1)
+    return t.reshape(d**n, d**n)
 
 
-def maximally_entangled_projector(d: int) -> np.ndarray:
-    v = np.zeros(d * d)
-    v[:: d + 1] = 1.0 / sqrt(d)
-    return np.outer(v, v)
+def _signal_sum(ports, N: int, d: int) -> np.ndarray:
+    """Sum of the signal states of ``ports``, built entry by entry."""
+    _require((1, d ** (N + 1)))
+    digits = _digits(d, N + 1)
+    m = np.zeros((d ** (N + 1),) * 2)
+    for a in ports:
+        # rows where port a and the input share a digit; the projector onto sum_k |kk>
+        # maps that pair to every (k, k), and adding 1 to both digits adds `step`
+        rows = np.flatnonzero(digits[:, a - 1] == digits[:, N])
+        step = d ** (N + 1 - a) + 1
+        cols = rows[:, None] + (np.arange(d) - digits[rows, N][:, None]) * step
+        m[rows[:, None], cols] += 1.0 / d**N
+    return m
 
 
-def signal_state(a: int, N: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+def signal_state(a: int, N: int, d: int) -> np.ndarray:
     """Reduced state flagging teleportation through port ``a`` (1-based).
 
     Maximally entangled projector between port ``a`` and the input system,
@@ -139,153 +165,145 @@ def signal_state(a: int, N: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> Dens
     """
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
-    n = N + 1
-    dim = d**n
-    _check_cap(dim, dim_cap)
-    base = np.kron(np.eye(d ** (N - 1)), maximally_entangled_projector(d))
-    if a != N:
-        v = permutation_operator(transposition(a - 1, N - 1, n), d, n, dim_cap).matrix
-        base = v @ base @ v.T
-    return DenseOperator(matrix=base / d ** (N - 1), hermitian=True)
+    return _signal_sum((a,), N, d)
 
 
-def rho_operator(N: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
+def rho_operator(N: int, d: int) -> np.ndarray:
     """Sum of all signal states; the operator whose inverse root whitens them."""
-    total = sum(signal_state(a, N, d, dim_cap).matrix for a in range(1, N + 1))
-    return DenseOperator(matrix=total, hermitian=True)
+    return _signal_sum(range(1, N + 1), N, d)
 
 
-def _clamped_eigh(op: DenseOperator, tol: float):
-    m = op.matrix
-    dev = np.abs(m - m.conj().T).max()
-    if dev > 1e-12:
-        raise ValueError(f"operator is not Hermitian (deviation {dev})")
-    w, u = np.linalg.eigh(m)
+def _eigh(m: np.ndarray, vectors: bool = True):
+    """``eigh`` (or ``eigvalsh``) of a real symmetric matrix, after checking that it is one."""
+    _require((_EIGH_ARRAYS, len(m)))
+    dev = np.abs(m - m.T).max()
+    if not dev <= 1e-12:
+        raise ValueError(f"operator is not symmetric (deviation {dev})")
+    return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+
+
+def _psd_function(m: np.ndarray, f, tol: float) -> np.ndarray:
+    """``f`` of the eigenvalues above tol*lambda_max, 0 on the rest, for a PSD matrix."""
+    w, u = _eigh(m)
     lam_max = float(w[-1]) if w.size else 0.0
     neg_floor = -NEGATIVE_EIG_TOL * max(1.0, abs(lam_max))
     if w[0] < neg_floor:
         raise ValueError(f"not PSD: eigenvalue {w[0]} below {neg_floor}")
     support = w > tol * max(lam_max, 0.0)
-    w = np.where(w > 0.0, w, 0.0)
-    return w, u, support
-
-
-def sqrt_psd(op: DenseOperator, tol: float = SUPPORT_TOL) -> DenseOperator:
-    """Spectral square root with sub-threshold eigenvalues clamped to zero."""
-    w, u, support = _clamped_eigh(op, tol)
-    vals = np.where(support, np.sqrt(w), 0.0)
-    m = (u * vals) @ u.conj().T
-    return DenseOperator(matrix=0.5 * (m + m.conj().T), hermitian=True)
-
-
-def pinv_sqrt_psd(op: DenseOperator, tol: float = SUPPORT_TOL) -> DenseOperator:
-    """Inverse square root on the support; the kernel is left untouched."""
-    w, u, support = _clamped_eigh(op, tol)
     vals = np.zeros_like(w)
-    vals[support] = 1.0 / np.sqrt(w[support])
-    m = (u * vals) @ u.conj().T
-    return DenseOperator(matrix=0.5 * (m + m.conj().T), hermitian=True)
+    vals[support] = f(w[support])
+    m = (u * vals) @ u.T
+    del u
+    return 0.5 * (m + m.T)
 
 
-@lru_cache(maxsize=8)
-def _srm_bundle(N: int, d: int, dim_cap: int):
-    rho = rho_operator(N, d, dim_cap)
-    root = pinv_sqrt_psd(rho)
+def sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+    """Spectral square root with sub-threshold eigenvalues clamped to zero."""
+    return _psd_function(m, np.sqrt, tol)
+
+
+def pinv_sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+    """Inverse square root on the support; the kernel is left untouched."""
+    return _psd_function(m, lambda w: 1.0 / np.sqrt(w), tol)
+
+
+def _srm(N: int, d: int, rotation: Optional[np.ndarray] = None):
+    """Bare elements and excess projector of the square-root measurement (N + 5 arrays at peak).
+
+    The signals are conjugated by ``rotation`` when one is given.
+    """
+    conj = (lambda m: m) if rotation is None else (lambda m: rotation @ m @ rotation.T)
+    root = pinv_sqrt_psd(conj(rho_operator(N, d)))
+    delta = np.eye(d ** (N + 1))
     pis = []
     for a in range(1, N + 1):
-        m = root.matrix @ signal_state(a, N, d, dim_cap).matrix @ root.matrix
-        pis.append(0.5 * (m + m.conj().T))
-    delta = np.eye(d ** (N + 1)) - sum(pis)
-    delta = 0.5 * (delta + delta.conj().T)
-    return rho, tuple(pis), delta
+        m = root @ conj(signal_state(a, N, d)) @ root
+        pis.append(0.5 * (m + m.T))
+        delta -= pis[-1]
+    return pis, delta
 
 
-def srm_povm(
-    a: int, N: int, d: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> tuple[DenseOperator, DenseOperator, DenseOperator]:
+@_memo(1)
+def _srm_bundle(N: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The plain square-root measurement of ``_srm``, read-only."""
+    pis, delta = _srm(N, d)
+    for m in (*pis, delta):
+        m.flags.writeable = False
+    return tuple(pis), delta
+
+
+def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(bare element, excess projector, completed element) of the square-root measurement.
 
     The bare elements are the whitened signals; the excess term completes
     them to a resolution of identity, spread evenly over the N outcomes.
+    The first two are the cached, read-only arrays.
     """
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
-    _, pis, delta = _srm_bundle(N, d, dim_cap)
-    pi_a = DenseOperator(matrix=pis[a - 1], hermitian=True)
-    excess = DenseOperator(matrix=delta, hermitian=True)
-    completed = DenseOperator(matrix=pis[a - 1] + delta / N, hermitian=True)
-    return pi_a, excess, completed
+    _require((N + 5, d ** (N + 1)))
+    pis, delta = _srm_bundle(N, d)
+    return pis[a - 1], delta, pis[a - 1] + delta / N
 
 
-@lru_cache(maxsize=32)
-def _young_projectors(n: int, d: int, dim_cap: int) -> dict[Partition, np.ndarray]:
+@_memo(2)
+def _young_projectors(n: int, d: int) -> dict[Partition, np.ndarray]:
     """The group-averaged projectors for frames of n boxes and height <= d, one pass over S(n).
 
     Taller frames are left out: their projectors vanish on (C^d)^(x)n.
     """
     if n > MAX_PROJECTOR_BOXES:
-        raise DimensionCapError(
-            f"group-averaged projectors capped at {MAX_PROJECTOR_BOXES} boxes, got {n}"
-        )
+        raise DimensionCapError(f"group-averaged projectors capped at {MAX_PROJECTOR_BOXES} boxes, got {n}")
     dim = d**n
-    _check_cap(dim, dim_cap)
     shapes = [p.parts for p in partitions_bounded(n, d)]
-    nbytes = len(shapes) * dim * dim * np.dtype(float).itemsize
-    if nbytes > PROJECTOR_BYTE_BUDGET:
-        raise DimensionCapError(
-            f"projectors for {n} boxes at d={d} need {nbytes} bytes, budget {PROJECTOR_BYTE_BUDGET}"
-        )
-    sums: dict[tuple[int, ...], np.ndarray] = {s: np.zeros((dim, dim)) for s in shapes}
-    powers = d ** np.arange(n - 1, -1, -1)
+    sums = {s: np.zeros((dim, dim)) for s in shapes}
     idx = np.arange(dim)
-    digits = (idx[:, None] // powers[None, :]) % d
     for perm in itertools.permutations(range(n)):
         ct = cycle_type(perm)
-        inv = [0] * n
-        for k, pk in enumerate(perm):
-            inv[pk] = k
-        rows = digits[:, inv] @ powers
+        rows = _permuted_indices(perm, d, n)
         for s in shapes:
             chi = character(s, ct)
             if chi:
-                np.add.at(sums[s], (rows, idx), float(chi))
+                sums[s][rows, idx] += chi
     for s, m in sums.items():
         m *= dim_irrep(s) / math.factorial(n)
+        m.flags.writeable = False
     return {Partition(s): m for s, m in sums.items()}
 
 
-def young_projector(mu, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> DenseOperator:
-    """Group-averaged projector onto the isotypic block of frame ``mu`` (zero when taller than d)."""
+def young_projector(mu, d: int) -> np.ndarray:
+    """Group-averaged projector onto the isotypic block of frame ``mu`` (zero when taller than d).
+
+    Frames of height <= d return the cached, read-only array.
+    """
     p = as_partition(mu)
     if p.height > d:
-        _check_cap(d**p.n, dim_cap)
-        return DenseOperator(matrix=np.zeros((d**p.n, d**p.n)), hermitian=True)
-    return DenseOperator(matrix=_young_projectors(p.n, d, dim_cap)[p], hermitian=True)
+        _require((1, d**p.n))
+        return np.zeros((d**p.n, d**p.n))
+    _require((len(partitions_bounded(p.n, d)), d**p.n))
+    return _young_projectors(p.n, d)[p]
 
 
-def build_optimizing_operator(
-    N: int, d: int, v: VCoefficients, dim_cap: int = DEFAULT_DIM_CAP
-) -> DenseOperator:
+def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
     """Sender rotation: sqrt(d^N) sum of v-weighted, dimension-normalized projectors.
 
-    Trace of O^dag O must come out d^N (weights have unit 2-norm); checked.
+    Trace of O^T O must come out d^N (weights have unit 2-norm); checked.
     """
     if v.ports != N or v.dim != d:
         raise ValueError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    dim = d**N
-    _check_cap(dim, dim_cap)
-    projectors = _young_projectors(N, d, dim_cap)
-    o = np.zeros((dim, dim))
+    _require((len(partitions_bounded(N, d)) + 2, d**N))  # the projectors, O and one scaled projector
+    projectors = _young_projectors(N, d)
+    o = np.zeros((d**N, d**N))
     for mu in partitions_bounded(N, d):
         vm = v[mu]
         if vm == 0.0:
             continue
         dm = dim_irrep(mu) * mult_schur_weyl(mu, d)
         o += sqrt(d**N) * vm / sqrt(dm) * projectors[mu]
-    trace = np.trace(o.conj().T @ o).real
+    trace = np.vdot(o, o)
     if abs(trace - d**N) > 1e-8 * d**N:
-        raise RuntimeError(f"normalization broken: tr(O^dag O) = {trace}, want {d**N}")
-    return DenseOperator(matrix=o, hermitian=True)
+        raise RuntimeError(f"normalization broken: tr(O^T O) = {trace}, want {d**N}")
+    return o
 
 
 def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
@@ -293,27 +311,21 @@ def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
     return np.kron(o, np.eye(d))
 
 
-def frec_oracle(N: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> FidelityReport:
+def frec_oracle(N: int, d: int) -> FidelityReport:
     """One-round recycling fidelity from the defining trace expression."""
-    _, _, completed = srm_povm(N, N, d, dim_cap)
-    sig = signal_state(N, N, d, dim_cap)
+    _require((N + 6, d ** (N + 1)))  # the SRM, the completed element and its root's eigensolve
+    _, _, completed = srm_povm(N, N, d)
+    norm = sqrt(np.trace(completed))
     root = sqrt_psd(completed)
-    value = (
-        (N / d)
-        * sqrt(np.trace(completed.matrix).real)
-        / sqrt(d ** (N + 1))
-        * abs(np.trace(sig.matrix @ root.matrix))
-    )
+    del completed
+    # tr(sig root) is vdot(sig, root) because root is symmetric
+    overlap = abs(np.vdot(signal_state(N, N, d), root))
+    value = (N / d) * norm / sqrt(d ** (N + 1)) * overlap
     return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
 
 
 def frec_optimal_oracle(
-    N: int,
-    d: int,
-    vN: VCoefficients,
-    vNm1: VCoefficients,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    rotated_srm: bool = False,
+    N: int, d: int, vN: VCoefficients, vNm1: VCoefficients, rotated_srm: bool = False
 ) -> FidelityReport:
     """Optimal-protocol recycling fidelity from its defining trace expression.
 
@@ -325,74 +337,61 @@ def frec_optimal_oracle(
         raise ValueError("N must be at least 2 for the optimal protocol")
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
-    sig = signal_state(N, N, d, dim_cap)
-    o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN, dim_cap).matrix, d)
-    o_prev = np.kron(
-        build_optimizing_operator(N - 1, d, vNm1, dim_cap).matrix, np.eye(d * d)
-    )  # identity on port N and the input system
-    if rotated_srm:
-        rotated = [
-            DenseOperator(
-                matrix=o_full @ signal_state(a, N, d, dim_cap).matrix @ o_full.conj().T,
-                hermitian=True,
-            )
-            for a in range(1, N + 1)
-        ]
-        rho = DenseOperator(matrix=sum(s.matrix for s in rotated), hermitian=True)
-        root = pinv_sqrt_psd(rho).matrix
-        pi_n = root @ rotated[N - 1].matrix @ root
-        delta = np.eye(d ** (N + 1)) - sum(root @ s.matrix @ root for s in rotated)
-        completed = DenseOperator(matrix=0.5 * ((pi_n + delta / N) + (pi_n + delta / N).conj().T), hermitian=True)
-    else:
-        _, _, completed = srm_povm(N, N, d, dim_cap)
-    root_pi = sqrt_psd(completed)
-    value = (sqrt(N) / d) * abs(
-        np.trace(sig.matrix @ root_pi.matrix @ o_full @ o_prev.conj().T)
+    _require(
+        (N + 8, d ** (N + 1)),  # rotation, SRM, completed element, root's eigensolve
+        (len(partitions_bounded(N, d)) + 2, d**N),
+        (len(partitions_bounded(N - 1, d)) + 2, d ** (N - 1)),
     )
+    o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN), d)
+    pis, delta = _srm(N, d, o_full) if rotated_srm else _srm_bundle(N, d)
+    root = sqrt_psd(pis[N - 1] + delta / N)
+    del pis, delta
+    # identity on port N and the input system
+    rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
+    del o_full
+    # tr(sig root O Q^T) = vdot((sig root)^T, O Q^T), and (sig root)^T = root sig
+    value = (sqrt(N) / d) * abs(np.vdot(root @ signal_state(N, N, d), rotation))
     return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
 
 
-def channel_fidelity_oracle(
-    N: int, d: int, rotation: Optional[DenseOperator] = None, dim_cap: int = DEFAULT_DIM_CAP
-) -> float:
+def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = None) -> float:
     """Entanglement fidelity of the teleportation channel itself.
 
     ``rotation`` is an operator on the ports (identity when omitted); it is
     extended by identity on the input system.
     """
-    _, pis, delta = _srm_bundle(N, d, dim_cap)
-    if rotation is None:
-        o = np.eye(d ** (N + 1))
-    else:
-        o = _embed_ports_operator(rotation.matrix, d)
+    _require((N + 6, d ** (N + 1)))
+    pis, delta = _srm_bundle(N, d)
+    o = None if rotation is None else _embed_ports_operator(rotation, d)
     total = 0.0
     for a in range(1, N + 1):
-        pi_t = pis[a - 1] + delta / N
-        total += np.trace(o.conj().T @ pi_t @ o @ signal_state(a, N, d, dim_cap).matrix).real
+        sig = signal_state(a, N, d)
+        if o is not None:
+            sig = o @ sig @ o.T
+        # tr(O^T pi O sig) = vdot(pi, O sig O^T) because pi is symmetric
+        total += np.vdot(pis[a - 1] + delta / N, sig)
     return float(total) / d**2
 
 
-def resource_fidelity_oracle(
-    N: int, d: int, v: VCoefficients, dim_cap: int = DEFAULT_DIM_CAP
-) -> float:
+def resource_fidelity_oracle(N: int, d: int, v: VCoefficients) -> float:
     """Direct overlap of the rotated and plain resource state vectors.
 
     Builds the length-d^(2N) product of maximally entangled pairs and applies
     the rotation to the sender half; no trace shortcut is taken.
     """
     dim = d**N
-    _check_cap(dim * dim, min(dim_cap**2, VECTOR_CAP))
-    o = build_optimizing_operator(N, d, v, dim_cap).matrix
+    _require((len(partitions_bounded(N, d)) + 3, dim))  # projectors, O, the state and its image
+    o = build_optimizing_operator(N, d, v)
     phi = np.zeros(dim * dim)
     phi[:: dim + 1] = 1.0 / sqrt(dim)  # sum_i |i>_ports |i>_receiver
     rotated = (o @ phi.reshape(dim, dim)).reshape(-1)
     return float(abs(phi @ rotated))
 
 
-def rho_spectrum_report(N: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> SpectrumReport:
+def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
     """Oracle spectrum of the summed signals against the block prediction."""
-    rho = rho_operator(N, d, dim_cap)
-    eig = np.sort(np.linalg.eigvalsh(rho.matrix))
+    _require((1 + _EIGH_ARRAYS, d ** (N + 1)))
+    eig = np.sort(_eigh(rho_operator(N, d), vectors=False))
     predicted: list[tuple[float, int]] = []
     rank = 0
     for alpha in partitions_bounded(N - 1, d):
@@ -412,17 +411,18 @@ def rho_spectrum_report(N: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> Spect
     )
 
 
-def povm_spectrum_deviation(N: int, d: int, dim_cap: int = DEFAULT_DIM_CAP) -> float:
+def povm_spectrum_deviation(N: int, d: int) -> float:
     """Worst distance of any bare-element eigenvalue from its allowed set."""
-    _, pis, _ = _srm_bundle(N, d, dim_cap)
-    allowed = [0.0] + [
-        povm_block_factor(alpha, N, d) for alpha in partitions_bounded(N - 1, d)
-    ]
+    _require((N + 5, d ** (N + 1)))
+    pis, _ = _srm_bundle(N, d)
+    allowed = np.array(
+        [0.0] + [povm_block_factor(alpha, N, d) for alpha in partitions_bounded(N - 1, d)]
+    )
     worst = 0.0
     for pi in pis:
-        for lam in np.linalg.eigvalsh(pi):
-            worst = max(worst, min(abs(lam - a) for a in allowed))
-    return float(worst)
+        lam = _eigh(pi, vectors=False)
+        worst = max(worst, float(np.abs(lam[:, None] - allowed).min(axis=1).max()))
+    return worst
 
 
 def verify_suite(
@@ -431,7 +431,6 @@ def verify_suite(
     tol: float = 1e-9,
     v: Optional[VCoefficients] = None,
     compare_optimal_povm: bool = False,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> VerifyReport:
     """Run every protocol invariant check at one parameter point.
 
@@ -439,70 +438,68 @@ def verify_suite(
     the rotation-dependent checks (uniform weights when omitted).
     """
     n = N + 1
+    dim = d**n
+    # the SRM, signals and completed elements hold 3N + 1 arrays; the rest are
+    # temporaries, one eigensolve, the rotation and the comparison's measurement
+    compare = compare_optimal_povm and N >= 2
+    _require(
+        (3 * N + 7, dim),
+        (len(partitions_bounded(N, d)) + 2, d**N),
+        (len(partitions_bounded(N - 1, d)) + 2 if compare else 0, d ** (N - 1)),
+    )
     report = VerifyReport(ports=N, dim=d, tol=tol)
-    _, pis, delta = _srm_bundle(N, d, dim_cap)
-    sigs = [signal_state(a, N, d, dim_cap).matrix for a in range(1, N + 1)]
-    identity = np.eye(d**n)
+    pis, delta = _srm_bundle(N, d)
+    sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
 
     completed = [pi + delta / N for pi in pis]
-    report.add("povm_completeness", np.abs(sum(completed) - identity).max())
+    report.add("povm_completeness", np.abs(sum(completed) - np.eye(dim)).max())
     report.add("excess_idempotent", np.abs(delta @ delta - delta).max())
-    report.add(
-        "excess_signal_orthogonal",
-        max(np.abs(delta @ s).max() for s in sigs),
-    )
+    report.add("excess_signal_orthogonal", max(np.abs(delta @ s).max() for s in sigs))
 
-    # covariance under every port permutation (acting trivially on the input)
+    # covariance under every port permutation (acting trivially on the input):
+    # V X V^T = Y for the permutation operator V is X = Y[rows][:, rows]
     dev_cov = 0.0
     for perm in itertools.permutations(range(N)):
-        full = tuple(perm) + (N,)
-        vmat = permutation_operator(full, d, n, dim_cap).matrix
+        idx = _permuted_indices(perm + (N,), d, n)
+        rows = np.ix_(idx, idx)
         for a in range(1, N + 1):
             b = perm[a - 1] + 1
-            dev_cov = max(dev_cov, np.abs(vmat @ sigs[a - 1] @ vmat.T - sigs[b - 1]).max())
             dev_cov = max(
                 dev_cov,
-                np.abs(vmat @ completed[a - 1] @ vmat.T - completed[b - 1]).max(),
+                np.abs(sigs[a - 1] - sigs[b - 1][rows]).max(),
+                np.abs(completed[a - 1] - completed[b - 1][rows]).max(),
             )
     report.add("signal_and_povm_covariance", dev_cov)
 
-    report.add(
-        "completed_trace",
-        max(abs(np.trace(c).real - d ** (N + 1) / N) for c in completed),
-    )
+    report.add("completed_trace", max(abs(np.trace(c) - d ** (N + 1) / N) for c in completed))
 
     vv = v if v is not None else VCoefficients.uniform(N, d)
-    o_ports = build_optimizing_operator(N, d, vv, dim_cap)
-    o_full = _embed_ports_operator(o_ports.matrix, d)
-    report.add(
-        "rotated_completed_trace",
-        max(
-            abs(np.trace(o_full.conj().T @ c @ o_full).real - d ** (N + 1) / N)
-            for c in completed
-        ),
-    )
+    o_full = _embed_ports_operator(build_optimizing_operator(N, d, vv), d)
+    # tr(O^T c O) = vdot(O, c O)
+    dev_rot = max(abs(np.vdot(o_full, c @ o_full) - d ** (N + 1) / N) for c in completed)
+    report.add("rotated_completed_trace", dev_rot)
+    del o_full, completed
 
-    report.add("rho_spectrum", rho_spectrum_report(N, d, dim_cap).max_deviation)
-    report.add("povm_spectrum", povm_spectrum_deviation(N, d, dim_cap))
+    report.add("rho_spectrum", rho_spectrum_report(N, d).max_deviation)
+    report.add("povm_spectrum", povm_spectrum_deviation(N, d))
 
     # signal N equals the partially transposed port<->input swap over d^N
-    swap = permutation_operator(transposition(N - 1, n - 1, n), d, n, dim_cap)
-    v_prime = partial_transpose_last(swap, d, n).matrix
+    v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
     report.add("signal_is_transposed_swap", np.abs(sigs[N - 1] - v_prime / d**N).max())
+    del sigs
 
-    tr_direct = float(
-        np.trace(sqrt_psd(DenseOperator(matrix=pis[N - 1], hermitian=True)).matrix @ v_prime).real
-    )
+    # tr(root v') is vdot(root, v') because root is symmetric
+    tr_direct = float(np.vdot(sqrt_psd(pis[N - 1]), v_prime))
     report.add(
         "sqrt_povm_signal_trace",
         abs(tr_direct - trace_sqrt_povm_signal(N, d)),
         detail=f"oracle={tr_direct!r}",
     )
 
-    if compare_optimal_povm and N >= 2:
+    if compare:
         prev = VCoefficients.uniform(N - 1, d)
-        lit = frec_optimal_oracle(N, d, vv, prev, dim_cap, rotated_srm=False)
-        rot = frec_optimal_oracle(N, d, vv, prev, dim_cap, rotated_srm=True)
+        lit = frec_optimal_oracle(N, d, vv, prev, rotated_srm=False)
+        rot = frec_optimal_oracle(N, d, vv, prev, rotated_srm=True)
         report.notes.append(
             "optimal-measurement comparison: plain-SRM value "
             f"{lit.value!r}, rotated-signal-SRM value {rot.value!r}, "

@@ -89,6 +89,10 @@ def _frame_tuples(n: int, max_height: int) -> list[tuple[int, ...]]:
         if rows_left == 1:  # the bound below has kept remaining <= largest
             out.append((*acc, remaining))
             return
+        if rows_left == 2:  # the last two rows in one loop, the second empty when part = remaining
+            for part in range(min(remaining, largest), (remaining - 1) // 2, -1):
+                out.append((*acc, part, remaining - part) if part < remaining else (*acc, part))
+            return
         # Prune: a part below ceil(remaining / rows_left) would leave more boxes
         # than the rows after it can hold at that width, so no frame lies there.
         for part in range(min(remaining, largest), (remaining - 1) // rows_left, -1):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -187,6 +188,26 @@ def test_sweep_optimal_any_d(capsys, tmp_path):
         assert cols[3] != "" and cols[4] == ""
 
 
+def test_sweep_optimal_solves_each_weight_set_once(capsys, tmp_path, monkeypatch):
+    from pbt_recycling import optimal
+
+    solve = optimal.v_optimal
+    expected = [
+        format_value(optimal.frec_optimal(n, 3, solve(n, 3), solve(n - 1, 3)).value) for n in range(3, 9)
+    ]
+    calls = []
+    monkeypatch.setattr(optimal, "v_optimal", lambda N, d: calls.append((N, d)) or solve(N, d))
+    out_path = tmp_path / "sweep3.csv"
+    code, _, _ = invoke(
+        capsys,
+        "sweep", "--ports-min", "3", "--ports-max", "8", "--dim", "3",
+        "--optimal", "--out", str(out_path),
+    )
+    assert code == EXIT_OK
+    assert calls == [(n, 3) for n in range(2, 9)]  # one solve per weight set
+    assert [line.split(",")[3] for line in out_path.read_text().splitlines()[1:]] == expected
+
+
 def test_sweep_bad_range(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["sweep", "--ports-min", "5", "--ports-max", "2", "--dim", "2"])
@@ -312,6 +333,15 @@ def test_oracle_verify_cap_exceeded(capsys):
     code, _, err = invoke(capsys, "oracle", "verify", "--ports", "20", "--dim", "2")
     assert code == EXIT_USAGE
     assert "exceeds cap" in err
+
+
+def test_oracle_verify_over_budget_exits_fast(capsys):
+    # 2^14 x 2^14 arrays of 2 GiB each: rejected before any is allocated
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, "oracle", "verify", "--ports", "13", "--dim", "2")
+    assert code == EXIT_USAGE
+    assert "budget" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oracle_verify_strict_tol_fails(capsys):

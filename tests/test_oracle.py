@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -6,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pbt_recycling import oracle
 from pbt_recycling.optimal import VCoefficients, v_optimal
 from pbt_recycling.oracle import (
-    DEFAULT_DIM_CAP,
-    DenseOperator,
     DimensionCapError,
     build_optimizing_operator,
     channel_fidelity_oracle,
     frec_optimal_oracle,
     frec_oracle,
-    maximally_entangled_projector,
     partial_transpose_last,
     permutation_operator,
     pinv_sqrt_psd,
@@ -38,6 +37,12 @@ def P(*parts):
     return Partition(tuple(parts))
 
 
+def maximally_entangled_projector(d):
+    v = np.zeros(d * d)
+    v[:: d + 1] = 1.0 / sqrt(d)
+    return np.outer(v, v)
+
+
 def random_v(N, d, rng):
     frames = partitions_bounded(N, d)
     w = rng.random(len(frames)) + 0.05
@@ -49,11 +54,11 @@ def random_v(N, d, rng):
 
 def test_identity_permutation():
     op = permutation_operator((0, 1, 2), 2, 3)
-    np.testing.assert_allclose(op.matrix, np.eye(8))
+    np.testing.assert_allclose(op, np.eye(8))
 
 
 def test_swap_matrix():
-    swap = permutation_operator(transposition(0, 1, 2), 2, 2).matrix
+    swap = permutation_operator(transposition(0, 1, 2), 2, 2)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = 1
     expected[1, 2] = expected[2, 1] = 1
@@ -64,10 +69,10 @@ def test_swap_matrix():
 @settings(max_examples=15)
 def test_permutation_homomorphism(p, q):
     d = 2
-    vp = permutation_operator(tuple(p), d, 4).matrix
-    vq = permutation_operator(tuple(q), d, 4).matrix
+    vp = permutation_operator(tuple(p), d, 4)
+    vq = permutation_operator(tuple(q), d, 4)
     composed = tuple(p[q[k]] for k in range(4))
-    vpq = permutation_operator(composed, d, 4).matrix
+    vpq = permutation_operator(composed, d, 4)
     np.testing.assert_allclose(vp @ vq, vpq)
 
 
@@ -85,20 +90,20 @@ def test_signal_trace_one():
         for N in (1, 2, 3):
             for a in range(1, N + 1):
                 sig = signal_state(a, N, d)
-                assert np.trace(sig.matrix).real == pytest.approx(1.0, abs=1e-12)
+                assert np.trace(sig).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_signal_single_port_is_entangled_projector():
     sig = signal_state(1, 1, 2)
-    np.testing.assert_allclose(sig.matrix, maximally_entangled_projector(2), atol=1e-15)
+    np.testing.assert_allclose(sig, maximally_entangled_projector(2), atol=1e-15)
 
 
 def test_signal_covariance_under_port_swap():
     N, d, n = 3, 2, 4
     for a, b in [(1, 2), (2, 3), (1, 3)]:
-        v = permutation_operator(transposition(a - 1, b - 1, n), d, n).matrix
-        lhs = v @ signal_state(a, N, d).matrix @ v.T
-        np.testing.assert_allclose(lhs, signal_state(b, N, d).matrix, atol=1e-13)
+        v = permutation_operator(transposition(a - 1, b - 1, n), d, n)
+        lhs = v @ signal_state(a, N, d) @ v.T
+        np.testing.assert_allclose(lhs, signal_state(b, N, d), atol=1e-13)
 
 
 def test_signal_index_range():
@@ -112,24 +117,24 @@ def test_signal_equals_scaled_partial_transpose():
     for N, d in [(2, 2), (3, 2), (2, 3)]:
         n = N + 1
         swap = permutation_operator(transposition(N - 1, n - 1, n), d, n)
-        v_prime = partial_transpose_last(swap, d, n).matrix
+        v_prime = partial_transpose_last(swap, d, n)
         np.testing.assert_allclose(
-            signal_state(N, N, d).matrix, v_prime / d**N, atol=1e-14
+            signal_state(N, N, d), v_prime / d**N, atol=1e-14
         )
 
 
 def test_rho_basic():
     rho = rho_operator(2, 2)
-    assert np.trace(rho.matrix).real == pytest.approx(2.0, abs=1e-12)
-    w = np.sort(np.linalg.eigvalsh(rho.matrix))
+    assert np.trace(rho).real == pytest.approx(2.0, abs=1e-12)
+    w = np.sort(np.linalg.eigvalsh(rho))
     np.testing.assert_allclose(w, [0, 0, 0, 0, 0.25, 0.25, 0.75, 0.75], atol=1e-12)
 
 
 def test_rho_commutes_with_port_permutations():
     N, d, n = 3, 2, 4
-    rho = rho_operator(N, d).matrix
+    rho = rho_operator(N, d)
     for perm in [(1, 0, 2, 3), (2, 0, 1, 3), (0, 2, 1, 3)]:
-        v = permutation_operator(perm, d, n).matrix
+        v = permutation_operator(perm, d, n)
         np.testing.assert_allclose(v @ rho, rho @ v, atol=1e-13)
 
 
@@ -143,32 +148,33 @@ def test_rho_spectrum_report_fields():
 # -- spectral square roots ----------------------------------------------------------
 
 def test_sqrt_psd_examples():
-    ident = DenseOperator(matrix=np.eye(3), hermitian=True)
-    np.testing.assert_allclose(sqrt_psd(ident).matrix, np.eye(3))
-    diag = DenseOperator(matrix=np.diag([4.0, 0.0]), hermitian=True)
-    np.testing.assert_allclose(sqrt_psd(diag).matrix, np.diag([2.0, 0.0]))
-    np.testing.assert_allclose(pinv_sqrt_psd(diag).matrix, np.diag([0.5, 0.0]))
+    np.testing.assert_allclose(sqrt_psd(np.eye(3)), np.eye(3))
+    diag = np.diag([4.0, 0.0])
+    np.testing.assert_allclose(sqrt_psd(diag), np.diag([2.0, 0.0]))
+    np.testing.assert_allclose(pinv_sqrt_psd(diag), np.diag([0.5, 0.0]))
 
 
 def test_sqrt_psd_squares_back():
     rho = rho_operator(3, 2)
     root = sqrt_psd(rho)
-    np.testing.assert_allclose(root.matrix @ root.matrix, rho.matrix, atol=1e-10)
+    np.testing.assert_allclose(root @ root, rho, atol=1e-10)
 
 
 def test_sqrt_psd_rejects_negative():
-    bad = DenseOperator(matrix=np.diag([1.0, -1e-6]), hermitian=True)
+    bad = np.diag([1.0, -1e-6])
     with pytest.raises(ValueError, match="not PSD"):
         sqrt_psd(bad)
-    tiny = DenseOperator(matrix=np.diag([1.0, -1e-12]), hermitian=True)
-    np.testing.assert_allclose(sqrt_psd(tiny).matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    tiny = np.diag([1.0, -1e-12])
+    np.testing.assert_allclose(sqrt_psd(tiny), np.diag([1.0, 0.0]), atol=1e-12)
 
 
-def test_dense_operator_hermitian_flag():
-    with pytest.raises(ValueError, match="hermitian"):
-        DenseOperator(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=True)
-    with pytest.raises(ValueError):
-        DenseOperator(matrix=np.zeros((2, 3)))
+def test_eigensolve_rejects_asymmetric():
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for spectral in (sqrt_psd, pinv_sqrt_psd):
+        with pytest.raises(ValueError, match="not symmetric"):
+            spectral(bad)
+        with pytest.raises(ValueError):
+            spectral(np.zeros((2, 3)))
 
 
 # -- the square-root measurement -----------------------------------------------------
@@ -178,17 +184,17 @@ def test_povm_traces_and_completeness():
         total = np.zeros((d ** (N + 1), d ** (N + 1)), dtype=complex)
         for a in range(1, N + 1):
             _, _, completed = srm_povm(a, N, d)
-            assert np.trace(completed.matrix).real == pytest.approx(
+            assert np.trace(completed).real == pytest.approx(
                 d ** (N + 1) / N, abs=1e-10
             )
-            total += completed.matrix
+            total += completed
         np.testing.assert_allclose(total, np.eye(d ** (N + 1)), atol=1e-10)
 
 
 def test_povm_spectrum_small():
     # nonzero eigenvalues at (3,2) are exactly {2/3, 1}
     bare, _, _ = srm_povm(3, 3, 2)
-    w = np.linalg.eigvalsh(bare.matrix)
+    w = np.linalg.eigvalsh(bare)
     allowed = {0.0, 2.0 / 3.0, 1.0}
     assert all(min(abs(x - a) for a in allowed) < 1e-10 for x in w)
     assert povm_spectrum_deviation(3, 2) <= 1e-10
@@ -200,16 +206,16 @@ def test_povm_projector_regime():
     # all bare elements are projectors once d is at least the port count
     for N, d in [(2, 3), (2, 4)]:
         bare, _, _ = srm_povm(N, N, d)
-        w = np.linalg.eigvalsh(bare.matrix)
+        w = np.linalg.eigvalsh(bare)
         assert all(min(abs(x), abs(x - 1.0)) < 1e-10 for x in w)
 
 
 def test_excess_term_properties():
     for N, d in [(2, 2), (3, 2)]:
         _, excess, _ = srm_povm(N, N, d)
-        np.testing.assert_allclose(excess.matrix @ excess.matrix, excess.matrix, atol=1e-10)
+        np.testing.assert_allclose(excess @ excess, excess, atol=1e-10)
         for a in range(1, N + 1):
-            assert np.abs(excess.matrix @ signal_state(a, N, d).matrix).max() < 1e-10
+            assert np.abs(excess @ signal_state(a, N, d)).max() < 1e-10
 
 
 # -- group-averaged projectors ----------------------------------------------------------
@@ -218,11 +224,11 @@ def test_young_projector_traces_n4():
     for mu in partitions_bounded(4, 4):
         p = young_projector(mu, 2)
         expected = dim_irrep(mu) * mult_schur_weyl(mu, 2)
-        assert np.trace(p.matrix).real == pytest.approx(expected, abs=1e-10)
+        assert np.trace(p).real == pytest.approx(expected, abs=1e-10)
 
 
 def test_young_projectors_orthogonal_idempotent():
-    ps = [young_projector(mu, 2).matrix for mu in partitions_bounded(3, 2)]
+    ps = [young_projector(mu, 2) for mu in partitions_bounded(3, 2)]
     for i, pi in enumerate(ps):
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-12)
         for j, pj in enumerate(ps):
@@ -233,17 +239,17 @@ def test_young_projectors_orthogonal_idempotent():
 def test_build_optimizing_operator_uniform_is_identity():
     for N, d in [(2, 2), (3, 2), (2, 3)]:
         o = build_optimizing_operator(N, d, VCoefficients.uniform(N, d))
-        np.testing.assert_allclose(o.matrix, np.eye(d**N), atol=1e-10)
+        np.testing.assert_allclose(o, np.eye(d**N), atol=1e-10)
 
 
 def test_rotated_povm_trace_invariant():
     # conjugating the completed elements by the rotation preserves their trace
     for N, d in [(2, 2), (3, 2)]:
         o = build_optimizing_operator(N, d, v_optimal(N, d))
-        o_full = np.kron(o.matrix, np.eye(d))
+        o_full = np.kron(o, np.eye(d))
         for a in range(1, N + 1):
             _, _, completed = srm_povm(a, N, d)
-            got = np.trace(o_full.conj().T @ completed.matrix @ o_full).real
+            got = np.trace(o_full.conj().T @ completed @ o_full).real
             assert got == pytest.approx(d ** (N + 1) / N, abs=1e-10)
 
 
@@ -348,9 +354,109 @@ def test_verify_suite_comparison_note():
     assert any("rotated-signal-SRM" in note for note in report.notes)
 
 
-def test_oracle_cap_errors():
+def test_oracle_cap_errors(monkeypatch):
     with pytest.raises(DimensionCapError):
         frec_oracle(20, 2)
-    with pytest.raises(DimensionCapError):
-        rho_operator(2, 2, dim_cap=4)
-    assert DEFAULT_DIM_CAP == 2**14
+    # rho at (2, 2) is one dense 8 x 8 array of 512 bytes
+    monkeypatch.setattr(oracle, "ORACLE_BYTE_BUDGET", 511)
+    with pytest.raises(DimensionCapError, match="budget"):
+        rho_operator(2, 2)
+    monkeypatch.setattr(oracle, "ORACLE_BYTE_BUDGET", 512)
+    assert rho_operator(2, 2).shape == (8, 8)
+
+
+# -- float64 arrays, read-only caches and the byte budget ------------------------------------
+
+def test_operators_are_float64():
+    N, d = 3, 2
+    rho = rho_operator(N, d)
+    ops = [
+        permutation_operator((1, 0, 2, 3), d, 4),
+        signal_state(1, N, d),
+        rho,
+        *srm_povm(1, N, d),
+        young_projector(P(2, 1), d),
+        young_projector(P(1, 1, 1), d),  # taller than d: the zero operator
+        build_optimizing_operator(N, d, v_optimal(N, d)),
+        sqrt_psd(rho),
+        pinv_sqrt_psd(rho),
+        partial_transpose_last(permutation_operator((0, 2, 1), d, 3), d, 3),
+    ]
+    assert [op.dtype for op in ops] == [np.float64] * len(ops)
+
+
+def test_cached_arrays_are_read_only():
+    bare, excess, completed = srm_povm(2, 2, 2)
+    for cached in (bare, excess, young_projector(P(2), 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[:] = 0
+    completed[:] = 0  # a fresh array, not a cache entry
+    assert frec_oracle(2, 2).value == pytest.approx(frec(2, 2).value, abs=1e-11)
+    assert verify_suite(2, 2).all_passed
+
+
+def _traced(call):
+    """(DimensionCapError raised or None, peak bytes traced) of one call on empty caches."""
+    oracle._srm_bundle.cache_clear()
+    oracle._young_projectors.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        error = None
+    except DimensionCapError as e:
+        error = e
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return error, peak
+
+
+#: Qubit weights of the calls below, solved before any tracing.
+W = {N: v_optimal(N, 2) for N in (5, 6, 7)}
+
+#: Calls whose dense arrays are 128 x 128 (128 KiB each): d^(N+1) = 128, or d^N = 128.
+BUDGET_CALLS = {
+    "verify_suite": lambda: verify_suite(6, 2, v=W[6], compare_optimal_povm=True),
+    "frec_oracle": lambda: frec_oracle(6, 2),
+    "frec_optimal_oracle": lambda: frec_optimal_oracle(6, 2, W[6], W[5]),
+    "frec_optimal_oracle_rotated": lambda: frec_optimal_oracle(
+        6, 2, W[6], W[5], rotated_srm=True
+    ),
+    "channel_fidelity_oracle": lambda: channel_fidelity_oracle(6, 2),
+    "resource_fidelity_oracle": lambda: resource_fidelity_oracle(7, 2, W[7]),
+    "rho_spectrum_report": lambda: rho_spectrum_report(6, 2),
+    "povm_spectrum_deviation": lambda: povm_spectrum_deviation(6, 2),
+    "srm_povm": lambda: srm_povm(1, 6, 2),
+    "young_projector": lambda: young_projector(P(4, 3), 2),
+    "build_optimizing_operator": lambda: build_optimizing_operator(7, 2, W[7]),
+    "signal_state": lambda: signal_state(1, 6, 2),
+    "rho_operator": lambda: rho_operator(6, 2),
+    "permutation_operator": lambda: permutation_operator(tuple(range(6, -1, -1)), 2, 7),
+}
+
+
+@pytest.mark.parametrize("name", ["verify_suite", "frec_oracle", "young_projector", "resource_fidelity_oracle"])
+def test_budget_rejects_before_allocating(monkeypatch, name):
+    W[6], v_optimal(7, 2)  # weights solved before tracing
+    monkeypatch.setattr(oracle, "ORACLE_BYTE_BUDGET", 1 << 16)
+    error, peak = _traced(BUDGET_CALLS[name])
+    assert isinstance(error, DimensionCapError) and "budget" in str(error)
+    assert peak < 1 << 14  # an eighth of one dense array
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CALLS))
+def test_budget_counts_cover_traced_peak(monkeypatch, name):
+    # a call's first check counts every dense array it holds at once; tracemalloc
+    # sees every numpy allocation except LAPACK's workspace, which is counted too
+    counted = []
+    check = oracle._require
+
+    def spy(*blocks):
+        counted.append(sum(count * dim * dim * 8 for count, dim in blocks))
+        check(*blocks)
+
+    W[5], W[6], v_optimal(7, 2)
+    monkeypatch.setattr(oracle, "_require", spy)
+    error, peak = _traced(BUDGET_CALLS[name])
+    assert error is None
+    assert peak <= counted[0] + (1 << 16)  # digit tables and Python objects, under half an array

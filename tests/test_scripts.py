@@ -1,5 +1,6 @@
-"""Smoke tests of the scripts, each run in a fresh interpreter on the package sources."""
+"""Tests of the scripts: smoke runs in a fresh interpreter on the package sources, and call counts in-process."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +41,14 @@ def test_regen_pinned_values_imports(tmp_path):
     )
     proc = _run(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_make_figure_data_solves_each_weight_set_once(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("make_figure_data", ROOT / "scripts" / "make_figure_data.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+    solve = module.v_optimal
+    monkeypatch.setattr(module, "v_optimal", lambda N, d: calls.append((N, d)) or solve(N, d))
+    module.recycling_curves(tmp_path, 6)
+    assert calls == [(n, d) for d in (2, 3, 4) for n in range(1, 7)]  # one solve per weight set
