@@ -16,6 +16,18 @@ two; a miss evicts the oldest first; cached arrays are read-only).  Index
 arrays (d^n by n digits) are not counted.  Over the budget a call raises
 ``DimensionCapError``, exit code 2 in the CLI.  ``MAX_PROJECTOR_BOXES`` caps
 the time of the n! projector loop.
+
+``_srm_bundle`` holds the bare elements, the excess projector and the square
+root of port N's completed element, the operator behind every recycling
+fidelity; that root is solved once per (N, d) and shared by ``frec_oracle``,
+``frec_optimal_oracle`` and ``verify_suite``.
+
+``verify_suite`` checks covariance under the port group S(N) on its N - 1
+generators, the adjacent transpositions.  Conjugating by a permutation
+matrix only permutes entries, so deviations add along a word, and every
+permutation is a word of at most N(N - 1)/2 of them: the reported value,
+N(N - 1)/2 times the largest deviation over the generators, bounds the
+deviation over all N! permutations.
 """
 
 from __future__ import annotations
@@ -208,28 +220,30 @@ def pinv_sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
 
 
 def _srm(N: int, d: int, rotation: Optional[np.ndarray] = None):
-    """Bare elements and excess projector of the square-root measurement (N + 5 arrays at peak).
+    """Bare elements, excess projector and the root of port N's completed element.
 
-    The signals are conjugated by ``rotation`` when one is given.
+    The signals are conjugated by ``rotation`` when one is given.  Holds
+    N + 6 arrays at peak, the root's eigensolve included, and N + 2 after.
     """
     conj = (lambda m: m) if rotation is None else (lambda m: rotation @ m @ rotation.T)
-    root = pinv_sqrt_psd(conj(rho_operator(N, d)))
+    whiten = pinv_sqrt_psd(conj(rho_operator(N, d)))
     delta = np.eye(d ** (N + 1))
     pis = []
     for a in range(1, N + 1):
-        m = root @ conj(signal_state(a, N, d)) @ root
+        m = whiten @ conj(signal_state(a, N, d)) @ whiten
         pis.append(0.5 * (m + m.T))
         delta -= pis[-1]
-    return pis, delta
+    del whiten, m
+    return pis, delta, sqrt_psd(pis[N - 1] + delta / N)
 
 
 @_memo(1)
-def _srm_bundle(N: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The plain square-root measurement of ``_srm``, read-only."""
-    pis, delta = _srm(N, d)
-    for m in (*pis, delta):
+def _srm_bundle(N: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The plain square-root measurement of ``_srm`` with its completed root, read-only."""
+    pis, delta, root = _srm(N, d)
+    for m in (*pis, delta, root):
         m.flags.writeable = False
-    return tuple(pis), delta
+    return tuple(pis), delta, root
 
 
 def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,8 +255,8 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
-    _require((N + 5, d ** (N + 1)))
-    pis, delta = _srm_bundle(N, d)
+    _require((N + 6, d ** (N + 1)))  # the SRM with its completed root, and that root's eigensolve
+    pis, delta, _ = _srm_bundle(N, d)
     return pis[a - 1], delta, pis[a - 1] + delta / N
 
 
@@ -313,11 +327,9 @@ def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
 
 def frec_oracle(N: int, d: int) -> FidelityReport:
     """One-round recycling fidelity from the defining trace expression."""
-    _require((N + 6, d ** (N + 1)))  # the SRM, the completed element and its root's eigensolve
-    _, _, completed = srm_povm(N, N, d)
-    norm = sqrt(np.trace(completed))
-    root = sqrt_psd(completed)
-    del completed
+    _require((N + 6, d ** (N + 1)))  # the SRM with its completed root, and that root's eigensolve
+    pis, delta, root = _srm_bundle(N, d)
+    norm = sqrt(np.trace(pis[N - 1] + delta / N))
     # tr(sig root) is vdot(sig, root) because root is symmetric
     overlap = abs(np.vdot(signal_state(N, N, d), root))
     value = (N / d) * norm / sqrt(d ** (N + 1)) * overlap
@@ -338,14 +350,12 @@ def frec_optimal_oracle(
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
     _require(
-        (N + 8, d ** (N + 1)),  # rotation, SRM, completed element, root's eigensolve
+        (N + 8, d ** (N + 1)),  # rotation, SRM with its completed root, the root's eigensolve
         (len(partitions_bounded(N, d)) + 2, d**N),
         (len(partitions_bounded(N - 1, d)) + 2, d ** (N - 1)),
     )
     o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN), d)
-    pis, delta = _srm(N, d, o_full) if rotated_srm else _srm_bundle(N, d)
-    root = sqrt_psd(pis[N - 1] + delta / N)
-    del pis, delta
+    root = (_srm(N, d, o_full) if rotated_srm else _srm_bundle(N, d))[2]
     # identity on port N and the input system
     rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
     del o_full
@@ -360,8 +370,8 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     ``rotation`` is an operator on the ports (identity when omitted); it is
     extended by identity on the input system.
     """
-    _require((N + 6, d ** (N + 1)))
-    pis, delta = _srm_bundle(N, d)
+    _require((N + 6, d ** (N + 1)))  # the SRM with its completed root, and that root's eigensolve
+    pis, delta, _ = _srm_bundle(N, d)
     o = None if rotation is None else _embed_ports_operator(rotation, d)
     total = 0.0
     for a in range(1, N + 1):
@@ -413,8 +423,8 @@ def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
 
 def povm_spectrum_deviation(N: int, d: int) -> float:
     """Worst distance of any bare-element eigenvalue from its allowed set."""
-    _require((N + 5, d ** (N + 1)))
-    pis, _ = _srm_bundle(N, d)
+    _require((N + 6, d ** (N + 1)))  # the SRM with its completed root, and that root's eigensolve
+    pis, _, _ = _srm_bundle(N, d)
     allowed = np.array(
         [0.0] + [povm_block_factor(alpha, N, d) for alpha in partitions_bounded(N - 1, d)]
     )
@@ -436,11 +446,16 @@ def verify_suite(
 
     Failures are reported, not raised.  ``v`` supplies rotation weights for
     the rotation-dependent checks (uniform weights when omitted).
+
+    Port covariance is checked on the N - 1 adjacent transpositions only.  The
+    reported ``signal_and_povm_covariance`` is N(N - 1)/2 times their largest
+    deviation, an upper bound on the deviation under every permutation.
     """
     n = N + 1
     dim = d**n
-    # the SRM, signals and completed elements hold 3N + 1 arrays; the rest are
-    # temporaries, one eigensolve, the rotation and the comparison's measurement
+    # the SRM with its completed root, signals and completed elements hold 3N + 2
+    # arrays; the rest are temporaries, the rotation, and the bundle's build or the
+    # comparison's measurement with its eigensolves once the signals are gone
     compare = compare_optimal_povm and N >= 2
     _require(
         (3 * N + 7, dim),
@@ -448,7 +463,7 @@ def verify_suite(
         (len(partitions_bounded(N - 1, d)) + 2 if compare else 0, d ** (N - 1)),
     )
     report = VerifyReport(ports=N, dim=d, tol=tol)
-    pis, delta = _srm_bundle(N, d)
+    pis, delta, _ = _srm_bundle(N, d)
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
 
     completed = [pi + delta / N for pi in pis]
@@ -456,10 +471,12 @@ def verify_suite(
     report.add("excess_idempotent", np.abs(delta @ delta - delta).max())
     report.add("excess_signal_orthogonal", max(np.abs(delta @ s).max() for s in sigs))
 
-    # covariance under every port permutation (acting trivially on the input):
-    # V X V^T = Y for the permutation operator V is X = Y[rows][:, rows]
+    # covariance under the adjacent port transpositions (acting trivially on the input):
+    # V X V^T = Y for the permutation operator V is X = Y[rows][:, rows]; a word of at
+    # most N(N - 1)/2 of them reaches any permutation, and its deviations add up
     dev_cov = 0.0
-    for perm in itertools.permutations(range(N)):
+    for i in range(N - 1):
+        perm = transposition(i, i + 1, N)
         idx = _permuted_indices(perm + (N,), d, n)
         rows = np.ix_(idx, idx)
         for a in range(1, N + 1):
@@ -469,16 +486,17 @@ def verify_suite(
                 np.abs(sigs[a - 1] - sigs[b - 1][rows]).max(),
                 np.abs(completed[a - 1] - completed[b - 1][rows]).max(),
             )
-    report.add("signal_and_povm_covariance", dev_cov)
+    report.add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
 
     report.add("completed_trace", max(abs(np.trace(c) - d ** (N + 1) / N) for c in completed))
 
     vv = v if v is not None else VCoefficients.uniform(N, d)
-    o_full = _embed_ports_operator(build_optimizing_operator(N, d, vv), d)
-    # tr(O^T c O) = vdot(O, c O)
-    dev_rot = max(abs(np.vdot(o_full, c @ o_full) - d ** (N + 1) / N) for c in completed)
+    o = build_optimizing_operator(N, d, vv)
+    # tr(O^T c O) = vdot(c, O O^T) because c is symmetric
+    gram = _embed_ports_operator(o @ o.T, d)
+    dev_rot = max(abs(np.vdot(c, gram) - d ** (N + 1) / N) for c in completed)
     report.add("rotated_completed_trace", dev_rot)
-    del o_full, completed
+    del gram, completed
 
     report.add("rho_spectrum", rho_spectrum_report(N, d).max_deviation)
     report.add("povm_spectrum", povm_spectrum_deviation(N, d))
@@ -495,6 +513,7 @@ def verify_suite(
         abs(tr_direct - trace_sqrt_povm_signal(N, d)),
         detail=f"oracle={tr_direct!r}",
     )
+    del v_prime
 
     if compare:
         prev = VCoefficients.uniform(N - 1, d)

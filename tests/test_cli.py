@@ -320,6 +320,31 @@ def test_oracle_verify_optimal_without_files(capsys):
     assert "PASS  frec_optimal_formula_vs_oracle" in out
 
 
+def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
+    from pbt_recycling import oracle
+
+    solved = []
+    eigh = oracle._eigh
+
+    def spy(m, vectors=True):
+        solved.append((m.tobytes(), vectors))
+        return eigh(m, vectors)
+
+    monkeypatch.setattr(oracle, "_eigh", spy)
+    oracle._srm_bundle.cache_clear()
+    argv = ("oracle", "verify", "--optimal", "--ports", "3", "--dim", "3")
+    assert invoke(capsys, *argv)[0] == EXIT_OK
+    assert len(set(solved)) == len(solved)
+    pis, delta, _ = oracle._srm_bundle(3, 3)
+    completed = ((pis[2] + delta / 3).tobytes(), True)
+    assert solved.count(completed) == 1
+
+    # a second op at the same point reuses the completed element's root
+    solved.clear()
+    assert invoke(capsys, *argv)[0] == EXIT_OK
+    assert solved and completed not in solved
+
+
 def test_oracle_verify_json(capsys):
     code, out, _ = invoke(
         capsys, "oracle", "verify", "--ports", "2", "--dim", "2", "--format", "json"

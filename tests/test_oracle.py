@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from math import sqrt
@@ -341,11 +342,45 @@ def test_resource_fidelity_oracle(pinned):
 
 # -- the verification suite ----------------------------------------------------------------
 
-@pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (4, 3), (3, 4)])
 def test_verify_suite_passes(N, d):
     report = verify_suite(N, d, tol=1e-9)
     failing = [c.name for c in report.checks if not c.passed]
     assert report.all_passed, failing
+
+
+def _all_permutation_covariance(N, d, sigs, completed):
+    """Largest deviation of V^T X_b V from X_a, b the image of port a, over all N! permutations."""
+    dev = 0.0
+    for perm in itertools.permutations(range(N)):
+        V = permutation_operator(perm + (N,), d, N + 1)
+        for a, b in enumerate(perm):
+            for x in (sigs, completed):
+                dev = max(dev, np.abs(x[a] - V.T @ x[b] @ V).max())
+    return dev
+
+
+@pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
+@pytest.mark.parametrize("perturbation", ["none", "one", "graded"])
+def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbation):
+    pis, delta, root = oracle._srm_bundle(N, d)
+    if perturbation == "one":
+        # a random symmetric perturbation of size 1e-7 on the first bare element
+        e = np.random.default_rng(3).standard_normal(pis[0].shape)
+        e += e.T
+        pis = (pis[0] + 1e-7 / np.abs(e).max() * e, *pis[1:])
+    elif perturbation == "graded":
+        # a * 1e-7 * identity on element a: each generator moves it by 1e-7,
+        # the cycle taking port 1 to port N by (N - 1) * 1e-7
+        pis = tuple(pi + a * 1e-7 * np.eye(len(pi)) for a, pi in enumerate(pis))
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: (pis, delta, root))
+    check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["signal_and_povm_covariance"]
+    sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
+    brute = _all_permutation_covariance(N, d, sigs, [pi + delta / N for pi in pis])
+    assert check.max_deviation >= brute
+    assert check.passed is (perturbation == "none")
+    if perturbation != "none":
+        assert brute > 1e-8
 
 
 def test_verify_suite_comparison_note():
