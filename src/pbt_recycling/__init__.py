@@ -9,11 +9,9 @@ from .optimal import (
     CoefficientError,
     VCoefficients,
     frec_optimal,
-    gamma_angular,
     load_v_coefficients,
     parse_v_coefficients,
     resource_state_fidelity,
-    resource_state_fidelity_qubit_angular,
     save_v_coefficients,
     v_optimal,
 )
@@ -36,17 +34,13 @@ from .oracle import (
     young_projector,
 )
 from .partitions import (
-    IrrepDims,
     Partition,
     add_box,
     dim_irrep,
-    dims,
     frame_table,
     ln_schur_weyl_probability,
     mult_schur_weyl,
     partitions_bounded,
-    remove_box,
-    theta_of,
 )
 from .recycling import (
     frec,
@@ -65,7 +59,6 @@ __all__ = [
     "CoefficientError",
     "DimensionCapError",
     "FidelityReport",
-    "IrrepDims",
     "Partition",
     "SpectrumReport",
     "VCoefficients",
@@ -74,13 +67,11 @@ __all__ = [
     "build_optimizing_operator",
     "channel_fidelity_oracle",
     "dim_irrep",
-    "dims",
     "frame_table",
     "frec",
     "frec_optimal",
     "frec_optimal_oracle",
     "frec_oracle",
-    "gamma_angular",
     "kround_lower_bound",
     "ln_schur_weyl_probability",
     "load_v_coefficients",
@@ -91,10 +82,8 @@ __all__ = [
     "permutation_operator",
     "pinv_sqrt_psd",
     "povm_block_factor",
-    "remove_box",
     "resource_fidelity_oracle",
     "resource_state_fidelity",
-    "resource_state_fidelity_qubit_angular",
     "rho_operator",
     "rho_spectrum_report",
     "save_v_coefficients",
@@ -102,7 +91,6 @@ __all__ = [
     "sqrt_psd",
     "srm_eigenvalue",
     "srm_povm",
-    "theta_of",
     "trace_sqrt_povm_signal",
     "v_optimal",
     "verify_suite",

@@ -171,11 +171,7 @@ def _cmd_resource_fidelity(parser, args) -> int:
         return EXIT_OK
     if args.ports is None:
         parser.error("--ports is required without --sweep")
-    if args.method == "angular":
-        value = opt.resource_state_fidelity_qubit_angular(args.ports)
-        report = FidelityReport(value=value, method="angular", ports=args.ports, dim=2)
-    else:
-        report = opt.resource_state_fidelity(args.ports, 2, opt.v_optimal(args.ports, 2))
+    report = opt.resource_state_fidelity(args.ports, 2, opt.v_optimal(args.ports, 2))
     _emit(args, _report_lines(report), report.as_dict())
     return EXIT_OK
 
@@ -268,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resource-fidelity", help="overlap of plain and rotated resource states"
     )
     p_res.add_argument("--ports", type=int)
-    p_res.add_argument("--method", choices=("schur", "angular"), default="schur")
     p_res.add_argument("--vfile", help="coefficient file, any d (default: optimal qubit weights)")
     p_res.add_argument("--sweep", action="store_true")
     p_res.add_argument("--ports-min", type=int)

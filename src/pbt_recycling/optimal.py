@@ -8,20 +8,26 @@ N-1 boxes plus one box; lambda_max(M) is the entanglement fidelity of the
 optimal channel (Mozrzymas, Studzinski, Strelchuk, Horodecki, "Optimal
 port-based teleportation", arXiv:1707.08456).  At d = 2 the Perron vector is
 v_mu = 2/sqrt(N+2) sin(pi (mu_1 - mu_2 + 1)/(N+2)); above, ``v_optimal``
-solves for it.  This module also carries the optimal-protocol recycling
-fidelity and the overlap between the optimal and plain resource states,
-cross-checkable in an angular-momentum parametrization.
+solves for it.  Weights are arrays in ``frame_table`` row order, and
+``one_box_ranks`` finds the row of each extension alpha + e_i, which builds B
+and gathers the weights of the extensions.  This module also carries the
+optimal-protocol recycling fidelity and the overlap between the optimal and
+plain resource states.
 
-Both fidelities are sums of the Schur-Weyl probability p of ``partitions``
-(weights v_mu over frames of N boxes, v_alpha over frames of N-1 boxes):
+Both fidelities are sums over frames (weights v_mu over frames of N boxes,
+v_alpha over frames of N-1 boxes):
 
-    frec_optimal = 1/(d sqrt(N)) * sum_alpha v_alpha c(alpha) S(alpha) V(alpha) / sqrt(p(alpha)),
+    frec_optimal = 1/(d sqrt(N)) * sum_alpha v_alpha c(alpha) V(alpha) S(alpha)/sqrt(p(alpha)),
     V(alpha) = sum over one-box extensions mu of alpha of v_mu,
     resource_state_fidelity = sum_mu v_mu sqrt(p(mu)),
 
-with c and S as in ``recycling``.  The first equals the exact-integer form
+with c, S and the Schur-Weyl probability p as in ``recycling``.  There
+S(alpha)/sqrt(p(alpha)) = sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1), with the shifted
+rows l_k = alpha_k + d - 1 - k and R_i = prod_{k != i} (l_i + 1 - l_k)/(l_i - l_k),
+so frec_optimal = d^(-3/2) sum_alpha v_alpha c(alpha) V(alpha) sum_i |R_i|/sqrt(l_i + 1)
+needs no log-probability at all.  It equals the exact-integer form
 d^(-3/2) sum_alpha v_alpha s(alpha) V(alpha) / sqrt(m_alpha (N d_alpha - d_theta)),
-s = sum sqrt(m_nu d_nu); the second equals sum_mu v_mu sqrt(d_mu m_mu / d^N).
+s = sum sqrt(m_nu d_nu); the overlap equals sum_mu v_mu sqrt(d_mu m_mu / d^N).
 With the uniform weights v_mu = sqrt(p(mu)) the optimal form collapses to the
 plain recycling fidelity and the overlap to 1; the dense oracle pins both.
 """
@@ -30,19 +36,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from math import factorial, lgamma, sqrt
+from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
-from .partitions import (
-    Partition,
-    as_partition,
-    frame_table,
-    ln_schur_weyl_probability,
-    partitions_bounded,
-)
-from .recycling import height_correction, on_mask, one_box_frames
+from .partitions import Partition, frame_table, ln_schur_weyl_probability, partitions_bounded
+from .recycling import height_correction, s_over_sqrt_p
 from .reports import FidelityReport
 
 #: Normalization slack for coefficient vectors.
@@ -57,58 +57,54 @@ class CoefficientError(ValueError):
     """Raised when a coefficient set or coefficient file fails validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VCoefficients:
     """Rotation weights v over all frames of N boxes with height <= d.
 
-    Entries are nonnegative with unit 2-norm; every admissible frame appears
-    exactly once (zeros allowed).
+    ``entries`` is a read-only float64 array with one weight per row of
+    ``frame_table(ports, dim)``, in that order (descending lexicographic, as
+    ``partitions_bounded``).  Weights are finite and nonnegative (zeros
+    allowed) with unit 2-norm.
     """
 
     ports: int
     dim: int
-    entries: dict[Partition, float] = field(default_factory=dict)
+    entries: np.ndarray
 
     def __post_init__(self):
-        expected = partitions_bounded(self.ports, self.dim)
-        expected_set = set(expected)
-        missing = [p for p in expected if p not in self.entries]
-        extra = [p for p in self.entries if p not in expected_set]
-        if missing or extra:
-            raise CoefficientError(
-                f"incomplete support: missing={[str(p) for p in missing]} "
-                f"unexpected={[str(p) for p in extra]}"
-            )
-        vals = list(self.entries.values())
-        if any(v < 0 for v in vals):
+        entries = np.array(self.entries, dtype=float)  # a copy: no caller keeps a writable view
+        frames = len(frame_table(self.ports, self.dim))
+        if entries.shape != (frames,):
+            raise CoefficientError(f"incomplete support: {entries.size} entries for {frames} frames")
+        if not np.isfinite(entries).all():
+            raise CoefficientError("bad coefficient in coefficient set")
+        if (entries < 0).any():
             raise CoefficientError("negative entry in coefficient set")
-        norm2 = math.fsum(v * v for v in vals)
+        norm2 = float(entries @ entries)
         if abs(norm2 - 1.0) > NORM_TOL:
             raise CoefficientError(f"not normalized: sum of squares = {norm2}")
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
-    def __getitem__(self, mu) -> float:
-        return self.entries[as_partition(mu)]
-
-    def on_table(self, table: np.ndarray) -> np.ndarray:
-        """The weight of each row of a zero-padded frame table."""
-        by_parts = {p.parts: x for p, x in self.entries.items()}
-        return np.array([by_parts[tuple(x for x in row if x)] for row in table.tolist()], dtype=float)
+    def __eq__(self, other):
+        if not isinstance(other, VCoefficients):
+            return NotImplemented
+        return (self.ports, self.dim) == (other.ports, other.dim) and np.array_equal(self.entries, other.entries)
 
     def as_document(self) -> dict:
         return {
             "N": self.ports,
             "d": self.dim,
             "entries": [
-                {"partition": list(p.parts), "v": self.entries[p]}
-                for p in partitions_bounded(self.ports, self.dim)
+                {"partition": list(p.parts), "v": x}
+                for p, x in zip(partitions_bounded(self.ports, self.dim), self.entries.tolist())
             ],
         }
 
     @classmethod
     def uniform(cls, N: int, d: int) -> "VCoefficients":
         """Weights reproducing the un-rotated state: v = sqrt(p) = sqrt(dim * mult / d^N)."""
-        sqrt_p = np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d))
-        return cls(ports=N, dim=d, entries=dict(zip(partitions_bounded(N, d), sqrt_p.tolist())))
+        return cls(ports=N, dim=d, entries=np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d)))
 
 
 def parse_v_coefficients(document) -> VCoefficients:
@@ -144,7 +140,16 @@ def parse_v_coefficients(document) -> VCoefficients:
         if not isinstance(v, (int, float)) or not math.isfinite(v):
             raise CoefficientError(f"bad coefficient for {p}")
         entries[p] = float(v)
-    return VCoefficients(ports=N, dim=d, entries=entries)
+    frames = partitions_bounded(N, d)
+    support = set(frames)
+    missing = [p for p in frames if p not in entries]
+    extra = [p for p in entries if p not in support]
+    if missing or extra:
+        raise CoefficientError(
+            f"incomplete support: missing={[str(p) for p in missing]} "
+            f"unexpected={[str(p) for p in extra]}"
+        )
+    return VCoefficients(ports=N, dim=d, entries=np.array([entries[p] for p in frames]))
 
 
 def load_v_coefficients(path) -> VCoefficients:
@@ -159,14 +164,32 @@ def save_v_coefficients(v: VCoefficients, path):
         fh.write("\n")
 
 
-def _from_table(N: int, d: int, table: np.ndarray, values: np.ndarray) -> VCoefficients:
-    """Weights given per row of a zero-padded frame table."""
-    frames = [Partition(tuple(x for x in row if x)) for row in table.tolist()]
-    return VCoefficients(ports=N, dim=d, entries=dict(zip(frames, values.tolist())))
+def one_box_ranks(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frames alpha of N-1 boxes and where their one-box extensions sit, height <= d.
+
+    Returns ``frame_table(N - 1, d)`` (F x d) and an F x d int array whose
+    entry [f, i] is the row of alpha + e_i in ``frame_table(N, d)``, or -1
+    where alpha + e_i is not a frame.
+    """
+    alphas = frame_table(N - 1, d)
+    valid = np.ones(alphas.shape, dtype=bool)
+    valid[:, 1:] = alphas[:, :-1] > alphas[:, 1:]
+    grown = (alphas[:, None, :] + np.eye(d, dtype=alphas.dtype))[valid]
+    # every frame of N boxes extends one of N-1 boxes, so sorting the extensions
+    # (first column first) and numbering the distinct ones ranks them
+    order = np.lexsort(grown.T[::-1])
+    grown = grown[order]
+    new = np.ones(len(grown), dtype=bool)
+    new[1:] = (grown[1:] != grown[:-1]).any(axis=1)
+    ascending = np.empty(len(grown), dtype=np.int64)
+    ascending[order] = np.cumsum(new) - 1
+    ranks = np.full(alphas.shape, -1, dtype=np.int64)
+    ranks[valid] = ascending.max() - ascending  # the frame table runs in descending order
+    return alphas, ranks
 
 
-def _perron_weights(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(frame table of N boxes, Perron vector of d^(-2) B^T B on its rows), any d >= 2.
+def _perron_weights(N: int, d: int) -> np.ndarray:
+    """Perron vector of d^(-2) B^T B on the rows of ``frame_table(N, d)``, any d >= 2.
 
     B is the incidence matrix of the frames of N-1 boxes against their
     one-box extensions, all of height <= d.
@@ -176,14 +199,14 @@ def _perron_weights(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import eigsh
 
-    alphas, grown, valid = one_box_frames(N, d)
-    table, cols = np.unique(grown[valid], axis=0, return_inverse=True)
-    if len(table) == 1:  # ARPACK needs more rows than eigenvectors
-        return table, np.ones(1)
-    rows = np.nonzero(valid)[0]
-    incidence = csr_matrix((np.ones(len(rows)), (rows, cols.ravel())), shape=(len(alphas), len(table)))
+    alphas, ranks = one_box_ranks(N, d)
+    frames = ranks.max() + 1
+    if frames == 1:  # ARPACK needs more rows than eigenvectors
+        return np.ones(1)
+    rows, cols = np.nonzero(ranks >= 0)
+    incidence = csr_matrix((np.ones(len(rows)), (rows, ranks[rows, cols])), shape=(len(alphas), frames))
     m = (incidence.T @ incidence) / d**2
-    w, u = eigsh(m, k=1, which="LA", v0=np.ones(len(table)))
+    w, u = eigsh(m, k=1, which="LA", v0=np.ones(frames))
     v = u[:, 0] * np.sign(u[:, 0].sum())
     v /= np.linalg.norm(v)
     residual = np.linalg.norm(m @ v - w[0] * v)
@@ -192,7 +215,7 @@ def _perron_weights(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     if v.min() < -PERRON_TOL:
         raise RuntimeError(f"Perron vector has a negative entry {v.min()}")
     # entries below the solver's accuracy may come out as tiny negatives
-    return table, np.maximum(v, 0.0)
+    return np.maximum(v, 0.0)
 
 
 def v_optimal(N: int, d: int) -> VCoefficients:
@@ -207,47 +230,17 @@ def v_optimal(N: int, d: int) -> VCoefficients:
     if d < 2:
         raise ValueError("d must be at least 2")
     if d > 2:
-        return _from_table(N, d, *_perron_weights(N, d))
+        return VCoefficients(ports=N, dim=d, entries=_perron_weights(N, d))
     table = frame_table(N, 2)
     k = table[:, 0] - table[:, 1] + 1
     k = np.minimum(k, N + 2 - k)
-    return _from_table(N, 2, table, 2.0 / sqrt(N + 2) * np.sin(np.pi * k / (N + 2)))
-
-
-def _as_half_integer(j) -> int:
-    twoj = 2 * j
-    twoj_int = int(round(twoj))
-    if abs(twoj - twoj_int) > 1e-12:
-        raise ValueError(f"j={j} is not a half-integer")
-    return twoj_int
-
-
-def angular_dim(N: int, j) -> int:
-    """Path-counting dimension of the total-spin-j sector of N qubits (exact)."""
-    twoj = _as_half_integer(j)
-    if (N - twoj) % 2 != 0 or twoj < 0 or twoj > N:
-        raise ValueError(f"j={j} out of range for N={N}")
-    return (twoj + 1) * factorial(N) // (factorial((N - twoj) // 2) * factorial((N + twoj) // 2 + 1))
-
-
-def gamma_angular(N: int, j) -> float:
-    """Optimal rotation weight of the spin-j sector, squared amplitude.
-
-    j runs over j_min, j_min+1, ..., N/2 with j_min = 0 (even N) or 1/2 (odd N).
-    """
-    twoj = _as_half_integer(j)
-    jmin = 0 if N % 2 == 0 else 1
-    if twoj < jmin or twoj > N or (twoj - jmin) % 2 != 0:
-        raise ValueError(f"j={j} out of range for N={N}")
-    dj = angular_dim(N, j)
-    s = math.sin(math.pi * (twoj + 1) / (N + 2))
-    return 2 ** (N + 2) / ((N + 2) * (twoj + 1) * dj) * s * s
+    return VCoefficients(ports=N, dim=2, entries=2.0 / sqrt(N + 2) * np.sin(np.pi * k / (N + 2)))
 
 
 def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
     """One-round recycling fidelity of the optimal protocol, arbitrary d.
 
-    The p-form sum of the module docstring; the optimal protocol takes
+    The frame sum of the module docstring, with no log-probability; the optimal protocol takes
     ``vN = v_optimal(N, d)``, ``vNm1 = v_optimal(N - 1, d)``.
     """
     if N < 2:
@@ -260,13 +253,9 @@ def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> Fide
         raise CoefficientError(
             f"coefficient set for N-1 is labeled ({vNm1.ports}, {vNm1.dim})"
         )
-    alphas, grown, valid = one_box_frames(N, d)
-    ln_p = ln_schur_weyl_probability(np.concatenate([alphas, grown[valid]]), d)
-    ln_p_alpha, ln_p_grown = ln_p[: len(alphas)], on_mask(ln_p[len(alphas):], valid, -np.inf)
-    # S(alpha)/sqrt(p(alpha)) term by term, so no underflowing p is divided by
-    s_over_sqrt_p = np.exp(0.5 * (ln_p_grown - ln_p_alpha[:, None])).sum(axis=1)
-    big_v = on_mask(vN.on_table(grown[valid]), valid, 0.0).sum(axis=1)
-    terms = vNm1.on_table(alphas) * height_correction(alphas, d) * s_over_sqrt_p * big_v
+    alphas, ranks = one_box_ranks(N, d)
+    big_v = np.where(ranks >= 0, vN.entries[ranks], 0.0).sum(axis=1)
+    terms = vNm1.entries * height_correction(alphas, d) * s_over_sqrt_p(N, alphas) * big_v
     value = math.fsum(terms) / (d * sqrt(N))
     return FidelityReport(value=value, method="optimal_general", ports=N, dim=d)
 
@@ -275,23 +264,5 @@ def resource_state_fidelity(N: int, d: int, v: VCoefficients) -> FidelityReport:
     """Overlap between the plain and rotated resource states: sum of v * sqrt(p)."""
     if v.ports != N or v.dim != d:
         raise CoefficientError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    table = frame_table(N, d)
-    value = math.fsum(v.on_table(table) * np.exp(0.5 * ln_schur_weyl_probability(table, d)))
+    value = math.fsum(v.entries * np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d)))
     return FidelityReport(value=value, method="general", ports=N, dim=d)
-
-
-def resource_state_fidelity_qubit_angular(N: int) -> float:
-    """Same overlap computed in the total-spin parametrization (d = 2 only).
-
-    Factorials enter as log-gamma sums, so no term overflows at large N.
-    """
-    if N < 1:
-        raise ValueError("N must be positive")
-    jmin = 0 if N % 2 == 0 else 1  # doubled
-    ln_prefactor = lgamma(N + 1) - (N - 2) * math.log(2) - math.log(N + 2)
-    return math.fsum(
-        (twoj + 1)
-        * math.sin(math.pi * (twoj + 1) / (N + 2))
-        * math.exp(0.5 * (ln_prefactor - lgamma((N - twoj) // 2 + 1) - lgamma((N + twoj) // 2 + 2)))
-        for twoj in range(jmin, N + 1, 2)
-    )

@@ -308,8 +308,7 @@ def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
     _require((len(partitions_bounded(N, d)) + 2, d**N))  # the projectors, O and one scaled projector
     projectors = _young_projectors(N, d)
     o = np.zeros((d**N, d**N))
-    for mu in partitions_bounded(N, d):
-        vm = v[mu]
+    for mu, vm in zip(partitions_bounded(N, d), v.entries.tolist()):
         if vm == 0.0:
             continue
         dm = dim_irrep(mu) * mult_schur_weyl(mu, d)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -58,13 +58,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
-
-
-class IrrepDims(NamedTuple):
-    """Exact dimension / multiplicity pair for one frame at local dimension d."""
-
-    dim_s: int
-    mult: int
 
 
 def as_partition(p) -> Partition:
@@ -167,12 +160,6 @@ def mult_schur_weyl(alpha, d: int) -> int:
     return _mult_schur_weyl(as_partition(alpha).parts, d)
 
 
-def dims(alpha, d: int) -> IrrepDims:
-    """Exact (dimension, multiplicity) pair for ``alpha`` at local dimension ``d``."""
-    a = as_partition(alpha)
-    return IrrepDims(_dim_irrep(a.parts), _mult_schur_weyl(a.parts, d))
-
-
 #: stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 for k = 0..15 (entry 0 unused),
 #: the exact table of C. Loader, "Fast and accurate computation of binomial
 #: probabilities" (2000); above 15 the Stirling series of ``_STIRLERR_SERIES`` is used.
@@ -269,39 +256,14 @@ def add_box(alpha, max_height: Optional[int] = None) -> list[Partition]:
     return out
 
 
-def remove_box(alpha) -> list[Partition]:
-    """Frames obtained from ``alpha`` by removing one corner box, top row first."""
-    a = as_partition(alpha)
-    parts = a.parts
-    if not parts:
-        raise ValueError("no box to remove")
-    out = []
-    for i in range(len(parts)):
-        below = parts[i + 1] if i + 1 < len(parts) else 0
-        if parts[i] > below:
-            shrunk = parts[:i] + ((parts[i] - 1,) if parts[i] > 1 else ()) + parts[i + 1:]
-            out.append(Partition(shrunk))
-    return out
-
-
-def theta_of(alpha, d: int) -> Optional[tuple[Partition, int]]:
-    """The unique over-height frame for ``alpha`` at local dimension ``d``.
+def theta_dim(alpha, d: int) -> int:
+    """Dimension of the over-height frame of ``alpha`` at local dimension ``d``, or 0.
 
     When ``alpha`` has height exactly ``d``, appending a one-box row yields the
     single frame of height ``d + 1``; its dimension corrects the measurement
-    spectrum.  Frames shorter than ``d`` have no such frame (returns None,
-    read downstream as dimension 0).
+    spectrum.  Frames shorter than ``d`` have no such frame (dimension 0).
     """
     a = as_partition(alpha)
     if a.height > d:
         raise ValueError("frame exceeds local dimension")
-    if a.height < d:
-        return None
-    theta = Partition(a.parts + (1,))
-    return theta, dim_irrep(theta)
-
-
-def theta_dim(alpha, d: int) -> int:
-    """Dimension of the over-height frame, or 0 when there is none."""
-    t = theta_of(alpha, d)
-    return t[1] if t is not None else 0
+    return _dim_irrep(a.parts + (1,)) if a.height == d else 0

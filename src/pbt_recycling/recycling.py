@@ -11,6 +11,18 @@ the Schur-Weyl probability p(lam) = m_lam d_lam / d^n of ``partitions``:
 where c(alpha) = 1/sqrt(1 - prod_i h_i/(h_i + 1)) when alpha has height d,
 h_i being the first-column hook lengths of alpha, and c(alpha) = 1 otherwise.
 
+Only the ratio S(alpha)/sqrt(p(alpha)) is needed, and the Weyl-dimension and
+hook-length formulas give it exactly.  With the shifted rows
+l_k = alpha_k + d - 1 - k (k = 0..d-1) and
+R_i = prod_{k != i} (l_i + 1 - l_k)/(l_i - l_k),
+
+    p(alpha + e_i)/p(alpha) = (N/d) R_i^2/(l_i + 1),
+    S(alpha)/sqrt(p(alpha)) = sqrt(N/d) * sum_i |R_i|/sqrt(l_i + 1),
+
+and R_i is exactly 0 where alpha + e_i is not a frame (alpha_{i-1} = alpha_i).
+So F = 1/(d sqrt(N)) * sum_alpha c(alpha) p(alpha) (S/sqrt(p))^2 evaluates ln p
+on the frames alpha only, never on their extensions.
+
 This equals the exact-integer form F = sqrt(N)/d^(N+1) * T, with the overlap
 trace T = sum_alpha k(alpha) s(alpha)^2 / N, s = sum_nu sqrt(m_nu d_nu) and
 k = sqrt(N d_alpha / (N d_alpha - d_theta)) for the over-height frame
@@ -49,24 +61,20 @@ def _check_point(N: int, d: int):
         raise ValueError("d must be at least 2")
 
 
-def one_box_frames(N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frames alpha of N-1 boxes and their one-box extensions nu, height <= d.
-
-    Returns the frame table of alpha (F x d), the grown frames (F x d x d,
-    entry [f, i] adds a box to row i) and the mask of those that are frames.
-    """
-    alphas = frame_table(N - 1, d)
-    grown = alphas[:, None, :] + np.eye(d, dtype=alphas.dtype)
-    valid = np.ones(alphas.shape, dtype=bool)
-    valid[:, 1:] = alphas[:, :-1] > alphas[:, 1:]
-    return alphas, grown, valid
-
-
-def on_mask(values: np.ndarray, valid: np.ndarray, fill: float) -> np.ndarray:
-    """An array shaped like ``valid`` holding ``values`` where it is set, else ``fill``."""
-    out = np.full(valid.shape, fill)
-    out[valid] = values
-    return out
+def s_over_sqrt_p(N: int, alphas: np.ndarray) -> np.ndarray:
+    """S(alpha)/sqrt(p(alpha)) per row of a frame table of N-1 boxes: sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1)."""
+    d = alphas.shape[1]
+    l = (alphas + np.arange(d - 1, -1, -1)).astype(float)
+    total = np.zeros(len(alphas))
+    for i in range(d):
+        # R_i as one division of two products of small integers, exact while they stay below 2^53
+        num, den = np.ones(len(alphas)), np.ones(len(alphas))
+        for k in range(d):
+            if k != i:
+                num *= l[:, i] + 1 - l[:, k]
+                den *= l[:, i] - l[:, k]
+        total += np.abs(num / den) / np.sqrt(l[:, i] + 1)
+    return math.sqrt(N / d) * total
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
@@ -81,9 +89,9 @@ def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
 @lru_cache(maxsize=CACHE_CAPACITY)
 def _recycling_sum(N: int, d: int) -> float:
     """sum_alpha c(alpha) S(alpha)^2 (``frec`` and the trace share it)."""
-    alphas, grown, valid = one_box_frames(N, d)
-    s = np.exp(0.5 * on_mask(ln_schur_weyl_probability(grown[valid], d), valid, -np.inf)).sum(axis=1)
-    return math.fsum(height_correction(alphas, d) * s * s)
+    alphas = frame_table(N - 1, d)
+    p = np.exp(ln_schur_weyl_probability(alphas, d))
+    return math.fsum(height_correction(alphas, d) * p * s_over_sqrt_p(N, alphas) ** 2)
 
 
 def srm_eigenvalue(alpha, nu, N: int, d: int) -> float:

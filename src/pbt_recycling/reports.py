@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 #: Provenance tags for fidelity values.
-METHODS = ("general", "oracle", "optimal_general", "angular")
+METHODS = ("general", "oracle", "optimal_general")
 
 #: Slack above 1.0 tolerated for a fidelity before it is rejected as invalid.
 FIDELITY_SLACK = 1e-9

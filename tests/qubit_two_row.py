@@ -9,7 +9,6 @@ import math
 from math import comb, sqrt
 
 from pbt_recycling.optimal import v_optimal
-from pbt_recycling.partitions import Partition
 
 
 def _bracket(N: int, l: int) -> float:
@@ -36,7 +35,8 @@ def frec_optimal_qubit(N: int) -> float:
     vN, vNm1 = v_optimal(N, 2), v_optimal(N - 1, 2)
 
     def v_of(vc, ports, l):
-        return vc[Partition((ports - l, l) if l else (ports,))] if l <= ports // 2 else 0.0
+        # the frame (ports - l, l) is row l of the two-row frame table
+        return vc.entries[l] if l <= ports // 2 else 0.0
 
     terms = []
     for l in range((N - 1) // 2 + 1):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pbt_recycling.optimal import frec_optimal, resource_state_fidelity, v_optimal
+from pbt_recycling.optimal import frec_optimal, one_box_ranks, resource_state_fidelity, v_optimal
 from pbt_recycling.partitions import (
     add_box,
     dim_irrep,
@@ -16,7 +16,7 @@ from pbt_recycling.partitions import (
     partitions_bounded,
     theta_dim,
 )
-from pbt_recycling.recycling import frec
+from pbt_recycling.recycling import frec, s_over_sqrt_p
 
 GRID = [(0, 2), (1, 2), (1, 3), (7, 3), (40, 2), (30, 4), (12, 6), (300, 2), (120, 3), (2000, 2)]
 
@@ -40,6 +40,36 @@ def test_ln_probability_matches_exact_integers(n, d):
     assert np.all(np.abs(ln_p - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact)))
     # Schur-Weyl duality: the weights of all frames sum to 1
     assert math.fsum(np.exp(ln_p)) == pytest.approx(1.0, abs=1e-14)
+
+
+#: (N, d) for the one-box rank map and ratio: N = 1..30 at d = 2 down to 1..8 at d = 5.
+ONE_BOX_GRID = [(N, d) for d, top in ((2, 30), (3, 15), (4, 10), (5, 8)) for N in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("N,d", ONE_BOX_GRID)
+def test_one_box_ranks_match_brute_force(N, d):
+    alphas, ranks = one_box_ranks(N, d)
+    np.testing.assert_array_equal(alphas, frame_table(N - 1, d))
+    frames = partitions_bounded(N, d)
+    expected = np.full(alphas.shape, -1)
+    for f, alpha in enumerate(partitions_bounded(N - 1, d)):
+        for nu in add_box(alpha, d):
+            row = next(i for i in range(d) if (nu.parts + (0,) * d)[i] != (alpha.parts + (0,) * d)[i])
+            expected[f, row] = frames.index(nu)
+    np.testing.assert_array_equal(ranks, expected)
+
+
+@pytest.mark.parametrize("N,d", ONE_BOX_GRID)
+def test_s_over_sqrt_p_matches_log_probabilities(N, d):
+    # sum over the extensions nu of sqrt(p(nu)/p(alpha)), each ratio from the log kernel
+    alphas = frame_table(N - 1, d)
+    ln_p_alpha = ln_schur_weyl_probability(alphas, d)
+    expected = []
+    for alpha, ln_pa in zip(partitions_bounded(N - 1, d), ln_p_alpha):
+        grown = add_box(alpha, d)
+        ln_p_nu = ln_schur_weyl_probability(np.array([nu.parts + (0,) * (d - nu.height) for nu in grown]), d)
+        expected.append(math.fsum(np.exp(0.5 * (ln_p_nu - ln_pa))))
+    np.testing.assert_allclose(s_over_sqrt_p(N, alphas), expected, rtol=1e-13, atol=0)
 
 
 def test_ln_probability_mixed_box_counts():
@@ -73,19 +103,22 @@ def _mp_frec(N, d):
 
 def _mp_frec_optimal(N, d, vN, vNm1):
     """d^(-3/2) sum_alpha v_alpha s(alpha) V(alpha) / sqrt(m_alpha (N d_alpha - d_theta))."""
+    v_of = dict(zip(partitions_bounded(N, d), vN.entries.tolist()))
     total = mpmath.mpf(0)
-    for alpha in partitions_bounded(N - 1, d):
+    for alpha, v_alpha in zip(partitions_bounded(N - 1, d), vNm1.entries.tolist()):
         grown = add_box(alpha, d)
         s = mpmath.fsum(_mp_sqrt_md(nu, d) for nu in grown)
-        big_v = mpmath.fsum(mpmath.mpf(vN[mu]) for mu in grown)
+        big_v = mpmath.fsum(mpmath.mpf(v_of[mu]) for mu in grown)
         den = mult_schur_weyl(alpha, d) * (N * dim_irrep(alpha) - theta_dim(alpha, d))
-        total += mpmath.mpf(vNm1[alpha]) * s * big_v / mpmath.sqrt(den)
+        total += mpmath.mpf(v_alpha) * s * big_v / mpmath.sqrt(den)
     return total / mpmath.mpf(d) ** 1.5
 
 
 def _mp_resource_fidelity(N, d, v):
     """sum_mu v_mu sqrt(d_mu m_mu / d^N)."""
-    total = mpmath.fsum(mpmath.mpf(v[mu]) * _mp_sqrt_md(mu, d) for mu in partitions_bounded(N, d))
+    total = mpmath.fsum(
+        mpmath.mpf(v_mu) * _mp_sqrt_md(mu, d) for mu, v_mu in zip(partitions_bounded(N, d), v.entries.tolist())
+    )
     return total / mpmath.sqrt(mpmath.mpf(d) ** N)
 
 
@@ -105,3 +138,11 @@ def test_optimal_and_resource_fidelity_match_mpmath():
     with mpmath.workdps(40):
         assert _rel(frec_optimal(N, 2, vN, vNm1).value, _mp_frec_optimal(N, 2, vN, vNm1)) <= 1e-13
         assert _rel(resource_state_fidelity(N, 2, vN).value, _mp_resource_fidelity(N, 2, vN)) <= 1e-13
+
+
+@pytest.mark.parametrize("N,d", [(545, 2), (1000, 2), (60, 3), (30, 4)])
+def test_frec_optimal_within_a_few_ulp_of_mpmath(N, d):
+    # the same float weights on both sides, so only the kernel's own rounding shows
+    vN, vNm1 = v_optimal(N, d), v_optimal(N - 1, d)
+    with mpmath.workdps(40):
+        assert _rel(frec_optimal(N, d, vN, vNm1).value, _mp_frec_optimal(N, d, vN, vNm1)) <= 1e-15

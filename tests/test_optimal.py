@@ -1,33 +1,26 @@
 import json
-import math
 from math import sqrt
 
 import mpmath
 import numpy as np
 import pytest
+from qubit_angular import angular_dim, gamma_angular, resource_state_fidelity_qubit_angular
 from qubit_two_row import frec_optimal_qubit
 
 from pbt_recycling.optimal import (
     CoefficientError,
     VCoefficients,
     _perron_weights,
-    angular_dim,
     frec_optimal,
-    gamma_angular,
     load_v_coefficients,
     parse_v_coefficients,
     resource_state_fidelity,
-    resource_state_fidelity_qubit_angular,
     save_v_coefficients,
     v_optimal,
 )
 from pbt_recycling.oracle import build_optimizing_operator, channel_fidelity_oracle, frec_optimal_oracle
-from pbt_recycling.partitions import Partition, add_box, dim_irrep, mult_schur_weyl, partitions_bounded
+from pbt_recycling.partitions import add_box, dim_irrep, mult_schur_weyl, partitions_bounded
 from pbt_recycling.recycling import frec
-
-
-def P(*parts):
-    return Partition(tuple(parts))
 
 
 #: (N, d) points where the optimal weights are checked against the dense oracle.
@@ -37,9 +30,8 @@ ORACLE_POINTS = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4),
 # -- optimal weights ------------------------------------------------------------
 
 def test_v_optimal_qubit_n2():
-    v = v_optimal(2, 2)
-    assert v[P(2)] == pytest.approx(1 / sqrt(2), abs=1e-14)
-    assert v[P(1, 1)] == pytest.approx(1 / sqrt(2), abs=1e-14)
+    v = v_optimal(2, 2)  # rows (2) and (1, 1)
+    assert v.entries.tolist() == pytest.approx([1 / sqrt(2), 1 / sqrt(2)], abs=1e-14)
 
 
 def test_v_optimal_rejects_bad_point():
@@ -50,13 +42,13 @@ def test_v_optimal_rejects_bad_point():
 
 def test_v_optimal_single_port():
     for d in (2, 3, 4):
-        assert v_optimal(1, d)[P(1)] == 1.0
+        assert v_optimal(1, d).entries.tolist() == [1.0]
 
 
 def test_v_positive_and_normalized():
     for N, d in [(2, 2), (7, 2), (24, 2), (41, 2), (12, 3), (30, 3), (20, 4)]:
         v = v_optimal(N, d)
-        vals = list(v.entries.values())
+        vals = v.entries.tolist()
         assert all(x > 0 for x in vals)
         assert sum(x * x for x in vals) == pytest.approx(1.0, abs=1e-12)
 
@@ -66,7 +58,7 @@ def test_v_optimal_qubit_matches_mpmath(N):
     # the sine formula at 40 digits, unfolded argument
     v = v_optimal(N, 2)
     with mpmath.workdps(40):
-        for mu, x in v.entries.items():
+        for mu, x in zip(partitions_bounded(N, 2), v.entries.tolist()):
             k = mu.parts[0] - (mu.parts[1] if mu.height == 2 else 0) + 1
             ref = 2 / mpmath.sqrt(N + 2) * mpmath.sin(mpmath.pi * k / (N + 2))
             assert abs(x - ref) <= 1e-14 * ref
@@ -75,18 +67,13 @@ def test_v_optimal_qubit_matches_mpmath(N):
 def test_v_optimal_qubit_matches_perron_solve():
     # the closed form is the Perron vector the general solve finds at d = 2
     for N in range(1, 61):
-        table, vec = _perron_weights(N, 2)
-        v = v_optimal(N, 2)
-        for row, x in zip(table.tolist(), vec):
-            assert v[tuple(p for p in row if p)] == pytest.approx(x, abs=1e-10)
+        np.testing.assert_allclose(v_optimal(N, 2).entries, _perron_weights(N, 2), rtol=0, atol=1e-10)
 
 
 def test_v_optimal_matches_fixture_files(vcoeff_path):
     for N in (2, 3):
         fixture = load_v_coefficients(vcoeff_path(N, 3))
-        v = v_optimal(N, 3)
-        for mu in partitions_bounded(N, 3):
-            assert v[mu] == pytest.approx(fixture[mu], abs=1e-8)
+        np.testing.assert_allclose(v_optimal(N, 3).entries, fixture.entries, rtol=0, atol=1e-8)
 
 
 # -- angular picture ------------------------------------------------------------
@@ -116,10 +103,10 @@ def test_gamma_consistent_with_v():
     # both parametrize the same rotation: sqrt(2^N) v_l / sqrt(dim*mult) = sqrt(gamma)
     for N in range(2, 21):
         v = v_optimal(N, 2)
-        for mu in partitions_bounded(N, 2):
+        for mu, vm in zip(partitions_bounded(N, 2), v.entries.tolist()):
             l = mu.parts[1] if mu.height == 2 else 0
             j = N / 2 - l
-            lhs = sqrt(2**N) * v[mu] / sqrt(dim_irrep(mu) * mult_schur_weyl(mu, 2))
+            lhs = sqrt(2**N) * vm / sqrt(dim_irrep(mu) * mult_schur_weyl(mu, 2))
             assert lhs == pytest.approx(sqrt(gamma_angular(N, j)), abs=1e-8)
 
 
@@ -184,6 +171,10 @@ def test_resource_fidelity_angular_agrees():
     for N in range(1, 31):
         schur = resource_state_fidelity(N, 2, v_optimal(N, 2)).value
         assert resource_state_fidelity_qubit_angular(N) == pytest.approx(schur, abs=1e-9)
+    # large N, where factorial-sized integers would overflow a float
+    for N in (200, 1000):
+        schur = resource_state_fidelity(N, 2, v_optimal(N, 2)).value
+        assert resource_state_fidelity_qubit_angular(N) == pytest.approx(schur, abs=1e-12)
 
 
 def test_resource_fidelity_decreasing_tail():
@@ -252,13 +243,37 @@ def test_uniform_coefficients_valid():
         VCoefficients.uniform(N, d)  # must not raise
 
 
+def test_weights_are_read_only(vcoeff_path):
+    # validation holds for the object's lifetime: no write can slip past it
+    for v in (v_optimal(4, 2), VCoefficients.uniform(3, 3), load_v_coefficients(vcoeff_path(3, 3))):
+        with pytest.raises(ValueError, match="read-only"):
+            v.entries[0] = -5.0
+        assert (v.entries >= 0).all()
+
+
+def test_constructor_validates_array():
+    with pytest.raises(CoefficientError, match="incomplete support"):
+        VCoefficients(ports=4, dim=2, entries=np.full(2, 1 / sqrt(2)))
+    with pytest.raises(CoefficientError, match="negative"):
+        VCoefficients(ports=2, dim=2, entries=np.array([-0.6, 0.8]))
+    with pytest.raises(CoefficientError, match="bad coefficient"):
+        VCoefficients(ports=2, dim=2, entries=np.array([np.nan, 0.8]))
+    with pytest.raises(CoefficientError, match="not normalized"):
+        VCoefficients(ports=2, dim=2, entries=np.array([0.9, 0.3]))
+    w = np.array([0.6, 0.8])
+    v = VCoefficients(ports=2, dim=2, entries=w)
+    w[0] = 5.0  # the caller's array is copied, not shared
+    assert v.entries.tolist() == [0.6, 0.8]
+
+
 # -- cross-check against the channel picture ------------------------------------------
 
 def _lambda_max(v: VCoefficients) -> float:
     """d^-2 |B v|^2, B the incidence of frames of N-1 boxes and their one-box extensions."""
     N, d = v.ports, v.dim
+    v_of = dict(zip(partitions_bounded(N, d), v.entries.tolist()))
     return sum(
-        sum(v[nu] for nu in add_box(alpha, d)) ** 2 for alpha in partitions_bounded(N - 1, d)
+        sum(v_of[nu] for nu in add_box(alpha, d)) ** 2 for alpha in partitions_bounded(N - 1, d)
     ) / d**2
 
 
@@ -275,6 +290,6 @@ def test_lambda_max_equals_optimal_channel_fidelity():
         for _ in range(5):
             w = rng.random(len(frames)) + 0.05
             w /= np.linalg.norm(w)
-            other = VCoefficients(ports=N, dim=d, entries=dict(zip(frames, w.tolist())))
+            other = VCoefficients(ports=N, dim=d, entries=w)
             assert channel_fidelity_oracle(N, d, rotation=build_optimizing_operator(N, d, other)) <= fid + 1e-12
     assert _lambda_max(v_optimal(4, 3)) == pytest.approx(0.431042804619, abs=1e-12)

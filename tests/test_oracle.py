@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 from math import sqrt
 
@@ -45,10 +44,9 @@ def maximally_entangled_projector(d):
 
 
 def random_v(N, d, rng):
-    frames = partitions_bounded(N, d)
-    w = rng.random(len(frames)) + 0.05
+    w = rng.random(len(partitions_bounded(N, d))) + 0.05
     w /= np.linalg.norm(w)
-    return VCoefficients(ports=N, dim=d, entries=dict(zip(frames, map(float, w))))
+    return VCoefficients(ports=N, dim=d, entries=w)
 
 
 # -- permutation operators -----------------------------------------------------

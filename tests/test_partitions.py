@@ -1,19 +1,14 @@
 from math import comb
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from pbt_recycling.partitions import (
     Partition,
     add_box,
     dim_irrep,
-    dims,
     mult_schur_weyl,
     partitions_bounded,
-    remove_box,
     theta_dim,
-    theta_of,
 )
 
 
@@ -163,11 +158,6 @@ def test_branching_dimension_identity():
             assert sum(dim_irrep(m) for m in grown) == (n + 1) * dim_irrep(alpha)
 
 
-def test_dims_pair():
-    assert dims(P(2, 1), 2) == (2, 2)
-    assert dims(P(1, 1, 1), 2) == (1, 0)
-
-
 # -- box moves -------------------------------------------------------------
 
 def test_add_box_examples():
@@ -177,40 +167,13 @@ def test_add_box_examples():
     assert add_box(P(2, 2)) == [P(3, 2), P(2, 2, 1)]
 
 
-def test_remove_box_examples():
-    assert remove_box(P(3, 1)) == [P(2, 1), P(3)]
-    assert remove_box(P(1)) == [P()]
-    assert remove_box(P(2, 2)) == [P(2, 1)]
-    with pytest.raises(ValueError, match="no box to remove"):
-        remove_box(P())
-
-
-@st.composite
-def partition_strategy(draw, max_n=12):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    h = draw(st.integers(min_value=1, max_value=max(n, 1)))
-    frames = partitions_bounded(n, h)
-    return draw(st.sampled_from(frames))
-
-
-@given(partition_strategy())
-def test_add_remove_inverse(alpha):
-    for mu in add_box(alpha):
-        assert alpha in remove_box(mu)
-    if alpha.n > 0:
-        for beta in remove_box(alpha):
-            assert alpha in add_box(beta)
-
-
 # -- theta frames -----------------------------------------------------------
 
 def test_theta_examples():
-    theta, d_th = theta_of(P(2, 1), 2)
-    assert theta == P(2, 1, 1) and d_th == 3
-    assert theta_of(P(3), 2) is None
+    assert theta_dim(P(2, 1), 2) == 3
     assert theta_dim(P(3), 2) == 0
     with pytest.raises(ValueError, match="exceeds local dimension"):
-        theta_of(P(2, 1, 1), 2)
+        theta_dim(P(2, 1, 1), 2)
 
 
 def test_theta_two_row_identity():
