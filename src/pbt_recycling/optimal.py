@@ -41,7 +41,7 @@ from math import sqrt
 
 import numpy as np
 
-from .partitions import Partition, frame_table, ln_schur_weyl_probability, partitions_bounded
+from .partitions import Partition, frame_count, frame_table, ln_schur_weyl_probability, partitions_bounded
 from .recycling import height_correction, s_over_sqrt_p
 from .reports import FidelityReport
 
@@ -73,7 +73,7 @@ class VCoefficients:
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=float)  # a copy: no caller keeps a writable view
-        frames = len(frame_table(self.ports, self.dim))
+        frames = frame_count(self.ports, self.dim)
         if entries.shape != (frames,):
             raise CoefficientError(f"incomplete support: {entries.size} entries for {frames} frames")
         if not np.isfinite(entries).all():

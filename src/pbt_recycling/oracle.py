@@ -14,8 +14,17 @@ temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors)
 and the cache entries it creates (``_srm_bundle`` keeps one, ``_young_projectors``
 two; a miss evicts the oldest first; cached arrays are read-only).  Index
 arrays (d^n by n digits) are not counted.  Over the budget a call raises
-``DimensionCapError``, exit code 2 in the CLI.  ``MAX_PROJECTOR_BOXES`` caps
-the time of the n! projector loop.
+``DimensionCapError``, exit code 2 in the CLI.
+
+The Young projectors come from box contents (Okounkov and Vershik,
+arXiv:math/0503040).  The central elements C1 = sum_{i<j} (i j) and
+C2 = sum_k X_k^2, X_k the Jucys-Murphy elements, act on the block of frame mu
+as the sums of c and c^2 over its boxes' contents c.  One eigensolve of
+A = K C1 + C2, a sum of permutation gathers, splits (C^d)^(x)n into the
+blocks: each projector spans the eigenvectors nearest its frame's predicted
+eigenvalue.  An eigenvalue far from every prediction raises ``RuntimeError``,
+so the oracle tests the content theory it relies on.  Every call that builds
+projectors counts them, A and A's eigensolve against the budget.
 
 ``_srm_bundle`` holds the bare elements, the excess projector and the square
 root of port N's completed element, the operator behind every recycling
@@ -32,8 +41,6 @@ deviation over all N! permutations.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import sqrt
@@ -41,7 +48,6 @@ from typing import Optional
 
 import numpy as np
 
-from .characters import character, cycle_type
 from .optimal import VCoefficients
 from .partitions import (
     Partition,
@@ -57,14 +63,14 @@ from .reports import FidelityReport, VerifyReport
 #: Bytes of dense float64 arrays one oracle call may hold at once.
 ORACLE_BYTE_BUDGET = 1 << 30
 
-#: Group-averaged projectors iterate all n! permutations; keep n modest.
-MAX_PROJECTOR_BOXES = 8
-
 #: Relative support threshold: eigenvalues below tol*lambda_max count as kernel.
 SUPPORT_TOL = 1e-12
 
 #: Eigenvalues in (-1e-10, 0) are clamped to 0; more negative ones are an error.
 NEGATIVE_EIG_TOL = 1e-10
+
+#: Largest distance of an eigenvalue of K C1 + C2 from its frame's prediction, relative to max|e|.
+CONTENT_TOL = 1e-10
 
 #: Dense arrays one eigensolve holds besides its input: LAPACK's copy, workspace and eigenvectors.
 _EIGH_ARRAYS = 4
@@ -260,59 +266,90 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return pis[a - 1], delta, pis[a - 1] + delta / N
 
 
+def _projector_arrays(n: int, d: int) -> int:
+    """Dense d^n x d^n arrays held while building the projectors: theirs, A and A's eigensolve."""
+    return len(partitions_bounded(n, d)) + 1 + _EIGH_ARRAYS
+
+
+def _content_sums(mu: Partition) -> tuple[int, int]:
+    """(sum c, sum c^2) over the contents c = column - row of the boxes of ``mu``."""
+    contents = [col - row for row, length in enumerate(mu) for col in range(length)]
+    return sum(contents), sum(c * c for c in contents)
+
+
 @_memo(2)
 def _young_projectors(n: int, d: int) -> dict[Partition, np.ndarray]:
-    """The group-averaged projectors for frames of n boxes and height <= d, one pass over S(n).
+    """The isotypic projectors for frames of n boxes and height <= d, from one eigensolve.
 
-    Taller frames are left out: their projectors vanish on (C^d)^(x)n.
+    A = K C1 + C2 acts on frame mu's block as e(mu) = K sum c + sum c^2; since
+    K = n^3 + 1 exceeds every sum c^2, frames with distinct content sums get
+    distinct e.  Two frames sharing e would leave one without eigenvectors,
+    which raises.  Taller frames are left out: their projectors vanish on (C^d)^(x)n.
     """
-    if n > MAX_PROJECTOR_BOXES:
-        raise DimensionCapError(f"group-averaged projectors capped at {MAX_PROJECTOR_BOXES} boxes, got {n}")
+    frames = partitions_bounded(n, d)
+    k = n**3 + 1
+    predicted = np.array([k * s1 + s2 for s1, s2 in map(_content_sums, frames)], dtype=float)
     dim = d**n
-    shapes = [p.parts for p in partitions_bounded(n, d)]
-    sums = {s: np.zeros((dim, dim)) for s in shapes}
-    idx = np.arange(dim)
-    for perm in itertools.permutations(range(n)):
-        ct = cycle_type(perm)
-        rows = _permuted_indices(perm, d, n)
-        for s in shapes:
-            chi = character(s, ct)
-            if chi:
-                sums[s][rows, idx] += chi
-    for s, m in sums.items():
-        m *= dim_irrep(s) / math.factorial(n)
-        m.flags.writeable = False
-    return {Partition(s): m for s, m in sums.items()}
+    a = np.zeros((dim, dim))
+    cols = np.arange(dim)
+    for j in range(1, n):
+        # X_j = sum_{i<j} (i j) adds K X_j to C1; X_j^2 = j + sum_{i != h < j} (i j)(h j)
+        swaps = [_permuted_indices(transposition(i, j, n), d, n) for i in range(j)]
+        a[cols, cols] += j
+        for i, rows in enumerate(swaps):
+            a[rows, cols] += k
+            for h, other in enumerate(swaps):
+                if h != i:
+                    a[rows[other], cols] += 1.0
+    w, u = _eigh(a)
+    del a
+    nearest = np.abs(w[:, None] - predicted).argmin(axis=1)
+    dev = float(np.abs(w - predicted[nearest]).max())
+    counts = np.bincount(nearest, minlength=len(frames))
+    if dev > CONTENT_TOL * np.abs(predicted).max() or not counts.all():
+        raise RuntimeError(
+            f"spectrum of K C1 + C2 at ({n}, {d}) breaks the content prediction: "
+            f"deviation {dev}, eigenvectors per frame {counts.tolist()}"
+        )
+    projectors = {}
+    for f, mu in enumerate(frames):
+        block = u[:, nearest == f]
+        projectors[mu] = block @ block.T
+        projectors[mu].flags.writeable = False
+    return projectors
 
 
 def young_projector(mu, d: int) -> np.ndarray:
-    """Group-averaged projector onto the isotypic block of frame ``mu`` (zero when taller than d).
+    """Projector onto the isotypic block of frame ``mu`` in (C^d)^(x)n (zero when taller than d).
 
-    Frames of height <= d return the cached, read-only array.
+    That block is the sum of the copies of mu's S(n) irrep, so the projector
+    is the group average (d_mu / n!) sum_sigma chi_mu(sigma) V_sigma; it is
+    built from box contents instead (see the module docstring).  Frames of
+    height <= d return the cached, read-only array.
     """
     p = as_partition(mu)
     if p.height > d:
         _require((1, d**p.n))
         return np.zeros((d**p.n, d**p.n))
-    _require((len(partitions_bounded(p.n, d)), d**p.n))
+    _require((_projector_arrays(p.n, d), d**p.n))
     return _young_projectors(p.n, d)[p]
 
 
 def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
-    """Sender rotation: sqrt(d^N) sum of v-weighted, dimension-normalized projectors.
+    """Sender rotation: sqrt(d^N) sum of v-weighted, rank-normalized projectors.
 
-    Trace of O^T O must come out d^N (weights have unit 2-norm); checked.
+    A projector's rank, its eigenvector count, is d_mu m_mu.  Trace of O^T O
+    must come out d^N (weights have unit 2-norm); checked.
     """
     if v.ports != N or v.dim != d:
         raise ValueError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    _require((len(partitions_bounded(N, d)) + 2, d**N))  # the projectors, O and one scaled projector
+    _require((_projector_arrays(N, d) + 2, d**N))  # the projectors' build, O and one scaled projector
     projectors = _young_projectors(N, d)
     o = np.zeros((d**N, d**N))
-    for mu, vm in zip(partitions_bounded(N, d), v.entries.tolist()):
+    for p, vm in zip(projectors.values(), v.entries.tolist()):
         if vm == 0.0:
             continue
-        dm = dim_irrep(mu) * mult_schur_weyl(mu, d)
-        o += sqrt(d**N) * vm / sqrt(dm) * projectors[mu]
+        o += sqrt(d**N) * vm / sqrt(round(np.trace(p))) * p
     trace = np.vdot(o, o)
     if abs(trace - d**N) > 1e-8 * d**N:
         raise RuntimeError(f"normalization broken: tr(O^T O) = {trace}, want {d**N}")
@@ -350,8 +387,8 @@ def frec_optimal_oracle(
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
     _require(
         (N + 8, d ** (N + 1)),  # rotation, SRM with its completed root, the root's eigensolve
-        (len(partitions_bounded(N, d)) + 2, d**N),
-        (len(partitions_bounded(N - 1, d)) + 2, d ** (N - 1)),
+        (_projector_arrays(N, d) + 2, d**N),
+        (_projector_arrays(N - 1, d) + 2, d ** (N - 1)),
     )
     o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN), d)
     root = (_srm(N, d, o_full) if rotated_srm else _srm_bundle(N, d))[2]
@@ -389,7 +426,7 @@ def resource_fidelity_oracle(N: int, d: int, v: VCoefficients) -> float:
     the rotation to the sender half; no trace shortcut is taken.
     """
     dim = d**N
-    _require((len(partitions_bounded(N, d)) + 3, dim))  # projectors, O, the state and its image
+    _require((_projector_arrays(N, d) + 3, dim))  # the projectors' build, O, the state and its image
     o = build_optimizing_operator(N, d, v)
     phi = np.zeros(dim * dim)
     phi[:: dim + 1] = 1.0 / sqrt(dim)  # sum_i |i>_ports |i>_receiver
@@ -458,8 +495,8 @@ def verify_suite(
     compare = compare_optimal_povm and N >= 2
     _require(
         (3 * N + 7, dim),
-        (len(partitions_bounded(N, d)) + 2, d**N),
-        (len(partitions_bounded(N - 1, d)) + 2 if compare else 0, d ** (N - 1)),
+        (_projector_arrays(N, d) + 2, d**N),
+        (_projector_arrays(N - 1, d) + 2 if compare else 0, d ** (N - 1)),
     )
     report = VerifyReport(ports=N, dim=d, tol=tol)
     pis, delta, _ = _srm_bundle(N, d)

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 #: Capacity of the memoization caches for dimensions/multiplicities.  Sweeps
-#: re-query the same frames heavily; lru_cache is thread-safe.
+#: re-query the same frames heavily.
 CACHE_CAPACITY = 1 << 16
 
 
@@ -101,6 +101,26 @@ def partitions_bounded(n: int, max_height: int) -> list[Partition]:
     ``n = 0`` yields the singleton list containing the empty partition.
     """
     return [Partition(p) for p in _frame_tuples(n, max_height)]
+
+
+def frame_count(n: int, max_height: int) -> int:
+    """``len(partitions_bounded(n, max_height))``, without building the frames.
+
+    The partitions of n into at most h parts are those into parts of size at
+    most h, counted by the recurrence c[m] += c[m - k] for k = 1..h, m ascending.
+    For one k that is a running sum along each residue class of m mod k.
+    Object entries keep the counts exact.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if max_height < 1:
+        raise ValueError("max_height must be positive")
+    counts = np.zeros(n + 1, dtype=object)
+    counts[0] = 1
+    for k in range(1, min(n, max_height) + 1):
+        for r in range(k):
+            counts[r::k] = np.cumsum(counts[r::k])
+    return int(counts[n])
 
 
 def frame_table(n: int, d: int) -> np.ndarray:

@@ -1,12 +1,16 @@
-"""Symmetric-group characters via the recursive border-strip rule.
+"""Symmetric-group characters and the group-averaged Young projector, kept as references.
 
-Characters enter only through group-averaged projectors on small tensor
-spaces, so plain memoized recursion over cycle types is plenty fast.
+The package builds its Young projectors from box contents; this module
+builds the same projectors the textbook way, as (d_mu/n!) sum_sigma
+chi_mu(sigma) V_sigma over all n! permutations, with the characters from the
+recursive border-strip rule.  It is only fast enough for a handful of boxes.
 """
 
-from __future__ import annotations
-
+import math
 from functools import lru_cache
+from itertools import permutations
+
+import numpy as np
 
 
 def _beta_set(parts: tuple[int, ...]) -> list[int]:
@@ -65,3 +69,19 @@ def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def group_average_projector(shape: tuple[int, ...], d: int) -> np.ndarray:
+    """(d_mu/n!) sum over S(n) of chi_mu(sigma) V_sigma on (C^d)^(x)n, d_mu = chi_mu(identity)."""
+    n = sum(shape)
+    dim = d**n
+    digits = np.array(list(np.ndindex(*(d,) * n)), dtype=np.int64).reshape(dim, n)  # big-endian
+    place = d ** np.arange(n - 1, -1, -1)
+    cols = np.arange(dim)
+    total = np.zeros((dim, dim))
+    for perm in permutations(range(n)):
+        chi = character(shape, cycle_type(perm))
+        if chi:
+            # factor k of the input becomes factor perm[k] of the output
+            total[digits[:, np.argsort(perm)] @ place, cols] += chi
+    return total * character(shape, (1,) * n) / math.factorial(n)

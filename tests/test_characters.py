@@ -3,8 +3,8 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from group_average import character, cycle_type
 
-from pbt_recycling.characters import character, cycle_type
 from pbt_recycling.partitions import dim_irrep, partitions_bounded
 
 

@@ -4,6 +4,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from group_average import group_average_projector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,9 +253,33 @@ def test_rotated_povm_trace_invariant():
             assert got == pytest.approx(d ** (N + 1) / N, abs=1e-10)
 
 
-def test_projector_box_cap():
-    with pytest.raises(DimensionCapError):
-        young_projector(P(9), 2)
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for d in range(1, 7) for n in range(1, 7) if d**n <= 729]
+)
+def test_young_projectors_match_group_average(n, d):
+    for mu in partitions_bounded(n, n):
+        reference = group_average_projector(mu.parts, d)
+        np.testing.assert_allclose(young_projector(mu, d), reference, rtol=0, atol=1e-12)
+
+
+def test_young_projectors_check_the_content_prediction(monkeypatch):
+    # predicting e(mu) from (sum c^2, sum c) instead of (sum c, sum c^2) must fail the check
+    real = oracle._content_sums
+    monkeypatch.setattr(oracle, "_content_sums", lambda mu: real(mu)[::-1])
+    oracle._young_projectors.cache_clear()
+    with pytest.raises(RuntimeError, match="content prediction"):
+        oracle._young_projectors(3, 2)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_young_projectors_beyond_eight_boxes(n):
+    frames = partitions_bounded(n, 2)
+    ps = [young_projector(mu, 2) for mu in frames]
+    for mu, p in zip(frames, ps):
+        assert np.trace(p) == pytest.approx(dim_irrep(mu) * mult_schur_weyl(mu, 2), abs=1e-9)
+    np.testing.assert_allclose(sum(ps), np.eye(2**n), rtol=0, atol=1e-12)
+    for i, j in itertools.combinations(range(len(ps)), 2):
+        np.testing.assert_allclose(ps[i] @ ps[j], 0.0, rtol=0, atol=1e-12)
 
 
 def test_projector_byte_budget():
@@ -291,6 +316,14 @@ def test_frec_optimal_oracle_rotated_variant_agrees():
         lit = frec_optimal_oracle(N, d, v_optimal(N, d), v_optimal(N - 1, d), rotated_srm=False).value
         rot = frec_optimal_oracle(N, d, v_optimal(N, d), v_optimal(N - 1, d), rotated_srm=True).value
         assert rot == pytest.approx(lit, abs=1e-11)
+
+
+def test_frec_optimal_oracle_beyond_eight_ports():
+    from pbt_recycling.optimal import frec_optimal
+
+    vN, vNm1 = v_optimal(9, 2), v_optimal(8, 2)
+    oracle = frec_optimal_oracle(9, 2, vN, vNm1).value
+    assert oracle == pytest.approx(frec_optimal(9, 2, vN, vNm1).value, abs=1e-12)
 
 
 def test_frec_optimal_oracle_vfile_case(vcoeff_path):
@@ -340,7 +373,7 @@ def test_resource_fidelity_oracle(pinned):
 
 # -- the verification suite ----------------------------------------------------------------
 
-@pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (4, 3), (3, 4)])
+@pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (5, 2), (7, 2), (8, 2), (2, 3), (4, 3), (3, 4)])
 def test_verify_suite_passes(N, d):
     report = verify_suite(N, d, tol=1e-9)
     failing = [c.name for c in report.checks if not c.passed]

@@ -6,6 +6,7 @@ from pbt_recycling.partitions import (
     Partition,
     add_box,
     dim_irrep,
+    frame_count,
     mult_schur_weyl,
     partitions_bounded,
     theta_dim,
@@ -96,13 +97,18 @@ def test_partitions_bounded_count_matches_generating_function():
                 counts[m] += counts[m - k]
         for n in range(61):
             assert len(partitions_bounded(n, h)) == counts[n], (n, h)
+            assert frame_count(n, h) == counts[n], (n, h)
+    # closed forms at two and three rows: n // 2 + 1 and the integer nearest (n + 3)^2 / 12
+    assert frame_count(64000, 2) == 32001
+    assert frame_count(1999, 3) == round(2002**2 / 12)
 
 
 def test_partitions_bounded_errors():
-    with pytest.raises(ValueError):
-        partitions_bounded(-1, 2)
-    with pytest.raises(ValueError):
-        partitions_bounded(3, 0)
+    for count in (partitions_bounded, frame_count):
+        with pytest.raises(ValueError):
+            count(-1, 2)
+        with pytest.raises(ValueError):
+            count(3, 0)
 
 
 # -- dimensions and multiplicities ----------------------------------------
