@@ -11,7 +11,6 @@ import argparse
 import pathlib
 
 from pbt_recycling import (
-    frec,
     frec_optimal,
     kround_lower_bound,
     lower_bound_qubit,
@@ -19,14 +18,14 @@ from pbt_recycling import (
     v_optimal,
 )
 from pbt_recycling.cli import format_value as fmt
+from pbt_recycling.recycling import frec_values
 
 
 def recycling_curves(outdir: pathlib.Path, nmax: int):
     for d in (2, 3, 4):
         lines = ["N,d,frec,frec_opt,lower_bound_qubit"]
         v_prev = v_optimal(1, d)
-        for n in range(2, nmax + 1):
-            f = frec(n, d).value
+        for n, f in zip(range(2, nmax + 1), frec_values(2, nmax, d)):
             v = v_optimal(n, d)
             fo = fmt(frec_optimal(n, d, v, v_prev).value)
             v_prev = v  # the next row's N - 1 weights
@@ -40,8 +39,8 @@ def recycling_curves(outdir: pathlib.Path, nmax: int):
 def kround_curves(outdir: pathlib.Path, nmax: int):
     ks = (1, 2, 5, 10)
     lines = ["N," + ",".join(f"bound_k{k}" for k in ks)]
-    for n in range(2, nmax + 1):
-        f1 = min(frec(n, 2).value, 1.0)
+    for n, f in zip(range(2, nmax + 1), frec_values(2, nmax, 2)):
+        f1 = min(f, 1.0)
         lines.append(f"{n}," + ",".join(fmt(kround_lower_bound(f1, k)) for k in ks))
     path = outdir / "kround_bounds_d2.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -103,8 +103,7 @@ def _cmd_frec(parser, args) -> int:
 def _sweep_rows(n_min: int, n_max: int, d: int, want_optimal: bool):
     """The rows for N = n_min..n_max; each N's optimal weights serve again as the next row's N - 1."""
     v_prev = opt.v_optimal(n_min - 1, d) if want_optimal and n_min >= 2 else None
-    for N in range(n_min, n_max + 1):
-        value = rec.frec(N, d).value
+    for N, value in zip(range(n_min, n_max + 1), rec.frec_values(n_min, n_max, d)):
         value_opt = None
         if want_optimal:
             v = opt.v_optimal(N, d)

@@ -103,6 +103,16 @@ def partitions_bounded(n: int, max_height: int) -> list[Partition]:
     return [Partition(p) for p in _frame_tuples(n, max_height)]
 
 
+def _frame_counts(n: int, max_height: int) -> np.ndarray:
+    """``frame_count(m, max_height)`` for m = 0..n, as an object array."""
+    counts = np.zeros(n + 1, dtype=object)
+    counts[0] = 1
+    for k in range(1, min(n, max_height) + 1):
+        for r in range(k):
+            counts[r::k] = np.cumsum(counts[r::k])
+    return counts
+
+
 def frame_count(n: int, max_height: int) -> int:
     """``len(partitions_bounded(n, max_height))``, without building the frames.
 
@@ -115,21 +125,57 @@ def frame_count(n: int, max_height: int) -> int:
         raise ValueError("n must be nonnegative")
     if max_height < 1:
         raise ValueError("max_height must be positive")
-    counts = np.zeros(n + 1, dtype=object)
-    counts[0] = 1
-    for k in range(1, min(n, max_height) + 1):
-        for r in range(k):
-            counts[r::k] = np.cumsum(counts[r::k])
-    return int(counts[n])
+    return int(_frame_counts(n, max_height)[n])
+
+
+def _frame_tables(sizes, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frame tables of n boxes and height <= d for each n of ``sizes``, stacked in that order.
+
+    Returns the table and the row count of each n.  Column k is filled for
+    every prefix at once: a prefix with ``rem`` boxes left, last part
+    ``largest`` and ``d - k`` rows to go takes the parts min(rem, largest)
+    down to ceil(rem / (d - k)), so rows stay in descending lexicographic
+    order (a prefix with no box left takes the one part 0).  Each column
+    keeps the map from its rows to their parent prefixes, and the table is
+    filled through those maps once the last column fixes the rows.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes < 0).any():
+        raise ValueError("n must be nonnegative")
+    if d < 1:
+        raise ValueError("max_height must be positive")
+    rem, largest = sizes, sizes
+    parts, parents = [], []
+    for rows_left in range(d, 1, -1):
+        hi = np.minimum(rem, largest)
+        width = hi - (rem + rows_left - 1) // rows_left + 1
+        parent = np.repeat(np.arange(len(rem)), width)
+        # a prefix's run of parts counts down from hi, starting at its first row
+        start = np.cumsum(width) - width
+        largest = (hi + start)[parent] - np.arange(len(parent))
+        rem = rem[parent] - largest
+        parts.append(largest)
+        parents.append(parent)
+    table = np.empty((len(rem), d), dtype=np.int64)
+    table[:, -1] = rem  # the last row takes what is left, which the bound keeps <= largest
+    rows = np.arange(len(rem))
+    for k in range(d - 2, -1, -1):
+        table[:, k] = parts[k][rows]
+        rows = parents[k][rows]
+    return table, np.bincount(rows, minlength=len(sizes))
 
 
 def frame_table(n: int, d: int) -> np.ndarray:
     """The frames of ``partitions_bounded(n, d)``, in that order, as an int table.
 
-    One row per frame, zero-padded to ``d`` columns.
+    One row per frame, zero-padded to ``d`` columns: the one-size case of
+    ``_frame_tables``.  ``partitions_bounded`` stays on the recursive
+    ``_frame_tuples``: at the few boxes the oracle enumerates, this array
+    fill takes about ten times as long as the recursion (tens of
+    microseconds against a few), and the oracle asks for such frames many
+    times per check.
     """
-    rows = [p + (0,) * (d - len(p)) for p in _frame_tuples(n, d)]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    return _frame_tables([n], d)[0]
 
 
 #: Dimensions of the frames of n boxes share n! and most of their row factorials.

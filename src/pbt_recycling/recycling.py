@@ -31,6 +31,15 @@ product above.  On the bare sum sum_alpha k s^2 (without the 1/N) the
 normalisation is 1/(sqrt(N) d^(N+1)); sqrt(N)/d^(N+1) there would exceed 1
 already at N = d = 2.  F = 1/d at N = 1, and the dense-matrix oracle
 reproduces F.
+
+Evaluation: the frames of consecutive N are stacked into blocks of at most
+``_BLOCK_ROWS`` rows (one N with more frames is a block of its own), so a
+sweep holds one block of frames at a time and pays numpy's fixed cost once
+per block rather than once per N.  Each block takes one pass of ln p, c and
+S/sqrt(p), and each N's terms go to one ``math.fsum``.  Every term depends
+on its own row and N only, and ``fsum`` rounds the exact sum once, so a
+value is bit for bit the same whatever block it lands in: ``frec(N, d)`` is
+the one-N case of ``frec_values``.
 """
 
 from __future__ import annotations
@@ -43,10 +52,11 @@ import numpy as np
 
 from .partitions import (
     CACHE_CAPACITY,
+    _frame_counts,
+    _frame_tables,
     add_box,
     as_partition,
     dim_irrep,
-    frame_table,
     ln_schur_weyl_probability,
     mult_schur_weyl,
     theta_dim,
@@ -61,8 +71,11 @@ def _check_point(N: int, d: int):
         raise ValueError("d must be at least 2")
 
 
-def s_over_sqrt_p(N: int, alphas: np.ndarray) -> np.ndarray:
-    """S(alpha)/sqrt(p(alpha)) per row of a frame table of N-1 boxes: sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1)."""
+def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """S(alpha)/sqrt(p(alpha)) per row of a frame table of N-1 boxes: sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1).
+
+    ``N`` is one port count or one per row.
+    """
     d = alphas.shape[1]
     l = (alphas + np.arange(d - 1, -1, -1)).astype(float)
     total = np.zeros(len(alphas))
@@ -74,7 +87,7 @@ def s_over_sqrt_p(N: int, alphas: np.ndarray) -> np.ndarray:
                 num *= l[:, i] + 1 - l[:, k]
                 den *= l[:, i] - l[:, k]
         total += np.abs(num / den) / np.sqrt(l[:, i] + 1)
-    return math.sqrt(N / d) * total
+    return np.sqrt(np.asarray(N) / d) * total
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
@@ -86,12 +99,34 @@ def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
     return c
 
 
+#: Rows of stacked frames per kernel pass of ``_recycling_sums``; one N with
+#: more frames than this is a block of its own.
+_BLOCK_ROWS = 4096
+
+
+def _recycling_sums(n_min: int, n_max: int, d: int) -> list[float]:
+    """sum_alpha c(alpha) S(alpha)^2 for N = n_min..n_max, one kernel pass per block of N."""
+    counts = _frame_counts(n_max - 1, d)[n_min - 1:]
+    sums = []
+    start = n_min
+    while start <= n_max:
+        stop, rows = start, counts[start - n_min]
+        while stop < n_max and rows + counts[stop + 1 - n_min] <= _BLOCK_ROWS:
+            stop += 1
+            rows += counts[stop - n_min]
+        alphas, sizes = _frame_tables(range(start - 1, stop), d)
+        ports = np.repeat(np.arange(start, stop + 1), sizes)
+        p = np.exp(ln_schur_weyl_probability(alphas, d))
+        terms = height_correction(alphas, d) * p * s_over_sqrt_p(ports, alphas) ** 2
+        sums += [math.fsum(part) for part in np.split(terms, np.cumsum(sizes)[:-1])]
+        start = stop + 1
+    return sums
+
+
 @lru_cache(maxsize=CACHE_CAPACITY)
 def _recycling_sum(N: int, d: int) -> float:
     """sum_alpha c(alpha) S(alpha)^2 (``frec`` and the trace share it)."""
-    alphas = frame_table(N - 1, d)
-    p = np.exp(ln_schur_weyl_probability(alphas, d))
-    return math.fsum(height_correction(alphas, d) * p * s_over_sqrt_p(N, alphas) ** 2)
+    return _recycling_sums(N, N, d)[0]
 
 
 def srm_eigenvalue(alpha, nu, N: int, d: int) -> float:
@@ -143,6 +178,13 @@ def frec(N: int, d: int) -> FidelityReport:
     _check_point(N, d)
     value = _recycling_sum(N, d) / (d * math.sqrt(N))
     return FidelityReport(value=value, method="general", ports=N, dim=d)
+
+
+def frec_values(n_min: int, n_max: int, d: int) -> list[float]:
+    """``frec(N, d).value`` for N = n_min..n_max, bit for bit, from stacked frame blocks."""
+    _check_point(n_min, d)
+    sums = _recycling_sums(n_min, n_max, d)
+    return [s / (d * math.sqrt(N)) for N, s in zip(range(n_min, n_max + 1), sums)]
 
 
 def lower_bound_qubit(N: int) -> float:

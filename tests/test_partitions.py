@@ -1,12 +1,15 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from pbt_recycling.partitions import (
     Partition,
+    _frame_tables,
     add_box,
     dim_irrep,
     frame_count,
+    frame_table,
     mult_schur_weyl,
     partitions_bounded,
     theta_dim,
@@ -103,8 +106,20 @@ def test_partitions_bounded_count_matches_generating_function():
     assert frame_count(1999, 3) == round(2002**2 / 12)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_stacked_frame_tables_concatenate_the_single_ones(d):
+    for n in range(41):
+        assert frame_table(n, d).tolist() == [list(p.parts) + [0] * (d - p.height) for p in partitions_bounded(n, d)]
+    # n = 0, d = 1 and d > n included; sizes need not ascend or be distinct
+    for sizes in (list(range(41)), [40, 0, 3, 17, 1, d - 1, d, d + 1, 2 * d, 40]):
+        table, counts = _frame_tables(sizes, d)
+        assert table.dtype == np.int64
+        np.testing.assert_array_equal(table, np.concatenate([frame_table(n, d) for n in sizes]))
+        assert counts.tolist() == [frame_count(n, d) for n in sizes]
+
+
 def test_partitions_bounded_errors():
-    for count in (partitions_bounded, frame_count):
+    for count in (partitions_bounded, frame_count, frame_table):
         with pytest.raises(ValueError):
             count(-1, 2)
         with pytest.raises(ValueError):

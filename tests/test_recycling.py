@@ -1,21 +1,25 @@
 import math
 from math import sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qubit_two_row import frec_qubit, trace_qubit
 
+from pbt_recycling import recycling
 from pbt_recycling.partitions import (
     Partition,
     add_box,
     dim_irrep,
+    frame_count,
     mult_schur_weyl,
     partitions_bounded,
     theta_dim,
 )
 from pbt_recycling.recycling import (
     frec,
+    frec_values,
     kround_lower_bound,
     lower_bound_qubit,
     povm_block_factor,
@@ -143,9 +147,59 @@ def test_kround_errors():
         kround_lower_bound(0.5, 0)
 
 
-def test_lower_bound_qubit_below_frec():
+@pytest.fixture(scope="module")
+def qubit_sweep():
+    return frec_values(1, 3000, 2)
+
+
+def test_lower_bound_qubit_below_frec(qubit_sweep):
     assert lower_bound_qubit(4) == 1.0 - 11.0 / 16.0
-    assert all(frec(N, 2).value >= lower_bound_qubit(N) for N in range(1, 3001))
+    assert all(f >= lower_bound_qubit(N) for N, f in zip(range(1, 3001), qubit_sweep))
+    assert [qubit_sweep[N - 1] for N in (1, 2, 1000, 3000)] == [frec(N, 2).value for N in (1, 2, 1000, 3000)]
+
+
+@pytest.mark.parametrize("n_min,n_max,d", [(1, 3000, 2), (2, 200, 3), (2, 80, 4), (2, 25, 6)])
+def test_frec_values_are_frec_bit_for_bit(n_min, n_max, d, qubit_sweep):
+    values = qubit_sweep if (n_min, n_max, d) == (1, 3000, 2) else frec_values(n_min, n_max, d)
+    assert len(values) == n_max - n_min + 1
+    assert values == [frec(N, d).value for N in range(n_min, n_max + 1)]
+
+
+def _spy_on_kernel_passes(monkeypatch) -> list[tuple[int, int]]:
+    """Record (rows, distinct box counts) of every table the recycling sum hands to the kernel."""
+    seen = []
+    kernel = recycling.ln_schur_weyl_probability
+
+    def spy(table, d):
+        seen.append((len(table), len(np.unique(table.sum(axis=1)))))
+        return kernel(table, d)
+
+    monkeypatch.setattr(recycling, "ln_schur_weyl_probability", spy)
+    return seen
+
+
+def test_frec_values_blocks_hold_at_most_block_rows(monkeypatch):
+    seen = _spy_on_kernel_passes(monkeypatch)
+    frec_values(2, 200, 3)
+    assert len(seen) > 1 and sum(rows for rows, _ in seen) == sum(frame_count(N - 1, 3) for N in range(2, 201))
+    assert all(rows <= recycling._BLOCK_ROWS or sizes == 1 for rows, sizes in seen)
+
+
+def test_frec_values_give_an_oversized_n_its_own_block(monkeypatch):
+    expected = frec_values(2, 40, 3)
+    seen = _spy_on_kernel_passes(monkeypatch)
+    monkeypatch.setattr(recycling, "_BLOCK_ROWS", 50)
+    assert frec_values(2, 40, 3) == expected
+    assert all(rows <= 50 or sizes == 1 for rows, sizes in seen)
+    assert any(rows > 50 for rows, _ in seen) and any(sizes > 1 for _, sizes in seen)
+
+
+def test_frec_values_errors():
+    assert frec_values(5, 4, 2) == []
+    with pytest.raises(ValueError):
+        frec_values(0, 4, 2)
+    with pytest.raises(ValueError):
+        frec_values(1, 4, 1)
 
 
 # -- property tests ---------------------------------------------------------------
