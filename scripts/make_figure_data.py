@@ -5,35 +5,32 @@ Outputs, under --outdir (default ./figure_data):
   recycling_vs_ports_d{2,3,4}.csv   non-optimal and optimal fidelity vs N
   kround_bounds_d2.csv              k-round lower bounds for several k
   resource_fidelity_d2.csv          plain/rotated resource-state overlap vs N
+
+The recycling and resource-fidelity files are the CLI's ``sweep --optimal``
+and ``resource-fidelity --sweep`` output, written through ``cli.run``.
 """
 
 import argparse
 import pathlib
+import sys
 
-from pbt_recycling import (
-    frec_optimal,
-    kround_lower_bound,
-    lower_bound_qubit,
-    resource_state_fidelity,
-    v_optimal,
-)
+from pbt_recycling import cli, kround_lower_bound
 from pbt_recycling.cli import format_value as fmt
 from pbt_recycling.recycling import frec_values
 
 
+def _cli(path: pathlib.Path, *argv: str):
+    """Write ``path`` with one CLI command; exit with its code when nonzero."""
+    code = cli.run([*argv, "--out", str(path)])
+    if code != cli.EXIT_OK:
+        sys.exit(code)
+    print(f"wrote {path}")
+
+
 def recycling_curves(outdir: pathlib.Path, nmax: int):
     for d in (2, 3, 4):
-        lines = ["N,d,frec,frec_opt,lower_bound_qubit"]
-        v_prev = v_optimal(1, d)
-        for n, f in zip(range(2, nmax + 1), frec_values(2, nmax, d)):
-            v = v_optimal(n, d)
-            fo = fmt(frec_optimal(n, d, v, v_prev).value)
-            v_prev = v  # the next row's N - 1 weights
-            lb = fmt(lower_bound_qubit(n)) if d == 2 else ""
-            lines.append(f"{n},{d},{fmt(f)},{fo},{lb}")
-        path = outdir / f"recycling_vs_ports_d{d}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+        argv = ("sweep", "--ports-min", "2", "--ports-max", str(nmax), "--dim", str(d), "--optimal")
+        _cli(outdir / f"recycling_vs_ports_d{d}.csv", *argv)
 
 
 def kround_curves(outdir: pathlib.Path, nmax: int):
@@ -48,12 +45,8 @@ def kround_curves(outdir: pathlib.Path, nmax: int):
 
 
 def resource_curve(outdir: pathlib.Path, nmax: int):
-    lines = ["N,d,resource_fidelity"]
-    for n in range(1, nmax + 1):
-        lines.append(f"{n},2,{fmt(resource_state_fidelity(n, 2, v_optimal(n, 2)).value)}")
-    path = outdir / "resource_fidelity_d2.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    argv = ("resource-fidelity", "--sweep", "--ports-min", "1", "--ports-max", str(nmax))
+    _cli(outdir / "resource_fidelity_d2.csv", *argv)
 
 
 def main():

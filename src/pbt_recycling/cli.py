@@ -183,13 +183,7 @@ def _cmd_oracle_verify(parser, args) -> int:
         v = _load_weights(args.vfile, args.ports, args.dim)
     else:
         v = opt.v_optimal(args.ports, args.dim)
-    report = orc.verify_suite(
-        args.ports,
-        args.dim,
-        tol=args.tol,
-        v=v,
-        compare_optimal_povm=args.optimal,
-    )
+    report = orc.verify_suite(args.ports, args.dim, tol=args.tol, v=v)
 
     # formula-versus-oracle comparisons at the same point
     f_closed = rec.frec(args.ports, args.dim).value
@@ -207,8 +201,6 @@ def _cmd_oracle_verify(parser, args) -> int:
             status = "PASS" if c.passed else "FAIL"
             extra = f"  [{c.detail}]" if c.detail else ""
             print(f"{status}  {c.name}  max_deviation={c.max_deviation:.3e}{extra}")
-        for note in report.notes:
-            print(f"note: {note}")
         print(f"overall: {'PASS' if report.all_passed else 'FAIL'} (tol={report.tol:g})")
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
@@ -277,7 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--ports", type=int, required=True)
     p_verify.add_argument("--dim", type=int, required=True)
     p_verify.add_argument("--tol", type=float, default=1e-9)
-    p_verify.add_argument("--optimal", action="store_true")
+    p_verify.add_argument(
+        "--optimal",
+        action="store_true",
+        help="also check the optimal-protocol recycling fidelity, closed form against the oracle",
+    )
     p_verify.add_argument("--vfile", help="rotation weights for the checks (default: optimal weights)")
     p_verify.add_argument("--vfile-prev", help="weights for N-1 ports, with --vfile under --optimal")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")

@@ -107,6 +107,11 @@ class VCoefficients:
         return cls(ports=N, dim=d, entries=np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d)))
 
 
+def _is_json_int(x) -> bool:
+    """Whether ``x`` is an integer; JSON true and false load as bool, an int subclass, and are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_v_coefficients(document) -> VCoefficients:
     """Validate a coefficient document (dict or JSON text) into VCoefficients."""
     if isinstance(document, (str, bytes)):
@@ -120,7 +125,7 @@ def parse_v_coefficients(document) -> VCoefficients:
         if key not in document:
             raise CoefficientError(f"missing field {key!r}")
     N, d = document["N"], document["d"]
-    if not isinstance(N, int) or not isinstance(d, int) or N < 1 or d < 1:
+    if not _is_json_int(N) or not _is_json_int(d) or N < 1 or d < 1:
         raise CoefficientError("wrong N or d")
     entries = {}
     if not isinstance(document["entries"], list):
@@ -129,7 +134,10 @@ def parse_v_coefficients(document) -> VCoefficients:
         if not isinstance(item, dict) or "partition" not in item or "v" not in item:
             raise CoefficientError("each entry needs 'partition' and 'v'")
         try:
-            p = Partition(tuple(item["partition"]))
+            parts = tuple(item["partition"])
+            if not all(map(_is_json_int, parts)):
+                raise TypeError("parts must be integers")
+            p = Partition(parts)
         except (TypeError, ValueError) as e:
             raise CoefficientError(f"bad partition {item['partition']}: {e}") from e
         if p.n != N:
@@ -137,7 +145,7 @@ def parse_v_coefficients(document) -> VCoefficients:
         if p in entries:
             raise CoefficientError(f"duplicate partition {p}")
         v = item["v"]
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise CoefficientError(f"bad coefficient for {p}")
         entries[p] = float(v)
     frames = partitions_bounded(N, d)

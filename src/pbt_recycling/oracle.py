@@ -31,6 +31,14 @@ root of port N's completed element, the operator behind every recycling
 fidelity; that root is solved once per (N, d) and shared by ``frec_oracle``,
 ``frec_optimal_oracle`` and ``verify_suite``.
 
+One measurement serves the optimal protocol too.  Its sender rotation
+O (x) 1 is a weighted sum of port Young projectors, so it commutes with
+rho = sum_a sigma_a.  With positive weights O is invertible, the rotated
+signals sum to O rho O^T = O^2 rho, and whitening undoes the rotation:
+(O^2 rho)^(-1/2) O sigma_a O (O^2 rho)^(-1/2) = rho^(-1/2) sigma_a rho^(-1/2).
+With a zero weight O is singular; the oracle then uses the plain measurement,
+as ``frec_optimal`` does.
+
 ``verify_suite`` checks covariance under the port group S(N) on its N - 1
 generators, the adjacent transpositions.  Conjugating by a permutation
 matrix only permutes entries, so deviations add along a word, and every
@@ -225,28 +233,21 @@ def pinv_sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     return _psd_function(m, lambda w: 1.0 / np.sqrt(w), tol)
 
 
-def _srm(N: int, d: int, rotation: Optional[np.ndarray] = None):
-    """Bare elements, excess projector and the root of port N's completed element.
+@_memo(1)
+def _srm_bundle(N: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Bare elements, excess projector and the root of port N's completed element, read-only.
 
-    The signals are conjugated by ``rotation`` when one is given.  Holds
-    N + 6 arrays at peak, the root's eigensolve included, and N + 2 after.
+    Holds N + 6 arrays at peak, the root's eigensolve included, and N + 2 after.
     """
-    conj = (lambda m: m) if rotation is None else (lambda m: rotation @ m @ rotation.T)
-    whiten = pinv_sqrt_psd(conj(rho_operator(N, d)))
+    whiten = pinv_sqrt_psd(rho_operator(N, d))
     delta = np.eye(d ** (N + 1))
     pis = []
     for a in range(1, N + 1):
-        m = whiten @ conj(signal_state(a, N, d)) @ whiten
+        m = whiten @ signal_state(a, N, d) @ whiten
         pis.append(0.5 * (m + m.T))
         delta -= pis[-1]
     del whiten, m
-    return pis, delta, sqrt_psd(pis[N - 1] + delta / N)
-
-
-@_memo(1)
-def _srm_bundle(N: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The plain square-root measurement of ``_srm`` with its completed root, read-only."""
-    pis, delta, root = _srm(N, d)
+    root = sqrt_psd(pis[N - 1] + delta / N)
     for m in (*pis, delta, root):
         m.flags.writeable = False
     return tuple(pis), delta, root
@@ -372,26 +373,26 @@ def frec_oracle(N: int, d: int) -> FidelityReport:
     return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
 
 
-def frec_optimal_oracle(
-    N: int, d: int, vN: VCoefficients, vNm1: VCoefficients, rotated_srm: bool = False
-) -> FidelityReport:
+def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
     """Optimal-protocol recycling fidelity from its defining trace expression.
 
-    ``rotated_srm=True`` swaps in the square-root measurement of the rotated
-    signals instead of the plain one (comparison mode; the two coincide for
-    strictly positive weights because whitening undoes the block rotation).
+    The measurement is the plain square-root measurement of ``_srm_bundle``.
+    The rotation O commutes with the summed signals, so for positive weights
+    whitening the rotated signals gives the same elements.  With a zero weight
+    O is singular, and the plain measurement is kept, as in ``frec_optimal``
+    (see the module docstring).
     """
     if N < 2:
         raise ValueError("N must be at least 2 for the optimal protocol")
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
     _require(
-        (N + 8, d ** (N + 1)),  # rotation, SRM with its completed root, the root's eigensolve
+        (N + 7, d ** (N + 1)),  # rotation, SRM with its completed root, the root's eigensolve
         (_projector_arrays(N, d) + 2, d**N),
         (_projector_arrays(N - 1, d) + 2, d ** (N - 1)),
     )
     o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN), d)
-    root = (_srm(N, d, o_full) if rotated_srm else _srm_bundle(N, d))[2]
+    root = _srm_bundle(N, d)[2]
     # identity on port N and the input system
     rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
     del o_full
@@ -476,7 +477,6 @@ def verify_suite(
     d: int,
     tol: float = 1e-9,
     v: Optional[VCoefficients] = None,
-    compare_optimal_povm: bool = False,
 ) -> VerifyReport:
     """Run every protocol invariant check at one parameter point.
 
@@ -490,14 +490,8 @@ def verify_suite(
     n = N + 1
     dim = d**n
     # the SRM with its completed root, signals and completed elements hold 3N + 2
-    # arrays; the rest are temporaries, the rotation, and the bundle's build or the
-    # comparison's measurement with its eigensolves once the signals are gone
-    compare = compare_optimal_povm and N >= 2
-    _require(
-        (3 * N + 7, dim),
-        (_projector_arrays(N, d) + 2, d**N),
-        (_projector_arrays(N - 1, d) + 2 if compare else 0, d ** (N - 1)),
-    )
+    # arrays; the rest are temporaries, the rotation and the eigensolves
+    _require((3 * N + 7, dim), (_projector_arrays(N, d) + 2, d**N))
     report = VerifyReport(ports=N, dim=d, tol=tol)
     pis, delta, _ = _srm_bundle(N, d)
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
@@ -550,14 +544,4 @@ def verify_suite(
         detail=f"oracle={tr_direct!r}",
     )
     del v_prime
-
-    if compare:
-        prev = VCoefficients.uniform(N - 1, d)
-        lit = frec_optimal_oracle(N, d, vv, prev, rotated_srm=False)
-        rot = frec_optimal_oracle(N, d, vv, prev, rotated_srm=True)
-        report.notes.append(
-            "optimal-measurement comparison: plain-SRM value "
-            f"{lit.value!r}, rotated-signal-SRM value {rot.value!r}, "
-            f"difference {abs(lit.value - rot.value):.3e} (reported, not asserted)"
-        )
     return report

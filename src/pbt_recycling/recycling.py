@@ -58,7 +58,6 @@ from .partitions import (
     as_partition,
     dim_irrep,
     ln_schur_weyl_probability,
-    mult_schur_weyl,
     theta_dim,
 )
 from .reports import FidelityReport
@@ -133,7 +132,9 @@ def srm_eigenvalue(alpha, nu, N: int, d: int) -> float:
     """Eigenvalue of the summed-signal operator on the block labeled (alpha, nu).
 
     ``alpha`` has N-1 boxes, ``nu`` is ``alpha`` plus one box; both heights
-    must fit in ``d``.
+    must fit in ``d``.  The eigenvalue is N m_nu d_alpha / (d^N m_alpha d_nu)
+    = (d + c)/d^N, with c = alpha_i - i the content of the box added in
+    row i (0-based).
     """
     a, v = as_partition(alpha), as_partition(nu)
     if a.n != N - 1:
@@ -142,15 +143,18 @@ def srm_eigenvalue(alpha, nu, N: int, d: int) -> float:
         raise ValueError("frame exceeds local dimension")
     if v not in add_box(a):
         raise ValueError(f"{v} is not obtained from {a} by adding one box")
-    # one correctly rounded division of exact integers
-    return N * mult_schur_weyl(v, d) * dim_irrep(a) / (d**N * mult_schur_weyl(a, d) * dim_irrep(v))
+    # nu's new box sits in row i, column nu_i - 1 = alpha_i (0-based)
+    i = next(i for i, part in enumerate(v) if i == len(a) or part != a[i])
+    return (d + v[i] - 1 - i) / d**N  # one correctly rounded division of exact integers
 
 
 def povm_block_factor(alpha, N: int, d: int) -> float:
     """Unique nonzero eigenvalue of one SRM element on blocks labeled ``alpha``.
 
     Frames shorter than ``d`` give 1 (projector); frames of height ``d`` are
-    damped by the over-height frame's dimension.
+    damped by the over-height frame's dimension, to
+    1 - d_theta/(N d_alpha) = 1 - prod_i h_i/(h_i + 1) = 1/c(alpha)^2, the
+    first-column hook product of ``height_correction``.
     """
     a = as_partition(alpha)
     if a.height > d:
@@ -183,6 +187,8 @@ def frec(N: int, d: int) -> FidelityReport:
 def frec_values(n_min: int, n_max: int, d: int) -> list[float]:
     """``frec(N, d).value`` for N = n_min..n_max, bit for bit, from stacked frame blocks."""
     _check_point(n_min, d)
+    if n_max < n_min:
+        return []
     sums = _recycling_sums(n_min, n_max, d)
     return [s / (d * math.sqrt(N)) for N, s in zip(range(n_min, n_max + 1), sums)]
 

@@ -52,7 +52,6 @@ class VerifyReport:
     dim: int
     tol: float
     checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def all_passed(self) -> bool:
@@ -71,5 +70,4 @@ class VerifyReport:
                 {"name": c.name, "passed": c.passed, "max_deviation": c.max_deviation, "detail": c.detail}
                 for c in self.checks
             ],
-            "notes": list(self.notes),
         }

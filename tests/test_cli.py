@@ -120,6 +120,23 @@ def test_frec_bad_vfile_exits_3(capsys, tmp_path):
     assert "not normalized" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"N": True, "d": 2, "entries": [{"partition": [1], "v": 1.0}]},
+        {"N": 1, "d": True, "entries": [{"partition": [1], "v": 1.0}]},
+        {"N": 2, "d": 2, "entries": [{"partition": [2], "v": 0.6}, {"partition": [True, True], "v": 0.8}]},
+        {"N": 1, "d": 2, "entries": [{"partition": [1], "v": True}]},
+    ],
+)
+def test_resource_fidelity_boolean_vfile_exits_3(capsys, tmp_path, doc):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = invoke(capsys, "resource-fidelity", "--vfile", str(path))
+    assert code == EXIT_DATA
+    assert err.startswith("error: ")
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["frec", "--ports", "2", "--dim", "2", "--bogus"])
@@ -307,7 +324,6 @@ def test_oracle_verify_optimal_note(capsys):
     )
     assert code == EXIT_OK
     assert "frec_optimal_formula_vs_oracle" in out
-    assert "rotated-signal-SRM" in out
 
 
 def test_oracle_verify_optimal_without_files(capsys):
@@ -327,15 +343,21 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
         return eigh(m, vectors)
 
     monkeypatch.setattr(oracle, "_eigh", spy)
-    oracle._srm_bundle.cache_clear()
-    argv = ("oracle", "verify", "--optimal", "--ports", "3", "--dim", "3")
-    assert invoke(capsys, *argv)[0] == EXIT_OK
-    assert len(set(solved)) == len(solved)
-    pis, delta, _ = oracle._srm_bundle(3, 3)
-    completed = ((pis[2] + delta / 3).tobytes(), True)
-    assert solved.count(completed) == 1
+    for N, d in [(3, 3), (4, 2), (2, 4)]:
+        solved.clear()
+        oracle._srm_bundle.cache_clear()
+        oracle._young_projectors.cache_clear()
+        argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
+        assert invoke(capsys, *argv)[0] == EXIT_OK
+        # whitening, the completed root, rho's spectrum, N bare-element spectra, the bare
+        # root, and the projectors for N and N - 1 ports
+        assert len(solved) == N + 6
+        assert len(set(solved)) == len(solved)
+        pis, delta, _ = oracle._srm_bundle(N, d)
+        completed = ((pis[N - 1] + delta / N).tobytes(), True)
+        assert solved.count(completed) == 1
 
-    # a second op at the same point reuses the completed element's root
+    # a second op at the last point reuses the completed element's root
     solved.clear()
     assert invoke(capsys, *argv)[0] == EXIT_OK
     assert solved and completed not in solved

@@ -238,6 +238,21 @@ def test_parse_rejects_bad_schema():
         parse_v_coefficients(doc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _document(True, 2, [{"partition": [1], "v": 1.0}]),
+        _document(1, True, [{"partition": [1], "v": 1.0}]),
+        _document(2, 2, [{"partition": [2], "v": 0.6}, {"partition": [True, True], "v": 0.8}]),
+        _document(1, 2, [{"partition": [1], "v": True}]),
+    ],
+)
+def test_parse_rejects_json_booleans(doc):
+    # bool is an int subclass: true must not pass for 1, nor false for 0
+    with pytest.raises(CoefficientError):
+        parse_v_coefficients(json.dumps(doc))
+
+
 def test_uniform_coefficients_valid():
     for N, d in [(4, 2), (3, 3), (5, 4)]:
         VCoefficients.uniform(N, d)  # must not raise

@@ -310,12 +310,22 @@ def test_frec_optimal_oracle_uniform_reduces(pinned):
     )
 
 
-def test_frec_optimal_oracle_rotated_variant_agrees():
-    # whitening undoes the block rotation: both measurement choices coincide
-    for N, d in [(2, 2), (3, 2)]:
-        lit = frec_optimal_oracle(N, d, v_optimal(N, d), v_optimal(N - 1, d), rotated_srm=False).value
-        rot = frec_optimal_oracle(N, d, v_optimal(N, d), v_optimal(N - 1, d), rotated_srm=True).value
-        assert rot == pytest.approx(lit, abs=1e-11)
+@pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("weights", ["optimal", "random"])
+def test_rotated_signals_share_the_plain_measurement(N, d, weights):
+    # O (x) 1 commutes with rho, so whitening the rotated signals undoes the rotation
+    if weights == "optimal":
+        v = v_optimal(N, d)
+    else:
+        w = np.random.default_rng(N * 10 + d).uniform(0.25, 1.0, len(partitions_bounded(N, d)))
+        v = VCoefficients(ports=N, dim=d, entries=w / np.linalg.norm(w))
+    o = np.kron(build_optimizing_operator(N, d, v), np.eye(d))
+    rho = rho_operator(N, d)
+    assert np.abs(o @ rho - rho @ o).max() <= 1e-12
+    whiten = pinv_sqrt_psd(o @ rho @ o.T)
+    for a in range(1, N + 1):
+        rotated = whiten @ o @ signal_state(a, N, d) @ o.T @ whiten
+        assert np.abs(rotated - srm_povm(a, N, d)[0]).max() <= 1e-12
 
 
 def test_frec_optimal_oracle_beyond_eight_ports():
@@ -414,12 +424,6 @@ def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbati
         assert brute > 1e-8
 
 
-def test_verify_suite_comparison_note():
-    report = verify_suite(2, 2, tol=1e-9, v=v_optimal(2, 2), compare_optimal_povm=True)
-    assert report.all_passed
-    assert any("rotated-signal-SRM" in note for note in report.notes)
-
-
 def test_oracle_cap_errors(monkeypatch):
     with pytest.raises(DimensionCapError):
         frec_oracle(20, 2)
@@ -482,12 +486,9 @@ W = {N: v_optimal(N, 2) for N in (5, 6, 7)}
 
 #: Calls whose dense arrays are 128 x 128 (128 KiB each): d^(N+1) = 128, or d^N = 128.
 BUDGET_CALLS = {
-    "verify_suite": lambda: verify_suite(6, 2, v=W[6], compare_optimal_povm=True),
+    "verify_suite": lambda: verify_suite(6, 2, v=W[6]),
     "frec_oracle": lambda: frec_oracle(6, 2),
     "frec_optimal_oracle": lambda: frec_optimal_oracle(6, 2, W[6], W[5]),
-    "frec_optimal_oracle_rotated": lambda: frec_optimal_oracle(
-        6, 2, W[6], W[5], rotated_srm=True
-    ),
     "channel_fidelity_oracle": lambda: channel_fidelity_oracle(6, 2),
     "resource_fidelity_oracle": lambda: resource_fidelity_oracle(7, 2, W[7]),
     "rho_spectrum_report": lambda: rho_spectrum_report(6, 2),

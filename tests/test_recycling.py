@@ -42,6 +42,19 @@ def test_srm_eigenvalue_examples():
     assert srm_eigenvalue(P(), P(1), N=1, d=3) == pytest.approx(1.0, abs=1e-15)
 
 
+def _srm_eigenvalue_reference(alpha, nu, N, d):
+    """N m_nu d_alpha / (d^N m_alpha d_nu) from exact Schur-Weyl dimensions, one int/int division."""
+    return N * mult_schur_weyl(nu, d) * dim_irrep(alpha) / (d**N * mult_schur_weyl(alpha, d) * dim_irrep(nu))
+
+
+@pytest.mark.parametrize("d,n_max", [(2, 30), (3, 30), (4, 12), (5, 12), (6, 12)])
+def test_srm_eigenvalue_is_the_dimension_ratio(d, n_max):
+    for N in range(1, n_max + 1):
+        for alpha in partitions_bounded(N - 1, d):
+            for nu in add_box(alpha, d):
+                assert srm_eigenvalue(alpha, nu, N, d) == _srm_eigenvalue_reference(alpha, nu, N, d)
+
+
 def test_srm_eigenvalue_errors():
     with pytest.raises(ValueError, match="adding one box"):
         srm_eigenvalue(P(1), P(3), N=2, d=2)
@@ -196,6 +209,7 @@ def test_frec_values_give_an_oversized_n_its_own_block(monkeypatch):
 
 def test_frec_values_errors():
     assert frec_values(5, 4, 2) == []
+    assert frec_values(1, 0, 2) == []
     with pytest.raises(ValueError):
         frec_values(0, 4, 2)
     with pytest.raises(ValueError):

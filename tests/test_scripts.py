@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pbt_recycling import optimal
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -48,7 +50,7 @@ def test_make_figure_data_solves_each_weight_set_once(tmp_path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     calls = []
-    solve = module.v_optimal
-    monkeypatch.setattr(module, "v_optimal", lambda N, d: calls.append((N, d)) or solve(N, d))
+    solve = optimal.v_optimal
+    monkeypatch.setattr(optimal, "v_optimal", lambda N, d: calls.append((N, d)) or solve(N, d))
     module.recycling_curves(tmp_path, 6)
     assert calls == [(n, d) for d in (2, 3, 4) for n in range(1, 7)]  # one solve per weight set
