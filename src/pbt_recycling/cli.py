@@ -176,8 +176,7 @@ def _cmd_resource_fidelity(parser, args) -> int:
 
 
 def _cmd_oracle_verify(parser, args) -> int:
-    optimal = args.optimal and args.ports >= 2
-    if optimal:
+    if args.optimal:
         v, v_prev = _weight_pair(parser, args)
     elif args.vfile:
         v = _load_weights(args.vfile, args.ports, args.dim)
@@ -189,7 +188,7 @@ def _cmd_oracle_verify(parser, args) -> int:
     f_closed = rec.frec(args.ports, args.dim).value
     f_oracle = orc.frec_oracle(args.ports, args.dim).value
     report.add("frec_formula_vs_oracle", abs(f_closed - f_oracle))
-    if optimal:
+    if args.optimal:
         fq = opt.frec_optimal(args.ports, args.dim, v, v_prev).value
         fo = orc.frec_optimal_oracle(args.ports, args.dim, v, v_prev).value
         report.add("frec_optimal_formula_vs_oracle", abs(fq - fo))

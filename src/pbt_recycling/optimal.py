@@ -134,10 +134,7 @@ def parse_v_coefficients(document) -> VCoefficients:
         if not isinstance(item, dict) or "partition" not in item or "v" not in item:
             raise CoefficientError("each entry needs 'partition' and 'v'")
         try:
-            parts = tuple(item["partition"])
-            if not all(map(_is_json_int, parts)):
-                raise TypeError("parts must be integers")
-            p = Partition(parts)
+            p = Partition(tuple(item["partition"]))
         except (TypeError, ValueError) as e:
             raise CoefficientError(f"bad partition {item['partition']}: {e}") from e
         if p.n != N:

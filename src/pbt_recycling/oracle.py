@@ -11,20 +11,25 @@ plain float64 ``np.ndarray``; the one eigensolve helper checks symmetry.
 Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
 allocates, it counts the dense arrays it will hold at once: operators,
 temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors)
-and the cache entries it creates (``_srm_bundle`` keeps one, ``_young_projectors``
-two; a miss evicts the oldest first; cached arrays are read-only).  Index
-arrays (d^n by n digits) are not counted.  Over the budget a call raises
-``DimensionCapError``, exit code 2 in the CLI.
+and the cache entries it creates (``_srm_bundle`` keeps one (N, d) point,
+``_young_projectors`` two; a miss evicts the oldest first; cached arrays are
+read-only).  Index arrays (d^n by n digits) are not counted.  Over the
+budget a call raises ``DimensionCapError``, exit code 2 in the CLI.
 
 The Young projectors come from box contents (Okounkov and Vershik,
 arXiv:math/0503040).  The central elements C1 = sum_{i<j} (i j) and
 C2 = sum_k X_k^2, X_k the Jucys-Murphy elements, act on the block of frame mu
 as the sums of c and c^2 over its boxes' contents c.  One eigensolve of
 A = K C1 + C2, a sum of permutation gathers, splits (C^d)^(x)n into the
-blocks: each projector spans the eigenvectors nearest its frame's predicted
-eigenvalue.  An eigenvalue far from every prediction raises ``RuntimeError``,
-so the oracle tests the content theory it relies on.  Every call that builds
-projectors counts them, A and A's eigensolve against the budget.
+blocks: each eigenvector is labelled with the frame whose predicted
+eigenvalue lies nearest.  An eigenvalue far from every prediction raises
+``RuntimeError``, so the oracle tests the content theory it relies on.  The
+cache keeps the eigenvector matrix U and the labels, one frame row of
+``frame_table`` per column; no projector is stored.  A projector is
+U_mu U_mu^T over the columns labelled mu, and the sender rotation is
+U diag(scale[labels]) U^T.  Every call that needs U counts A and A's
+eigensolve against the budget, a fixed number of arrays whatever the frame
+count.
 
 ``_srm_bundle`` holds the bare elements, the excess projector and the square
 root of port N's completed element, the operator behind every recycling
@@ -82,6 +87,9 @@ CONTENT_TOL = 1e-10
 
 #: Dense arrays one eigensolve holds besides its input: LAPACK's copy, workspace and eigenvectors.
 _EIGH_ARRAYS = 4
+
+#: Dense d^n x d^n arrays held while building the Young eigenbasis: A and A's eigensolve.
+_YOUNG_BASIS_ARRAYS = 1 + _EIGH_ARRAYS
 
 
 class DimensionCapError(RuntimeError):
@@ -267,11 +275,6 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return pis[a - 1], delta, pis[a - 1] + delta / N
 
 
-def _projector_arrays(n: int, d: int) -> int:
-    """Dense d^n x d^n arrays held while building the projectors: theirs, A and A's eigensolve."""
-    return len(partitions_bounded(n, d)) + 1 + _EIGH_ARRAYS
-
-
 def _content_sums(mu: Partition) -> tuple[int, int]:
     """(sum c, sum c^2) over the contents c = column - row of the boxes of ``mu``."""
     contents = [col - row for row, length in enumerate(mu) for col in range(length)]
@@ -279,15 +282,18 @@ def _content_sums(mu: Partition) -> tuple[int, int]:
 
 
 @_memo(2)
-def _young_projectors(n: int, d: int) -> dict[Partition, np.ndarray]:
-    """The isotypic projectors for frames of n boxes and height <= d, from one eigensolve.
+def _young_projectors(n: int, d: int) -> tuple[tuple[Partition, ...], np.ndarray, np.ndarray]:
+    """(frames, U, labels): the Young eigenbasis of frames of n boxes and height <= d.
 
-    A = K C1 + C2 acts on frame mu's block as e(mu) = K sum c + sum c^2; since
-    K = n^3 + 1 exceeds every sum c^2, frames with distinct content sums get
-    distinct e.  Two frames sharing e would leave one without eigenvectors,
-    which raises.  Taller frames are left out: their projectors vanish on (C^d)^(x)n.
+    U is the read-only eigenvector matrix of A = K C1 + C2, and ``labels``
+    the read-only row in ``frame_table(n, d)`` (and in ``frames``) of each
+    column's frame.  A acts on frame mu's block as e(mu) = K sum c + sum c^2;
+    since K = n^3 + 1 exceeds every sum c^2, frames with distinct content sums
+    get distinct e.  Two frames sharing e would leave one without
+    eigenvectors, which raises.  Taller frames are left out: their blocks
+    vanish on (C^d)^(x)n.
     """
-    frames = partitions_bounded(n, d)
+    frames = tuple(partitions_bounded(n, d))
     k = n**3 + 1
     predicted = np.array([k * s1 + s2 for s1, s2 in map(_content_sums, frames)], dtype=float)
     dim = d**n
@@ -312,12 +318,9 @@ def _young_projectors(n: int, d: int) -> dict[Partition, np.ndarray]:
             f"spectrum of K C1 + C2 at ({n}, {d}) breaks the content prediction: "
             f"deviation {dev}, eigenvectors per frame {counts.tolist()}"
         )
-    projectors = {}
-    for f, mu in enumerate(frames):
-        block = u[:, nearest == f]
-        projectors[mu] = block @ block.T
-        projectors[mu].flags.writeable = False
-    return projectors
+    u.flags.writeable = False
+    nearest.flags.writeable = False
+    return frames, u, nearest
 
 
 def young_projector(mu, d: int) -> np.ndarray:
@@ -325,32 +328,34 @@ def young_projector(mu, d: int) -> np.ndarray:
 
     That block is the sum of the copies of mu's S(n) irrep, so the projector
     is the group average (d_mu / n!) sum_sigma chi_mu(sigma) V_sigma; it is
-    built from box contents instead (see the module docstring).  Frames of
-    height <= d return the cached, read-only array.
+    built from box contents instead (see the module docstring), as
+    U_mu U_mu^T over the cached eigenvectors labelled mu.  Every call returns
+    a fresh array.
     """
     p = as_partition(mu)
     if p.height > d:
         _require((1, d**p.n))
         return np.zeros((d**p.n, d**p.n))
-    _require((_projector_arrays(p.n, d), d**p.n))
-    return _young_projectors(p.n, d)[p]
+    _require((_YOUNG_BASIS_ARRAYS, d**p.n))
+    frames, u, labels = _young_projectors(p.n, d)
+    block = u[:, labels == frames.index(p)]
+    return block @ block.T
 
 
 def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
     """Sender rotation: sqrt(d^N) sum of v-weighted, rank-normalized projectors.
 
-    A projector's rank, its eigenvector count, is d_mu m_mu.  Trace of O^T O
+    That is U diag(scale[labels]) U^T over the Young eigenbasis, with
+    scale = sqrt(d^N) v / sqrt(rank).  A projector's rank d_mu m_mu is the
+    exact count of eigenvectors labelled with its frame.  Trace of O^T O
     must come out d^N (weights have unit 2-norm); checked.
     """
     if v.ports != N or v.dim != d:
         raise ValueError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    _require((_projector_arrays(N, d) + 2, d**N))  # the projectors' build, O and one scaled projector
-    projectors = _young_projectors(N, d)
-    o = np.zeros((d**N, d**N))
-    for p, vm in zip(projectors.values(), v.entries.tolist()):
-        if vm == 0.0:
-            continue
-        o += sqrt(d**N) * vm / sqrt(round(np.trace(p))) * p
+    _require((_YOUNG_BASIS_ARRAYS + 2, d**N))  # the eigenbasis's build, then O and one scaled copy of U
+    _, u, labels = _young_projectors(N, d)
+    scale = sqrt(d**N) * v.entries / np.sqrt(np.bincount(labels))
+    o = (u * scale[labels]) @ u.T
     trace = np.vdot(o, o)
     if abs(trace - d**N) > 1e-8 * d**N:
         raise RuntimeError(f"normalization broken: tr(O^T O) = {trace}, want {d**N}")
@@ -388,8 +393,8 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
     _require(
         (N + 7, d ** (N + 1)),  # rotation, SRM with its completed root, the root's eigensolve
-        (_projector_arrays(N, d) + 2, d**N),
-        (_projector_arrays(N - 1, d) + 2, d ** (N - 1)),
+        (_YOUNG_BASIS_ARRAYS + 2, d**N),
+        (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1)),
     )
     o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN), d)
     root = _srm_bundle(N, d)[2]
@@ -427,7 +432,7 @@ def resource_fidelity_oracle(N: int, d: int, v: VCoefficients) -> float:
     the rotation to the sender half; no trace shortcut is taken.
     """
     dim = d**N
-    _require((_projector_arrays(N, d) + 3, dim))  # the projectors' build, O, the state and its image
+    _require((_YOUNG_BASIS_ARRAYS + 3, dim))  # the eigenbasis's build, O, the state and its image
     o = build_optimizing_operator(N, d, v)
     phi = np.zeros(dim * dim)
     phi[:: dim + 1] = 1.0 / sqrt(dim)  # sum_i |i>_ports |i>_receiver
@@ -491,9 +496,9 @@ def verify_suite(
     dim = d**n
     # the SRM with its completed root, signals and completed elements hold 3N + 2
     # arrays; the rest are temporaries, the rotation and the eigensolves
-    _require((3 * N + 7, dim), (_projector_arrays(N, d) + 2, d**N))
+    _require((3 * N + 7, dim), (_YOUNG_BASIS_ARRAYS + 2, d**N))
     report = VerifyReport(ports=N, dim=d, tol=tol)
-    pis, delta, _ = _srm_bundle(N, d)
+    pis, delta, root = _srm_bundle(N, d)
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
 
     completed = [pi + delta / N for pi in pis]
@@ -536,8 +541,11 @@ def verify_suite(
     report.add("signal_is_transposed_swap", np.abs(sigs[N - 1] - v_prime / d**N).max())
     del sigs
 
-    # tr(root v') is vdot(root, v') because root is symmetric
-    tr_direct = float(np.vdot(sqrt_psd(pis[N - 1]), v_prime))
+    # tr(root v') is vdot(root, v') because root is symmetric.  The completed
+    # root is sqrt(pi_N) + delta / sqrt(N), since pi_N lives on the support of rho
+    # and delta projects onto its kernel, and tr(delta v') = d^N tr(delta sigma_N)
+    # is zero (excess_signal_orthogonal): this is the trace of the bare root.
+    tr_direct = float(np.vdot(root, v_prime))
     report.add(
         "sqrt_povm_signal_trace",
         abs(tr_direct - trace_sqrt_povm_signal(N, d)),

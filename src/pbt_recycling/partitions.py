@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Iterator, Optional
 
 import numpy as np
 
-#: Capacity of the memoization caches for dimensions/multiplicities.  Sweeps
-#: re-query the same frames heavily.
+#: Capacity of the memoization caches for exact dimensions and multiplicities.
+#: Their callers are the oracle's spectral predictions and exact-integer test
+#: references, which ask for the same small frames many times.
 CACHE_CAPACITY = 1 << 16
 
 
@@ -29,7 +31,11 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        p = tuple(int(x) for x in self.parts)
+        p = tuple(self.parts)
+        # numpy ints are Integral; bool is an int subclass and is not a part
+        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in p):
+            raise TypeError(f"partition parts must be integers: {p!r}")
+        p = tuple(map(int, p))
         object.__setattr__(self, "parts", p)
         if any(x <= 0 for x in p):
             raise ValueError(f"partition parts must be positive: {p}")
@@ -67,40 +73,24 @@ def as_partition(p) -> Partition:
     return Partition(tuple(p))
 
 
-def _frame_tuples(n: int, max_height: int) -> list[tuple[int, ...]]:
+def _check_frame_bounds(n: int, max_height: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if max_height < 1:
         raise ValueError("max_height must be positive")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, largest: int, acc: tuple[int, ...]):
-        if remaining == 0:
-            out.append(acc)
-            return
-        rows_left = max_height - len(acc)
-        if rows_left == 1:  # the bound below has kept remaining <= largest
-            out.append((*acc, remaining))
-            return
-        if rows_left == 2:  # the last two rows in one loop, the second empty when part = remaining
-            for part in range(min(remaining, largest), (remaining - 1) // 2, -1):
-                out.append((*acc, part, remaining - part) if part < remaining else (*acc, part))
-            return
-        # Prune: a part below ceil(remaining / rows_left) would leave more boxes
-        # than the rows after it can hold at that width, so no frame lies there.
-        for part in range(min(remaining, largest), (remaining - 1) // rows_left, -1):
-            rec(remaining - part, part, (*acc, part))
-
-    rec(n, n, ())
-    return out
 
 
 def partitions_bounded(n: int, max_height: int) -> list[Partition]:
     """All partitions of ``n`` with height <= ``max_height``, descending lexicographic.
 
+    The ``Partition`` view of the rows of ``frame_table``, trailing zeros
+    dropped.  No frame of n boxes has more than n rows, so the table is
+    built at height min(max_height, n): its column fill loops over the height.
     ``n = 0`` yields the singleton list containing the empty partition.
     """
-    return [Partition(p) for p in _frame_tuples(n, max_height)]
+    _check_frame_bounds(n, max_height)
+    table = frame_table(n, max(1, min(max_height, n)))
+    return [Partition(tuple(filter(None, row))) for row in table.tolist()]
 
 
 def _frame_counts(n: int, max_height: int) -> np.ndarray:
@@ -121,10 +111,7 @@ def frame_count(n: int, max_height: int) -> int:
     For one k that is a running sum along each residue class of m mod k.
     Object entries keep the counts exact.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if max_height < 1:
-        raise ValueError("max_height must be positive")
+    _check_frame_bounds(n, max_height)
     return int(_frame_counts(n, max_height)[n])
 
 
@@ -140,10 +127,7 @@ def _frame_tables(sizes, d: int) -> tuple[np.ndarray, np.ndarray]:
     filled through those maps once the last column fixes the rows.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    if (sizes < 0).any():
-        raise ValueError("n must be nonnegative")
-    if d < 1:
-        raise ValueError("max_height must be positive")
+    _check_frame_bounds(int(sizes.min(initial=0)), d)
     rem, largest = sizes, sizes
     parts, parents = [], []
     for rows_left in range(d, 1, -1):
@@ -166,14 +150,12 @@ def _frame_tables(sizes, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frame_table(n: int, d: int) -> np.ndarray:
-    """The frames of ``partitions_bounded(n, d)``, in that order, as an int table.
+    """The frames of ``n`` boxes and height <= ``d``, descending lexicographic, as an int table.
 
     One row per frame, zero-padded to ``d`` columns: the one-size case of
-    ``_frame_tables``.  ``partitions_bounded`` stays on the recursive
-    ``_frame_tuples``: at the few boxes the oracle enumerates, this array
-    fill takes about ten times as long as the recursion (tens of
-    microseconds against a few), and the oracle asks for such frames many
-    times per check.
+    ``_frame_tables``.  This is the package's one frame order: every weight
+    array indexes frames by row of this table, and ``partitions_bounded``
+    lists the same rows as ``Partition`` objects.
     """
     return _frame_tables([n], d)[0]
 

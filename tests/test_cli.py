@@ -332,6 +332,15 @@ def test_oracle_verify_optimal_without_files(capsys):
     assert "PASS  frec_optimal_formula_vs_oracle" in out
 
 
+def test_oracle_verify_optimal_one_port_is_a_usage_error(capsys):
+    # as frec --optimal: the optimal protocol needs N - 1 >= 1 ports
+    for command in (("oracle", "verify"), ("frec",)):
+        code, out, err = invoke(capsys, *command, "--optimal", "--ports", "1", "--dim", "2")
+        assert code == EXIT_USAGE
+        assert "N must be at least 2" in err
+        assert out == ""
+
+
 def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
     from pbt_recycling import oracle
 
@@ -349,9 +358,9 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
         oracle._young_projectors.cache_clear()
         argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
         assert invoke(capsys, *argv)[0] == EXIT_OK
-        # whitening, the completed root, rho's spectrum, N bare-element spectra, the bare
-        # root, and the projectors for N and N - 1 ports
-        assert len(solved) == N + 6
+        # whitening, the completed root, rho's spectrum, N bare-element spectra, and
+        # the projectors for N and N - 1 ports
+        assert len(solved) == N + 5
         assert len(set(solved)) == len(solved)
         pis, delta, _ = oracle._srm_bundle(N, d)
         completed = ((pis[N - 1] + delta / N).tobytes(), True)
@@ -425,3 +434,11 @@ def test_module_entry_point():
     )
     assert proc.returncode == EXIT_OK
     assert "0.659739608441" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the sparse Perron solve of optimal weights above d = 2
+    code = "import sys, pbt_recycling.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -242,6 +242,20 @@ def test_build_optimizing_operator_uniform_is_identity():
         np.testing.assert_allclose(o, np.eye(d**N), atol=1e-10)
 
 
+@pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_optimizing_operator_is_the_weighted_projector_sum(N, d):
+    frames = partitions_bounded(N, d)
+    w = np.random.default_rng(N * 10 + d).uniform(0.25, 1.0, len(frames))
+    w[1] = 0.0  # a zero weight drops its frame's block
+    weight_sets = [v_optimal(N, d), VCoefficients(ports=N, dim=d, entries=w / np.linalg.norm(w))]
+    for v in weight_sets:
+        reference = sum(
+            sqrt(d**N) * vm / sqrt(dim_irrep(mu) * mult_schur_weyl(mu, d)) * young_projector(mu, d)
+            for mu, vm in zip(frames, v.entries)
+        )
+        np.testing.assert_allclose(build_optimizing_operator(N, d, v), reference, rtol=0, atol=1e-12)
+
+
 def test_rotated_povm_trace_invariant():
     # conjugating the completed elements by the rotation preserves their trace
     for N, d in [(2, 2), (3, 2)]:
@@ -424,6 +438,16 @@ def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbati
         assert brute > 1e-8
 
 
+@pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_completed_root_gives_the_bare_root_trace(N, d):
+    # sqrt(pi_N + delta/N) = sqrt(pi_N) + delta/sqrt(N), and delta is orthogonal to v' = d^N sigma_N
+    n = N + 1
+    v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
+    bare_root = sqrt_psd(srm_povm(N, N, d)[0])
+    completed_root = oracle._srm_bundle(N, d)[2]
+    assert np.vdot(completed_root, v_prime) == pytest.approx(np.vdot(bare_root, v_prime), rel=0, abs=1e-12)
+
+
 def test_oracle_cap_errors(monkeypatch):
     with pytest.raises(DimensionCapError):
         frec_oracle(20, 2)
@@ -457,7 +481,8 @@ def test_operators_are_float64():
 
 def test_cached_arrays_are_read_only():
     bare, excess, completed = srm_povm(2, 2, 2)
-    for cached in (bare, excess, young_projector(P(2), 2)):
+    _, u, labels = oracle._young_projectors(2, 2)
+    for cached in (bare, excess, u, labels):
         with pytest.raises(ValueError, match="read-only"):
             cached[:] = 0
     completed[:] = 0  # a fresh array, not a cache entry

@@ -1,3 +1,5 @@
+import itertools
+import timeit
 from math import comb
 
 import numpy as np
@@ -74,6 +76,13 @@ def test_partition_validation():
         P(2, 0)
     with pytest.raises(ValueError):
         P(-1)
+    # parts are integers: no floats, strings or booleans, even when int() would take them
+    for parts in [(2.5, "1"), (2.0, 1), (True, True), ("2", "1"), (np.float64(2.0),), (np.bool_(True),)]:
+        with pytest.raises(TypeError, match="integers"):
+            Partition(parts)
+    numpy_ints = Partition((np.int64(2), np.int32(1), np.uint8(1)))
+    assert numpy_ints == P(2, 1, 1)
+    assert all(type(x) is int for x in numpy_ints.parts)
 
 
 def test_partitions_bounded_examples():
@@ -116,6 +125,21 @@ def test_stacked_frame_tables_concatenate_the_single_ones(d):
         assert table.dtype == np.int64
         np.testing.assert_array_equal(table, np.concatenate([frame_table(n, d) for n in sizes]))
         assert counts.tolist() == [frame_count(n, d) for n in sizes]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_frame_table_matches_partitions(d):
+    # brute force: nonincreasing d-tuples over n..0 in descending lexicographic order, kept when they sum to n
+    for n in range(15):
+        reference = [list(c) for c in itertools.combinations_with_replacement(range(n, -1, -1), d) if sum(c) == n]
+        assert frame_table(n, d).tolist() == reference
+        assert partitions_bounded(n, d) == [Partition(tuple(x for x in c if x)) for c in reference]
+
+
+def test_partitions_bounded_clamps_the_height():
+    assert partitions_bounded(5, 10**6) == partitions_bounded(5, 5)
+    # the table is filled column by column: built at height 10^6 this call takes seconds
+    assert min(timeit.repeat(lambda: partitions_bounded(5, 10**6), number=1, repeat=5)) < 0.01
 
 
 def test_partitions_bounded_errors():
