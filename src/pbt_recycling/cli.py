@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from . import optimal as opt
@@ -219,7 +220,9 @@ def _cmd_vcoeffs(parser, args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pbt-recycling",
         description="Recycling fidelity of the port-based teleportation resource state.",

@@ -8,14 +8,6 @@ closed form in the package is checked.
 Every object is real in the computational basis, so every operator is a
 plain float64 ``np.ndarray``; the one eigensolve helper checks symmetry.
 
-Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
-allocates, it counts the dense arrays it will hold at once: operators,
-temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors)
-and the cache entries it creates (``_srm_bundle`` keeps one (N, d) point,
-``_young_projectors`` two; a miss evicts the oldest first; cached arrays are
-read-only).  Index arrays (d^n by n digits) are not counted.  Over the
-budget a call raises ``DimensionCapError``, exit code 2 in the CLI.
-
 The Young projectors come from box contents (Okounkov and Vershik,
 arXiv:math/0503040).  The central elements C1 = sum_{i<j} (i j) and
 C2 = sum_k X_k^2, X_k the Jucys-Murphy elements, act on the block of frame mu
@@ -31,10 +23,36 @@ U diag(scale[labels]) U^T.  Every call that needs U counts A and A's
 eigensolve against the budget, a fixed number of arrays whatever the frame
 count.
 
-``_srm_bundle`` holds the bare elements, the excess projector and the square
-root of port N's completed element, the operator behind every recycling
-fidelity; that root is solved once per (N, d) and shared by ``frec_oracle``,
-``frec_optimal_oracle`` and ``verify_suite``.
+The square-root measurement is built from the signals' factors.  With
+D = d^(N+1) and r = d^(N-1), sigma_a = d^(1-N) Q_a Q_a^T, where the D x r
+isometry Q_a is |phi+> on (port a, input) times the identity on the other
+ports; each column has d nonzeros (``_signal_columns``).  One eigensolve of
+rho = sum_a sigma_a gives W = rho^(-1/2) on the support and rho's spectrum.
+The bare element pi_a = W sigma_a W is Y_a Y_a^T with the D x r factor
+Y_a = d^((1-N)/2) W Q_a, a gather of W's rows, so no D x D product is taken
+against a signal.  The excess Delta = 1 - sum_a pi_a projects onto ker rho.
+Port N's completed element pi_N + Delta/N has the root
+sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho, and the polar
+identity sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T takes sqrt(pi_N) from the r x r
+Gram matrix G = Y_N^T Y_N.  ``_srm_bundle`` holds, read-only: the N bare
+elements, Delta, that completed root (the operator behind every recycling
+fidelity), rho's eigenvalues and G's.  It is built once per (N, d) and
+shared by every call.  Its two eigensolves are the only ones of the
+measurement: ``rho_spectrum_report`` reads rho's eigenvalues, and
+``povm_spectrum_deviation`` reads G's, the nonzero spectrum of pi_N.  So a
+fresh point costs one D x D and one r x r eigensolve, besides the Young
+eigenbases of the rotation, and a cached point none.
+
+Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
+allocates, it counts the dense arrays it will hold at once: operators,
+temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors)
+and the cache entries it creates (``_srm_bundle`` keeps one (N, d) point,
+``_young_projectors`` two; a miss evicts the oldest first; cached arrays are
+read-only).  A D x r factor counts as one d^N x d^N array, since
+D r = d^(2N).  Building the bundle peaks at N + 4 arrays of D x D, two
+factors and the r x r eigensolve (``_srm_blocks``); N + 2 of D x D stay.
+Index arrays (d^n by n digits) are not counted.  Over the budget a call
+raises ``DimensionCapError``, exit code 2 in the CLI.
 
 One measurement serves the optimal protocol too.  Its sender rotation
 O (x) 1 is a weighted sum of port Young projectors, so it commutes with
@@ -176,18 +194,39 @@ def partial_transpose_last(op: np.ndarray, d: int, n: int) -> np.ndarray:
     return t.reshape(d**n, d**n)
 
 
+def _signal_columns(a: int, N: int, d: int) -> np.ndarray:
+    """Where signal ``a``'s factor is nonzero: a d^(N-1) x d array, one row per column of Q_a.
+
+    sigma_a = d^(1-N) Q_a Q_a^T, and column j of the isometry Q_a is
+    |phi+> on (port a, input) times basis state j on the other ports: it is
+    d^(-1/2) at the d indices whose port-a and input digits agree and whose
+    other digits spell j.  Adding 1 to both digits adds d^(N+1-a) + 1.
+    """
+    digits = _digits(d, N + 1)
+    base = np.flatnonzero((digits[:, a - 1] == 0) & (digits[:, N] == 0))
+    return base[:, None] + np.arange(d) * (d ** (N + 1 - a) + 1)
+
+
+def _signal_gather(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row sums of ``m`` over each row of ``cols``: d^(N-1) x D, one row per column of Q_a.
+
+    For symmetric ``m`` its transpose is d^(1/2) m Q_a, and
+    m sigma_a = d^(-N) m Q_a' Q_a'^T with Q_a' the 0/1 pattern of Q_a.
+    """
+    g = m[cols[:, 0]]
+    for c in cols[:, 1:].T:
+        g += m[c]
+    return g
+
+
 def _signal_sum(ports, N: int, d: int) -> np.ndarray:
     """Sum of the signal states of ``ports``, built entry by entry."""
     _require((1, d ** (N + 1)))
-    digits = _digits(d, N + 1)
     m = np.zeros((d ** (N + 1),) * 2)
     for a in ports:
-        # rows where port a and the input share a digit; the projector onto sum_k |kk>
-        # maps that pair to every (k, k), and adding 1 to both digits adds `step`
-        rows = np.flatnonzero(digits[:, a - 1] == digits[:, N])
-        step = d ** (N + 1 - a) + 1
-        cols = rows[:, None] + (np.arange(d) - digits[rows, N][:, None]) * step
-        m[rows[:, None], cols] += 1.0 / d**N
+        # d^(1-N) Q_a Q_a^T is d^(-N) on every pair of indices in one column of Q_a
+        cols = _signal_columns(a, N, d)
+        m[cols[:, :, None], cols[:, None, :]] += 1.0 / d**N
     return m
 
 
@@ -216,8 +255,8 @@ def _eigh(m: np.ndarray, vectors: bool = True):
     return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
 
 
-def _psd_function(m: np.ndarray, f, tol: float) -> np.ndarray:
-    """``f`` of the eigenvalues above tol*lambda_max, 0 on the rest, for a PSD matrix."""
+def _psd_function(m: np.ndarray, f, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(f of a PSD matrix, its eigenvalues); f acts on eigenvalues above tol*lambda_max, 0 on the rest."""
     w, u = _eigh(m)
     lam_max = float(w[-1]) if w.size else 0.0
     neg_floor = -NEGATIVE_EIG_TOL * max(1.0, abs(lam_max))
@@ -228,37 +267,77 @@ def _psd_function(m: np.ndarray, f, tol: float) -> np.ndarray:
     vals[support] = f(w[support])
     m = (u * vals) @ u.T
     del u
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.T), w
+
+
+def _inverse_root(w: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(w)
 
 
 def sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Spectral square root with sub-threshold eigenvalues clamped to zero."""
-    return _psd_function(m, np.sqrt, tol)
+    return _psd_function(m, np.sqrt, tol)[0]
 
 
 def pinv_sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Inverse square root on the support; the kernel is left untouched."""
-    return _psd_function(m, lambda w: 1.0 / np.sqrt(w), tol)
+    return _psd_function(m, _inverse_root, tol)[0]
+
+
+def _symmetric_gram(yt: np.ndarray) -> np.ndarray:
+    """yt^T yt, symmetrised."""
+    m = yt.T @ yt
+    return 0.5 * (m + m.T)
+
+
+def _srm_blocks(N: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The dense arrays ``_srm_bundle`` holds at its peak, as ``_require`` blocks.
+
+    N + 4 of D x D (the whitening, the excess, the N bare elements and two
+    temporaries of the last one's symmetrised product), two D x r factors,
+    each the size of one d^N x d^N array since D r = d^(2N), and the r x r
+    Gram matrix with its eigensolve.
+    """
+    return (N + 4, d ** (N + 1)), (2, d**N), (1 + _EIGH_ARRAYS, d ** (N - 1))
 
 
 @_memo(1)
-def _srm_bundle(N: int, d: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Bare elements, excess projector and the root of port N's completed element, read-only.
+def _srm_bundle(
+    N: int, d: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(bare elements, excess projector, completed root, spectrum of rho, spectrum of G), read-only.
 
-    Holds N + 6 arrays at peak, the root's eigensolve included, and N + 2 after.
+    One eigensolve of rho gives W = rho^(-1/2) on the support and rho's
+    eigenvalues.  Port a's bare element is Y_a Y_a^T with the D x r factor
+    Y_a = d^(-N/2) W Q_a', Q_a' the 0/1 pattern of Q_a, a gather of d rows
+    of W per column (W is symmetric).  The excess Delta = 1 - sum_a pi_a
+    projects onto ker rho.  The root of port N's completed element is
+    sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho; and
+    sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from the r x r Gram matrix
+    G = Y_N^T Y_N = V Lambda V^T (the polar identity).  G is positive definite,
+    since W is invertible on supp rho, which holds every column of Q_N; its
+    eigenvalues Lambda, ascending, are the nonzero spectrum of pi_N.  Both
+    eigenvalue arrays come as ``eigh`` returns them, ascending.  The peak is
+    ``_srm_blocks``; after, N + 2 dense arrays stay.
     """
-    whiten = pinv_sqrt_psd(rho_operator(N, d))
+    whiten, rho_eigenvalues = _psd_function(rho_operator(N, d), _inverse_root, SUPPORT_TOL)
     delta = np.eye(d ** (N + 1))
     pis = []
     for a in range(1, N + 1):
-        m = whiten @ signal_state(a, N, d) @ whiten
-        pis.append(0.5 * (m + m.T))
+        yt = _signal_gather(whiten, _signal_columns(a, N, d))
+        yt *= d ** (-N / 2)
+        pis.append(_symmetric_gram(yt))
         delta -= pis[-1]
-    del whiten, m
-    root = sqrt_psd(pis[N - 1] + delta / N)
-    for m in (*pis, delta, root):
+    del whiten
+    lam, v = _eigh(yt @ yt.T)  # the loop leaves port N's factor in yt
+    if not lam[0] > SUPPORT_TOL * lam[-1]:
+        raise RuntimeError(f"Gram matrix of port {N}'s whitened signal is singular: eigenvalue {lam[0]}")
+    root = _symmetric_gram((v * lam**-0.25).T @ yt)
+    del yt
+    root += delta / sqrt(N)
+    for m in (*pis, delta, root, rho_eigenvalues, lam):
         m.flags.writeable = False
-    return tuple(pis), delta, root
+    return tuple(pis), delta, root, rho_eigenvalues, lam
 
 
 def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,8 +349,8 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
-    _require((N + 6, d ** (N + 1)))  # the SRM with its completed root, and that root's eigensolve
-    pis, delta, _ = _srm_bundle(N, d)
+    _require(*_srm_blocks(N, d))  # then the bundle and the completed element with its temporary
+    pis, delta = _srm_bundle(N, d)[:2]
     return pis[a - 1], delta, pis[a - 1] + delta / N
 
 
@@ -369,8 +448,8 @@ def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
 
 def frec_oracle(N: int, d: int) -> FidelityReport:
     """One-round recycling fidelity from the defining trace expression."""
-    _require((N + 6, d ** (N + 1)))  # the SRM with its completed root, and that root's eigensolve
-    pis, delta, root = _srm_bundle(N, d)
+    _require(*_srm_blocks(N, d))  # then the bundle, a completed element's two temporaries and a signal
+    pis, delta, root = _srm_bundle(N, d)[:3]
     norm = sqrt(np.trace(pis[N - 1] + delta / N))
     # tr(sig root) is vdot(sig, root) because root is symmetric
     overlap = abs(np.vdot(signal_state(N, N, d), root))
@@ -392,17 +471,21 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
     _require(
-        (N + 7, d ** (N + 1)),  # rotation, SRM with its completed root, the root's eigensolve
+        (N + 5, d ** (N + 1)),  # the bundle's build, or the bundle, the rotation and its two factors
         (_YOUNG_BASIS_ARRAYS + 2, d**N),
         (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1)),
     )
-    o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN), d)
     root = _srm_bundle(N, d)[2]
+    o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN), d)
     # identity on port N and the input system
     rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
     del o_full
-    # tr(sig root O Q^T) = vdot((sig root)^T, O Q^T), and (sig root)^T = root sig
-    value = (sqrt(N) / d) * abs(np.vdot(root @ signal_state(N, N, d), rotation))
+    # tr(sig root O Q^T) = vdot(root sig, O Q^T).  Every column of root sig at an index
+    # of column j of Q_N is d^(-N) times the sum of root's columns there, so the vdot is
+    # d^(-N) times that sum against the sum of O Q^T's columns there, over every j
+    cols = _signal_columns(N, N, d)
+    overlap = np.vdot(_signal_gather(root, cols), _signal_gather(rotation.T, cols)) / d**N
+    value = (sqrt(N) / d) * abs(overlap)
     return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
 
 
@@ -412,8 +495,10 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     ``rotation`` is an operator on the ports (identity when omitted); it is
     extended by identity on the input system.
     """
-    _require((N + 6, d ** (N + 1)))  # the SRM with its completed root, and that root's eigensolve
-    pis, delta, _ = _srm_bundle(N, d)
+    # the bundle's build, or the bundle, the rotation and a signal with its two
+    # products, then a completed element's two temporaries
+    _require((N + 6, d ** (N + 1)))
+    pis, delta = _srm_bundle(N, d)[:2]
     o = None if rotation is None else _embed_ports_operator(rotation, d)
     total = 0.0
     for a in range(1, N + 1):
@@ -441,9 +526,13 @@ def resource_fidelity_oracle(N: int, d: int, v: VCoefficients) -> float:
 
 
 def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
-    """Oracle spectrum of the summed signals against the block prediction."""
-    _require((1 + _EIGH_ARRAYS, d ** (N + 1)))
-    eig = np.sort(_eigh(rho_operator(N, d), vectors=False))
+    """Oracle spectrum of the summed signals against the block prediction.
+
+    The eigenvalues are the ones ``_srm_bundle`` solved for rho to whiten
+    the signals; no eigensolve of its own.
+    """
+    _require(*_srm_blocks(N, d))
+    eig = np.sort(_srm_bundle(N, d)[3])
     predicted: list[tuple[float, int]] = []
     rank = 0
     for alpha in partitions_bounded(N - 1, d):
@@ -464,17 +553,34 @@ def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
 
 
 def povm_spectrum_deviation(N: int, d: int) -> float:
-    """Worst distance of any bare-element eigenvalue from its allowed set."""
-    _require((N + 6, d ** (N + 1)))  # the SRM with its completed root, and that root's eigensolve
-    pis, _, _ = _srm_bundle(N, d)
+    """Worst distance of any bare-element eigenvalue from its allowed set.
+
+    Reads the spectrum of port N's r x r Gram matrix G = Y_N^T Y_N from
+    ``_srm_bundle``; no eigensolve of its own.  Those r = d^(N-1) eigenvalues
+    are the nonzero spectrum of pi_N = Y_N Y_N^T, and its other D - r are zero
+    because rank pi_N <= r; zero is allowed.  One element stands for all:
+    pi_a = V pi_N V^T for the permutation V exchanging ports a and N, so
+    the elements share one spectrum.  ``verify_suite`` checks that
+    covariance (``signal_and_povm_covariance``), and by Weyl's inequality a
+    covariance deviation e moves no eigenvalue by more than D e.
+    """
+    _require(*_srm_blocks(N, d))
+    lam = _srm_bundle(N, d)[4]
     allowed = np.array(
         [0.0] + [povm_block_factor(alpha, N, d) for alpha in partitions_bounded(N - 1, d)]
     )
-    worst = 0.0
-    for pi in pis:
-        lam = _eigh(pi, vectors=False)
-        worst = max(worst, float(np.abs(lam[:, None] - allowed).min(axis=1).max()))
-    return worst
+    return float(np.abs(lam[:, None] - allowed).min(axis=1).max())
+
+
+def _swap_deviation(x: np.ndarray, y: np.ndarray, i: int, d: int, n: int) -> float:
+    """max |x - V y V^T| for V the permutation operator exchanging factors i and i + 1 of n.
+
+    Conjugating by V swaps those two axes of the row and of the column index:
+    a strided view of y, with no gather.
+    """
+    shape = (d**i, d, d, d ** (n - i - 2)) * 2
+    swapped = y.reshape(shape).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    return float(np.abs(x.reshape(shape) - swapped).max())
 
 
 def verify_suite(
@@ -495,31 +601,31 @@ def verify_suite(
     n = N + 1
     dim = d**n
     # the SRM with its completed root, signals and completed elements hold 3N + 2
-    # arrays; the rest are temporaries, the rotation and the eigensolves
-    _require((3 * N + 7, dim), (_YOUNG_BASIS_ARRAYS + 2, d**N))
+    # arrays, and three temporaries; the bundle's build and the rotation need fewer
+    _require((3 * N + 5, dim), (_YOUNG_BASIS_ARRAYS + 2, d**N))
     report = VerifyReport(ports=N, dim=d, tol=tol)
-    pis, delta, root = _srm_bundle(N, d)
+    pis, delta, root = _srm_bundle(N, d)[:3]
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
 
     completed = [pi + delta / N for pi in pis]
     report.add("povm_completeness", np.abs(sum(completed) - np.eye(dim)).max())
     report.add("excess_idempotent", np.abs(delta @ delta - delta).max())
-    report.add("excess_signal_orthogonal", max(np.abs(delta @ s).max() for s in sigs))
+    # every column of delta sigma_s at an index of column j of Q_s is d^(-N) times
+    # the sum of delta's columns there
+    dev_orth = max(np.abs(_signal_gather(delta, _signal_columns(s, N, d))).max() for s in range(1, N + 1))
+    report.add("excess_signal_orthogonal", dev_orth / d**N)
 
-    # covariance under the adjacent port transpositions (acting trivially on the input):
-    # V X V^T = Y for the permutation operator V is X = Y[rows][:, rows]; a word of at
-    # most N(N - 1)/2 of them reaches any permutation, and its deviations add up
+    # covariance under the adjacent port transpositions (acting trivially on the input);
+    # a word of at most N(N - 1)/2 of them reaches any permutation, and its deviations add up
     dev_cov = 0.0
     for i in range(N - 1):
         perm = transposition(i, i + 1, N)
-        idx = _permuted_indices(perm + (N,), d, n)
-        rows = np.ix_(idx, idx)
         for a in range(1, N + 1):
             b = perm[a - 1] + 1
             dev_cov = max(
                 dev_cov,
-                np.abs(sigs[a - 1] - sigs[b - 1][rows]).max(),
-                np.abs(completed[a - 1] - completed[b - 1][rows]).max(),
+                _swap_deviation(sigs[a - 1], sigs[b - 1], i, d, n),
+                _swap_deviation(completed[a - 1], completed[b - 1], i, d, n),
             )
     report.add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
 

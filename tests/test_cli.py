@@ -307,6 +307,27 @@ def test_resource_fidelity_vfile(capsys, vcoeff_path, tmp_path):
     assert json.loads(out)["dim"] == 3
 
 
+def test_commands_in_one_process_share_no_options(capsys, vcoeff_path, tmp_path):
+    # the parser is built once per process: options of one command must not reach the next
+    f = tmp_path / "v.json"
+    f.write_text(vcoeff_path(3, 3).read_text())
+    reports = []
+    for argv in (
+        ("frec", "--optimal", "--ports", "5", "--dim", "2"),
+        ("frec", "--ports", "5", "--dim", "2"),
+        ("resource-fidelity", "--vfile", str(f)),
+        ("resource-fidelity", "--ports", "4"),
+    ):
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        reports.append(json.loads(out))
+    assert reports[0]["method"] == "optimal_general"
+    assert reports[1]["method"] == "general"
+    assert (reports[2]["ports"], reports[2]["dim"]) == (3, 3)
+    assert (reports[3]["ports"], reports[3]["dim"]) == (4, 2)
+    assert reports[3]["value"] == pytest.approx(resource_state_fidelity_qubit_angular(4), abs=1e-12)
+
+
 # -- oracle verify -------------------------------------------------------------------------------
 
 @pytest.mark.parametrize("N,d", [(3, 2), (2, 3)])
@@ -348,7 +369,7 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
     eigh = oracle._eigh
 
     def spy(m, vectors=True):
-        solved.append((m.tobytes(), vectors))
+        solved.append((len(m), m.tobytes(), vectors))
         return eigh(m, vectors)
 
     monkeypatch.setattr(oracle, "_eigh", spy)
@@ -358,18 +379,17 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
         oracle._young_projectors.cache_clear()
         argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
         assert invoke(capsys, *argv)[0] == EXIT_OK
-        # whitening, the completed root, rho's spectrum, N bare-element spectra, and
-        # the projectors for N and N - 1 ports
-        assert len(solved) == N + 5
+        # rho at d^(N+1), port N's Gram matrix at d^(N-1), and the Young bases
+        # for N and N - 1 ports
+        assert len(solved) == 4
         assert len(set(solved)) == len(solved)
-        pis, delta, _ = oracle._srm_bundle(N, d)
-        completed = ((pis[N - 1] + delta / N).tobytes(), True)
-        assert solved.count(completed) == 1
+        assert sorted(size for size, _, _ in solved) == sorted(d**k for k in (N + 1, N - 1, N, N - 1))
+        assert solved.count((d ** (N + 1), oracle.rho_operator(N, d).tobytes(), True)) == 1
 
-    # a second op at the last point reuses the completed element's root
+    # a second op at the last point reuses the bundle and both Young bases
     solved.clear()
     assert invoke(capsys, *argv)[0] == EXIT_OK
-    assert solved and completed not in solved
+    assert solved == []
 
 
 def test_oracle_verify_json(capsys):

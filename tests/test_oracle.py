@@ -297,7 +297,7 @@ def test_young_projectors_beyond_eight_boxes(n):
 
 
 def test_projector_byte_budget():
-    # 10 frames of 8 boxes fit in 3 rows: 10 dense 6561^2 arrays, about 3.4 GB
+    # the Young eigenbasis of 8 boxes at d = 3 counts 5 dense 6561^2 arrays, about 1.7 GB
     with pytest.raises(DimensionCapError, match="budget"):
         young_projector(P(8), 3)
 
@@ -415,10 +415,19 @@ def _all_permutation_covariance(N, d, sigs, completed):
     return dev
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 3), (4, 3), (3, 4)])
+def test_swap_deviation_conjugates_by_the_transposition(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    x, y = rng.standard_normal((2, d**n, d**n))
+    for i in range(n - 1):
+        V = permutation_operator(transposition(i, i + 1, n), d, n)
+        assert oracle._swap_deviation(x, y, i, d, n) == np.abs(x - V @ y @ V.T).max()
+
+
 @pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
 @pytest.mark.parametrize("perturbation", ["none", "one", "graded"])
 def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbation):
-    pis, delta, root = oracle._srm_bundle(N, d)
+    pis, delta, root, rho_eig, gram_eig = oracle._srm_bundle(N, d)
     if perturbation == "one":
         # a random symmetric perturbation of size 1e-7 on the first bare element
         e = np.random.default_rng(3).standard_normal(pis[0].shape)
@@ -428,7 +437,7 @@ def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbati
         # a * 1e-7 * identity on element a: each generator moves it by 1e-7,
         # the cycle taking port 1 to port N by (N - 1) * 1e-7
         pis = tuple(pi + a * 1e-7 * np.eye(len(pi)) for a, pi in enumerate(pis))
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: (pis, delta, root))
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: (pis, delta, root, rho_eig, gram_eig))
     check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["signal_and_povm_covariance"]
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
     brute = _all_permutation_covariance(N, d, sigs, [pi + delta / N for pi in pis])
@@ -446,6 +455,63 @@ def test_completed_root_gives_the_bare_root_trace(N, d):
     bare_root = sqrt_psd(srm_povm(N, N, d)[0])
     completed_root = oracle._srm_bundle(N, d)[2]
     assert np.vdot(completed_root, v_prime) == pytest.approx(np.vdot(bare_root, v_prime), rel=0, abs=1e-12)
+
+
+#: (N, d) points where the factored measurement is checked against dense eigensolves.
+FACTOR_GRID = [(N, 2) for N in range(2, 8)] + [(N, 3) for N in range(2, 5)] + [(2, 4), (3, 4), (2, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("N,d", FACTOR_GRID)
+def test_factored_root_matches_the_dense_root(N, d):
+    # sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T, completed by delta / sqrt(N) on ker rho
+    dense = sqrt_psd(srm_povm(N, N, d)[2])
+    assert np.abs(oracle._srm_bundle(N, d)[2] - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N,d", FACTOR_GRID)
+def test_bundle_keeps_the_spectrum_of_rho(N, d):
+    rho_eigenvalues = oracle._srm_bundle(N, d)[3]
+    assert np.abs(rho_eigenvalues - np.linalg.eigvalsh(rho_operator(N, d))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("N,d", [(3, 2), (2, 3), (4, 2)])
+@pytest.mark.parametrize("index,name", [(3, "rho_spectrum"), (4, "povm_spectrum")])
+def test_spectral_checks_catch_a_moved_eigenvalue(monkeypatch, N, d, index, name):
+    # the spectral checks read the bundle's eigenvalues: moving one by 1e-6 must fail its check only
+    bundle = list(oracle._srm_bundle(N, d))
+    moved = bundle[index].copy()
+    moved[len(moved) // 2] += 1e-6
+    bundle[index] = moved
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: tuple(bundle))
+    failing = [c.name for c in verify_suite(N, d, tol=1e-9).checks if not c.passed]
+    assert failing == [name]
+
+
+@pytest.mark.parametrize("N,d", [(3, 2), (2, 3)])
+def test_excess_signal_orthogonal_matches_the_dense_product(monkeypatch, N, d):
+    # the check gathers delta's columns; a perturbed excess must read as max |delta sigma_s|
+    pis, delta, *spectra = oracle._srm_bundle(N, d)
+    e = np.random.default_rng(N * 10 + d).standard_normal(delta.shape)
+    delta = delta + 1e-6 * (e + e.T)
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: (pis, delta, *spectra))
+    check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["excess_signal_orthogonal"]
+    dense = max(np.abs(delta @ signal_state(a, N, d)).max() for a in range(1, N + 1))
+    assert check.max_deviation == pytest.approx(dense, rel=1e-12)
+    assert not check.passed
+
+
+def test_singular_gram_matrix_raises(monkeypatch):
+    # a zero eigenvalue of port N's r x r Gram matrix has no inverse fourth root
+    eigh = oracle._eigh
+
+    def flatten_gram(m, vectors=True):
+        w, u = eigh(m, vectors)
+        return (np.zeros_like(w), u) if len(m) == 2**2 else (w, u)
+
+    monkeypatch.setattr(oracle, "_eigh", flatten_gram)
+    oracle._srm_bundle.cache_clear()
+    with pytest.raises(RuntimeError, match="singular"):
+        oracle._srm_bundle(3, 2)
 
 
 def test_oracle_cap_errors(monkeypatch):
