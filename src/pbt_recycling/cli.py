@@ -93,6 +93,8 @@ def _weight_pair(parser, args) -> tuple[VCoefficients, VCoefficients]:
 
 
 def _cmd_frec(parser, args) -> int:
+    if not args.optimal and (args.vfile or args.vfile_prev):
+        parser.error("--vfile and --vfile-prev are read only with --optimal")
     if args.optimal:
         report = opt.frec_optimal(args.ports, args.dim, *_weight_pair(parser, args))
     else:
@@ -152,6 +154,8 @@ def _cmd_bound(parser, args) -> int:
 
 def _cmd_resource_fidelity(parser, args) -> int:
     if args.sweep:
+        if args.vfile:
+            parser.error("--sweep uses the optimal qubit weights and reads no --vfile")
         if args.ports_min is None or args.ports_max is None:
             parser.error("--sweep requires --ports-min and --ports-max")
         if args.ports_min < 1 or args.ports_max < args.ports_min:
@@ -165,7 +169,7 @@ def _cmd_resource_fidelity(parser, args) -> int:
     if args.vfile:
         v = opt.load_v_coefficients(args.vfile)
         if args.ports is not None and v.ports != args.ports:
-            parser.error(f"coefficient file is for N={v.ports}, requested N={args.ports}")
+            raise CoefficientError(f"coefficient file is for N={v.ports}, requested N={args.ports}")
         report = opt.resource_state_fidelity(v.ports, v.dim, v)
         _emit(args, _report_lines(report), report.as_dict())
         return EXIT_OK
@@ -177,6 +181,8 @@ def _cmd_resource_fidelity(parser, args) -> int:
 
 
 def _cmd_oracle_verify(parser, args) -> int:
+    if not args.optimal and args.vfile_prev:
+        parser.error("--vfile-prev is read only with --optimal")
     if args.optimal:
         v, v_prev = _weight_pair(parser, args)
     elif args.vfile:
@@ -233,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_frec.add_argument("--ports", type=int, required=True)
     p_frec.add_argument("--dim", type=int, required=True)
     p_frec.add_argument("--optimal", action="store_true")
-    p_frec.add_argument("--vfile", help="coefficient file for N ports (default: optimal weights)")
+    p_frec.add_argument("--vfile", help="coefficient file for N ports, with --optimal (default: optimal weights)")
     p_frec.add_argument("--vfile-prev", help="coefficient file for N-1 ports, with --vfile")
     p_frec.add_argument("--format", choices=("text", "json"), default="text")
     p_frec.set_defaults(func=_cmd_frec)
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "resource-fidelity", help="overlap of plain and rotated resource states"
     )
     p_res.add_argument("--ports", type=int)
-    p_res.add_argument("--vfile", help="coefficient file, any d (default: optimal qubit weights)")
+    p_res.add_argument("--vfile", help="coefficient file, any d, not with --sweep (default: optimal qubit weights)")
     p_res.add_argument("--sweep", action="store_true")
     p_res.add_argument("--ports-min", type=int)
     p_res.add_argument("--ports-max", type=int)

@@ -261,7 +261,7 @@ def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> Fide
     alphas, ranks = one_box_ranks(N, d)
     big_v = np.where(ranks >= 0, vN.entries[ranks], 0.0).sum(axis=1)
     terms = vNm1.entries * height_correction(alphas, d) * s_over_sqrt_p(N, alphas) * big_v
-    value = math.fsum(terms) / (d * sqrt(N))
+    value = math.fsum(terms.tolist()) / (d * sqrt(N))
     return FidelityReport(value=value, method="optimal_general", ports=N, dim=d)
 
 
@@ -269,5 +269,6 @@ def resource_state_fidelity(N: int, d: int, v: VCoefficients) -> FidelityReport:
     """Overlap between the plain and rotated resource states: sum of v * sqrt(p)."""
     if v.ports != N or v.dim != d:
         raise CoefficientError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    value = math.fsum(v.entries * np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d)))
+    sqrt_p = np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d))
+    value = math.fsum((v.entries * sqrt_p).tolist())
     return FidelityReport(value=value, method="general", ports=N, dim=d)

@@ -265,6 +265,14 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     prod_{i<j} (lam_i - lam_j + j - i)^2 / ((lam_i + j - i) (j - i)),
     the Weyl and hook-length factors.  No bigints; the absolute error in ln p
     stays below 1e-13 * max(1, |ln p|).
+
+    The saddle-point terms depend on n and one row length only, so they are
+    evaluated by table and gathered: the factorial remainder once on
+    0..max n, and the deviance once on a run of lengths 0..m for each
+    distinct box count m, the runs laid end to end.  Each entry gets the
+    value it would get on its own, so the cost is O(entries + sum over
+    distinct n of n); on a full frame table of height >= 2 the runs hold no
+    more values than the table.
     """
     lam = np.asarray(table, dtype=np.int64)
     if lam.ndim != 2 or lam.shape[1] != d:
@@ -272,14 +280,19 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     if (lam < 0).any() or (lam[:, :-1] < lam[:, 1:]).any():
         raise ValueError("frame table rows must be nonnegative and weakly decreasing")
     n = lam.sum(axis=1)
-    g = _ln_factorial_remainder(np.column_stack([n, lam]))
+    sizes, which = np.unique(n, return_inverse=True)
+    runs = sizes + 1
+    offset = np.cumsum(runs) - runs  # where the run of lengths 0..m of each distinct m starts
+    lengths = np.arange(runs.sum()) - np.repeat(offset, runs)
+    b = _bd0(lengths, np.repeat(sizes, runs), d)
+    g = _ln_factorial_remainder(np.arange(n.max(initial=0) + 1))
     i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))  # row pairs i < j
     gap = j - i
     diff = lam[:, i] - lam[:, j] + gap
     return (
-        g[:, 0]
-        - g[:, 1:].sum(axis=1)
-        - _bd0(lam, n[:, None], d).sum(axis=1)
+        g[n]
+        - g[lam].sum(axis=1)
+        - b[offset[which][:, None] + lam].sum(axis=1)
         + np.log(diff * diff / ((lam[:, i] + gap) * gap)).sum(axis=1)
     )
 

@@ -36,10 +36,12 @@ Evaluation: the frames of consecutive N are stacked into blocks of at most
 ``_BLOCK_ROWS`` rows (one N with more frames is a block of its own), so a
 sweep holds one block of frames at a time and pays numpy's fixed cost once
 per block rather than once per N.  Each block takes one pass of ln p, c and
-S/sqrt(p), and each N's terms go to one ``math.fsum``.  Every term depends
-on its own row and N only, and ``fsum`` rounds the exact sum once, so a
-value is bit for bit the same whatever block it lands in: ``frec(N, d)`` is
-the one-N case of ``frec_values``.
+S/sqrt(p); ln p evaluates Loader's saddle-point terms once per (box count,
+row length) of the block and gathers them onto the rows.  Each N's terms go
+to one ``math.fsum`` as a list of Python floats.  Every term depends on its
+own row and N only, and ``fsum`` rounds the exact sum once, so a value is
+bit for bit the same whatever block it lands in: ``frec(N, d)`` is the
+one-N case of ``frec_values``.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def _recycling_sums(n_min: int, n_max: int, d: int) -> list[float]:
         ports = np.repeat(np.arange(start, stop + 1), sizes)
         p = np.exp(ln_schur_weyl_probability(alphas, d))
         terms = height_correction(alphas, d) * p * s_over_sqrt_p(ports, alphas) ** 2
-        sums += [math.fsum(part) for part in np.split(terms, np.cumsum(sizes)[:-1])]
+        flat, ends = terms.tolist(), np.cumsum(sizes).tolist()
+        sums += [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
         start = stop + 1
     return sums
 

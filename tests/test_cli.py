@@ -87,6 +87,24 @@ def test_vfile_without_vfile_prev_exits_2(capsys, vcoeff_path, command):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frec", "--ports", "3", "--dim", "2", "--vfile-prev", "/nonexistent"],
+        ["frec", "--ports", "3", "--dim", "3", "--vfile", "{v3}", "--vfile-prev", "{v2}"],
+        ["oracle", "verify", "--ports", "3", "--dim", "3", "--vfile", "{v3}", "--vfile-prev", "{v3}"],
+        ["resource-fidelity", "--sweep", "--ports-min", "1", "--ports-max", "3", "--vfile", "{v3}"],
+    ],
+)
+def test_weight_file_the_command_does_not_read_exits_2(capsys, vcoeff_path, argv):
+    files = {"v3": vcoeff_path(3, 3), "v2": vcoeff_path(2, 3)}
+    with pytest.raises(SystemExit) as exc:
+        run([arg.format(**files) for arg in argv])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--vfile" in err and "error:" in err
+
+
 def test_frec_optimal_with_files(capsys, vcoeff_path, tmp_path):
     f3 = tmp_path / "v3.json"
     f2 = tmp_path / "v2.json"
@@ -305,6 +323,13 @@ def test_resource_fidelity_vfile(capsys, vcoeff_path, tmp_path):
     code, out, _ = invoke(capsys, "resource-fidelity", "--vfile", str(f), "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["dim"] == 3
+
+
+def test_resource_fidelity_vfile_for_other_ports_exits_3(capsys, vcoeff_path):
+    code, out, err = invoke(capsys, "resource-fidelity", "--vfile", str(vcoeff_path(3, 3)), "--ports", "4")
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == "error: coefficient file is for N=3, requested N=4\n"
 
 
 def test_commands_in_one_process_share_no_options(capsys, vcoeff_path, tmp_path):

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from pbt_recycling import partitions, recycling
 from pbt_recycling.optimal import frec_optimal, one_box_ranks, resource_state_fidelity, v_optimal
 from pbt_recycling.partitions import (
     add_box,
@@ -16,7 +17,7 @@ from pbt_recycling.partitions import (
     partitions_bounded,
     theta_dim,
 )
-from pbt_recycling.recycling import frec, s_over_sqrt_p
+from pbt_recycling.recycling import frec, frec_values, s_over_sqrt_p
 
 GRID = [(0, 2), (1, 2), (1, 3), (7, 3), (40, 2), (30, 4), (12, 6), (300, 2), (120, 3), (2000, 2)]
 
@@ -82,6 +83,79 @@ def test_ln_probability_mixed_box_counts():
         ln_schur_weyl_probability(np.array([[1, 2, 0]]), 3)
     with pytest.raises(ValueError, match="weakly decreasing"):
         ln_schur_weyl_probability(np.array([[2, 0, -1]]), 3)
+
+
+# -- the saddle-point tables against entrywise evaluation -------------------------
+
+
+def _ln_probability_entrywise(table, d):
+    """ln p with Loader's terms evaluated on every table entry: the reference for the tables."""
+    lam = np.asarray(table, dtype=np.int64)
+    n = lam.sum(axis=1)
+    g = partitions._ln_factorial_remainder(np.column_stack([n, lam]))
+    i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))
+    gap = j - i
+    diff = lam[:, i] - lam[:, j] + gap
+    return (
+        g[:, 0]
+        - g[:, 1:].sum(axis=1)
+        - partitions._bd0(lam, n[:, None], d).sum(axis=1)
+        + np.log(diff * diff / ((lam[:, i] + gap) * gap)).sum(axis=1)
+    )
+
+
+def _mixed_table():
+    table, _ = partitions._frame_tables([5, 30, 2, 17, 17, 0, 40, 1], 4)
+    return table[np.random.default_rng(7).permutation(len(table))]
+
+
+@pytest.mark.parametrize(
+    "table,d",
+    [
+        *[(partitions._frame_tables(range(41), d)[0], d) for d in range(1, 7)],
+        (frame_table(1999, 3), 3),
+        (frame_table(299, 4), 4),
+        (frame_table(119, 5), 5),
+        (_mixed_table(), 4),
+        (np.zeros((0, 3), dtype=np.int64), 3),
+    ],
+    ids=[*(f"stacked-d{d}" for d in range(1, 7)), "1999-3", "299-4", "119-5", "shuffled", "empty"],
+)
+def test_tables_match_entrywise_evaluation_bit_for_bit(table, d):
+    assert np.array_equal(ln_schur_weyl_probability(table, d), _ln_probability_entrywise(table, d))
+
+
+def test_tables_stay_within_the_entry_count(monkeypatch):
+    # Loader's terms are evaluated at most once per table entry on full frame tables of height >= 2
+    evaluations = {}
+    bd0, remainder = partitions._bd0, partitions._ln_factorial_remainder
+
+    def bd0_spy(x, n, d):
+        evaluations["bd0"] += np.broadcast(x, n).size
+        return bd0(x, n, d)
+
+    def remainder_spy(x):
+        evaluations["remainder"] += np.size(x)
+        return remainder(x)
+
+    calls = []
+
+    def kernel_spy(table, d):
+        evaluations.update(bd0=0, remainder=0)
+        out = ln_schur_weyl_probability(table, d)
+        calls.append((np.size(table), dict(evaluations)))
+        return out
+
+    monkeypatch.setattr(partitions, "_bd0", bd0_spy)
+    monkeypatch.setattr(partitions, "_ln_factorial_remainder", remainder_spy)
+    monkeypatch.setattr(recycling, "ln_schur_weyl_probability", kernel_spy)
+    kernel_spy(frame_table(1999, 3), 3)
+    kernel_spy(partitions._frame_tables(range(1, 128), 2)[0], 2)
+    frec_values(2, 90, 3)
+    assert len(calls) > 3
+    for entries, counts in calls:
+        assert 0 < counts["bd0"] <= entries
+        assert 0 < counts["remainder"] <= entries
 
 
 # -- mpmath references on the exact-integer forms ---------------------------------
