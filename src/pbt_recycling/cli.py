@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -156,6 +157,10 @@ def _cmd_resource_fidelity(parser, args) -> int:
     if args.sweep:
         if args.vfile:
             parser.error("--sweep uses the optimal qubit weights and reads no --vfile")
+        if args.ports is not None:
+            parser.error("--sweep reads --ports-min and --ports-max, not --ports")
+        if args.format != "text":
+            parser.error("--sweep writes CSV and reads no --format")
         if args.ports_min is None or args.ports_max is None:
             parser.error("--sweep requires --ports-min and --ports-max")
         if args.ports_min < 1 or args.ports_max < args.ports_min:
@@ -166,6 +171,10 @@ def _cmd_resource_fidelity(parser, args) -> int:
             lines.append(f"{n},2,{format_value(value)}")
         _write_text(args.out, "\n".join(lines) + "\n")
         return EXIT_OK
+    if args.ports_min is not None or args.ports_max is not None:
+        parser.error("--ports-min and --ports-max are read only with --sweep")
+    if args.out is not None:
+        parser.error("--out is read only with --sweep")
     if args.vfile:
         v = opt.load_v_coefficients(args.vfile)
         if args.ports is not None and v.ports != args.ports:
@@ -183,6 +192,8 @@ def _cmd_resource_fidelity(parser, args) -> int:
 def _cmd_oracle_verify(parser, args) -> int:
     if not args.optimal and args.vfile_prev:
         parser.error("--vfile-prev is read only with --optimal")
+    if not 0.0 <= args.tol < math.inf:
+        parser.error(f"--tol must be finite and at least 0, got {args.tol!r}")
     if args.optimal:
         v, v_prev = _weight_pair(parser, args)
     elif args.vfile:
@@ -265,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--ports", type=int)
     p_res.add_argument("--vfile", help="coefficient file, any d, not with --sweep (default: optimal qubit weights)")
     p_res.add_argument("--sweep", action="store_true")
-    p_res.add_argument("--ports-min", type=int)
-    p_res.add_argument("--ports-max", type=int)
-    p_res.add_argument("--out", help="output path (default stdout)")
-    p_res.add_argument("--format", choices=("text", "json"), default="text")
+    p_res.add_argument("--ports-min", type=int, help="first N, with --sweep")
+    p_res.add_argument("--ports-max", type=int, help="last N, with --sweep")
+    p_res.add_argument("--out", help="CSV output path, with --sweep (default stdout)")
+    p_res.add_argument("--format", choices=("text", "json"), default="text", help="without --sweep")
     p_res.set_defaults(func=_cmd_resource_fidelity)
 
     p_oracle = sub.add_parser("oracle", help="dense-matrix oracle")
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = oracle_sub.add_parser("verify", help="run all invariant checks")
     p_verify.add_argument("--ports", type=int, required=True)
     p_verify.add_argument("--dim", type=int, required=True)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=float, default=1e-9, help="largest passing deviation, finite and >= 0")
     p_verify.add_argument(
         "--optimal",
         action="store_true",

@@ -62,6 +62,16 @@ signals sum to O rho O^T = O^2 rho, and whitening undoes the rotation:
 With a zero weight O is singular; the oracle then uses the plain measurement,
 as ``frec_optimal`` does.
 
+``verify_suite`` splits its checks by what they read.  Nine read only the
+measurement; they run once per bundle build, and their deviations are kept
+beside the bundle (``_MEASUREMENT_CHECKS``, emptied with it) and reused only
+while ``_srm_bundle`` returns the very bundle they came from.  The one check
+that reads the rotation weights runs per call, with G = (O O^T) (x) 1 taken
+on the ports and embedded.  So a repeat call at a point pays only for its
+rotation.  The optimal fidelity's two rotations meet on port space too:
+(O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T = [O_N (O_(N-1) (x) 1)^T] (x) 1, one
+d^N x d^N product.
+
 ``verify_suite`` checks covariance under the port group S(N) on its N - 1
 generators, the adjacent transpositions.  Conjugating by a permutation
 matrix only permutes entries, so deviations add along a word, and every
@@ -123,20 +133,30 @@ def _require(*blocks: tuple[int, int]) -> None:
         )
 
 
-def _memo(size: int):
-    """Memoise on the arguments; a miss first evicts the oldest entries, so at most ``size`` are held."""
+def _memo(size: int, companion: Optional[dict] = None):
+    """Memoise on the arguments; a miss first evicts the oldest entries, so at most ``size`` are held.
+
+    ``companion``, a dict of values derived from the entries, is emptied before
+    every build and by ``cache_clear``, so it outlives no entry.
+    """
+    derived = {} if companion is None else companion
 
     def decorate(build):
         held: dict = {}
 
         def cached(*key):
             if key not in held:
+                derived.clear()
                 while len(held) >= size:
                     del held[next(iter(held))]
                 held[key] = build(*key)
             return held[key]
 
-        cached.cache_clear = held.clear
+        def cache_clear():
+            derived.clear()
+            held.clear()
+
+        cached.cache_clear = cache_clear
         return wraps(build)(cached)
 
     return decorate
@@ -301,7 +321,14 @@ def _srm_blocks(N: int, d: int) -> tuple[tuple[int, int], ...]:
     return (N + 4, d ** (N + 1)), (2, d**N), (1 + _EIGH_ARRAYS, d ** (N - 1))
 
 
-@_memo(1)
+#: The measurement checks of the bundle ``_srm_bundle`` holds: (N, d) -> [that very
+#: bundle, its deviations or None until ``verify_suite`` first needs them].  Only a
+#: bundle build enters it, and a build or ``cache_clear`` empties it first, so it
+#: holds no array that the memo does not.
+_MEASUREMENT_CHECKS: dict = {}
+
+
+@_memo(1, companion=_MEASUREMENT_CHECKS)
 def _srm_bundle(
     N: int, d: int
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -318,7 +345,8 @@ def _srm_bundle(
     since W is invertible on supp rho, which holds every column of Q_N; its
     eigenvalues Lambda, ascending, are the nonzero spectrum of pi_N.  Both
     eigenvalue arrays come as ``eigh`` returns them, ascending.  The peak is
-    ``_srm_blocks``; after, N + 2 dense arrays stay.
+    ``_srm_blocks``; after, N + 2 dense arrays stay.  The bundle is entered in
+    ``_MEASUREMENT_CHECKS`` with its measurement checks not yet computed.
     """
     whiten, rho_eigenvalues = _psd_function(rho_operator(N, d), _inverse_root, SUPPORT_TOL)
     delta = np.eye(d ** (N + 1))
@@ -337,7 +365,9 @@ def _srm_bundle(
     root += delta / sqrt(N)
     for m in (*pis, delta, root, rho_eigenvalues, lam):
         m.flags.writeable = False
-    return tuple(pis), delta, root, rho_eigenvalues, lam
+    bundle = tuple(pis), delta, root, rho_eigenvalues, lam
+    _MEASUREMENT_CHECKS[N, d] = [bundle, None]
+    return bundle
 
 
 def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -442,8 +472,16 @@ def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
 
 
 def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
-    """Extend an operator on the ports by identity on the input system."""
-    return np.kron(o, np.eye(d))
+    """Extend an operator on the ports by identity on the input system: ``np.kron(o, np.eye(d))``.
+
+    Entry (i d + k, j d + l) is o[i, j] when k = l and 0 otherwise, so each of
+    the d diagonal (k, k) slices of a zero (n, d, n, d) array is a copy of o.
+    """
+    n = len(o)
+    out = np.zeros((n, d, n, d))
+    for k in range(d):
+        out[:, k, :, k] = o
+    return out.reshape(n * d, n * d)
 
 
 def frec_oracle(N: int, d: int) -> FidelityReport:
@@ -476,10 +514,12 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
         (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1)),
     )
     root = _srm_bundle(N, d)[2]
-    o_full = _embed_ports_operator(build_optimizing_operator(N, d, vN), d)
-    # identity on port N and the input system
-    rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
-    del o_full
+    # (O_N (x) 1)(O_{N-1} (x) 1 (x) 1)^T = [O_N (O_{N-1} (x) 1)^T] (x) 1, the last
+    # factor the input system: one product on the ports
+    ports = build_optimizing_operator(N, d, vN)
+    ports = ports @ _embed_ports_operator(build_optimizing_operator(N - 1, d, vNm1), d).T
+    rotation = _embed_ports_operator(ports, d)
+    del ports
     # tr(sig root O Q^T) = vdot(root sig, O Q^T).  Every column of root sig at an index
     # of column j of Q_N is d^(-N) times the sum of root's columns there, so the vdot is
     # d^(-N) times that sum against the sum of O Q^T's columns there, over every j
@@ -583,37 +623,31 @@ def _swap_deviation(x: np.ndarray, y: np.ndarray, i: int, d: int, n: int) -> flo
     return float(np.abs(x.reshape(shape) - swapped).max())
 
 
-def verify_suite(
-    N: int,
-    d: int,
-    tol: float = 1e-9,
-    v: Optional[VCoefficients] = None,
-) -> VerifyReport:
-    """Run every protocol invariant check at one parameter point.
+def _measurement_checks(N: int, d: int, bundle) -> tuple[tuple[str, float, str], ...]:
+    """(name, deviation, detail) of the nine checks that read only the measurement, in report order.
 
-    Failures are reported, not raised.  ``v`` supplies rotation weights for
-    the rotation-dependent checks (uniform weights when omitted).
-
-    Port covariance is checked on the N - 1 adjacent transpositions only.  The
-    reported ``signal_and_povm_covariance`` is N(N - 1)/2 times their largest
-    deviation, an upper bound on the deviation under every permutation.
+    None reads the rotation weights, so one computation serves every call on
+    the same bundle.  Port covariance is checked on the N - 1 adjacent
+    transpositions only: the reported ``signal_and_povm_covariance`` is
+    N(N - 1)/2 times their largest deviation, an upper bound on the deviation
+    under every permutation.
     """
     n = N + 1
     dim = d**n
-    # the SRM with its completed root, signals and completed elements hold 3N + 2
-    # arrays, and three temporaries; the bundle's build and the rotation need fewer
-    _require((3 * N + 5, dim), (_YOUNG_BASIS_ARRAYS + 2, d**N))
-    report = VerifyReport(ports=N, dim=d, tol=tol)
-    pis, delta, root = _srm_bundle(N, d)[:3]
+    pis, delta, root = bundle[:3]
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
+    checks = []
+
+    def add(name: str, deviation, detail: str = ""):
+        checks.append((name, float(deviation), detail))
 
     completed = [pi + delta / N for pi in pis]
-    report.add("povm_completeness", np.abs(sum(completed) - np.eye(dim)).max())
-    report.add("excess_idempotent", np.abs(delta @ delta - delta).max())
+    add("povm_completeness", np.abs(sum(completed) - np.eye(dim)).max())
+    add("excess_idempotent", np.abs(delta @ delta - delta).max())
     # every column of delta sigma_s at an index of column j of Q_s is d^(-N) times
     # the sum of delta's columns there
     dev_orth = max(np.abs(_signal_gather(delta, _signal_columns(s, N, d))).max() for s in range(1, N + 1))
-    report.add("excess_signal_orthogonal", dev_orth / d**N)
+    add("excess_signal_orthogonal", dev_orth / d**N)
 
     # covariance under the adjacent port transpositions (acting trivially on the input);
     # a word of at most N(N - 1)/2 of them reaches any permutation, and its deviations add up
@@ -627,24 +661,17 @@ def verify_suite(
                 _swap_deviation(sigs[a - 1], sigs[b - 1], i, d, n),
                 _swap_deviation(completed[a - 1], completed[b - 1], i, d, n),
             )
-    report.add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
+    add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
 
-    report.add("completed_trace", max(abs(np.trace(c) - d ** (N + 1) / N) for c in completed))
+    add("completed_trace", max(abs(np.trace(c) - d ** (N + 1) / N) for c in completed))
+    del completed
 
-    vv = v if v is not None else VCoefficients.uniform(N, d)
-    o = build_optimizing_operator(N, d, vv)
-    # tr(O^T c O) = vdot(c, O O^T) because c is symmetric
-    gram = _embed_ports_operator(o @ o.T, d)
-    dev_rot = max(abs(np.vdot(c, gram) - d ** (N + 1) / N) for c in completed)
-    report.add("rotated_completed_trace", dev_rot)
-    del gram, completed
-
-    report.add("rho_spectrum", rho_spectrum_report(N, d).max_deviation)
-    report.add("povm_spectrum", povm_spectrum_deviation(N, d))
+    add("rho_spectrum", rho_spectrum_report(N, d).max_deviation)
+    add("povm_spectrum", povm_spectrum_deviation(N, d))
 
     # signal N equals the partially transposed port<->input swap over d^N
     v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
-    report.add("signal_is_transposed_swap", np.abs(sigs[N - 1] - v_prime / d**N).max())
+    add("signal_is_transposed_swap", np.abs(sigs[N - 1] - v_prime / d**N).max())
     del sigs
 
     # tr(root v') is vdot(root, v') because root is symmetric.  The completed
@@ -652,10 +679,58 @@ def verify_suite(
     # and delta projects onto its kernel, and tr(delta v') = d^N tr(delta sigma_N)
     # is zero (excess_signal_orthogonal): this is the trace of the bare root.
     tr_direct = float(np.vdot(root, v_prime))
-    report.add(
-        "sqrt_povm_signal_trace",
-        abs(tr_direct - trace_sqrt_povm_signal(N, d)),
-        detail=f"oracle={tr_direct!r}",
-    )
-    del v_prime
+    add("sqrt_povm_signal_trace", abs(tr_direct - trace_sqrt_povm_signal(N, d)), f"oracle={tr_direct!r}")
+    return tuple(checks)
+
+
+def _measurement_deviations(N: int, d: int, bundle) -> tuple[tuple[str, float, str], ...]:
+    """``_measurement_checks`` of ``bundle``, computed once for the bundle ``_srm_bundle`` holds.
+
+    Any other bundle, such as one a caller substitutes, is checked afresh and
+    not kept.
+    """
+    entry = _MEASUREMENT_CHECKS.get((N, d))
+    if entry is None or entry[0] is not bundle:
+        return _measurement_checks(N, d, bundle)
+    if entry[1] is None:
+        entry[1] = _measurement_checks(N, d, bundle)
+    return entry[1]
+
+
+def verify_suite(
+    N: int,
+    d: int,
+    tol: float = 1e-9,
+    v: Optional[VCoefficients] = None,
+) -> VerifyReport:
+    """Run every protocol invariant check at one parameter point.
+
+    Failures are reported, not raised.  Nine checks read only the measurement
+    (``_measurement_checks``); their deviations are computed once per bundle
+    build and kept with it, and ``tol`` is applied per call.  The one
+    rotation check, ``rotated_completed_trace``, is computed per call from
+    ``v``'s rotation weights (uniform weights when omitted): with
+    G = (O O^T) (x) 1 and c_a = pi_a + Delta/N, tr(O^T c_a O) = vdot(c_a, G)
+    must be d^(N+1)/N.  O O^T is taken on the ports, and each c_a is formed in
+    turn in one buffer, so no list of completed elements is built.
+    """
+    dim = d ** (N + 1)
+    # the SRM with its completed root, signals and completed elements hold 3N + 2
+    # arrays, and three temporaries; the bundle's build and the rotation need fewer
+    _require((3 * N + 5, dim), (_YOUNG_BASIS_ARRAYS + 2, d**N))
+    bundle = _srm_bundle(N, d)
+    pis, delta = bundle[:2]
+    o = build_optimizing_operator(N, d, v if v is not None else VCoefficients.uniform(N, d))
+    # tr(O^T c O) = vdot(c, G) because c is symmetric
+    gram = _embed_ports_operator(o @ o.T, d)
+    excess = delta / N
+    completed = np.empty_like(delta)
+    dev_rot = max(abs(np.vdot(np.add(pi, excess, out=completed), gram) - dim / N) for pi in pis)
+    del o, gram, excess, completed
+
+    report = VerifyReport(ports=N, dim=d, tol=tol)
+    for name, deviation, detail in _measurement_deviations(N, d, bundle):
+        report.add(name, deviation, detail)
+        if name == "completed_trace":
+            report.add("rotated_completed_trace", dev_rot)
     return report

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from qubit_angular import resource_state_fidelity_qubit_angular
 
@@ -317,6 +318,25 @@ def test_resource_fidelity_sweep_bad_range(capsys, low, high):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--sweep", "--ports", "4", "--ports-min", "1", "--ports-max", "2"], "not --ports"),
+        (["--sweep", "--ports-min", "1", "--ports-max", "2", "--format", "json"], "--format"),
+        (["--ports", "3", "--ports-min", "1", "--ports-max", "2"], "only with --sweep"),
+        (["--ports", "3", "--out", "{out}"], "--out is read only with --sweep"),
+    ],
+)
+def test_resource_fidelity_option_its_mode_does_not_read_exits_2(capsys, tmp_path, argv, message):
+    out = tmp_path / "res.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["resource-fidelity", *(arg.format(out=out) for arg in argv)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_resource_fidelity_vfile(capsys, vcoeff_path, tmp_path):
     f = tmp_path / "v.json"
     f.write_text(vcoeff_path(3, 3).read_text())
@@ -415,6 +435,53 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
     solved.clear()
     assert invoke(capsys, *argv)[0] == EXIT_OK
     assert solved == []
+
+
+def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch, tmp_path):
+    # a second op at a point, with new weights, reuses the measurement checks of the first
+    from pbt_recycling import oracle
+    from pbt_recycling.optimal import VCoefficients, save_v_coefficients
+    from pbt_recycling.partitions import partitions_bounded
+
+    calls = []
+    for name in ("_eigh", "_swap_deviation"):
+        real = getattr(oracle, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, spy)
+    N, d = 3, 3
+    rng = np.random.default_rng(5)
+    oracle._srm_bundle.cache_clear()
+    oracle._young_projectors.cache_clear()
+    for op in range(2):
+        files = []
+        for n in (N, N - 1):
+            w = rng.uniform(0.1, 1.0, len(partitions_bounded(n, d)))
+            files.append(tmp_path / f"v{op}_{n}.json")
+            save_v_coefficients(VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w)), files[-1])
+        calls.clear()
+        argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
+        assert invoke(capsys, *argv, "--vfile", str(files[0]), "--vfile-prev", str(files[1]))[0] == EXIT_OK
+        if op == 0:
+            assert calls.count("_eigh") == 4 and calls.count("_swap_deviation") == 2 * N * (N - 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1e-9"])
+def test_oracle_verify_tol_not_finite_or_negative_exits_2(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle", "verify", "--ports", "2", "--dim", "2", f"--tol={tol}"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_oracle_verify_zero_tol_is_valid(capsys):
+    code, out, _ = invoke(capsys, "oracle", "verify", "--ports", "2", "--dim", "2", "--tol", "0")
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED)
+    assert "(tol=0)" in out
 
 
 def test_oracle_verify_json(capsys):

@@ -618,3 +618,93 @@ def test_budget_counts_cover_traced_peak(monkeypatch, name):
     error, peak = _traced(BUDGET_CALLS[name])
     assert error is None
     assert peak <= counted[0] + (1 << 16)  # digit tables and Python objects, under half an array
+
+
+# -- the measurement checks, once per bundle build ---------------------------------------------
+
+#: Checks that read no rotation weights; ``verify_suite`` computes them once per bundle build.
+MEASUREMENT_CHECKS = (
+    "povm_completeness", "excess_idempotent", "excess_signal_orthogonal",
+    "signal_and_povm_covariance", "completed_trace", "rho_spectrum", "povm_spectrum",
+    "signal_is_transposed_swap", "sqrt_povm_signal_trace",
+)
+
+
+def _deviations(report):
+    return [(c.name, c.max_deviation, c.detail) for c in report.checks if c.name in MEASUREMENT_CHECKS]
+
+
+@pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (5, 2), (7, 2), (8, 2), (2, 3), (4, 3), (3, 4)])
+def test_cached_measurement_checks_equal_fresh_ones(N, d):
+    rng = np.random.default_rng(N * 10 + d)
+    oracle._srm_bundle.cache_clear()
+    assert oracle._MEASUREMENT_CHECKS == {}
+    reports = [verify_suite(N, d, v=random_v(N, d, rng)) for _ in range(3)]
+    assert oracle._MEASUREMENT_CHECKS[N, d][0] is oracle._srm_bundle(N, d)
+    fresh = list(oracle._measurement_checks(N, d, oracle._srm_bundle(N, d)))
+    assert [name for name, _, _ in fresh] == list(MEASUREMENT_CHECKS)
+    for report in reports:
+        assert report.all_passed
+        assert _deviations(report) == fresh  # bit for bit: floats compare exactly
+    # the rotation check is recomputed per call, from that call's weights
+    rotated = [{c.name: c for c in r.checks}["rotated_completed_trace"].max_deviation for r in reports]
+    assert all(r <= 1e-9 for r in rotated)
+
+
+def test_check_cache_follows_the_bundle_memo():
+    verify_suite(3, 2)
+    assert (3, 2) in oracle._MEASUREMENT_CHECKS
+    oracle._srm_bundle(2, 2)  # a build at another point drops the entry before it allocates
+    assert list(oracle._MEASUREMENT_CHECKS) == [(2, 2)]
+    bundle, deviations = oracle._MEASUREMENT_CHECKS[2, 2]
+    assert bundle is oracle._srm_bundle(2, 2) and deviations is None
+    oracle._srm_bundle.cache_clear()
+    assert oracle._MEASUREMENT_CHECKS == {}
+
+
+def test_check_cache_rechecks_a_substituted_bundle(monkeypatch):
+    # measurement checks kept for the held bundle must not answer for another one at the same point
+    assert verify_suite(3, 2).all_passed
+    bundle = list(oracle._srm_bundle(3, 2))
+    moved = bundle[3].copy()
+    moved[len(moved) // 2] += 1e-6
+    bundle[3] = moved
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: tuple(bundle))
+    failing = [c.name for c in verify_suite(3, 2, tol=1e-9).checks if not c.passed]
+    assert failing == ["rho_spectrum"]
+    monkeypatch.undo()
+    assert verify_suite(3, 2).all_passed
+
+
+# -- the rotation on port space ------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 1), (1, 2), (4, 2), (6, 3), (9, 4)])
+def test_embed_ports_operator_is_the_kronecker_product(n, d):
+    o = np.random.default_rng(n * 10 + d).standard_normal((n, n))
+    assert np.array_equal(oracle._embed_ports_operator(o, d), np.kron(o, np.eye(d)))
+
+
+def _random_weights_with_a_zero(N, d, rng):
+    w = rng.uniform(0.25, 1.0, len(partitions_bounded(N, d)))
+    if len(w) > 1:
+        w[-1] = 0.0
+    return VCoefficients(ports=N, dim=d, entries=w / np.linalg.norm(w))
+
+
+def _frec_optimal_dense(N, d, vN, vNm1):
+    """sqrt(N)/d |tr(sigma_N root O Q^T)| with O Q^T the D x D product of the two embedded rotations."""
+    root = oracle._srm_bundle(N, d)[2]
+    o_full = np.kron(build_optimizing_operator(N, d, vN), np.eye(d))
+    rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
+    return sqrt(N) / d * abs(np.vdot(root @ signal_state(N, N, d), rotation))
+
+
+@pytest.mark.parametrize("N,d", FACTOR_GRID)
+def test_port_space_rotation_matches_the_dense_product(N, d):
+    rng = np.random.default_rng(N * 10 + d)
+    for vN, vNm1 in [
+        (v_optimal(N, d), v_optimal(N - 1, d)),
+        (_random_weights_with_a_zero(N, d, rng), _random_weights_with_a_zero(N - 1, d, rng)),
+    ]:
+        got = frec_optimal_oracle(N, d, vN, vNm1).value
+        assert got == pytest.approx(_frec_optimal_dense(N, d, vN, vNm1), rel=0, abs=1e-13)
