@@ -1,8 +1,9 @@
 """Degradation of the port-based teleportation resource state under recycling.
 
-Exact Schur-Weyl combinatorics drive closed-form recycling fidelities for
-arbitrary port count and local dimension, with the optimal-protocol variant
-and a small-instance dense-matrix oracle that verifies every formula.
+Schur-Weyl combinatorics on Young-frame tables drive closed-form recycling
+fidelities for arbitrary port count and local dimension, with the
+optimal-protocol variant and a small-instance dense-matrix oracle that
+verifies every formula.
 """
 
 from .optimal import (
@@ -33,23 +34,8 @@ from .oracle import (
     verify_suite,
     young_projector,
 )
-from .partitions import (
-    Partition,
-    add_box,
-    dim_irrep,
-    frame_table,
-    ln_schur_weyl_probability,
-    mult_schur_weyl,
-    partitions_bounded,
-)
-from .recycling import (
-    frec,
-    kround_lower_bound,
-    lower_bound_qubit,
-    povm_block_factor,
-    srm_eigenvalue,
-    trace_sqrt_povm_signal,
-)
+from .partitions import frame_table, ln_schur_weyl_probability, partitions_bounded
+from .recycling import frec, kround_lower_bound, lower_bound_qubit, trace_sqrt_povm_signal
 from .reports import CheckResult, FidelityReport, VerifyReport
 
 __version__ = "0.1.0"
@@ -59,14 +45,11 @@ __all__ = [
     "CoefficientError",
     "DimensionCapError",
     "FidelityReport",
-    "Partition",
     "SpectrumReport",
     "VCoefficients",
     "VerifyReport",
-    "add_box",
     "build_optimizing_operator",
     "channel_fidelity_oracle",
-    "dim_irrep",
     "frame_table",
     "frec",
     "frec_optimal",
@@ -76,12 +59,10 @@ __all__ = [
     "ln_schur_weyl_probability",
     "load_v_coefficients",
     "lower_bound_qubit",
-    "mult_schur_weyl",
     "parse_v_coefficients",
     "partitions_bounded",
     "permutation_operator",
     "pinv_sqrt_psd",
-    "povm_block_factor",
     "resource_fidelity_oracle",
     "resource_state_fidelity",
     "rho_operator",
@@ -89,7 +70,6 @@ __all__ = [
     "save_v_coefficients",
     "signal_state",
     "sqrt_psd",
-    "srm_eigenvalue",
     "srm_povm",
     "trace_sqrt_povm_signal",
     "v_optimal",

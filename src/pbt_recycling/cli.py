@@ -20,7 +20,7 @@ from . import oracle as orc
 from . import recycling as rec
 from .optimal import CoefficientError, VCoefficients
 from .oracle import DimensionCapError
-from .partitions import partitions_bounded
+from .partitions import frame_text, partitions_bounded
 from .reports import FidelityReport
 
 EXIT_OK = 0
@@ -224,7 +224,7 @@ def _cmd_oracle_verify(parser, args) -> int:
 
 def _cmd_partitions(parser, args) -> int:
     for p in partitions_bounded(args.n, args.max_height):
-        print(str(p))
+        print(frame_text(p))
     return EXIT_OK
 
 

@@ -41,7 +41,14 @@ from math import sqrt
 
 import numpy as np
 
-from .partitions import Partition, frame_count, frame_table, ln_schur_weyl_probability, partitions_bounded
+from .partitions import (
+    frame_count,
+    frame_parts,
+    frame_table,
+    frame_text,
+    ln_schur_weyl_probability,
+    partitions_bounded,
+)
 from .recycling import height_correction, s_over_sqrt_p
 from .reports import FidelityReport
 
@@ -96,7 +103,7 @@ class VCoefficients:
             "N": self.ports,
             "d": self.dim,
             "entries": [
-                {"partition": list(p.parts), "v": x}
+                {"partition": list(p), "v": x}
                 for p, x in zip(partitions_bounded(self.ports, self.dim), self.entries.tolist())
             ],
         }
@@ -134,16 +141,16 @@ def parse_v_coefficients(document) -> VCoefficients:
         if not isinstance(item, dict) or "partition" not in item or "v" not in item:
             raise CoefficientError("each entry needs 'partition' and 'v'")
         try:
-            p = Partition(tuple(item["partition"]))
+            p = frame_parts(item["partition"])
         except (TypeError, ValueError) as e:
             raise CoefficientError(f"bad partition {item['partition']}: {e}") from e
-        if p.n != N:
-            raise CoefficientError(f"partition {p} does not have {N} boxes")
+        if sum(p) != N:
+            raise CoefficientError(f"partition {frame_text(p)} does not have {N} boxes")
         if p in entries:
-            raise CoefficientError(f"duplicate partition {p}")
+            raise CoefficientError(f"duplicate partition {frame_text(p)}")
         v = item["v"]
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise CoefficientError(f"bad coefficient for {p}")
+            raise CoefficientError(f"bad coefficient for {frame_text(p)}")
         entries[p] = float(v)
     frames = partitions_bounded(N, d)
     support = set(frames)
@@ -151,8 +158,8 @@ def parse_v_coefficients(document) -> VCoefficients:
     extra = [p for p in entries if p not in support]
     if missing or extra:
         raise CoefficientError(
-            f"incomplete support: missing={[str(p) for p in missing]} "
-            f"unexpected={[str(p) for p in extra]}"
+            f"incomplete support: missing={[frame_text(p) for p in missing]} "
+            f"unexpected={[frame_text(p) for p in extra]}"
         )
     return VCoefficients(ports=N, dim=d, entries=np.array([entries[p] for p in frames]))
 

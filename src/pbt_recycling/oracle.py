@@ -82,6 +82,7 @@ deviation over all N! permutations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import sqrt
@@ -89,16 +90,9 @@ from typing import Optional
 
 import numpy as np
 
-from .optimal import VCoefficients
-from .partitions import (
-    Partition,
-    add_box,
-    as_partition,
-    dim_irrep,
-    mult_schur_weyl,
-    partitions_bounded,
-)
-from .recycling import povm_block_factor, srm_eigenvalue, trace_sqrt_povm_signal
+from .optimal import VCoefficients, one_box_ranks
+from .partitions import frame_parts, frame_table
+from .recycling import trace_sqrt_povm_signal
 from .reports import FidelityReport, VerifyReport
 
 #: Bytes of dense float64 arrays one oracle call may hold at once.
@@ -384,27 +378,57 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return pis[a - 1], delta, pis[a - 1] + delta / N
 
 
-def _content_sums(mu: Partition) -> tuple[int, int]:
-    """(sum c, sum c^2) over the contents c = column - row of the boxes of ``mu``."""
-    contents = [col - row for row, length in enumerate(mu) for col in range(length)]
-    return sum(contents), sum(c * c for c in contents)
+def _box_grid(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inside, contents, hooks) of the frames of a frame table, each rows x d x lambda_1.
+
+    Cell (i, j) of a row's grid is box (i, j) of its frame when j < lam_i
+    (``inside``).  A box has content j - i and hook length
+    lam_i - j + lam'_j - i - 1, lam' the conjugate frame.  Cells outside the
+    frame hold content 0 and hook 1, so sums and products over a grid run over
+    the frame's boxes.  lambda_1 is the table's largest first part.
+    """
+    i = np.arange(table.shape[1])[:, None]
+    j = np.arange(table[:, 0].max(initial=0))
+    inside = j < table[:, :, None]
+    conjugate = inside.sum(axis=1, keepdims=True)
+    contents = np.where(inside, j - i, 0)
+    hooks = np.where(inside, table[:, :, None] - j + conjugate - i - 1, 1)
+    return inside, contents, hooks
+
+
+def _dims_and_multiplicities(table: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d_lam, m_lam) per row of a frame table of n boxes, as int64 arrays, by hook content.
+
+    d_lam = n!/H and m_lam = prod (d + c)/H over the boxes, H the hook
+    product.  Exact while n! and prod (d + c) stay below 2^63; every oracle
+    point the byte budget admits keeps them at most 12! (about 4.8e8).
+    """
+    inside, contents, hooks = _box_grid(table)
+    hook_product = hooks.prod(axis=(1, 2))
+    boxes = int(table[0].sum())
+    return (
+        math.factorial(boxes) // hook_product,
+        np.where(inside, d + contents, 1).prod(axis=(1, 2)) // hook_product,
+    )
 
 
 @_memo(2)
-def _young_projectors(n: int, d: int) -> tuple[tuple[Partition, ...], np.ndarray, np.ndarray]:
+def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(frames, U, labels): the Young eigenbasis of frames of n boxes and height <= d.
 
-    U is the read-only eigenvector matrix of A = K C1 + C2, and ``labels``
-    the read-only row in ``frame_table(n, d)`` (and in ``frames``) of each
-    column's frame.  A acts on frame mu's block as e(mu) = K sum c + sum c^2;
+    ``frames`` is ``frame_table(n, d)``, U the eigenvector matrix of
+    A = K C1 + C2, and ``labels`` the row in ``frames`` of each column's
+    frame, all three read-only.  A acts on frame mu's block as
+    e(mu) = K sum c + sum c^2, the sums over the contents of ``_box_grid``;
     since K = n^3 + 1 exceeds every sum c^2, frames with distinct content sums
     get distinct e.  Two frames sharing e would leave one without
     eigenvectors, which raises.  Taller frames are left out: their blocks
     vanish on (C^d)^(x)n.
     """
-    frames = tuple(partitions_bounded(n, d))
+    frames = frame_table(n, d)
     k = n**3 + 1
-    predicted = np.array([k * s1 + s2 for s1, s2 in map(_content_sums, frames)], dtype=float)
+    contents = _box_grid(frames)[1]
+    predicted = (k * contents.sum(axis=(1, 2)) + (contents**2).sum(axis=(1, 2))).astype(float)
     dim = d**n
     a = np.zeros((dim, dim))
     cols = np.arange(dim)
@@ -427,8 +451,8 @@ def _young_projectors(n: int, d: int) -> tuple[tuple[Partition, ...], np.ndarray
             f"spectrum of K C1 + C2 at ({n}, {d}) breaks the content prediction: "
             f"deviation {dev}, eigenvectors per frame {counts.tolist()}"
         )
-    u.flags.writeable = False
-    nearest.flags.writeable = False
+    for m in (frames, u, nearest):
+        m.flags.writeable = False
     return frames, u, nearest
 
 
@@ -439,15 +463,17 @@ def young_projector(mu, d: int) -> np.ndarray:
     is the group average (d_mu / n!) sum_sigma chi_mu(sigma) V_sigma; it is
     built from box contents instead (see the module docstring), as
     U_mu U_mu^T over the cached eigenvectors labelled mu.  Every call returns
-    a fresh array.
+    a fresh array.  ``mu`` is any sequence of parts that ``frame_parts`` accepts.
     """
-    p = as_partition(mu)
-    if p.height > d:
-        _require((1, d**p.n))
-        return np.zeros((d**p.n, d**p.n))
-    _require((_YOUNG_BASIS_ARRAYS, d**p.n))
-    frames, u, labels = _young_projectors(p.n, d)
-    block = u[:, labels == frames.index(p)]
+    p = frame_parts(mu)
+    n = sum(p)
+    if len(p) > d:
+        _require((1, d**n))
+        return np.zeros((d**n, d**n))
+    _require((_YOUNG_BASIS_ARRAYS, d**n))
+    frames, u, labels = _young_projectors(n, d)
+    row = frames.tolist().index(list(p) + [0] * (d - len(p)))
+    block = u[:, labels == row]
     return block @ block.T
 
 
@@ -486,11 +512,13 @@ def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
 
 def frec_oracle(N: int, d: int) -> FidelityReport:
     """One-round recycling fidelity from the defining trace expression."""
-    _require(*_srm_blocks(N, d))  # then the bundle, a completed element's two temporaries and a signal
+    _require(*_srm_blocks(N, d))  # then the bundle
     pis, delta, root = _srm_bundle(N, d)[:3]
-    norm = sqrt(np.trace(pis[N - 1] + delta / N))
-    # tr(sig root) is vdot(sig, root) because root is symmetric
-    overlap = abs(np.vdot(signal_state(N, N, d), root))
+    norm = sqrt(np.trace(pis[N - 1]) + np.trace(delta) / N)
+    # tr(sigma_N root) = d^(-N) times the sum of root's entries on every pair of
+    # indices in one column of Q_N, the entries ``_signal_sum`` fills for sigma_N
+    cols = _signal_columns(N, N, d)
+    overlap = abs(root[cols[:, :, None], cols[:, None, :]].sum()) / d**N
     value = (N / d) * norm / sqrt(d ** (N + 1)) * overlap
     return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
 
@@ -565,24 +593,35 @@ def resource_fidelity_oracle(N: int, d: int, v: VCoefficients) -> float:
     return float(abs(phi @ rotated))
 
 
+def _rho_spectrum_prediction(N: int, d: int) -> list[tuple[float, int]]:
+    """(eigenvalue, multiplicity) of rho per block (alpha, nu), then (0, the rest of d^(N+1)).
+
+    alpha runs over ``frame_table(N - 1, d)`` and nu = alpha + e_i over its
+    extensions of height <= d (``one_box_ranks``).  The eigenvalue is
+    N m_nu d_alpha / (d^N m_alpha d_nu) = (d + c)/d^N, c = alpha_i - i the
+    content of the added box, one correctly rounded division of integers;
+    the multiplicity is m_alpha d_nu, from ``_dims_and_multiplicities``.
+    """
+    alphas, ranks = one_box_ranks(N, d)
+    f, i = np.nonzero(ranks >= 0)
+    m_alpha = _dims_and_multiplicities(alphas, d)[1]
+    d_nu = _dims_and_multiplicities(frame_table(N, d), d)[0]
+    mults = m_alpha[f] * d_nu[ranks[f, i]]
+    predicted = list(zip(((d + alphas[f, i] - i) / d**N).tolist(), mults.tolist()))
+    predicted.append((0.0, d ** (N + 1) - int(mults.sum())))
+    return predicted
+
+
 def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
     """Oracle spectrum of the summed signals against the block prediction.
 
     The eigenvalues are the ones ``_srm_bundle`` solved for rho to whiten
-    the signals; no eigensolve of its own.
+    the signals; no eigensolve of its own.  The prediction,
+    ``_rho_spectrum_prediction``, reads only int64 frame tables.
     """
     _require(*_srm_blocks(N, d))
     eig = np.sort(_srm_bundle(N, d)[3])
-    predicted: list[tuple[float, int]] = []
-    rank = 0
-    for alpha in partitions_bounded(N - 1, d):
-        m_a = mult_schur_weyl(alpha, d)
-        for nu in add_box(alpha, d):
-            lam = srm_eigenvalue(alpha, nu, N, d)
-            mult = m_a * dim_irrep(nu)
-            predicted.append((lam, mult))
-            rank += mult
-    predicted.append((0.0, d ** (N + 1) - rank))
+    predicted = _rho_spectrum_prediction(N, d)
     expanded = np.sort(np.concatenate([np.full(m, lam) for lam, m in predicted]))
     dev = float(np.abs(eig - expanded).max())
     return SpectrumReport(
@@ -592,13 +631,31 @@ def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
     )
 
 
+def _povm_block_factors(N: int, d: int) -> list[float]:
+    """The nonzero eigenvalue of a bare element on the blocks of each alpha of ``frame_table(N - 1, d)``.
+
+    With h_i = alpha_i + d - 1 - i, the first-column hook lengths when alpha
+    has height d, it is 1 - d_theta/(N d_alpha) = 1 - prod h_i/(h_i + 1)
+    (arXiv:2105.14886), taken as (prod (h_i + 1) - prod h_i)/prod (h_i + 1),
+    one correctly rounded division of Python ints.  A shorter alpha has
+    h_(d-1) = 0 and gets exactly 1: its element is a projector there.
+    """
+    factors = []
+    for hooks in (frame_table(N - 1, d) + np.arange(d - 1, -1, -1)).tolist():
+        grown = math.prod(h + 1 for h in hooks)
+        factors.append((grown - math.prod(hooks)) / grown)
+    return factors
+
+
 def povm_spectrum_deviation(N: int, d: int) -> float:
     """Worst distance of any bare-element eigenvalue from its allowed set.
 
     Reads the spectrum of port N's r x r Gram matrix G = Y_N^T Y_N from
     ``_srm_bundle``; no eigensolve of its own.  Those r = d^(N-1) eigenvalues
     are the nonzero spectrum of pi_N = Y_N Y_N^T, and its other D - r are zero
-    because rank pi_N <= r; zero is allowed.  One element stands for all:
+    because rank pi_N <= r; zero is allowed, and so is each frame's
+    ``_povm_block_factors`` entry, exact integer arithmetic on the frame
+    table that reads no closed-form kernel.  One element stands for all:
     pi_a = V pi_N V^T for the permutation V exchanging ports a and N, so
     the elements share one spectrum.  ``verify_suite`` checks that
     covariance (``signal_and_povm_covariance``), and by Weyl's inequality a
@@ -606,9 +663,7 @@ def povm_spectrum_deviation(N: int, d: int) -> float:
     """
     _require(*_srm_blocks(N, d))
     lam = _srm_bundle(N, d)[4]
-    allowed = np.array(
-        [0.0] + [povm_block_factor(alpha, N, d) for alpha in partitions_bounded(N - 1, d)]
-    )
+    allowed = np.array([0.0] + _povm_block_factors(N, d))
     return float(np.abs(lam[:, None] - allowed).min(axis=1).max())
 
 

@@ -1,76 +1,45 @@
-"""Integer partitions (Young frames) and exact irrep combinatorics.
+"""Integer partitions (Young frames) as rows of int64 frame tables.
 
 Frames with height at most ``d`` label the blocks that the symmetric group
-and the diagonal unitary action carve out of ``(C^d)^{(x)n}``.  Dimensions and
-multiplicities are exact integers.  The closed forms use one floating-point
-quantity instead, the Schur-Weyl probability p(lam) = m_lam d_lam / d^n of a
-frame (the weights sum to 1 over the frames of n boxes), evaluated in log
-space over an integer frame table so that no term overflows.
+and the diagonal unitary action carve out of ``(C^d)^{(x)n}``.  A frame is a
+row of ``frame_table``, zero-padded to ``d`` columns, or, outside the tables,
+a plain tuple of its positive parts (``frame_parts`` validates one).  The
+closed forms use one floating-point quantity of a frame, the Schur-Weyl
+probability p(lam) = m_lam d_lam / d^n (the weights sum to 1 over the frames
+of n boxes), evaluated in log space over a frame table so that no term
+overflows.  Exact-integer dimensions and multiplicities live in the tests, as
+the reference the tables are checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Integral
-from typing import Iterator, Optional
 
 import numpy as np
 
-#: Capacity of the memoization caches for exact dimensions and multiplicities.
-#: Their callers are the oracle's spectral predictions and exact-integer test
-#: references, which ask for the same small frames many times.
-CACHE_CAPACITY = 1 << 16
+
+def frame_parts(parts) -> tuple[int, ...]:
+    """``parts`` as a frame: a tuple of positive, weakly decreasing ints, possibly empty.
+
+    Parts must be integers (numpy ints are; bool, an int subclass, is not):
+    TypeError otherwise, and ValueError when they are not positive or not
+    weakly decreasing.
+    """
+    p = tuple(parts)
+    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in p):
+        raise TypeError(f"partition parts must be integers: {p!r}")
+    p = tuple(map(int, p))
+    if any(x <= 0 for x in p):
+        raise ValueError(f"partition parts must be positive: {p}")
+    if any(a < b for a, b in zip(p, p[1:])):
+        raise ValueError(f"partition parts must be weakly decreasing: {p}")
+    return p
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A Young frame: weakly decreasing positive parts, possibly empty."""
-
-    parts: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        p = tuple(self.parts)
-        # numpy ints are Integral; bool is an int subclass and is not a part
-        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in p):
-            raise TypeError(f"partition parts must be integers: {p!r}")
-        p = tuple(map(int, p))
-        object.__setattr__(self, "parts", p)
-        if any(x <= 0 for x in p):
-            raise ValueError(f"partition parts must be positive: {p}")
-        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {p}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def height(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __str__(self) -> str:
-        return ",".join(str(x) for x in self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({self.parts!r})"
-
-
-def as_partition(p) -> Partition:
-    """Coerce a Partition, tuple or list of parts into a Partition."""
-    if isinstance(p, Partition):
-        return p
-    return Partition(tuple(p))
+def frame_text(parts) -> str:
+    """A frame as the CLI and coefficient-file errors print it: parts joined by commas, '' when empty."""
+    return ",".join(map(str, parts))
 
 
 def _check_frame_bounds(n: int, max_height: int) -> None:
@@ -80,17 +49,17 @@ def _check_frame_bounds(n: int, max_height: int) -> None:
         raise ValueError("max_height must be positive")
 
 
-def partitions_bounded(n: int, max_height: int) -> list[Partition]:
+def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
     """All partitions of ``n`` with height <= ``max_height``, descending lexicographic.
 
-    The ``Partition`` view of the rows of ``frame_table``, trailing zeros
-    dropped.  No frame of n boxes has more than n rows, so the table is
-    built at height min(max_height, n): its column fill loops over the height.
-    ``n = 0`` yields the singleton list containing the empty partition.
+    The rows of ``frame_table`` as tuples of their positive parts.  No frame
+    of n boxes has more than n rows, so the table is built at height
+    min(max_height, n): its column fill loops over the height.
+    ``n = 0`` yields the singleton list containing the empty tuple.
     """
     _check_frame_bounds(n, max_height)
     table = frame_table(n, max(1, min(max_height, n)))
-    return [Partition(tuple(filter(None, row))) for row in table.tolist()]
+    return [tuple(filter(None, row)) for row in table.tolist()]
 
 
 def _frame_counts(n: int, max_height: int) -> np.ndarray:
@@ -155,57 +124,9 @@ def frame_table(n: int, d: int) -> np.ndarray:
     One row per frame, zero-padded to ``d`` columns: the one-size case of
     ``_frame_tables``.  This is the package's one frame order: every weight
     array indexes frames by row of this table, and ``partitions_bounded``
-    lists the same rows as ``Partition`` objects.
+    lists the same rows as tuples.
     """
     return _frame_tables([n], d)[0]
-
-
-#: Dimensions of the frames of n boxes share n! and most of their row factorials.
-_factorial = lru_cache(maxsize=CACHE_CAPACITY)(math.factorial)
-
-
-@lru_cache(maxsize=CACHE_CAPACITY)
-def _hook_product(parts: tuple[int, ...]) -> int:
-    # Frobenius: prod of hooks = prod_i l_i! / prod_{i<j} (l_i - l_j), l_i = parts_i + k - 1 - i
-    k = len(parts)
-    shifted = [row + k - 1 - i for i, row in enumerate(parts)]
-    num = math.prod(_factorial(l) for l in shifted)
-    den = math.prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1:])
-    return num // den
-
-
-@lru_cache(maxsize=CACHE_CAPACITY)
-def _dim_irrep(parts: tuple[int, ...]) -> int:
-    return _factorial(sum(parts)) // _hook_product(parts)
-
-
-@lru_cache(maxsize=CACHE_CAPACITY)
-def _mult_schur_weyl(parts: tuple[int, ...], d: int) -> int:
-    if len(parts) > d:
-        return 0
-    # Weyl dimension formula over the d rows, zero-padded
-    rows = parts + (0,) * (d - len(parts))
-    num = math.prod(rows[i] - rows[j] + j - i for i in range(d) for j in range(i + 1, d))
-    den = math.prod(math.factorial(k) for k in range(d))
-    q, r = divmod(num, den)
-    assert r == 0, "the Weyl dimension formula is integral"
-    return q
-
-
-def dim_irrep(alpha) -> int:
-    """Number of standard Young tableaux of shape ``alpha`` (hook lengths, exact)."""
-    return _dim_irrep(as_partition(alpha).parts)
-
-
-def mult_schur_weyl(alpha, d: int) -> int:
-    """Number of semistandard tableaux of shape ``alpha`` with entries <= ``d``.
-
-    This is the multiplicity of the frame's block in ``(C^d)^{(x)n}``; it is 0
-    exactly when the frame is taller than ``d``.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    return _mult_schur_weyl(as_partition(alpha).parts, d)
 
 
 #: stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 for k = 0..15 (entry 0 unused),
@@ -296,35 +217,3 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
         + np.log(diff * diff / ((lam[:, i] + gap) * gap)).sum(axis=1)
     )
 
-
-def add_box(alpha, max_height: Optional[int] = None) -> list[Partition]:
-    """Frames obtained from ``alpha`` by adding one box, tallest row first.
-
-    ``max_height`` drops frames exceeding that height; ``None`` keeps all.
-    """
-    a = as_partition(alpha)
-    parts = a.parts
-    out = []
-    for i in range(len(parts) + 1):
-        if i < len(parts):
-            if i > 0 and parts[i] == parts[i - 1]:
-                continue  # not a valid corner: would break weak decrease
-            grown = parts[:i] + (parts[i] + 1,) + parts[i + 1:]
-        else:
-            grown = parts + (1,)
-        if max_height is None or len(grown) <= max_height:
-            out.append(Partition(grown))
-    return out
-
-
-def theta_dim(alpha, d: int) -> int:
-    """Dimension of the over-height frame of ``alpha`` at local dimension ``d``, or 0.
-
-    When ``alpha`` has height exactly ``d``, appending a one-box row yields the
-    single frame of height ``d + 1``; its dimension corrects the measurement
-    spectrum.  Frames shorter than ``d`` have no such frame (dimension 0).
-    """
-    a = as_partition(alpha)
-    if a.height > d:
-        raise ValueError("frame exceeds local dimension")
-    return _dim_irrep(a.parts + (1,)) if a.height == d else 0

@@ -47,21 +47,11 @@ one-N case of ``frec_values``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .partitions import (
-    CACHE_CAPACITY,
-    _frame_counts,
-    _frame_tables,
-    add_box,
-    as_partition,
-    dim_irrep,
-    ln_schur_weyl_probability,
-    theta_dim,
-)
+from .partitions import _frame_counts, _frame_tables, ln_schur_weyl_probability
 from .reports import FidelityReport
 
 
@@ -125,50 +115,10 @@ def _recycling_sums(n_min: int, n_max: int, d: int) -> list[float]:
     return sums
 
 
-@lru_cache(maxsize=CACHE_CAPACITY)
+@lru_cache(maxsize=1 << 16)
 def _recycling_sum(N: int, d: int) -> float:
     """sum_alpha c(alpha) S(alpha)^2 (``frec`` and the trace share it)."""
     return _recycling_sums(N, N, d)[0]
-
-
-def srm_eigenvalue(alpha, nu, N: int, d: int) -> float:
-    """Eigenvalue of the summed-signal operator on the block labeled (alpha, nu).
-
-    ``alpha`` has N-1 boxes, ``nu`` is ``alpha`` plus one box; both heights
-    must fit in ``d``.  The eigenvalue is N m_nu d_alpha / (d^N m_alpha d_nu)
-    = (d + c)/d^N, with c = alpha_i - i the content of the box added in
-    row i (0-based).
-    """
-    a, v = as_partition(alpha), as_partition(nu)
-    if a.n != N - 1:
-        raise ValueError(f"alpha must have {N - 1} boxes, got {a.n}")
-    if a.height > d or v.height > d:
-        raise ValueError("frame exceeds local dimension")
-    if v not in add_box(a):
-        raise ValueError(f"{v} is not obtained from {a} by adding one box")
-    # nu's new box sits in row i, column nu_i - 1 = alpha_i (0-based)
-    i = next(i for i, part in enumerate(v) if i == len(a) or part != a[i])
-    return (d + v[i] - 1 - i) / d**N  # one correctly rounded division of exact integers
-
-
-def povm_block_factor(alpha, N: int, d: int) -> float:
-    """Unique nonzero eigenvalue of one SRM element on blocks labeled ``alpha``.
-
-    Frames shorter than ``d`` give 1 (projector); frames of height ``d`` are
-    damped by the over-height frame's dimension, to
-    1 - d_theta/(N d_alpha) = 1 - prod_i h_i/(h_i + 1) = 1/c(alpha)^2, the
-    first-column hook product of ``height_correction``.
-    """
-    a = as_partition(alpha)
-    if a.height > d:
-        raise ValueError("frame exceeds local dimension")
-    if a.n != N - 1:
-        raise ValueError(f"alpha must have {N - 1} boxes, got {a.n}")
-    d_th = theta_dim(a, d)
-    if d_th == 0:
-        return 1.0
-    # exact rational -> nearest float, safe for huge dimensions
-    return float(1 - Fraction(d_th, N * dim_irrep(a)))
 
 
 def trace_sqrt_povm_signal(N: int, d: int) -> float:

@@ -42,6 +42,16 @@ def test_partitions_command(capsys):
     assert out == "4\n3,1\n2,2\n"
 
 
+def test_partitions_command_edges(capsys):
+    # no box: the empty frame, one empty line
+    assert invoke(capsys, "partitions", "--n", "0", "--max-height", "2") == (EXIT_OK, "\n", "")
+    # a height far above n is clamped to n before the table is built
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "partitions", "--n", "5", "--max-height", "1000000")
+    assert time.perf_counter() - start < 0.1
+    assert code == EXIT_OK and out == "5\n4,1\n3,2\n3,1,1\n2,2,1\n2,1,1,1\n1,1,1,1,1\n"
+
+
 # -- frec ---------------------------------------------------------------------------
 
 def test_frec_command(capsys):
@@ -154,6 +164,53 @@ def test_resource_fidelity_boolean_vfile_exits_3(capsys, tmp_path, doc):
     code, _, err = invoke(capsys, "resource-fidelity", "--vfile", str(path))
     assert code == EXIT_DATA
     assert err.startswith("error: ")
+
+
+def _entries(*pairs):
+    return [{"partition": p, "v": v} for p, v in pairs]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{nope", "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[1]", "document must be a JSON object"),
+        (json.dumps({"N": 2, "d": 2}), "missing field 'entries'"),
+        (json.dumps({"N": 0, "d": 2, "entries": []}), "wrong N or d"),
+        (json.dumps({"N": 2, "d": 2, "entries": {}}), "entries must be a list"),
+        (json.dumps({"N": 2, "d": 2, "entries": [{"v": 1}]}), "each entry needs 'partition' and 'v'"),
+        (json.dumps({"N": 3, "d": 2, "entries": _entries(([1, 2], 1))}),
+         "bad partition [1, 2]: partition parts must be weakly decreasing: (1, 2)"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([2, 0], 1))}),
+         "bad partition [2, 0]: partition parts must be positive: (2, 0)"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([-1], 1))}),
+         "bad partition [-1]: partition parts must be positive: (-1,)"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([2.5], 1))}),
+         "bad partition [2.5]: partition parts must be integers: (2.5,)"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([True, True], 1))}),
+         "bad partition [True, True]: partition parts must be integers: (True, True)"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries((["2"], 1))}),
+         "bad partition ['2']: partition parts must be integers: ('2',)"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries((3, 1))}), "bad partition 3: 'int' object is not iterable"),
+        (json.dumps({"N": 3, "d": 2, "entries": _entries(([2], 1))}), "partition 2 does not have 3 boxes"),
+        (json.dumps({"N": 1, "d": 2, "entries": _entries(([], 1))}), "partition  does not have 1 boxes"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([2], 0.6), ([2], 0.8))}), "duplicate partition 2"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([1, 1], "x"))}), "bad coefficient for 1,1"),
+        ('{"N": 2, "d": 2, "entries": [{"partition": [2], "v": NaN}]}', "bad coefficient for 2"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([2], 1.0))}),
+         "incomplete support: missing=['1,1'] unexpected=[]"),
+        (json.dumps({"N": 3, "d": 2, "entries": _entries(([3], 0.6), ([2, 1], 0.8), ([1, 1, 1], 0.0))}),
+         "incomplete support: missing=[] unexpected=['1,1,1']"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([2], 0.9), ([1, 1], 0.3))}),
+         "not normalized: sum of squares = 0.9"),
+        (json.dumps({"N": 2, "d": 2, "entries": _entries(([2], -0.6), ([1, 1], 0.8))}),
+         "negative entry in coefficient set"),
+    ],
+)
+def test_coefficient_file_error_messages_in_full(capsys, tmp_path, text, message):
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    assert invoke(capsys, "resource-fidelity", "--vfile", str(path)) == (EXIT_DATA, "", f"error: {message}\n")
 
 
 def test_unknown_flag_exits_2():

@@ -4,6 +4,7 @@ from math import sqrt
 import mpmath
 import numpy as np
 import pytest
+from exact_reference import add_box, dim_irrep, mult_schur_weyl
 from qubit_angular import angular_dim, gamma_angular, resource_state_fidelity_qubit_angular
 from qubit_two_row import frec_optimal_qubit
 
@@ -19,7 +20,7 @@ from pbt_recycling.optimal import (
     v_optimal,
 )
 from pbt_recycling.oracle import build_optimizing_operator, channel_fidelity_oracle, frec_optimal_oracle
-from pbt_recycling.partitions import add_box, dim_irrep, mult_schur_weyl, partitions_bounded
+from pbt_recycling.partitions import partitions_bounded
 from pbt_recycling.recycling import frec
 
 
@@ -59,7 +60,7 @@ def test_v_optimal_qubit_matches_mpmath(N):
     v = v_optimal(N, 2)
     with mpmath.workdps(40):
         for mu, x in zip(partitions_bounded(N, 2), v.entries.tolist()):
-            k = mu.parts[0] - (mu.parts[1] if mu.height == 2 else 0) + 1
+            k = mu[0] - (mu[1] if len(mu) == 2 else 0) + 1
             ref = 2 / mpmath.sqrt(N + 2) * mpmath.sin(mpmath.pi * k / (N + 2))
             assert abs(x - ref) <= 1e-14 * ref
 
@@ -104,7 +105,7 @@ def test_gamma_consistent_with_v():
     for N in range(2, 21):
         v = v_optimal(N, 2)
         for mu, vm in zip(partitions_bounded(N, 2), v.entries.tolist()):
-            l = mu.parts[1] if mu.height == 2 else 0
+            l = mu[1] if len(mu) == 2 else 0
             j = N / 2 - l
             lhs = sqrt(2**N) * vm / sqrt(dim_irrep(mu) * mult_schur_weyl(mu, 2))
             assert lhs == pytest.approx(sqrt(gamma_angular(N, j)), abs=1e-8)

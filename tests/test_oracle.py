@@ -1,9 +1,11 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 import pytest
+from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 from group_average import group_average_projector
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,12 +32,8 @@ from pbt_recycling.oracle import (
     verify_suite,
     young_projector,
 )
-from pbt_recycling.partitions import Partition, dim_irrep, mult_schur_weyl, partitions_bounded
-from pbt_recycling.recycling import frec, povm_block_factor
-
-
-def P(*parts):
-    return Partition(tuple(parts))
+from pbt_recycling.partitions import frame_table, partitions_bounded
+from pbt_recycling.recycling import frec
 
 
 def maximally_entangled_projector(d):
@@ -198,8 +196,45 @@ def test_povm_spectrum_small():
     allowed = {0.0, 2.0 / 3.0, 1.0}
     assert all(min(abs(x - a) for a in allowed) < 1e-10 for x in w)
     assert povm_spectrum_deviation(3, 2) <= 1e-10
-    factors = {povm_block_factor(al, 3, 2) for al in partitions_bounded(2, 2)}
-    assert factors == {1.0, 2.0 / 3.0}
+    assert set(oracle._povm_block_factors(3, 2)) == {1.0, 2.0 / 3.0}
+
+
+def _admissible_points():
+    """Every (N, d), d >= 2, whose measurement bundle the byte budget admits."""
+    points = []
+    for d in itertools.count(2):
+        for N in itertools.count(1):
+            try:
+                oracle._require(*oracle._srm_blocks(N, d))
+            except DimensionCapError:
+                break
+            points.append((N, d))
+        if N == 1:  # not even one port fits, nor at any larger d
+            return points
+
+
+def test_predictions_match_the_exact_reference_on_the_admissible_domain():
+    # the int64 frame-table predictions against bigint dimensions, wherever a public call can reach them
+    points = _admissible_points()
+    assert len(points) == 104 and max(N for N, _ in points) == 10 and max(d for _, d in points) == 71
+    for N, d in points:
+        for n in (N - 1, N, N + 1):
+            frames = partitions_bounded(n, d)
+            dims, mults = oracle._dims_and_multiplicities(frame_table(n, d), d)
+            assert dims.tolist() == [dim_irrep(p) for p in frames]
+            assert mults.tolist() == [mult_schur_weyl(p, d) for p in frames]
+        alphas = partitions_bounded(N - 1, d)
+        expected = [
+            # N m_nu d_alpha / (d^N m_alpha d_nu), one int/int division
+            (N * mult_schur_weyl(nu, d) * dim_irrep(a) / (d**N * mult_schur_weyl(a, d) * dim_irrep(nu)),
+             mult_schur_weyl(a, d) * dim_irrep(nu))
+            for a in alphas for nu in add_box(a, d)
+        ]
+        expected.append((0.0, d ** (N + 1) - sum(m for _, m in expected)))
+        assert oracle._rho_spectrum_prediction(N, d) == expected
+        # 1 - d_theta/(N d_alpha), rounded once from the exact rational
+        factors = [float(1 - Fraction(theta_dim(a, d), N * dim_irrep(a))) for a in alphas]
+        assert oracle._povm_block_factors(N, d) == factors
 
 
 def test_povm_projector_regime():
@@ -272,14 +307,19 @@ def test_rotated_povm_trace_invariant():
 )
 def test_young_projectors_match_group_average(n, d):
     for mu in partitions_bounded(n, n):
-        reference = group_average_projector(mu.parts, d)
+        reference = group_average_projector(mu, d)
         np.testing.assert_allclose(young_projector(mu, d), reference, rtol=0, atol=1e-12)
 
 
 def test_young_projectors_check_the_content_prediction(monkeypatch):
-    # predicting e(mu) from (sum c^2, sum c) instead of (sum c, sum c^2) must fail the check
-    real = oracle._content_sums
-    monkeypatch.setattr(oracle, "_content_sums", lambda mu: real(mu)[::-1])
+    # predicting e(mu) from the negated contents, those of mu's conjugate, must fail the check
+    real = oracle._box_grid
+
+    def conjugate_contents(table):
+        inside, contents, hooks = real(table)
+        return inside, -contents, hooks
+
+    monkeypatch.setattr(oracle, "_box_grid", conjugate_contents)
     oracle._young_projectors.cache_clear()
     with pytest.raises(RuntimeError, match="content prediction"):
         oracle._young_projectors(3, 2)
@@ -296,10 +336,22 @@ def test_young_projectors_beyond_eight_boxes(n):
         np.testing.assert_allclose(ps[i] @ ps[j], 0.0, rtol=0, atol=1e-12)
 
 
+def test_young_projector_frame_arguments():
+    for parts, error, text in [
+        ((1, 2), ValueError, "weakly decreasing"), ((2, 0), ValueError, "positive"), ((2.5,), TypeError, "integers"),
+    ]:
+        with pytest.raises(error, match=f"partition parts must be {text}"):
+            young_projector(parts, 2)
+    # any sequence of parts; a frame taller than d has no block on (C^d)^(x)n
+    np.testing.assert_allclose(young_projector([2, 1], 2), young_projector((2, 1), 2), rtol=0, atol=0)
+    assert np.array_equal(young_projector((1, 1, 1), 2), np.zeros((8, 8)))
+    assert np.array_equal(young_projector(np.array([2, 1, 1, 1]), 3), np.zeros((243, 243)))
+
+
 def test_projector_byte_budget():
     # the Young eigenbasis of 8 boxes at d = 3 counts 5 dense 6561^2 arrays, about 1.7 GB
     with pytest.raises(DimensionCapError, match="budget"):
-        young_projector(P(8), 3)
+        young_projector((8,), 3)
 
 
 # -- oracle fidelities ---------------------------------------------------------------------
@@ -535,8 +587,8 @@ def test_operators_are_float64():
         signal_state(1, N, d),
         rho,
         *srm_povm(1, N, d),
-        young_projector(P(2, 1), d),
-        young_projector(P(1, 1, 1), d),  # taller than d: the zero operator
+        young_projector((2, 1), d),
+        young_projector((1, 1, 1), d),  # taller than d: the zero operator
         build_optimizing_operator(N, d, v_optimal(N, d)),
         sqrt_psd(rho),
         pinv_sqrt_psd(rho),
@@ -585,7 +637,7 @@ BUDGET_CALLS = {
     "rho_spectrum_report": lambda: rho_spectrum_report(6, 2),
     "povm_spectrum_deviation": lambda: povm_spectrum_deviation(6, 2),
     "srm_povm": lambda: srm_povm(1, 6, 2),
-    "young_projector": lambda: young_projector(P(4, 3), 2),
+    "young_projector": lambda: young_projector((4, 3), 2),
     "build_optimizing_operator": lambda: build_optimizing_operator(7, 2, W[7]),
     "signal_state": lambda: signal_state(1, 6, 2),
     "rho_operator": lambda: rho_operator(6, 2),

@@ -3,73 +3,32 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qubit_two_row import frec_qubit, trace_qubit
 
-from pbt_recycling import recycling
-from pbt_recycling.partitions import (
-    Partition,
-    add_box,
-    dim_irrep,
-    frame_count,
-    mult_schur_weyl,
-    partitions_bounded,
-    theta_dim,
-)
-from pbt_recycling.recycling import (
-    frec,
-    frec_values,
-    kround_lower_bound,
-    lower_bound_qubit,
-    povm_block_factor,
-    srm_eigenvalue,
-    trace_sqrt_povm_signal,
-)
-
-
-def P(*parts):
-    return Partition(tuple(parts))
+from pbt_recycling import oracle, recycling
+from pbt_recycling.partitions import frame_count, partitions_bounded
+from pbt_recycling.recycling import frec, frec_values, kround_lower_bound, lower_bound_qubit, trace_sqrt_povm_signal
 
 
 # -- block eigenvalues ------------------------------------------------------
 
 def test_srm_eigenvalue_examples():
-    assert srm_eigenvalue(P(1), P(2), N=2, d=2) == pytest.approx(0.75, abs=1e-15)
-    assert srm_eigenvalue(P(1), P(1, 1), N=2, d=2) == pytest.approx(0.25, abs=1e-15)
-    # single port: the summed signal is a rank-d^0 projector-like block of weight 1
-    assert srm_eigenvalue(P(), P(1), N=1, d=2) == pytest.approx(1.0, abs=1e-15)
-    assert srm_eigenvalue(P(), P(1), N=1, d=3) == pytest.approx(1.0, abs=1e-15)
-
-
-def _srm_eigenvalue_reference(alpha, nu, N, d):
-    """N m_nu d_alpha / (d^N m_alpha d_nu) from exact Schur-Weyl dimensions, one int/int division."""
-    return N * mult_schur_weyl(nu, d) * dim_irrep(alpha) / (d**N * mult_schur_weyl(alpha, d) * dim_irrep(nu))
-
-
-@pytest.mark.parametrize("d,n_max", [(2, 30), (3, 30), (4, 12), (5, 12), (6, 12)])
-def test_srm_eigenvalue_is_the_dimension_ratio(d, n_max):
-    for N in range(1, n_max + 1):
-        for alpha in partitions_bounded(N - 1, d):
-            for nu in add_box(alpha, d):
-                assert srm_eigenvalue(alpha, nu, N, d) == _srm_eigenvalue_reference(alpha, nu, N, d)
-
-
-def test_srm_eigenvalue_errors():
-    with pytest.raises(ValueError, match="adding one box"):
-        srm_eigenvalue(P(1), P(3), N=2, d=2)
-    with pytest.raises(ValueError, match="boxes"):
-        srm_eigenvalue(P(2), P(2, 1), N=2, d=2)
-    with pytest.raises(ValueError, match="local dimension"):
-        srm_eigenvalue(P(1, 1, 1), P(2, 1, 1), N=4, d=2)
+    # (eigenvalue, multiplicity) of the summed signals: (d + c)/d^N on each block (alpha, nu),
+    # c the content of the added box, then the kernel
+    assert oracle._rho_spectrum_prediction(2, 2) == [(0.75, 2), (0.25, 2), (0.0, 4)]
+    # single port: the summed signal is one maximally entangled projector
+    for d in (2, 3):
+        assert oracle._rho_spectrum_prediction(1, d) == [(1.0, 1), (0.0, d**2 - 1)]
 
 
 def test_povm_block_factor_examples():
-    assert povm_block_factor(P(1), N=2, d=2) == 1.0
-    assert povm_block_factor(P(1, 1), N=3, d=2) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert povm_block_factor(P(2), N=3, d=2) == 1.0
-    with pytest.raises(ValueError):
-        povm_block_factor(P(1, 1, 1), N=4, d=2)
+    # frames of N - 1 = 1 and 2 boxes at d = 2: only (1, 1) has height d
+    assert oracle._povm_block_factors(2, 2) == [1.0]
+    assert oracle._povm_block_factors(3, 2) == [1.0, pytest.approx(2.0 / 3.0, abs=1e-15)]
+    assert oracle._povm_block_factors(1, 3) == [1.0]
 
 
 # -- overlap traces ----------------------------------------------------------
