@@ -1,10 +1,13 @@
 """Tests of the scripts: smoke runs in a fresh interpreter on the package sources, and call counts in-process."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from pbt_recycling import optimal
 
@@ -43,6 +46,19 @@ def test_regen_pinned_values_imports(tmp_path):
     )
     proc = _run(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pinned_values_recompute_from_the_oracle():
+    # every frozen entry is one the script would compute, and the oracle still gives it
+    spec = importlib.util.spec_from_file_location("regen", ROOT / "scripts" / "regen_pinned_values.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    pinned = json.loads((ROOT / "src" / "pbt_recycling" / "data" / "pinned_values.json").read_text())
+    plan = module.plan()
+    assert sorted(plan) == sorted(pinned)
+    for key, (provenance, compute) in plan.items():
+        assert pinned[key]["provenance"] == provenance
+        assert compute() == pytest.approx(pinned[key]["value"], rel=0, abs=1e-12), key
 
 
 def test_make_figure_data_solves_each_weight_set_once(tmp_path, monkeypatch):
