@@ -26,9 +26,15 @@ count.
 The square-root measurement is built from the signals' factors.  With
 D = d^(N+1) and r = d^(N-1), sigma_a = d^(1-N) Q_a Q_a^T, where the D x r
 isometry Q_a is |phi+> on (port a, input) times the identity on the other
-ports; each column has d nonzeros (``_signal_columns``).  One eigensolve of
-rho = sum_a sigma_a gives W = rho^(-1/2) on the support and rho's spectrum.
-The bare element pi_a = W sigma_a W is Y_a Y_a^T with the D x r factor
+ports; each column has d nonzeros (``_signal_columns``).  rho = sum_a sigma_a
+commutes with U^(x)N (x) conj(U), so it is block diagonal by torus weight:
+the port digit counts minus the unit vector of the input digit
+(``_torus_blocks``).  Every entry of rho outside the blocks must be exactly 0,
+else ``RuntimeError``; then the blocks of one size are solved as one stacked
+eigensolve, which gives W = rho^(-1/2) on the support, scattered into a dense
+D x D array, and rho's spectrum.  At (3, 4) that is 50 blocks of 5 sizes, the
+largest 18 x 18, in place of one 256 x 256 eigensolve.  The bare element
+pi_a = W sigma_a W is Y_a Y_a^T with the D x r factor
 Y_a = d^((1-N)/2) W Q_a, a gather of W's rows, so no D x D product is taken
 against a signal.  The excess Delta = 1 - sum_a pi_a projects onto ker rho.
 Port N's completed element pi_N + Delta/N has the root
@@ -37,22 +43,25 @@ identity sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T takes sqrt(pi_N) from the r x r
 Gram matrix G = Y_N^T Y_N.  ``_srm_bundle`` holds, read-only: the N bare
 elements, Delta, that completed root (the operator behind every recycling
 fidelity), rho's eigenvalues and G's.  It is built once per (N, d) and
-shared by every call.  Its two eigensolves are the only ones of the
+shared by every call.  Its eigensolves are the only ones of the
 measurement: ``rho_spectrum_report`` reads rho's eigenvalues, and
 ``povm_spectrum_deviation`` reads G's, the nonzero spectrum of pi_N.  So a
-fresh point costs one D x D and one r x r eigensolve, besides the Young
-eigenbases of the rotation, and a cached point none.
+fresh point costs one stacked eigensolve per block size of rho and one
+r x r eigensolve, besides the Young eigenbases of the rotation, and a cached
+point none.
 
 Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
 allocates, it counts the dense arrays it will hold at once: operators,
-temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors)
-and the cache entries it creates (``_srm_bundle`` keeps one (N, d) point,
-``_young_projectors`` two; a miss evicts the oldest first; cached arrays are
-read-only).  A D x r factor counts as one d^N x d^N array, since
-D r = d^(2N).  Building the bundle peaks at N + 4 arrays of D x D, two
-factors and the r x r eigensolve (``_srm_blocks``); N + 2 of D x D stay.
-Index arrays (d^n by n digits) are not counted.  Over the budget a call
-raises ``DimensionCapError``, exit code 2 in the CLI.
+temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors;
+four per matrix of a stack, at the stack's size) and the cache entries it
+creates (``_srm_bundle`` keeps one (N, d) point, ``_young_projectors`` two; a
+miss evicts the oldest first; cached arrays are read-only).  A D x r factor
+counts as one d^N x d^N array, since D r = d^(2N).  Building the bundle peaks
+at N + 4 arrays of D x D, two factors and the r x r eigensolve
+(``_srm_blocks``); N + 2 of D x D stay.  rho's blocks hold at most D^2
+entries together, so the dense rho, its stacks with their eigenvectors and W
+fit in that count.  Index arrays (d^n by n digits) are not counted.  Over the
+budget a call raises ``DimensionCapError``, exit code 2 in the CLI.
 
 One measurement serves the optimal protocol too.  Its sender rotation
 O (x) 1 is a weighted sum of port Young projectors, so it commutes with
@@ -66,11 +75,13 @@ as ``frec_optimal`` does.
 measurement; they run once per bundle build, and their deviations are kept
 beside the bundle (``_MEASUREMENT_CHECKS``, emptied with it) and reused only
 while ``_srm_bundle`` returns the very bundle they came from.  The one check
-that reads the rotation weights runs per call, with G = (O O^T) (x) 1 taken
-on the ports and embedded.  So a repeat call at a point pays only for its
-rotation.  The optimal fidelity's two rotations meet on port space too:
-(O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T = [O_N (O_(N-1) (x) 1)^T] (x) 1, one
-d^N x d^N product.
+that reads the rotation weights runs per call on the d^N port space:
+vdot(c_a, (O O^T) (x) 1) = vdot(tr_in c_a, O O^T), tr_in the partial trace
+over the input.  So a repeat call at a point pays only for its rotation,
+and allocates no D x D array.  The optimal fidelity's two rotations meet on
+port space too: (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T = [O_N (O_(N-1) (x) 1)^T] (x) 1,
+one d^N x d^N product, whose summed columns at Q_N's indices are read from
+it directly, with no D x D embedding.
 
 ``verify_suite`` checks covariance under the port group S(N) on its N - 1
 generators, the adjacent transpositions.  Conjugating by a permutation
@@ -261,27 +272,37 @@ def rho_operator(N: int, d: int) -> np.ndarray:
 
 
 def _eigh(m: np.ndarray, vectors: bool = True):
-    """``eigh`` (or ``eigvalsh``) of a real symmetric matrix, after checking that it is one."""
-    _require((_EIGH_ARRAYS, len(m)))
-    dev = np.abs(m - m.T).max()
+    """``eigh`` (or ``eigvalsh``) of a real symmetric matrix or a stack of them, after checking symmetry."""
+    _require((_EIGH_ARRAYS * math.prod(m.shape[:-2]), m.shape[-1]))
+    dev = np.abs(m - np.swapaxes(m, -1, -2)).max()
     if not dev <= 1e-12:
         raise ValueError(f"operator is not symmetric (deviation {dev})")
     return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
 
 
-def _psd_function(m: np.ndarray, f, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(f of a PSD matrix, its eigenvalues); f acts on eigenvalues above tol*lambda_max, 0 on the rest."""
-    w, u = _eigh(m)
-    lam_max = float(w[-1]) if w.size else 0.0
+def _psd_function(stacks: list, f, tol: float) -> tuple[list, list]:
+    """(f of each matrix or stack, their eigenvalues) for the diagonal blocks of one PSD operator.
+
+    f acts on eigenvalues above tol*lambda_max, 0 on the rest, lambda_max
+    the largest eigenvalue over every block.  One eigensolve per entry.
+    """
+    solved = [_eigh(m) for m in stacks]
+    spectra = [w for w, _ in solved]
+    lam_max = max((float(w.max()) for w in spectra if w.size), default=0.0)
+    lam_min = min((float(w.min()) for w in spectra if w.size), default=0.0)
     neg_floor = -NEGATIVE_EIG_TOL * max(1.0, abs(lam_max))
-    if w[0] < neg_floor:
-        raise ValueError(f"not PSD: eigenvalue {w[0]} below {neg_floor}")
-    support = w > tol * max(lam_max, 0.0)
-    vals = np.zeros_like(w)
-    vals[support] = f(w[support])
-    m = (u * vals) @ u.T
-    del u
-    return 0.5 * (m + m.T), w
+    if lam_min < neg_floor:
+        raise ValueError(f"not PSD: eigenvalue {lam_min} below {neg_floor}")
+    values = []
+    for w in spectra:
+        _, u = solved.pop(0)
+        support = w > tol * max(lam_max, 0.0)
+        vals = np.zeros_like(w)
+        vals[support] = f(w[support])
+        m = (u * vals[..., None, :]) @ np.swapaxes(u, -1, -2)
+        del u
+        values.append(0.5 * (m + np.swapaxes(m, -1, -2)))
+    return values, spectra
 
 
 def _inverse_root(w: np.ndarray) -> np.ndarray:
@@ -290,18 +311,67 @@ def _inverse_root(w: np.ndarray) -> np.ndarray:
 
 def sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Spectral square root with sub-threshold eigenvalues clamped to zero."""
-    return _psd_function(m, np.sqrt, tol)[0]
+    return _psd_function([m], np.sqrt, tol)[0][0]
 
 
 def pinv_sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
     """Inverse square root on the support; the kernel is left untouched."""
-    return _psd_function(m, _inverse_root, tol)[0]
+    return _psd_function([m], _inverse_root, tol)[0][0]
+
+
+def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
+    """The basis indices of rho's diagonal blocks, one k x s array per block size s, sizes ascending.
+
+    A row of an array is one block: the indices of one torus weight, the
+    digit counts of the ports minus the unit vector of the input digit.
+    rho commutes with U^(x)N (x) conj(U) for every diagonal unitary U, which
+    multiplies a basis state by its weight's character, so rho has no entry
+    between two weights.  Weights are grouped by sorting them, with no
+    ``np.unique``.
+    """
+    digits = _digits(d, N + 1)
+    rows = np.arange(len(digits))
+    weight = np.zeros((len(digits), d), dtype=np.int64)
+    for p in range(N):
+        weight[rows, digits[:, p]] += 1
+    weight[rows, digits[:, N]] -= 1
+    order = np.lexsort(weight.T)
+    weight = weight[order]
+    starts = np.flatnonzero(np.r_[True, (weight[1:] != weight[:-1]).any(axis=1)])
+    sizes = np.diff(np.r_[starts, len(order)])
+    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in sorted(set(sizes.tolist()))]
+
+
+def _blocked_inverse_root(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W = rho^(-1/2) on the support, rho's eigenvalues ascending), solved block by block.
+
+    The blocks of ``_torus_blocks`` are gathered from the dense rho as one
+    stack per block size, and each stack is one batched eigensolve; the
+    inverse roots are scattered back into a dense W.  Before solving, every
+    entry of rho outside the blocks must be exactly 0: the blocks hold as
+    many nonzeros as rho, else ``RuntimeError``.
+    """
+    rho = rho_operator(N, d)
+    blocks = _torus_blocks(N, d)
+    stacks = [rho[b[:, :, None], b[:, None, :]] for b in blocks]
+    outside = np.count_nonzero(rho) - sum(np.count_nonzero(m) for m in stacks)
+    if outside:
+        raise RuntimeError(f"rho at ({N}, {d}) has {outside} nonzero entries outside its torus-weight blocks")
+    del rho
+    roots, spectra = _psd_function(stacks, _inverse_root, SUPPORT_TOL)
+    del stacks
+    whiten = np.zeros((d ** (N + 1),) * 2)
+    for b, root in zip(blocks, roots):
+        whiten[b[:, :, None], b[:, None, :]] = root
+    return whiten, np.sort(np.concatenate([w.ravel() for w in spectra]))
 
 
 def _symmetric_gram(yt: np.ndarray) -> np.ndarray:
-    """yt^T yt, symmetrised."""
+    """yt^T yt, symmetrised in place."""
     m = yt.T @ yt
-    return 0.5 * (m + m.T)
+    m += m.T
+    m *= 0.5
+    return m
 
 
 def _srm_blocks(N: int, d: int) -> tuple[tuple[int, int], ...]:
@@ -328,21 +398,26 @@ def _srm_bundle(
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(bare elements, excess projector, completed root, spectrum of rho, spectrum of G), read-only.
 
-    One eigensolve of rho gives W = rho^(-1/2) on the support and rho's
-    eigenvalues.  Port a's bare element is Y_a Y_a^T with the D x r factor
-    Y_a = d^(-N/2) W Q_a', Q_a' the 0/1 pattern of Q_a, a gather of d rows
-    of W per column (W is symmetric).  The excess Delta = 1 - sum_a pi_a
+    ``_blocked_inverse_root`` gives W = rho^(-1/2) on the support and rho's
+    eigenvalues from rho's torus-weight blocks: it raises ``RuntimeError``
+    unless every entry of rho outside them is exactly 0, and solves the
+    blocks of each size as one stack through ``_eigh``, whose ``_require``
+    counts four arrays per stacked matrix at its size.  Port a's bare
+    element is Y_a Y_a^T with the D x r factor Y_a = d^(-N/2) W Q_a', Q_a'
+    the 0/1 pattern of Q_a, a gather of d rows of W per column (W is
+    symmetric).  The excess Delta = 1 - sum_a pi_a
     projects onto ker rho.  The root of port N's completed element is
     sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho; and
     sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from the r x r Gram matrix
     G = Y_N^T Y_N = V Lambda V^T (the polar identity).  G is positive definite,
     since W is invertible on supp rho, which holds every column of Q_N; its
     eigenvalues Lambda, ascending, are the nonzero spectrum of pi_N.  Both
-    eigenvalue arrays come as ``eigh`` returns them, ascending.  The peak is
-    ``_srm_blocks``; after, N + 2 dense arrays stay.  The bundle is entered in
+    eigenvalue arrays are ascending.  The peak is ``_srm_blocks`` (rho's
+    blocks hold at most one D x D array's entries, so the whitening stays
+    inside it); after, N + 2 dense arrays stay.  The bundle is entered in
     ``_MEASUREMENT_CHECKS`` with its measurement checks not yet computed.
     """
-    whiten, rho_eigenvalues = _psd_function(rho_operator(N, d), _inverse_root, SUPPORT_TOL)
+    whiten, rho_eigenvalues = _blocked_inverse_root(N, d)
     delta = np.eye(d ** (N + 1))
     pis = []
     for a in range(1, N + 1):
@@ -546,13 +621,16 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     # factor the input system: one product on the ports
     ports = build_optimizing_operator(N, d, vN)
     ports = ports @ _embed_ports_operator(build_optimizing_operator(N - 1, d, vNm1), d).T
-    rotation = _embed_ports_operator(ports, d)
-    del ports
     # tr(sig root O Q^T) = vdot(root sig, O Q^T).  Every column of root sig at an index
     # of column j of Q_N is d^(-N) times the sum of root's columns there, so the vdot is
-    # d^(-N) times that sum against the sum of O Q^T's columns there, over every j
+    # d^(-N) times that sum against the sum of O Q^T's columns there, over every j.
+    # O Q^T = ports (x) 1, and column j of Q_N sits at the indices (q_j + k) d + k,
+    # k = 0..d-1, q_j its port index with port N's digit 0: the summed column is
+    # ports[i, q_j + k] at index i d + k
     cols = _signal_columns(N, N, d)
-    overlap = np.vdot(_signal_gather(root, cols), _signal_gather(rotation.T, cols)) / d**N
+    rotated = ports[np.arange(d**N)[:, None], (cols[:, :1] // d + np.arange(d))[:, None, :]]  # [j, i, k]
+    del ports
+    overlap = np.vdot(_signal_gather(root, cols), rotated) / d**N
     value = (sqrt(N) / d) * abs(overlap)
     return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
 
@@ -667,15 +745,25 @@ def povm_spectrum_deviation(N: int, d: int) -> float:
     return float(np.abs(lam[:, None] - allowed).min(axis=1).max())
 
 
-def _swap_deviation(x: np.ndarray, y: np.ndarray, i: int, d: int, n: int) -> float:
+def _input_trace(m: np.ndarray, d: int) -> np.ndarray:
+    """Partial trace over the input system, the last factor: an operator on the ports."""
+    n = len(m) // d
+    return np.trace(m.reshape(n, d, n, d), axis1=1, axis2=3)
+
+
+def _swap_deviation(
+    x: np.ndarray, y: np.ndarray, i: int, d: int, n: int, out: Optional[np.ndarray] = None
+) -> float:
     """max |x - V y V^T| for V the permutation operator exchanging factors i and i + 1 of n.
 
     Conjugating by V swaps those two axes of the row and of the column index:
-    a strided view of y, with no gather.
+    a strided view of y, with no gather.  The difference is formed in ``out``,
+    a contiguous array of x's size, when given, else in one fresh array.
     """
     shape = (d**i, d, d, d ** (n - i - 2)) * 2
     swapped = y.reshape(shape).transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    return float(np.abs(x.reshape(shape) - swapped).max())
+    diff = np.subtract(x.reshape(shape), swapped, out=None if out is None else out.reshape(shape))
+    return float(np.abs(diff, out=diff).max())
 
 
 def _measurement_checks(N: int, d: int, bundle) -> tuple[tuple[str, float, str], ...]:
@@ -696,9 +784,18 @@ def _measurement_checks(N: int, d: int, bundle) -> tuple[tuple[str, float, str],
     def add(name: str, deviation, detail: str = ""):
         checks.append((name, float(deviation), detail))
 
-    completed = [pi + delta / N for pi in pis]
-    add("povm_completeness", np.abs(sum(completed) - np.eye(dim)).max())
-    add("excess_idempotent", np.abs(delta @ delta - delta).max())
+    excess = delta / N
+    completed = [pi + excess for pi in pis]
+    del excess
+    # one D x D buffer takes every difference below, each reduced in place
+    scratch = completed[0].copy()
+    for c in completed[1:]:
+        scratch += c
+    scratch.flat[:: dim + 1] -= 1.0
+    add("povm_completeness", np.abs(scratch, out=scratch).max())
+    np.matmul(delta, delta, out=scratch)
+    scratch -= delta
+    add("excess_idempotent", np.abs(scratch, out=scratch).max())
     # every column of delta sigma_s at an index of column j of Q_s is d^(-N) times
     # the sum of delta's columns there
     dev_orth = max(np.abs(_signal_gather(delta, _signal_columns(s, N, d))).max() for s in range(1, N + 1))
@@ -713,8 +810,8 @@ def _measurement_checks(N: int, d: int, bundle) -> tuple[tuple[str, float, str],
             b = perm[a - 1] + 1
             dev_cov = max(
                 dev_cov,
-                _swap_deviation(sigs[a - 1], sigs[b - 1], i, d, n),
-                _swap_deviation(completed[a - 1], completed[b - 1], i, d, n),
+                _swap_deviation(sigs[a - 1], sigs[b - 1], i, d, n, scratch),
+                _swap_deviation(completed[a - 1], completed[b - 1], i, d, n, scratch),
             )
     add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
 
@@ -726,8 +823,9 @@ def _measurement_checks(N: int, d: int, bundle) -> tuple[tuple[str, float, str],
 
     # signal N equals the partially transposed port<->input swap over d^N
     v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
-    add("signal_is_transposed_swap", np.abs(sigs[N - 1] - v_prime / d**N).max())
-    del sigs
+    np.subtract(sigs[N - 1], np.divide(v_prime, d**N, out=scratch), out=scratch)
+    add("signal_is_transposed_swap", np.abs(scratch, out=scratch).max())
+    del sigs, scratch
 
     # tr(root v') is vdot(root, v') because root is symmetric.  The completed
     # root is sqrt(pi_N) + delta / sqrt(N), since pi_N lives on the support of rho
@@ -766,8 +864,8 @@ def verify_suite(
     rotation check, ``rotated_completed_trace``, is computed per call from
     ``v``'s rotation weights (uniform weights when omitted): with
     G = (O O^T) (x) 1 and c_a = pi_a + Delta/N, tr(O^T c_a O) = vdot(c_a, G)
-    must be d^(N+1)/N.  O O^T is taken on the ports, and each c_a is formed in
-    turn in one buffer, so no list of completed elements is built.
+    must be d^(N+1)/N.  It is taken on the ports as vdot(tr_in c_a, O O^T),
+    tr_in the partial trace over the input, so no D x D array is built.
     """
     dim = d ** (N + 1)
     # the SRM with its completed root, signals and completed elements hold 3N + 2
@@ -776,12 +874,12 @@ def verify_suite(
     bundle = _srm_bundle(N, d)
     pis, delta = bundle[:2]
     o = build_optimizing_operator(N, d, v if v is not None else VCoefficients.uniform(N, d))
-    # tr(O^T c O) = vdot(c, G) because c is symmetric
-    gram = _embed_ports_operator(o @ o.T, d)
-    excess = delta / N
-    completed = np.empty_like(delta)
-    dev_rot = max(abs(np.vdot(np.add(pi, excess, out=completed), gram) - dim / N) for pi in pis)
-    del o, gram, excess, completed
+    # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric
+    gram = o @ o.T
+    del o
+    excess = _input_trace(delta, d) / N
+    dev_rot = max(abs(np.vdot(_input_trace(pi, d) + excess, gram) - dim / N) for pi in pis)
+    del gram, excess
 
     report = VerifyReport(ports=N, dim=d, tol=tol)
     for name, deviation, detail in _measurement_deviations(N, d, bundle):

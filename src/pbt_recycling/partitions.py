@@ -18,6 +18,9 @@ from numbers import Integral
 
 import numpy as np
 
+#: Bytes ``partitions_bounded`` may hold at once: the frame table and its rows as tuples.
+PARTITIONS_BYTE_BUDGET = 1 << 30
+
 
 def frame_parts(parts) -> tuple[int, ...]:
     """``parts`` as a frame: a tuple of positive, weakly decreasing ints, possibly empty.
@@ -56,9 +59,24 @@ def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
     of n boxes has more than n rows, so the table is built at height
     min(max_height, n): its column fill loops over the height.
     ``n = 0`` yields the singleton list containing the empty tuple.
+
+    With h = max(1, min(max_height, n)) columns a frame costs at most
+    32 h + 128 bytes: its int64 table row and the table's fill maps, the row
+    as a list and as a tuple of Python ints, and two list slots.  The frames
+    are counted first (``frame_count``), and ValueError is raised before
+    anything is built when they would take more than
+    ``PARTITIONS_BYTE_BUDGET`` bytes.
     """
     _check_frame_bounds(n, max_height)
-    table = frame_table(n, max(1, min(max_height, n)))
+    height = max(1, min(max_height, n))
+    count = frame_count(n, height)
+    nbytes = count * (32 * height + 128)
+    if nbytes > PARTITIONS_BYTE_BUDGET:
+        raise ValueError(
+            f"{count} frames of {n} boxes and height <= {max_height} need {nbytes} bytes, "
+            f"over the budget of {PARTITIONS_BYTE_BUDGET}"
+        )
+    table = frame_table(n, height)
     return [tuple(filter(None, row)) for row in table.tolist()]
 
 

@@ -52,6 +52,15 @@ def test_partitions_command_edges(capsys):
     assert code == EXIT_OK and out == "5\n4,1\n3,2\n3,1,1\n2,2,1\n2,1,1,1\n1,1,1,1,1\n"
 
 
+def test_partitions_command_over_the_byte_budget_exits_2(capsys):
+    # 190,569,292 frames of 100 boxes: counted and rejected before the table is built
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "partitions", "--n", "100", "--max-height", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert "190569292 frames" in err and "budget" in err
+
+
 # -- frec ---------------------------------------------------------------------------
 
 def test_frec_command(capsys):
@@ -471,7 +480,7 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
     eigh = oracle._eigh
 
     def spy(m, vectors=True):
-        solved.append((len(m), m.tobytes(), vectors))
+        solved.append((m.shape, m.tobytes(), vectors))
         return eigh(m, vectors)
 
     monkeypatch.setattr(oracle, "_eigh", spy)
@@ -481,12 +490,18 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
         oracle._young_projectors.cache_clear()
         argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
         assert invoke(capsys, *argv)[0] == EXIT_OK
-        # rho at d^(N+1), port N's Gram matrix at d^(N-1), and the Young bases
-        # for N and N - 1 ports
-        assert len(solved) == 4
+        # rho's torus-weight blocks, one stack per block size, port N's Gram
+        # matrix at d^(N-1), and the Young bases for N and N - 1 ports
+        blocks = oracle._torus_blocks(N, d)
+        assert sum(b.size for b in blocks) == d ** (N + 1)
+        assert len(solved) == len(blocks) + 3
         assert len(set(solved)) == len(solved)
-        assert sorted(size for size, _, _ in solved) == sorted(d**k for k in (N + 1, N - 1, N, N - 1))
-        assert solved.count((d ** (N + 1), oracle.rho_operator(N, d).tobytes(), True)) == 1
+        matrices = sorted(shape for shape, _, _ in solved if len(shape) == 2)
+        assert matrices == sorted((d**k, d**k) for k in (N - 1, N, N - 1))
+        rho = oracle.rho_operator(N, d)
+        for b in blocks:
+            stack = rho[b[:, :, None], b[:, None, :]]
+            assert solved.count((stack.shape, stack.tobytes(), True)) == 1
 
     # a second op at the last point reuses the bundle and both Young bases
     solved.clear()
@@ -523,8 +538,42 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
         argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
         assert invoke(capsys, *argv, "--vfile", str(files[0]), "--vfile-prev", str(files[1]))[0] == EXIT_OK
         if op == 0:
-            assert calls.count("_eigh") == 4 and calls.count("_swap_deviation") == 2 * N * (N - 1)
+            # one eigensolve per block size of rho, the Gram matrix and two Young bases
+            assert calls.count("_eigh") == len(oracle._torus_blocks(N, d)) + 3
+            assert calls.count("_swap_deviation") == 2 * N * (N - 1)
     assert calls == []
+
+
+@pytest.mark.parametrize("N,d", [(3, 4), (4, 3), (2, 6)])
+def test_oracle_verify_repeat_op_allocates_less_than_one_dense_array(capsys, tmp_path, N, d):
+    # a repeat op with new weights works on port space: no d^(N+1) x d^(N+1) scratch
+    import tracemalloc
+
+    from pbt_recycling import oracle
+    from pbt_recycling.optimal import VCoefficients, save_v_coefficients
+    from pbt_recycling.partitions import frame_count
+
+    rng = np.random.default_rng(N * 10 + d)
+    argvs = []
+    for op in range(2):
+        files = []
+        for n in (N, N - 1):
+            w = rng.uniform(0.1, 1.0, frame_count(n, d))
+            files.append(str(tmp_path / f"v{op}_{n}.json"))
+            save_v_coefficients(VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w)), files[-1])
+        argvs.append(("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d),
+                      "--vfile", files[0], "--vfile-prev", files[1]))
+    oracle._srm_bundle.cache_clear()
+    assert invoke(capsys, *argvs[0])[0] == EXIT_OK
+    tracemalloc.start()
+    try:
+        code = run(list(argvs[1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert peak < d ** (2 * N + 2) * 8
 
 
 @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1e-9"])

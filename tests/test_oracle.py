@@ -520,10 +520,41 @@ def test_factored_root_matches_the_dense_root(N, d):
     assert np.abs(oracle._srm_bundle(N, d)[2] - dense).max() <= 1e-12
 
 
-@pytest.mark.parametrize("N,d", FACTOR_GRID)
+@pytest.mark.parametrize("N,d", FACTOR_GRID + [(8, 2), (5, 3)])
 def test_bundle_keeps_the_spectrum_of_rho(N, d):
     rho_eigenvalues = oracle._srm_bundle(N, d)[3]
     assert np.abs(rho_eigenvalues - np.linalg.eigvalsh(rho_operator(N, d))).max() <= 1e-13
+
+
+@pytest.mark.parametrize("N,d", [(1, 2), (3, 2), (2, 3), (3, 4)])
+def test_torus_blocks_partition_the_basis_by_weight(N, d):
+    blocks = oracle._torus_blocks(N, d)
+    assert np.array_equal(np.sort(np.concatenate([b.ravel() for b in blocks])), np.arange(d ** (N + 1)))
+    sizes = [b.shape[1] for b in blocks]
+    assert sizes == sorted(set(sizes))
+    digits = oracle._digits(d, N + 1)
+    seen = set()
+    for b in blocks:
+        for row in b.tolist():
+            weights = {
+                tuple(np.bincount(digits[index, :N], minlength=d) - np.eye(d, dtype=int)[digits[index, N]])
+                for index in row
+            }
+            assert len(weights) == 1 and not weights & seen  # one weight per block, one block per weight
+            seen |= weights
+
+
+def test_off_block_entry_of_rho_raises(monkeypatch):
+    N, d = 3, 2
+    b = oracle._torus_blocks(N, d)
+    i, j = b[-1][0, 0], b[0][0, 0]  # indices in two different blocks
+    rho = rho_operator(N, d)
+    assert rho[i, j] == 0.0
+    rho[i, j] = 1e-300
+    monkeypatch.setattr(oracle, "rho_operator", lambda *point: rho)
+    oracle._srm_bundle.cache_clear()
+    with pytest.raises(RuntimeError, match="outside its torus-weight blocks"):
+        oracle._srm_bundle(N, d)
 
 
 @pytest.mark.parametrize("N,d", [(3, 2), (2, 3), (4, 2)])
