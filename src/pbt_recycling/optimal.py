@@ -42,6 +42,8 @@ from math import sqrt
 import numpy as np
 
 from .partitions import (
+    _MEMO_ENTRIES,
+    _memo,
     frame_count,
     frame_parts,
     frame_table,
@@ -119,6 +121,12 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+@_memo(_MEMO_ENTRIES)
+def _frame_rows(N: int, d: int) -> dict:
+    """The row of each frame of ``partitions_bounded(N, d)``, keyed by the frame, in row order."""
+    return {p: row for row, p in enumerate(partitions_bounded(N, d))}
+
+
 def parse_v_coefficients(document) -> VCoefficients:
     """Validate a coefficient document (dict or JSON text) into VCoefficients."""
     if isinstance(document, (str, bytes)):
@@ -152,16 +160,15 @@ def parse_v_coefficients(document) -> VCoefficients:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise CoefficientError(f"bad coefficient for {frame_text(p)}")
         entries[p] = float(v)
-    frames = partitions_bounded(N, d)
-    support = set(frames)
-    missing = [p for p in frames if p not in entries]
-    extra = [p for p in entries if p not in support]
-    if missing or extra:
+    rows = _frame_rows(N, d)
+    extra = [p for p in entries if p not in rows]
+    if extra or len(entries) != len(rows):
+        missing = [p for p in rows if p not in entries]
         raise CoefficientError(
             f"incomplete support: missing={[frame_text(p) for p in missing]} "
             f"unexpected={[frame_text(p) for p in extra]}"
         )
-    return VCoefficients(ports=N, dim=d, entries=np.array([entries[p] for p in frames]))
+    return VCoefficients(ports=N, dim=d, entries=np.array([entries[p] for p in rows]))
 
 
 def load_v_coefficients(path) -> VCoefficients:
@@ -176,12 +183,14 @@ def save_v_coefficients(v: VCoefficients, path):
         fh.write("\n")
 
 
+@_memo(_MEMO_ENTRIES)
 def one_box_ranks(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The frames alpha of N-1 boxes and where their one-box extensions sit, height <= d.
 
     Returns ``frame_table(N - 1, d)`` (F x d) and an F x d int array whose
     entry [f, i] is the row of alpha + e_i in ``frame_table(N, d)``, or -1
-    where alpha + e_i is not a frame.
+    where alpha + e_i is not a frame.  Memoised, as ``frame_table``: both
+    arrays are read-only.
     """
     alphas = frame_table(N - 1, d)
     valid = np.ones(alphas.shape, dtype=bool)
@@ -249,6 +258,13 @@ def v_optimal(N: int, d: int) -> VCoefficients:
     return VCoefficients(ports=N, dim=2, entries=2.0 / sqrt(N + 2) * np.sin(np.pi * k / (N + 2)))
 
 
+@_memo(_MEMO_ENTRIES)
+def _frame_factors(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """c(alpha) and S(alpha)/sqrt(p(alpha)) over ``frame_table(N - 1, d)``, read-only: no weight enters."""
+    alphas = frame_table(N - 1, d)
+    return height_correction(alphas, d), s_over_sqrt_p(N, alphas)
+
+
 def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
     """One-round recycling fidelity of the optimal protocol, arbitrary d.
 
@@ -265,9 +281,10 @@ def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> Fide
         raise CoefficientError(
             f"coefficient set for N-1 is labeled ({vNm1.ports}, {vNm1.dim})"
         )
-    alphas, ranks = one_box_ranks(N, d)
+    ranks = one_box_ranks(N, d)[1]
     big_v = np.where(ranks >= 0, vN.entries[ranks], 0.0).sum(axis=1)
-    terms = vNm1.entries * height_correction(alphas, d) * s_over_sqrt_p(N, alphas) * big_v
+    correction, s_ratio = _frame_factors(N, d)
+    terms = vNm1.entries * correction * s_ratio * big_v
     value = math.fsum(terms.tolist()) / (d * sqrt(N))
     return FidelityReport(value=value, method="optimal_general", ports=N, dim=d)
 

@@ -54,7 +54,8 @@ Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
 allocates, it counts the dense arrays it will hold at once: operators,
 temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors;
 four per matrix of a stack, at the stack's size) and the cache entries it
-creates (``_srm_bundle`` keeps one (N, d) point, ``_young_projectors`` two; a
+creates (``_srm_bundle`` keeps one (N, d) point and, beside it, N traces of
+d^N x d^N and the root's summed columns; ``_young_projectors`` keeps two; a
 miss evicts the oldest first; cached arrays are read-only).  A D x r factor
 counts as one d^N x d^N array, since D r = d^(2N).  Building the bundle peaks
 at N + 4 arrays of D x D, two factors and the r x r eigensolve
@@ -72,16 +73,17 @@ With a zero weight O is singular; the oracle then uses the plain measurement,
 as ``frec_optimal`` does.
 
 ``verify_suite`` splits its checks by what they read.  Nine read only the
-measurement; they run once per bundle build, and their deviations are kept
-beside the bundle (``_MEASUREMENT_CHECKS``, emptied with it) and reused only
-while ``_srm_bundle`` returns the very bundle they came from.  The one check
-that reads the rotation weights runs per call on the d^N port space:
-vdot(c_a, (O O^T) (x) 1) = vdot(tr_in c_a, O O^T), tr_in the partial trace
-over the input.  So a repeat call at a point pays only for its rotation,
-and allocates no D x D array.  The optimal fidelity's two rotations meet on
-port space too: (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T = [O_N (O_(N-1) (x) 1)^T] (x) 1,
-one d^N x d^N product, whose summed columns at Q_N's indices are read from
-it directly, with no D x D embedding.
+measurement; the one that reads the rotation weights runs on the d^N port
+space: vdot(c_a, (O O^T) (x) 1) = vdot(tr_in c_a, O O^T), tr_in the partial
+trace over the input.  What reads no weight is computed once per bundle build
+and kept beside the bundle, read-only (``_kept``, in ``_MEASUREMENT_CHECKS``,
+emptied with it, and reused only while ``_srm_bundle`` returns the very bundle
+it came from): the nine deviations, the N traces tr_in c_a, ``frec_oracle``'s
+value and the root's summed columns at Q_N's indices.  So a repeat call at a
+point pays only for its rotation: it builds O_N and O_(N-1), contracts them
+with what is kept, and allocates no D x D array.  The optimal fidelity's two
+rotations meet on port space: (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T =
+[O_N (O_(N-1) (x) 1)^T] (x) 1, one d^N x d^N product, read at Q_N's indices.
 
 ``verify_suite`` checks covariance under the port group S(N) on its N - 1
 generators, the adjacent transpositions.  Conjugating by a permutation
@@ -95,14 +97,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
 from math import sqrt
 from typing import Optional
 
 import numpy as np
 
 from .optimal import VCoefficients, one_box_ranks
-from .partitions import frame_parts, frame_table
+from .partitions import _memo, _read_only, frame_parts, frame_table
 from .recycling import trace_sqrt_povm_signal
 from .reports import FidelityReport, VerifyReport
 
@@ -138,35 +139,6 @@ def _require(*blocks: tuple[int, int]) -> None:
         )
 
 
-def _memo(size: int, companion: Optional[dict] = None):
-    """Memoise on the arguments; a miss first evicts the oldest entries, so at most ``size`` are held.
-
-    ``companion``, a dict of values derived from the entries, is emptied before
-    every build and by ``cache_clear``, so it outlives no entry.
-    """
-    derived = {} if companion is None else companion
-
-    def decorate(build):
-        held: dict = {}
-
-        def cached(*key):
-            if key not in held:
-                derived.clear()
-                while len(held) >= size:
-                    del held[next(iter(held))]
-                held[key] = build(*key)
-            return held[key]
-
-        def cache_clear():
-            derived.clear()
-            held.clear()
-
-        cached.cache_clear = cache_clear
-        return wraps(build)(cached)
-
-    return decorate
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Sorted oracle eigenvalues versus a predicted (value, multiplicity) list."""
@@ -176,12 +148,10 @@ class SpectrumReport:
     max_deviation: float
 
 
-@lru_cache(maxsize=4)
+@_memo(4)
 def _digits(d: int, n: int) -> np.ndarray:
     """Base-d digits of every basis index of (C^d)^(x)n, most significant first (read-only)."""
-    digits = (np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
-    digits.flags.writeable = False
-    return digits
+    return (np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
 
 
 def _permuted_indices(perm, d: int, n: int) -> np.ndarray:
@@ -385,10 +355,10 @@ def _srm_blocks(N: int, d: int) -> tuple[tuple[int, int], ...]:
     return (N + 4, d ** (N + 1)), (2, d**N), (1 + _EIGH_ARRAYS, d ** (N - 1))
 
 
-#: The measurement checks of the bundle ``_srm_bundle`` holds: (N, d) -> [that very
-#: bundle, its deviations or None until ``verify_suite`` first needs them].  Only a
-#: bundle build enters it, and a build or ``cache_clear`` empties it first, so it
-#: holds no array that the memo does not.
+#: What is derived from the bundle ``_srm_bundle`` holds and read by no weight:
+#: (N, d) -> [that very bundle, None until ``_kept`` first needs a value, then a dict
+#: from each computing function to its value].  Only a bundle build enters it, and
+#: a build or ``cache_clear`` empties it first, so nothing in it outlives the bundle.
 _MEASUREMENT_CHECKS: dict = {}
 
 
@@ -432,8 +402,6 @@ def _srm_bundle(
     root = _symmetric_gram((v * lam**-0.25).T @ yt)
     del yt
     root += delta / sqrt(N)
-    for m in (*pis, delta, root, rho_eigenvalues, lam):
-        m.flags.writeable = False
     bundle = tuple(pis), delta, root, rho_eigenvalues, lam
     _MEASUREMENT_CHECKS[N, d] = [bundle, None]
     return bundle
@@ -526,8 +494,6 @@ def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             f"spectrum of K C1 + C2 at ({n}, {d}) breaks the content prediction: "
             f"deviation {dev}, eigenvectors per frame {counts.tolist()}"
         )
-    for m in (frames, u, nearest):
-        m.flags.writeable = False
     return frames, u, nearest
 
 
@@ -585,17 +551,27 @@ def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
     return out.reshape(n * d, n * d)
 
 
-def frec_oracle(N: int, d: int) -> FidelityReport:
-    """One-round recycling fidelity from the defining trace expression."""
-    _require(*_srm_blocks(N, d))  # then the bundle
-    pis, delta, root = _srm_bundle(N, d)[:3]
+def _frec_oracle_value(N: int, d: int, bundle) -> float:
+    pis, delta, root = bundle[:3]
     norm = sqrt(np.trace(pis[N - 1]) + np.trace(delta) / N)
     # tr(sigma_N root) = d^(-N) times the sum of root's entries on every pair of
     # indices in one column of Q_N, the entries ``_signal_sum`` fills for sigma_N
     cols = _signal_columns(N, N, d)
     overlap = abs(root[cols[:, :, None], cols[:, None, :]].sum()) / d**N
-    value = (N / d) * norm / sqrt(d ** (N + 1)) * overlap
-    return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
+    return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
+
+
+def frec_oracle(N: int, d: int) -> FidelityReport:
+    """One-round recycling fidelity from the defining trace expression, kept with the bundle."""
+    _require(*_srm_blocks(N, d))  # then the bundle
+    value = _kept(_frec_oracle_value, N, d, _srm_bundle(N, d))
+    return FidelityReport(value=value, method="oracle", ports=N, dim=d)
+
+
+def _root_signal_sums(N: int, d: int, bundle) -> tuple[np.ndarray, np.ndarray]:
+    """(``_signal_gather`` of the completed root at Q_N, port index q_j + k of column j's k-th nonzero)."""
+    cols = _signal_columns(N, N, d)
+    return _signal_gather(bundle[2], cols), cols[:, :1] // d + np.arange(d)
 
 
 def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
@@ -613,10 +589,10 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
     _require(
         (N + 5, d ** (N + 1)),  # the bundle's build, or the bundle, the rotation and its two factors
-        (_YOUNG_BASIS_ARRAYS + 2, d**N),
+        (_YOUNG_BASIS_ARRAYS + 3, d**N),  # and the root's summed columns, kept with the bundle
         (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1)),
     )
-    root = _srm_bundle(N, d)[2]
+    bundle = _srm_bundle(N, d)
     # (O_N (x) 1)(O_{N-1} (x) 1 (x) 1)^T = [O_N (O_{N-1} (x) 1)^T] (x) 1, the last
     # factor the input system: one product on the ports
     ports = build_optimizing_operator(N, d, vN)
@@ -627,10 +603,10 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     # O Q^T = ports (x) 1, and column j of Q_N sits at the indices (q_j + k) d + k,
     # k = 0..d-1, q_j its port index with port N's digit 0: the summed column is
     # ports[i, q_j + k] at index i d + k
-    cols = _signal_columns(N, N, d)
-    rotated = ports[np.arange(d**N)[:, None], (cols[:, :1] // d + np.arange(d))[:, None, :]]  # [j, i, k]
+    sums, columns = _kept(_root_signal_sums, N, d, bundle)
+    rotated = ports[np.arange(d**N)[:, None], columns[:, None, :]]  # [j, i, k]
     del ports
-    overlap = np.vdot(_signal_gather(root, cols), rotated) / d**N
+    overlap = np.vdot(sums, rotated) / d**N
     value = (sqrt(N) / d) * abs(overlap)
     return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
 
@@ -836,18 +812,26 @@ def _measurement_checks(N: int, d: int, bundle) -> tuple[tuple[str, float, str],
     return tuple(checks)
 
 
-def _measurement_deviations(N: int, d: int, bundle) -> tuple[tuple[str, float, str], ...]:
-    """``_measurement_checks`` of ``bundle``, computed once for the bundle ``_srm_bundle`` holds.
+def _kept(compute, N: int, d: int, bundle):
+    """``compute(N, d, bundle)``, computed once for the bundle ``_srm_bundle`` holds and kept beside it.
 
-    Any other bundle, such as one a caller substitutes, is checked afresh and
-    not kept.
+    Any other bundle, such as one a caller substitutes, gets a fresh value
+    that is not kept.
     """
     entry = _MEASUREMENT_CHECKS.get((N, d))
     if entry is None or entry[0] is not bundle:
-        return _measurement_checks(N, d, bundle)
-    if entry[1] is None:
-        entry[1] = _measurement_checks(N, d, bundle)
-    return entry[1]
+        return compute(N, d, bundle)
+    kept = entry[1] = entry[1] or {}
+    if compute not in kept:
+        kept[compute] = _read_only(compute(N, d, bundle))
+    return kept[compute]
+
+
+def _completed_input_traces(N: int, d: int, bundle) -> tuple[np.ndarray, ...]:
+    """tr_in(pi_a + Delta/N) for a = 1..N, read-only: the completed elements traced down to the ports."""
+    pis, delta = bundle[:2]
+    excess = _input_trace(delta, d) / N
+    return tuple(_input_trace(pi, d) + excess for pi in pis)
 
 
 def verify_suite(
@@ -865,24 +849,25 @@ def verify_suite(
     ``v``'s rotation weights (uniform weights when omitted): with
     G = (O O^T) (x) 1 and c_a = pi_a + Delta/N, tr(O^T c_a O) = vdot(c_a, G)
     must be d^(N+1)/N.  It is taken on the ports as vdot(tr_in c_a, O O^T),
-    tr_in the partial trace over the input, so no D x D array is built.
+    tr_in the partial trace over the input, so no D x D array is built; the
+    traces tr_in c_a read no weight and are kept with the bundle.
     """
     dim = d ** (N + 1)
     # the SRM with its completed root, signals and completed elements hold 3N + 2
-    # arrays, and three temporaries; the bundle's build and the rotation need fewer
-    _require((3 * N + 5, dim), (_YOUNG_BASIS_ARRAYS + 2, d**N))
+    # arrays, and three temporaries; the bundle's build and the rotation need fewer;
+    # the N traces kept with the bundle are on the ports
+    _require((3 * N + 5, dim), (_YOUNG_BASIS_ARRAYS + 2 + N, d**N))
     bundle = _srm_bundle(N, d)
-    pis, delta = bundle[:2]
     o = build_optimizing_operator(N, d, v if v is not None else VCoefficients.uniform(N, d))
     # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric
     gram = o @ o.T
     del o
-    excess = _input_trace(delta, d) / N
-    dev_rot = max(abs(np.vdot(_input_trace(pi, d) + excess, gram) - dim / N) for pi in pis)
-    del gram, excess
+    traces = _kept(_completed_input_traces, N, d, bundle)
+    dev_rot = max(abs(np.vdot(t, gram) - dim / N) for t in traces)
+    del gram
 
     report = VerifyReport(ports=N, dim=d, tol=tol)
-    for name, deviation, detail in _measurement_deviations(N, d, bundle):
+    for name, deviation, detail in _kept(_measurement_checks, N, d, bundle):
         report.add(name, deviation, detail)
         if name == "completed_trace":
             report.add("rotated_completed_trace", dev_rot)

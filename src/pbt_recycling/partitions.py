@@ -9,17 +9,65 @@ probability p(lam) = m_lam d_lam / d^n (the weights sum to 1 over the frames
 of n boxes), evaluated in log space over a frame table so that no term
 overflows.  Exact-integer dimensions and multiplicities live in the tests, as
 the reference the tables are checked against.
+
+``frame_table`` and ``frame_count`` are memoised (``_memo``), as are the
+weight layer's frame maps and factors, each on its ``_MEMO_ENTRIES`` latest
+(n, d) points; a held array is read-only, so no caller changes what the next
+one reads.  ``partitions_bounded`` lists the held table's rows afresh per call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import wraps
 from numbers import Integral
 
 import numpy as np
 
 #: Bytes ``partitions_bounded`` may hold at once: the frame table and its rows as tuples.
 PARTITIONS_BYTE_BUDGET = 1 << 30
+
+#: (n, d) points each frame memo holds; a miss at a new point evicts the oldest.
+_MEMO_ENTRIES = 8
+
+
+def _read_only(value):
+    """``value``, with every array in it (or in tuples within it) made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+def _memo(size: int, companion: dict | None = None):
+    """Memoise on the arguments; a miss first evicts the oldest entries, so at most ``size`` are held.
+
+    Every array a value holds is made read-only (``_read_only``).  Keyword
+    arguments key as (name, value) pairs after the positional ones.
+    ``companion``, a dict of values derived from the entries, is emptied before
+    every build and by ``cache_clear``, so it outlives no entry.
+    """
+    derived = {} if companion is None else companion
+
+    def decorate(build):
+        held: dict = {}
+
+        @wraps(build)
+        def cached(*args, **kwargs):
+            key = args + tuple(kwargs.items())
+            if key not in held:
+                derived.clear()
+                while len(held) >= size:
+                    del held[next(iter(held))]
+                held[key] = _read_only(build(*args, **kwargs))
+            return held[key]
+
+        cached.cache_clear = lambda: derived.clear() or held.clear()
+        return cached
+
+    return decorate
 
 
 def frame_parts(parts) -> tuple[int, ...]:
@@ -55,8 +103,9 @@ def _check_frame_bounds(n: int, max_height: int) -> None:
 def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
     """All partitions of ``n`` with height <= ``max_height``, descending lexicographic.
 
-    The rows of ``frame_table`` as tuples of their positive parts.  No frame
-    of n boxes has more than n rows, so the table is built at height
+    The rows of ``frame_table`` as tuples of their positive parts, listed
+    afresh on every call, so a caller may change the list.  No frame of n
+    boxes has more than n rows, so the table is read at height
     min(max_height, n): its column fill loops over the height.
     ``n = 0`` yields the singleton list containing the empty tuple.
 
@@ -81,17 +130,23 @@ def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
 
 
 def _frame_counts(n: int, max_height: int) -> np.ndarray:
-    """``frame_count(m, max_height)`` for m = 0..n, as an object array."""
-    counts = np.zeros(n + 1, dtype=object)
+    """``frame_count(m, max_height)`` for m = 0..n, as an object array.
+
+    Laid out k to a row, the counts of one residue class mod k form a column,
+    so one ``cumsum`` per k runs its recurrence; padding past n feeds no m <= n.
+    """
+    height = min(n, max_height)
+    counts = np.zeros(n + height + 1, dtype=object)
     counts[0] = 1
-    for k in range(1, min(n, max_height) + 1):
-        for r in range(k):
-            counts[r::k] = np.cumsum(counts[r::k])
-    return counts
+    for k in range(1, height + 1):
+        grid = counts[: -(-(n + 1) // k) * k].reshape(-1, k)
+        np.cumsum(grid, axis=0, out=grid)
+    return counts[: n + 1]
 
 
+@_memo(_MEMO_ENTRIES)
 def frame_count(n: int, max_height: int) -> int:
-    """``len(partitions_bounded(n, max_height))``, without building the frames.
+    """``len(partitions_bounded(n, max_height))``, without building the frames; memoised.
 
     The partitions of n into at most h parts are those into parts of size at
     most h, counted by the recurrence c[m] += c[m - k] for k = 1..h, m ascending.
@@ -136,13 +191,15 @@ def _frame_tables(sizes, d: int) -> tuple[np.ndarray, np.ndarray]:
     return table, np.bincount(rows, minlength=len(sizes))
 
 
+@_memo(_MEMO_ENTRIES)
 def frame_table(n: int, d: int) -> np.ndarray:
     """The frames of ``n`` boxes and height <= ``d``, descending lexicographic, as an int table.
 
     One row per frame, zero-padded to ``d`` columns: the one-size case of
     ``_frame_tables``.  This is the package's one frame order: every weight
     array indexes frames by row of this table, and ``partitions_bounded``
-    lists the same rows as tuples.
+    lists the same rows as tuples.  Memoised: every call at (n, d) returns
+    the same read-only table.
     """
     return _frame_tables([n], d)[0]
 

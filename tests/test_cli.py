@@ -544,6 +544,41 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("N,d", [(3, 3), (2, 4)])
+def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp_path, N, d):
+    # a second op with the same files at a point enumerates no frame and takes no
+    # partial trace or signal gather again, and prints the same bytes
+    from pbt_recycling import optimal, oracle, partitions
+
+    calls = []
+    for module, name in ((partitions, "_frame_tables"), (oracle, "_input_trace"), (oracle, "_signal_gather")):
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    for memo in (partitions.frame_table, partitions.frame_count, optimal.one_box_ranks, optimal._frame_rows,
+                 optimal._frame_factors, oracle._srm_bundle, oracle._young_projectors):
+        memo.cache_clear()
+    rng = np.random.default_rng(N * 10 + d)
+    files = []
+    for n in (N, N - 1):
+        w = rng.uniform(0.1, 1.0, partitions.frame_count(n, d))
+        files.append(str(tmp_path / f"v_{n}.json"))
+        optimal.save_v_coefficients(optimal.VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w)), files[-1])
+    argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d),
+            "--vfile", files[0], "--vfile-prev", files[1], "--format", "json")
+    calls.clear()
+    first = invoke(capsys, *argv)
+    assert first[0] == EXIT_OK
+    assert set(calls) == {"_frame_tables", "_input_trace", "_signal_gather"}
+    calls.clear()
+    assert invoke(capsys, *argv) == first
+    assert calls == []
+
+
 @pytest.mark.parametrize("N,d", [(3, 4), (4, 3), (2, 6)])
 def test_oracle_verify_repeat_op_allocates_less_than_one_dense_array(capsys, tmp_path, N, d):
     # a repeat op with new weights works on port space: no d^(N+1) x d^(N+1) scratch

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 
+from pbt_recycling.optimal import one_box_ranks
 from pbt_recycling.partitions import _frame_tables, frame_count, frame_parts, frame_table, partitions_bounded
 
 
@@ -98,6 +99,28 @@ def test_partitions_bounded_count_matches_generating_function():
     # closed forms at two and three rows: n // 2 + 1 and the integer nearest (n + 3)^2 / 12
     assert frame_count(64000, 2) == 32001
     assert frame_count(1999, 3) == round(2002**2 / 12)
+    # p(1000), every partition of 1000, and a count past 2^64 against plain ints
+    assert frame_count(1000, 1000) == 24061467864032622473692149727991
+    counts = [1] + [0] * 2000
+    for k in range(1, 1000):
+        for m in range(k, 2001):
+            counts[m] += counts[m - k]
+    assert frame_count(2000, 999) == counts[2000]
+
+
+def test_memoised_frames_are_read_only_and_lists_are_fresh():
+    table = frame_table(7, 3)
+    assert frame_table(7, 3) is table
+    ranks = one_box_ranks(7, 3)
+    for held in (table, *ranks):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 99
+    frames = partitions_bounded(7, 3)
+    expected = list(frames)
+    frames[0] = (99,)
+    frames.append((1,))
+    assert partitions_bounded(7, 3) == expected
+    assert frame_table(7, 3).tolist() == [list(p) + [0] * (3 - len(p)) for p in expected]
 
 
 @pytest.mark.parametrize("d", range(1, 7))
