@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import Optional
 
@@ -36,17 +35,6 @@ def format_value(x: float) -> str:
     if abs(x) < 1e-4:
         return f"{x:.11e}"
     return f"{x:.12g}"
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (N, d) point of a sweep; optional columns stay empty in the CSV."""
-
-    ports: int
-    dim: int
-    value_nonoptimal: float
-    value_optimal: Optional[float]
-    lower_bound_qubit: Optional[float]
 
 
 def _report_lines(report: FidelityReport) -> list[str]:
@@ -86,8 +74,7 @@ def _weight_pair(parser, args) -> tuple[VCoefficients, VCoefficients]:
     if bool(args.vfile) != bool(args.vfile_prev):
         parser.error("--vfile and --vfile-prev must be given together")
     N, d = args.ports, args.dim
-    if N < 2:
-        raise ValueError("N must be at least 2 for the optimal protocol")
+    opt._check_optimal_point(N, d)
     if args.vfile:
         return _load_weights(args.vfile, N, d), _load_weights(args.vfile_prev, N - 1, d)
     return opt.v_optimal(N, d), opt.v_optimal(N - 1, d)
@@ -104,37 +91,25 @@ def _cmd_frec(parser, args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(n_min: int, n_max: int, d: int, want_optimal: bool):
-    """The rows for N = n_min..n_max; each N's optimal weights serve again as the next row's N - 1."""
+def _sweep_lines(n_min: int, n_max: int, d: int, want_optimal: bool):
+    """CSV rows for N = n_min..n_max; each N's optimal weights serve again as the next row's N - 1."""
     v_prev = opt.v_optimal(n_min - 1, d) if want_optimal and n_min >= 2 else None
     for N, value in zip(range(n_min, n_max + 1), rec.frec_values(n_min, n_max, d)):
-        value_opt = None
+        bound = format_value(rec.lower_bound_qubit(N)) if d == 2 else ""
+        cells = [str(N), str(d), format_value(value), "", bound]  # frec_opt filled below, with --optimal
         if want_optimal:
             v = opt.v_optimal(N, d)
             if N >= 2:
-                value_opt = opt.frec_optimal(N, d, v, v_prev).value
+                cells[3] = format_value(opt.frec_optimal(N, d, v, v_prev).value)
             v_prev = v
-        bound = rec.lower_bound_qubit(N) if d == 2 else None
-        yield SweepRow(N, d, value, value_opt, bound)
+        yield ",".join(cells)
 
 
 def _cmd_sweep(parser, args) -> int:
     if args.ports_min < 1 or args.ports_max < args.ports_min:
         parser.error("need 1 <= --ports-min <= --ports-max")
-    lines = ["N,d,frec,frec_opt,lower_bound_qubit"]
-    for r in _sweep_rows(args.ports_min, args.ports_max, args.dim, args.optimal):
-        lines.append(
-            ",".join(
-                [
-                    str(r.ports),
-                    str(r.dim),
-                    format_value(r.value_nonoptimal),
-                    format_value(r.value_optimal) if r.value_optimal is not None else "",
-                    format_value(r.lower_bound_qubit) if r.lower_bound_qubit is not None else "",
-                ]
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    lines = _sweep_lines(args.ports_min, args.ports_max, args.dim, args.optimal)
+    _write_text(args.out, "\n".join(["N,d,frec,frec_opt,lower_bound_qubit", *lines]) + "\n")
     return EXIT_OK
 
 
@@ -319,10 +294,7 @@ def run(argv=None) -> int:
     except CoefficientError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except DimensionCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as e:
+    except (DimensionCapError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

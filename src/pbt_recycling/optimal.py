@@ -8,11 +8,12 @@ N-1 boxes plus one box; lambda_max(M) is the entanglement fidelity of the
 optimal channel (Mozrzymas, Studzinski, Strelchuk, Horodecki, "Optimal
 port-based teleportation", arXiv:1707.08456).  At d = 2 the Perron vector is
 v_mu = 2/sqrt(N+2) sin(pi (mu_1 - mu_2 + 1)/(N+2)); above, ``v_optimal``
-solves for it.  Weights are arrays in ``frame_table`` row order, and
-``one_box_ranks`` finds the row of each extension alpha + e_i, which builds B
-and gathers the weights of the extensions.  This module also carries the
-optimal-protocol recycling fidelity and the overlap between the optimal and
-plain resource states.
+solves for it.  Weights are arrays in ``frame_table`` row order.  This
+module also carries the optimal-protocol recycling fidelity and the overlap
+between the optimal and plain resource states.  B, the uniform weights and
+both fidelities walk their frames in blocks (``partitions._frame_blocks``):
+a fidelity is a per-row term gathering weights at the block's rows and
+extension rows, under one ``math.fsum`` per point.
 
 Both fidelities are sums over frames (weights v_mu over frames of N boxes,
 v_alpha over frames of N-1 boxes):
@@ -21,11 +22,8 @@ v_alpha over frames of N-1 boxes):
     V(alpha) = sum over one-box extensions mu of alpha of v_mu,
     resource_state_fidelity = sum_mu v_mu sqrt(p(mu)),
 
-with c, S and the Schur-Weyl probability p as in ``recycling``.  There
-S(alpha)/sqrt(p(alpha)) = sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1), with the shifted
-rows l_k = alpha_k + d - 1 - k and R_i = prod_{k != i} (l_i + 1 - l_k)/(l_i - l_k),
-so frec_optimal = d^(-3/2) sum_alpha v_alpha c(alpha) V(alpha) sum_i |R_i|/sqrt(l_i + 1)
-needs no log-probability at all.  It equals the exact-integer form
+with c, S and the Schur-Weyl probability p as in ``recycling``, where
+S(alpha)/sqrt(p(alpha)) needs no log-probability.  frec_optimal equals the exact-integer form
 d^(-3/2) sum_alpha v_alpha s(alpha) V(alpha) / sqrt(m_alpha (N d_alpha - d_theta)),
 s = sum sqrt(m_nu d_nu); the overlap equals sum_mu v_mu sqrt(d_mu m_mu / d^N).
 With the uniform weights v_mu = sqrt(p(mu)) the optimal form collapses to the
@@ -43,15 +41,18 @@ import numpy as np
 
 from .partitions import (
     _MEMO_ENTRIES,
+    _frame_blocks,
+    _frame_sums,
     _memo,
     frame_count,
     frame_parts,
     frame_table,
     frame_text,
     ln_schur_weyl_probability,
+    one_box_ranks,
     partitions_bounded,
 )
-from .recycling import height_correction, s_over_sqrt_p
+from .recycling import _check_point, height_correction, s_over_sqrt_p
 from .reports import FidelityReport
 
 #: Normalization slack for coefficient vectors.
@@ -113,7 +114,12 @@ class VCoefficients:
     @classmethod
     def uniform(cls, N: int, d: int) -> "VCoefficients":
         """Weights reproducing the un-rotated state: v = sqrt(p) = sqrt(dim * mult / d^N)."""
-        return cls(ports=N, dim=d, entries=np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d)))
+        return cls(ports=N, dim=d, entries=np.concatenate([_sqrt_p(b.table) for b in _frame_blocks(N, N, d)]))
+
+
+def _sqrt_p(table: np.ndarray) -> np.ndarray:
+    """sqrt(p(mu)) per row of a frame table."""
+    return np.exp(0.5 * ln_schur_weyl_probability(table, table.shape[1]))
 
 
 def _is_json_int(x) -> bool:
@@ -183,32 +189,6 @@ def save_v_coefficients(v: VCoefficients, path):
         fh.write("\n")
 
 
-@_memo(_MEMO_ENTRIES)
-def one_box_ranks(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The frames alpha of N-1 boxes and where their one-box extensions sit, height <= d.
-
-    Returns ``frame_table(N - 1, d)`` (F x d) and an F x d int array whose
-    entry [f, i] is the row of alpha + e_i in ``frame_table(N, d)``, or -1
-    where alpha + e_i is not a frame.  Memoised, as ``frame_table``: both
-    arrays are read-only.
-    """
-    alphas = frame_table(N - 1, d)
-    valid = np.ones(alphas.shape, dtype=bool)
-    valid[:, 1:] = alphas[:, :-1] > alphas[:, 1:]
-    grown = (alphas[:, None, :] + np.eye(d, dtype=alphas.dtype))[valid]
-    # every frame of N boxes extends one of N-1 boxes, so sorting the extensions
-    # (first column first) and numbering the distinct ones ranks them
-    order = np.lexsort(grown.T[::-1])
-    grown = grown[order]
-    new = np.ones(len(grown), dtype=bool)
-    new[1:] = (grown[1:] != grown[:-1]).any(axis=1)
-    ascending = np.empty(len(grown), dtype=np.int64)
-    ascending[order] = np.cumsum(new) - 1
-    ranks = np.full(alphas.shape, -1, dtype=np.int64)
-    ranks[valid] = ascending.max() - ascending  # the frame table runs in descending order
-    return alphas, ranks
-
-
 def _perron_weights(N: int, d: int) -> np.ndarray:
     """Perron vector of d^(-2) B^T B on the rows of ``frame_table(N, d)``, any d >= 2.
 
@@ -220,12 +200,12 @@ def _perron_weights(N: int, d: int) -> np.ndarray:
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import eigsh
 
-    alphas, ranks = one_box_ranks(N, d)
+    ranks = np.concatenate([b.ranks for b in _frame_blocks(N - 1, N - 1, d, extend=True)])
     frames = ranks.max() + 1
     if frames == 1:  # ARPACK needs more rows than eigenvectors
         return np.ones(1)
     rows, cols = np.nonzero(ranks >= 0)
-    incidence = csr_matrix((np.ones(len(rows)), (rows, ranks[rows, cols])), shape=(len(alphas), frames))
+    incidence = csr_matrix((np.ones(len(rows)), (rows, ranks[rows, cols])), shape=(len(ranks), frames))
     m = (incidence.T @ incidence) / d**2
     w, u = eigsh(m, k=1, which="LA", v0=np.ones(frames))
     v = u[:, 0] * np.sign(u[:, 0].sum())
@@ -246,10 +226,7 @@ def v_optimal(N: int, d: int) -> VCoefficients:
     with k folded to min(k, N+2-k) so the sine's argument stays in (0, pi/2];
     d >= 3 takes a sparse eigensolve.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    _check_point(N, d)
     if d > 2:
         return VCoefficients(ports=N, dim=d, entries=_perron_weights(N, d))
     table = frame_table(N, 2)
@@ -265,27 +242,34 @@ def _frame_factors(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return height_correction(alphas, d), s_over_sqrt_p(N, alphas)
 
 
-def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
-    """One-round recycling fidelity of the optimal protocol, arbitrary d.
-
-    The frame sum of the module docstring, with no log-probability; the optimal protocol takes
-    ``vN = v_optimal(N, d)``, ``vNm1 = v_optimal(N - 1, d)``.
-    """
+def _check_optimal_point(N: int, d: int):
     if N < 2:
         raise ValueError("N must be at least 2 for the optimal protocol")
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    _check_point(N, d)
+
+
+def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
+    """One-round recycling fidelity of the optimal protocol: the frame sum of the module docstring.
+
+    The optimal protocol takes ``vN = v_optimal(N, d)``, ``vNm1 = v_optimal(N - 1, d)``.
+    """
+    _check_optimal_point(N, d)
     if vN.ports != N or vN.dim != d:
         raise CoefficientError(f"coefficient set for N is labeled ({vN.ports}, {vN.dim})")
     if vNm1.ports != N - 1 or vNm1.dim != d:
         raise CoefficientError(
             f"coefficient set for N-1 is labeled ({vNm1.ports}, {vNm1.dim})"
         )
-    ranks = one_box_ranks(N, d)[1]
-    big_v = np.where(ranks >= 0, vN.entries[ranks], 0.0).sum(axis=1)
-    correction, s_ratio = _frame_factors(N, d)
-    terms = vNm1.entries * correction * s_ratio * big_v
-    value = math.fsum(terms.tolist()) / (d * sqrt(N))
+
+    def terms(block):
+        big_v = np.where(block.ranks >= 0, vN.entries[block.ranks], 0.0).sum(axis=1)
+        if block.whole:
+            correction, s_ratio = _frame_factors(N, d)
+        else:
+            correction, s_ratio = height_correction(block.table, d), s_over_sqrt_p(N, block.table)
+        return vNm1.entries[block.start: block.start + len(block.table)] * correction * s_ratio * big_v
+
+    value = _frame_sums(N - 1, N - 1, d, terms, extend=True)[0] / (d * sqrt(N))
     return FidelityReport(value=value, method="optimal_general", ports=N, dim=d)
 
 
@@ -293,6 +277,5 @@ def resource_state_fidelity(N: int, d: int, v: VCoefficients) -> FidelityReport:
     """Overlap between the plain and rotated resource states: sum of v * sqrt(p)."""
     if v.ports != N or v.dim != d:
         raise CoefficientError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    sqrt_p = np.exp(0.5 * ln_schur_weyl_probability(frame_table(N, d), d))
-    value = math.fsum((v.entries * sqrt_p).tolist())
+    value = _frame_sums(N, N, d, lambda b: v.entries[b.start: b.start + len(b.table)] * _sqrt_p(b.table))[0]
     return FidelityReport(value=value, method="general", ports=N, dim=d)

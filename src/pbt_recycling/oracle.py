@@ -56,13 +56,11 @@ temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors;
 four per matrix of a stack, at the stack's size) and the cache entries it
 creates (``_srm_bundle`` keeps one (N, d) point and, beside it, N traces of
 d^N x d^N and the root's summed columns; ``_young_projectors`` keeps two; a
-miss evicts the oldest first; cached arrays are read-only).  A D x r factor
-counts as one d^N x d^N array, since D r = d^(2N).  Building the bundle peaks
-at N + 4 arrays of D x D, two factors and the r x r eigensolve
-(``_srm_blocks``); N + 2 of D x D stay.  rho's blocks hold at most D^2
-entries together, so the dense rho, its stacks with their eigenvectors and W
-fit in that count.  Index arrays (d^n by n digits) are not counted.  Over the
-budget a call raises ``DimensionCapError``, exit code 2 in the CLI.
+miss evicts the oldest first; cached arrays are read-only).  The bundle's
+peak is ``_srm_blocks``; rho's blocks hold at most D^2 entries together, so
+the dense rho, its stacks with their eigenvectors and W fit in it.  Index
+arrays (d^n by n digits) are not counted.  Over the budget a call raises
+``DimensionCapError``, exit code 2 in the CLI.
 
 One measurement serves the optimal protocol too.  Its sender rotation
 O (x) 1 is a weighted sum of port Young projectors, so it commutes with
@@ -102,8 +100,8 @@ from typing import Optional
 
 import numpy as np
 
-from .optimal import VCoefficients, one_box_ranks
-from .partitions import _memo, _read_only, frame_parts, frame_table
+from .optimal import VCoefficients, _check_optimal_point
+from .partitions import _memo, _read_only, frame_parts, frame_table, one_box_ranks
 from .recycling import trace_sqrt_povm_signal
 from .reports import FidelityReport, VerifyReport
 
@@ -296,8 +294,7 @@ def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
     digit counts of the ports minus the unit vector of the input digit.
     rho commutes with U^(x)N (x) conj(U) for every diagonal unitary U, which
     multiplies a basis state by its weight's character, so rho has no entry
-    between two weights.  Weights are grouped by sorting them, with no
-    ``np.unique``.
+    between two weights.  Weights are grouped by sorting them.
     """
     digits = _digits(d, N + 1)
     rows = np.arange(len(digits))
@@ -313,13 +310,9 @@ def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
 
 
 def _blocked_inverse_root(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W = rho^(-1/2) on the support, rho's eigenvalues ascending), solved block by block.
+    """(W = rho^(-1/2) on the support, rho's eigenvalues ascending), one stacked eigensolve per block size.
 
-    The blocks of ``_torus_blocks`` are gathered from the dense rho as one
-    stack per block size, and each stack is one batched eigensolve; the
-    inverse roots are scattered back into a dense W.  Before solving, every
-    entry of rho outside the blocks must be exactly 0: the blocks hold as
-    many nonzeros as rho, else ``RuntimeError``.
+    Raises ``RuntimeError`` unless rho's ``_torus_blocks`` hold all its nonzeros.
     """
     rho = rho_operator(N, d)
     blocks = _torus_blocks(N, d)
@@ -368,23 +361,12 @@ def _srm_bundle(
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(bare elements, excess projector, completed root, spectrum of rho, spectrum of G), read-only.
 
-    ``_blocked_inverse_root`` gives W = rho^(-1/2) on the support and rho's
-    eigenvalues from rho's torus-weight blocks: it raises ``RuntimeError``
-    unless every entry of rho outside them is exactly 0, and solves the
-    blocks of each size as one stack through ``_eigh``, whose ``_require``
-    counts four arrays per stacked matrix at its size.  Port a's bare
-    element is Y_a Y_a^T with the D x r factor Y_a = d^(-N/2) W Q_a', Q_a'
-    the 0/1 pattern of Q_a, a gather of d rows of W per column (W is
-    symmetric).  The excess Delta = 1 - sum_a pi_a
-    projects onto ker rho.  The root of port N's completed element is
-    sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho; and
-    sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from the r x r Gram matrix
-    G = Y_N^T Y_N = V Lambda V^T (the polar identity).  G is positive definite,
-    since W is invertible on supp rho, which holds every column of Q_N; its
-    eigenvalues Lambda, ascending, are the nonzero spectrum of pi_N.  Both
-    eigenvalue arrays are ascending.  The peak is ``_srm_blocks`` (rho's
-    blocks hold at most one D x D array's entries, so the whitening stays
-    inside it); after, N + 2 dense arrays stay.  The bundle is entered in
+    The construction of the module docstring, with Y_a = d^(-N/2) W Q_a' (Q_a'
+    the 0/1 pattern of Q_a) a gather of d rows of the symmetric W per column,
+    and sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from G = Y_N^T Y_N = V Lambda V^T.
+    G is positive definite, since W is invertible on supp rho, which holds
+    every column of Q_N.  Both spectra are ascending.  The peak is
+    ``_srm_blocks``; after, N + 2 dense arrays stay.  The bundle is entered in
     ``_MEASUREMENT_CHECKS`` with its measurement checks not yet computed.
     """
     whiten, rho_eigenvalues = _blocked_inverse_root(N, d)
@@ -457,16 +439,13 @@ def _dims_and_multiplicities(table: np.ndarray, d: int) -> tuple[np.ndarray, np.
 
 @_memo(2)
 def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(frames, U, labels): the Young eigenbasis of frames of n boxes and height <= d.
+    """(frames, U, labels), read-only: the Young eigenbasis of frames of n boxes and height <= d.
 
-    ``frames`` is ``frame_table(n, d)``, U the eigenvector matrix of
-    A = K C1 + C2, and ``labels`` the row in ``frames`` of each column's
-    frame, all three read-only.  A acts on frame mu's block as
-    e(mu) = K sum c + sum c^2, the sums over the contents of ``_box_grid``;
-    since K = n^3 + 1 exceeds every sum c^2, frames with distinct content sums
-    get distinct e.  Two frames sharing e would leave one without
-    eigenvectors, which raises.  Taller frames are left out: their blocks
-    vanish on (C^d)^(x)n.
+    ``frames`` is ``frame_table(n, d)``, U the eigenvectors of A = K C1 + C2
+    and ``labels`` the row of each column's frame.  A acts on frame mu's block
+    as e(mu) = K sum c + sum c^2 over the contents of ``_box_grid``; K = n^3 + 1
+    exceeds every sum c^2, so frames with distinct content sums get distinct e,
+    and a frame left without eigenvectors raises.  Taller frames vanish on (C^d)^(x)n.
     """
     frames = frame_table(n, d)
     k = n**3 + 1
@@ -500,11 +479,9 @@ def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def young_projector(mu, d: int) -> np.ndarray:
     """Projector onto the isotypic block of frame ``mu`` in (C^d)^(x)n (zero when taller than d).
 
-    That block is the sum of the copies of mu's S(n) irrep, so the projector
-    is the group average (d_mu / n!) sum_sigma chi_mu(sigma) V_sigma; it is
-    built from box contents instead (see the module docstring), as
-    U_mu U_mu^T over the cached eigenvectors labelled mu.  Every call returns
-    a fresh array.  ``mu`` is any sequence of parts that ``frame_parts`` accepts.
+    The group average (d_mu / n!) sum_sigma chi_mu(sigma) V_sigma, built from
+    box contents instead (see the module docstring) as a fresh U_mu U_mu^T over
+    the eigenvectors labelled mu.  ``mu`` is any parts ``frame_parts`` accepts.
     """
     p = frame_parts(mu)
     n = sum(p)
@@ -577,14 +554,9 @@ def _root_signal_sums(N: int, d: int, bundle) -> tuple[np.ndarray, np.ndarray]:
 def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
     """Optimal-protocol recycling fidelity from its defining trace expression.
 
-    The measurement is the plain square-root measurement of ``_srm_bundle``.
-    The rotation O commutes with the summed signals, so for positive weights
-    whitening the rotated signals gives the same elements.  With a zero weight
-    O is singular, and the plain measurement is kept, as in ``frec_optimal``
-    (see the module docstring).
+    The measurement is the plain one of ``_srm_bundle``, for any weights (see the module docstring).
     """
-    if N < 2:
-        raise ValueError("N must be at least 2 for the optimal protocol")
+    _check_optimal_point(N, d)
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
     _require(
@@ -667,11 +639,9 @@ def _rho_spectrum_prediction(N: int, d: int) -> list[tuple[float, int]]:
 
 
 def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
-    """Oracle spectrum of the summed signals against the block prediction.
+    """Oracle spectrum of the summed signals against the block prediction, no eigensolve of its own.
 
-    The eigenvalues are the ones ``_srm_bundle`` solved for rho to whiten
-    the signals; no eigensolve of its own.  The prediction,
-    ``_rho_spectrum_prediction``, reads only int64 frame tables.
+    The eigenvalues are those ``_srm_bundle`` solved for rho; ``_rho_spectrum_prediction`` reads int64 tables.
     """
     _require(*_srm_blocks(N, d))
     eig = np.sort(_srm_bundle(N, d)[3])
@@ -746,10 +716,8 @@ def _measurement_checks(N: int, d: int, bundle) -> tuple[tuple[str, float, str],
     """(name, deviation, detail) of the nine checks that read only the measurement, in report order.
 
     None reads the rotation weights, so one computation serves every call on
-    the same bundle.  Port covariance is checked on the N - 1 adjacent
-    transpositions only: the reported ``signal_and_povm_covariance`` is
-    N(N - 1)/2 times their largest deviation, an upper bound on the deviation
-    under every permutation.
+    the same bundle.  Covariance is checked on the adjacent transpositions
+    (see the module docstring).
     """
     n = N + 1
     dim = d**n
@@ -840,17 +808,11 @@ def verify_suite(
     tol: float = 1e-9,
     v: Optional[VCoefficients] = None,
 ) -> VerifyReport:
-    """Run every protocol invariant check at one parameter point.
+    """Run every protocol invariant check at one parameter point; failures are reported, not raised.
 
-    Failures are reported, not raised.  Nine checks read only the measurement
-    (``_measurement_checks``); their deviations are computed once per bundle
-    build and kept with it, and ``tol`` is applied per call.  The one
-    rotation check, ``rotated_completed_trace``, is computed per call from
-    ``v``'s rotation weights (uniform weights when omitted): with
-    G = (O O^T) (x) 1 and c_a = pi_a + Delta/N, tr(O^T c_a O) = vdot(c_a, G)
-    must be d^(N+1)/N.  It is taken on the ports as vdot(tr_in c_a, O O^T),
-    tr_in the partial trace over the input, so no D x D array is built; the
-    traces tr_in c_a read no weight and are kept with the bundle.
+    ``tol`` is applied per call, to the nine measurement checks kept with the bundle and to
+    ``rotated_completed_trace``: tr(O^T c_a O) = d^(N+1)/N for c_a = pi_a + Delta/N and
+    the rotation O of ``v``'s weights (uniform when omitted), taken on the ports (module docstring).
     """
     dim = d ** (N + 1)
     # the SRM with its completed root, signals and completed elements hold 3N + 2

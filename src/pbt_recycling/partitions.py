@@ -10,17 +10,35 @@ of n boxes), evaluated in log space over a frame table so that no term
 overflows.  Exact-integer dimensions and multiplicities live in the tests, as
 the reference the tables are checked against.
 
-``frame_table`` and ``frame_count`` are memoised (``_memo``), as are the
-weight layer's frame maps and factors, each on its ``_MEMO_ENTRIES`` latest
-(n, d) points; a held array is read-only, so no caller changes what the next
-one reads.  ``partitions_bounded`` lists the held table's rows afresh per call.
+Every closed-form frame sum walks its frames here (``_frame_blocks``), in
+table order and in blocks of at most ``_BLOCK_ROWS`` rows: consecutive n
+share a block, and an n with more frames is split into runs of first parts
+k, top down, the frames of n - k boxes, height <= d - 1 and parts <= k
+behind their k, at most frame_count(n - k, d - 1) of them.  The extensions
+of a run over [a, b] are the frames of n + 1 boxes with first part in
+[a, b + 1] less those opening with (b + 1, b + 1): one row range, which
+opens t rows before the previous run's range ends, t the run's frames with
+first part b (alpha + e_0 maps them onto that tail).  ``_frame_sums`` feeds
+each n's terms to one ``math.fsum``, which rounds the exact sum once (a
+split n's as a lazy chain of per-block lists), and the kernel gives a row
+the same bits in any table: no value depends on the blocks.
+
+``frame_table``, ``frame_count`` and ``one_box_ranks`` are memoised
+(``_memo``), as are the weight layer's frame maps and factors, each on its
+``_MEMO_ENTRIES`` latest (n, d) points; a held array is read-only, so no
+caller changes what the next one reads.  A block that is one whole n reads
+them, so a repeat point enumerates no frame.  ``partitions_bounded`` lists
+the held table's rows afresh per call.
 """
 
 from __future__ import annotations
 
 import math
 from functools import wraps
+from itertools import chain, groupby
 from numbers import Integral
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,18 +121,13 @@ def _check_frame_bounds(n: int, max_height: int) -> None:
 def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
     """All partitions of ``n`` with height <= ``max_height``, descending lexicographic.
 
-    The rows of ``frame_table`` as tuples of their positive parts, listed
-    afresh on every call, so a caller may change the list.  No frame of n
-    boxes has more than n rows, so the table is read at height
-    min(max_height, n): its column fill loops over the height.
-    ``n = 0`` yields the singleton list containing the empty tuple.
-
-    With h = max(1, min(max_height, n)) columns a frame costs at most
-    32 h + 128 bytes: its int64 table row and the table's fill maps, the row
-    as a list and as a tuple of Python ints, and two list slots.  The frames
-    are counted first (``frame_count``), and ValueError is raised before
-    anything is built when they would take more than
-    ``PARTITIONS_BYTE_BUDGET`` bytes.
+    The rows of ``frame_table``, read at h = max(1, min(max_height, n))
+    columns (no frame of n boxes is taller than n), as tuples of their
+    positive parts in a fresh list per call; ``n = 0`` gives [()].  A frame
+    costs at most 32 h + 128 bytes: its table row and fill maps, the row as
+    a list and as a tuple of ints, and two list slots.  The frames are
+    counted first, and ValueError is raised before anything is built when
+    they would take more than ``PARTITIONS_BYTE_BUDGET`` bytes.
     """
     _check_frame_bounds(n, max_height)
     height = max(1, min(max_height, n))
@@ -130,13 +143,18 @@ def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
 
 
 def _frame_counts(n: int, max_height: int) -> np.ndarray:
-    """``frame_count(m, max_height)`` for m = 0..n, as an object array.
+    """``frame_count(m, max_height)`` for m = 0..n, int64 when every entry fits, else object.
 
-    Laid out k to a row, the counts of one residue class mod k form a column,
-    so one ``cumsum`` per k runs its recurrence; padding past n feeds no m <= n.
+    The partitions into at most h parts are those into parts of size at most
+    h, counted by c[m] += c[m - k] for k = 1..h, m ascending: for one k, a
+    running sum along each residue class mod k, a column when the counts are
+    laid out k to a row, so one ``cumsum`` per k; padding past n feeds no
+    m <= n.  No entry, padding included, exceeds C(n + 2h, h), a bound on
+    weak compositions, so below 2^63 the int64 counts are exact.
     """
     height = min(n, max_height)
-    counts = np.zeros(n + height + 1, dtype=object)
+    exact = math.comb(n + 2 * height, height) < 1 << 63
+    counts = np.zeros(n + height + 1, dtype=np.int64 if exact else object)
     counts[0] = 1
     for k in range(1, height + 1):
         grid = counts[: -(-(n + 1) // k) * k].reshape(-1, k)
@@ -146,20 +164,15 @@ def _frame_counts(n: int, max_height: int) -> np.ndarray:
 
 @_memo(_MEMO_ENTRIES)
 def frame_count(n: int, max_height: int) -> int:
-    """``len(partitions_bounded(n, max_height))``, without building the frames; memoised.
-
-    The partitions of n into at most h parts are those into parts of size at
-    most h, counted by the recurrence c[m] += c[m - k] for k = 1..h, m ascending.
-    For one k that is a running sum along each residue class of m mod k.
-    Object entries keep the counts exact.
-    """
+    """``len(partitions_bounded(n, max_height))``, without building the frames (``_frame_counts``); memoised."""
     _check_frame_bounds(n, max_height)
     return int(_frame_counts(n, max_height)[n])
 
 
-def _frame_tables(sizes, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _frame_tables(sizes, d: int, largest=None) -> tuple[np.ndarray, np.ndarray]:
     """The frame tables of n boxes and height <= d for each n of ``sizes``, stacked in that order.
 
+    ``largest`` (one per n, each at least n / d) caps the first part.
     Returns the table and the row count of each n.  Column k is filled for
     every prefix at once: a prefix with ``rem`` boxes left, last part
     ``largest`` and ``d - k`` rows to go takes the parts min(rem, largest)
@@ -170,7 +183,7 @@ def _frame_tables(sizes, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     _check_frame_bounds(int(sizes.min(initial=0)), d)
-    rem, largest = sizes, sizes
+    rem, largest = sizes, sizes if largest is None else np.asarray(largest, dtype=np.int64)
     parts, parents = [], []
     for rows_left in range(d, 1, -1):
         hi = np.minimum(rem, largest)
@@ -202,6 +215,100 @@ def frame_table(n: int, d: int) -> np.ndarray:
     the same read-only table.
     """
     return _frame_tables([n], d)[0]
+
+
+def _extension_ranks(alphas: np.ndarray) -> np.ndarray:
+    """Rank of each alpha + e_i among the rows' distinct one-box extensions, descending; -1 off the frames."""
+    valid = np.ones(alphas.shape, dtype=bool)
+    valid[:, 1:] = alphas[:, :-1] > alphas[:, 1:]
+    grown = (alphas[:, None, :] + np.eye(alphas.shape[1], dtype=alphas.dtype))[valid]
+    order = np.lexsort(grown.T[::-1])  # first column first
+    grown = grown[order]
+    new = np.ones(len(grown), dtype=bool)
+    new[1:] = (grown[1:] != grown[:-1]).any(axis=1)
+    ascending = np.empty(len(grown), dtype=np.int64)
+    ascending[order] = np.cumsum(new) - 1
+    ranks = np.full(alphas.shape, -1, dtype=np.int64)
+    ranks[valid] = ascending.max() - ascending
+    return ranks
+
+
+@_memo(_MEMO_ENTRIES)
+def one_box_ranks(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``frame_table(N - 1, d)`` and the row of each alpha + e_i in ``frame_table(N, d)`` or -1; memoised."""
+    alphas = frame_table(N - 1, d)
+    return alphas, _extension_ranks(alphas)  # every frame of N boxes extends one of N - 1
+
+
+#: Most rows in a block of ``_frame_blocks``, unless one first part has more.
+_BLOCK_ROWS = 4096
+
+
+class _Block(NamedTuple):
+    """``sizes[j]`` frames of n + j boxes, from row ``start`` of ``frame_table(n, d)`` on."""
+
+    n: int
+    sizes: list
+    start: int
+    table: np.ndarray
+    ranks: np.ndarray | None  # with ``extend``, the row of alpha + e_i in frame_table(n + 1, d) or -1
+    whole: bool  # all of the memoised frame_table(n, d)
+
+
+def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
+    """The frames of n = n_min..n_max boxes, height <= d, as ``_Block``s in order; ``extend`` stacks none."""
+    counts = [frame_count(n_max, d)] if n_min == n_max else _frame_counts(n_max, d)[n_min:].tolist()
+    n = n_min
+    while n <= n_max:
+        stop, rows = n, counts[n - n_min]
+        while not extend and stop < n_max and rows + counts[stop + 1 - n_min] <= _BLOCK_ROWS:
+            stop += 1
+            rows += counts[stop - n_min]
+        if rows > _BLOCK_ROWS:
+            yield from _first_part_blocks(n, d, extend)
+        elif stop > n:
+            table, sizes = _frame_tables(range(n, stop + 1), d)
+            yield _Block(n, sizes.tolist(), 0, table, None, False)
+        else:
+            yield _Block(n, [rows], 0, frame_table(n, d), one_box_ranks(n + 1, d)[1] if extend else None, True)
+        n = stop + 1
+
+
+def _first_part_blocks(n: int, d: int, extend: bool):
+    """The frames of n boxes in blocks of consecutive first parts k, top down (see the module docstring)."""
+    bound = _frame_counts(n, d - 1).tolist()  # bound[n - k] >= the frames with first part k
+    top, low, start, ext = n, -(-n // d), 0, 0
+    while top >= low:
+        k, rows = top, bound[n - top]
+        while k > low and rows + bound[n - k + 1] <= _BLOCK_ROWS:
+            k -= 1
+            rows += bound[n - k]
+        firsts = np.arange(top, k - 1, -1)
+        rest, sizes = _frame_tables(n - firsts, d - 1, firsts)
+        table = np.column_stack([np.repeat(firsts, sizes), rest])
+        ranks = _extension_ranks(table) if extend else None
+        if extend:
+            ext -= int(sizes[0]) if start else 0  # this range opens on the last one's tail
+            ranks[ranks >= 0] += ext
+            ext = int(ranks.max()) + 1
+        yield _Block(n, [len(table)], start, table, ranks, False)
+        start += len(table)
+        top = k - 1
+
+
+def _frame_sums(n_min: int, n_max: int, d: int, term, extend: bool = False) -> list[float]:
+    """``math.fsum`` of ``term(block)``, a float per row, over each n's frames (a split n's chained lazily)."""
+    if n_min == n_max and frame_count(n_min, d) <= _BLOCK_ROWS:  # one block: skip the walk's machinery
+        return [math.fsum(term(next(_frame_blocks(n_min, n_max, d, extend))).tolist())]
+    sums = []
+    for _, run in groupby(_frame_blocks(n_min, n_max, d, extend), attrgetter("n")):
+        first = next(run)
+        values, stop = term(first).tolist(), 0
+        for size in first.sizes[:-1]:
+            sums.append(math.fsum(values[stop: stop + size]))
+            stop += size
+        sums.append(math.fsum(chain(values[stop:], chain.from_iterable(term(b).tolist() for b in run))))
+    return sums
 
 
 #: stirlerr(k) = ln k! - (k + 1/2) ln k + k - ln(2 pi)/2 for k = 0..15 (entry 0 unused),
@@ -265,10 +372,10 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     The saddle-point terms depend on n and one row length only, so they are
     evaluated by table and gathered: the factorial remainder once on
     0..max n, and the deviance once on a run of lengths 0..m for each
-    distinct box count m, the runs laid end to end.  Each entry gets the
-    value it would get on its own, so the cost is O(entries + sum over
-    distinct n of n); on a full frame table of height >= 2 the runs hold no
-    more values than the table.
+    distinct box count m, the runs laid end to end.  The cost is
+    O(entries + sum over distinct n of n); on a full frame table of height
+    >= 2 the runs hold no more values than the table.  A row gets the same
+    bits in any table: its Weyl logs are added left to right.
     """
     lam = np.asarray(table, dtype=np.int64)
     if lam.ndim != 2 or lam.shape[1] != d:
@@ -285,10 +392,8 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))  # row pairs i < j
     gap = j - i
     diff = lam[:, i] - lam[:, j] + gap
-    return (
-        g[n]
-        - g[lam].sum(axis=1)
-        - b[offset[which][:, None] + lam].sum(axis=1)
-        + np.log(diff * diff / ((lam[:, i] + gap) * gap)).sum(axis=1)
-    )
+    weyl = np.zeros(len(lam))
+    for logs in np.log(diff * diff / ((lam[:, i] + gap) * gap)).T:  # not sum(axis=1): one order in any table
+        weyl += logs
+    return g[n] - g[lam].sum(axis=1) - b[offset[which][:, None] + lam].sum(axis=1) + weyl
 

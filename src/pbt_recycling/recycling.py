@@ -32,26 +32,20 @@ normalisation is 1/(sqrt(N) d^(N+1)); sqrt(N)/d^(N+1) there would exceed 1
 already at N = d = 2.  F = 1/d at N = 1, and the dense-matrix oracle
 reproduces F.
 
-Evaluation: the frames of consecutive N are stacked into blocks of at most
-``_BLOCK_ROWS`` rows (one N with more frames is a block of its own), so a
-sweep holds one block of frames at a time and pays numpy's fixed cost once
-per block rather than once per N.  Each block takes one pass of ln p, c and
-S/sqrt(p); ln p evaluates Loader's saddle-point terms once per (box count,
-row length) of the block and gathers them onto the rows.  Each N's terms go
-to one ``math.fsum`` as a list of Python floats.  Every term depends on its
-own row and N only, and ``fsum`` rounds the exact sum once, so a value is
-bit for bit the same whatever block it lands in: ``frec(N, d)`` is the
-one-N case of ``frec_values``.
+Evaluation: ``partitions._frame_sums`` walks the frames of every N in
+blocks of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split
+by first part), each taking one pass of ln p, c and S/sqrt(p).  A term
+depends on its own row and N only, and each N's terms reach one ``fsum``,
+so ``frec(N, d)`` has the same bits as the one-N case of ``frec_values``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .partitions import _frame_counts, _frame_tables, ln_schur_weyl_probability
+from .partitions import _MEMO_ENTRIES, _frame_sums, _memo, ln_schur_weyl_probability
 from .reports import FidelityReport
 
 
@@ -90,35 +84,18 @@ def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
     return c
 
 
-#: Rows of stacked frames per kernel pass of ``_recycling_sums``; one N with
-#: more frames than this is a block of its own.
-_BLOCK_ROWS = 4096
+def _recycling_terms(block) -> np.ndarray:
+    """c(alpha) S(alpha)^2 per row of a ``partitions._Block`` of frames alpha of N-1 boxes."""
+    alphas, d = block.table, block.table.shape[1]
+    ports = np.repeat(np.arange(block.n + 1, block.n + 1 + len(block.sizes)), block.sizes)
+    p = np.exp(ln_schur_weyl_probability(alphas, d))
+    return height_correction(alphas, d) * p * s_over_sqrt_p(ports, alphas) ** 2
 
 
-def _recycling_sums(n_min: int, n_max: int, d: int) -> list[float]:
-    """sum_alpha c(alpha) S(alpha)^2 for N = n_min..n_max, one kernel pass per block of N."""
-    counts = _frame_counts(n_max - 1, d)[n_min - 1:]
-    sums = []
-    start = n_min
-    while start <= n_max:
-        stop, rows = start, counts[start - n_min]
-        while stop < n_max and rows + counts[stop + 1 - n_min] <= _BLOCK_ROWS:
-            stop += 1
-            rows += counts[stop - n_min]
-        alphas, sizes = _frame_tables(range(start - 1, stop), d)
-        ports = np.repeat(np.arange(start, stop + 1), sizes)
-        p = np.exp(ln_schur_weyl_probability(alphas, d))
-        terms = height_correction(alphas, d) * p * s_over_sqrt_p(ports, alphas) ** 2
-        flat, ends = terms.tolist(), np.cumsum(sizes).tolist()
-        sums += [math.fsum(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
-        start = stop + 1
-    return sums
-
-
-@lru_cache(maxsize=1 << 16)
+@_memo(_MEMO_ENTRIES)
 def _recycling_sum(N: int, d: int) -> float:
     """sum_alpha c(alpha) S(alpha)^2 (``frec`` and the trace share it)."""
-    return _recycling_sums(N, N, d)[0]
+    return _frame_sums(N - 1, N - 1, d, _recycling_terms)[0]
 
 
 def trace_sqrt_povm_signal(N: int, d: int) -> float:
@@ -138,11 +115,11 @@ def frec(N: int, d: int) -> FidelityReport:
 
 
 def frec_values(n_min: int, n_max: int, d: int) -> list[float]:
-    """``frec(N, d).value`` for N = n_min..n_max, bit for bit, from stacked frame blocks."""
+    """``frec(N, d).value`` for N = n_min..n_max, bit for bit, one frame walk for all N."""
     _check_point(n_min, d)
     if n_max < n_min:
         return []
-    sums = _recycling_sums(n_min, n_max, d)
+    sums = _frame_sums(n_min - 1, n_max - 1, d, _recycling_terms)
     return [s / (d * math.sqrt(N)) for N, s in zip(range(n_min, n_max + 1), sums)]
 
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 
-from pbt_recycling import partitions, recycling
-from pbt_recycling.optimal import frec_optimal, one_box_ranks, resource_state_fidelity, v_optimal
-from pbt_recycling.partitions import frame_table, ln_schur_weyl_probability, partitions_bounded
-from pbt_recycling.recycling import frec, frec_values, s_over_sqrt_p
+from pbt_recycling import optimal, partitions, recycling
+from pbt_recycling.optimal import VCoefficients, frec_optimal, one_box_ranks, resource_state_fidelity, v_optimal
+from pbt_recycling.partitions import frame_count, frame_table, ln_schur_weyl_probability, partitions_bounded
+from pbt_recycling.recycling import frec, frec_values, s_over_sqrt_p, trace_sqrt_povm_signal
 
 GRID = [(0, 2), (1, 2), (1, 3), (7, 3), (40, 2), (30, 4), (12, 6), (300, 2), (120, 3), (2000, 2)]
 
@@ -116,6 +116,14 @@ def test_tables_match_entrywise_evaluation_bit_for_bit(table, d):
     assert np.array_equal(ln_schur_weyl_probability(table, d), _ln_probability_entrywise(table, d))
 
 
+@pytest.mark.parametrize("n,d", [(12, 6), (9, 8), (30, 5)])
+def test_a_row_gets_the_same_bits_in_any_table(n, d):
+    # one row alone, the case a frame block can reach, against the whole table
+    table = frame_table(n, d)
+    alone = [ln_schur_weyl_probability(table[k: k + 1], d)[0] for k in range(len(table))]
+    assert alone == ln_schur_weyl_probability(table, d).tolist()
+
+
 def test_tables_stay_within_the_entry_count(monkeypatch):
     # Loader's terms are evaluated at most once per table entry on full frame tables of height >= 2
     evaluations = {}
@@ -211,3 +219,42 @@ def test_frec_optimal_within_a_few_ulp_of_mpmath(N, d):
     vN, vNm1 = v_optimal(N, d), v_optimal(N - 1, d)
     with mpmath.workdps(40):
         assert _rel(frec_optimal(N, d, vN, vNm1).value, _mp_frec_optimal(N, d, vN, vNm1)) <= 1e-15
+
+
+# -- one frame walk behind every closed form ---------------------------------------
+
+
+@pytest.mark.parametrize("N,d", [(14, 3), (10, 4), (9, 5), (7, 6)])
+def test_split_frame_walks_give_the_same_bits(monkeypatch, N, d):
+    # every walker user, with each N's frames in one block and split into runs of first parts
+    rng = np.random.default_rng(N * d)
+
+    def weights(n):
+        w = rng.uniform(0.0, 1.0, frame_count(n, d))
+        w[rng.integers(len(w))] = 0.0
+        return VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w))
+
+    wN, wNm1 = weights(N), weights(N - 1)
+
+    def values():
+        recycling._recycling_sum.cache_clear()
+        vN, vNm1 = v_optimal(N, d), v_optimal(N - 1, d)
+        floats = [
+            frec(N, d).value,
+            trace_sqrt_povm_signal(N, d),
+            *frec_values(1, N, d),
+            frec_optimal(N, d, vN, vNm1).value,
+            frec_optimal(N, d, wN, wNm1).value,
+            resource_state_fidelity(N, d, vN).value,
+            resource_state_fidelity(N, d, wN).value,
+        ]
+        arrays = [VCoefficients.uniform(N, d).entries, optimal._perron_weights(N, d), vN.entries, vNm1.entries]
+        return floats, arrays
+
+    whole = values()
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 2)
+    assert len(list(partitions._frame_blocks(N - 1, N - 1, d))) > 2
+    split = values()
+    assert split[0] == whole[0]
+    for a, b in zip(split[1], whole[1]):
+        np.testing.assert_array_equal(a, b)

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 
+from pbt_recycling import partitions
 from pbt_recycling.optimal import one_box_ranks
-from pbt_recycling.partitions import _frame_tables, frame_count, frame_parts, frame_table, partitions_bounded
+from pbt_recycling.partitions import (
+    _frame_blocks,
+    _frame_counts,
+    _frame_tables,
+    frame_count,
+    frame_parts,
+    frame_table,
+    partitions_bounded,
+)
 
 
 # -- independent oracles -------------------------------------------------
@@ -106,6 +115,17 @@ def test_partitions_bounded_count_matches_generating_function():
         for m in range(k, 2001):
             counts[m] += counts[m - k]
     assert frame_count(2000, 999) == counts[2000]
+    # int64 counts while C(n + 2h, h) < 2^63 bounds every entry, object entries past that; both exact
+    assert frame_count(10**7, 2) == 5000001
+    h = 10
+    switch = next(n for n in range(1000) if comb(n + 2 * h, h) >= 1 << 63)
+    counts = [1] + [0] * switch
+    for k in range(1, h + 1):
+        for m in range(k, switch + 1):
+            counts[m] += counts[m - k]
+    for n, dtype in ((switch - 1, np.int64), (switch, object)):
+        assert _frame_counts(n, h).dtype == dtype
+        assert _frame_counts(n, h).tolist() == counts[: n + 1]
 
 
 def test_memoised_frames_are_read_only_and_lists_are_fresh():
@@ -133,6 +153,32 @@ def test_stacked_frame_tables_concatenate_the_single_ones(d):
         assert table.dtype == np.int64
         np.testing.assert_array_equal(table, np.concatenate([frame_table(n, d) for n in sizes]))
         assert counts.tolist() == [frame_count(n, d) for n in sizes]
+
+
+@pytest.mark.parametrize("cap", [1, 3, 40])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_frame_blocks_concatenate_to_the_tables_and_their_ranks(monkeypatch, cap, d):
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", cap)
+    # n = 0 (N = 1), d > n, and n with more frames than a block, split into runs of first parts
+    for n in sorted({0, 1, d - 1, d, d + 1, 12, 25}):
+        blocks = list(_frame_blocks(n, n, d, extend=True))
+        alphas, ranks = one_box_ranks(n + 1, d)
+        np.testing.assert_array_equal(np.concatenate([b.table for b in blocks]), alphas)
+        np.testing.assert_array_equal(np.concatenate([b.ranks for b in blocks]), ranks)
+        assert [b.start for b in blocks] == np.cumsum([0] + [len(b.table) for b in blocks[:-1]]).tolist()
+        assert all(b.sizes == [len(b.table)] and b.n == n for b in blocks)
+        assert all(len(b.table) <= cap or len(set(b.table[:, 0].tolist())) == 1 for b in blocks)
+        assert (len(blocks) > 1) == (frame_count(n, d) > cap)
+    # without ranks, consecutive n share blocks
+    blocks = list(_frame_blocks(0, 25, d))
+    np.testing.assert_array_equal(
+        np.concatenate([b.table for b in blocks]), np.concatenate([frame_table(n, d) for n in range(26)])
+    )
+    rows = np.zeros(26, dtype=int)
+    for b in blocks:
+        rows[b.n: b.n + len(b.sizes)] += b.sizes
+        assert len(b.table) <= cap or len(b.sizes) == 1
+    assert rows.tolist() == [frame_count(n, d) for n in range(26)]
 
 
 @pytest.mark.parametrize("d", range(1, 7))

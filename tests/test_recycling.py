@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from qubit_two_row import frec_qubit, trace_qubit
 
-from pbt_recycling import oracle, recycling
+from pbt_recycling import oracle, partitions, recycling
 from pbt_recycling.partitions import frame_count, partitions_bounded
 from pbt_recycling.recycling import frec, frec_values, kround_lower_bound, lower_bound_qubit, trace_sqrt_povm_signal
 
@@ -137,13 +137,13 @@ def test_frec_values_are_frec_bit_for_bit(n_min, n_max, d, qubit_sweep):
     assert values == [frec(N, d).value for N in range(n_min, n_max + 1)]
 
 
-def _spy_on_kernel_passes(monkeypatch) -> list[tuple[int, int]]:
-    """Record (rows, distinct box counts) of every table the recycling sum hands to the kernel."""
+def _spy_on_kernel_passes(monkeypatch) -> list[tuple[int, int, int]]:
+    """Record (rows, distinct box counts, distinct first parts) of each table the recycling sum gives the kernel."""
     seen = []
     kernel = recycling.ln_schur_weyl_probability
 
     def spy(table, d):
-        seen.append((len(table), len(np.unique(table.sum(axis=1)))))
+        seen.append((len(table), len(np.unique(table.sum(axis=1))), len(np.unique(table[:, 0]))))
         return kernel(table, d)
 
     monkeypatch.setattr(recycling, "ln_schur_weyl_probability", spy)
@@ -153,17 +153,40 @@ def _spy_on_kernel_passes(monkeypatch) -> list[tuple[int, int]]:
 def test_frec_values_blocks_hold_at_most_block_rows(monkeypatch):
     seen = _spy_on_kernel_passes(monkeypatch)
     frec_values(2, 200, 3)
-    assert len(seen) > 1 and sum(rows for rows, _ in seen) == sum(frame_count(N - 1, 3) for N in range(2, 201))
-    assert all(rows <= recycling._BLOCK_ROWS or sizes == 1 for rows, sizes in seen)
+    assert len(seen) > 1 and sum(rows for rows, _, _ in seen) == sum(frame_count(N - 1, 3) for N in range(2, 201))
+    assert all(rows <= partitions._BLOCK_ROWS for rows, _, _ in seen)
 
 
-def test_frec_values_give_an_oversized_n_its_own_block(monkeypatch):
-    expected = frec_values(2, 40, 3)
+def test_frec_values_give_a_block_over_the_cap_one_first_part(monkeypatch):
+    expected = frec_values(2, 40, 4)
     seen = _spy_on_kernel_passes(monkeypatch)
-    monkeypatch.setattr(recycling, "_BLOCK_ROWS", 50)
-    assert frec_values(2, 40, 3) == expected
-    assert all(rows <= 50 or sizes == 1 for rows, sizes in seen)
-    assert any(rows > 50 for rows, _ in seen) and any(sizes > 1 for _, sizes in seen)
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 30)
+    assert frec_values(2, 40, 4) == expected
+    assert all(rows <= 30 or (sizes, firsts) == (1, 1) for rows, sizes, firsts in seen)
+    assert any(rows > 30 for rows, _, _ in seen) and any(sizes > 1 for _, sizes, _ in seen)
+    # an N with more frames than a block is split into runs of first parts
+    assert any(sizes == 1 and firsts > 1 and rows < frame_count(39, 4) for rows, sizes, firsts in seen)
+
+
+def test_split_frec_holds_one_block_at_a_time(monkeypatch):
+    import tracemalloc
+
+    def peak():
+        recycling._recycling_sum.cache_clear()
+        partitions.frame_table.cache_clear()
+        tracemalloc.start()
+        try:
+            value = frec(200, 4).value
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert frame_count(199, 4) > 10 * partitions._BLOCK_ROWS
+    split, split_peak = peak()
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 10**9)
+    whole, whole_peak = peak()
+    assert split == whole
+    assert split_peak < whole_peak / 4
 
 
 def test_frec_values_errors():
