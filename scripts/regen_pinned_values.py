@@ -21,7 +21,10 @@ from pbt_recycling import (
 GRID = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (1, 4), (2, 4), (4, 3), (3, 4), (2, 5), (2, 6)]
 
 #: Points of the optimal protocol, each with the solved weights ``v_optimal``.
-OPTIMAL_GRID = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
+OPTIMAL_GRID = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)]
+
+#: Points of the resource-state overlap, each with the solved weights ``v_optimal``.
+RESOURCE_GRID = [(6, 2), (7, 2), (4, 3), (5, 3), (3, 4)]
 
 
 def plan():
@@ -39,10 +42,10 @@ def plan():
             else "dense trace with the solved rotation weights v_optimal",
             lambda N=N, d=d: frec_optimal_oracle(N, d, v_optimal(N, d), v_optimal(N - 1, d)).value,
         )
-    for N in (6, 7):
-        entries[f"resource_fidelity_oracle/N={N},d=2"] = (
+    for N, d in RESOURCE_GRID:
+        entries[f"resource_fidelity_oracle/N={N},d={d}"] = (
             "direct overlap of the rotated and plain resource vectors",
-            lambda N=N: resource_fidelity_oracle(N, 2, v_optimal(N, 2)),
+            lambda N=N, d=d: resource_fidelity_oracle(N, d, v_optimal(N, d)),
         )
     return entries
 

@@ -40,23 +40,23 @@ against a signal.  The excess Delta = 1 - sum_a pi_a projects onto ker rho.
 Port N's completed element pi_N + Delta/N has the root
 sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho, and the polar
 identity sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T takes sqrt(pi_N) from the r x r
-Gram matrix G = Y_N^T Y_N.  ``_srm_bundle`` holds, read-only: the N bare
-elements, Delta, that completed root (the operator behind every recycling
-fidelity), rho's eigenvalues and G's.  It is built once per (N, d) and
-shared by every call.  Its eigensolves are the only ones of the
-measurement: ``rho_spectrum_report`` reads rho's eigenvalues, and
-``povm_spectrum_deviation`` reads G's, the nonzero spectrum of pi_N.  So a
-fresh point costs one stacked eigensolve per block size of rho and one
-r x r eigensolve, besides the Young eigenbases of the rotation, and a cached
-point none.
+Gram matrix G = Y_N^T Y_N.  ``_srm_bundle`` returns one read-only record,
+``_Measurement``: the N bare elements, Delta, that completed root (the
+operator behind every recycling fidelity), rho's eigenvalues and G's.  It is
+built once per (N, d) and shared by every call.  Its eigensolves are the
+only ones of the measurement: ``rho_spectrum_report`` reads rho's
+eigenvalues, and ``povm_spectrum_deviation`` reads G's, the nonzero spectrum
+of pi_N.  So a fresh point costs one stacked eigensolve per block size of
+rho and one r x r eigensolve, besides the Young eigenbases of the rotation,
+and a cached point none.
 
 Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
 allocates, it counts the dense arrays it will hold at once: operators,
 temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors;
 four per matrix of a stack, at the stack's size) and the cache entries it
-creates (``_srm_bundle`` keeps one (N, d) point and, beside it, N traces of
+creates (``_srm_bundle`` keeps one (N, d) record and, on it, N traces of
 d^N x d^N and the root's summed columns; ``_young_projectors`` keeps two; a
-miss evicts the oldest first; cached arrays are read-only).  The bundle's
+miss evicts the oldest first; cached arrays are read-only).  The record's
 peak is ``_srm_blocks``; rho's blocks hold at most D^2 entries together, so
 the dense rho, its stacks with their eigenvectors and W fit in it.  Index
 arrays (d^n by n digits) are not counted.  Over the budget a call raises
@@ -70,18 +70,19 @@ signals sum to O rho O^T = O^2 rho, and whitening undoes the rotation:
 With a zero weight O is singular; the oracle then uses the plain measurement,
 as ``frec_optimal`` does.
 
-``verify_suite`` splits its checks by what they read.  Nine read only the
-measurement; the one that reads the rotation weights runs on the d^N port
-space: vdot(c_a, (O O^T) (x) 1) = vdot(tr_in c_a, O O^T), tr_in the partial
-trace over the input.  What reads no weight is computed once per bundle build
-and kept beside the bundle, read-only (``_kept``, in ``_MEASUREMENT_CHECKS``,
-emptied with it, and reused only while ``_srm_bundle`` returns the very bundle
-it came from): the nine deviations, the N traces tr_in c_a, ``frec_oracle``'s
-value and the root's summed columns at Q_N's indices.  So a repeat call at a
+What reads no weight is a cached property of the record, computed on first
+read and kept on it, read-only: ``frec_oracle``'s value, the root's summed
+columns at Q_N's indices, the N traces tr_in c_a of the completed elements
+c_a = pi_a + Delta/N (tr_in the partial trace over the input), both spectral
+reports, and nine of ``verify_suite``'s checks.  A cached value lives and
+dies with its record: the memo drops the old record before it builds a new
+one, and a record substituted with ``dataclasses.replace`` computes its own.
+The one check that reads the rotation weights runs on the d^N port space:
+vdot(c_a, (O O^T) (x) 1) = vdot(tr_in c_a, O O^T).  So a repeat call at a
 point pays only for its rotation: it builds O_N and O_(N-1), contracts them
-with what is kept, and allocates no D x D array.  The optimal fidelity's two
-rotations meet on port space: (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T =
-[O_N (O_(N-1) (x) 1)^T] (x) 1, one d^N x d^N product, read at Q_N's indices.
+with what the record holds, and allocates no D x D array.  The optimal
+fidelity's two rotations meet on port space: (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T
+= [O_N (O_(N-1) (x) 1)^T] (x) 1, one d^N x d^N product, read at Q_N's indices.
 
 ``verify_suite`` checks covariance under the port group S(N) on its N - 1
 generators, the adjacent transpositions.  Conjugating by a permutation
@@ -95,6 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 from typing import Optional
 
@@ -102,7 +104,7 @@ import numpy as np
 
 from .optimal import VCoefficients, _check_optimal_point
 from .partitions import _memo, _read_only, frame_parts, frame_table, one_box_ranks
-from .recycling import trace_sqrt_povm_signal
+from .recycling import _check_point, trace_sqrt_povm_signal
 from .reports import FidelityReport, VerifyReport
 
 #: Bytes of dense float64 arrays one oracle call may hold at once.
@@ -129,8 +131,11 @@ class DimensionCapError(RuntimeError):
 
 
 def _require(*blocks: tuple[int, int]) -> None:
-    """Raise unless ``count`` dense dim x dim float64 arrays per (count, dim) block fit the budget."""
-    nbytes = sum(count * dim * dim * 8 for count, dim in blocks)
+    """Raise unless ``count`` dense dim x dim float64 arrays per (count, dim) block fit the budget.
+
+    Counted in Python ints, which never wrap, whatever integer type the counts are.
+    """
+    nbytes = sum(int(count) * int(dim) ** 2 * 8 for count, dim in blocks)
     if nbytes > ORACLE_BYTE_BUDGET:
         raise DimensionCapError(
             f"dense arrays of {nbytes} bytes: exceeds cap, the byte budget is {ORACLE_BYTE_BUDGET}"
@@ -348,26 +353,136 @@ def _srm_blocks(N: int, d: int) -> tuple[tuple[int, int], ...]:
     return (N + 4, d ** (N + 1)), (2, d**N), (1 + _EIGH_ARRAYS, d ** (N - 1))
 
 
-#: What is derived from the bundle ``_srm_bundle`` holds and read by no weight:
-#: (N, d) -> [that very bundle, None until ``_kept`` first needs a value, then a dict
-#: from each computing function to its value].  Only a bundle build enters it, and
-#: a build or ``cache_clear`` empties it first, so nothing in it outlives the bundle.
-_MEASUREMENT_CHECKS: dict = {}
+@dataclass(frozen=True, eq=False)
+class _Measurement:
+    """The square-root measurement at one (N, d) point and what it alone determines (module docstring).
+
+    Every array on it is read-only, also in its cached properties; both spectra are ascending.
+    """
+
+    N: int
+    d: int
+    pis: tuple[np.ndarray, ...]
+    delta: np.ndarray
+    root: np.ndarray
+    rho_eigenvalues: np.ndarray
+    gram_eigenvalues: np.ndarray
+
+    def __post_init__(self):
+        _read_only((self.pis, self.delta, self.root, self.rho_eigenvalues, self.gram_eigenvalues))
+
+    @cached_property
+    def frec_value(self) -> float:
+        """``frec_oracle``'s value: its defining trace expression on the completed root."""
+        N, d = self.N, self.d
+        norm = sqrt(np.trace(self.pis[N - 1]) + np.trace(self.delta) / N)
+        # tr(sigma_N root) = d^(-N) times the sum of root's entries on every pair of
+        # indices in one column of Q_N, the entries ``_signal_sum`` fills for sigma_N
+        cols = _signal_columns(N, N, d)
+        overlap = abs(self.root[cols[:, :, None], cols[:, None, :]].sum()) / d**N
+        return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
+
+    @cached_property
+    def root_signal_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(``_signal_gather`` of the root at Q_N, port index q_j + k of column j's k-th nonzero)."""
+        cols = _signal_columns(self.N, self.N, self.d)
+        return _read_only((_signal_gather(self.root, cols), cols[:, :1] // self.d + np.arange(self.d)))
+
+    @cached_property
+    def input_traces(self) -> tuple[np.ndarray, ...]:
+        """tr_in(pi_a + Delta/N) for a = 1..N: the completed elements traced down to the ports."""
+        excess = _input_trace(self.delta, self.d) / self.N
+        return _read_only(tuple(_input_trace(pi, self.d) + excess for pi in self.pis))
+
+    @cached_property
+    def rho_spectrum_report(self) -> SpectrumReport:
+        """rho's eigenvalues against ``_rho_spectrum_prediction``."""
+        eig = np.sort(self.rho_eigenvalues)
+        predicted = _rho_spectrum_prediction(self.N, self.d)
+        expanded = np.sort(np.concatenate([np.full(m, lam) for lam, m in predicted]))
+        return SpectrumReport(
+            eigenvalues=tuple(float(x) for x in eig),
+            predicted=tuple(sorted(predicted)),
+            max_deviation=float(np.abs(eig - expanded).max()),
+        )
+
+    @cached_property
+    def povm_spectrum_deviation(self) -> float:
+        """Worst distance of an eigenvalue of G from zero and the ``_povm_block_factors``."""
+        allowed = np.array([0.0] + _povm_block_factors(self.N, self.d))
+        return float(np.abs(self.gram_eigenvalues[:, None] - allowed).min(axis=1).max())
+
+    @cached_property
+    def checks(self) -> tuple[tuple[str, float, str], ...]:
+        """(name, deviation, detail) of the nine checks that read no weights, in ``verify_suite``'s order."""
+        N, d, delta, root = self.N, self.d, self.delta, self.root
+        n = N + 1
+        dim = d**n
+        sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
+        checks = []
+
+        def add(name: str, deviation, detail: str = ""):
+            checks.append((name, float(deviation), detail))
+
+        excess = delta / N
+        completed = [pi + excess for pi in self.pis]
+        del excess
+        # one D x D buffer takes every difference below, each reduced in place
+        scratch = completed[0].copy()
+        for c in completed[1:]:
+            scratch += c
+        scratch.flat[:: dim + 1] -= 1.0
+        add("povm_completeness", np.abs(scratch, out=scratch).max())
+        np.matmul(delta, delta, out=scratch)
+        scratch -= delta
+        add("excess_idempotent", np.abs(scratch, out=scratch).max())
+        # every column of delta sigma_s at an index of column j of Q_s is d^(-N) times
+        # the sum of delta's columns there
+        dev_orth = max(np.abs(_signal_gather(delta, _signal_columns(s, N, d))).max() for s in range(1, N + 1))
+        add("excess_signal_orthogonal", dev_orth / d**N)
+
+        # covariance under the adjacent port transpositions (acting trivially on the input);
+        # a word of at most N(N - 1)/2 of them reaches any permutation, and its deviations add up
+        dev_cov = 0.0
+        for i in range(N - 1):
+            perm = transposition(i, i + 1, N)
+            for a in range(1, N + 1):
+                b = perm[a - 1] + 1
+                dev_cov = max(
+                    dev_cov,
+                    _swap_deviation(sigs[a - 1], sigs[b - 1], i, d, n, scratch),
+                    _swap_deviation(completed[a - 1], completed[b - 1], i, d, n, scratch),
+                )
+        add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
+
+        add("completed_trace", max(abs(np.trace(c) - d ** (N + 1) / N) for c in completed))
+        del completed
+
+        add("rho_spectrum", self.rho_spectrum_report.max_deviation)
+        add("povm_spectrum", self.povm_spectrum_deviation)
+
+        # signal N equals the partially transposed port<->input swap over d^N
+        v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
+        np.subtract(sigs[N - 1], np.divide(v_prime, d**N, out=scratch), out=scratch)
+        add("signal_is_transposed_swap", np.abs(scratch, out=scratch).max())
+        del sigs, scratch
+
+        # tr(root v') is vdot(root, v') because root is symmetric.  The completed
+        # root is sqrt(pi_N) + delta / sqrt(N), since pi_N lives on the support of rho
+        # and delta projects onto its kernel, and tr(delta v') = d^N tr(delta sigma_N)
+        # is zero (excess_signal_orthogonal): this is the trace of the bare root.
+        tr_direct = float(np.vdot(root, v_prime))
+        add("sqrt_povm_signal_trace", abs(tr_direct - trace_sqrt_povm_signal(N, d)), f"oracle={tr_direct!r}")
+        return tuple(checks)
 
 
-@_memo(1, companion=_MEASUREMENT_CHECKS)
-def _srm_bundle(
-    N: int, d: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(bare elements, excess projector, completed root, spectrum of rho, spectrum of G), read-only.
+@_memo(1)
+def _srm_bundle(N: int, d: int) -> _Measurement:
+    """The ``_Measurement`` at (N, d), as the module docstring builds it: peak ``_srm_blocks``, N + 2 arrays after.
 
-    The construction of the module docstring, with Y_a = d^(-N/2) W Q_a' (Q_a'
-    the 0/1 pattern of Q_a) a gather of d rows of the symmetric W per column,
-    and sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from G = Y_N^T Y_N = V Lambda V^T.
-    G is positive definite, since W is invertible on supp rho, which holds
-    every column of Q_N.  Both spectra are ascending.  The peak is
-    ``_srm_blocks``; after, N + 2 dense arrays stay.  The bundle is entered in
-    ``_MEASUREMENT_CHECKS`` with its measurement checks not yet computed.
+    Y_a = d^(-N/2) W Q_a' (Q_a' the 0/1 pattern of Q_a) gathers d rows of the
+    symmetric W per column, and sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from
+    G = Y_N^T Y_N = V Lambda V^T, positive definite as W is invertible on supp rho.
     """
     whiten, rho_eigenvalues = _blocked_inverse_root(N, d)
     delta = np.eye(d ** (N + 1))
@@ -384,9 +499,7 @@ def _srm_bundle(
     root = _symmetric_gram((v * lam**-0.25).T @ yt)
     del yt
     root += delta / sqrt(N)
-    bundle = tuple(pis), delta, root, rho_eigenvalues, lam
-    _MEASUREMENT_CHECKS[N, d] = [bundle, None]
-    return bundle
+    return _Measurement(N, d, tuple(pis), delta, root, rho_eigenvalues, gram_eigenvalues=lam)
 
 
 def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,11 +509,12 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     them to a resolution of identity, spread evenly over the N outcomes.
     The first two are the cached, read-only arrays.
     """
+    _check_point(N, d)
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
-    _require(*_srm_blocks(N, d))  # then the bundle and the completed element with its temporary
-    pis, delta = _srm_bundle(N, d)[:2]
-    return pis[a - 1], delta, pis[a - 1] + delta / N
+    _require(*_srm_blocks(N, d))  # then the record and the completed element with its temporary
+    measurement = _srm_bundle(N, d)
+    return measurement.pis[a - 1], measurement.delta, measurement.pis[a - 1] + measurement.delta / N
 
 
 def _box_grid(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -528,27 +642,11 @@ def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
     return out.reshape(n * d, n * d)
 
 
-def _frec_oracle_value(N: int, d: int, bundle) -> float:
-    pis, delta, root = bundle[:3]
-    norm = sqrt(np.trace(pis[N - 1]) + np.trace(delta) / N)
-    # tr(sigma_N root) = d^(-N) times the sum of root's entries on every pair of
-    # indices in one column of Q_N, the entries ``_signal_sum`` fills for sigma_N
-    cols = _signal_columns(N, N, d)
-    overlap = abs(root[cols[:, :, None], cols[:, None, :]].sum()) / d**N
-    return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
-
-
 def frec_oracle(N: int, d: int) -> FidelityReport:
-    """One-round recycling fidelity from the defining trace expression, kept with the bundle."""
-    _require(*_srm_blocks(N, d))  # then the bundle
-    value = _kept(_frec_oracle_value, N, d, _srm_bundle(N, d))
-    return FidelityReport(value=value, method="oracle", ports=N, dim=d)
-
-
-def _root_signal_sums(N: int, d: int, bundle) -> tuple[np.ndarray, np.ndarray]:
-    """(``_signal_gather`` of the completed root at Q_N, port index q_j + k of column j's k-th nonzero)."""
-    cols = _signal_columns(N, N, d)
-    return _signal_gather(bundle[2], cols), cols[:, :1] // d + np.arange(d)
+    """One-round recycling fidelity from the defining trace expression, kept on the measurement record."""
+    _check_point(N, d)
+    _require(*_srm_blocks(N, d))  # then the record
+    return FidelityReport(value=_srm_bundle(N, d).frec_value, method="oracle", ports=N, dim=d)
 
 
 def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
@@ -560,11 +658,11 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
     _require(
-        (N + 5, d ** (N + 1)),  # the bundle's build, or the bundle, the rotation and its two factors
-        (_YOUNG_BASIS_ARRAYS + 3, d**N),  # and the root's summed columns, kept with the bundle
+        (N + 5, d ** (N + 1)),  # the record's build, or the record, the rotation and its two factors
+        (_YOUNG_BASIS_ARRAYS + 3, d**N),  # and the root's summed columns, kept on the record
         (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1)),
     )
-    bundle = _srm_bundle(N, d)
+    measurement = _srm_bundle(N, d)
     # (O_N (x) 1)(O_{N-1} (x) 1 (x) 1)^T = [O_N (O_{N-1} (x) 1)^T] (x) 1, the last
     # factor the input system: one product on the ports
     ports = build_optimizing_operator(N, d, vN)
@@ -575,7 +673,7 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     # O Q^T = ports (x) 1, and column j of Q_N sits at the indices (q_j + k) d + k,
     # k = 0..d-1, q_j its port index with port N's digit 0: the summed column is
     # ports[i, q_j + k] at index i d + k
-    sums, columns = _kept(_root_signal_sums, N, d, bundle)
+    sums, columns = measurement.root_signal_sums
     rotated = ports[np.arange(d**N)[:, None], columns[:, None, :]]  # [j, i, k]
     del ports
     overlap = np.vdot(sums, rotated) / d**N
@@ -589,10 +687,11 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     ``rotation`` is an operator on the ports (identity when omitted); it is
     extended by identity on the input system.
     """
-    # the bundle's build, or the bundle, the rotation and a signal with its two
+    _check_point(N, d)
+    # the record's build, or the record, the rotation and a signal with its two
     # products, then a completed element's two temporaries
     _require((N + 6, d ** (N + 1)))
-    pis, delta = _srm_bundle(N, d)[:2]
+    measurement = _srm_bundle(N, d)
     o = None if rotation is None else _embed_ports_operator(rotation, d)
     total = 0.0
     for a in range(1, N + 1):
@@ -600,7 +699,7 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
         if o is not None:
             sig = o @ sig @ o.T
         # tr(O^T pi O sig) = vdot(pi, O sig O^T) because pi is symmetric
-        total += np.vdot(pis[a - 1] + delta / N, sig)
+        total += np.vdot(measurement.pis[a - 1] + measurement.delta / N, sig)
     return float(total) / d**2
 
 
@@ -643,16 +742,9 @@ def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
 
     The eigenvalues are those ``_srm_bundle`` solved for rho; ``_rho_spectrum_prediction`` reads int64 tables.
     """
+    _check_point(N, d)
     _require(*_srm_blocks(N, d))
-    eig = np.sort(_srm_bundle(N, d)[3])
-    predicted = _rho_spectrum_prediction(N, d)
-    expanded = np.sort(np.concatenate([np.full(m, lam) for lam, m in predicted]))
-    dev = float(np.abs(eig - expanded).max())
-    return SpectrumReport(
-        eigenvalues=tuple(float(x) for x in eig),
-        predicted=tuple(sorted(predicted)),
-        max_deviation=dev,
-    )
+    return _srm_bundle(N, d).rho_spectrum_report
 
 
 def _povm_block_factors(N: int, d: int) -> list[float]:
@@ -685,10 +777,9 @@ def povm_spectrum_deviation(N: int, d: int) -> float:
     covariance (``signal_and_povm_covariance``), and by Weyl's inequality a
     covariance deviation e moves no eigenvalue by more than D e.
     """
+    _check_point(N, d)
     _require(*_srm_blocks(N, d))
-    lam = _srm_bundle(N, d)[4]
-    allowed = np.array([0.0] + _povm_block_factors(N, d))
-    return float(np.abs(lam[:, None] - allowed).min(axis=1).max())
+    return _srm_bundle(N, d).povm_spectrum_deviation
 
 
 def _input_trace(m: np.ndarray, d: int) -> np.ndarray:
@@ -712,96 +803,6 @@ def _swap_deviation(
     return float(np.abs(diff, out=diff).max())
 
 
-def _measurement_checks(N: int, d: int, bundle) -> tuple[tuple[str, float, str], ...]:
-    """(name, deviation, detail) of the nine checks that read only the measurement, in report order.
-
-    None reads the rotation weights, so one computation serves every call on
-    the same bundle.  Covariance is checked on the adjacent transpositions
-    (see the module docstring).
-    """
-    n = N + 1
-    dim = d**n
-    pis, delta, root = bundle[:3]
-    sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
-    checks = []
-
-    def add(name: str, deviation, detail: str = ""):
-        checks.append((name, float(deviation), detail))
-
-    excess = delta / N
-    completed = [pi + excess for pi in pis]
-    del excess
-    # one D x D buffer takes every difference below, each reduced in place
-    scratch = completed[0].copy()
-    for c in completed[1:]:
-        scratch += c
-    scratch.flat[:: dim + 1] -= 1.0
-    add("povm_completeness", np.abs(scratch, out=scratch).max())
-    np.matmul(delta, delta, out=scratch)
-    scratch -= delta
-    add("excess_idempotent", np.abs(scratch, out=scratch).max())
-    # every column of delta sigma_s at an index of column j of Q_s is d^(-N) times
-    # the sum of delta's columns there
-    dev_orth = max(np.abs(_signal_gather(delta, _signal_columns(s, N, d))).max() for s in range(1, N + 1))
-    add("excess_signal_orthogonal", dev_orth / d**N)
-
-    # covariance under the adjacent port transpositions (acting trivially on the input);
-    # a word of at most N(N - 1)/2 of them reaches any permutation, and its deviations add up
-    dev_cov = 0.0
-    for i in range(N - 1):
-        perm = transposition(i, i + 1, N)
-        for a in range(1, N + 1):
-            b = perm[a - 1] + 1
-            dev_cov = max(
-                dev_cov,
-                _swap_deviation(sigs[a - 1], sigs[b - 1], i, d, n, scratch),
-                _swap_deviation(completed[a - 1], completed[b - 1], i, d, n, scratch),
-            )
-    add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
-
-    add("completed_trace", max(abs(np.trace(c) - d ** (N + 1) / N) for c in completed))
-    del completed
-
-    add("rho_spectrum", rho_spectrum_report(N, d).max_deviation)
-    add("povm_spectrum", povm_spectrum_deviation(N, d))
-
-    # signal N equals the partially transposed port<->input swap over d^N
-    v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
-    np.subtract(sigs[N - 1], np.divide(v_prime, d**N, out=scratch), out=scratch)
-    add("signal_is_transposed_swap", np.abs(scratch, out=scratch).max())
-    del sigs, scratch
-
-    # tr(root v') is vdot(root, v') because root is symmetric.  The completed
-    # root is sqrt(pi_N) + delta / sqrt(N), since pi_N lives on the support of rho
-    # and delta projects onto its kernel, and tr(delta v') = d^N tr(delta sigma_N)
-    # is zero (excess_signal_orthogonal): this is the trace of the bare root.
-    tr_direct = float(np.vdot(root, v_prime))
-    add("sqrt_povm_signal_trace", abs(tr_direct - trace_sqrt_povm_signal(N, d)), f"oracle={tr_direct!r}")
-    return tuple(checks)
-
-
-def _kept(compute, N: int, d: int, bundle):
-    """``compute(N, d, bundle)``, computed once for the bundle ``_srm_bundle`` holds and kept beside it.
-
-    Any other bundle, such as one a caller substitutes, gets a fresh value
-    that is not kept.
-    """
-    entry = _MEASUREMENT_CHECKS.get((N, d))
-    if entry is None or entry[0] is not bundle:
-        return compute(N, d, bundle)
-    kept = entry[1] = entry[1] or {}
-    if compute not in kept:
-        kept[compute] = _read_only(compute(N, d, bundle))
-    return kept[compute]
-
-
-def _completed_input_traces(N: int, d: int, bundle) -> tuple[np.ndarray, ...]:
-    """tr_in(pi_a + Delta/N) for a = 1..N, read-only: the completed elements traced down to the ports."""
-    pis, delta = bundle[:2]
-    excess = _input_trace(delta, d) / N
-    return tuple(_input_trace(pi, d) + excess for pi in pis)
-
-
 def verify_suite(
     N: int,
     d: int,
@@ -810,26 +811,26 @@ def verify_suite(
 ) -> VerifyReport:
     """Run every protocol invariant check at one parameter point; failures are reported, not raised.
 
-    ``tol`` is applied per call, to the nine measurement checks kept with the bundle and to
+    ``tol`` is applied per call, to the nine checks kept on the measurement record and to
     ``rotated_completed_trace``: tr(O^T c_a O) = d^(N+1)/N for c_a = pi_a + Delta/N and
     the rotation O of ``v``'s weights (uniform when omitted), taken on the ports (module docstring).
     """
+    _check_point(N, d)
     dim = d ** (N + 1)
     # the SRM with its completed root, signals and completed elements hold 3N + 2
-    # arrays, and three temporaries; the bundle's build and the rotation need fewer;
-    # the N traces kept with the bundle are on the ports
+    # arrays, and three temporaries; the record's build and the rotation need fewer;
+    # the N traces kept on the record are on the ports
     _require((3 * N + 5, dim), (_YOUNG_BASIS_ARRAYS + 2 + N, d**N))
-    bundle = _srm_bundle(N, d)
+    measurement = _srm_bundle(N, d)
     o = build_optimizing_operator(N, d, v if v is not None else VCoefficients.uniform(N, d))
     # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric
     gram = o @ o.T
     del o
-    traces = _kept(_completed_input_traces, N, d, bundle)
-    dev_rot = max(abs(np.vdot(t, gram) - dim / N) for t in traces)
+    dev_rot = max(abs(np.vdot(t, gram) - dim / N) for t in measurement.input_traces)
     del gram
 
     report = VerifyReport(ports=N, dim=d, tol=tol)
-    for name, deviation, detail in _kept(_measurement_checks, N, d, bundle):
+    for name, deviation, detail in measurement.checks:
         report.add(name, deviation, detail)
         if name == "completed_trace":
             report.add("rotated_completed_trace", dev_rot)

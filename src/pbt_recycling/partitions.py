@@ -59,15 +59,12 @@ def _read_only(value):
     return value
 
 
-def _memo(size: int, companion: dict | None = None):
+def _memo(size: int):
     """Memoise on the arguments; a miss first evicts the oldest entries, so at most ``size`` are held.
 
-    Every array a value holds is made read-only (``_read_only``).  Keyword
-    arguments key as (name, value) pairs after the positional ones.
-    ``companion``, a dict of values derived from the entries, is emptied before
-    every build and by ``cache_clear``, so it outlives no entry.
+    Every array a value holds, alone or in tuples, is made read-only (``_read_only``).
+    Keyword arguments key as (name, value) pairs after the positional ones.
     """
-    derived = {} if companion is None else companion
 
     def decorate(build):
         held: dict = {}
@@ -76,13 +73,12 @@ def _memo(size: int, companion: dict | None = None):
         def cached(*args, **kwargs):
             key = args + tuple(kwargs.items())
             if key not in held:
-                derived.clear()
                 while len(held) >= size:
                     del held[next(iter(held))]
                 held[key] = _read_only(build(*args, **kwargs))
             return held[key]
 
-        cached.cache_clear = lambda: derived.clear() or held.clear()
+        cached.cache_clear = held.clear
         return cached
 
     return decorate

@@ -28,6 +28,17 @@ from pbt_recycling.recycling import frec
 ORACLE_POINTS = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
 
 
+def _pinned_points(pinned, kind):
+    """(N, d, value) of every pinned entry of ``kind``, keyed ``kind/N=..,d=..``."""
+    points = []
+    for key, value in pinned.items():
+        name, point = key.split("/")
+        if name == kind:
+            N, d = (int(part.split("=")[1]) for part in point.split(","))
+            points.append((N, d, value))
+    return points
+
+
 # -- optimal weights ------------------------------------------------------------
 
 def test_v_optimal_qubit_n2():
@@ -114,10 +125,11 @@ def test_gamma_consistent_with_v():
 # -- optimal recycling fidelity ---------------------------------------------------
 
 def test_frec_optimal_qubit_pinned(pinned):
-    for N in (2, 3, 4, 5):
-        assert frec_optimal(N, 2, v_optimal(N, 2), v_optimal(N - 1, 2)).value == pytest.approx(
-            pinned[f"frec_optimal_oracle/N={N},d=2"], abs=1e-10
-        )
+    # every pinned point of the optimal protocol, the qubit ones and those at d >= 3
+    points = _pinned_points(pinned, "frec_optimal_oracle")
+    assert {(N, 2) for N in (2, 3, 4, 5)} <= {(N, d) for N, d, _ in points}
+    for N, d, value in points:
+        assert frec_optimal(N, d, v_optimal(N, d), v_optimal(N - 1, d)).value == pytest.approx(value, abs=1e-10)
 
 
 def test_frec_optimal_matches_qubit_form():
@@ -166,6 +178,8 @@ def test_resource_fidelity_pinned(pinned):
     got = resource_state_fidelity(6, 2, v_optimal(6, 2)).value
     assert got == pytest.approx(pinned["resource_fidelity_oracle/N=6,d=2"], abs=1e-10)
     assert got == pytest.approx(0.9977, abs=5e-4)
+    for N, d, value in _pinned_points(pinned, "resource_fidelity_oracle"):
+        assert resource_state_fidelity(N, d, v_optimal(N, d)).value == pytest.approx(value, abs=1e-10)
 
 
 def test_resource_fidelity_angular_agrees():

@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 from math import sqrt
 
@@ -109,6 +112,23 @@ def test_signal_index_range():
         signal_state(0, 2, 2)
     with pytest.raises(ValueError):
         signal_state(3, 2, 2)
+
+
+@pytest.mark.parametrize("N,d", [(0, 2), (-1, 2), (2, 1), (0, 0)])
+def test_oracle_entry_points_check_the_point(N, d):
+    # every entry point taking (N, d) rejects a bad point as the closed form does
+    with pytest.raises(ValueError) as closed_form:
+        frec(N, d)
+    for call in (
+        lambda: srm_povm(1, N, d),
+        lambda: frec_oracle(N, d),
+        lambda: verify_suite(N, d),
+        lambda: rho_spectrum_report(N, d),
+        lambda: povm_spectrum_deviation(N, d),
+        lambda: channel_fidelity_oracle(N, d),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(closed_form.value))}$"):
+            call()
 
 
 def test_signal_equals_scaled_partial_transpose():
@@ -479,7 +499,8 @@ def test_swap_deviation_conjugates_by_the_transposition(n, d):
 @pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
 @pytest.mark.parametrize("perturbation", ["none", "one", "graded"])
 def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbation):
-    pis, delta, root, rho_eig, gram_eig = oracle._srm_bundle(N, d)
+    measurement = oracle._srm_bundle(N, d)
+    pis, delta = measurement.pis, measurement.delta
     if perturbation == "one":
         # a random symmetric perturbation of size 1e-7 on the first bare element
         e = np.random.default_rng(3).standard_normal(pis[0].shape)
@@ -489,7 +510,8 @@ def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbati
         # a * 1e-7 * identity on element a: each generator moves it by 1e-7,
         # the cycle taking port 1 to port N by (N - 1) * 1e-7
         pis = tuple(pi + a * 1e-7 * np.eye(len(pi)) for a, pi in enumerate(pis))
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: (pis, delta, root, rho_eig, gram_eig))
+    substituted = dataclasses.replace(measurement, pis=pis)
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
     check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["signal_and_povm_covariance"]
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
     brute = _all_permutation_covariance(N, d, sigs, [pi + delta / N for pi in pis])
@@ -505,7 +527,7 @@ def test_completed_root_gives_the_bare_root_trace(N, d):
     n = N + 1
     v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
     bare_root = sqrt_psd(srm_povm(N, N, d)[0])
-    completed_root = oracle._srm_bundle(N, d)[2]
+    completed_root = oracle._srm_bundle(N, d).root
     assert np.vdot(completed_root, v_prime) == pytest.approx(np.vdot(bare_root, v_prime), rel=0, abs=1e-12)
 
 
@@ -517,12 +539,12 @@ FACTOR_GRID = [(N, 2) for N in range(2, 8)] + [(N, 3) for N in range(2, 5)] + [(
 def test_factored_root_matches_the_dense_root(N, d):
     # sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T, completed by delta / sqrt(N) on ker rho
     dense = sqrt_psd(srm_povm(N, N, d)[2])
-    assert np.abs(oracle._srm_bundle(N, d)[2] - dense).max() <= 1e-12
+    assert np.abs(oracle._srm_bundle(N, d).root - dense).max() <= 1e-12
 
 
 @pytest.mark.parametrize("N,d", FACTOR_GRID + [(8, 2), (5, 3)])
 def test_bundle_keeps_the_spectrum_of_rho(N, d):
-    rho_eigenvalues = oracle._srm_bundle(N, d)[3]
+    rho_eigenvalues = oracle._srm_bundle(N, d).rho_eigenvalues
     assert np.abs(rho_eigenvalues - np.linalg.eigvalsh(rho_operator(N, d))).max() <= 1e-13
 
 
@@ -558,14 +580,14 @@ def test_off_block_entry_of_rho_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("N,d", [(3, 2), (2, 3), (4, 2)])
-@pytest.mark.parametrize("index,name", [(3, "rho_spectrum"), (4, "povm_spectrum")])
-def test_spectral_checks_catch_a_moved_eigenvalue(monkeypatch, N, d, index, name):
-    # the spectral checks read the bundle's eigenvalues: moving one by 1e-6 must fail its check only
-    bundle = list(oracle._srm_bundle(N, d))
-    moved = bundle[index].copy()
+@pytest.mark.parametrize("field,name", [("rho_eigenvalues", "rho_spectrum"), ("gram_eigenvalues", "povm_spectrum")])
+def test_spectral_checks_catch_a_moved_eigenvalue(monkeypatch, N, d, field, name):
+    # the spectral checks read the record's eigenvalues: moving one by 1e-6 must fail its check only
+    measurement = oracle._srm_bundle(N, d)
+    moved = getattr(measurement, field).copy()
     moved[len(moved) // 2] += 1e-6
-    bundle[index] = moved
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: tuple(bundle))
+    substituted = dataclasses.replace(measurement, **{field: moved})
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
     failing = [c.name for c in verify_suite(N, d, tol=1e-9).checks if not c.passed]
     assert failing == [name]
 
@@ -573,10 +595,11 @@ def test_spectral_checks_catch_a_moved_eigenvalue(monkeypatch, N, d, index, name
 @pytest.mark.parametrize("N,d", [(3, 2), (2, 3)])
 def test_excess_signal_orthogonal_matches_the_dense_product(monkeypatch, N, d):
     # the check gathers delta's columns; a perturbed excess must read as max |delta sigma_s|
-    pis, delta, *spectra = oracle._srm_bundle(N, d)
-    e = np.random.default_rng(N * 10 + d).standard_normal(delta.shape)
-    delta = delta + 1e-6 * (e + e.T)
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: (pis, delta, *spectra))
+    measurement = oracle._srm_bundle(N, d)
+    e = np.random.default_rng(N * 10 + d).standard_normal(measurement.delta.shape)
+    delta = measurement.delta + 1e-6 * (e + e.T)
+    substituted = dataclasses.replace(measurement, delta=delta)
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
     check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["excess_signal_orthogonal"]
     dense = max(np.abs(delta @ signal_state(a, N, d)).max() for a in range(1, N + 1))
     assert check.max_deviation == pytest.approx(dense, rel=1e-12)
@@ -600,6 +623,11 @@ def test_singular_gram_matrix_raises(monkeypatch):
 def test_oracle_cap_errors(monkeypatch):
     with pytest.raises(DimensionCapError):
         frec_oracle(20, 2)
+    # a numpy-integer N is counted exactly, not in wrapping int64
+    with pytest.raises(DimensionCapError, match="budget"):
+        oracle._require(*oracle._srm_blocks(np.int64(40), 2))
+    with pytest.raises(DimensionCapError, match="budget"):
+        frec_oracle(np.int64(40), 2)
     # rho at (2, 2) is one dense 8 x 8 array of 512 bytes
     monkeypatch.setattr(oracle, "ORACLE_BYTE_BUDGET", 511)
     with pytest.raises(DimensionCapError, match="budget"):
@@ -631,7 +659,12 @@ def test_operators_are_float64():
 def test_cached_arrays_are_read_only():
     bare, excess, completed = srm_povm(2, 2, 2)
     _, u, labels = oracle._young_projectors(2, 2)
-    for cached in (bare, excess, u, labels):
+    measurement = oracle._srm_bundle(2, 2)
+    for cached in (
+        bare, excess, u, labels, *measurement.pis, measurement.root,
+        measurement.rho_eigenvalues, measurement.gram_eigenvalues,
+        *measurement.input_traces, *measurement.root_signal_sums,
+    ):
         with pytest.raises(ValueError, match="read-only"):
             cached[:] = 0
     completed[:] = 0  # a fresh array, not a cache entry
@@ -703,9 +736,9 @@ def test_budget_counts_cover_traced_peak(monkeypatch, name):
     assert peak <= counted[0] + (1 << 16)  # digit tables and Python objects, under half an array
 
 
-# -- the measurement checks, once per bundle build ---------------------------------------------
+# -- the measurement checks, once per measurement record -----------------------------------------
 
-#: Checks that read no rotation weights; ``verify_suite`` computes them once per bundle build.
+#: Checks that read no rotation weights; ``verify_suite`` computes them once per measurement record.
 MEASUREMENT_CHECKS = (
     "povm_completeness", "excess_idempotent", "excess_signal_orthogonal",
     "signal_and_povm_covariance", "completed_trace", "rho_spectrum", "povm_spectrum",
@@ -721,35 +754,43 @@ def _deviations(report):
 def test_cached_measurement_checks_equal_fresh_ones(N, d):
     rng = np.random.default_rng(N * 10 + d)
     oracle._srm_bundle.cache_clear()
-    assert oracle._MEASUREMENT_CHECKS == {}
+    assert "checks" not in vars(oracle._srm_bundle(N, d))
     reports = [verify_suite(N, d, v=random_v(N, d, rng)) for _ in range(3)]
-    assert oracle._MEASUREMENT_CHECKS[N, d][0] is oracle._srm_bundle(N, d)
-    fresh = list(oracle._measurement_checks(N, d, oracle._srm_bundle(N, d)))
+    assert "checks" in vars(oracle._srm_bundle(N, d))
+    fresh = list(dataclasses.replace(oracle._srm_bundle(N, d)).checks)
     assert [name for name, _, _ in fresh] == list(MEASUREMENT_CHECKS)
     for report in reports:
         assert report.all_passed
         assert _deviations(report) == fresh  # bit for bit: floats compare exactly
 
 
-def test_check_cache_follows_the_bundle_memo():
+def test_check_cache_follows_the_bundle_memo(monkeypatch):
     verify_suite(3, 2)
-    assert (3, 2) in oracle._MEASUREMENT_CHECKS
-    oracle._srm_bundle(2, 2)  # a build at another point drops the entry before it allocates
-    assert list(oracle._MEASUREMENT_CHECKS) == [(2, 2)]
-    bundle, deviations = oracle._MEASUREMENT_CHECKS[2, 2]
-    assert bundle is oracle._srm_bundle(2, 2) and deviations is None
+    held = weakref.ref(oracle._srm_bundle(3, 2))
+    assert "checks" in vars(held())
+    dropped = []
+
+    def spy(*point, _build=oracle._blocked_inverse_root):
+        dropped.append(held() is None)
+        return _build(*point)
+
+    monkeypatch.setattr(oracle, "_blocked_inverse_root", spy)
+    oracle._srm_bundle(2, 2)  # a build at another point drops the record, and its checks, before it allocates
+    assert dropped == [True]
+    held = weakref.ref(oracle._srm_bundle(2, 2))
+    assert "checks" not in vars(held())
     oracle._srm_bundle.cache_clear()
-    assert oracle._MEASUREMENT_CHECKS == {}
+    assert held() is None
 
 
 def test_check_cache_rechecks_a_substituted_bundle(monkeypatch):
-    # measurement checks kept for the held bundle must not answer for another one at the same point
+    # measurement checks kept on the held record must not answer for another one at the same point
     assert verify_suite(3, 2).all_passed
-    bundle = list(oracle._srm_bundle(3, 2))
-    moved = bundle[3].copy()
+    measurement = oracle._srm_bundle(3, 2)
+    moved = measurement.rho_eigenvalues.copy()
     moved[len(moved) // 2] += 1e-6
-    bundle[3] = moved
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: tuple(bundle))
+    substituted = dataclasses.replace(measurement, rho_eigenvalues=moved)
+    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
     failing = [c.name for c in verify_suite(3, 2, tol=1e-9).checks if not c.passed]
     assert failing == ["rho_spectrum"]
     monkeypatch.undo()
@@ -773,7 +814,7 @@ def _random_weights_with_a_zero(N, d, rng):
 
 def _frec_optimal_dense(N, d, vN, vNm1):
     """sqrt(N)/d |tr(sigma_N root O Q^T)| with O Q^T the D x D product of the two embedded rotations."""
-    root = oracle._srm_bundle(N, d)[2]
+    root = oracle._srm_bundle(N, d).root
     o_full = np.kron(build_optimizing_operator(N, d, vN), np.eye(d))
     rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
     return sqrt(N) / d * abs(np.vdot(root @ signal_state(N, N, d), rotation))
