@@ -18,7 +18,10 @@ from pbt_recycling import (
     v_optimal,
 )
 
-GRID = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (1, 4), (2, 4), (4, 3), (3, 4), (2, 5), (2, 6)]
+GRID = [
+    (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (10, 2),
+    (2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (1, 4), (2, 4), (3, 4), (2, 5), (2, 6),
+]
 
 #: Points of the optimal protocol, each with the solved weights ``v_optimal``.
 OPTIMAL_GRID = [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4)]

@@ -26,41 +26,54 @@ count.
 The square-root measurement is built from the signals' factors.  With
 D = d^(N+1) and r = d^(N-1), sigma_a = d^(1-N) Q_a Q_a^T, where the D x r
 isometry Q_a is |phi+> on (port a, input) times the identity on the other
-ports; each column has d nonzeros (``_signal_columns``).  rho = sum_a sigma_a
-commutes with U^(x)N (x) conj(U), so it is block diagonal by torus weight:
-the port digit counts minus the unit vector of the input digit
-(``_torus_blocks``).  Every entry of rho outside the blocks must be exactly 0,
-else ``RuntimeError``; then the blocks of one size are solved as one stacked
-eigensolve, which gives W = rho^(-1/2) on the support, scattered into a dense
-D x D array, and rho's spectrum.  At (3, 4) that is 50 blocks of 5 sizes, the
-largest 18 x 18, in place of one 256 x 256 eigensolve.  The bare element
-pi_a = W sigma_a W is Y_a Y_a^T with the D x r factor
-Y_a = d^((1-N)/2) W Q_a, a gather of W's rows, so no D x D product is taken
-against a signal.  The excess Delta = 1 - sum_a pi_a projects onto ker rho.
-Port N's completed element pi_N + Delta/N has the root
-sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho, and the polar
-identity sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T takes sqrt(pi_N) from the r x r
-Gram matrix G = Y_N^T Y_N.  ``_srm_bundle`` returns one read-only record,
-``_Measurement``: the N bare elements, Delta, that completed root (the
-operator behind every recycling fidelity), rho's eigenvalues and G's.  It is
-built once per (N, d) and shared by every call.  Its eigensolves are the
-only ones of the measurement: ``rho_spectrum_report`` reads rho's
-eigenvalues, and ``povm_spectrum_deviation`` reads G's, the nonzero spectrum
-of pi_N.  So a fresh point costs one stacked eigensolve per block size of
-rho and one r x r eigensolve, besides the Young eigenbases of the rotation,
+ports; each column has d nonzeros (``_signal_columns``).  Every signal
+commutes with U^(x)N (x) conj(U), so for diagonal U every operator of the
+measurement is block diagonal by torus weight: the port digit counts minus
+the unit vector of the input digit (``_torus_blocks``).  The blocks hold a
+small share of D^2 (7.9%, 4.1% and 2.1% at (4, 3), (3, 4) and (2, 6)), so
+the measurement is held packed (``_Packing``): one flat float64 buffer per
+operator holding every block, with one (k, s, s) view per block size s for
+stacked ``matmul`` and ``eigh``.  Two premises are checked exactly: rho, built
+dense from the signals, has no nonzero entry outside the blocks, and each
+column of every Q_a lies inside one block; else ``RuntimeError``.  rho's
+blocks of one size are solved as one stacked eigensolve, which gives
+W = rho^(-1/2) on the support, packed, and rho's spectrum.  At (3, 4) that is
+50 blocks of 5 sizes, the largest 18 x 18, in place of one 256 x 256
+eigensolve.  On a block holding r_b columns of Q_a, the bare element
+pi_a = W sigma_a W is Y Y^T with the s x r_b factor Y = d^((1-N)/2) W Q_a,
+whose columns are sums of W's rows; the excess Delta = 1 - sum_a pi_a
+projects onto ker rho.  Port N's completed element pi_N + Delta/N has the
+root sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho, and the
+polar identity sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T takes sqrt(pi_N) from the
+r_b x r_b blocks of the Gram matrix G = Y_N^T Y_N, one stacked eigensolve per
+block size and column count (``_signal_blocks``).  ``_srm_bundle`` returns
+one read-only record, ``_Measurement``: the N bare elements, Delta and that
+completed root (the operator behind every recycling fidelity), all packed,
+with rho's eigenvalues and G's.  It is built once per (N, d) and shared by
+every call; ``srm_povm`` and ``channel_fidelity_oracle`` unpack what they
+read into dense arrays.  The record's eigensolves are the only ones of the
+measurement: ``rho_spectrum_report`` reads rho's eigenvalues, and
+``povm_spectrum_deviation`` reads G's, the nonzero spectrum of pi_N.  So a
+fresh point costs dense rho, the stacked eigensolves of rho's and G's blocks
+and products on the blocks, besides the Young eigenbases of the rotation,
 and a cached point none.
 
 Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
-allocates, it counts the dense arrays it will hold at once: operators,
+allocates, it counts the float64 arrays it will hold at once: operators,
 temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors;
 four per matrix of a stack, at the stack's size) and the cache entries it
 creates (``_srm_bundle`` keeps one (N, d) record and, on it, N traces of
-d^N x d^N and the root's summed columns; ``_young_projectors`` keeps two; a
-miss evicts the oldest first; cached arrays are read-only).  The record's
-peak is ``_srm_blocks``; rho's blocks hold at most D^2 entries together, so
-the dense rho, its stacks with their eigenvectors and W fit in it.  Index
-arrays (d^n by n digits) are not counted.  Over the budget a call raises
-``DimensionCapError``, exit code 2 in the CLI.
+d^N x d^N and the root's summed rows; ``_young_projectors`` keeps two; a
+miss evicts the oldest first; cached arrays are read-only).  A packed
+operator counts as its entries, the sum of its blocks' s^2, taken from
+frame tables before any index array exists (``_packed_entries``), and an
+integer array of a packed operator's length counts as one more.  A call
+counts the larger of the record's build (``_srm_blocks``: dense rho while it
+is packed, then N + 8 packed operators) and the record with what the call
+holds besides it; a point where dense rho alone is over counts rho alone.
+Arrays of at most d^(N+2) entries (digit tables, the layout, Q_a's columns)
+are not counted.  Over the budget a call raises ``DimensionCapError``, exit
+code 2 in the CLI.
 
 One measurement serves the optimal protocol too.  Its sender rotation
 O (x) 1 is a weighted sum of port Young projectors, so it commutes with
@@ -71,8 +84,8 @@ With a zero weight O is singular; the oracle then uses the plain measurement,
 as ``frec_optimal`` does.
 
 What reads no weight is a cached property of the record, computed on first
-read and kept on it, read-only: ``frec_oracle``'s value, the root's summed
-columns at Q_N's indices, the N traces tr_in c_a of the completed elements
+read and kept on it, read-only: ``frec_oracle``'s value, the root's rows
+summed over Q_N's columns, the N traces tr_in c_a of the completed elements
 c_a = pi_a + Delta/N (tr_in the partial trace over the input), both spectral
 reports, and nine of ``verify_suite``'s checks.  A cached value lives and
 dies with its record: the memo drops the old record before it builds a new
@@ -89,16 +102,21 @@ generators, the adjacent transpositions.  Conjugating by a permutation
 matrix only permutes entries, so deviations add along a word, and every
 permutation is a word of at most N(N - 1)/2 of them: the reported value,
 N(N - 1)/2 times the largest deviation over the generators, bounds the
-deviation over all N! permutations.
+deviation over all N! permutations.  A port permutation keeps every digit
+count, so it maps each torus block to itself: conjugating a packed operator
+is one gather of its buffer, computed once per transposition
+(``_swap_gather``) for the signals and the completed elements alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -135,7 +153,7 @@ def _require(*blocks: tuple[int, int]) -> None:
 
     Counted in Python ints, which never wrap, whatever integer type the counts are.
     """
-    nbytes = sum(int(count) * int(dim) ** 2 * 8 for count, dim in blocks)
+    nbytes = _nbytes(blocks)
     if nbytes > ORACLE_BYTE_BUDGET:
         raise DimensionCapError(
             f"dense arrays of {nbytes} bytes: exceeds cap, the byte budget is {ORACLE_BYTE_BUDGET}"
@@ -203,18 +221,6 @@ def _signal_columns(a: int, N: int, d: int) -> np.ndarray:
     digits = _digits(d, N + 1)
     base = np.flatnonzero((digits[:, a - 1] == 0) & (digits[:, N] == 0))
     return base[:, None] + np.arange(d) * (d ** (N + 1 - a) + 1)
-
-
-def _signal_gather(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Row sums of ``m`` over each row of ``cols``: d^(N-1) x D, one row per column of Q_a.
-
-    For symmetric ``m`` its transpose is d^(1/2) m Q_a, and
-    m sigma_a = d^(-N) m Q_a' Q_a'^T with Q_a' the 0/1 pattern of Q_a.
-    """
-    g = m[cols[:, 0]]
-    for c in cols[:, 1:].T:
-        g += m[c]
-    return g
 
 
 def _signal_sum(ports, N: int, d: int) -> np.ndarray:
@@ -314,50 +320,220 @@ def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in sorted(set(sizes.tolist()))]
 
 
+def _multinomial(parts) -> int:
+    return math.factorial(sum(parts)) // math.prod(math.factorial(p) for p in parts)
+
+
+@_memo(4)
+def _packed_entries(N: int, d: int) -> int:
+    """Entries of a packed operator, sum s^2 over the ``_torus_blocks``, from frame tables alone.
+
+    A weight w = c - e_k (c the port digit counts, k the input digit) either
+    is a composition of N - 1, whose block has sum_j multinomial(N; w + e_j)
+    indices, or has w_k = -1, and then its block is the multinomial(N; c)
+    indices of one c with c_k = 0.  A size depends on a composition only
+    through its frame, whose d!/prod(multiplicity!) arrangements are counted.
+    """
+    total = 0
+    for u in frame_table(N - 1, d).tolist():
+        size = sum(_multinomial(u[:j] + [u[j] + 1] + u[j + 1:]) for j in range(d))
+        total += _multinomial(Counter(u).values()) * size**2
+    for c in frame_table(N, d).tolist():
+        total += _multinomial(Counter(c).values()) * c.count(0) * _multinomial(c) ** 2
+    return total
+
+
+class _Packing(NamedTuple):
+    """Where a block-diagonal operator on the ``_torus_blocks`` sits in one flat float64 buffer, its packed form.
+
+    The blocks of one size s follow each other, each s x s and row-major,
+    sizes ascending; ``views`` gives one (k, s, s) view per size.  Per basis
+    index: ``pos`` is its place in its block, ``width`` its block's size,
+    ``start`` where its row of the block begins in the buffer, so entry (m, n)
+    of a block sits at ``start[m] + pos[n]``, and ``first`` where its block
+    begins in ``order``, the blocks' indices one block after another.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    order: np.ndarray
+    start: np.ndarray
+    pos: np.ndarray
+    width: np.ndarray
+    first: np.ndarray
+    size: int
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return self.start + self.pos
+
+    def views(self, buf: np.ndarray) -> list[np.ndarray]:
+        """The (..., k, s, s) view of each block size of ``buf``, packed operators on its last axis."""
+        views, offset = [], 0
+        for b in self.blocks:
+            k, s = b.shape
+            views.append(buf[..., offset:offset + k * s * s].reshape(buf.shape[:-1] + (k, s, s)))
+            offset += k * s * s
+        return views
+
+    def over_entries(self, f, dtype=np.float64) -> np.ndarray:
+        """f(row index, column index) at every packed entry, in buffer order.
+
+        f gets the (k, s, 1) and (k, 1, s) index arrays of each block size.
+        """
+        out = np.empty(self.size, dtype)
+        for b, view in zip(self.blocks, self.views(out)):
+            view[...] = f(b[:, :, None], b[:, None, :])
+        return out
+
+    def pack(self, dense: np.ndarray) -> np.ndarray:
+        return self.over_entries(lambda m, n: dense[m, n])
+
+    def unpack(self, buf: np.ndarray) -> np.ndarray:
+        """The dense D x D operator of a packed one, zero outside the blocks."""
+        dense = np.zeros((len(self.order),) * 2)
+        for b, view in zip(self.blocks, self.views(buf)):
+            dense[b[:, :, None], b[:, None, :]] = view
+        return dense
+
+    def eye(self) -> np.ndarray:
+        one = np.zeros(self.size)
+        one[self.diagonal] = 1.0
+        return one
+
+
+@_memo(2)
+def _packing(N: int, d: int) -> _Packing:
+    """The ``_Packing`` of (N, d) (read-only)."""
+    blocks = _torus_blocks(N, d)
+    order = np.concatenate([b.ravel() for b in blocks])
+    start, pos, width, first = (np.empty(len(order), dtype=np.int64) for _ in range(4))
+    offset = row = 0
+    for b in blocks:
+        k, s = b.shape
+        pos[b] = np.arange(s)
+        width[b] = s
+        start[b] = offset + s * s * np.arange(k)[:, None] + s * np.arange(s)
+        first[b] = row + s * np.arange(k)[:, None]
+        offset += k * s * s
+        row += k * s
+    return _Packing(tuple(blocks), order, start, pos, width, first, offset)
+
+
+def _packed_signal(packing: _Packing, a: int, N: int, d: int) -> np.ndarray:
+    """sigma_a, packed: d^(-N) on every pair of indices in one column of Q_a (each column inside one block)."""
+    cols = _signal_columns(a, N, d)
+    sig = np.zeros(packing.size)
+    sig[packing.start[cols][:, :, None] + packing.pos[cols][:, None, :]] = 1.0 / d**N
+    return sig
+
+
+@_memo(16)
+def _signal_blocks(a: int, N: int, d: int) -> tuple[np.ndarray, ...]:
+    """Q_a's columns (``_signal_columns``) by torus block: one k x r x d array per (block size, columns per block).
+
+    Row i of an array holds the r columns inside its i-th block; blocks holding
+    none are left out.  Raises ``RuntimeError`` unless each column lies inside
+    one block.  Memoised, read-only: the build and the checks share it.
+    """
+    packing = _packing(N, d)
+    cols = _signal_columns(a, N, d)
+    blocks = packing.first[cols]
+    if not (blocks == blocks[:, :1]).all():
+        raise RuntimeError(f"a column of signal {a}'s factor at ({N}, {d}) spans two torus-weight blocks")
+    order = np.argsort(blocks[:, 0], kind="stable")
+    cols, blocks = cols[order], blocks[order, 0]
+    counts = np.bincount(blocks)[blocks]  # of each column's block
+    widths = packing.width[cols[:, 0]]
+    return tuple(
+        cols[(widths == s) & (counts == r)].reshape(-1, r, d)
+        for s, r in sorted(set(zip(widths.tolist(), counts.tolist())))
+    )
+
+
+def _summed_rows(packing: _Packing, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Packed x's rows summed over the d indices of each column of a ``_signal_blocks`` array: k x r x s.
+
+    Each sum is the s entries of the column's block.  For symmetric x the sums
+    over Q_a's columns are d^(1/2) Q_a^T x, and x sigma_a is d^(-N) times them at each index of the column.
+    """
+    s = packing.width[cols.flat[0]]
+    return x[packing.start[cols][..., None] + np.arange(s)].sum(axis=-2)
+
+
+def _block_entries(packing: _Packing, cols: np.ndarray) -> np.ndarray:
+    """Where each block of a ``_signal_blocks`` array sits in a packed buffer: k x s^2."""
+    head = cols[:, 0, 0]
+    s = packing.width[head[0]]
+    return (packing.start[head] - s * packing.pos[head])[:, None] + np.arange(s * s)
+
+
+def _swap_gather(packing: _Packing, perm, d: int, n: int) -> np.ndarray:
+    """The gather g of packed operators with (V X V^T) packed = X[g], V the port permutation operator of ``perm``.
+
+    (V X V^T)[m, n] = X[p[m], p[n]] with p the inverse of ``_permuted_indices``;
+    a port permutation keeps every digit count, so p maps each block to itself.
+    """
+    inverse = np.argsort(_permuted_indices(perm, d, n))
+    return packing.over_entries(lambda m, c: packing.start[inverse[m]] + packing.pos[inverse[c]], np.int64)
+
+
 def _blocked_inverse_root(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(W = rho^(-1/2) on the support, rho's eigenvalues ascending), one stacked eigensolve per block size.
+    """(W = rho^(-1/2) on the support, packed; rho's eigenvalues ascending), one stacked eigensolve per block size.
 
     Raises ``RuntimeError`` unless rho's ``_torus_blocks`` hold all its nonzeros.
     """
     rho = rho_operator(N, d)
-    blocks = _torus_blocks(N, d)
-    stacks = [rho[b[:, :, None], b[:, None, :]] for b in blocks]
-    outside = np.count_nonzero(rho) - sum(np.count_nonzero(m) for m in stacks)
+    packing = _packing(N, d)
+    packed = packing.pack(rho)
+    outside = np.count_nonzero(rho) - np.count_nonzero(packed)
     if outside:
         raise RuntimeError(f"rho at ({N}, {d}) has {outside} nonzero entries outside its torus-weight blocks")
     del rho
-    roots, spectra = _psd_function(stacks, _inverse_root, SUPPORT_TOL)
-    del stacks
-    whiten = np.zeros((d ** (N + 1),) * 2)
-    for b, root in zip(blocks, roots):
-        whiten[b[:, :, None], b[:, None, :]] = root
-    return whiten, np.sort(np.concatenate([w.ravel() for w in spectra]))
+    roots, spectra = _psd_function(packing.views(packed), _inverse_root, SUPPORT_TOL)
+    del packed
+    return np.concatenate([m.ravel() for m in roots]), np.sort(np.concatenate([w.ravel() for w in spectra]))
 
 
 def _symmetric_gram(yt: np.ndarray) -> np.ndarray:
-    """yt^T yt, symmetrised in place."""
-    m = yt.T @ yt
-    m += m.T
+    """yt^T yt for each matrix of a stack, symmetrised in place."""
+    m = np.swapaxes(yt, -1, -2) @ yt
+    m += np.swapaxes(m, -1, -2)
     m *= 0.5
     return m
 
 
-def _srm_blocks(N: int, d: int) -> tuple[tuple[int, int], ...]:
-    """The dense arrays ``_srm_bundle`` holds at its peak, as ``_require`` blocks.
+def _nbytes(blocks) -> int:
+    return sum(int(count) * int(dim) ** 2 * 8 for count, dim in blocks)
 
-    N + 4 of D x D (the whitening, the excess, the N bare elements and two
-    temporaries of the last one's symmetrised product), two D x r factors,
-    each the size of one d^N x d^N array since D r = d^(2N), and the r x r
-    Gram matrix with its eigensolve.
+
+def _srm_blocks(N: int, d: int, *uses: tuple[int, tuple]) -> tuple[tuple[int, int], ...]:
+    """``_require`` blocks of a call that builds the record, or holds it with the most of one of ``uses``.
+
+    The build holds dense rho with four packed operators (its blocks, and the
+    gather of one block size with its two broadcast index arrays), then
+    N + 8: W, the N bare elements, the excess and the root,
+    with the gathers and products of one block size and column count of
+    ``_signal_blocks``.  A use is (packed, dense): that many packed operators
+    and those ``_require`` blocks besides the record's N + 2.  Where dense rho
+    alone is over the budget, it is counted alone: such a point's frame
+    tables can be too long to walk.
     """
-    return (N + 4, d ** (N + 1)), (2, d**N), (1 + _EIGH_ARRAYS, d ** (N - 1))
+    N, d = operator.index(N), operator.index(d)
+    rho = ((1, d ** (N + 1)),)
+    if _nbytes(rho) > ORACLE_BYTE_BUDGET:
+        return rho
+    entries = _packed_entries(N, d)  # a packed operator counts as that many 1 x 1 arrays
+    phases = [rho + ((4 * entries, 1),), (((N + 8) * entries, 1),)]
+    phases += [(((N + 2 + packed) * entries, 1),) + dense for packed, dense in uses]
+    return max(phases, key=_nbytes)
 
 
 @dataclass(frozen=True, eq=False)
 class _Measurement:
     """The square-root measurement at one (N, d) point and what it alone determines (module docstring).
 
-    Every array on it is read-only, also in its cached properties; both spectra are ascending.
+    ``pis``, ``delta`` and ``root`` are packed (``_Packing``).  Every array on
+    it is read-only, also in its cached properties; both spectra are ascending.
     """
 
     N: int
@@ -371,28 +547,53 @@ class _Measurement:
     def __post_init__(self):
         _read_only((self.pis, self.delta, self.root, self.rho_eigenvalues, self.gram_eigenvalues))
 
+    @property
+    def packing(self) -> _Packing:
+        return _packing(self.N, self.d)
+
+    def dense(self, packed: np.ndarray) -> np.ndarray:
+        """A fresh dense D x D array of one of the record's packed operators."""
+        return self.packing.unpack(packed)
+
     @cached_property
     def frec_value(self) -> float:
         """``frec_oracle``'s value: its defining trace expression on the completed root."""
-        N, d = self.N, self.d
-        norm = sqrt(np.trace(self.pis[N - 1]) + np.trace(self.delta) / N)
-        # tr(sigma_N root) = d^(-N) times the sum of root's entries on every pair of
-        # indices in one column of Q_N, the entries ``_signal_sum`` fills for sigma_N
-        cols = _signal_columns(N, N, d)
-        overlap = abs(self.root[cols[:, :, None], cols[:, None, :]].sum()) / d**N
+        N, d, packing = self.N, self.d, self.packing
+        diagonal = packing.diagonal
+        norm = sqrt(self.pis[N - 1][diagonal].sum() + self.delta[diagonal].sum() / N)
+        # tr(sigma_N root) = vdot(sigma_N, root): both are symmetric, and both packed
+        overlap = abs(np.vdot(_packed_signal(packing, N, N, d), self.root))
         return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
 
     @cached_property
     def root_signal_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """(``_signal_gather`` of the root at Q_N, port index q_j + k of column j's k-th nonzero)."""
-        cols = _signal_columns(self.N, self.N, self.d)
-        return _read_only((_signal_gather(self.root, cols), cols[:, :1] // self.d + np.arange(self.d)))
+        """(root's rows summed over each column j of Q_N, where each entry meets a port operator), flattened.
+
+        A sum holds the s entries of its column's block.  Entry m of column j's
+        sum meets ports[m // d, q_j + m % d], q_j the port index of the column's
+        first nonzero: flat index m // d * d^N + q_j + m % d.
+        """
+        N, d, packing = self.N, self.d, self.packing
+        sums, flat = [], []
+        for cols in _signal_blocks(N, N, d):
+            summed = _summed_rows(packing, self.root, cols)
+            members = packing.order[packing.first[cols[:, :1, 0]][..., None] + np.arange(summed.shape[-1])]
+            sums.append(summed.ravel())
+            flat.append((members // d * d**N + cols[..., :1] // d + members % d).ravel())
+        return _read_only((np.concatenate(sums), np.concatenate(flat)))
 
     @cached_property
     def input_traces(self) -> tuple[np.ndarray, ...]:
-        """tr_in(pi_a + Delta/N) for a = 1..N: the completed elements traced down to the ports."""
-        excess = _input_trace(self.delta, self.d) / self.N
-        return _read_only(tuple(_input_trace(pi, self.d) + excess for pi in self.pis))
+        """tr_in(pi_a + Delta/N) for a = 1..N: the completed elements traced down to the ports.
+
+        Packed entry (m, n) adds to port entry (m // d, n // d) when m and n share the input digit.
+        """
+        N, d, packing = self.N, self.d, self.packing
+        q = d**N
+        kept = np.flatnonzero(packing.over_entries(lambda m, n: m % d == n % d, bool))
+        target = packing.over_entries(lambda m, n: m // d * q + n // d, np.int64)[kept]
+        excess = np.bincount(target, self.delta[kept], q * q) / N
+        return _read_only(tuple((np.bincount(target, pi[kept], q * q) + excess).reshape(q, q) for pi in self.pis))
 
     @cached_property
     def rho_spectrum_report(self) -> SpectrumReport:
@@ -415,10 +616,10 @@ class _Measurement:
     @cached_property
     def checks(self) -> tuple[tuple[str, float, str], ...]:
         """(name, deviation, detail) of the nine checks that read no weights, in ``verify_suite``'s order."""
-        N, d, delta, root = self.N, self.d, self.delta, self.root
+        N, d, delta, root, packing = self.N, self.d, self.delta, self.root, self.packing
         n = N + 1
-        dim = d**n
-        sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
+        diagonal = packing.diagonal
+        sigs = [_packed_signal(packing, a, N, d) for a in range(1, N + 1)]
         checks = []
 
         def add(name: str, deviation, detail: str = ""):
@@ -427,18 +628,18 @@ class _Measurement:
         excess = delta / N
         completed = [pi + excess for pi in self.pis]
         del excess
-        # one D x D buffer takes every difference below, each reduced in place
-        scratch = completed[0].copy()
-        for c in completed[1:]:
-            scratch += c
-        scratch.flat[:: dim + 1] -= 1.0
-        add("povm_completeness", np.abs(scratch, out=scratch).max())
-        np.matmul(delta, delta, out=scratch)
-        scratch -= delta
-        add("excess_idempotent", np.abs(scratch, out=scratch).max())
+        total = sum(completed[1:], completed[0].copy())
+        total[diagonal] -= 1.0
+        add("povm_completeness", np.abs(total).max())
+        del total
+        add("excess_idempotent", max(np.abs(m @ m - m).max() for m in packing.views(delta)))
         # every column of delta sigma_s at an index of column j of Q_s is d^(-N) times
-        # the sum of delta's columns there
-        dev_orth = max(np.abs(_signal_gather(delta, _signal_columns(s, N, d))).max() for s in range(1, N + 1))
+        # the sum of delta's columns there, its rows as delta is symmetric
+        dev_orth = max(
+            np.abs(_summed_rows(packing, delta, cols)).max()
+            for s in range(1, N + 1)
+            for cols in _signal_blocks(s, N, d)
+        )
         add("excess_signal_orthogonal", dev_orth / d**N)
 
         # covariance under the adjacent port transpositions (acting trivially on the input);
@@ -446,59 +647,73 @@ class _Measurement:
         dev_cov = 0.0
         for i in range(N - 1):
             perm = transposition(i, i + 1, N)
+            swap = _swap_gather(packing, transposition(i, i + 1, n), d, n)
             for a in range(1, N + 1):
                 b = perm[a - 1] + 1
-                dev_cov = max(
-                    dev_cov,
-                    _swap_deviation(sigs[a - 1], sigs[b - 1], i, d, n, scratch),
-                    _swap_deviation(completed[a - 1], completed[b - 1], i, d, n, scratch),
-                )
+                for x in (sigs, completed):
+                    diff = x[b - 1][swap]
+                    diff -= x[a - 1]
+                    dev_cov = max(dev_cov, float(np.abs(diff, out=diff).max()))
+            del swap, diff
         add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
 
-        add("completed_trace", max(abs(np.trace(c) - d ** (N + 1) / N) for c in completed))
+        add("completed_trace", max(abs(c[diagonal].sum() - d ** (N + 1) / N) for c in completed))
         del completed
 
         add("rho_spectrum", self.rho_spectrum_report.max_deviation)
         add("povm_spectrum", self.povm_spectrum_deviation)
 
-        # signal N equals the partially transposed port<->input swap over d^N
-        v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
-        np.subtract(sigs[N - 1], np.divide(v_prime, d**N, out=scratch), out=scratch)
-        add("signal_is_transposed_swap", np.abs(scratch, out=scratch).max())
-        del sigs, scratch
+        # signal N equals the partially transposed port<->input swap v' over d^N.  The swap
+        # V has V[rows[j], j] = 1; the partial transpose exchanges the input digits of
+        # each entry's row and column.  A nonzero of v' outside the blocks meets a zero
+        rows, cols = _permuted_indices(transposition(N - 1, N, n), d, n), np.arange(d**n)
+        rows, cols = rows - rows % d + cols % d, cols - cols % d + rows % d
+        inside = packing.first[rows] == packing.first[cols]
+        at = packing.start[rows[inside]] + packing.pos[cols[inside]]
+        v_prime = np.zeros(packing.size)
+        v_prime[at] = 1.0 / d**N
+        dev_swap = np.abs(sigs[N - 1] - v_prime).max()
+        add("signal_is_transposed_swap", dev_swap if inside.all() else max(dev_swap, 1.0 / d**N))
+        del sigs, v_prime
 
         # tr(root v') is vdot(root, v') because root is symmetric.  The completed
         # root is sqrt(pi_N) + delta / sqrt(N), since pi_N lives on the support of rho
         # and delta projects onto its kernel, and tr(delta v') = d^N tr(delta sigma_N)
         # is zero (excess_signal_orthogonal): this is the trace of the bare root.
-        tr_direct = float(np.vdot(root, v_prime))
+        tr_direct = float(root[at].sum())
         add("sqrt_povm_signal_trace", abs(tr_direct - trace_sqrt_povm_signal(N, d)), f"oracle={tr_direct!r}")
         return tuple(checks)
 
 
 @_memo(1)
 def _srm_bundle(N: int, d: int) -> _Measurement:
-    """The ``_Measurement`` at (N, d), as the module docstring builds it: peak ``_srm_blocks``, N + 2 arrays after.
+    """The ``_Measurement`` at (N, d), as the module docstring builds it: peak ``_srm_blocks``, N + 2 packed after.
 
-    Y_a = d^(-N/2) W Q_a' (Q_a' the 0/1 pattern of Q_a) gathers d rows of the
-    symmetric W per column, and sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from
-    G = Y_N^T Y_N = V Lambda V^T, positive definite as W is invertible on supp rho.
+    On each block, pi_a = Y Y^T with Y = d^(-N/2) W Q_a' (Q_a' the 0/1
+    pattern of Q_a's columns there), a gather of rows of the symmetric W, and
+    sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from G = Y_N^T Y_N = V Lambda V^T,
+    positive definite as W is invertible on supp rho: one stacked eigensolve per
+    ``_signal_blocks`` array.  G is block diagonal, so its spectrum is its blocks'.
     """
+    packing = _packing(N, d)
     whiten, rho_eigenvalues = _blocked_inverse_root(N, d)
-    delta = np.eye(d ** (N + 1))
-    pis = []
+    pis = np.zeros((N, packing.size))
     for a in range(1, N + 1):
-        yt = _signal_gather(whiten, _signal_columns(a, N, d))
-        yt *= d ** (-N / 2)
-        pis.append(_symmetric_gram(yt))
-        delta -= pis[-1]
+        factors = []  # (columns, Y^T) per ``_signal_blocks`` array
+        for cols in _signal_blocks(a, N, d):
+            factors.append((cols, _summed_rows(packing, whiten, cols) * d ** (-N / 2)))
+            pis[a - 1, _block_entries(packing, cols)] = _symmetric_gram(factors[-1][1]).reshape(len(cols), -1)
     del whiten
-    lam, v = _eigh(yt @ yt.T)  # the loop leaves port N's factor in yt
+    delta = packing.eye()
+    delta -= pis.sum(axis=0)
+    grams = [_eigh(yt @ np.swapaxes(yt, -1, -2)) for _, yt in factors]  # the loop leaves port N's factors
+    lam = np.sort(np.concatenate([w.ravel() for w, _ in grams]))
     if not lam[0] > SUPPORT_TOL * lam[-1]:
         raise RuntimeError(f"Gram matrix of port {N}'s whitened signal is singular: eigenvalue {lam[0]}")
-    root = _symmetric_gram((v * lam**-0.25).T @ yt)
-    del yt
-    root += delta / sqrt(N)
+    root = delta / sqrt(N)
+    for (cols, yt), (w, v) in zip(factors, grams):
+        half = np.swapaxes(v * w[:, None, :] ** -0.25, -1, -2) @ yt  # Lambda^(-1/4) V^T Y^T
+        root[_block_entries(packing, cols)] += _symmetric_gram(half).reshape(len(cols), -1)
     return _Measurement(N, d, tuple(pis), delta, root, rho_eigenvalues, gram_eigenvalues=lam)
 
 
@@ -507,14 +722,17 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     The bare elements are the whitened signals; the excess term completes
     them to a resolution of identity, spread evenly over the N outcomes.
-    The first two are the cached, read-only arrays.
+    All three are fresh dense arrays, unpacked from the cached record.
     """
+    N, d = operator.index(N), operator.index(d)
     _check_point(N, d)
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
-    _require(*_srm_blocks(N, d))  # then the record and the completed element with its temporary
+    # the three arrays and a temporary, and unpacking's broadcast index arrays
+    _require(*_srm_blocks(N, d, (2, ((4, d ** (N + 1)),))))
     measurement = _srm_bundle(N, d)
-    return measurement.pis[a - 1], measurement.delta, measurement.pis[a - 1] + measurement.delta / N
+    bare, excess = measurement.dense(measurement.pis[a - 1]), measurement.dense(measurement.delta)
+    return bare, excess, bare + excess / N
 
 
 def _box_grid(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -644,6 +862,7 @@ def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
 
 def frec_oracle(N: int, d: int) -> FidelityReport:
     """One-round recycling fidelity from the defining trace expression, kept on the measurement record."""
+    N, d = operator.index(N), operator.index(d)
     _check_point(N, d)
     _require(*_srm_blocks(N, d))  # then the record
     return FidelityReport(value=_srm_bundle(N, d).frec_value, method="oracle", ports=N, dim=d)
@@ -654,14 +873,13 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
 
     The measurement is the plain one of ``_srm_bundle``, for any weights (see the module docstring).
     """
+    N, d = operator.index(N), operator.index(d)
     _check_optimal_point(N, d)
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
-    _require(
-        (N + 5, d ** (N + 1)),  # the record's build, or the record, the rotation and its two factors
-        (_YOUNG_BASIS_ARRAYS + 3, d**N),  # and the root's summed columns, kept on the record
-        (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1)),
-    )
+    # the root's summed rows, kept on the record, with their gather; the two
+    # rotations with their eigenbases and their product
+    _require(*_srm_blocks(N, d, (3, ((_YOUNG_BASIS_ARRAYS + 3, d**N), (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1))))))
     measurement = _srm_bundle(N, d)
     # (O_N (x) 1)(O_{N-1} (x) 1 (x) 1)^T = [O_N (O_{N-1} (x) 1)^T] (x) 1, the last
     # factor the input system: one product on the ports
@@ -673,10 +891,8 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     # O Q^T = ports (x) 1, and column j of Q_N sits at the indices (q_j + k) d + k,
     # k = 0..d-1, q_j its port index with port N's digit 0: the summed column is
     # ports[i, q_j + k] at index i d + k
-    sums, columns = measurement.root_signal_sums
-    rotated = ports[np.arange(d**N)[:, None], columns[:, None, :]]  # [j, i, k]
-    del ports
-    overlap = np.vdot(sums, rotated) / d**N
+    sums, flat = measurement.root_signal_sums
+    overlap = np.vdot(sums, ports.ravel()[flat]) / d**N
     value = (sqrt(N) / d) * abs(overlap)
     return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
 
@@ -687,10 +903,11 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     ``rotation`` is an operator on the ports (identity when omitted); it is
     extended by identity on the input system.
     """
+    N, d = operator.index(N), operator.index(d)
     _check_point(N, d)
-    # the record's build, or the record, the rotation and a signal with its two
-    # products, then a completed element's two temporaries
-    _require((N + 6, d ** (N + 1)))
+    # the rotation and a signal with its two products, then a completed element,
+    # packed and dense, with unpacking's broadcast index arrays
+    _require(*_srm_blocks(N, d, (3, ((5, d ** (N + 1)),))))
     measurement = _srm_bundle(N, d)
     o = None if rotation is None else _embed_ports_operator(rotation, d)
     total = 0.0
@@ -699,7 +916,7 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
         if o is not None:
             sig = o @ sig @ o.T
         # tr(O^T pi O sig) = vdot(pi, O sig O^T) because pi is symmetric
-        total += np.vdot(measurement.pis[a - 1] + measurement.delta / N, sig)
+        total += np.vdot(measurement.dense(measurement.pis[a - 1] + measurement.delta / N), sig)
     return float(total) / d**2
 
 
@@ -742,6 +959,7 @@ def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
 
     The eigenvalues are those ``_srm_bundle`` solved for rho; ``_rho_spectrum_prediction`` reads int64 tables.
     """
+    N, d = operator.index(N), operator.index(d)
     _check_point(N, d)
     _require(*_srm_blocks(N, d))
     return _srm_bundle(N, d).rho_spectrum_report
@@ -766,8 +984,8 @@ def _povm_block_factors(N: int, d: int) -> list[float]:
 def povm_spectrum_deviation(N: int, d: int) -> float:
     """Worst distance of any bare-element eigenvalue from its allowed set.
 
-    Reads the spectrum of port N's r x r Gram matrix G = Y_N^T Y_N from
-    ``_srm_bundle``; no eigensolve of its own.  Those r = d^(N-1) eigenvalues
+    Reads the spectrum of port N's r x r Gram matrix G = Y_N^T Y_N, block
+    diagonal by torus weight, from ``_srm_bundle``; no eigensolve of its own.  Those r = d^(N-1) eigenvalues
     are the nonzero spectrum of pi_N = Y_N Y_N^T, and its other D - r are zero
     because rank pi_N <= r; zero is allowed, and so is each frame's
     ``_povm_block_factors`` entry, exact integer arithmetic on the frame
@@ -777,30 +995,10 @@ def povm_spectrum_deviation(N: int, d: int) -> float:
     covariance (``signal_and_povm_covariance``), and by Weyl's inequality a
     covariance deviation e moves no eigenvalue by more than D e.
     """
+    N, d = operator.index(N), operator.index(d)
     _check_point(N, d)
     _require(*_srm_blocks(N, d))
     return _srm_bundle(N, d).povm_spectrum_deviation
-
-
-def _input_trace(m: np.ndarray, d: int) -> np.ndarray:
-    """Partial trace over the input system, the last factor: an operator on the ports."""
-    n = len(m) // d
-    return np.trace(m.reshape(n, d, n, d), axis1=1, axis2=3)
-
-
-def _swap_deviation(
-    x: np.ndarray, y: np.ndarray, i: int, d: int, n: int, out: Optional[np.ndarray] = None
-) -> float:
-    """max |x - V y V^T| for V the permutation operator exchanging factors i and i + 1 of n.
-
-    Conjugating by V swaps those two axes of the row and of the column index:
-    a strided view of y, with no gather.  The difference is formed in ``out``,
-    a contiguous array of x's size, when given, else in one fresh array.
-    """
-    shape = (d**i, d, d, d ** (n - i - 2)) * 2
-    swapped = y.reshape(shape).transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    diff = np.subtract(x.reshape(shape), swapped, out=None if out is None else out.reshape(shape))
-    return float(np.abs(diff, out=diff).max())
 
 
 def verify_suite(
@@ -815,13 +1013,19 @@ def verify_suite(
     ``rotated_completed_trace``: tr(O^T c_a O) = d^(N+1)/N for c_a = pi_a + Delta/N and
     the rotation O of ``v``'s weights (uniform when omitted), taken on the ports (module docstring).
     """
+    N, d = operator.index(N), operator.index(d)
     _check_point(N, d)
     dim = d ** (N + 1)
-    # the SRM with its completed root, signals and completed elements hold 3N + 2
-    # arrays, and three temporaries; the record's build and the rotation need fewer;
-    # the N traces kept on the record are on the ports
-    _require((3 * N + 5, dim), (_YOUNG_BASIS_ARRAYS + 2 + N, d**N))
+    # one after another: the record's checks, the rotation with its eigenbasis, and
+    # the N traces kept on the record, built with their gathers while U and O O^T are held
+    _require(*_srm_blocks(
+        N, d,
+        (2 * N + 4, ()),
+        (0, ((_YOUNG_BASIS_ARRAYS + 2, d**N),)),
+        (4, ((N + 4, d**N),)),
+    ))
     measurement = _srm_bundle(N, d)
+    checks = measurement.checks
     o = build_optimizing_operator(N, d, v if v is not None else VCoefficients.uniform(N, d))
     # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric
     gram = o @ o.T
@@ -830,7 +1034,7 @@ def verify_suite(
     del gram
 
     report = VerifyReport(ports=N, dim=d, tol=tol)
-    for name, deviation, detail in measurement.checks:
+    for name, deviation, detail in checks:
         report.add(name, deviation, detail)
         if name == "completed_trace":
             report.add("rotated_completed_trace", dev_rot)

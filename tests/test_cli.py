@@ -491,17 +491,18 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
         argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
         assert invoke(capsys, *argv)[0] == EXIT_OK
         # rho's torus-weight blocks, one stack per block size, port N's Gram
-        # matrix at d^(N-1), and the Young bases for N and N - 1 ports
+        # matrix, one stack per block size and column count, r = d^(N-1) rows
+        # in all, and the Young bases for N and N - 1 ports
         blocks = oracle._torus_blocks(N, d)
         assert sum(b.size for b in blocks) == d ** (N + 1)
-        assert len(solved) == len(blocks) + 3
         assert len(set(solved)) == len(solved)
-        matrices = sorted(shape for shape, _, _ in solved if len(shape) == 2)
-        assert matrices == sorted((d**k, d**k) for k in (N - 1, N, N - 1))
         rho = oracle.rho_operator(N, d)
         for b in blocks:
             stack = rho[b[:, :, None], b[:, None, :]]
-            assert solved.count((stack.shape, stack.tobytes(), True)) == 1
+            solved.remove((stack.shape, stack.tobytes(), True))
+        matrices = sorted(shape for shape, _, _ in solved if len(shape) == 2)
+        assert matrices == sorted((d**k, d**k) for k in (N, N - 1))
+        assert sum(shape[0] * shape[1] for shape, _, _ in solved if len(shape) == 3) == d ** (N - 1)
 
     # a second op at the last point reuses the bundle and both Young bases
     solved.clear()
@@ -516,7 +517,7 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
     from pbt_recycling.partitions import partitions_bounded
 
     calls = []
-    for name in ("_eigh", "_swap_deviation"):
+    for name in ("_eigh", "_swap_gather"):
         real = getattr(oracle, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -538,20 +539,22 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
         argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
         assert invoke(capsys, *argv, "--vfile", str(files[0]), "--vfile-prev", str(files[1]))[0] == EXIT_OK
         if op == 0:
-            # one eigensolve per block size of rho, the Gram matrix and two Young bases
-            assert calls.count("_eigh") == len(oracle._torus_blocks(N, d)) + 3
-            assert calls.count("_swap_deviation") == 2 * N * (N - 1)
+            # one eigensolve per block size of rho, two of the Gram matrix (its blocks
+            # of the frames (2) and (1, 1) of N - 1 boxes) and two Young bases
+            assert calls.count("_eigh") == len(oracle._torus_blocks(N, d)) + 4
+            assert calls.count("_swap_gather") == N - 1
     assert calls == []
 
 
 @pytest.mark.parametrize("N,d", [(3, 3), (2, 4)])
 def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp_path, N, d):
     # a second op with the same files at a point enumerates no frame and takes no
-    # partial trace or signal gather again, and prints the same bytes
+    # gather over the packed entries (partial traces, swaps) or signal gather again,
+    # and prints the same bytes
     from pbt_recycling import optimal, oracle, partitions
 
     calls = []
-    for module, name in ((partitions, "_frame_tables"), (oracle, "_input_trace"), (oracle, "_signal_gather")):
+    for module, name in ((partitions, "_frame_tables"), (oracle._Packing, "over_entries"), (oracle, "_summed_rows")):
         real = getattr(module, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -573,7 +576,7 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp
     calls.clear()
     first = invoke(capsys, *argv)
     assert first[0] == EXIT_OK
-    assert set(calls) == {"_frame_tables", "_input_trace", "_signal_gather"}
+    assert set(calls) == {"_frame_tables", "over_entries", "_summed_rows"}
     calls.clear()
     assert invoke(capsys, *argv) == first
     assert calls == []

@@ -236,7 +236,7 @@ def _admissible_points():
 def test_predictions_match_the_exact_reference_on_the_admissible_domain():
     # the int64 frame-table predictions against bigint dimensions, wherever a public call can reach them
     points = _admissible_points()
-    assert len(points) == 104 and max(N for N, _ in points) == 10 and max(d for _, d in points) == 71
+    assert len(points) == 152 and max(N for N, _ in points) == 11 and max(d for _, d in points) == 107
     for N, d in points:
         for n in (N - 1, N, N + 1):
             frames = partitions_bounded(n, d)
@@ -476,6 +476,12 @@ def test_verify_suite_passes(N, d):
     assert report.all_passed, failing
 
 
+def _block_perturbation(measurement, rng):
+    """A random symmetric operator inside the record's torus blocks, packed."""
+    e = rng.standard_normal((measurement.d ** (measurement.N + 1),) * 2)
+    return measurement.packing.pack(e + e.T)
+
+
 def _all_permutation_covariance(N, d, sigs, completed):
     """Largest deviation of V^T X_b V from X_a, b the image of port a, over all N! permutations."""
     dev = 0.0
@@ -487,13 +493,17 @@ def _all_permutation_covariance(N, d, sigs, completed):
     return dev
 
 
-@pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 3), (4, 3), (3, 4)])
-def test_swap_deviation_conjugates_by_the_transposition(n, d):
-    rng = np.random.default_rng(n * 10 + d)
-    x, y = rng.standard_normal((2, d**n, d**n))
-    for i in range(n - 1):
+@pytest.mark.parametrize("N,d", [(3, 2), (5, 2), (3, 3), (4, 3), (3, 4)])
+def test_swap_gather_conjugates_by_the_transposition(N, d):
+    # a random block-diagonal X, packed: the gather of each adjacent port swap is V X V^T exactly
+    packing = oracle._packing(N, d)
+    x = np.random.default_rng(N * 10 + d).standard_normal(packing.size)
+    dense = packing.unpack(x)
+    n = N + 1
+    for i in range(N - 1):
         V = permutation_operator(transposition(i, i + 1, n), d, n)
-        assert oracle._swap_deviation(x, y, i, d, n) == np.abs(x - V @ y @ V.T).max()
+        swapped = packing.unpack(x[oracle._swap_gather(packing, transposition(i, i + 1, n), d, n)])
+        assert np.array_equal(swapped, V @ dense @ V.T)
 
 
 @pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
@@ -502,19 +512,18 @@ def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbati
     measurement = oracle._srm_bundle(N, d)
     pis, delta = measurement.pis, measurement.delta
     if perturbation == "one":
-        # a random symmetric perturbation of size 1e-7 on the first bare element
-        e = np.random.default_rng(3).standard_normal(pis[0].shape)
-        e += e.T
+        # a random symmetric perturbation of size 1e-7 on the first bare element, inside the torus blocks
+        e = _block_perturbation(measurement, np.random.default_rng(3))
         pis = (pis[0] + 1e-7 / np.abs(e).max() * e, *pis[1:])
     elif perturbation == "graded":
         # a * 1e-7 * identity on element a: each generator moves it by 1e-7,
         # the cycle taking port 1 to port N by (N - 1) * 1e-7
-        pis = tuple(pi + a * 1e-7 * np.eye(len(pi)) for a, pi in enumerate(pis))
+        pis = tuple(pi + a * 1e-7 * measurement.packing.eye() for a, pi in enumerate(pis))
     substituted = dataclasses.replace(measurement, pis=pis)
     monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
     check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["signal_and_povm_covariance"]
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
-    brute = _all_permutation_covariance(N, d, sigs, [pi + delta / N for pi in pis])
+    brute = _all_permutation_covariance(N, d, sigs, [measurement.dense(pi + delta / N) for pi in pis])
     assert check.max_deviation >= brute
     assert check.passed is (perturbation == "none")
     if perturbation != "none":
@@ -527,7 +536,8 @@ def test_completed_root_gives_the_bare_root_trace(N, d):
     n = N + 1
     v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
     bare_root = sqrt_psd(srm_povm(N, N, d)[0])
-    completed_root = oracle._srm_bundle(N, d).root
+    measurement = oracle._srm_bundle(N, d)
+    completed_root = measurement.dense(measurement.root)
     assert np.vdot(completed_root, v_prime) == pytest.approx(np.vdot(bare_root, v_prime), rel=0, abs=1e-12)
 
 
@@ -539,7 +549,11 @@ FACTOR_GRID = [(N, 2) for N in range(2, 8)] + [(N, 3) for N in range(2, 5)] + [(
 def test_factored_root_matches_the_dense_root(N, d):
     # sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T, completed by delta / sqrt(N) on ker rho
     dense = sqrt_psd(srm_povm(N, N, d)[2])
-    assert np.abs(oracle._srm_bundle(N, d).root - dense).max() <= 1e-12
+    measurement = oracle._srm_bundle(N, d)
+    assert np.abs(measurement.dense(measurement.root) - dense).max() <= 1e-12
+    # the record holds its operators packed, no D x D array
+    packed = (*measurement.pis, measurement.delta, measurement.root)
+    assert {x.shape for x in packed} == {(measurement.packing.size,)}
 
 
 @pytest.mark.parametrize("N,d", FACTOR_GRID + [(8, 2), (5, 3)])
@@ -548,7 +562,7 @@ def test_bundle_keeps_the_spectrum_of_rho(N, d):
     assert np.abs(rho_eigenvalues - np.linalg.eigvalsh(rho_operator(N, d))).max() <= 1e-13
 
 
-@pytest.mark.parametrize("N,d", [(1, 2), (3, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("N,d", [(1, 2), (3, 2), (6, 2), (2, 3), (4, 3), (3, 4), (2, 6)])
 def test_torus_blocks_partition_the_basis_by_weight(N, d):
     blocks = oracle._torus_blocks(N, d)
     assert np.array_equal(np.sort(np.concatenate([b.ravel() for b in blocks])), np.arange(d ** (N + 1)))
@@ -564,6 +578,27 @@ def test_torus_blocks_partition_the_basis_by_weight(N, d):
             }
             assert len(weights) == 1 and not weights & seen  # one weight per block, one block per weight
             seen |= weights
+    # the budget counts a packed operator's entries from frame tables alone
+    assert oracle._packed_entries(N, d) == sum(b.size * b.shape[1] for b in blocks)
+
+
+def test_signal_column_across_blocks_raises(monkeypatch):
+    # swapping the first nonzeros of Q_a's first and last columns puts each column in two blocks
+    N, d = 3, 2
+    rho = rho_operator(N, d)
+    columns = oracle._signal_columns
+
+    def crossed(a, N, d):
+        cols = columns(a, N, d).copy()
+        cols[0, 0], cols[-1, 0] = cols[-1, 0], cols[0, 0]
+        return cols
+
+    monkeypatch.setattr(oracle, "rho_operator", lambda *point: rho)
+    monkeypatch.setattr(oracle, "_signal_columns", crossed)
+    oracle._srm_bundle.cache_clear()
+    oracle._signal_blocks.cache_clear()
+    with pytest.raises(RuntimeError, match="spans two torus-weight blocks"):
+        oracle._srm_bundle(N, d)
 
 
 def test_off_block_entry_of_rho_raises(monkeypatch):
@@ -596,24 +631,46 @@ def test_spectral_checks_catch_a_moved_eigenvalue(monkeypatch, N, d, field, name
 def test_excess_signal_orthogonal_matches_the_dense_product(monkeypatch, N, d):
     # the check gathers delta's columns; a perturbed excess must read as max |delta sigma_s|
     measurement = oracle._srm_bundle(N, d)
-    e = np.random.default_rng(N * 10 + d).standard_normal(measurement.delta.shape)
-    delta = measurement.delta + 1e-6 * (e + e.T)
+    delta = measurement.delta + 1e-6 * _block_perturbation(measurement, np.random.default_rng(N * 10 + d))
     substituted = dataclasses.replace(measurement, delta=delta)
     monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
     check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["excess_signal_orthogonal"]
-    dense = max(np.abs(delta @ signal_state(a, N, d)).max() for a in range(1, N + 1))
+    dense = max(np.abs(measurement.dense(delta) @ signal_state(a, N, d)).max() for a in range(1, N + 1))
     assert check.max_deviation == pytest.approx(dense, rel=1e-12)
     assert not check.passed
 
 
+def test_transposed_swap_counts_a_nonzero_outside_the_blocks(monkeypatch):
+    # exchanging the swap's images of the first and last basis states moves two nonzeros of v'
+    # between blocks, where sigma_N is zero: the check must read at least d^(-N)
+    N, d = 3, 2
+    n = N + 1
+    measurement = dataclasses.replace(oracle._srm_bundle(N, d))
+    permuted_indices = oracle._permuted_indices
+
+    def exchanged(perm, d, n):
+        rows = permuted_indices(perm, d, n)
+        if tuple(perm) == transposition(N - 1, N, n):
+            rows = rows.copy()
+            rows[[0, -1]] = rows[[-1, 0]]
+        return rows
+
+    monkeypatch.setattr(oracle, "_permuted_indices", exchanged)
+    deviations = {name: deviation for name, deviation, _ in measurement.checks}
+    assert deviations["signal_is_transposed_swap"] >= 1 / d**N
+    assert deviations["signal_and_povm_covariance"] <= 1e-12
+
+
 def test_singular_gram_matrix_raises(monkeypatch):
-    # a zero eigenvalue of port N's r x r Gram matrix has no inverse fourth root
+    # a zero eigenvalue of port N's Gram matrix has no inverse fourth root; rho is solved before the flattening
+    whitened = oracle._blocked_inverse_root(3, 2)
     eigh = oracle._eigh
 
     def flatten_gram(m, vectors=True):
         w, u = eigh(m, vectors)
-        return (np.zeros_like(w), u) if len(m) == 2**2 else (w, u)
+        return np.zeros_like(w), u
 
+    monkeypatch.setattr(oracle, "_blocked_inverse_root", lambda *point: whitened)
     monkeypatch.setattr(oracle, "_eigh", flatten_gram)
     oracle._srm_bundle.cache_clear()
     with pytest.raises(RuntimeError, match="singular"):
@@ -628,6 +685,11 @@ def test_oracle_cap_errors(monkeypatch):
         oracle._require(*oracle._srm_blocks(np.int64(40), 2))
     with pytest.raises(DimensionCapError, match="budget"):
         frec_oracle(np.int64(40), 2)
+    # nor are the dimensions it makes: 2**71 wraps to 0 in int64
+    for N in (62, 63, 70):
+        for call in (frec_oracle, verify_suite, channel_fidelity_oracle):
+            with pytest.raises(DimensionCapError, match="budget"):
+                call(np.int64(N), 2)
     # rho at (2, 2) is one dense 8 x 8 array of 512 bytes
     monkeypatch.setattr(oracle, "ORACLE_BYTE_BUDGET", 511)
     with pytest.raises(DimensionCapError, match="budget"):
@@ -661,13 +723,13 @@ def test_cached_arrays_are_read_only():
     _, u, labels = oracle._young_projectors(2, 2)
     measurement = oracle._srm_bundle(2, 2)
     for cached in (
-        bare, excess, u, labels, *measurement.pis, measurement.root,
+        u, labels, *measurement.pis, measurement.delta, measurement.root,
         measurement.rho_eigenvalues, measurement.gram_eigenvalues,
         *measurement.input_traces, *measurement.root_signal_sums,
     ):
         with pytest.raises(ValueError, match="read-only"):
             cached[:] = 0
-    completed[:] = 0  # a fresh array, not a cache entry
+    bare[:] = excess[:] = completed[:] = 0  # fresh arrays, unpacked from the record
     assert frec_oracle(2, 2).value == pytest.approx(frec(2, 2).value, abs=1e-11)
     assert verify_suite(2, 2).all_passed
 
@@ -814,7 +876,8 @@ def _random_weights_with_a_zero(N, d, rng):
 
 def _frec_optimal_dense(N, d, vN, vNm1):
     """sqrt(N)/d |tr(sigma_N root O Q^T)| with O Q^T the D x D product of the two embedded rotations."""
-    root = oracle._srm_bundle(N, d).root
+    measurement = oracle._srm_bundle(N, d)
+    root = measurement.dense(measurement.root)
     o_full = np.kron(build_optimizing_operator(N, d, vN), np.eye(d))
     rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
     return sqrt(N) / d * abs(np.vdot(root @ signal_state(N, N, d), rotation))
