@@ -13,7 +13,10 @@ module also carries the optimal-protocol recycling fidelity and the overlap
 between the optimal and plain resource states.  B, the uniform weights and
 both fidelities walk their frames in blocks (``partitions._frame_blocks``):
 a fidelity is a per-row term gathering weights at the block's rows and
-extension rows, under one ``math.fsum`` per point.
+extension rows.  The terms are nonnegative; each run of frames that share
+a first part is added first (within (r - 1) u relative for r terms, u =
+2^-53), then one ``math.fsum`` per point adds the run sums, so the value is
+the same in any block layout.
 
 Both fidelities are sums over frames (weights v_mu over frames of N boxes,
 v_alpha over frames of N-1 boxes):

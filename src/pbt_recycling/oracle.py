@@ -263,9 +263,10 @@ def _psd_function(stacks: list, f, tol: float) -> tuple[list, list]:
     """(f of each matrix or stack, their eigenvalues) for the diagonal blocks of one PSD operator.
 
     f acts on eigenvalues above tol*lambda_max, 0 on the rest, lambda_max
-    the largest eigenvalue over every block.  One eigensolve per entry.
+    the largest eigenvalue over every block.  One eigensolve per entry that
+    is not all zero; an all-zero entry has eigenvalues 0, so f of it is 0.
     """
-    solved = [_eigh(m) for m in stacks]
+    solved = [_eigh(m) if np.any(m) else (np.zeros(m.shape[:-1]), np.zeros_like(m)) for m in stacks]
     spectra = [w for w, _ in solved]
     lam_max = max((float(w.max()) for w in spectra if w.size), default=0.0)
     lam_min = min((float(w.min()) for w in spectra if w.size), default=0.0)
@@ -480,6 +481,7 @@ def _swap_gather(packing: _Packing, perm, d: int, n: int) -> np.ndarray:
 def _blocked_inverse_root(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(W = rho^(-1/2) on the support, packed; rho's eigenvalues ascending), one stacked eigensolve per block size.
 
+    A stack that is all zero (torus weights no signal reaches) is not solved.
     Raises ``RuntimeError`` unless rho's ``_torus_blocks`` hold all its nonzeros.
     """
     rho = rho_operator(N, d)

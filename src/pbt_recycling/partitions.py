@@ -18,10 +18,16 @@ behind their k, at most frame_count(n - k, d - 1) of them.  The extensions
 of a run over [a, b] are the frames of n + 1 boxes with first part in
 [a, b + 1] less those opening with (b + 1, b + 1): one row range, which
 opens t rows before the previous run's range ends, t the run's frames with
-first part b (alpha + e_0 maps them onto that tail).  ``_frame_sums`` feeds
-each n's terms to one ``math.fsum``, which rounds the exact sum once (a
-split n's as a lazy chain of per-block lists), and the kernel gives a row
-the same bits in any table: no value depends on the blocks.
+first part b (alpha + e_0 maps them onto that tail).  ``_frame_sums`` sums
+in two stages: first each run of rows that share a first part, with one
+``np.add.reduceat`` per block, then one ``math.fsum`` per n over that n's
+run sums (a split n's as a lazy chain of per-block lists).  For nonnegative
+terms a run of r terms is within (r - 1) u relative of its exact sum (u the
+unit roundoff, 2^-53), and ``fsum`` rounds the sum of the run sums once, so
+an n's sum is within (r_max - 1) u + u relative of the exact one, r_max its
+longest run; at d <= 2 each run is one row, and the sum is the exact sum
+rounded once.  No block splits a first part, and the kernel gives a row the
+same bits in any table, so no value depends on the blocks.
 
 ``frame_table``, ``frame_count`` and ``one_box_ranks`` are memoised
 (``_memo``), as are the weight layer's frame maps and factors, each on its
@@ -252,7 +258,13 @@ class _Block(NamedTuple):
 
 
 def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
-    """The frames of n = n_min..n_max boxes, height <= d, as ``_Block``s in order; ``extend`` stacks none."""
+    """The frames of n = n_min..n_max boxes, height <= d, as ``_Block``s in order; ``extend`` stacks none.
+
+    No block boundary falls inside a run of rows that share a first part.
+    ``_frame_sums`` relies on this: its run sums, so its results, have the
+    same bits in any block layout.  A walk that splits a first part (by its
+    second part, say) must sum by that finer run instead.
+    """
     counts = [frame_count(n_max, d)] if n_min == n_max else _frame_counts(n_max, d)[n_min:].tolist()
     n = n_min
     while n <= n_max:
@@ -292,18 +304,39 @@ def _first_part_blocks(n: int, d: int, extend: bool):
         top = k - 1
 
 
+def _run_sums(block: _Block, values: np.ndarray) -> np.ndarray:
+    """``values``, one per row of ``block``, summed over each run of rows that share a first part.
+
+    A run's sum is ``np.add.reduceat``'s (its first value plus numpy's
+    pairwise sum of the rest), so it depends on the run's values alone.  No
+    run spans two n: the next n opens with a larger first part.
+    """
+    if block.table.shape[1] <= 2:  # every first part is one row
+        return values
+    first = block.table[:, 0]
+    opens = np.ones(len(first), dtype=bool)
+    opens[1:] = first[1:] != first[:-1]
+    return np.add.reduceat(values, np.flatnonzero(opens))
+
+
 def _frame_sums(n_min: int, n_max: int, d: int, term, extend: bool = False) -> list[float]:
-    """``math.fsum`` of ``term(block)``, a float per row, over each n's frames (a split n's chained lazily)."""
+    """One ``math.fsum`` per n of the run sums (``_run_sums``) of ``term(block)``, a float per row.
+
+    A split n's run sums reach its ``fsum`` as a lazy chain of per-block lists.
+    """
     if n_min == n_max and frame_count(n_min, d) <= _BLOCK_ROWS:  # one block: skip the walk's machinery
-        return [math.fsum(term(next(_frame_blocks(n_min, n_max, d, extend))).tolist())]
+        block = next(_frame_blocks(n_min, n_max, d, extend))
+        return [math.fsum(_run_sums(block, term(block)).tolist())]
     sums = []
-    for _, run in groupby(_frame_blocks(n_min, n_max, d, extend), attrgetter("n")):
+    for n, run in groupby(_frame_blocks(n_min, n_max, d, extend), attrgetter("n")):
         first = next(run)
-        values, stop = term(first).tolist(), 0
-        for size in first.sizes[:-1]:
-            sums.append(math.fsum(values[stop: stop + size]))
-            stop += size
-        sums.append(math.fsum(chain(values[stop:], chain.from_iterable(term(b).tolist() for b in run))))
+        values, stop = _run_sums(first, term(first)).tolist(), 0
+        for m in range(n, n + len(first.sizes) - 1):
+            runs = m + 1 + -m // d  # first parts ceil(m / d)..m
+            sums.append(math.fsum(values[stop: stop + runs]))
+            stop += runs
+        rest = chain.from_iterable(_run_sums(b, term(b)).tolist() for b in run)
+        sums.append(math.fsum(chain(values[stop:], rest)))
     return sums
 
 
@@ -368,28 +401,33 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     The saddle-point terms depend on n and one row length only, so they are
     evaluated by table and gathered: the factorial remainder once on
     0..max n, and the deviance once on a run of lengths 0..m for each
-    distinct box count m, the runs laid end to end.  The cost is
-    O(entries + sum over distinct n of n); on a full frame table of height
-    >= 2 the runs hold no more values than the table.  A row gets the same
-    bits in any table: its Weyl logs are added left to right.
+    distinct box count m, the runs laid end to end; a presence map of the
+    box counts over 0..max n (``np.bincount``) finds each run, with no sort.
+    The cost is O(entries + max n + sum over distinct n of n); on a full
+    frame table of height >= 2 the runs hold no more values than the table.
+    A row gets the same bits in any table: its Weyl logs are added left to
+    right, pair by pair.
     """
     lam = np.asarray(table, dtype=np.int64)
     if lam.ndim != 2 or lam.shape[1] != d:
         raise ValueError(f"frame table must have {d} columns")
     if (lam < 0).any() or (lam[:, :-1] < lam[:, 1:]).any():
         raise ValueError("frame table rows must be nonnegative and weakly decreasing")
-    n = lam.sum(axis=1)
-    sizes, which = np.unique(n, return_inverse=True)
+    cols = lam.T.copy()  # one contiguous line per column
+    n = cols.sum(axis=0)
+    top = int(n.max(initial=0))
+    sizes = np.flatnonzero(np.bincount(n, minlength=top + 1))  # the distinct box counts, ascending
     runs = sizes + 1
-    offset = np.cumsum(runs) - runs  # where the run of lengths 0..m of each distinct m starts
-    lengths = np.arange(runs.sum()) - np.repeat(offset, runs)
+    start = np.cumsum(runs) - runs  # where the run of lengths 0..m of each distinct m starts
+    offset = np.zeros(top + 1, dtype=np.int64)
+    offset[sizes] = start
+    lengths = np.arange(runs.sum()) - np.repeat(start, runs)
     b = _bd0(lengths, np.repeat(sizes, runs), d)
-    g = _ln_factorial_remainder(np.arange(n.max(initial=0) + 1))
-    i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))  # row pairs i < j
-    gap = j - i
-    diff = lam[:, i] - lam[:, j] + gap
+    g = _ln_factorial_remainder(np.arange(top + 1))
     weyl = np.zeros(len(lam))
-    for logs in np.log(diff * diff / ((lam[:, i] + gap) * gap)).T:  # not sum(axis=1): one order in any table
-        weyl += logs
-    return g[n] - g[lam].sum(axis=1) - b[offset[which][:, None] + lam].sum(axis=1) + weyl
-
+    for i in range(d - 1):
+        gap = np.arange(1, d - i)[:, None]  # j - i for the columns j > i
+        diff = cols[i] - cols[i + 1:] + gap
+        for logs in np.log(diff * diff / ((cols[i] + gap) * gap)):  # pair by pair: one order in any table
+            weyl += logs
+    return g[n] - g[lam].sum(axis=1) - b[offset[n][:, None] + lam].sum(axis=1) + weyl

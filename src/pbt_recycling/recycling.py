@@ -34,9 +34,14 @@ reproduces F.
 
 Evaluation: ``partitions._frame_sums`` walks the frames of every N in
 blocks of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split
-by first part), each taking one pass of ln p, c and S/sqrt(p).  A term
-depends on its own row and N only, and each N's terms reach one ``fsum``,
-so ``frec(N, d)`` has the same bits as the one-N case of ``frec_values``.
+by first part), each taking one pass of ln p, c and S/sqrt(p).  The terms
+c p (S/sqrt(p))^2 are nonnegative.  Each run of frames that share a first
+part is added first (``np.add.reduceat``: within (r - 1) u relative for a
+run of r terms, u = 2^-53), then one ``fsum`` per N adds the run sums and
+rounds once; at d = 2 every run is one frame.  A term depends on its own
+row and N only, and no block splits a run, so a result has the same bits
+in any block layout, and ``frec(N, d)`` has the same bits as the one-N case
+of ``frec_values``.
 """
 
 from __future__ import annotations
@@ -62,26 +67,32 @@ def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
     ``N`` is one port count or one per row.
     """
     d = alphas.shape[1]
-    l = (alphas + np.arange(d - 1, -1, -1)).astype(float)
+    l = (alphas.T + np.arange(d - 1, -1, -1)[:, None]).astype(float)  # one contiguous line per l_k
+    gaps = {(i, k): l[i] - l[k] for i in range(d) for k in range(i + 1, d)}  # l_i - l_k >= 1, each once
     total = np.zeros(len(alphas))
     for i in range(d):
-        # R_i as one division of two products of small integers, exact while they stay below 2^53
+        # R_i as one division of two products of small integers, exact while they stay below 2^53;
+        # for k < i the factors are 1 - gap and -gap, whose sign the absolute value drops
         num, den = np.ones(len(alphas)), np.ones(len(alphas))
         for k in range(d):
-            if k != i:
-                num *= l[:, i] + 1 - l[:, k]
-                den *= l[:, i] - l[:, k]
-        total += np.abs(num / den) / np.sqrt(l[:, i] + 1)
+            if k < i:
+                num *= 1 - gaps[k, i]
+                den *= gaps[k, i]
+            elif k > i:
+                num *= gaps[i, k] + 1
+                den *= gaps[i, k]
+        total += np.abs(num / den) / np.sqrt(l[i] + 1)
     return np.sqrt(np.asarray(N) / d) * total
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
-    """c(alpha) per row: 1/sqrt(1 - prod_i h_i/(h_i+1)) at height d, else 1."""
-    c = np.ones(len(alphas))
-    full = alphas[:, -1] > 0
-    hooks = alphas[full] + np.arange(d - 1, -1, -1)
-    c[full] = 1.0 / np.sqrt(-np.expm1(-np.log1p(1.0 / hooks).sum(axis=1)))
-    return c
+    """c(alpha) per row: 1/sqrt(1 - prod_i h_i/(h_i+1)) at height d, else 1.
+
+    Below height d the last hook h is 0, and 1/h = inf carries through to exactly 1.
+    """
+    hooks = alphas + np.arange(d - 1, -1, -1)
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(-np.expm1(-np.log1p(1.0 / hooks).sum(axis=1)))
 
 
 def _recycling_terms(block) -> np.ndarray:

@@ -4,10 +4,17 @@ A frame is a tuple of positive, weakly decreasing parts.  Dimensions and
 multiplicities are Python ints from the hook-length and Weyl dimension
 formulas, exact at any size.  The package computes the same numbers from
 int64 frame tables inside the oracle's reach and in log space beyond it.
+
+The module also keeps a frozen copy of the package's float kernel (last
+section), the reference for its bits.
 """
 
 import math
 from functools import cache
+
+import numpy as np
+
+from pbt_recycling.partitions import _bd0, _ln_factorial_remainder
 
 
 @cache
@@ -62,3 +69,54 @@ def theta_dim(parts, d: int) -> int:
     if len(parts) > d:
         raise ValueError("frame exceeds local dimension")
     return dim_irrep(tuple(parts) + (1,)) if len(parts) == d else 0
+
+
+# -- the float kernel, frozen -------------------------------------------------------
+#
+# The per-row arithmetic of ``ln_schur_weyl_probability``, ``s_over_sqrt_p`` and
+# ``height_correction`` as it stood before their column-wise rewrite, kept
+# verbatim so a test can hold the package's kernel to the same bits.  The
+# Loader terms (``_bd0``, ``_ln_factorial_remainder``) are the package's own.
+
+
+def ln_schur_weyl_probability(table, d: int):
+    """ln p(lam) per row of a frame table: the multinomial weight in Loader's form times the Weyl factors."""
+    lam = np.asarray(table, dtype=np.int64)
+    n = lam.sum(axis=1)
+    sizes, which = np.unique(n, return_inverse=True)
+    runs = sizes + 1
+    offset = np.cumsum(runs) - runs
+    lengths = np.arange(runs.sum()) - np.repeat(offset, runs)
+    b = _bd0(lengths, np.repeat(sizes, runs), d)
+    g = _ln_factorial_remainder(np.arange(n.max(initial=0) + 1))
+    i, j = np.nonzero(np.arange(d)[:, None] < np.arange(d))
+    gap = j - i
+    diff = lam[:, i] - lam[:, j] + gap
+    weyl = np.zeros(len(lam))
+    for logs in np.log(diff * diff / ((lam[:, i] + gap) * gap)).T:
+        weyl += logs
+    return g[n] - g[lam].sum(axis=1) - b[offset[which][:, None] + lam].sum(axis=1) + weyl
+
+
+def s_over_sqrt_p(N, alphas):
+    """S(alpha)/sqrt(p(alpha)) per row of a frame table of N-1 boxes: sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1)."""
+    d = alphas.shape[1]
+    l = (alphas + np.arange(d - 1, -1, -1)).astype(float)
+    total = np.zeros(len(alphas))
+    for i in range(d):
+        num, den = np.ones(len(alphas)), np.ones(len(alphas))
+        for k in range(d):
+            if k != i:
+                num *= l[:, i] + 1 - l[:, k]
+                den *= l[:, i] - l[:, k]
+        total += np.abs(num / den) / np.sqrt(l[:, i] + 1)
+    return np.sqrt(np.asarray(N) / d) * total
+
+
+def height_correction(alphas, d: int):
+    """c(alpha) per row: 1/sqrt(1 - prod_i h_i/(h_i+1)) at height d, else 1."""
+    c = np.ones(len(alphas))
+    full = alphas[:, -1] > 0
+    hooks = alphas[full] + np.arange(d - 1, -1, -1)
+    c[full] = 1.0 / np.sqrt(-np.expm1(-np.log1p(1.0 / hooks).sum(axis=1)))
+    return c

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import exact_reference
 from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 
 from pbt_recycling import optimal, partitions, recycling
@@ -157,6 +158,31 @@ def test_tables_stay_within_the_entry_count(monkeypatch):
         assert 0 < counts["remainder"] <= entries
 
 
+
+def _stacked_table(d):
+    """Frames of several box counts, zero boxes among them, shuffled: every row shape a block can hold."""
+    table, _ = partitions._frame_tables([0, 1, 2, d, 7, 0, 3 * d + 2, 60 // d + 4], d)
+    return table[np.random.default_rng(d).permutation(len(table))]
+
+
+#: Whole frontier tables of N - 1 boxes, by d.
+_LARGE_TABLES = {3: 1999, 4: 299, 5: 119}
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_kernel_rows_keep_their_frozen_bits(d):
+    # a stacked table, 1-row tables (the empty frame among them) and a frontier table
+    table = _stacked_table(d)
+    tables = [table, table[:1], table[-1:], np.zeros((1, d), dtype=np.int64)]
+    if d in _LARGE_TABLES:
+        tables.append(frame_table(_LARGE_TABLES[d], d))
+    for t in tables:
+        N = t.sum(axis=1) + 1
+        assert np.array_equal(ln_schur_weyl_probability(t, d), exact_reference.ln_schur_weyl_probability(t, d))
+        assert np.array_equal(s_over_sqrt_p(N, t), exact_reference.s_over_sqrt_p(N, t))
+        assert np.array_equal(recycling.height_correction(t, d), exact_reference.height_correction(t, d))
+
+
 # -- mpmath references on the exact-integer forms ---------------------------------
 
 
@@ -258,3 +284,43 @@ def test_split_frame_walks_give_the_same_bits(monkeypatch, N, d):
     assert split[0] == whole[0]
     for a, b in zip(split[1], whole[1]):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("N,d", [(200, 3), (60, 4)])
+def test_small_blocks_split_only_between_first_parts(monkeypatch, N, d):
+    # the run sums of ``_frame_sums`` are the same in any block layout because no block splits a first part
+    rng = np.random.default_rng(N + d)
+
+    def weights(n):
+        w = rng.uniform(0.0, 1.0, frame_count(n, d))
+        w[rng.integers(len(w))] = 0.0
+        return VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w))
+
+    wN, wNm1 = weights(N), weights(N - 1)
+
+    def values():
+        recycling._recycling_sum.cache_clear()
+        vN, vNm1 = v_optimal(N, d), v_optimal(N - 1, d)
+        floats = [
+            frec(N, d).value,
+            trace_sqrt_povm_signal(N, d),
+            *frec_values(N - 8, N, d),
+            frec_optimal(N, d, vN, vNm1).value,
+            frec_optimal(N, d, wN, wNm1).value,
+            resource_state_fidelity(N, d, vN).value,
+            resource_state_fidelity(N, d, wN).value,
+        ]
+        return floats, VCoefficients.uniform(N, d).entries
+
+    whole = values()
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 64)
+    for n in (N - 1, N):
+        for extend in (False, True):
+            blocks = list(partitions._frame_blocks(n, n, d, extend))
+            assert len(blocks) > 4
+            np.testing.assert_array_equal(np.concatenate([b.table for b in blocks]), frame_table(n, d))
+            for before, after in zip(blocks, blocks[1:]):
+                assert before.table[-1, 0] > after.table[0, 0]  # a boundary falls between first parts
+    split = values()
+    assert split[0] == whole[0]
+    np.testing.assert_array_equal(split[1], whole[1])

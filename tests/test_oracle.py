@@ -562,6 +562,29 @@ def test_bundle_keeps_the_spectrum_of_rho(N, d):
     assert np.abs(rho_eigenvalues - np.linalg.eigvalsh(rho_operator(N, d))).max() <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "N,d,zero",
+    [
+        (4, 3, [(6, 1, 1), (6, 4, 4), (3, 6, 6)]),
+        (3, 4, [(12, 1, 1), (24, 3, 3), (4, 6, 6)]),
+        (2, 6, [(30, 1, 1), (60, 2, 2)]),
+    ],
+)
+def test_all_zero_stacks_of_rho_are_not_solved(monkeypatch, N, d, zero):
+    # a torus weight with a -1 entry that no port digit can cancel has rho, so W, zero on its block
+    packing = oracle._packing(N, d)
+    views = packing.views(packing.pack(rho_operator(N, d)))
+    assert [m.shape for m in views if not np.any(m)] == zero
+    solved = []
+    eigh = oracle._eigh
+    monkeypatch.setattr(oracle, "_eigh", lambda m, vectors=True: solved.append(m.shape) or eigh(m, vectors))
+    whiten, spectrum = oracle._blocked_inverse_root(N, d)
+    assert solved == [m.shape for m in views if np.any(m)]
+    for m, w in zip(views, packing.views(whiten)):
+        assert np.any(m) or not np.any(w)
+    assert np.abs(spectrum - np.linalg.eigvalsh(rho_operator(N, d))).max() <= 1e-13
+
+
 @pytest.mark.parametrize("N,d", [(1, 2), (3, 2), (6, 2), (2, 3), (4, 3), (3, 4), (2, 6)])
 def test_torus_blocks_partition_the_basis_by_weight(N, d):
     blocks = oracle._torus_blocks(N, d)
