@@ -3,7 +3,7 @@
 Schur-Weyl combinatorics on Young-frame tables drive closed-form recycling
 fidelities for arbitrary port count and local dimension, with the
 optimal-protocol variant and a small-instance dense-matrix oracle that
-verifies every formula.
+verifies every formula.  Importing the package does not load the oracle.
 """
 
 from .optimal import (
@@ -16,27 +16,9 @@ from .optimal import (
     save_v_coefficients,
     v_optimal,
 )
-from .oracle import (
-    DimensionCapError,
-    SpectrumReport,
-    build_optimizing_operator,
-    channel_fidelity_oracle,
-    frec_optimal_oracle,
-    frec_oracle,
-    permutation_operator,
-    pinv_sqrt_psd,
-    resource_fidelity_oracle,
-    rho_operator,
-    rho_spectrum_report,
-    signal_state,
-    sqrt_psd,
-    srm_povm,
-    verify_suite,
-    young_projector,
-)
 from .partitions import frame_table, ln_schur_weyl_probability, partitions_bounded
 from .recycling import frec, kround_lower_bound, lower_bound_qubit, trace_sqrt_povm_signal
-from .reports import CheckResult, FidelityReport, VerifyReport
+from .reports import CheckResult, DimensionCapError, FidelityReport, VerifyReport
 
 __version__ = "0.1.0"
 
@@ -61,18 +43,25 @@ __all__ = [
     "lower_bound_qubit",
     "parse_v_coefficients",
     "partitions_bounded",
-    "permutation_operator",
-    "pinv_sqrt_psd",
     "resource_fidelity_oracle",
     "resource_state_fidelity",
     "rho_operator",
     "rho_spectrum_report",
     "save_v_coefficients",
-    "signal_state",
-    "sqrt_psd",
     "srm_povm",
     "trace_sqrt_povm_signal",
     "v_optimal",
     "verify_suite",
-    "young_projector",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:  # the public names not imported above are the oracle's
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

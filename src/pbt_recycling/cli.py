@@ -3,6 +3,9 @@
 Values are printed with 12 significant digits (scientific notation below
 1e-4) and CSV output is byte-stable for identical flags.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 data-validation error.
+
+A call builds the parser of its own command only and imports the oracle only
+for ``oracle verify``; help and usage errors read as from one whole parser.
 """
 
 from __future__ import annotations
@@ -12,20 +15,23 @@ import json
 import math
 import sys
 from functools import cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import optimal as opt
-from . import oracle as orc
 from . import recycling as rec
 from .optimal import CoefficientError, VCoefficients
-from .oracle import DimensionCapError
 from .partitions import frame_text, partitions_bounded
-from .reports import FidelityReport
+from .reports import DimensionCapError, FidelityReport
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+
+
+def _usage_error(message: str):
+    """Exit 2 with the top-level usage: a flag combination the command's parser accepts but the command does not."""
+    _parser().error(message)
 
 
 def format_value(x: float) -> str:
@@ -69,10 +75,10 @@ def _load_weights(path: str, N: int, d: int) -> VCoefficients:
     return v
 
 
-def _weight_pair(parser, args) -> tuple[VCoefficients, VCoefficients]:
+def _weight_pair(args) -> tuple[VCoefficients, VCoefficients]:
     """Weights for N and N-1 ports: --vfile and --vfile-prev when given, else the optimal ones."""
     if bool(args.vfile) != bool(args.vfile_prev):
-        parser.error("--vfile and --vfile-prev must be given together")
+        _usage_error("--vfile and --vfile-prev must be given together")
     N, d = args.ports, args.dim
     opt._check_optimal_point(N, d)
     if args.vfile:
@@ -80,11 +86,11 @@ def _weight_pair(parser, args) -> tuple[VCoefficients, VCoefficients]:
     return opt.v_optimal(N, d), opt.v_optimal(N - 1, d)
 
 
-def _cmd_frec(parser, args) -> int:
+def _cmd_frec(args) -> int:
     if not args.optimal and (args.vfile or args.vfile_prev):
-        parser.error("--vfile and --vfile-prev are read only with --optimal")
+        _usage_error("--vfile and --vfile-prev are read only with --optimal")
     if args.optimal:
-        report = opt.frec_optimal(args.ports, args.dim, *_weight_pair(parser, args))
+        report = opt.frec_optimal(args.ports, args.dim, *_weight_pair(args))
     else:
         report = rec.frec(args.ports, args.dim)
     _emit(args, _report_lines(report), report.as_dict())
@@ -105,15 +111,15 @@ def _sweep_lines(n_min: int, n_max: int, d: int, want_optimal: bool):
         yield ",".join(cells)
 
 
-def _cmd_sweep(parser, args) -> int:
+def _cmd_sweep(args) -> int:
     if args.ports_min < 1 or args.ports_max < args.ports_min:
-        parser.error("need 1 <= --ports-min <= --ports-max")
+        _usage_error("need 1 <= --ports-min <= --ports-max")
     lines = _sweep_lines(args.ports_min, args.ports_max, args.dim, args.optimal)
     _write_text(args.out, "\n".join(["N,d,frec,frec_opt,lower_bound_qubit", *lines]) + "\n")
     return EXIT_OK
 
 
-def _cmd_bound(parser, args) -> int:
+def _cmd_bound(args) -> int:
     report = rec.frec(args.ports, args.dim)
     bound = rec.kround_lower_bound(min(report.value, 1.0), args.rounds)
     payload = {
@@ -128,18 +134,18 @@ def _cmd_bound(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_resource_fidelity(parser, args) -> int:
+def _cmd_resource_fidelity(args) -> int:
     if args.sweep:
         if args.vfile:
-            parser.error("--sweep uses the optimal qubit weights and reads no --vfile")
+            _usage_error("--sweep uses the optimal qubit weights and reads no --vfile")
         if args.ports is not None:
-            parser.error("--sweep reads --ports-min and --ports-max, not --ports")
+            _usage_error("--sweep reads --ports-min and --ports-max, not --ports")
         if args.format != "text":
-            parser.error("--sweep writes CSV and reads no --format")
+            _usage_error("--sweep writes CSV and reads no --format")
         if args.ports_min is None or args.ports_max is None:
-            parser.error("--sweep requires --ports-min and --ports-max")
+            _usage_error("--sweep requires --ports-min and --ports-max")
         if args.ports_min < 1 or args.ports_max < args.ports_min:
-            parser.error("need 1 <= --ports-min <= --ports-max")
+            _usage_error("need 1 <= --ports-min <= --ports-max")
         lines = ["N,d,resource_fidelity"]
         for n in range(args.ports_min, args.ports_max + 1):
             value = opt.resource_state_fidelity(n, 2, opt.v_optimal(n, 2)).value
@@ -147,9 +153,9 @@ def _cmd_resource_fidelity(parser, args) -> int:
         _write_text(args.out, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.ports_min is not None or args.ports_max is not None:
-        parser.error("--ports-min and --ports-max are read only with --sweep")
+        _usage_error("--ports-min and --ports-max are read only with --sweep")
     if args.out is not None:
-        parser.error("--out is read only with --sweep")
+        _usage_error("--out is read only with --sweep")
     if args.vfile:
         v = opt.load_v_coefficients(args.vfile)
         if args.ports is not None and v.ports != args.ports:
@@ -158,23 +164,25 @@ def _cmd_resource_fidelity(parser, args) -> int:
         _emit(args, _report_lines(report), report.as_dict())
         return EXIT_OK
     if args.ports is None:
-        parser.error("--ports is required without --sweep")
+        _usage_error("--ports is required without --sweep")
     report = opt.resource_state_fidelity(args.ports, 2, opt.v_optimal(args.ports, 2))
     _emit(args, _report_lines(report), report.as_dict())
     return EXIT_OK
 
 
-def _cmd_oracle_verify(parser, args) -> int:
+def _cmd_oracle_verify(args) -> int:
     if not args.optimal and args.vfile_prev:
-        parser.error("--vfile-prev is read only with --optimal")
+        _usage_error("--vfile-prev is read only with --optimal")
     if not 0.0 <= args.tol < math.inf:
-        parser.error(f"--tol must be finite and at least 0, got {args.tol!r}")
+        _usage_error(f"--tol must be finite and at least 0, got {args.tol!r}")
     if args.optimal:
-        v, v_prev = _weight_pair(parser, args)
+        v, v_prev = _weight_pair(args)
     elif args.vfile:
         v = _load_weights(args.vfile, args.ports, args.dim)
     else:
         v = opt.v_optimal(args.ports, args.dim)
+    from . import oracle as orc  # the one command that reads the oracle
+
     report = orc.verify_suite(args.ports, args.dim, tol=args.tol, v=v)
 
     # formula-versus-oracle comparisons at the same point
@@ -197,13 +205,13 @@ def _cmd_oracle_verify(parser, args) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
-def _cmd_partitions(parser, args) -> int:
+def _cmd_partitions(args) -> int:
     for p in partitions_bounded(args.n, args.max_height):
         print(frame_text(p))
     return EXIT_OK
 
 
-def _cmd_vcoeffs(parser, args) -> int:
+def _cmd_vcoeffs(args) -> int:
     v = opt.v_optimal(args.ports, 2)
     if args.out and args.out != "-":
         opt.save_v_coefficients(v, args.out)
@@ -212,85 +220,133 @@ def _cmd_vcoeffs(parser, args) -> int:
     return EXIT_OK
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; each ``parse_args`` returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
-        prog="pbt-recycling",
-        description="Recycling fidelity of the port-based teleportation resource state.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _frec_flags(p: argparse.ArgumentParser):
+    p.add_argument("--ports", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--optimal", action="store_true")
+    p.add_argument("--vfile", help="coefficient file for N ports, with --optimal (default: optimal weights)")
+    p.add_argument("--vfile-prev", help="coefficient file for N-1 ports, with --vfile")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_frec = sub.add_parser("frec", help="one-round recycling fidelity")
-    p_frec.add_argument("--ports", type=int, required=True)
-    p_frec.add_argument("--dim", type=int, required=True)
-    p_frec.add_argument("--optimal", action="store_true")
-    p_frec.add_argument("--vfile", help="coefficient file for N ports, with --optimal (default: optimal weights)")
-    p_frec.add_argument("--vfile-prev", help="coefficient file for N-1 ports, with --vfile")
-    p_frec.add_argument("--format", choices=("text", "json"), default="text")
-    p_frec.set_defaults(func=_cmd_frec)
 
-    p_sweep = sub.add_parser("sweep", help="CSV over a range of port counts")
-    p_sweep.add_argument("--ports-min", type=int, required=True)
-    p_sweep.add_argument("--ports-max", type=int, required=True)
-    p_sweep.add_argument("--dim", type=int, required=True)
-    p_sweep.add_argument("--optimal", action="store_true")
-    p_sweep.add_argument("--out", help="output path (default stdout)")
-    p_sweep.set_defaults(func=_cmd_sweep)
+def _sweep_flags(p: argparse.ArgumentParser):
+    p.add_argument("--ports-min", type=int, required=True)
+    p.add_argument("--ports-max", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--optimal", action="store_true")
+    p.add_argument("--out", help="output path (default stdout)")
 
-    p_bound = sub.add_parser("bound", help="k-round lower bound")
-    p_bound.add_argument("--ports", type=int, required=True)
-    p_bound.add_argument("--dim", type=int, required=True)
-    p_bound.add_argument("--rounds", type=int, required=True)
-    p_bound.add_argument("--format", choices=("text", "json"), default="text")
-    p_bound.set_defaults(func=_cmd_bound)
 
-    p_res = sub.add_parser(
-        "resource-fidelity", help="overlap of plain and rotated resource states"
-    )
-    p_res.add_argument("--ports", type=int)
-    p_res.add_argument("--vfile", help="coefficient file, any d, not with --sweep (default: optimal qubit weights)")
-    p_res.add_argument("--sweep", action="store_true")
-    p_res.add_argument("--ports-min", type=int, help="first N, with --sweep")
-    p_res.add_argument("--ports-max", type=int, help="last N, with --sweep")
-    p_res.add_argument("--out", help="CSV output path, with --sweep (default stdout)")
-    p_res.add_argument("--format", choices=("text", "json"), default="text", help="without --sweep")
-    p_res.set_defaults(func=_cmd_resource_fidelity)
+def _bound_flags(p: argparse.ArgumentParser):
+    p.add_argument("--ports", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_oracle = sub.add_parser("oracle", help="dense-matrix oracle")
-    oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
-    p_verify = oracle_sub.add_parser("verify", help="run all invariant checks")
-    p_verify.add_argument("--ports", type=int, required=True)
-    p_verify.add_argument("--dim", type=int, required=True)
-    p_verify.add_argument("--tol", type=float, default=1e-9, help="largest passing deviation, finite and >= 0")
-    p_verify.add_argument(
+
+def _resource_fidelity_flags(p: argparse.ArgumentParser):
+    p.add_argument("--ports", type=int)
+    p.add_argument("--vfile", help="coefficient file, any d, not with --sweep (default: optimal qubit weights)")
+    p.add_argument("--sweep", action="store_true")
+    p.add_argument("--ports-min", type=int, help="first N, with --sweep")
+    p.add_argument("--ports-max", type=int, help="last N, with --sweep")
+    p.add_argument("--out", help="CSV output path, with --sweep (default stdout)")
+    p.add_argument("--format", choices=("text", "json"), default="text", help="without --sweep")
+
+
+def _oracle_verify_flags(p: argparse.ArgumentParser):
+    p.add_argument("--ports", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--tol", type=float, default=1e-9, help="largest passing deviation, finite and >= 0")
+    p.add_argument(
         "--optimal",
         action="store_true",
         help="also check the optimal-protocol recycling fidelity, closed form against the oracle",
     )
-    p_verify.add_argument("--vfile", help="rotation weights for the checks (default: optimal weights)")
-    p_verify.add_argument("--vfile-prev", help="weights for N-1 ports, with --vfile under --optimal")
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=_cmd_oracle_verify)
+    p.add_argument("--vfile", help="rotation weights for the checks (default: optimal weights)")
+    p.add_argument("--vfile-prev", help="weights for N-1 ports, with --vfile under --optimal")
+    p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_parts = sub.add_parser("partitions", help="list bounded-height frames")
-    p_parts.add_argument("--n", type=int, required=True)
-    p_parts.add_argument("--max-height", type=int, required=True)
-    p_parts.set_defaults(func=_cmd_partitions)
 
-    p_v = sub.add_parser("vcoeffs", help="emit the optimal qubit coefficients")
-    p_v.add_argument("--ports", type=int, required=True)
-    p_v.add_argument("--out", help="output path (default stdout)")
-    p_v.set_defaults(func=_cmd_vcoeffs)
+def _partitions_flags(p: argparse.ArgumentParser):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--max-height", type=int, required=True)
 
+
+def _vcoeffs_flags(p: argparse.ArgumentParser):
+    p.add_argument("--ports", type=int, required=True)
+    p.add_argument("--out", help="output path (default stdout)")
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Optional[Callable[[argparse.Namespace], int]]  # None for a word that only groups commands
+    flags: Optional[Callable[[argparse.ArgumentParser], None]]
+
+
+#: Every command by its words, in the order of the help listings, with the words that group commands.
+_COMMANDS = {
+    ("frec",): _Command("one-round recycling fidelity", _cmd_frec, _frec_flags),
+    ("sweep",): _Command("CSV over a range of port counts", _cmd_sweep, _sweep_flags),
+    ("bound",): _Command("k-round lower bound", _cmd_bound, _bound_flags),
+    ("resource-fidelity",): _Command(
+        "overlap of plain and rotated resource states", _cmd_resource_fidelity, _resource_fidelity_flags
+    ),
+    ("oracle",): _Command("dense-matrix oracle", None, None),
+    ("oracle", "verify"): _Command("run all invariant checks", _cmd_oracle_verify, _oracle_verify_flags),
+    ("partitions",): _Command("list bounded-height frames", _cmd_partitions, _partitions_flags),
+    ("vcoeffs",): _Command("emit the optimal qubit coefficients", _cmd_vcoeffs, _vcoeffs_flags),
+}
+
+
+class _Deferred:
+    """Stands for the parser of ``words`` in its group's listing; that parser is built when argparse first uses it."""
+
+    def __init__(self, words: tuple[str, ...], **_):
+        self.words = words
+
+    def parse_known_args(self, args=None, namespace=None):
+        return _parser(*self.words).parse_known_args(args, namespace)
+
+
+@cache
+def _parser(*words: str) -> argparse.ArgumentParser:
+    """The parser of one command, or the flagless listing of a group's commands (no words: the top level).
+
+    Built once per process, on first use.  A listing's entries are ``_Deferred``,
+    so a whole-line parse from the top level reaches the same command parsers.
+    """
+    parser = argparse.ArgumentParser(
+        prog=" ".join(("pbt-recycling", *words)),
+        description=None if words else "Recycling fidelity of the port-based teleportation resource state.",
+    )
+    command = _COMMANDS.get(words)
+    if command is not None and command.handler is not None:
+        command.flags(parser)
+        parser.set_defaults(handler=command.handler)
+        return parser
+    sub = parser.add_subparsers(dest="_".join((*words, "command")), required=True, parser_class=_Deferred)
+    for key, child in _COMMANDS.items():
+        if key[:-1] == words:
+            sub.add_parser(key[-1], help=child.help, words=key)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when None) and return its exit code.
+
+    The leading words pick the command, whose own parser reads the rest.  Help,
+    a missing or unknown command and unrecognized arguments take the top level.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2]) if tuple(argv[:2]) in _COMMANDS else tuple(argv[:1])
+    found = words in _COMMANDS and _COMMANDS[words].handler is not None
+    if found:
+        args, extra = _parser(*words).parse_known_args(argv[len(words):])
+    if not found or extra:
+        args = _parser().parse_args(argv)  # exits with help or a usage error
     try:
-        return args.func(parser, args)
+        return args.handler(args)
     except CoefficientError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

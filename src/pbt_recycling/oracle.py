@@ -3,7 +3,8 @@
 Everything lives on (C^d)^(x)(N+1) with the port systems first and the input
 system last; basis indices are big-endian in the local digits.  Fidelities
 are computed directly from their defining expressions, against which every
-closed form in the package is checked.
+closed form in the package is checked.  No closed form imports this
+module; constructors only tests read are in ``tests/dense_reference.py``.
 
 Every object is real in the computational basis, so every operator is a
 plain float64 ``np.ndarray``; the one eigensolve helper checks symmetry.
@@ -73,7 +74,7 @@ is packed, then N + 8 packed operators) and the record with what the call
 holds besides it; a point where dense rho alone is over counts rho alone.
 Arrays of at most d^(N+2) entries (digit tables, the layout, Q_a's columns)
 are not counted.  Over the budget a call raises ``DimensionCapError``, exit
-code 2 in the CLI.
+code 2 in the CLI; the class lives in ``reports`` and is re-exported here.
 
 One measurement serves the optimal protocol too.  Its sender rotation
 O (x) 1 is a weighted sum of port Young projectors, so it commutes with
@@ -121,9 +122,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .optimal import VCoefficients, _check_optimal_point
-from .partitions import _memo, _read_only, frame_parts, frame_table, one_box_ranks
+from .partitions import _memo, _read_only, frame_table, one_box_ranks
 from .recycling import _check_point, trace_sqrt_povm_signal
-from .reports import FidelityReport, VerifyReport
+from .reports import DimensionCapError, FidelityReport, VerifyReport
 
 #: Bytes of dense float64 arrays one oracle call may hold at once.
 ORACLE_BYTE_BUDGET = 1 << 30
@@ -142,10 +143,6 @@ _EIGH_ARRAYS = 4
 
 #: Dense d^n x d^n arrays held while building the Young eigenbasis: A and A's eigensolve.
 _YOUNG_BASIS_ARRAYS = 1 + _EIGH_ARRAYS
-
-
-class DimensionCapError(RuntimeError):
-    """Raised when a dense construction would exceed ``ORACLE_BYTE_BUDGET``."""
 
 
 def _require(*blocks: tuple[int, int]) -> None:
@@ -186,28 +183,11 @@ def _permuted_indices(perm, d: int, n: int) -> np.ndarray:
     return _digits(d, n)[:, np.argsort(perm)] @ d ** np.arange(n - 1, -1, -1)
 
 
-def permutation_operator(perm, d: int, n: int) -> np.ndarray:
-    """0/1 matrix permuting tensor factors by ``perm`` (0-based images).
-
-    Factor ``k`` of the input becomes factor ``perm[k]`` of the output.
-    """
-    _require((1, d**n))
-    m = np.zeros((d**n, d**n))
-    m[_permuted_indices(perm, d, n), np.arange(d**n)] = 1.0
-    return m
-
-
 def transposition(i: int, j: int, n: int) -> tuple[int, ...]:
     """The permutation exchanging positions i and j (0-based)."""
     p = list(range(n))
     p[i], p[j] = p[j], p[i]
     return tuple(p)
-
-
-def partial_transpose_last(op: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Transpose on the last tensor factor only."""
-    t = np.swapaxes(op.reshape((d,) * (2 * n)), n - 1, 2 * n - 1)
-    return t.reshape(d**n, d**n)
 
 
 def _signal_columns(a: int, N: int, d: int) -> np.ndarray:
@@ -232,17 +212,6 @@ def _signal_sum(ports, N: int, d: int) -> np.ndarray:
         cols = _signal_columns(a, N, d)
         m[cols[:, :, None], cols[:, None, :]] += 1.0 / d**N
     return m
-
-
-def signal_state(a: int, N: int, d: int) -> np.ndarray:
-    """Reduced state flagging teleportation through port ``a`` (1-based).
-
-    Maximally entangled projector between port ``a`` and the input system,
-    maximally mixed elsewhere; unit trace.
-    """
-    if not 1 <= a <= N:
-        raise ValueError(f"port index {a} out of range 1..{N}")
-    return _signal_sum((a,), N, d)
 
 
 def rho_operator(N: int, d: int) -> np.ndarray:
@@ -283,20 +252,6 @@ def _psd_function(stacks: list, f, tol: float) -> tuple[list, list]:
         del u
         values.append(0.5 * (m + np.swapaxes(m, -1, -2)))
     return values, spectra
-
-
-def _inverse_root(w: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(w)
-
-
-def sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Spectral square root with sub-threshold eigenvalues clamped to zero."""
-    return _psd_function([m], np.sqrt, tol)[0][0]
-
-
-def pinv_sqrt_psd(m: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Inverse square root on the support; the kernel is left untouched."""
-    return _psd_function([m], _inverse_root, tol)[0][0]
 
 
 def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
@@ -491,7 +446,7 @@ def _blocked_inverse_root(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     if outside:
         raise RuntimeError(f"rho at ({N}, {d}) has {outside} nonzero entries outside its torus-weight blocks")
     del rho
-    roots, spectra = _psd_function(packing.views(packed), _inverse_root, SUPPORT_TOL)
+    roots, spectra = _psd_function(packing.views(packed), lambda w: 1.0 / np.sqrt(w), SUPPORT_TOL)
     del packed
     return np.concatenate([m.ravel() for m in roots]), np.sort(np.concatenate([w.ravel() for w in spectra]))
 
@@ -810,25 +765,6 @@ def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return frames, u, nearest
 
 
-def young_projector(mu, d: int) -> np.ndarray:
-    """Projector onto the isotypic block of frame ``mu`` in (C^d)^(x)n (zero when taller than d).
-
-    The group average (d_mu / n!) sum_sigma chi_mu(sigma) V_sigma, built from
-    box contents instead (see the module docstring) as a fresh U_mu U_mu^T over
-    the eigenvectors labelled mu.  ``mu`` is any parts ``frame_parts`` accepts.
-    """
-    p = frame_parts(mu)
-    n = sum(p)
-    if len(p) > d:
-        _require((1, d**n))
-        return np.zeros((d**n, d**n))
-    _require((_YOUNG_BASIS_ARRAYS, d**n))
-    frames, u, labels = _young_projectors(n, d)
-    row = frames.tolist().index(list(p) + [0] * (d - len(p)))
-    block = u[:, labels == row]
-    return block @ block.T
-
-
 def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
     """Sender rotation: sqrt(d^N) sum of v-weighted, rank-normalized projectors.
 
@@ -914,7 +850,7 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     o = None if rotation is None else _embed_ports_operator(rotation, d)
     total = 0.0
     for a in range(1, N + 1):
-        sig = signal_state(a, N, d)
+        sig = _signal_sum((a,), N, d)
         if o is not None:
             sig = o @ sig @ o.T
         # tr(O^T pi O sig) = vdot(pi, O sig O^T) because pi is symmetric

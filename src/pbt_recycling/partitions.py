@@ -388,6 +388,23 @@ def _bd0(x: np.ndarray, n: np.ndarray, d: int) -> np.ndarray:
     return np.where(np.abs(v) < 0.1, series, direct)
 
 
+@_memo(_MEMO_ENTRIES)
+def _loader_tables(sizes: tuple[int, ...], d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g, b, offset) of ``ln_schur_weyl_probability`` for the ascending box counts ``sizes``.
+
+    g is the factorial remainder on 0..max n; run m of b, from offset[m] on, the deviance on lengths 0..m.
+    """
+    sizes = np.array(sizes, dtype=np.int64)
+    top = int(sizes.max(initial=0))
+    runs = sizes + 1
+    start = np.cumsum(runs) - runs  # where the run of lengths 0..m of each distinct m starts
+    offset = np.zeros(top + 1, dtype=np.int64)
+    offset[sizes] = start
+    lengths = np.arange(runs.sum()) - np.repeat(start, runs)
+    b = _bd0(lengths, np.repeat(sizes, runs), d)
+    return _ln_factorial_remainder(np.arange(top + 1)), b, offset
+
+
 def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     """ln p(lam) = ln(m_lam d_lam / d^n) for each row of a frame table.
 
@@ -402,7 +419,8 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     evaluated by table and gathered: the factorial remainder once on
     0..max n, and the deviance once on a run of lengths 0..m for each
     distinct box count m, the runs laid end to end; a presence map of the
-    box counts over 0..max n (``np.bincount``) finds each run, with no sort.
+    box counts (``np.bincount``) finds them, with no sort.  The tables are
+    held per (box counts, d), so the blocks of a split n share one build.
     The cost is O(entries + max n + sum over distinct n of n); on a full
     frame table of height >= 2 the runs hold no more values than the table.
     A row gets the same bits in any table: its Weyl logs are added left to
@@ -415,15 +433,8 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
         raise ValueError("frame table rows must be nonnegative and weakly decreasing")
     cols = lam.T.copy()  # one contiguous line per column
     n = cols.sum(axis=0)
-    top = int(n.max(initial=0))
-    sizes = np.flatnonzero(np.bincount(n, minlength=top + 1))  # the distinct box counts, ascending
-    runs = sizes + 1
-    start = np.cumsum(runs) - runs  # where the run of lengths 0..m of each distinct m starts
-    offset = np.zeros(top + 1, dtype=np.int64)
-    offset[sizes] = start
-    lengths = np.arange(runs.sum()) - np.repeat(start, runs)
-    b = _bd0(lengths, np.repeat(sizes, runs), d)
-    g = _ln_factorial_remainder(np.arange(top + 1))
+    sizes = np.flatnonzero(np.bincount(n))  # the distinct box counts, ascending
+    g, b, offset = _loader_tables(tuple(sizes.tolist()), d)
     weyl = np.zeros(len(lam))
     for i in range(d - 1):
         gap = np.arange(1, d - i)[:, None]  # j - i for the columns j > i

@@ -1,4 +1,7 @@
-"""Result records shared by the closed forms, the oracle and the CLI."""
+"""Result records shared by the closed forms, the oracle and the CLI.
+
+``DimensionCapError`` lives here, not in the oracle, so the CLI catches it without loading the oracle.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +13,10 @@ METHODS = ("general", "oracle", "optimal_general")
 
 #: Slack above 1.0 tolerated for a fidelity before it is rejected as invalid.
 FIDELITY_SLACK = 1e-9
+
+
+class DimensionCapError(RuntimeError):
+    """Raised when a dense oracle construction would exceed ``oracle.ORACLE_BYTE_BUDGET``."""
 
 
 @dataclass(frozen=True)

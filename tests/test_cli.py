@@ -703,3 +703,113 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_and_cli_imports_load_no_oracle():
+    # the closed forms never read the oracle: it loads with the first oracle name or `oracle verify`
+    code = (
+        "import sys\n"
+        "import pbt_recycling\n"
+        "print('pbt_recycling.oracle' in sys.modules)\n"
+        "import pbt_recycling.cli\n"
+        "print('pbt_recycling.oracle' in sys.modules)\n"
+        "pbt_recycling.frec_oracle\n"
+        "print('pbt_recycling.oracle' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
+
+
+def test_every_public_name_resolves():
+    import pbt_recycling
+    from pbt_recycling import oracle, reports
+
+    for name in pbt_recycling.__all__:
+        assert getattr(pbt_recycling, name) is not None
+    assert set(pbt_recycling.__all__) <= set(dir(pbt_recycling))
+    assert pbt_recycling.verify_suite is oracle.verify_suite
+    # one class, caught by the CLI without the oracle and raised by it
+    assert pbt_recycling.DimensionCapError is oracle.DimensionCapError is reports.DimensionCapError
+    with pytest.raises(AttributeError, match="no attribute 'young_projector'"):
+        pbt_recycling.young_projector
+
+
+#: First line of the usage each parser prints at 80 columns.
+TOP_USAGE = (
+    "usage: pbt-recycling [-h]\n"
+    "                     {frec,sweep,bound,resource-fidelity,oracle,partitions,vcoeffs}\n"
+    "                     ...\n"
+)
+USAGE_LINES = {
+    (): "usage: pbt-recycling [-h]",
+    ("frec",): "usage: pbt-recycling frec [-h] --ports PORTS --dim DIM [--optimal]",
+    ("sweep",): "usage: pbt-recycling sweep [-h] --ports-min PORTS_MIN --ports-max PORTS_MAX",
+    ("bound",): "usage: pbt-recycling bound [-h] --ports PORTS --dim DIM --rounds ROUNDS",
+    ("resource-fidelity",): "usage: pbt-recycling resource-fidelity [-h] [--ports PORTS] [--vfile VFILE]",
+    ("oracle",): "usage: pbt-recycling oracle [-h] {verify} ...",
+    ("oracle", "verify"): "usage: pbt-recycling oracle verify [-h] --ports PORTS --dim DIM [--tol TOL]",
+    ("partitions",): "usage: pbt-recycling partitions [-h] --n N --max-height MAX_HEIGHT",
+    ("vcoeffs",): "usage: pbt-recycling vcoeffs [-h] --ports PORTS [--out OUT]",
+}
+
+
+@pytest.mark.parametrize("words", list(USAGE_LINES))
+def test_help_of_every_parser(capsys, monkeypatch, words):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run([*words, "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == USAGE_LINES[words]
+    if not words:
+        assert out.startswith(TOP_USAGE)
+        assert "    oracle              dense-matrix oracle\n" in out
+
+
+@pytest.mark.parametrize("argv,err", [
+    ([], TOP_USAGE + "pbt-recycling: error: the following arguments are required: command\n"),
+    (["bogus"], TOP_USAGE + "pbt-recycling: error: argument command: invalid choice: 'bogus' (choose from "
+     "'frec', 'sweep', 'bound', 'resource-fidelity', 'oracle', 'partitions', 'vcoeffs')\n"),
+    (["oracle"], "usage: pbt-recycling oracle [-h] {verify} ...\n"
+     "pbt-recycling oracle: error: the following arguments are required: oracle_command\n"),
+    (["frec", "--ports", "3", "--dim", "2", "--extra"],
+     TOP_USAGE + "pbt-recycling: error: unrecognized arguments: --extra\n"),
+    (["oracle", "verify", "--ports", "2", "--dim", "2", "--bogus", "x"],
+     TOP_USAGE + "pbt-recycling: error: unrecognized arguments: --bogus x\n"),
+    # a leading unknown flag: the whole line goes through the top level, which reaches the command's parser
+    (["--foo", "frec", "--ports", "3", "--dim", "2"],
+     TOP_USAGE + "pbt-recycling: error: unrecognized arguments: --foo\n"),
+    (["-x", "bound"], "usage: pbt-recycling bound [-h] --ports PORTS --dim DIM --rounds ROUNDS\n"
+     "                           [--format {text,json}]\n"
+     "pbt-recycling bound: error: the following arguments are required: --ports, --dim, --rounds\n"),
+    # a usage error found by the command's handler, not its parser
+    (["sweep", "--ports-min", "3", "--ports-max", "1", "--dim", "2"],
+     TOP_USAGE + "pbt-recycling: error: need 1 <= --ports-min <= --ports-max\n"),
+])
+def test_usage_errors_exit_2_with_the_usage_of_their_parser(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr() == ("", err)
+
+
+def test_an_op_builds_only_its_command_parser(capsys):
+    from pbt_recycling import cli
+
+    cli._parser.cache_clear()
+    assert invoke(capsys, "frec", "--ports", "3", "--dim", "2")[0] == EXIT_OK
+    assert invoke(capsys, "frec", "--ports", "4", "--dim", "2")[0] == EXIT_OK
+    assert invoke(capsys, "oracle", "verify", "--ports", "2", "--dim", "2")[0] == EXIT_OK
+    assert cli._parser.cache_info().currsize == 2  # frec's and oracle verify's; no top level
+    with pytest.raises(SystemExit):
+        run(["frec", "--ports", "3", "--dim", "2", "--extra"])
+    assert cli._parser.cache_info().currsize == 3
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    argv = ["frec", "--ports", "3", "--dim", "2"]
+    proc = subprocess.run([sys.executable, "-m", "pbt_recycling", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == invoke(capsys, *argv)[1]

@@ -149,6 +149,7 @@ def test_tables_stay_within_the_entry_count(monkeypatch):
     monkeypatch.setattr(partitions, "_bd0", bd0_spy)
     monkeypatch.setattr(partitions, "_ln_factorial_remainder", remainder_spy)
     monkeypatch.setattr(recycling, "ln_schur_weyl_probability", kernel_spy)
+    partitions._loader_tables.cache_clear()  # every call below builds its tables
     kernel_spy(frame_table(1999, 3), 3)
     kernel_spy(partitions._frame_tables(range(1, 128), 2)[0], 2)
     frec_values(2, 90, 3)
@@ -158,6 +159,17 @@ def test_tables_stay_within_the_entry_count(monkeypatch):
         assert 0 < counts["remainder"] <= entries
 
 
+@pytest.mark.parametrize("N,d", [(2000, 3), (200, 4)])
+def test_split_n_builds_its_loader_tables_once(monkeypatch, N, d):
+    # every first-part block of a split n holds the same box count, so the blocks share one build
+    builds = []
+    bd0 = partitions._bd0
+    monkeypatch.setattr(partitions, "_bd0", lambda x, n, d: builds.append(np.size(x)) or bd0(x, n, d))
+    partitions._loader_tables.cache_clear()
+    recycling._recycling_sum.cache_clear()
+    frec(N, d)
+    assert len(list(partitions._frame_blocks(N - 1, N - 1, d))) > 20
+    assert builds == [N]  # lengths 0..N - 1 of the one box count N - 1
 
 def _stacked_table(d):
     """Frames of several box counts, zero boxes among them, shuffled: every row shape a block can hold."""

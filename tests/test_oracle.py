@@ -8,6 +8,14 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from dense_reference import (
+    partial_transpose_last,
+    permutation_operator,
+    pinv_sqrt_psd,
+    signal_state,
+    sqrt_psd,
+    young_projector,
+)
 from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 from group_average import group_average_projector
 from hypothesis import given, settings
@@ -21,19 +29,13 @@ from pbt_recycling.oracle import (
     channel_fidelity_oracle,
     frec_optimal_oracle,
     frec_oracle,
-    partial_transpose_last,
-    permutation_operator,
-    pinv_sqrt_psd,
     povm_spectrum_deviation,
     resource_fidelity_oracle,
     rho_operator,
     rho_spectrum_report,
-    signal_state,
-    sqrt_psd,
     srm_povm,
     transposition,
     verify_suite,
-    young_projector,
 )
 from pbt_recycling.partitions import frame_table, partitions_bounded
 from pbt_recycling.recycling import frec
