@@ -45,7 +45,6 @@ __all__ = [
     "partitions_bounded",
     "resource_fidelity_oracle",
     "resource_state_fidelity",
-    "rho_operator",
     "rho_spectrum_report",
     "save_v_coefficients",
     "srm_povm",

@@ -34,10 +34,14 @@ the unit vector of the input digit (``_torus_blocks``).  The blocks hold a
 small share of D^2 (7.9%, 4.1% and 2.1% at (4, 3), (3, 4) and (2, 6)), so
 the measurement is held packed (``_Packing``): one flat float64 buffer per
 operator holding every block, with one (k, s, s) view per block size s for
-stacked ``matmul`` and ``eigh``.  Two premises are checked exactly: rho, built
-dense from the signals, has no nonzero entry outside the blocks, and each
-column of every Q_a lies inside one block; else ``RuntimeError``.  rho's
-blocks of one size are solved as one stacked eigensolve, which gives
+stacked ``matmul`` and ``eigh``.  One premise is checked exactly, before
+any signal is summed: each column of every Q_a lies inside one block, else
+``RuntimeError`` (``_signal_blocks``).  rho = d^(1-N) sum_a Q_a Q_a^T is then
+a sum of outer products of vectors that each lie in one block, so it has no
+entry off the blocks, and it is summed packed, column by column
+(``_packed_signal``), with the bits of the dense sum.  The torus weights are
+sorted on N + 1 digits per basis index, not d counts (``_torus_blocks``).
+rho's blocks of one size are solved as one stacked eigensolve, which gives
 W = rho^(-1/2) on the support, packed, and rho's spectrum.  At (3, 4) that is
 50 blocks of 5 sizes, the largest 18 x 18, in place of one 256 x 256
 eigensolve.  On a block holding r_b columns of Q_a, the bare element
@@ -55,26 +59,28 @@ every call; ``srm_povm`` and ``channel_fidelity_oracle`` unpack what they
 read into dense arrays.  The record's eigensolves are the only ones of the
 measurement: ``rho_spectrum_report`` reads rho's eigenvalues, and
 ``povm_spectrum_deviation`` reads G's, the nonzero spectrum of pi_N.  So a
-fresh point costs dense rho, the stacked eigensolves of rho's and G's blocks
-and products on the blocks, besides the Young eigenbases of the rotation,
-and a cached point none.
+fresh point costs its index tables, the stacked eigensolves of rho's and G's
+blocks and products on the blocks, besides the Young eigenbases of the
+rotation, and a cached point none; no call but the dense views of
+``srm_povm`` and ``channel_fidelity_oracle`` allocates a D x D array.
 
 Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
 allocates, it counts the float64 arrays it will hold at once: operators,
 temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors;
 four per matrix of a stack, at the stack's size) and the cache entries it
-creates (``_srm_bundle`` keeps one (N, d) record and, on it, N traces of
-d^N x d^N and the root's summed rows; ``_young_projectors`` keeps two; a
-miss evicts the oldest first; cached arrays are read-only).  A packed
-operator counts as its entries, the sum of its blocks' s^2, taken from
+creates (``_srm_bundle`` keeps one (N, d) record and, on it, one index pair
+over the packed entries and the root's summed rows; ``_young_projectors``
+keeps two; a miss evicts the oldest first; cached arrays are read-only).  A
+packed operator counts as its entries, the sum of its blocks' s^2, taken from
 frame tables before any index array exists (``_packed_entries``), and an
-integer array of a packed operator's length counts as one more.  A call
-counts the larger of the record's build (``_srm_blocks``: dense rho while it
-is packed, then N + 8 packed operators) and the record with what the call
-holds besides it; a point where dense rho alone is over counts rho alone.
-Arrays of at most d^(N+2) entries (digit tables, the layout, Q_a's columns)
-are not counted.  Over the budget a call raises ``DimensionCapError``, exit
-code 2 in the CLI; the class lives in ``reports`` and is re-exported here.
+int64 array as many float64 entries as it has.  The index tables of a point
+count per basis index: the digits, the sort keys of the torus blocks, the
+five arrays of the ``_Packing`` and the signal columns (``_srm_blocks``).  A
+call counts the larger of the record's build (its index tables, then N + 8
+packed operators beside those kept) and the record with what the call holds
+besides it; a point whose index tables alone are over counts them alone.
+Over the budget a call raises ``DimensionCapError``, exit code 2 in the CLI;
+the class lives in ``reports`` and is re-exported here.
 
 One measurement serves the optimal protocol too.  Its sender rotation
 O (x) 1 is a weighted sum of port Young projectors, so it commutes with
@@ -86,15 +92,18 @@ as ``frec_optimal`` does.
 
 What reads no weight is a cached property of the record, computed on first
 read and kept on it, read-only: ``frec_oracle``'s value, the root's rows
-summed over Q_N's columns, the N traces tr_in c_a of the completed elements
-c_a = pi_a + Delta/N (tr_in the partial trace over the input), both spectral
-reports, and nine of ``verify_suite``'s checks.  A cached value lives and
-dies with its record: the memo drops the old record before it builds a new
-one, and a record substituted with ``dataclasses.replace`` computes its own.
-The one check that reads the rotation weights runs on the d^N port space:
-vdot(c_a, (O O^T) (x) 1) = vdot(tr_in c_a, O O^T).  So a repeat call at a
-point pays only for its rotation: it builds O_N and O_(N-1), contracts them
-with what the record holds, and allocates no D x D array.  The optimal
+summed over Q_N's columns, the index pair of the partial trace over the
+input, both spectral reports, and nine of ``verify_suite``'s checks.  A
+cached value lives and dies with its record: the memo drops the old record
+before it builds a new one, and a record substituted with
+``dataclasses.replace`` computes its own.  The one check that reads the
+rotation weights meets the d^N port space: vdot(c_a, (O O^T) (x) 1) =
+vdot(tr_in c_a, O O^T) for the completed elements c_a = pi_a + Delta/N, and
+tr_in c_a is nonzero only where a packed entry's row and column share the
+input digit, so the vdot is taken there, against O O^T gathered at each
+entry's port entry (``input_trace_entries``).  So a repeat call at a point
+pays only for its rotation: it builds O_N and O_(N-1), contracts them with
+what the record holds, and allocates no D x D array.  The optimal
 fidelity's two rotations meet on port space: (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T
 = [O_N (O_(N-1) (x) 1)^T] (x) 1, one d^N x d^N product, read at Q_N's indices.
 
@@ -203,22 +212,6 @@ def _signal_columns(a: int, N: int, d: int) -> np.ndarray:
     return base[:, None] + np.arange(d) * (d ** (N + 1 - a) + 1)
 
 
-def _signal_sum(ports, N: int, d: int) -> np.ndarray:
-    """Sum of the signal states of ``ports``, built entry by entry."""
-    _require((1, d ** (N + 1)))
-    m = np.zeros((d ** (N + 1),) * 2)
-    for a in ports:
-        # d^(1-N) Q_a Q_a^T is d^(-N) on every pair of indices in one column of Q_a
-        cols = _signal_columns(a, N, d)
-        m[cols[:, :, None], cols[:, None, :]] += 1.0 / d**N
-    return m
-
-
-def rho_operator(N: int, d: int) -> np.ndarray:
-    """Sum of all signal states; the operator whose inverse root whitens them."""
-    return _signal_sum(range(1, N + 1), N, d)
-
-
 def _eigh(m: np.ndarray, vectors: bool = True):
     """``eigh`` (or ``eigvalsh``) of a real symmetric matrix or a stack of them, after checking symmetry."""
     _require((_EIGH_ARRAYS * math.prod(m.shape[:-2]), m.shape[-1]))
@@ -261,23 +254,43 @@ def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
     digit counts of the ports minus the unit vector of the input digit.
     rho commutes with U^(x)N (x) conj(U) for every diagonal unitary U, which
     multiplies a basis state by its weight's character, so rho has no entry
-    between two weights.  Weights are grouped by sorting them.
+    between two weights.
+
+    Weights are grouped by sorting N + 1 digits per index, a key that orders
+    them as their entries do read from digit d - 1 down.  Where the input
+    digit k is among the ports, the weight is the port digits less one k:
+    their N - 1 digits descending, then -1 twice (nothing left).  Else it is
+    the port digits with -1 at k: the N port digits descending with -2 - k
+    between those above k and those below, the -1 at k ranking below every
+    count, and a -1 further down below one nearer the top.
     """
     digits = _digits(d, N + 1)
-    rows = np.arange(len(digits))
-    weight = np.zeros((len(digits), d), dtype=np.int64)
-    for p in range(N):
-        weight[rows, digits[:, p]] += 1
-    weight[rows, digits[:, N]] -= 1
-    order = np.lexsort(weight.T)
-    weight = weight[order]
-    starts = np.flatnonzero(np.r_[True, (weight[1:] != weight[:-1]).any(axis=1)])
+    k = digits[:, N]
+    ports = np.full((N + 2, len(digits)), -1)  # the port digits descending, two -1s after
+    ports[:N] = np.sort(digits[:, :N], axis=1)[:, ::-1].T
+    above = (ports[:N] > k).sum(axis=0)
+    present = (ports[:N] == k).any(axis=0)
+    key = np.empty((N + 1, len(digits)), dtype=np.int64)
+    for j in range(N + 1):
+        absent = np.where(j == above, -2 - k, ports[j - 1])
+        key[j] = np.where(j < above, ports[j], np.where(present, ports[j + 1], absent))
+    del ports, above, present
+    order = np.lexsort(key[::-1])
+    change = np.zeros(len(order) - 1, dtype=bool)
+    for row in key:
+        row = row[order]
+        change |= row[1:] != row[:-1]
+    del key
+    starts = np.flatnonzero(np.r_[True, change])
     sizes = np.diff(np.r_[starts, len(order)])
-    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in sorted(set(sizes.tolist()))]
+    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.flatnonzero(np.bincount(sizes)).tolist()]
 
 
-def _multinomial(parts) -> int:
-    return math.factorial(sum(parts)) // math.prod(math.factorial(p) for p in parts)
+def _multinomial(tally: Counter) -> int:
+    """The multinomial coefficient of the parts tallied in ``tally`` (part -> how many times)."""
+    return math.factorial(sum(p * m for p, m in tally.items())) // math.prod(
+        math.factorial(p) ** m for p, m in tally.items()
+    )
 
 
 @_memo(4)
@@ -285,17 +298,21 @@ def _packed_entries(N: int, d: int) -> int:
     """Entries of a packed operator, sum s^2 over the ``_torus_blocks``, from frame tables alone.
 
     A weight w = c - e_k (c the port digit counts, k the input digit) either
-    is a composition of N - 1, whose block has sum_j multinomial(N; w + e_j)
-    indices, or has w_k = -1, and then its block is the multinomial(N; c)
-    indices of one c with c_k = 0.  A size depends on a composition only
-    through its frame, whose d!/prod(multiplicity!) arrangements are counted.
+    is a composition u of N - 1, whose block has sum_j multinomial(N; u + e_j)
+    = sum_j multinomial(N - 1; u) N / (u_j + 1) indices, or has w_k = -1, and
+    then its block is the multinomial(N; c) indices of one c with c_k = 0.  A
+    size depends on a composition only through its frame, whose
+    d!/prod(multiplicity!) arrangements are counted.
     """
     total = 0
     for u in frame_table(N - 1, d).tolist():
-        size = sum(_multinomial(u[:j] + [u[j] + 1] + u[j + 1:]) for j in range(d))
-        total += _multinomial(Counter(u).values()) * size**2
+        tally = Counter(u)
+        grown = _multinomial(tally) * N
+        size = sum(m * grown // (p + 1) for p, m in tally.items())
+        total += _multinomial(Counter(tally.values())) * size**2
     for c in frame_table(N, d).tolist():
-        total += _multinomial(Counter(c).values()) * c.count(0) * _multinomial(c) ** 2
+        tally = Counter(c)
+        total += _multinomial(Counter(tally.values())) * tally[0] * _multinomial(tally) ** 2
     return total
 
 
@@ -357,11 +374,13 @@ class _Packing(NamedTuple):
         return one
 
 
-@_memo(2)
+@_memo(1)
 def _packing(N: int, d: int) -> _Packing:
-    """The ``_Packing`` of (N, d) (read-only)."""
+    """The ``_Packing`` of (N, d) (read-only); its blocks are views of ``order``."""
     blocks = _torus_blocks(N, d)
     order = np.concatenate([b.ravel() for b in blocks])
+    bounds = np.cumsum([0] + [b.size for b in blocks])
+    blocks = [order[lo:hi].reshape(b.shape) for lo, hi, b in zip(bounds, bounds[1:], blocks)]
     start, pos, width, first = (np.empty(len(order), dtype=np.int64) for _ in range(4))
     offset = row = 0
     for b in blocks:
@@ -375,12 +394,17 @@ def _packing(N: int, d: int) -> _Packing:
     return _Packing(tuple(blocks), order, start, pos, width, first, offset)
 
 
-def _packed_signal(packing: _Packing, a: int, N: int, d: int) -> np.ndarray:
-    """sigma_a, packed: d^(-N) on every pair of indices in one column of Q_a (each column inside one block)."""
-    cols = _signal_columns(a, N, d)
-    sig = np.zeros(packing.size)
-    sig[packing.start[cols][:, :, None] + packing.pos[cols][:, None, :]] = 1.0 / d**N
-    return sig
+def _packed_signal(packing: _Packing, ports, N: int, d: int) -> np.ndarray:
+    """The sum of sigma_a over ``ports``, packed: d^(-N) at every pair of indices in one column of Q_a, port by port.
+
+    Each port's columns come from ``_signal_blocks``, which first checks that
+    each lies inside one block: one that does not raises before its port adds any.
+    """
+    buf = np.zeros(packing.size)
+    for a in ports:
+        for cols in _signal_blocks(a, N, d):
+            buf[packing.start[cols][..., None] + packing.pos[cols][..., None, :]] += 1.0 / d**N
+    return buf
 
 
 @_memo(16)
@@ -436,18 +460,13 @@ def _swap_gather(packing: _Packing, perm, d: int, n: int) -> np.ndarray:
 def _blocked_inverse_root(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(W = rho^(-1/2) on the support, packed; rho's eigenvalues ascending), one stacked eigensolve per block size.
 
-    A stack that is all zero (torus weights no signal reaches) is not solved.
-    Raises ``RuntimeError`` unless rho's ``_torus_blocks`` hold all its nonzeros.
+    rho is summed packed (``_packed_signal``).  A stack that is all zero
+    (torus weights no signal reaches) is not solved.
     """
-    rho = rho_operator(N, d)
     packing = _packing(N, d)
-    packed = packing.pack(rho)
-    outside = np.count_nonzero(rho) - np.count_nonzero(packed)
-    if outside:
-        raise RuntimeError(f"rho at ({N}, {d}) has {outside} nonzero entries outside its torus-weight blocks")
+    rho = _packed_signal(packing, range(1, N + 1), N, d)
+    roots, spectra = _psd_function(packing.views(rho), lambda w: 1.0 / np.sqrt(w), SUPPORT_TOL)
     del rho
-    roots, spectra = _psd_function(packing.views(packed), lambda w: 1.0 / np.sqrt(w), SUPPORT_TOL)
-    del packed
     return np.concatenate([m.ravel() for m in roots]), np.sort(np.concatenate([w.ravel() for w in spectra]))
 
 
@@ -466,22 +485,26 @@ def _nbytes(blocks) -> int:
 def _srm_blocks(N: int, d: int, *uses: tuple[int, tuple]) -> tuple[tuple[int, int], ...]:
     """``_require`` blocks of a call that builds the record, or holds it with the most of one of ``uses``.
 
-    The build holds dense rho with four packed operators (its blocks, and the
-    gather of one block size with its two broadcast index arrays), then
-    N + 8: W, the N bare elements, the excess and the root,
-    with the gathers and products of one block size and column count of
-    ``_signal_blocks``.  A use is (packed, dense): that many packed operators
-    and those ``_require`` blocks besides the record's N + 2.  Where dense rho
-    alone is over the budget, it is counted alone: such a point's frame
-    tables can be too long to walk.
+    With D = d^(N+1), the build first makes its index tables, up to 3N + 8
+    int64 entries per basis index at once (``_digits``, and the key of
+    ``_torus_blocks`` with its sort), and keeps N + 6 per index, N + 1 digits
+    and the five arrays of ``_Packing``, with the N d^N signal columns of
+    ``_signal_blocks``.  Beside them it holds N + 8 packed operators: W, the N
+    bare elements, the excess and the root, with the gathers and products of
+    one block size and column count of ``_signal_blocks``; rho with its
+    eigensolves holds fewer.  A use is (packed, dense): that many packed
+    operators and those ``_require`` blocks besides the kept tables and the
+    record's N + 2.  Where the tables alone are over the budget they are
+    counted alone: such a point's frame tables can be too long to walk.
     """
     N, d = operator.index(N), operator.index(d)
-    rho = ((1, d ** (N + 1)),)
-    if _nbytes(rho) > ORACLE_BYTE_BUDGET:
-        return rho
+    tables = (((3 * N + 8) * d ** (N + 1), 1),)  # an index entry counts as one 1 x 1 array
+    if _nbytes(tables) > ORACLE_BYTE_BUDGET:
+        return tables
+    kept = ((N + 6) * d ** (N + 1) + N * d**N, 1)
     entries = _packed_entries(N, d)  # a packed operator counts as that many 1 x 1 arrays
-    phases = [rho + ((4 * entries, 1),), (((N + 8) * entries, 1),)]
-    phases += [(((N + 2 + packed) * entries, 1),) + dense for packed, dense in uses]
+    phases = [tables, (kept, ((N + 8) * entries, 1))]
+    phases += [(kept, ((N + 2 + packed) * entries, 1)) + dense for packed, dense in uses]
     return max(phases, key=_nbytes)
 
 
@@ -519,7 +542,7 @@ class _Measurement:
         diagonal = packing.diagonal
         norm = sqrt(self.pis[N - 1][diagonal].sum() + self.delta[diagonal].sum() / N)
         # tr(sigma_N root) = vdot(sigma_N, root): both are symmetric, and both packed
-        overlap = abs(np.vdot(_packed_signal(packing, N, N, d), self.root))
+        overlap = abs(np.vdot(_packed_signal(packing, (N,), N, d), self.root))
         return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
 
     @cached_property
@@ -540,17 +563,15 @@ class _Measurement:
         return _read_only((np.concatenate(sums), np.concatenate(flat)))
 
     @cached_property
-    def input_traces(self) -> tuple[np.ndarray, ...]:
-        """tr_in(pi_a + Delta/N) for a = 1..N: the completed elements traced down to the ports.
+    def input_trace_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the packed entries (m, n) whose row and column share the input digit, the flat port entry of each).
 
-        Packed entry (m, n) adds to port entry (m // d, n // d) when m and n share the input digit.
+        Entry (m, n) adds to port entry (m // d, n // d), flat m // d * d^N + n // d, of a trace over the input.
         """
         N, d, packing = self.N, self.d, self.packing
-        q = d**N
         kept = np.flatnonzero(packing.over_entries(lambda m, n: m % d == n % d, bool))
-        target = packing.over_entries(lambda m, n: m // d * q + n // d, np.int64)[kept]
-        excess = np.bincount(target, self.delta[kept], q * q) / N
-        return _read_only(tuple((np.bincount(target, pi[kept], q * q) + excess).reshape(q, q) for pi in self.pis))
+        port = packing.over_entries(lambda m, n: m // d * d**N + n // d, np.int64)[kept]
+        return _read_only((kept, port))
 
     @cached_property
     def rho_spectrum_report(self) -> SpectrumReport:
@@ -576,7 +597,7 @@ class _Measurement:
         N, d, delta, root, packing = self.N, self.d, self.delta, self.root, self.packing
         n = N + 1
         diagonal = packing.diagonal
-        sigs = [_packed_signal(packing, a, N, d) for a in range(1, N + 1)]
+        sigs = [_packed_signal(packing, (a,), N, d) for a in range(1, N + 1)]
         checks = []
 
         def add(name: str, deviation, detail: str = ""):
@@ -850,7 +871,7 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     o = None if rotation is None else _embed_ports_operator(rotation, d)
     total = 0.0
     for a in range(1, N + 1):
-        sig = _signal_sum((a,), N, d)
+        sig = measurement.dense(_packed_signal(measurement.packing, (a,), N, d))
         if o is not None:
             sig = o @ sig @ o.T
         # tr(O^T pi O sig) = vdot(pi, O sig O^T) because pi is symmetric
@@ -914,6 +935,9 @@ def _povm_block_factors(N: int, d: int) -> list[float]:
     """
     factors = []
     for hooks in (frame_table(N - 1, d) + np.arange(d - 1, -1, -1)).tolist():
+        if not hooks[-1]:  # a shorter alpha
+            factors.append(1.0)
+            continue
         grown = math.prod(h + 1 for h in hooks)
         factors.append((grown - math.prod(hooks)) / grown)
     return factors
@@ -954,22 +978,28 @@ def verify_suite(
     N, d = operator.index(N), operator.index(d)
     _check_point(N, d)
     dim = d ** (N + 1)
-    # one after another: the record's checks, the rotation with its eigenbasis, and
-    # the N traces kept on the record, built with their gathers while U and O O^T are held
+    # one after another: the record's checks, which outlast the build of the index pair
+    # kept on the record, with up to N + 12 entries per basis index (the transposed swap's
+    # index arrays, rho's eigenvalues as Python floats, the closed form's pair table); the
+    # rotation with its eigenbasis, beside the pair; and U, O and O O^T, then the pair
+    # with four gathers or sums of it
     _require(*_srm_blocks(
         N, d,
-        (2 * N + 4, ()),
-        (0, ((_YOUNG_BASIS_ARRAYS + 2, d**N),)),
-        (4, ((N + 4, d**N),)),
+        (2 * N + 4, (((N + 12) * dim, 1),)),
+        (2, ((_YOUNG_BASIS_ARRAYS + 2, d**N),)),
+        (6, ((3, d**N),)),
     ))
     measurement = _srm_bundle(N, d)
     checks = measurement.checks
+    kept, port = measurement.input_trace_entries
     o = build_optimizing_operator(N, d, v if v is not None else VCoefficients.uniform(N, d))
-    # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric
-    gram = o @ o.T
+    # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric,
+    # and tr_in c meets O O^T at the packed entries that share the input digit
+    gram = (o @ o.T).ravel()[port]
     del o
-    dev_rot = max(abs(np.vdot(t, gram) - dim / N) for t in measurement.input_traces)
-    del gram
+    excess = measurement.delta[kept] / N
+    dev_rot = max(abs(np.vdot(pi[kept] + excess, gram) - dim / N) for pi in measurement.pis)
+    del gram, excess
 
     report = VerifyReport(ports=N, dim=d, tol=tol)
     for name, deviation, detail in checks:

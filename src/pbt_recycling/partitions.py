@@ -185,6 +185,10 @@ def _frame_tables(sizes, d: int, largest=None) -> tuple[np.ndarray, np.ndarray]:
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     _check_frame_bounds(int(sizes.min(initial=0)), d)
+    height = max(1, int(sizes.max(initial=0)))
+    if d > height:  # no frame is taller than its box count: fill that many columns, pad zeros
+        table, counts = _frame_tables(sizes, height, largest)
+        return np.pad(table, ((0, 0), (0, d - height))), counts
     rem, largest = sizes, sizes if largest is None else np.asarray(largest, dtype=np.int64)
     parts, parents = [], []
     for rows_left in range(d, 1, -1):
@@ -223,7 +227,9 @@ def _extension_ranks(alphas: np.ndarray) -> np.ndarray:
     """Rank of each alpha + e_i among the rows' distinct one-box extensions, descending; -1 off the frames."""
     valid = np.ones(alphas.shape, dtype=bool)
     valid[:, 1:] = alphas[:, :-1] > alphas[:, 1:]
-    grown = (alphas[:, None, :] + np.eye(alphas.shape[1], dtype=alphas.dtype))[valid]
+    row, i = np.nonzero(valid)
+    grown = alphas[row]
+    grown[np.arange(len(row)), i] += 1
     order = np.lexsort(grown.T[::-1])  # first column first
     grown = grown[order]
     new = np.ones(len(grown), dtype=bool)

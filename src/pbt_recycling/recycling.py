@@ -64,10 +64,14 @@ def _check_point(N: int, d: int):
 def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """S(alpha)/sqrt(p(alpha)) per row of a frame table of N-1 boxes: sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1).
 
-    ``N`` is one port count or one per row.
+    ``N`` is one port count or one per row.  Each of R_i's two products has
+    d - 1 factors of at most l_0 + 1; where that bound lets one overflow
+    (d past 150 or so), ``_wide_sum`` takes the sum.
     """
     d = alphas.shape[1]
     l = (alphas.T + np.arange(d - 1, -1, -1)[:, None]).astype(float)  # one contiguous line per l_k
+    if (d - 1) * math.log2(int(alphas[:, 0].max(initial=0)) + d) > 1000:
+        return np.sqrt(np.asarray(N) / d) * _wide_sum(l)
     gaps = {(i, k): l[i] - l[k] for i in range(d) for k in range(i + 1, d)}  # l_i - l_k >= 1, each once
     total = np.zeros(len(alphas))
     for i in range(d):
@@ -83,6 +87,27 @@ def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
                 den *= gaps[i, k]
         total += np.abs(num / den) / np.sqrt(l[i] + 1)
     return np.sqrt(np.asarray(N) / d) * total
+
+
+def _wide_sum(l: np.ndarray) -> np.ndarray:
+    """sum_i |R_i|/sqrt(l_i + 1) per column of the shifted rows ``l``, at a d where a product of R_i can overflow.
+
+    With g_k = l_i - l_k (k != i, in order), R_i = prod (g_k + 1) / prod g_k,
+    each product taken along k by ``np.prod`` as the loop of
+    ``s_over_sqrt_p`` takes it, so where both stay finite a column keeps
+    those bits.  Elsewhere |R_i| = exp sum_k log1p(1/g_k), a moderate number:
+    g_k = -1, where alpha + e_i is no frame, gives -inf and so R_i = 0.
+    """
+    total = np.zeros(l.shape[1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(len(l)):
+            gaps = l[i] - np.delete(l, i, axis=0)
+            num, den = np.prod(gaps + 1, axis=0), np.prod(gaps, axis=0)
+            ratio = np.abs(num / den)
+            over = ~(np.isfinite(num) & np.isfinite(den))
+            ratio[over] = np.exp(np.log1p(1 / gaps[:, over]).sum(axis=0))
+            total += ratio / np.sqrt(l[i] + 1)
+    return total
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:

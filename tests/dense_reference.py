@@ -2,7 +2,8 @@
 
 Each is a whole d^n x d^n (or d^(N+1) x d^(N+1)) array, counted against
 ``oracle.ORACLE_BYTE_BUDGET`` before it is allocated, as the oracle's public
-calls are.  The oracle itself works on packed blocks and needs none of them.
+calls are.  The oracle itself works on packed blocks and needs none of them;
+it sums rho packed, and a test holds that sum to ``rho_operator`` bit for bit.
 """
 
 import numpy as np
@@ -28,6 +29,22 @@ def partial_transpose_last(op: np.ndarray, d: int, n: int) -> np.ndarray:
     return t.reshape(d**n, d**n)
 
 
+def _signal_sum(ports, N: int, d: int) -> np.ndarray:
+    """Sum of the signal states of ``ports``, built entry by entry."""
+    oracle._require((1, d ** (N + 1)))
+    m = np.zeros((d ** (N + 1),) * 2)
+    for a in ports:
+        # d^(1-N) Q_a Q_a^T is d^(-N) on every pair of indices in one column of Q_a
+        cols = oracle._signal_columns(a, N, d)
+        m[cols[:, :, None], cols[:, None, :]] += 1.0 / d**N
+    return m
+
+
+def rho_operator(N: int, d: int) -> np.ndarray:
+    """Sum of all signal states; the operator whose inverse root whitens them."""
+    return _signal_sum(range(1, N + 1), N, d)
+
+
 def signal_state(a: int, N: int, d: int) -> np.ndarray:
     """Reduced state flagging teleportation through port ``a`` (1-based).
 
@@ -36,7 +53,7 @@ def signal_state(a: int, N: int, d: int) -> np.ndarray:
     """
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
-    return oracle._signal_sum((a,), N, d)
+    return _signal_sum((a,), N, d)
 
 
 def sqrt_psd(m: np.ndarray, tol: float = oracle.SUPPORT_TOL) -> np.ndarray:

@@ -37,10 +37,16 @@ def mult_schur_weyl(parts, d: int) -> int:
     """
     if len(parts) > d:
         return 0
-    # Weyl dimension formula over the d rows, zero-padded
-    rows = tuple(parts) + (0,) * (d - len(parts))
-    num = math.prod(rows[i] - rows[j] + j - i for i in range(d) for j in range(i + 1, d))
-    q, r = divmod(num, math.prod(math.factorial(k) for k in range(d)))
+    # Weyl dimension formula over the d rows, zero-padded: prod_{i<j} (r_i - r_j + j - i)/(j - i).
+    # A pair of two zero rows has factor 1, so i runs over the h nonzero rows, and
+    # prod_{i<h} prod_{j>i} (j - i) = prod_{i<h} (d - 1 - i)! is what is left of the
+    # denominator.  Against a zero row j >= h the factors r_i + j - i run consecutively
+    # from r_i + h - i to r_i + d - 1 - i, a ratio of two factorials
+    h = len(parts)
+    num = math.prod(parts[i] - parts[j] + j - i for i in range(h) for j in range(i + 1, h))
+    for i, row in enumerate(parts):
+        num *= math.factorial(row + d - 1 - i) // math.factorial(row + h - 1 - i)
+    q, r = divmod(num, math.prod(math.factorial(d - 1 - i) for i in range(h)))
     assert r == 0, "the Weyl dimension formula is integral"
     return q
 

@@ -76,6 +76,13 @@ def test_frec_single_port(capsys):
     assert "F = 0.5 " in out
 
 
+def test_frec_at_a_dimension_past_the_float_range_of_its_products(capsys):
+    # R_i's products of 199 factors overflow float64; the fidelity does not
+    code, out, err = invoke(capsys, "frec", "--ports", "2", "--dim", "200", "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["value"] == pytest.approx(0.0070710236174154340457, rel=1e-13)
+
+
 def test_frec_json(capsys):
     code, out, _ = invoke(capsys, "frec", "--ports", "3", "--dim", "2", "--format", "json")
     assert code == EXIT_OK
@@ -474,6 +481,8 @@ def test_oracle_verify_optimal_one_port_is_a_usage_error(capsys):
 
 
 def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
+    from dense_reference import rho_operator
+
     from pbt_recycling import oracle
 
     solved = []
@@ -496,7 +505,7 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
         blocks = oracle._torus_blocks(N, d)
         assert sum(b.size for b in blocks) == d ** (N + 1)
         assert len(set(solved)) == len(solved)
-        rho = oracle.rho_operator(N, d)
+        rho = rho_operator(N, d)
         for b in blocks:
             stack = rho[b[:, :, None], b[:, None, :]]
             if np.any(stack):
@@ -513,6 +522,8 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
 
 def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch, tmp_path):
     # a second op at a point, with new weights, reuses the measurement checks of the first
+    from dense_reference import rho_operator
+
     from pbt_recycling import oracle
     from pbt_recycling.optimal import VCoefficients, save_v_coefficients
     from pbt_recycling.partitions import partitions_bounded
@@ -543,7 +554,7 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
             # one eigensolve per block size of rho where it is not all zero, two of
             # the Gram matrix (its blocks of the frames (2) and (1, 1) of N - 1
             # boxes) and two Young bases
-            rho = oracle.rho_operator(N, d)
+            rho = rho_operator(N, d)
             live = sum(bool(np.any(rho[b[:, :, None], b[:, None, :]])) for b in oracle._torus_blocks(N, d))
             assert live == 2
             assert calls.count("_eigh") == live + 4
@@ -731,8 +742,9 @@ def test_every_public_name_resolves():
     assert pbt_recycling.verify_suite is oracle.verify_suite
     # one class, caught by the CLI without the oracle and raised by it
     assert pbt_recycling.DimensionCapError is oracle.DimensionCapError is reports.DimensionCapError
-    with pytest.raises(AttributeError, match="no attribute 'young_projector'"):
-        pbt_recycling.young_projector
+    for moved in ("young_projector", "rho_operator"):  # dense constructors only tests read
+        with pytest.raises(AttributeError, match=f"no attribute '{moved}'"):
+            getattr(pbt_recycling, moved)
 
 
 #: First line of the usage each parser prints at 80 columns.

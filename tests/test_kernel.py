@@ -243,6 +243,23 @@ def test_frec_matches_mpmath(N, d):
         assert _rel(frec(N, d).value, _mp_frec(N, d)) <= 1e-13
 
 
+@pytest.mark.parametrize("N,d", [(1, 171), (2, 170), (5, 168), (2, 200), (3, 400)])
+def test_frec_where_the_ratio_products_overflow_matches_mpmath(N, d):
+    # R_i's two products of d - 1 factors leave the float range there, R_i itself does not
+    with mpmath.workdps(40):
+        assert _rel(frec(N, d).value, _mp_frec(N, d)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_wide_kernel_keeps_the_frozen_bits_where_its_products_are_finite(n):
+    # at d = 150 the overflow bound, (d - 1) log2(l_0 + 1) > 1000, sends every row to
+    # the wide path, yet every product is finite: the rows keep the frozen kernel's bits
+    d = 150
+    t = frame_table(n, d)
+    assert (d - 1) * math.log2(n + d) > 1000
+    assert np.array_equal(s_over_sqrt_p(t.sum(axis=1) + 1, t), exact_reference.s_over_sqrt_p(t.sum(axis=1) + 1, t))
+
+
 def test_optimal_and_resource_fidelity_match_mpmath():
     N = 2000
     vN, vNm1 = v_optimal(N, 2), v_optimal(N - 1, 2)

@@ -12,6 +12,7 @@ from dense_reference import (
     partial_transpose_last,
     permutation_operator,
     pinv_sqrt_psd,
+    rho_operator,
     signal_state,
     sqrt_psd,
     young_projector,
@@ -31,7 +32,6 @@ from pbt_recycling.oracle import (
     frec_oracle,
     povm_spectrum_deviation,
     resource_fidelity_oracle,
-    rho_operator,
     rho_spectrum_report,
     srm_povm,
     transposition,
@@ -238,7 +238,7 @@ def _admissible_points():
 def test_predictions_match_the_exact_reference_on_the_admissible_domain():
     # the int64 frame-table predictions against bigint dimensions, wherever a public call can reach them
     points = _admissible_points()
-    assert len(points) == 152 and max(N for N, _ in points) == 11 and max(d for _, d in points) == 107
+    assert len(points) == 2489 and max(N for N, _ in points) == 11 and max(d for _, d in points) == 2317
     for N, d in points:
         for n in (N - 1, N, N + 1):
             frames = partitions_bounded(n, d)
@@ -607,36 +607,38 @@ def test_torus_blocks_partition_the_basis_by_weight(N, d):
     assert oracle._packed_entries(N, d) == sum(b.size * b.shape[1] for b in blocks)
 
 
+@pytest.mark.parametrize(
+    "N,d", [(3, 2), (6, 2), (9, 2), (10, 2), (3, 3), (5, 3), (3, 4), (4, 4), (2, 6)]
+)
+def test_packed_rho_is_the_packed_dense_sum(N, d):
+    # summed block by block, rho has the bits of the dense sum, and the dense sum has no entry off the blocks
+    packing = oracle._packing(N, d)
+    dense = rho_operator(N, d)
+    packed = packing.pack(dense)
+    assert np.array_equal(oracle._packed_signal(packing, range(1, N + 1), N, d), packed)
+    assert np.count_nonzero(packed) == np.count_nonzero(dense)
+
+
 def test_signal_column_across_blocks_raises(monkeypatch):
     # swapping the first nonzeros of Q_a's first and last columns puts each column in two blocks
     N, d = 3, 2
-    rho = rho_operator(N, d)
     columns = oracle._signal_columns
+    checked, added = [], []
 
     def crossed(a, N, d):
+        checked.append(a)
         cols = columns(a, N, d).copy()
         cols[0, 0], cols[-1, 0] = cols[-1, 0], cols[0, 0]
         return cols
 
-    monkeypatch.setattr(oracle, "rho_operator", lambda *point: rho)
     monkeypatch.setattr(oracle, "_signal_columns", crossed)
+    monkeypatch.setattr(oracle, "_psd_function", lambda *args: added.append(args))
     oracle._srm_bundle.cache_clear()
     oracle._signal_blocks.cache_clear()
     with pytest.raises(RuntimeError, match="spans two torus-weight blocks"):
         oracle._srm_bundle(N, d)
-
-
-def test_off_block_entry_of_rho_raises(monkeypatch):
-    N, d = 3, 2
-    b = oracle._torus_blocks(N, d)
-    i, j = b[-1][0, 0], b[0][0, 0]  # indices in two different blocks
-    rho = rho_operator(N, d)
-    assert rho[i, j] == 0.0
-    rho[i, j] = 1e-300
-    monkeypatch.setattr(oracle, "rho_operator", lambda *point: rho)
-    oracle._srm_bundle.cache_clear()
-    with pytest.raises(RuntimeError, match="outside its torus-weight blocks"):
-        oracle._srm_bundle(N, d)
+    # port 1's check raised before rho was summed: no other port's columns were read, nothing was solved
+    assert checked == [1] and added == []
 
 
 @pytest.mark.parametrize("N,d", [(3, 2), (2, 3), (4, 2)])
@@ -750,7 +752,7 @@ def test_cached_arrays_are_read_only():
     for cached in (
         u, labels, *measurement.pis, measurement.delta, measurement.root,
         measurement.rho_eigenvalues, measurement.gram_eigenvalues,
-        *measurement.input_traces, *measurement.root_signal_sums,
+        *measurement.input_trace_entries, *measurement.root_signal_sums,
     ):
         with pytest.raises(ValueError, match="read-only"):
             cached[:] = 0
@@ -760,9 +762,10 @@ def test_cached_arrays_are_read_only():
 
 
 def _traced(call):
-    """(DimensionCapError raised or None, peak bytes traced) of one call on empty caches."""
-    oracle._srm_bundle.cache_clear()
-    oracle._young_projectors.cache_clear()
+    """(DimensionCapError raised or None, peak bytes traced) of one call on empty caches, index tables included."""
+    for memo in (oracle._srm_bundle, oracle._young_projectors, oracle._packing, oracle._signal_blocks,
+                 oracle._digits):
+        memo.cache_clear()
     tracemalloc.start()
     try:
         call()
@@ -796,6 +799,16 @@ BUDGET_CALLS = {
 }
 
 
+#: One- and two-port calls: a packed operator has about 2 and 5 entries per basis index there,
+#: so the per-index tables (digits, torus keys, the packing) are a large share of the count.
+TABLE_CALLS = {
+    "frec_oracle-1-64": lambda: frec_oracle(1, 64),
+    "verify_suite-1-64": lambda: verify_suite(1, 64),
+    "frec_oracle-2-16": lambda: frec_oracle(2, 16),
+    "verify_suite-2-16": lambda: verify_suite(2, 16),
+}
+
+
 @pytest.mark.parametrize("name", ["verify_suite", "frec_oracle", "young_projector", "resource_fidelity_oracle"])
 def test_budget_rejects_before_allocating(monkeypatch, name):
     W[6], v_optimal(7, 2)  # weights solved before tracing
@@ -805,7 +818,7 @@ def test_budget_rejects_before_allocating(monkeypatch, name):
     assert peak < 1 << 14  # an eighth of one dense array
 
 
-@pytest.mark.parametrize("name", sorted(BUDGET_CALLS))
+@pytest.mark.parametrize("name", sorted(BUDGET_CALLS) + sorted(TABLE_CALLS))
 def test_budget_counts_cover_traced_peak(monkeypatch, name):
     # a call's first check counts every dense array it holds at once; tracemalloc
     # sees every numpy allocation except LAPACK's workspace, which is counted too
@@ -818,9 +831,14 @@ def test_budget_counts_cover_traced_peak(monkeypatch, name):
 
     W[5], W[6], v_optimal(7, 2)
     monkeypatch.setattr(oracle, "_require", spy)
-    error, peak = _traced(BUDGET_CALLS[name])
+    error, peak = _traced({**BUDGET_CALLS, **TABLE_CALLS}[name])
     assert error is None
-    assert peak <= counted[0] + (1 << 16)  # digit tables and Python objects, under half an array
+    assert peak <= counted[0] + (1 << 16)  # Python objects, under half of a 128 x 128 array
+    if name in TABLE_CALLS:
+        # a budget one byte short of the count rejects the call before it allocates
+        monkeypatch.setattr(oracle, "ORACLE_BYTE_BUDGET", counted[0] - 1)
+        error, peak = _traced(TABLE_CALLS[name])
+        assert isinstance(error, DimensionCapError) and peak < 1 << 14
 
 
 # -- the measurement checks, once per measurement record -----------------------------------------
