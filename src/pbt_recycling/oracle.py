@@ -75,7 +75,8 @@ packed operator counts as its entries, the sum of its blocks' s^2, taken from
 frame tables before any index array exists (``_packed_entries``), and an
 int64 array as many float64 entries as it has.  The index tables of a point
 count per basis index: the digits, the sort keys of the torus blocks, the
-five arrays of the ``_Packing`` and the signal columns (``_srm_blocks``).  A
+five arrays of the ``_Packing`` and the signal columns (``_srm_blocks``); a
+new point's ``_Packing`` drops those of the last point before it allocates.  A
 call counts the larger of the record's build (its index tables, then N + 8
 packed operators beside those kept) and the record with what the call holds
 besides it; a point whose index tables alone are over counts them alone.
@@ -100,8 +101,9 @@ before it builds a new one, and a record substituted with
 rotation weights meets the d^N port space: vdot(c_a, (O O^T) (x) 1) =
 vdot(tr_in c_a, O O^T) for the completed elements c_a = pi_a + Delta/N, and
 tr_in c_a is nonzero only where a packed entry's row and column share the
-input digit, so the vdot is taken there, against O O^T gathered at each
-entry's port entry (``input_trace_entries``).  So a repeat call at a point
+input digit: O O^T is gathered at those entries' port entries
+(``input_trace_entries``) into a packed buffer, zero elsewhere, and dotted
+with each packed pi_a and Delta.  So a repeat call at a point
 pays only for its rotation: it builds O_N and O_(N-1), contracts them with
 what the record holds, and allocates no D x D array.  The optimal
 fidelity's two rotations meet on port space: (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T
@@ -376,7 +378,13 @@ class _Packing(NamedTuple):
 
 @_memo(1)
 def _packing(N: int, d: int) -> _Packing:
-    """The ``_Packing`` of (N, d) (read-only); its blocks are views of ``order``."""
+    """The ``_Packing`` of (N, d) (read-only); its blocks are views of ``order``.
+
+    A miss first drops the index tables memoised at other points (``_digits``
+    and ``_signal_blocks``), so those of one point at most are held.
+    """
+    _digits.cache_clear()
+    _signal_blocks.cache_clear()
     blocks = _torus_blocks(N, d)
     order = np.concatenate([b.ravel() for b in blocks])
     bounds = np.cumsum([0] + [b.size for b in blocks])
@@ -981,25 +989,26 @@ def verify_suite(
     # one after another: the record's checks, which outlast the build of the index pair
     # kept on the record, with up to N + 12 entries per basis index (the transposed swap's
     # index arrays, rho's eigenvalues as Python floats, the closed form's pair table); the
-    # rotation with its eigenbasis, beside the pair; and U, O and O O^T, then the pair
-    # with four gathers or sums of it
+    # rotation with its eigenbasis, beside the pair; and U, O and O O^T, then the pair,
+    # O O^T gathered at it and the packed buffer that takes the gather
     _require(*_srm_blocks(
         N, d,
         (2 * N + 4, (((N + 12) * dim, 1),)),
         (2, ((_YOUNG_BASIS_ARRAYS + 2, d**N),)),
-        (6, ((3, d**N),)),
+        (4, ((3, d**N),)),
     ))
     measurement = _srm_bundle(N, d)
     checks = measurement.checks
     kept, port = measurement.input_trace_entries
     o = build_optimizing_operator(N, d, v if v is not None else VCoefficients.uniform(N, d))
     # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric,
-    # and tr_in c meets O O^T at the packed entries that share the input digit
-    gram = (o @ o.T).ravel()[port]
+    # and tr_in c meets O O^T at the packed entries that share the input digit, zero elsewhere
+    gram = np.zeros(measurement.packing.size)
+    gram[kept] = (o @ o.T).ravel()[port]
     del o
-    excess = measurement.delta[kept] / N
-    dev_rot = max(abs(np.vdot(pi[kept] + excess, gram) - dim / N) for pi in measurement.pis)
-    del gram, excess
+    excess = np.vdot(measurement.delta, gram) / N
+    dev_rot = max(abs(np.vdot(pi, gram) + excess - dim / N) for pi in measurement.pis)
+    del gram
 
     report = VerifyReport(ports=N, dim=d, tol=tol)
     for name, deviation, detail in checks:

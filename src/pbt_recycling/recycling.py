@@ -66,7 +66,11 @@ def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
     ``N`` is one port count or one per row.  Each of R_i's two products has
     d - 1 factors of at most l_0 + 1; where that bound lets one overflow
-    (d past 150 or so), ``_wide_sum`` takes the sum.
+    (d past 150 or so), ``_wide_sum`` takes the sum.  Below it the loop
+    runs: its d^2 steps over single rows are the quicker on the frame
+    blocks of a sweep (d <= 8, up to 4096 rows; ``_wide_sum`` at every d
+    makes ``bench/`` ``curve`` jobs 43% slower), while ``_wide_sum``'s d
+    steps are the quicker at large d.
     """
     d = alphas.shape[1]
     l = (alphas.T + np.arange(d - 1, -1, -1)[:, None]).astype(float)  # one contiguous line per l_k

@@ -761,11 +761,16 @@ def test_cached_arrays_are_read_only():
     assert verify_suite(2, 2).all_passed
 
 
-def _traced(call):
-    """(DimensionCapError raised or None, peak bytes traced) of one call on empty caches, index tables included."""
+def _clear_memos():
+    """Empty every oracle cache, index tables included."""
     for memo in (oracle._srm_bundle, oracle._young_projectors, oracle._packing, oracle._signal_blocks,
                  oracle._digits):
         memo.cache_clear()
+
+
+def _traced(call):
+    """(DimensionCapError raised or None, peak bytes traced) of one call on empty caches, index tables included."""
+    _clear_memos()
     tracemalloc.start()
     try:
         call()
@@ -839,6 +844,30 @@ def test_budget_counts_cover_traced_peak(monkeypatch, name):
         monkeypatch.setattr(oracle, "ORACLE_BYTE_BUDGET", counted[0] - 1)
         error, peak = _traced(TABLE_CALLS[name])
         assert isinstance(error, DimensionCapError) and peak < 1 << 14
+
+
+def test_budget_counts_cover_a_point_built_after_another(monkeypatch):
+    # index tables memoised at one point are dropped when the next is built, not held beside it uncounted
+    counted = []
+    check = oracle._require
+
+    def spy(*blocks):
+        counted.append(sum(count * dim * dim * 8 for count, dim in blocks))
+        check(*blocks)
+
+    _clear_memos()
+    tracemalloc.start()
+    try:
+        frec_oracle(1, 160)  # its 25600 x 2 digit table is half the count of the call below
+        for memo in (oracle._srm_bundle, oracle._packing):  # what a miss evicts before it builds
+            memo.cache_clear()
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(oracle, "_require", spy)
+        frec_oracle(1, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[0] + (1 << 16)
 
 
 # -- the measurement checks, once per measurement record -----------------------------------------
