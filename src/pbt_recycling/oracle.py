@@ -168,11 +168,11 @@ def _require(*blocks: tuple[int, int]) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Sorted oracle eigenvalues versus a predicted (value, multiplicity) list."""
+    """Oracle eigenvalues, ascending and read-only, versus a predicted (value, multiplicity) list."""
 
-    eigenvalues: tuple[float, ...]
+    eigenvalues: np.ndarray
     predicted: tuple[tuple[float, int], ...]
     max_deviation: float
 
@@ -214,13 +214,13 @@ def _signal_columns(a: int, N: int, d: int) -> np.ndarray:
     return base[:, None] + np.arange(d) * (d ** (N + 1 - a) + 1)
 
 
-def _eigh(m: np.ndarray, vectors: bool = True):
-    """``eigh`` (or ``eigvalsh``) of a real symmetric matrix or a stack of them, after checking symmetry."""
+def _eigh(m: np.ndarray):
+    """``eigh`` of a real symmetric matrix or a stack of them, after checking symmetry."""
     _require((_EIGH_ARRAYS * math.prod(m.shape[:-2]), m.shape[-1]))
     dev = np.abs(m - np.swapaxes(m, -1, -2)).max()
     if not dev <= 1e-12:
         raise ValueError(f"operator is not symmetric (deviation {dev})")
-    return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    return np.linalg.eigh(m)
 
 
 def _psd_function(stacks: list, f, tol: float) -> tuple[list, list]:
@@ -584,13 +584,12 @@ class _Measurement:
     @cached_property
     def rho_spectrum_report(self) -> SpectrumReport:
         """rho's eigenvalues against ``_rho_spectrum_prediction``."""
-        eig = np.sort(self.rho_eigenvalues)
         predicted = _rho_spectrum_prediction(self.N, self.d)
         expanded = np.sort(np.concatenate([np.full(m, lam) for lam, m in predicted]))
         return SpectrumReport(
-            eigenvalues=tuple(float(x) for x in eig),
+            eigenvalues=self.rho_eigenvalues,
             predicted=tuple(sorted(predicted)),
-            max_deviation=float(np.abs(eig - expanded).max()),
+            max_deviation=float(np.abs(self.rho_eigenvalues - expanded).max()),
         )
 
     @cached_property
@@ -988,7 +987,7 @@ def verify_suite(
     dim = d ** (N + 1)
     # one after another: the record's checks, which outlast the build of the index pair
     # kept on the record, with up to N + 12 entries per basis index (the transposed swap's
-    # index arrays, rho's eigenvalues as Python floats, the closed form's pair table); the
+    # index arrays, rho's predicted spectrum expanded, the closed form's pair table); the
     # rotation with its eigenbasis, beside the pair; and U, O and O O^T, then the pair,
     # O O^T gathered at it and the packed buffer that takes the gather
     _require(*_srm_blocks(

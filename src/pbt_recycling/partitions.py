@@ -314,11 +314,10 @@ def _run_sums(block: _Block, values: np.ndarray) -> np.ndarray:
     """``values``, one per row of ``block``, summed over each run of rows that share a first part.
 
     A run's sum is ``np.add.reduceat``'s (its first value plus numpy's
-    pairwise sum of the rest), so it depends on the run's values alone.  No
-    run spans two n: the next n opens with a larger first part.
+    pairwise sum of the rest), so it depends on the run's values alone; a
+    run of one row (every run at d = 2) keeps its value.  No run spans two
+    n: the next n opens with a larger first part.
     """
-    if block.table.shape[1] <= 2:  # every first part is one row
-        return values
     first = block.table[:, 0]
     opens = np.ones(len(first), dtype=bool)
     opens[1:] = first[1:] != first[:-1]

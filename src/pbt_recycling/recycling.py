@@ -34,14 +34,17 @@ reproduces F.
 
 Evaluation: ``partitions._frame_sums`` walks the frames of every N in
 blocks of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split
-by first part), each taking one pass of ln p, c and S/sqrt(p).  The terms
-c p (S/sqrt(p))^2 are nonnegative.  Each run of frames that share a first
-part is added first (``np.add.reduceat``: within (r - 1) u relative for a
-run of r terms, u = 2^-53), then one ``fsum`` per N adds the run sums and
-rounds once; at d = 2 every run is one frame.  A term depends on its own
-row and N only, and no block splits a run, so a result has the same bits
-in any block layout, and ``frec(N, d)`` has the same bits as the one-N case
-of ``frec_values``.
+by first part), each taking one pass of ln p, c and S/sqrt(p).  S/sqrt(p)
+divides R_i's two products of integers at every d, and goes to log space
+only in the columns where a product leaves the float range
+(``s_over_sqrt_p``).  The terms c p (S/sqrt(p))^2 are nonnegative.
+Each run of frames that share a first part is added first
+(``np.add.reduceat``: within (r - 1) u relative for a run of r terms,
+u = 2^-53), then one ``fsum`` per N adds the run sums and rounds once; at
+d = 2 every run is one frame, which ``reduceat`` returns as it is.  A term
+depends on its own row and N only, and no block splits a run, so a result
+has the same bits in any block layout, and ``frec(N, d)`` has the same bits
+as the one-N case of ``frec_values``.
 """
 
 from __future__ import annotations
@@ -64,54 +67,31 @@ def _check_point(N: int, d: int):
 def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """S(alpha)/sqrt(p(alpha)) per row of a frame table of N-1 boxes: sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1).
 
-    ``N`` is one port count or one per row.  Each of R_i's two products has
-    d - 1 factors of at most l_0 + 1; where that bound lets one overflow
-    (d past 150 or so), ``_wide_sum`` takes the sum.  Below it the loop
-    runs: its d^2 steps over single rows are the quicker on the frame
-    blocks of a sweep (d <= 8, up to 4096 rows; ``_wide_sum`` at every d
-    makes ``bench/`` ``curve`` jobs 43% slower), while ``_wide_sum``'s d
-    steps are the quicker at large d.
+    ``N`` is one port count or one per row.  With g_k = l_i - l_k,
+    R_i = prod_{k != i} (g_k + 1) / prod_{k != i} g_k.  Each product is taken
+    along k over one C-ordered (d, rows) array, in k order, with an exact 1
+    as its k = i factor; products of integers are exact below 2^53, and R_i
+    is their quotient wherever both are finite.  In a column where either
+    leaves the float range (d - 1 factors of up to l_0 + 1, so from d near
+    150 on), |R_i| = exp sum_{k != i} log1p(1/g_k) instead, a moderate
+    number: g_k = -1, where alpha + e_i is no frame, gives -inf there and so
+    R_i = 0, as the product's exact 0 does elsewhere.
     """
     d = alphas.shape[1]
-    l = (alphas.T + np.arange(d - 1, -1, -1)[:, None]).astype(float)  # one contiguous line per l_k
-    if (d - 1) * math.log2(int(alphas[:, 0].max(initial=0)) + d) > 1000:
-        return np.sqrt(np.asarray(N) / d) * _wide_sum(l)
-    gaps = {(i, k): l[i] - l[k] for i in range(d) for k in range(i + 1, d)}  # l_i - l_k >= 1, each once
-    total = np.zeros(len(alphas))
-    for i in range(d):
-        # R_i as one division of two products of small integers, exact while they stay below 2^53;
-        # for k < i the factors are 1 - gap and -gap, whose sign the absolute value drops
-        num, den = np.ones(len(alphas)), np.ones(len(alphas))
-        for k in range(d):
-            if k < i:
-                num *= 1 - gaps[k, i]
-                den *= gaps[k, i]
-            elif k > i:
-                num *= gaps[i, k] + 1
-                den *= gaps[i, k]
-        total += np.abs(num / den) / np.sqrt(l[i] + 1)
-    return np.sqrt(np.asarray(N) / d) * total
-
-
-def _wide_sum(l: np.ndarray) -> np.ndarray:
-    """sum_i |R_i|/sqrt(l_i + 1) per column of the shifted rows ``l``, at a d where a product of R_i can overflow.
-
-    With g_k = l_i - l_k (k != i, in order), R_i = prod (g_k + 1) / prod g_k,
-    each product taken along k by ``np.prod`` as the loop of
-    ``s_over_sqrt_p`` takes it, so where both stay finite a column keeps
-    those bits.  Elsewhere |R_i| = exp sum_k log1p(1/g_k), a moderate number:
-    g_k = -1, where alpha + e_i is no frame, gives -inf and so R_i = 0.
-    """
+    l = (alphas + np.arange(d - 1, -1, -1)).T.astype(float, order="C")  # row k holds l_k
     total = np.zeros(l.shape[1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(len(l)):
-            gaps = l[i] - np.delete(l, i, axis=0)
-            num, den = np.prod(gaps + 1, axis=0), np.prod(gaps, axis=0)
+        for i, li in enumerate(l):
+            g = li - l
+            num = (g + 1).prod(axis=0)
+            g[i] = 1
+            den = g.prod(axis=0)
             ratio = np.abs(num / den)
-            over = ~(np.isfinite(num) & np.isfinite(den))
-            ratio[over] = np.exp(np.log1p(1 / gaps[:, over]).sum(axis=0))
-            total += ratio / np.sqrt(l[i] + 1)
-    return total
+            wide = ~(np.isfinite(num) & np.isfinite(den))  # inf * 0 is NaN where alpha + e_i is no frame
+            if wide.any():
+                ratio[wide] = np.exp(np.log1p(1 / np.delete(g[:, wide], i, axis=0)).sum(axis=0))
+            total += ratio / np.sqrt(li + 1)
+    return np.sqrt(np.asarray(N) / d) * total
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:

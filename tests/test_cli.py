@@ -488,9 +488,9 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
     solved = []
     eigh = oracle._eigh
 
-    def spy(m, vectors=True):
-        solved.append((m.shape, m.tobytes(), vectors))
-        return eigh(m, vectors)
+    def spy(m):
+        solved.append((m.shape, m.tobytes()))
+        return eigh(m)
 
     monkeypatch.setattr(oracle, "_eigh", spy)
     for N, d in [(3, 3), (4, 2), (2, 4)]:
@@ -509,10 +509,10 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
         for b in blocks:
             stack = rho[b[:, :, None], b[:, None, :]]
             if np.any(stack):
-                solved.remove((stack.shape, stack.tobytes(), True))
-        matrices = sorted(shape for shape, _, _ in solved if len(shape) == 2)
+                solved.remove((stack.shape, stack.tobytes()))
+        matrices = sorted(shape for shape, _ in solved if len(shape) == 2)
         assert matrices == sorted((d**k, d**k) for k in (N, N - 1))
-        assert sum(shape[0] * shape[1] for shape, _, _ in solved if len(shape) == 3) == d ** (N - 1)
+        assert sum(shape[0] * shape[1] for shape, _ in solved if len(shape) == 3) == d ** (N - 1)
 
     # a second op at the last point reuses the bundle and both Young bases
     solved.clear()

@@ -1,6 +1,7 @@
 """The Schur-Weyl-probability kernel against exact integers and mpmath."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -250,14 +251,38 @@ def test_frec_where_the_ratio_products_overflow_matches_mpmath(N, d):
         assert _rel(frec(N, d).value, _mp_frec(N, d)) <= 1e-13
 
 
+@pytest.mark.parametrize("d", [*range(2, 9), 120, 149, 150, 151])
+def test_kernel_keeps_the_frozen_bits_where_its_products_are_finite(d):
+    # R_i's products of d - 1 factors of up to l_0 + 1 first can overflow near
+    # (d - 1) log2(l_0 + 1) = 1000, between d = 120 and d = 149 here; while they
+    # stay finite, every row keeps the frozen kernel's bits, at every d
+    for n in (0, 1, 3, 12):
+        t = frame_table(n, d)
+        assert np.array_equal(s_over_sqrt_p(n + 1, t), exact_reference.s_over_sqrt_p(n + 1, t))
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_wide_kernel_keeps_the_frozen_bits_where_its_products_are_finite(n):
-    # at d = 150 the overflow bound, (d - 1) log2(l_0 + 1) > 1000, sends every row to
-    # the wide path, yet every product is finite: the rows keep the frozen kernel's bits
+    # at d = 150 the overflow bound, (d - 1) log2(l_0 + 1) > 1000, says a product may
+    # leave the float range, yet every product is finite: the rows keep the frozen kernel's bits
     d = 150
     t = frame_table(n, d)
     assert (d - 1) * math.log2(n + d) > 1000
     assert np.array_equal(s_over_sqrt_p(t.sum(axis=1) + 1, t), exact_reference.s_over_sqrt_p(t.sum(axis=1) + 1, t))
+
+
+@pytest.mark.parametrize("n,d", [(30, 120), (20, 60)])
+def test_kernel_holds_a_few_arrays_of_shifted_rows(n, d):
+    # l, the gaps l_i - l and one more (d, rows) float array at a time, not one
+    # array per pair of columns
+    t = frame_table(n, d)
+    tracemalloc.start()
+    try:
+        s_over_sqrt_p(n + 1, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * d * len(t) * 8
 
 
 def test_optimal_and_resource_fidelity_match_mpmath():

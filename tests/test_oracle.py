@@ -160,7 +160,9 @@ def test_rho_commutes_with_port_permutations():
 
 def test_rho_spectrum_report_fields():
     rep = rho_spectrum_report(2, 2)
-    assert len(rep.eigenvalues) == 8
+    assert isinstance(rep.eigenvalues, np.ndarray) and len(rep.eigenvalues) == 8
+    assert not rep.eigenvalues.flags.writeable
+    assert np.all(np.diff(rep.eigenvalues) >= 0)
     assert rep.max_deviation <= 1e-12
     assert (0.75, 2) in rep.predicted and (0.25, 2) in rep.predicted
 
@@ -579,7 +581,7 @@ def test_all_zero_stacks_of_rho_are_not_solved(monkeypatch, N, d, zero):
     assert [m.shape for m in views if not np.any(m)] == zero
     solved = []
     eigh = oracle._eigh
-    monkeypatch.setattr(oracle, "_eigh", lambda m, vectors=True: solved.append(m.shape) or eigh(m, vectors))
+    monkeypatch.setattr(oracle, "_eigh", lambda m: solved.append(m.shape) or eigh(m))
     whiten, spectrum = oracle._blocked_inverse_root(N, d)
     assert solved == [m.shape for m in views if np.any(m)]
     for m, w in zip(views, packing.views(whiten)):
@@ -693,8 +695,8 @@ def test_singular_gram_matrix_raises(monkeypatch):
     whitened = oracle._blocked_inverse_root(3, 2)
     eigh = oracle._eigh
 
-    def flatten_gram(m, vectors=True):
-        w, u = eigh(m, vectors)
+    def flatten_gram(m):
+        w, u = eigh(m)
         return np.zeros_like(w), u
 
     monkeypatch.setattr(oracle, "_blocked_inverse_root", lambda *point: whitened)
