@@ -51,11 +51,10 @@ from .partitions import (
     frame_parts,
     frame_table,
     frame_text,
-    ln_schur_weyl_probability,
     one_box_ranks,
     partitions_bounded,
 )
-from .recycling import _check_point, height_correction, s_over_sqrt_p
+from .recycling import _check_point, _Kernel
 from .reports import FidelityReport
 
 #: Normalization slack for coefficient vectors.
@@ -122,7 +121,7 @@ class VCoefficients:
 
 def _sqrt_p(table: np.ndarray) -> np.ndarray:
     """sqrt(p(mu)) per row of a frame table."""
-    return np.exp(0.5 * ln_schur_weyl_probability(table, table.shape[1]))
+    return np.exp(0.5 * _Kernel(table, table.shape[1]).ln_p)
 
 
 def _is_json_int(x) -> bool:
@@ -241,8 +240,8 @@ def v_optimal(N: int, d: int) -> VCoefficients:
 @_memo(_MEMO_ENTRIES)
 def _frame_factors(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """c(alpha) and S(alpha)/sqrt(p(alpha)) over ``frame_table(N - 1, d)``, read-only: no weight enters."""
-    alphas = frame_table(N - 1, d)
-    return height_correction(alphas, d), s_over_sqrt_p(N, alphas)
+    kernel = _Kernel(frame_table(N - 1, d), d)
+    return kernel.c, kernel.s_over_sqrt_p(N)
 
 
 def _check_optimal_point(N: int, d: int):
@@ -269,7 +268,8 @@ def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> Fide
         if block.whole:
             correction, s_ratio = _frame_factors(N, d)
         else:
-            correction, s_ratio = height_correction(block.table, d), s_over_sqrt_p(N, block.table)
+            kernel = _Kernel(block.table, d)
+            correction, s_ratio = kernel.c, kernel.s_over_sqrt_p(N)
         return vNm1.entries[block.start: block.start + len(block.table)] * correction * s_ratio * big_v
 
     value = _frame_sums(N - 1, N - 1, d, terms, extend=True)[0] / (d * sqrt(N))

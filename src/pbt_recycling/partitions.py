@@ -410,6 +410,35 @@ def _loader_tables(sizes: tuple[int, ...], d: int) -> tuple[np.ndarray, np.ndarr
     return _ln_factorial_remainder(np.arange(top + 1)), b, offset
 
 
+def _row_order_sum(cols: np.ndarray) -> np.ndarray:
+    """Sum down axis 0 of a (k, rows) float array, each column in the order numpy sums a row of k entries.
+
+    That is numpy's pairwise sum of a contiguous line: below 8 terms in order
+    from 0; up to 128 on eight accumulators, the terms j, j + 8, ... in
+    accumulator j, joined as a tree, and the last k % 8 terms added in order;
+    above 128 the sum of its two parts split at the multiple of 8 at or below
+    k/2.  So the column sums of the transpose have the bits of
+    ``x.sum(axis=1)`` on a (rows, k) table, at any k.
+    """
+    k = len(cols)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _row_order_sum(cols[:half]) + _row_order_sum(cols[half:])
+    if k < 8:
+        total = np.zeros(cols.shape[1:])
+        for col in cols:
+            total += col
+        return total
+    acc = cols[:8].copy()
+    stop = k - k % 8
+    for start in range(8, stop, 8):
+        acc += cols[start: start + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for col in cols[stop:]:
+        total += col
+    return total
+
+
 def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     """ln p(lam) = ln(m_lam d_lam / d^n) for each row of a frame table.
 
@@ -420,23 +449,29 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     the Weyl and hook-length factors.  No bigints; the absolute error in ln p
     stays below 1e-13 * max(1, |ln p|).
 
-    The saddle-point terms depend on n and one row length only, so they are
-    evaluated by table and gathered: the factorial remainder once on
-    0..max n, and the deviance once on a run of lengths 0..m for each
-    distinct box count m, the runs laid end to end; a presence map of the
-    box counts (``np.bincount``) finds them, with no sort.  The tables are
-    held per (box counts, d), so the blocks of a split n share one build.
-    The cost is O(entries + max n + sum over distinct n of n); on a full
-    frame table of height >= 2 the runs hold no more values than the table.
-    A row gets the same bits in any table: its Weyl logs are added left to
-    right, pair by pair.
+    The table is transposed once into a C-ordered (d, rows) array, one
+    contiguous line per column, and every step runs on those lines: the
+    check that rows are frames (the last column nonnegative, no column below
+    the next), the gathers and the sums down the columns.  The saddle-point
+    terms depend on n and one row length only, so they are evaluated by
+    table and gathered: the factorial remainder once on 0..max n, and the
+    deviance once on a run of lengths 0..m for each distinct box count m, the
+    runs laid end to end; a presence map of the box counts (``np.bincount``)
+    finds them, with no sort.  The tables are held per (box counts, d), so
+    the blocks of a split n share one build.  The cost is O(entries + max n
+    + sum over distinct n of n); on a full frame table of height >= 2 the
+    runs hold no more values than the table, and no step reduces along a
+    row of d entries.  A row gets the same bits in any table, in any memory
+    layout: each gathered column sum is taken in the order numpy sums a row
+    (``_row_order_sum``), and the Weyl logs are added left to right, pair
+    by pair.
     """
     lam = np.asarray(table, dtype=np.int64)
     if lam.ndim != 2 or lam.shape[1] != d:
         raise ValueError(f"frame table must have {d} columns")
-    if (lam < 0).any() or (lam[:, :-1] < lam[:, 1:]).any():
-        raise ValueError("frame table rows must be nonnegative and weakly decreasing")
     cols = lam.T.copy()  # one contiguous line per column
+    if (cols[-1:] < 0).any() or (cols[:-1] < cols[1:]).any():
+        raise ValueError("frame table rows must be nonnegative and weakly decreasing")
     n = cols.sum(axis=0)
     sizes = np.flatnonzero(np.bincount(n))  # the distinct box counts, ascending
     g, b, offset = _loader_tables(tuple(sizes.tolist()), d)
@@ -446,4 +481,4 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
         diff = cols[i] - cols[i + 1:] + gap
         for logs in np.log(diff * diff / ((cols[i] + gap) * gap)):  # pair by pair: one order in any table
             weyl += logs
-    return g[n] - g[lam].sum(axis=1) - b[offset[n][:, None] + lam].sum(axis=1) + weyl
+    return g[n] - _row_order_sum(g[cols]) - _row_order_sum(b[offset[n] + cols]) + weyl

@@ -34,11 +34,13 @@ reproduces F.
 
 Evaluation: ``partitions._frame_sums`` walks the frames of every N in
 blocks of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split
-by first part), each taking one pass of ln p, c and S/sqrt(p).  S/sqrt(p)
-divides R_i's two products of integers at every d, and goes to log space
-only in the columns where a product leaves the float range
-(``s_over_sqrt_p``).  The terms c p (S/sqrt(p))^2 are nonnegative.
-Each run of frames that share a first part is added first
+by first part), each taking one pass of ln p, c and S/sqrt(p) through one
+``_Kernel``, on (d, rows) columns.  One float array of the shifted rows per
+block feeds both c and S/sqrt(p); ln p gathers its saddle-point terms on
+int columns of its own.  S/sqrt(p) divides R_i's two products of integers at
+every d, and goes to log space only in the columns where a product leaves
+the float range (``s_over_sqrt_p``).  The terms c p (S/sqrt(p))^2 are
+nonnegative.  Each run of frames that share a first part is added first
 (``np.add.reduceat``: within (r - 1) u relative for a run of r terms,
 u = 2^-53), then one ``fsum`` per N adds the run sums and rounds once; at
 d = 2 every run is one frame, which ``reduceat`` returns as it is.  A term
@@ -50,10 +52,11 @@ as the one-N case of ``frec_values``.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
-from .partitions import _MEMO_ENTRIES, _frame_sums, _memo, ln_schur_weyl_probability
+from .partitions import _MEMO_ENTRIES, _frame_sums, _memo, _row_order_sum, ln_schur_weyl_probability
 from .reports import FidelityReport
 
 
@@ -64,52 +67,89 @@ def _check_point(N: int, d: int):
         raise ValueError("d must be at least 2")
 
 
+class _Kernel:
+    """The kernel trio over the rows of one frame table: ln p, c and S/sqrt(p), each computed when first read.
+
+    Every closed form takes its per-row factors from here, one instance per
+    frame block.  c and S/sqrt(p) (at N ports, for frames of N - 1 boxes)
+    share one C-ordered (d, rows) float array of the shifted rows,
+    l_k = alpha_k + d - 1 - k in row k, so every step runs on contiguous
+    lines and no sum runs along a row of d entries.  ln p transposes the
+    table into int columns of its own (``ln_schur_weyl_probability``), and
+    only ln p checks that the rows are frames.
+    """
+
+    def __init__(self, table: np.ndarray, d: int):
+        self.table, self.d = table, d
+
+    @cached_property
+    def ln_p(self) -> np.ndarray:
+        return ln_schur_weyl_probability(self.table, self.d)
+
+    @cached_property
+    def _shifted(self) -> np.ndarray:
+        l = self.table.T.copy()  # int lines first: one strided read, then contiguous passes
+        l += np.arange(self.d - 1, -1, -1)[:, None]
+        return l.astype(float)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """``height_correction``: the hooks h_i are the shifted rows, and 1/h = inf gives exactly 1 below height d."""
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.sqrt(-np.expm1(-_row_order_sum(np.log1p(1.0 / self._shifted))))
+
+    def s_over_sqrt_p(self, N) -> np.ndarray:
+        """``s_over_sqrt_p`` at ``N``, one port count or one per row."""
+        l = self._shifted
+        total = np.zeros(l.shape[1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i, li in enumerate(l):
+                g = li - l
+                num = (g + 1).prod(axis=0)
+                g[i] = 1
+                den = g.prod(axis=0)
+                ratio = np.abs(num / den)
+                wide = ~(np.isfinite(num) & np.isfinite(den))  # inf * 0 is NaN where alpha + e_i is no frame
+                if wide.any():
+                    ratio[wide] = np.exp(np.log1p(1 / np.delete(g[:, wide], i, axis=0)).sum(axis=0))
+                total += ratio / np.sqrt(li + 1)
+        return np.sqrt(np.asarray(N) / self.d) * total
+
+
 def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """S(alpha)/sqrt(p(alpha)) per row of a frame table of N-1 boxes: sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1).
 
     ``N`` is one port count or one per row.  With g_k = l_i - l_k,
     R_i = prod_{k != i} (g_k + 1) / prod_{k != i} g_k.  Each product is taken
-    along k over one C-ordered (d, rows) array, in k order, with an exact 1
-    as its k = i factor; products of integers are exact below 2^53, and R_i
-    is their quotient wherever both are finite.  In a column where either
-    leaves the float range (d - 1 factors of up to l_0 + 1, so from d near
-    150 on), |R_i| = exp sum_{k != i} log1p(1/g_k) instead, a moderate
-    number: g_k = -1, where alpha + e_i is no frame, gives -inf there and so
-    R_i = 0, as the product's exact 0 does elsewhere.
+    along k over the kernel's C-ordered (d, rows) shifted rows (``_Kernel``),
+    in k order, with an exact 1 as its k = i factor; products of integers are
+    exact below 2^53, and R_i is their quotient wherever both are finite.  In
+    a column where either leaves the float range (d - 1 factors of up to
+    l_0 + 1, so from d near 150 on), |R_i| = exp sum_{k != i} log1p(1/g_k)
+    instead, a moderate number: g_k = -1, where alpha + e_i is no frame,
+    gives -inf there and so R_i = 0, as the product's exact 0 does elsewhere.
     """
-    d = alphas.shape[1]
-    l = (alphas + np.arange(d - 1, -1, -1)).T.astype(float, order="C")  # row k holds l_k
-    total = np.zeros(l.shape[1])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, li in enumerate(l):
-            g = li - l
-            num = (g + 1).prod(axis=0)
-            g[i] = 1
-            den = g.prod(axis=0)
-            ratio = np.abs(num / den)
-            wide = ~(np.isfinite(num) & np.isfinite(den))  # inf * 0 is NaN where alpha + e_i is no frame
-            if wide.any():
-                ratio[wide] = np.exp(np.log1p(1 / np.delete(g[:, wide], i, axis=0)).sum(axis=0))
-            total += ratio / np.sqrt(li + 1)
-    return np.sqrt(np.asarray(N) / d) * total
+    return _Kernel(alphas, alphas.shape[1]).s_over_sqrt_p(N)
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
     """c(alpha) per row: 1/sqrt(1 - prod_i h_i/(h_i+1)) at height d, else 1.
 
-    Below height d the last hook h is 0, and 1/h = inf carries through to exactly 1.
+    The hooks h_i are the shifted rows l_i of the kernel (``_Kernel``), and
+    sum_i log1p(1/h_i) is taken down their columns in the order numpy sums a
+    row (``partitions._row_order_sum``), so a row has the same bits in any
+    table.  Below height d the last hook h is 0, and 1/h = inf carries
+    through to exactly 1.
     """
-    hooks = alphas + np.arange(d - 1, -1, -1)
-    with np.errstate(divide="ignore"):
-        return 1.0 / np.sqrt(-np.expm1(-np.log1p(1.0 / hooks).sum(axis=1)))
+    return _Kernel(alphas, d).c
 
 
 def _recycling_terms(block) -> np.ndarray:
     """c(alpha) S(alpha)^2 per row of a ``partitions._Block`` of frames alpha of N-1 boxes."""
-    alphas, d = block.table, block.table.shape[1]
+    kernel = _Kernel(block.table, block.table.shape[1])
     ports = np.repeat(np.arange(block.n + 1, block.n + 1 + len(block.sizes)), block.sizes)
-    p = np.exp(ln_schur_weyl_probability(alphas, d))
-    return height_correction(alphas, d) * p * s_over_sqrt_p(ports, alphas) ** 2
+    p = np.exp(kernel.ln_p)  # first: ln p's temporaries are freed before the shifted rows are built
+    return kernel.c * p * kernel.s_over_sqrt_p(ports) ** 2
 
 
 @_memo(_MEMO_ENTRIES)

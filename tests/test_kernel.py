@@ -271,6 +271,53 @@ def test_wide_kernel_keeps_the_frozen_bits_where_its_products_are_finite(n):
     assert np.array_equal(s_over_sqrt_p(t.sum(axis=1) + 1, t), exact_reference.s_over_sqrt_p(t.sum(axis=1) + 1, t))
 
 
+@pytest.mark.parametrize("d", [*range(1, 141), 255, 256, 257, 400, 2317])
+def test_column_sums_take_numpys_row_order(d):
+    # the kernel sums down the columns of a (d, rows) array in the order numpy sums a row
+    # of a (rows, d) table: sequential below 8 terms, eight accumulators up to 128, halves above
+    rng = np.random.default_rng(d)
+    x = rng.choice([-1.0, 1.0], (37, d)) * 10.0 ** rng.uniform(-6.0, 6.0, (37, d))
+    expected = x.sum(axis=1)
+    got = partitions._row_order_sum(x.T.copy())
+    assert got.tobytes() == expected.tobytes()
+    empty = np.zeros((0, d))
+    assert partitions._row_order_sum(empty.T.copy()).tobytes() == empty.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("d", [9, 16, 17, 120, 129, 150])
+def test_ln_p_and_c_keep_the_frozen_bits_in_the_pairwise_and_halving_sums(d):
+    # from d = 8 on a row's sum runs on eight accumulators, above 128 terms by halves;
+    # at n = 20 >= d the full-height rows have c != 1
+    sizes = (0, 1, 3, 12, 20) if d < 20 else (0, 1, 3, 12)
+    for n in sizes:
+        t = frame_table(n, d)
+        assert np.array_equal(ln_schur_weyl_probability(t, d), exact_reference.ln_schur_weyl_probability(t, d))
+        assert np.array_equal(recycling.height_correction(t, d), exact_reference.height_correction(t, d))
+    assert sizes[-1] < d or (recycling.height_correction(frame_table(sizes[-1], d), d) != 1).any()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 9, 17, 129])
+def test_kernel_bits_do_not_depend_on_the_table_layout(d):
+    # the kernel transposes its input; C and Fortran order, int32 and a strided view give the same bits
+    table, _ = partitions._frame_tables([0, 1, 3, 20, 14], d)
+    N = table.sum(axis=1) + 1
+    layouts = [
+        np.asfortranarray(table),
+        table.astype(np.int32),
+        np.pad(table, ((0, 0), (0, 1)))[:, :d],
+    ]
+    assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+    expected = [
+        ln_schur_weyl_probability(table, d),
+        recycling.height_correction(table, d),
+        s_over_sqrt_p(N, table),
+    ]
+    for t in layouts:
+        got = [ln_schur_weyl_probability(t, d), recycling.height_correction(t, d), s_over_sqrt_p(N, t)]
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n,d", [(30, 120), (20, 60)])
 def test_kernel_holds_a_few_arrays_of_shifted_rows(n, d):
     # l, the gaps l_i - l and one more (d, rows) float array at a time, not one
