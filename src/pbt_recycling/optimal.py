@@ -13,10 +13,12 @@ module also carries the optimal-protocol recycling fidelity and the overlap
 between the optimal and plain resource states.  B, the uniform weights and
 both fidelities walk their frames in blocks (``partitions._frame_blocks``):
 a fidelity is a per-row term gathering weights at the block's rows and
-extension rows.  The terms are nonnegative; each run of frames that share
-a first part is added first (within (r - 1) u relative for r terms, u =
-2^-53), then one ``math.fsum`` per point adds the run sums, so the value is
-the same in any block layout.
+extension rows.  V(alpha) below adds its d weights down the columns of the
+transposed extension ranks, in the order numpy sums a row
+(``partitions._row_order_sum``), so no sum runs along a row.  The terms are
+nonnegative; each run of frames that share a first part is added first
+(within (r - 1) u relative for r terms, u = 2^-53), then one ``math.fsum``
+per point adds the run sums, so the value is the same in any block layout.
 
 Both fidelities are sums over frames (weights v_mu over frames of N boxes,
 v_alpha over frames of N-1 boxes):
@@ -47,6 +49,7 @@ from .partitions import (
     _frame_blocks,
     _frame_sums,
     _memo,
+    _row_order_sum,
     frame_count,
     frame_parts,
     frame_table,
@@ -264,7 +267,8 @@ def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> Fide
         )
 
     def terms(block):
-        big_v = np.where(block.ranks >= 0, vN.entries[block.ranks], 0.0).sum(axis=1)
+        ranks = block.ranks.T.copy()  # one contiguous line per column
+        big_v = _row_order_sum(np.where(ranks >= 0, vN.entries[ranks], 0.0))
         if block.whole:
             correction, s_ratio = _frame_factors(N, d)
         else:

@@ -27,7 +27,15 @@ unit roundoff, 2^-53), and ``fsum`` rounds the sum of the run sums once, so
 an n's sum is within (r_max - 1) u + u relative of the exact one, r_max its
 longest run; at d <= 2 each run is one row, and the sum is the exact sum
 rounded once.  No block splits a first part, and the kernel gives a row the
-same bits in any table, so no value depends on the blocks.
+same bits in any table, so no value depends on the blocks.  The kernel's
+Loader tables (``ln_schur_weyl_probability``) are built per walk, not per
+block: while the walk runs it holds a chunk of consecutive box counts that
+covers the block being read, opened at that block's n and extended while
+the chunk's deviance runs, sum (m + 1) values, fit in ``_BLOCK_ROWS * d``,
+the entries a block may hold (one n may hold more).  Every block inside the
+chunk reads its one build: ``sweep`` to 90 ports at d = 3 builds once, not
+once for each of its 6 blocks, while at d = 2, whose blocks hold about as
+many values as the bound, a sweep still builds once per block.
 
 ``frame_table``, ``frame_count`` and ``one_box_ranks`` are memoised
 (``_memo``), as are the weight layer's frame maps and factors, each on its
@@ -324,24 +332,65 @@ def _run_sums(block: _Block, values: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, np.flatnonzero(opens))
 
 
+#: (box counts, d) while a walk runs (``_frame_sums``): consecutive counts whose Loader tables
+#: ``ln_schur_weyl_probability`` reads for any table they cover; None outside a walk.
+_held_counts = None
+
+
+def _covers(held, lo: int, hi: int, d: int) -> bool:
+    """Whether ``held``, as ``_held_counts``, names tables for the box counts lo..hi at ``d``."""
+    return held is not None and held[1] == d and held[0][0] <= lo and hi <= held[0][-1]
+
+
+def _loader_chunk(n: int, n_max: int, d: int) -> tuple[int, ...]:
+    """The box counts n..m for the largest m <= n_max whose deviance runs fit in a block's entries.
+
+    The runs of lengths 0..k, one per count k, hold sum (k + 1) values, at
+    most ``_BLOCK_ROWS * d``, so no build outgrows the tables the blocks
+    hold; n alone may hold more.
+    """
+    room, m = _BLOCK_ROWS * d - (n + 1), n
+    while m < n_max and room >= m + 2:
+        m += 1
+        room -= m + 1
+    return tuple(range(n, m + 1))
+
+
+def _holding_loader_tables(blocks, n_max: int, d: int):
+    """``blocks``, each once ``_held_counts`` covers its box counts: a new chunk from its n when they do not."""
+    global _held_counts
+    for block in blocks:
+        if not _covers(_held_counts, block.n, block.n + len(block.sizes) - 1, d):
+            _held_counts = _loader_chunk(block.n, n_max, d), d
+        yield block
+
+
 def _frame_sums(n_min: int, n_max: int, d: int, term, extend: bool = False) -> list[float]:
     """One ``math.fsum`` per n of the run sums (``_run_sums``) of ``term(block)``, a float per row.
 
     A split n's run sums reach its ``fsum`` as a lazy chain of per-block lists.
+    While the walk runs, ``_held_counts`` names a chunk of consecutive box
+    counts that covers the block being read (``_loader_chunk``), so the
+    kernel builds its Loader tables once per chunk, not once per block.
     """
+    global _held_counts
     if n_min == n_max and frame_count(n_min, d) <= _BLOCK_ROWS:  # one block: skip the walk's machinery
         block = next(_frame_blocks(n_min, n_max, d, extend))
         return [math.fsum(_run_sums(block, term(block)).tolist())]
-    sums = []
-    for n, run in groupby(_frame_blocks(n_min, n_max, d, extend), attrgetter("n")):
-        first = next(run)
-        values, stop = _run_sums(first, term(first)).tolist(), 0
-        for m in range(n, n + len(first.sizes) - 1):
-            runs = m + 1 + -m // d  # first parts ceil(m / d)..m
-            sums.append(math.fsum(values[stop: stop + runs]))
-            stop += runs
-        rest = chain.from_iterable(_run_sums(b, term(b)).tolist() for b in run)
-        sums.append(math.fsum(chain(values[stop:], rest)))
+    sums, outer = [], _held_counts
+    blocks = _holding_loader_tables(_frame_blocks(n_min, n_max, d, extend), n_max, d)
+    try:
+        for n, run in groupby(blocks, attrgetter("n")):
+            first = next(run)
+            values, stop = _run_sums(first, term(first)).tolist(), 0
+            for m in range(n, n + len(first.sizes) - 1):
+                runs = m + 1 + -m // d  # first parts ceil(m / d)..m
+                sums.append(math.fsum(values[stop: stop + runs]))
+                stop += runs
+            rest = chain.from_iterable(_run_sums(b, term(b)).tolist() for b in run)
+            sums.append(math.fsum(chain(values[stop:], rest)))
+    finally:
+        _held_counts = outer
     return sums
 
 
@@ -457,10 +506,16 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     table and gathered: the factorial remainder once on 0..max n, and the
     deviance once on a run of lengths 0..m for each distinct box count m, the
     runs laid end to end; a presence map of the box counts (``np.bincount``)
-    finds them, with no sort.  The tables are held per (box counts, d), so
-    the blocks of a split n share one build.  The cost is O(entries + max n
-    + sum over distinct n of n); on a full frame table of height >= 2 the
-    runs hold no more values than the table, and no step reduces along a
+    finds them, with no sort.  The tables are memoised per (box counts, d).
+    While a walk runs (``_frame_sums``), a table its held chunk of
+    consecutive box counts covers reads that chunk's build (``_held_counts``),
+    so the blocks of a sweep, or of a split n, share one build per chunk;
+    any other table builds for its own distinct counts.  A table entry
+    depends on (m, length, d) alone, so both builds give it the same bits.
+    A build costs O(max n + sum over its counts m of m): a chunk's runs hold
+    at most a block's entries (``_loader_chunk``), and on a full frame table
+    of height >= 2 the table's own runs hold no more values than the table.
+    Past the build the cost is O(entries), and no step reduces along a
     row of d entries.  A row gets the same bits in any table, in any memory
     layout: each gathered column sum is taken in the order numpy sums a row
     (``_row_order_sum``), and the Weyl logs are added left to right, pair
@@ -474,7 +529,11 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
         raise ValueError("frame table rows must be nonnegative and weakly decreasing")
     n = cols.sum(axis=0)
     sizes = np.flatnonzero(np.bincount(n))  # the distinct box counts, ascending
-    g, b, offset = _loader_tables(tuple(sizes.tolist()), d)
+    held = _held_counts
+    if len(sizes) and _covers(held, sizes[0], sizes[-1], d):
+        g, b, offset = _loader_tables(*held)
+    else:
+        g, b, offset = _loader_tables(tuple(sizes.tolist()), d)
     weyl = np.zeros(len(lam))
     for i in range(d - 1):
         gap = np.arange(1, d - i)[:, None]  # j - i for the columns j > i

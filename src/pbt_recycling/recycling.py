@@ -37,9 +37,13 @@ blocks of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split
 by first part), each taking one pass of ln p, c and S/sqrt(p) through one
 ``_Kernel``, on (d, rows) columns.  One float array of the shifted rows per
 block feeds both c and S/sqrt(p); ln p gathers its saddle-point terms on
-int columns of its own.  S/sqrt(p) divides R_i's two products of integers at
-every d, and goes to log space only in the columns where a product leaves
-the float range (``s_over_sqrt_p``).  The terms c p (S/sqrt(p))^2 are
+int columns of its own.  Its Loader tables are built per walk, not per
+block: once for each chunk of consecutive box counts, whose runs hold at
+most a block's entries of values, and read by every block inside it, so
+the d = 3 and d = 4 sweeps of the figure data build once each.  S/sqrt(p)
+divides R_i's two products of integers at every d, and goes to log space
+only in the columns where a product leaves the float range
+(``s_over_sqrt_p``).  The terms c p (S/sqrt(p))^2 are
 nonnegative.  Each run of frames that share a first part is added first
 (``np.add.reduceat``: within (r - 1) u relative for a run of r terms,
 u = 2^-53), then one ``fsum`` per N adds the run sums and rounds once; at

@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from pbt_recycling.partitions import _bd0, _ln_factorial_remainder
+from pbt_recycling.partitions import _bd0, _ln_factorial_remainder, one_box_ranks
 
 
 @cache
@@ -81,8 +81,10 @@ def theta_dim(parts, d: int) -> int:
 #
 # The per-row arithmetic of ``ln_schur_weyl_probability``, ``s_over_sqrt_p`` and
 # ``height_correction`` as it stood before their column-wise rewrite, kept
-# verbatim so a test can hold the package's kernel to the same bits.  The
-# Loader terms (``_bd0``, ``_ln_factorial_remainder``) are the package's own.
+# verbatim so a test can hold the package's kernel to the same bits, and
+# ``frec_optimal``'s frame sum as it stood before V(alpha) became a column
+# sum.  The Loader terms (``_bd0``, ``_ln_factorial_remainder``) and the
+# one-box rank map are the package's own.
 
 
 def ln_schur_weyl_probability(table, d: int):
@@ -126,3 +128,14 @@ def height_correction(alphas, d: int):
     hooks = alphas[full] + np.arange(d - 1, -1, -1)
     c[full] = 1.0 / np.sqrt(-np.expm1(-np.log1p(1.0 / hooks).sum(axis=1)))
     return c
+
+
+def frec_optimal(N: int, d: int, vN, vNm1) -> float:
+    """The optimal-protocol recycling fidelity from weight arrays, V(alpha) summed along each row of d ranks."""
+    alphas, ranks = one_box_ranks(N, d)
+    big_v = np.where(ranks >= 0, vN[ranks], 0.0).sum(axis=1)
+    terms = vNm1 * height_correction(alphas, d) * s_over_sqrt_p(N, alphas) * big_v
+    first = alphas[:, 0]
+    opens = np.ones(len(first), dtype=bool)
+    opens[1:] = first[1:] != first[:-1]
+    return math.fsum(np.add.reduceat(terms, np.flatnonzero(opens)).tolist()) / (d * math.sqrt(N))

@@ -127,7 +127,8 @@ def test_a_row_gets_the_same_bits_in_any_table(n, d):
 
 
 def test_tables_stay_within_the_entry_count(monkeypatch):
-    # Loader's terms are evaluated at most once per table entry on full frame tables of height >= 2
+    # Loader's terms are evaluated at most once per table entry on full frame tables of height >= 2:
+    # per call on a table alone, and summed over a sweep, whose blocks share their builds
     evaluations = {}
     bd0, remainder = partitions._bd0, partitions._ln_factorial_remainder
 
@@ -139,25 +140,62 @@ def test_tables_stay_within_the_entry_count(monkeypatch):
         evaluations["remainder"] += np.size(x)
         return remainder(x)
 
-    calls = []
+    entries = []
 
     def kernel_spy(table, d):
-        evaluations.update(bd0=0, remainder=0)
-        out = ln_schur_weyl_probability(table, d)
-        calls.append((np.size(table), dict(evaluations)))
-        return out
+        entries.append(np.size(table))
+        return ln_schur_weyl_probability(table, d)
 
     monkeypatch.setattr(partitions, "_bd0", bd0_spy)
     monkeypatch.setattr(partitions, "_ln_factorial_remainder", remainder_spy)
     monkeypatch.setattr(recycling, "ln_schur_weyl_probability", kernel_spy)
-    partitions._loader_tables.cache_clear()  # every call below builds its tables
-    kernel_spy(frame_table(1999, 3), 3)
-    kernel_spy(partitions._frame_tables(range(1, 128), 2)[0], 2)
+    partitions._loader_tables.cache_clear()  # every table alone below builds its tables
+    for table, d in [(frame_table(1999, 3), 3), (partitions._frame_tables(range(1, 128), 2)[0], 2)]:
+        evaluations.update(bd0=0, remainder=0)
+        kernel_spy(table, d)
+        assert 0 < evaluations["bd0"] <= np.size(table)
+        assert 0 < evaluations["remainder"] <= np.size(table)
+    evaluations.update(bd0=0, remainder=0)
+    entries.clear()
     frec_values(2, 90, 3)
-    assert len(calls) > 3
-    for entries, counts in calls:
-        assert 0 < counts["bd0"] <= entries
-        assert 0 < counts["remainder"] <= entries
+    assert len(entries) > 3
+    assert 0 < evaluations["bd0"] <= sum(entries)
+    assert 0 < evaluations["remainder"] <= sum(entries)
+
+
+def _spy_on_builds(monkeypatch):
+    """The (values, distinct box counts) of each Loader deviance build from here on, in a list."""
+    builds = []
+    bd0 = partitions._bd0
+
+    def spy(x, n, d):
+        builds.append((np.size(x), len(np.unique(n))))
+        return bd0(x, n, d)
+
+    monkeypatch.setattr(partitions, "_bd0", spy)
+    partitions._loader_tables.cache_clear()
+    return builds
+
+
+@pytest.mark.parametrize("n_max,d", [(90, 3), (56, 4)])
+def test_a_sweep_builds_its_loader_tables_once(monkeypatch, n_max, d):
+    # the stacked blocks of a sweep read one build over its box counts, not one each
+    builds = _spy_on_builds(monkeypatch)
+    frec_values(2, n_max, d)
+    assert len(list(partitions._frame_blocks(1, n_max - 1, d))) > 5
+    assert builds == [(sum(range(2, n_max + 1)), n_max - 1)]  # lengths 0..m of each m = 1..n_max - 1
+
+
+@pytest.mark.parametrize("n_min,n_max,d,block_rows", [(1, 3000, 2, 4096), (2, 90, 3, 64)])
+def test_loader_builds_stay_within_a_blocks_entries(monkeypatch, n_min, n_max, d, block_rows):
+    # a build over several box counts holds at most the entries a block may hold, and no block builds twice
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", block_rows)
+    builds = _spy_on_builds(monkeypatch)
+    frec_values(n_min, n_max, d)
+    blocks = len(list(partitions._frame_blocks(n_min - 1, n_max - 1, d)))
+    assert 1 < len(builds) <= blocks
+    assert all(values <= block_rows * d or counts == 1 for values, counts in builds)
+    assert max(counts for _, counts in builds) > 1
 
 
 @pytest.mark.parametrize("N,d", [(2000, 3), (200, 4)])
@@ -194,6 +232,24 @@ def test_kernel_rows_keep_their_frozen_bits(d):
         assert np.array_equal(ln_schur_weyl_probability(t, d), exact_reference.ln_schur_weyl_probability(t, d))
         assert np.array_equal(s_over_sqrt_p(N, t), exact_reference.s_over_sqrt_p(N, t))
         assert np.array_equal(recycling.height_correction(t, d), exact_reference.height_correction(t, d))
+
+
+@pytest.mark.parametrize("block_rows", [4096, 64])
+@pytest.mark.parametrize("N,d", [(200, 2), (60, 3), (200, 3), (30, 4), (20, 5)])
+def test_frec_optimal_keeps_its_frozen_bits(monkeypatch, block_rows, N, d):
+    # optimal weights, and random ones that hold a zero, in whole and split walks
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", block_rows)
+    assert (len(list(partitions._frame_blocks(N - 1, N - 1, d, extend=True))) > 1) == (block_rows == 64)
+    rng = np.random.default_rng(N * d)
+
+    def weights(n):
+        w = rng.uniform(0.0, 1.0, frame_count(n, d))
+        w[rng.integers(len(w))] = 0.0
+        return VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w))
+
+    for vN, vNm1 in [(v_optimal(N, d), v_optimal(N - 1, d)), (weights(N), weights(N - 1))]:
+        frozen = exact_reference.frec_optimal(N, d, vN.entries, vNm1.entries)
+        assert frec_optimal(N, d, vN, vNm1).value == frozen
 
 
 # -- mpmath references on the exact-integer forms ---------------------------------
