@@ -516,10 +516,15 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     at most a block's entries (``_loader_chunk``), and on a full frame table
     of height >= 2 the table's own runs hold no more values than the table.
     Past the build the cost is O(entries), and no step reduces along a
-    row of d entries.  A row gets the same bits in any table, in any memory
-    layout: each gathered column sum is taken in the order numpy sums a row
-    (``_row_order_sum``), and the Weyl logs are added left to right, pair
-    by pair.
+    row of d entries.  The Weyl factors are taken on float copies of the
+    int columns, one i at a time against all j > i, in place on two reused
+    (d - 1, rows) buffers; every value is an integer below 2^53, so each
+    product and quotient rounds as the int/int ones of the per-row form do.
+    The two Loader gathers (``np.take``) are subtracted from g[n] in place,
+    in the order g[n] - sum g - sum b + Weyl logs.  A row gets the same bits
+    in any table, in any memory layout: each gathered column sum is taken in
+    the order numpy sums a row (``_row_order_sum``), and the Weyl logs are
+    added left to right, pair by pair.
     """
     lam = np.asarray(table, dtype=np.int64)
     if lam.ndim != 2 or lam.shape[1] != d:
@@ -534,10 +539,24 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
         g, b, offset = _loader_tables(*held)
     else:
         g, b, offset = _loader_tables(tuple(sizes.tolist()), d)
+    lines = cols.astype(float)  # integers below 2^53: each product and quotient rounds as the int one does
+    nums, dens = np.empty_like(lines[1:]), np.empty_like(lines[1:])
+    gaps = np.arange(1.0, d)[:, None]  # j - i for the columns j > i
     weyl = np.zeros(len(lam))
     for i in range(d - 1):
-        gap = np.arange(1, d - i)[:, None]  # j - i for the columns j > i
-        diff = cols[i] - cols[i + 1:] + gap
-        for logs in np.log(diff * diff / ((cols[i] + gap) * gap)):  # pair by pair: one order in any table
+        num, den, gap = nums[i:], dens[i:], gaps[: d - 1 - i]
+        np.subtract(lines[i], lines[i + 1:], out=num)
+        num += gap
+        num *= num
+        np.add(lines[i], gap, out=den)
+        den *= gap
+        num /= den
+        for logs in np.log(num, out=num):  # pair by pair: one order in any table
             weyl += logs
-    return g[n] - _row_order_sum(g[cols]) - _row_order_sum(b[offset[n] + cols]) + weyl
+    del lines, nums, dens  # before the gathers' (d, rows) arrays
+    ln_p = np.take(g, n)
+    ln_p -= _row_order_sum(np.take(g, cols))
+    cols += offset[n]
+    ln_p -= _row_order_sum(np.take(b, cols))
+    ln_p += weyl
+    return ln_p

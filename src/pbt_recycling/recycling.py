@@ -40,22 +40,29 @@ block feeds both c and S/sqrt(p); ln p gathers its saddle-point terms on
 int columns of its own.  Its Loader tables are built per walk, not per
 block: once for each chunk of consecutive box counts, whose runs hold at
 most a block's entries of values, and read by every block inside it, so
-the d = 3 and d = 4 sweeps of the figure data build once each.  S/sqrt(p)
-divides R_i's two products of integers at every d, and goes to log space
-only in the columns where a product leaves the float range
-(``s_over_sqrt_p``).  The terms c p (S/sqrt(p))^2 are
-nonnegative.  Each run of frames that share a first part is added first
-(``np.add.reduceat``: within (r - 1) u relative for a run of r terms,
-u = 2^-53), then one ``fsum`` per N adds the run sums and rounds once; at
-d = 2 every run is one frame, which ``reduceat`` returns as it is.  A term
-depends on its own row and N only, and no block splits a run, so a result
-has the same bits in any block layout, and ``frec(N, d)`` has the same bits
-as the one-N case of ``frec_values``.
+the d = 3 and d = 4 sweeps of the figure data build once each.  Each
+factor runs its ufuncs in place on arrays it reuses, in the order and
+rounding of the frozen per-row kernel of the tests, so every value keeps
+that kernel's bits: ln p takes its Weyl factors on float copies of its
+int columns, S/sqrt(p) forms R_i's two products of integers in one loop
+over i on one reused (d - 1, rows) array, and c and the terms work on
+their own results.  S/sqrt(p) tests its products for finiteness, and goes
+to log space in the columns where one leaves the float range, only in a
+block whose bound (d - 1) log2(l_0 + 1) reaches 1000 (``s_over_sqrt_p``).
+The terms c p (S/sqrt(p))^2 are nonnegative.  Each run of frames that
+share a first part is added first (``np.add.reduceat``: within (r - 1) u
+relative for a run of r terms, u = 2^-53), then one ``fsum`` per N adds
+the run sums and rounds once; at d = 2 every run is one frame, which
+``reduceat`` returns as it is.  A term depends on its own row and N only,
+and no block splits a run, so a result has the same bits in any block
+layout, and ``frec(N, d)`` has the same bits as the one-N case of
+``frec_values``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from functools import cached_property
 
 import numpy as np
@@ -80,7 +87,10 @@ class _Kernel:
     l_k = alpha_k + d - 1 - k in row k, so every step runs on contiguous
     lines and no sum runs along a row of d entries.  ln p transposes the
     table into int columns of its own (``ln_schur_weyl_probability``), and
-    only ln p checks that the rows are frames.
+    only ln p checks that the rows are frames.  Each factor runs its ufuncs
+    in place (``out=``) on buffers it reuses, in the order and rounding of
+    the per-row arithmetic they replace: besides the shifted rows, c holds
+    one (d, rows) array, and S/sqrt(p) one (d - 1, rows) array and four rows.
     """
 
     def __init__(self, table: np.ndarray, d: int):
@@ -100,24 +110,51 @@ class _Kernel:
     def c(self) -> np.ndarray:
         """``height_correction``: the hooks h_i are the shifted rows, and 1/h = inf gives exactly 1 below height d."""
         with np.errstate(divide="ignore"):
-            return 1.0 / np.sqrt(-np.expm1(-_row_order_sum(np.log1p(1.0 / self._shifted))))
+            logs = np.divide(1.0, self._shifted)
+            c = _row_order_sum(np.log1p(logs, out=logs))
+            np.negative(c, out=c)
+            np.expm1(c, out=c)
+            np.negative(c, out=c)
+            np.sqrt(c, out=c)
+            return np.divide(1.0, c, out=c)
 
     def s_over_sqrt_p(self, N) -> np.ndarray:
-        """``s_over_sqrt_p`` at ``N``, one port count or one per row."""
+        """``s_over_sqrt_p`` at ``N``, one port count or one per row.
+
+        One loop over i: the factors g_k + 1, then g_k, of R_i for k != i fill
+        one reused (d - 1, rows) array, each product is one reduction into a
+        row buffer, and R_i/sqrt(l_i + 1) is added to the total in place.
+        Both products have d - 1 factors of size at most l_0 + 1, so below
+        (d - 1) log2(l_0 + 1) = 1000, l_0 the block's largest, they stay
+        under 2^1000: only a block at or above that bound tests them for
+        finiteness and takes the log-space fallback, with numpy's overflow
+        and invalid-value warnings off.
+        """
         l = self._shifted
-        total = np.zeros(l.shape[1])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d, rows = l.shape
+        factors = np.empty_like(l[1:])
+        num, den, root, total = np.empty(rows), np.empty(rows), np.empty(rows), np.zeros(rows)
+        guarded = (d - 1) * math.log2(l[0].max(initial=0.0) + 1) >= 1000
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore") if guarded else nullcontext():
             for i, li in enumerate(l):
-                g = li - l
-                num = (g + 1).prod(axis=0)
-                g[i] = 1
-                den = g.prod(axis=0)
-                ratio = np.abs(num / den)
-                wide = ~(np.isfinite(num) & np.isfinite(den))  # inf * 0 is NaN where alpha + e_i is no frame
-                if wide.any():
-                    ratio[wide] = np.exp(np.log1p(1 / np.delete(g[:, wide], i, axis=0)).sum(axis=0))
-                total += ratio / np.sqrt(li + 1)
-        return np.sqrt(np.asarray(N) / self.d) * total
+                np.add(li, 1, out=root)
+                if i:  # g_k + 1 for k < i, then for k > i, skipping empty slices: a call costs as much as on a row
+                    np.subtract(root, l[:i], out=factors[:i])
+                if i < d - 1:
+                    np.subtract(root, l[i + 1:], out=factors[i:])
+                np.multiply.reduce(factors, axis=0, out=num)
+                factors -= 1
+                np.multiply.reduce(factors, axis=0, out=den)
+                if guarded:
+                    wide = ~(np.isfinite(num) & np.isfinite(den))  # inf * 0 is NaN where alpha + e_i is no frame
+                # R_i >= 0: both products have the sign (-1)^i, or num is a zero, which adds nothing to total
+                np.divide(num, den, out=num)
+                if guarded and wide.any():
+                    num[wide] = np.exp(np.log1p(1 / factors[:, wide]).sum(axis=0))
+                num /= np.sqrt(root, out=root)
+                total += num
+        total *= np.sqrt(np.asarray(N) / d)
+        return total
 
 
 def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -125,13 +162,16 @@ def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
     ``N`` is one port count or one per row.  With g_k = l_i - l_k,
     R_i = prod_{k != i} (g_k + 1) / prod_{k != i} g_k.  Each product is taken
-    along k over the kernel's C-ordered (d, rows) shifted rows (``_Kernel``),
-    in k order, with an exact 1 as its k = i factor; products of integers are
-    exact below 2^53, and R_i is their quotient wherever both are finite.  In
-    a column where either leaves the float range (d - 1 factors of up to
-    l_0 + 1, so from d near 150 on), |R_i| = exp sum_{k != i} log1p(1/g_k)
-    instead, a moderate number: g_k = -1, where alpha + e_i is no frame,
-    gives -inf there and so R_i = 0, as the product's exact 0 does elsewhere.
+    along k != i over the kernel's C-ordered (d, rows) shifted rows
+    (``_Kernel``), in k order; products of integers are exact below 2^53,
+    and R_i is their quotient wherever both are finite.  A product has
+    d - 1 factors of up to l_0 + 1, so it can leave the float range only in
+    a block where (d - 1) log2(l_0 + 1) >= 1000 (every block from d = 142
+    on, since l_0 >= d - 1).  There, in a column where either product is not
+    finite, |R_i| = exp sum_{k != i} log1p(1/g_k) instead, a moderate
+    number: g_k = -1, where alpha + e_i is no frame, gives -inf there and so
+    R_i = 0, as the product's exact 0 does elsewhere.  Any other block runs
+    with numpy's floating-point warnings as the caller set them.
     """
     return _Kernel(alphas, alphas.shape[1]).s_over_sqrt_p(N)
 
@@ -152,8 +192,12 @@ def _recycling_terms(block) -> np.ndarray:
     """c(alpha) S(alpha)^2 per row of a ``partitions._Block`` of frames alpha of N-1 boxes."""
     kernel = _Kernel(block.table, block.table.shape[1])
     ports = np.repeat(np.arange(block.n + 1, block.n + 1 + len(block.sizes)), block.sizes)
-    p = np.exp(kernel.ln_p)  # first: ln p's temporaries are freed before the shifted rows are built
-    return kernel.c * p * kernel.s_over_sqrt_p(ports) ** 2
+    terms = np.exp(kernel.ln_p)  # p first: ln p's temporaries are freed before the shifted rows are built
+    terms *= kernel.c
+    s = kernel.s_over_sqrt_p(ports)
+    s *= s
+    terms *= s
+    return terms
 
 
 @_memo(_MEMO_ENTRIES)

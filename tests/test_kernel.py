@@ -307,13 +307,17 @@ def test_frec_where_the_ratio_products_overflow_matches_mpmath(N, d):
         assert _rel(frec(N, d).value, _mp_frec(N, d)) <= 1e-13
 
 
-@pytest.mark.parametrize("d", [*range(2, 9), 120, 149, 150, 151])
+@pytest.mark.parametrize("d", [*range(2, 9), 120, 140, 149, 150, 151])
 def test_kernel_keeps_the_frozen_bits_where_its_products_are_finite(d):
     # R_i's products of d - 1 factors of up to l_0 + 1 first can overflow near
     # (d - 1) log2(l_0 + 1) = 1000, between d = 120 and d = 149 here; while they
-    # stay finite, every row keeps the frozen kernel's bits, at every d
+    # stay finite, every row keeps the frozen kernel's bits, at every d.  At
+    # d = 140 the n = 0, 1 and 3 tables sit below that bound and skip the
+    # finiteness test, and the n = 12 table sits above it and takes it
     for n in (0, 1, 3, 12):
         t = frame_table(n, d)
+        if d == 140:
+            assert ((d - 1) * math.log2(n + d) >= 1000) == (n == 12)
         assert np.array_equal(s_over_sqrt_p(n + 1, t), exact_reference.s_over_sqrt_p(n + 1, t))
 
 
@@ -376,8 +380,8 @@ def test_kernel_bits_do_not_depend_on_the_table_layout(d):
 
 @pytest.mark.parametrize("n,d", [(30, 120), (20, 60)])
 def test_kernel_holds_a_few_arrays_of_shifted_rows(n, d):
-    # l, the gaps l_i - l and one more (d, rows) float array at a time, not one
-    # array per pair of columns
+    # l and one reused (d - 1, rows) array of R_i's factors, besides a few rows: not
+    # a second copy of the factors, nor one array per pair of columns
     t = frame_table(n, d)
     tracemalloc.start()
     try:
@@ -385,7 +389,7 @@ def test_kernel_holds_a_few_arrays_of_shifted_rows(n, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * d * len(t) * 8
+    assert peak < 2.5 * d * len(t) * 8
 
 
 def test_optimal_and_resource_fidelity_match_mpmath():

@@ -1,5 +1,5 @@
 import json
-from math import sqrt
+from math import cos, pi, sqrt
 
 import mpmath
 import numpy as np
@@ -323,3 +323,22 @@ def test_lambda_max_equals_optimal_channel_fidelity():
             other = VCoefficients(ports=N, dim=d, entries=w)
             assert channel_fidelity_oracle(N, d, rotation=build_optimizing_operator(N, d, other)) <= fid + 1e-12
     assert _lambda_max(v_optimal(4, 3)) == pytest.approx(0.431042804619, abs=1e-12)
+
+
+def test_qubit_lambda_max_law():
+    # at d = 2 the Perron vector is v_optimal's sine in k = mu_1 - mu_2 + 1, and its
+    # eigenvalue d^-2 |B v|^2 is cos^2(pi/(N + 2))
+    for N in range(2, 61):
+        assert abs(_lambda_max(v_optimal(N, 2)) - cos(pi / (N + 2)) ** 2) <= 1e-14
+
+
+def test_qubit_optimal_recycling_limit():
+    # frec_optimal(N, 2) tends to F_inf(2) = int_0^1 sin^2(pi x) (sqrt(1 - x) + sqrt(1 + x)) dx,
+    # with corrections in 1/N and 1/N^2: two Richardson steps on N, 2N and 4N remove both
+    f = [frec_optimal(N, 2, v_optimal(N, 2), v_optimal(N - 1, 2)).value for N in (16000, 32000, 64000)]
+    first = [2 * f[1] - f[0], 2 * f[2] - f[1]]
+    limit = (4 * first[1] - first[0]) / 3
+    with mpmath.workdps(30):
+        ref = mpmath.quad(lambda x: mpmath.sin(mpmath.pi * x) ** 2 * (mpmath.sqrt(1 - x) + mpmath.sqrt(1 + x)), [0, 1])
+    assert abs(limit - float(ref)) <= 1e-10
+    assert float(ref) == pytest.approx(0.958245837318207, abs=1e-15)
