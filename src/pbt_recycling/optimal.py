@@ -119,12 +119,12 @@ class VCoefficients:
     @classmethod
     def uniform(cls, N: int, d: int) -> "VCoefficients":
         """Weights reproducing the un-rotated state: v = sqrt(p) = sqrt(dim * mult / d^N)."""
-        return cls(ports=N, dim=d, entries=np.concatenate([_sqrt_p(b.table) for b in _frame_blocks(N, N, d)]))
+        return cls(ports=N, dim=d, entries=np.concatenate([_sqrt_p(b) for b in _frame_blocks(N, N, d)]))
 
 
-def _sqrt_p(table: np.ndarray) -> np.ndarray:
-    """sqrt(p(mu)) per row of a frame table."""
-    return np.exp(0.5 * _Kernel(table, table.shape[1]).ln_p)
+def _sqrt_p(block) -> np.ndarray:
+    """sqrt(p(mu)) per row of a ``partitions._Block``."""
+    return np.exp(0.5 * _Kernel(block).ln_p)
 
 
 def _is_json_int(x) -> bool:
@@ -240,13 +240,6 @@ def v_optimal(N: int, d: int) -> VCoefficients:
     return VCoefficients(ports=N, dim=2, entries=2.0 / sqrt(N + 2) * np.sin(np.pi * k / (N + 2)))
 
 
-@_memo(_MEMO_ENTRIES)
-def _frame_factors(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """c(alpha) and S(alpha)/sqrt(p(alpha)) over ``frame_table(N - 1, d)``, read-only: no weight enters."""
-    kernel = _Kernel(frame_table(N - 1, d), d)
-    return kernel.c, kernel.s_over_sqrt_p(N)
-
-
 def _check_optimal_point(N: int, d: int):
     if N < 2:
         raise ValueError("N must be at least 2 for the optimal protocol")
@@ -269,12 +262,8 @@ def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> Fide
     def terms(block):
         ranks = block.ranks.T.copy()  # one contiguous line per column
         big_v = _row_order_sum(np.where(ranks >= 0, vN.entries[ranks], 0.0))
-        if block.whole:
-            correction, s_ratio = _frame_factors(N, d)
-        else:
-            kernel = _Kernel(block.table, d)
-            correction, s_ratio = kernel.c, kernel.s_over_sqrt_p(N)
-        return vNm1.entries[block.start: block.start + len(block.table)] * correction * s_ratio * big_v
+        kernel = _Kernel(block)
+        return vNm1.entries[block.start: block.start + len(block.table)] * kernel.c * kernel.s_over_sqrt_p() * big_v
 
     value = _frame_sums(N - 1, N - 1, d, terms, extend=True)[0] / (d * sqrt(N))
     return FidelityReport(value=value, method="optimal_general", ports=N, dim=d)
@@ -284,5 +273,5 @@ def resource_state_fidelity(N: int, d: int, v: VCoefficients) -> FidelityReport:
     """Overlap between the plain and rotated resource states: sum of v * sqrt(p)."""
     if v.ports != N or v.dim != d:
         raise CoefficientError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    value = _frame_sums(N, N, d, lambda b: v.entries[b.start: b.start + len(b.table)] * _sqrt_p(b.table))[0]
+    value = _frame_sums(N, N, d, lambda b: v.entries[b.start: b.start + len(b.table)] * _sqrt_p(b))[0]
     return FidelityReport(value=value, method="general", ports=N, dim=d)

@@ -27,18 +27,20 @@ unit roundoff, 2^-53), and ``fsum`` rounds the sum of the run sums once, so
 an n's sum is within (r_max - 1) u + u relative of the exact one, r_max its
 longest run; at d <= 2 each run is one row, and the sum is the exact sum
 rounded once.  No block splits a first part, and the kernel gives a row the
-same bits in any table, so no value depends on the blocks.  The kernel's
-Loader tables (``ln_schur_weyl_probability``) are built per walk, not per
-block: while the walk runs it holds a chunk of consecutive box counts that
-covers the block being read, opened at that block's n and extended while
-the chunk's deviance runs, sum (m + 1) values, fit in ``_BLOCK_ROWS * d``,
-the entries a block may hold (one n may hold more).  Every block inside the
-chunk reads its one build: ``sweep`` to 90 ports at d = 3 builds once, not
+same bits in any table, so no value depends on the blocks.  A block carries
+what the walk knows of its rows, and the kernel (``recycling._Kernel``)
+reads it from there: the port count of each row, the rows that open its
+runs, and its Loader chunk, the consecutive box counts that key its Loader
+build (``_loader_tables``).  The walk assigns the chunks: one opens at the
+n of the first block it does not cover and extends while its deviance runs,
+sum (m + 1) values, fit in ``_BLOCK_ROWS * d``, the entries a block may
+hold (one n may hold more).  Every block of a chunk reads its one build,
+whoever walks the blocks: ``sweep`` to 90 ports at d = 3 builds once, not
 once for each of its 6 blocks, while at d = 2, whose blocks hold about as
 many values as the bound, a sweep still builds once per block.
 
 ``frame_table``, ``frame_count`` and ``one_box_ranks`` are memoised
-(``_memo``), as are the weight layer's frame maps and factors, each on its
+(``_memo``), as is the weight layer's frame map, each on its
 ``_MEMO_ENTRIES`` latest (n, d) points; a held array is read-only, so no
 caller changes what the next one reads.  A block that is one whole n reads
 them, so a repeat point enumerates no frame.  ``partitions_bounded`` lists
@@ -261,14 +263,31 @@ _BLOCK_ROWS = 4096
 
 
 class _Block(NamedTuple):
-    """``sizes[j]`` frames of n + j boxes, from row ``start`` of ``frame_table(n, d)`` on."""
+    """Rows of a frame table and what is known of them: the one object a kernel (``recycling._Kernel``) reads.
 
-    n: int
-    sizes: list
-    start: int
+    A block of ``_frame_blocks`` knows every field (``ranks`` only with
+    ``extend``): ``table`` holds ``sizes[j]`` frames of n + j boxes, from
+    row ``start`` of ``frame_table(n, d)`` on.  A table outside a walk knows
+    its rows and at most its ports, and reads a Loader build for its own
+    distinct box counts.
+    """
+
     table: np.ndarray
-    ranks: np.ndarray | None  # with ``extend``, the row of alpha + e_i in frame_table(n + 1, d) or -1
-    whole: bool  # all of the memoised frame_table(n, d)
+    ports: int | np.ndarray | None = None  # N of each row, a frame of N - 1 boxes: one count or one per row
+    chunk: tuple[int, ...] | None = None  # box counts, covering the table's, that key its Loader build
+    runs: np.ndarray | None = None  # the row that opens each run of rows sharing a first part
+    ranks: np.ndarray | None = None  # with ``extend``, the row of alpha + e_i in frame_table(n + 1, d) or -1
+    n: int | None = None
+    sizes: list | None = None
+    start: int = 0
+
+
+def _run_starts(table: np.ndarray) -> np.ndarray:
+    """The row that opens each run of rows sharing a first part."""
+    first = table[:, 0]
+    opens = np.ones(len(first), dtype=bool)
+    opens[1:] = first[1:] != first[:-1]
+    return np.flatnonzero(opens)
 
 
 def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
@@ -277,26 +296,32 @@ def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
     No block boundary falls inside a run of rows that share a first part.
     ``_frame_sums`` relies on this: its run sums, so its results, have the
     same bits in any block layout.  A walk that splits a first part (by its
-    second part, say) must sum by that finer run instead.
+    second part, say) must give its blocks that finer run instead.  A block
+    takes the last block's Loader chunk when it covers the block's box
+    counts, else a new one from its n (``_loader_chunk``).
     """
     counts = [frame_count(n_max, d)] if n_min == n_max else _frame_counts(n_max, d)[n_min:].tolist()
-    n = n_min
+    n, chunk = n_min, ()
     while n <= n_max:
         stop, rows = n, counts[n - n_min]
         while not extend and stop < n_max and rows + counts[stop + 1 - n_min] <= _BLOCK_ROWS:
             stop += 1
             rows += counts[stop - n_min]
+        if not chunk or chunk[-1] < stop:  # chunks open at ascending n, so chunk[0] <= n
+            chunk = _loader_chunk(n, n_max, d)
         if rows > _BLOCK_ROWS:
-            yield from _first_part_blocks(n, d, extend)
+            yield from _first_part_blocks(n, d, extend, chunk)
         elif stop > n:
             table, sizes = _frame_tables(range(n, stop + 1), d)
-            yield _Block(n, sizes.tolist(), 0, table, None, False)
+            ports = np.repeat(np.arange(n + 1, stop + 2), sizes)
+            yield _Block(table, ports, chunk, _run_starts(table), None, n, sizes.tolist())
         else:
-            yield _Block(n, [rows], 0, frame_table(n, d), one_box_ranks(n + 1, d)[1] if extend else None, True)
+            table, ranks = frame_table(n, d), one_box_ranks(n + 1, d)[1] if extend else None
+            yield _Block(table, n + 1, chunk, _run_starts(table), ranks, n, [rows])
         n = stop + 1
 
 
-def _first_part_blocks(n: int, d: int, extend: bool):
+def _first_part_blocks(n: int, d: int, extend: bool, chunk: tuple[int, ...]):
     """The frames of n boxes in blocks of consecutive first parts k, top down (see the module docstring)."""
     bound = _frame_counts(n, d - 1).tolist()  # bound[n - k] >= the frames with first part k
     top, low, start, ext = n, -(-n // d), 0, 0
@@ -313,33 +338,9 @@ def _first_part_blocks(n: int, d: int, extend: bool):
             ext -= int(sizes[0]) if start else 0  # this range opens on the last one's tail
             ranks[ranks >= 0] += ext
             ext = int(ranks.max()) + 1
-        yield _Block(n, [len(table)], start, table, ranks, False)
+        yield _Block(table, n + 1, chunk, np.cumsum(sizes) - sizes, ranks, n, [len(table)], start)
         start += len(table)
         top = k - 1
-
-
-def _run_sums(block: _Block, values: np.ndarray) -> np.ndarray:
-    """``values``, one per row of ``block``, summed over each run of rows that share a first part.
-
-    A run's sum is ``np.add.reduceat``'s (its first value plus numpy's
-    pairwise sum of the rest), so it depends on the run's values alone; a
-    run of one row (every run at d = 2) keeps its value.  No run spans two
-    n: the next n opens with a larger first part.
-    """
-    first = block.table[:, 0]
-    opens = np.ones(len(first), dtype=bool)
-    opens[1:] = first[1:] != first[:-1]
-    return np.add.reduceat(values, np.flatnonzero(opens))
-
-
-#: (box counts, d) while a walk runs (``_frame_sums``): consecutive counts whose Loader tables
-#: ``ln_schur_weyl_probability`` reads for any table they cover; None outside a walk.
-_held_counts = None
-
-
-def _covers(held, lo: int, hi: int, d: int) -> bool:
-    """Whether ``held``, as ``_held_counts``, names tables for the box counts lo..hi at ``d``."""
-    return held is not None and held[1] == d and held[0][0] <= lo and hi <= held[0][-1]
 
 
 def _loader_chunk(n: int, n_max: int, d: int) -> tuple[int, ...]:
@@ -356,41 +357,31 @@ def _loader_chunk(n: int, n_max: int, d: int) -> tuple[int, ...]:
     return tuple(range(n, m + 1))
 
 
-def _holding_loader_tables(blocks, n_max: int, d: int):
-    """``blocks``, each once ``_held_counts`` covers its box counts: a new chunk from its n when they do not."""
-    global _held_counts
-    for block in blocks:
-        if not _covers(_held_counts, block.n, block.n + len(block.sizes) - 1, d):
-            _held_counts = _loader_chunk(block.n, n_max, d), d
-        yield block
-
-
 def _frame_sums(n_min: int, n_max: int, d: int, term, extend: bool = False) -> list[float]:
-    """One ``math.fsum`` per n of the run sums (``_run_sums``) of ``term(block)``, a float per row.
+    """One ``math.fsum`` per n of the run sums of ``term(block)``, a float per row, over ``_frame_blocks``.
 
-    A split n's run sums reach its ``fsum`` as a lazy chain of per-block lists.
-    While the walk runs, ``_held_counts`` names a chunk of consecutive box
-    counts that covers the block being read (``_loader_chunk``), so the
-    kernel builds its Loader tables once per chunk, not once per block.
+    A run's sum is ``np.add.reduceat``'s at the block's run starts (its
+    first value plus numpy's pairwise sum of the rest), so it depends on the
+    run's values alone; a run of one row (every run at d = 2) keeps its
+    value.  No run spans two n: the next n opens with a larger first part.
+    A split n's run sums reach its ``fsum`` as a lazy chain of per-block
+    lists.  Each term reads its block's Loader chunk from the block, so the
+    walk builds its Loader tables once per chunk, not once per block.
     """
-    global _held_counts
-    if n_min == n_max and frame_count(n_min, d) <= _BLOCK_ROWS:  # one block: skip the walk's machinery
-        block = next(_frame_blocks(n_min, n_max, d, extend))
-        return [math.fsum(_run_sums(block, term(block)).tolist())]
-    sums, outer = [], _held_counts
-    blocks = _holding_loader_tables(_frame_blocks(n_min, n_max, d, extend), n_max, d)
-    try:
-        for n, run in groupby(blocks, attrgetter("n")):
-            first = next(run)
-            values, stop = _run_sums(first, term(first)).tolist(), 0
-            for m in range(n, n + len(first.sizes) - 1):
-                runs = m + 1 + -m // d  # first parts ceil(m / d)..m
-                sums.append(math.fsum(values[stop: stop + runs]))
-                stop += runs
-            rest = chain.from_iterable(_run_sums(b, term(b)).tolist() for b in run)
-            sums.append(math.fsum(chain(values[stop:], rest)))
-    finally:
-        _held_counts = outer
+
+    def run_sums(block):
+        return np.add.reduceat(term(block), block.runs).tolist()
+
+    sums = []
+    for n, run in groupby(_frame_blocks(n_min, n_max, d, extend), attrgetter("n")):
+        first = next(run)
+        values, stop = run_sums(first), 0
+        for m in range(n, n + len(first.sizes) - 1):
+            runs = m + 1 + -m // d  # first parts ceil(m / d)..m
+            sums.append(math.fsum(values[stop: stop + runs]))
+            stop += runs
+        rest = chain.from_iterable(map(run_sums, run))
+        sums.append(math.fsum(chain(values[stop:], rest)))
     return sums
 
 
@@ -506,12 +497,12 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     table and gathered: the factorial remainder once on 0..max n, and the
     deviance once on a run of lengths 0..m for each distinct box count m, the
     runs laid end to end; a presence map of the box counts (``np.bincount``)
-    finds them, with no sort.  The tables are memoised per (box counts, d).
-    While a walk runs (``_frame_sums``), a table its held chunk of
-    consecutive box counts covers reads that chunk's build (``_held_counts``),
-    so the blocks of a sweep, or of a split n, share one build per chunk;
-    any other table builds for its own distinct counts.  A table entry
-    depends on (m, length, d) alone, so both builds give it the same bits.
+    finds them, with no sort.  The tables are memoised per (box counts, d),
+    and this call builds them for the table's own distinct counts.  A block
+    of a walk reads the build its Loader chunk keys instead
+    (``_ln_schur_weyl_probability``), so the blocks of a sweep, or of a
+    split n, share one build per chunk.  A table entry depends on
+    (m, length, d) alone, so both builds give it the same bits.
     A build costs O(max n + sum over its counts m of m): a chunk's runs hold
     at most a block's entries (``_loader_chunk``), and on a full frame table
     of height >= 2 the table's own runs hold no more values than the table.
@@ -526,6 +517,14 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     the order numpy sums a row (``_row_order_sum``), and the Weyl logs are
     added left to right, pair by pair.
     """
+    return _ln_schur_weyl_probability(table, d, None)
+
+
+def _ln_schur_weyl_probability(table: np.ndarray, d: int, chunk: tuple[int, ...] | None) -> np.ndarray:
+    """``ln_schur_weyl_probability`` on the Loader build keyed by ``chunk``, box counts covering the table's.
+
+    ``chunk`` None keys the build by the table's own distinct box counts.
+    """
     lam = np.asarray(table, dtype=np.int64)
     if lam.ndim != 2 or lam.shape[1] != d:
         raise ValueError(f"frame table must have {d} columns")
@@ -533,12 +532,9 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     if (cols[-1:] < 0).any() or (cols[:-1] < cols[1:]).any():
         raise ValueError("frame table rows must be nonnegative and weakly decreasing")
     n = cols.sum(axis=0)
-    sizes = np.flatnonzero(np.bincount(n))  # the distinct box counts, ascending
-    held = _held_counts
-    if len(sizes) and _covers(held, sizes[0], sizes[-1], d):
-        g, b, offset = _loader_tables(*held)
-    else:
-        g, b, offset = _loader_tables(tuple(sizes.tolist()), d)
+    if chunk is None:
+        chunk = tuple(np.flatnonzero(np.bincount(n)).tolist())  # the distinct box counts, ascending
+    g, b, offset = _loader_tables(chunk, d)
     lines = cols.astype(float)  # integers below 2^53: each product and quotient rounds as the int one does
     nums, dens = np.empty_like(lines[1:]), np.empty_like(lines[1:])
     gaps = np.arange(1.0, d)[:, None]  # j - i for the columns j > i

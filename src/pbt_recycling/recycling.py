@@ -32,31 +32,32 @@ normalisation is 1/(sqrt(N) d^(N+1)); sqrt(N)/d^(N+1) there would exceed 1
 already at N = d = 2.  F = 1/d at N = 1, and the dense-matrix oracle
 reproduces F.
 
-Evaluation: ``partitions._frame_sums`` walks the frames of every N in
-blocks of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split
-by first part), each taking one pass of ln p, c and S/sqrt(p) through one
-``_Kernel``, on (d, rows) columns.  One float array of the shifted rows per
-block feeds both c and S/sqrt(p); ln p gathers its saddle-point terms on
-int columns of its own.  Its Loader tables are built per walk, not per
-block: once for each chunk of consecutive box counts, whose runs hold at
-most a block's entries of values, and read by every block inside it, so
-the d = 3 and d = 4 sweeps of the figure data build once each.  Each
-factor runs its ufuncs in place on arrays it reuses, in the order and
-rounding of the frozen per-row kernel of the tests, so every value keeps
-that kernel's bits: ln p takes its Weyl factors on float copies of its
-int columns, S/sqrt(p) forms R_i's two products of integers in one loop
-over i on one reused (d - 1, rows) array, and c and the terms work on
-their own results.  S/sqrt(p) tests its products for finiteness, and goes
-to log space in the columns where one leaves the float range, only in a
-block whose bound (d - 1) log2(l_0 + 1) reaches 1000 (``s_over_sqrt_p``).
-The terms c p (S/sqrt(p))^2 are nonnegative.  Each run of frames that
-share a first part is added first (``np.add.reduceat``: within (r - 1) u
-relative for a run of r terms, u = 2^-53), then one ``fsum`` per N adds
-the run sums and rounds once; at d = 2 every run is one frame, which
-``reduceat`` returns as it is.  A term depends on its own row and N only,
-and no block splits a run, so a result has the same bits in any block
-layout, and ``frec(N, d)`` has the same bits as the one-N case of
-``frec_values``.
+Evaluation: ``partitions._frame_sums`` walks the frames of every N in blocks
+of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split by
+first part), each taking one pass of ln p, c and S/sqrt(p) through one
+``_Kernel``, on (d, rows) columns.  The kernel reads all it needs from its
+block (``partitions._Block``): the rows, the port count N of each row, and
+the Loader chunk, consecutive box counts whose runs hold at most a block's
+entries of values, which keys the build of ln p's saddle-point tables.  The
+walk gives one chunk to every block it covers, so the d = 3 and d = 4 sweeps
+of the figure data build once each.  One float array of the shifted rows per
+block feeds both c and S/sqrt(p); ln p gathers its saddle-point terms on int
+columns of its own.  Each factor runs its ufuncs in place on arrays it
+reuses, in the order and rounding of the frozen per-row kernel of the tests,
+so every value keeps that kernel's bits: ln p takes its Weyl factors on
+float copies of its int columns, S/sqrt(p) forms R_i's two products of
+integers in one loop over i on one reused (d - 1, rows) array, and c and the
+terms work on their own results.  S/sqrt(p) tests its products for
+finiteness, and goes to log space in the columns where one leaves the float
+range, only in a block whose bound (d - 1) log2(l_0 + 1) reaches 1000
+(``s_over_sqrt_p``).  The terms c p (S/sqrt(p))^2 are nonnegative.  Each run
+of frames that share a first part, from the run starts the block carries, is
+added first (``np.add.reduceat``: within (r - 1) u relative for a run of r
+terms, u = 2^-53), then one ``fsum`` per N adds the run sums and rounds
+once; at d = 2 every run is one frame, which ``reduceat`` returns as it is.
+A term depends on its own row and N only, and no block splits a run, so a
+result has the same bits in any block layout, and ``frec(N, d)`` has the
+same bits as the one-N case of ``frec_values``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .partitions import _MEMO_ENTRIES, _frame_sums, _memo, _row_order_sum, ln_schur_weyl_probability
+from .partitions import _MEMO_ENTRIES, _Block, _frame_sums, _ln_schur_weyl_probability, _memo, _row_order_sum
 from .reports import FidelityReport
 
 
@@ -79,11 +80,13 @@ def _check_point(N: int, d: int):
 
 
 class _Kernel:
-    """The kernel trio over the rows of one frame table: ln p, c and S/sqrt(p), each computed when first read.
+    """The kernel trio over the rows of one frame block: ln p, c and S/sqrt(p), each computed when first read.
 
     Every closed form takes its per-row factors from here, one instance per
-    frame block.  c and S/sqrt(p) (at N ports, for frames of N - 1 boxes)
-    share one C-ordered (d, rows) float array of the shifted rows,
+    ``partitions._Block``, and the block is all it reads: ln p keys its
+    Loader build by the block's chunk, and S/sqrt(p) is taken at the block's
+    port counts (frames of N - 1 boxes at N ports).  c and S/sqrt(p) share
+    one C-ordered (d, rows) float array of the shifted rows,
     l_k = alpha_k + d - 1 - k in row k, so every step runs on contiguous
     lines and no sum runs along a row of d entries.  ln p transposes the
     table into int columns of its own (``ln_schur_weyl_probability``), and
@@ -93,12 +96,12 @@ class _Kernel:
     one (d, rows) array, and S/sqrt(p) one (d - 1, rows) array and four rows.
     """
 
-    def __init__(self, table: np.ndarray, d: int):
-        self.table, self.d = table, d
+    def __init__(self, block: _Block):
+        self.block, self.table, self.d = block, block.table, block.table.shape[1]
 
     @cached_property
     def ln_p(self) -> np.ndarray:
-        return ln_schur_weyl_probability(self.table, self.d)
+        return _ln_schur_weyl_probability(self.table, self.d, self.block.chunk)
 
     @cached_property
     def _shifted(self) -> np.ndarray:
@@ -118,8 +121,8 @@ class _Kernel:
             np.sqrt(c, out=c)
             return np.divide(1.0, c, out=c)
 
-    def s_over_sqrt_p(self, N) -> np.ndarray:
-        """``s_over_sqrt_p`` at ``N``, one port count or one per row.
+    def s_over_sqrt_p(self) -> np.ndarray:
+        """``s_over_sqrt_p`` at the block's port counts.
 
         One loop over i: the factors g_k + 1, then g_k, of R_i for k != i fill
         one reused (d - 1, rows) array, each product is one reduction into a
@@ -153,7 +156,7 @@ class _Kernel:
                     num[wide] = np.exp(np.log1p(1 / factors[:, wide]).sum(axis=0))
                 num /= np.sqrt(root, out=root)
                 total += num
-        total *= np.sqrt(np.asarray(N) / d)
+        total *= np.sqrt(np.asarray(self.block.ports) / d)
         return total
 
 
@@ -173,7 +176,7 @@ def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
     R_i = 0, as the product's exact 0 does elsewhere.  Any other block runs
     with numpy's floating-point warnings as the caller set them.
     """
-    return _Kernel(alphas, alphas.shape[1]).s_over_sqrt_p(N)
+    return _Kernel(_Block(alphas, N)).s_over_sqrt_p()
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
@@ -185,16 +188,17 @@ def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
     table.  Below height d the last hook h is 0, and 1/h = inf carries
     through to exactly 1.
     """
-    return _Kernel(alphas, d).c
+    if alphas.shape[1] != d:
+        raise ValueError(f"frame table must have {d} columns")
+    return _Kernel(_Block(alphas)).c
 
 
 def _recycling_terms(block) -> np.ndarray:
-    """c(alpha) S(alpha)^2 per row of a ``partitions._Block`` of frames alpha of N-1 boxes."""
-    kernel = _Kernel(block.table, block.table.shape[1])
-    ports = np.repeat(np.arange(block.n + 1, block.n + 1 + len(block.sizes)), block.sizes)
+    """c(alpha) S(alpha)^2 per row of a ``partitions._Block`` of frames alpha of N-1 boxes, N its ports."""
+    kernel = _Kernel(block)
     terms = np.exp(kernel.ln_p)  # p first: ln p's temporaries are freed before the shifted rows are built
     terms *= kernel.c
-    s = kernel.s_over_sqrt_p(ports)
+    s = kernel.s_over_sqrt_p()
     s *= s
     terms *= s
     return terms

@@ -579,7 +579,7 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp
 
         monkeypatch.setattr(module, name, spy)
     for memo in (partitions.frame_table, partitions.frame_count, optimal.one_box_ranks, optimal._frame_rows,
-                 optimal._frame_factors, oracle._srm_bundle, oracle._young_projectors):
+                 oracle._srm_bundle, oracle._young_projectors):
         memo.cache_clear()
     rng = np.random.default_rng(N * 10 + d)
     files = []

@@ -142,13 +142,13 @@ def test_tables_stay_within_the_entry_count(monkeypatch):
 
     entries = []
 
-    def kernel_spy(table, d):
+    def kernel_spy(table, d, chunk=None):
         entries.append(np.size(table))
-        return ln_schur_weyl_probability(table, d)
+        return partitions._ln_schur_weyl_probability(table, d, chunk)
 
     monkeypatch.setattr(partitions, "_bd0", bd0_spy)
     monkeypatch.setattr(partitions, "_ln_factorial_remainder", remainder_spy)
-    monkeypatch.setattr(recycling, "ln_schur_weyl_probability", kernel_spy)
+    monkeypatch.setattr(recycling, "_ln_schur_weyl_probability", kernel_spy)
     partitions._loader_tables.cache_clear()  # every table alone below builds its tables
     for table, d in [(frame_table(1999, 3), 3), (partitions._frame_tables(range(1, 128), 2)[0], 2)]:
         evaluations.update(bd0=0, remainder=0)
@@ -184,6 +184,16 @@ def test_a_sweep_builds_its_loader_tables_once(monkeypatch, n_max, d):
     frec_values(2, n_max, d)
     assert len(list(partitions._frame_blocks(1, n_max - 1, d))) > 5
     assert builds == [(sum(range(2, n_max + 1)), n_max - 1)]  # lengths 0..m of each m = 1..n_max - 1
+
+
+def test_blocks_walked_by_hand_share_one_loader_build(monkeypatch):
+    # a block carries its Loader chunk, so its kernel reads the chunk's build outside any frame sum too
+    builds = _spy_on_builds(monkeypatch)
+    blocks = list(partitions._frame_blocks(1, 89, 3))
+    for block in blocks:
+        recycling._Kernel(block).ln_p
+    assert len(blocks) == 6
+    assert builds == [(sum(range(2, 91)), 89)]  # lengths 0..m of each m = 1..89
 
 
 @pytest.mark.parametrize("n_min,n_max,d,block_rows", [(1, 3000, 2, 4096), (2, 90, 3, 64)])
