@@ -15,7 +15,12 @@ both fidelities walk their frames in blocks (``partitions._frame_blocks``):
 a fidelity is a per-row term gathering weights at the block's rows and
 extension rows.  V(alpha) below adds its d weights down the columns of the
 transposed extension ranks, in the order numpy sums a row
-(``partitions._row_order_sum``), so no sum runs along a row.  The terms are
+(``partitions._row_order_sum``), so no sum runs along a row.  The weights
+enter only through v_alpha and V(alpha); c and S/sqrt(p), and the
+transposed ranks, depend on the point alone and are kept by the block's
+kernel (``partitions._Kernel``).  A point whose frames fit in one block holds
+that block, so a repeat evaluation there with new weights is one gather of
+V's weights, one column sum, the products and the run sums.  The terms are
 nonnegative; each run of frames that share a first part is added first
 (within (r - 1) u relative for r terms, u = 2^-53), then one ``math.fsum``
 per point adds the run sums, so the value is the same in any block layout.
@@ -57,7 +62,7 @@ from .partitions import (
     one_box_ranks,
     partitions_bounded,
 )
-from .recycling import _check_point, _Kernel
+from .recycling import _check_point
 from .reports import FidelityReport
 
 #: Normalization slack for coefficient vectors.
@@ -124,7 +129,7 @@ class VCoefficients:
 
 def _sqrt_p(block) -> np.ndarray:
     """sqrt(p(mu)) per row of a ``partitions._Block``."""
-    return np.exp(0.5 * _Kernel(block).ln_p)
+    return np.exp(0.5 * block.kernel.ln_p)
 
 
 def _is_json_int(x) -> bool:
@@ -259,11 +264,12 @@ def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> Fide
             f"coefficient set for N-1 is labeled ({vNm1.ports}, {vNm1.dim})"
         )
 
+    extended = np.append(vN.entries, 0.0)  # rank -1, off the frames, gathers the 0
+
     def terms(block):
-        ranks = block.ranks.T.copy()  # one contiguous line per column
-        big_v = _row_order_sum(np.where(ranks >= 0, vN.entries[ranks], 0.0))
-        kernel = _Kernel(block)
-        return vNm1.entries[block.start: block.start + len(block.table)] * kernel.c * kernel.s_over_sqrt_p() * big_v
+        kernel = block.kernel
+        big_v = _row_order_sum(extended[kernel.ranks])
+        return vNm1.entries[block.start: block.start + len(block.table)] * kernel.c * kernel.s_over_sqrt_p * big_v
 
     value = _frame_sums(N - 1, N - 1, d, terms, extend=True)[0] / (d * sqrt(N))
     return FidelityReport(value=value, method="optimal_general", ports=N, dim=d)

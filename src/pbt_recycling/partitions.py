@@ -28,33 +28,42 @@ an n's sum is within (r_max - 1) u + u relative of the exact one, r_max its
 longest run; at d <= 2 each run is one row, and the sum is the exact sum
 rounded once.  No block splits a first part, and the kernel gives a row the
 same bits in any table, so no value depends on the blocks.  A block carries
-what the walk knows of its rows, and the kernel (``recycling._Kernel``)
-reads it from there: the port count of each row, the rows that open its
-runs, and its Loader chunk, the consecutive box counts that key its Loader
-build (``_loader_tables``).  The walk assigns the chunks: one opens at the
-n of the first block it does not cover and extends while its deviance runs,
-sum (m + 1) values, fit in ``_BLOCK_ROWS * d``, the entries a block may
-hold (one n may hold more).  Every block of a chunk reads its one build,
-whoever walks the blocks: ``sweep`` to 90 ports at d = 3 builds once, not
-once for each of its 6 blocks, while at d = 2, whose blocks hold about as
-many values as the bound, a sweep still builds once per block.
+what the walk knows of its rows, and the kernel (``_Kernel``, the per-row
+factors of the closed forms in ``recycling``) reads it from there: the port
+count of each row, the rows that open its runs, and its Loader chunk, the
+consecutive box counts that key its Loader build (``_loader_tables``).  The
+walk assigns the chunks: one opens at the n of the first block it does not
+cover and extends while its deviance runs, sum (m + 1) values, fit in
+``_BLOCK_ROWS * d``, the entries a block may hold (one n may hold more).
+Every block of a chunk reads its one build, whoever walks the blocks:
+``sweep`` to 90 ports at d = 3 builds once, not once for each of its 6
+blocks, while at d = 2, whose blocks hold about as many values as the bound,
+a sweep still builds once per block.  A block owns one kernel
+(``_Block.kernel``), defined here beside the block that builds it, so what
+the kernel computes lives as long as the block.  Stacked blocks, first-part
+blocks and sweeps are made afresh on every walk; a one-point walk whose n
+fits in one block yields that n's held block (``_point_block``), and with it
+the kernel's results, so a repeat evaluation at a point computes only what
+reads its weights.
 
 ``frame_table``, ``frame_count`` and ``one_box_ranks`` are memoised
 (``_memo``), as is the weight layer's frame map, each on its
-``_MEMO_ENTRIES`` latest (n, d) points; a held array is read-only, so no
-caller changes what the next one reads.  A block that is one whole n reads
-them, so a repeat point enumerates no frame.  ``partitions_bounded`` lists
-the held table's rows afresh per call.
+``_MEMO_ENTRIES`` latest (n, d) points, and so is the held block of a
+one-point walk, on its latest (n, d, extend); a held array is read-only, so
+no caller changes what the next one reads.  A block that is one whole n
+reads them, so a repeat point enumerates no frame.  ``partitions_bounded``
+lists the held table's rows afresh per call.
 """
 
 from __future__ import annotations
 
 import math
-from functools import wraps
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import cached_property, wraps
 from itertools import chain, groupby
 from numbers import Integral
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +77,7 @@ _MEMO_ENTRIES = 8
 def _read_only(value):
     """``value``, with every array in it (or in tuples within it) made read-only."""
     if isinstance(value, np.ndarray):
-        value.flags.writeable = False
+        value.setflags(write=False)
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)
@@ -262,14 +271,17 @@ def one_box_ranks(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_ROWS = 4096
 
 
-class _Block(NamedTuple):
-    """Rows of a frame table and what is known of them: the one object a kernel (``recycling._Kernel``) reads.
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Rows of a frame table and what is known of them: the one object a kernel (``_Kernel``) reads.
 
     A block of ``_frame_blocks`` knows every field (``ranks`` only with
     ``extend``): ``table`` holds ``sizes[j]`` frames of n + j boxes, from
     row ``start`` of ``frame_table(n, d)`` on.  A table outside a walk knows
     its rows and at most its ports, and reads a Loader build for its own
-    distinct box counts.
+    distinct box counts.  The block owns one kernel (``kernel``), built on
+    first read, so what the kernel computes lives as long as the block: a
+    one-point walk's block is held (``_point_block``), and with it its kernel.
     """
 
     table: np.ndarray
@@ -280,6 +292,11 @@ class _Block(NamedTuple):
     n: int | None = None
     sizes: list | None = None
     start: int = 0
+
+    @cached_property
+    def kernel(self):
+        """The kernel on these rows, ``_Kernel(self)``, built on first read."""
+        return _Kernel(self)
 
 
 def _run_starts(table: np.ndarray) -> np.ndarray:
@@ -298,7 +315,9 @@ def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
     same bits in any block layout.  A walk that splits a first part (by its
     second part, say) must give its blocks that finer run instead.  A block
     takes the last block's Loader chunk when it covers the block's box
-    counts, else a new one from its n (``_loader_chunk``).
+    counts, else a new one from its n (``_loader_chunk``).  A one-point walk
+    (n_min = n_max) whose n fits in one block yields its held block
+    (``_point_block``), with the kernel it holds; every other block is new.
     """
     counts = [frame_count(n_max, d)] if n_min == n_max else _frame_counts(n_max, d)[n_min:].tolist()
     n, chunk = n_min, ()
@@ -315,10 +334,24 @@ def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
             table, sizes = _frame_tables(range(n, stop + 1), d)
             ports = np.repeat(np.arange(n + 1, stop + 2), sizes)
             yield _Block(table, ports, chunk, _run_starts(table), None, n, sizes.tolist())
+        elif n_min == n_max:
+            yield _point_block(n, d, extend)
         else:
-            table, ranks = frame_table(n, d), one_box_ranks(n + 1, d)[1] if extend else None
-            yield _Block(table, n + 1, chunk, _run_starts(table), ranks, n, [rows])
+            yield _whole_block(n, d, extend, chunk)
         n = stop + 1
+
+
+def _whole_block(n: int, d: int, extend: bool, chunk: tuple[int, ...]) -> _Block:
+    """The frames of n boxes in one block, on the memoised table (and ranks, with ``extend``)."""
+    table = frame_table(n, d)
+    ranks = one_box_ranks(n + 1, d)[1] if extend else None
+    return _Block(table, n + 1, chunk, _read_only(_run_starts(table)), ranks, n, [len(table)])
+
+
+@_memo(_MEMO_ENTRIES)
+def _point_block(n: int, d: int, extend: bool) -> _Block:
+    """The one block of a one-point walk, whose chunk is its own n; memoised, so its kernel is too."""
+    return _whole_block(n, d, extend, (n,))
 
 
 def _first_part_blocks(n: int, d: int, extend: bool, chunk: tuple[int, ...]):
@@ -375,8 +408,9 @@ def _frame_sums(n_min: int, n_max: int, d: int, term, extend: bool = False) -> l
     sums = []
     for n, run in groupby(_frame_blocks(n_min, n_max, d, extend), attrgetter("n")):
         first = next(run)
-        values, stop = run_sums(first), 0
-        for m in range(n, n + len(first.sizes) - 1):
+        values, last, stop = run_sums(first), n + len(first.sizes) - 1, 0
+        del first  # its kernel's rows, held with the block, need not outlive a split n's walk
+        for m in range(n, last):
             runs = m + 1 + -m // d  # first parts ceil(m / d)..m
             sums.append(math.fsum(values[stop: stop + runs]))
             stop += runs
@@ -556,3 +590,103 @@ def _ln_schur_weyl_probability(table: np.ndarray, d: int, chunk: tuple[int, ...]
     ln_p -= _row_order_sum(np.take(b, cols))
     ln_p += weyl
     return ln_p
+
+
+class _Kernel:
+    """The kernel trio over the rows of one frame block: ln p, c and S/sqrt(p), each computed when first read.
+
+    The quantities are those of the ``recycling`` docstring.  Every closed
+    form takes its per-row factors from here, one instance per ``_Block``
+    (its ``kernel``), and the block is all it reads: ln p keys its Loader
+    build by the block's chunk, and S/sqrt(p) is taken at the block's port
+    counts (frames of N - 1 boxes at N ports).  Each result is a read-only
+    row vector that lives as long as the block, as do the transposed
+    extension ranks (``ranks``); a repeat read computes nothing.  c and S/sqrt(p) share one C-ordered (d, rows) float array of
+    the shifted rows, l_k = alpha_k + d - 1 - k in row k, so every step runs
+    on contiguous lines and no sum runs along a row of d entries; the
+    second of the two to be read drops it, so the kernel keeps no 2-D float
+    array.  ln p transposes the table into int columns of its own
+    (``ln_schur_weyl_probability``), and only ln p checks that the rows are
+    frames.  Each factor runs its ufuncs in place (``out=``) on buffers it
+    reuses, in the order and rounding of the per-row arithmetic they
+    replace: besides the shifted rows, c holds one (d, rows) array, and
+    S/sqrt(p) one (d - 1, rows) array and four rows.
+    """
+
+    def __init__(self, block: _Block):
+        # the block's fields, not the block, which holds this kernel: no cycle keeps a walked block alive
+        self.table, self.ports, self.chunk, self.block_ranks = block.table, block.ports, block.chunk, block.ranks
+        self.d = self.table.shape[1]
+
+    @cached_property
+    def ln_p(self) -> np.ndarray:
+        return _read_only(_ln_schur_weyl_probability(self.table, self.d, self.chunk))
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """The block's extension ranks, transposed: one contiguous line per column."""
+        return _read_only(self.block_ranks.T.copy())
+
+    @cached_property
+    def _shifted(self) -> np.ndarray:
+        l = self.table.T.copy()  # int lines first: one strided read, then contiguous passes
+        l += np.arange(self.d - 1, -1, -1)[:, None]
+        return l.astype(float)
+
+    def _shifted_for(self, other: str) -> np.ndarray:
+        """The shifted rows, dropped from the kernel once ``other``, their other reader, holds its result."""
+        l = self._shifted
+        if other in vars(self):
+            del self._shifted
+        return l
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """``recycling.height_correction``, the shifted rows its hooks h_i: 1/h = inf gives exactly 1 below height d."""
+        with np.errstate(divide="ignore"):
+            logs = np.divide(1.0, self._shifted_for("s_over_sqrt_p"))
+            c = _row_order_sum(np.log1p(logs, out=logs))
+            np.negative(c, out=c)
+            np.expm1(c, out=c)
+            np.negative(c, out=c)
+            np.sqrt(c, out=c)
+            return _read_only(np.divide(1.0, c, out=c))
+
+    @cached_property
+    def s_over_sqrt_p(self) -> np.ndarray:
+        """``recycling.s_over_sqrt_p`` at the block's port counts.
+
+        One loop over i: the factors g_k + 1, then g_k, of R_i for k != i fill
+        one reused (d - 1, rows) array, each product is one reduction into a
+        row buffer, and R_i/sqrt(l_i + 1) is added to the total in place.
+        Both products have d - 1 factors of size at most l_0 + 1, so below
+        (d - 1) log2(l_0 + 1) = 1000, l_0 the block's largest, they stay
+        under 2^1000: only a block at or above that bound tests them for
+        finiteness and takes the log-space fallback, with numpy's overflow
+        and invalid-value warnings off.
+        """
+        l = self._shifted_for("c")
+        d, rows = l.shape
+        factors = np.empty_like(l[1:])
+        num, den, root, total = np.empty(rows), np.empty(rows), np.empty(rows), np.zeros(rows)
+        guarded = (d - 1) * math.log2(l[0].max(initial=0.0) + 1) >= 1000
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore") if guarded else nullcontext():
+            for i, li in enumerate(l):
+                np.add(li, 1, out=root)
+                if i:  # g_k + 1 for k < i, then for k > i, skipping empty slices: a call costs as much as on a row
+                    np.subtract(root, l[:i], out=factors[:i])
+                if i < d - 1:
+                    np.subtract(root, l[i + 1:], out=factors[i:])
+                np.multiply.reduce(factors, axis=0, out=num)
+                factors -= 1
+                np.multiply.reduce(factors, axis=0, out=den)
+                if guarded:
+                    wide = ~(np.isfinite(num) & np.isfinite(den))  # inf * 0 is NaN where alpha + e_i is no frame
+                # R_i >= 0: both products have the sign (-1)^i, or num is a zero, which adds nothing to total
+                np.divide(num, den, out=num)
+                if guarded and wide.any():
+                    num[wide] = np.exp(np.log1p(1 / factors[:, wide]).sum(axis=0))
+                num /= np.sqrt(root, out=root)
+                total += num
+        total *= np.sqrt(np.asarray(self.ports) / d)
+        return _read_only(total)

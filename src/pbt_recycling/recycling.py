@@ -34,15 +34,21 @@ reproduces F.
 
 Evaluation: ``partitions._frame_sums`` walks the frames of every N in blocks
 of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split by
-first part), each taking one pass of ln p, c and S/sqrt(p) through one
-``_Kernel``, on (d, rows) columns.  The kernel reads all it needs from its
-block (``partitions._Block``): the rows, the port count N of each row, and
-the Loader chunk, consecutive box counts whose runs hold at most a block's
-entries of values, which keys the build of ln p's saddle-point tables.  The
-walk gives one chunk to every block it covers, so the d = 3 and d = 4 sweeps
-of the figure data build once each.  One float array of the shifted rows per
-block feeds both c and S/sqrt(p); ln p gathers its saddle-point terms on int
-columns of its own.  Each factor runs its ufuncs in place on arrays it
+first part), each taking one pass of ln p, c and S/sqrt(p) through the
+block's one kernel (``partitions._Kernel``, read as ``_Block.kernel``), on
+(d, rows) columns.  The kernel reads all it needs from its block
+(``partitions._Block``): the rows, the port count N of each row, and the
+Loader chunk, consecutive box counts whose runs hold at most a block's
+entries of values, which keys the build of ln p's saddle-point tables.
+The walk gives one chunk to every block it covers, so the d = 3 and d = 4
+sweeps of the figure data build once each.
+The kernel's results are read-only rows that live as long as their block: a
+one-point walk's block is held (``partitions._point_block``), so a repeat
+evaluation at a point reads them and computes none again, and a term that
+works on one (the square of S/sqrt(p) here) writes a fresh array.  One float
+array of the shifted rows per block feeds both c and S/sqrt(p), and the
+kernel drops it once both are computed; ln p gathers its saddle-point terms
+on int columns of its own.  Each factor runs its ufuncs in place on arrays it
 reuses, in the order and rounding of the frozen per-row kernel of the tests,
 so every value keeps that kernel's bits: ln p takes its Weyl factors on
 float copies of its int columns, S/sqrt(p) forms R_i's two products of
@@ -63,12 +69,10 @@ same bits as the one-N case of ``frec_values``.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
-from functools import cached_property
 
 import numpy as np
 
-from .partitions import _MEMO_ENTRIES, _Block, _frame_sums, _ln_schur_weyl_probability, _memo, _row_order_sum
+from .partitions import _MEMO_ENTRIES, _Block, _frame_sums, _memo
 from .reports import FidelityReport
 
 
@@ -79,128 +83,45 @@ def _check_point(N: int, d: int):
         raise ValueError("d must be at least 2")
 
 
-class _Kernel:
-    """The kernel trio over the rows of one frame block: ln p, c and S/sqrt(p), each computed when first read.
-
-    Every closed form takes its per-row factors from here, one instance per
-    ``partitions._Block``, and the block is all it reads: ln p keys its
-    Loader build by the block's chunk, and S/sqrt(p) is taken at the block's
-    port counts (frames of N - 1 boxes at N ports).  c and S/sqrt(p) share
-    one C-ordered (d, rows) float array of the shifted rows,
-    l_k = alpha_k + d - 1 - k in row k, so every step runs on contiguous
-    lines and no sum runs along a row of d entries.  ln p transposes the
-    table into int columns of its own (``ln_schur_weyl_probability``), and
-    only ln p checks that the rows are frames.  Each factor runs its ufuncs
-    in place (``out=``) on buffers it reuses, in the order and rounding of
-    the per-row arithmetic they replace: besides the shifted rows, c holds
-    one (d, rows) array, and S/sqrt(p) one (d - 1, rows) array and four rows.
-    """
-
-    def __init__(self, block: _Block):
-        self.block, self.table, self.d = block, block.table, block.table.shape[1]
-
-    @cached_property
-    def ln_p(self) -> np.ndarray:
-        return _ln_schur_weyl_probability(self.table, self.d, self.block.chunk)
-
-    @cached_property
-    def _shifted(self) -> np.ndarray:
-        l = self.table.T.copy()  # int lines first: one strided read, then contiguous passes
-        l += np.arange(self.d - 1, -1, -1)[:, None]
-        return l.astype(float)
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        """``height_correction``: the hooks h_i are the shifted rows, and 1/h = inf gives exactly 1 below height d."""
-        with np.errstate(divide="ignore"):
-            logs = np.divide(1.0, self._shifted)
-            c = _row_order_sum(np.log1p(logs, out=logs))
-            np.negative(c, out=c)
-            np.expm1(c, out=c)
-            np.negative(c, out=c)
-            np.sqrt(c, out=c)
-            return np.divide(1.0, c, out=c)
-
-    def s_over_sqrt_p(self) -> np.ndarray:
-        """``s_over_sqrt_p`` at the block's port counts.
-
-        One loop over i: the factors g_k + 1, then g_k, of R_i for k != i fill
-        one reused (d - 1, rows) array, each product is one reduction into a
-        row buffer, and R_i/sqrt(l_i + 1) is added to the total in place.
-        Both products have d - 1 factors of size at most l_0 + 1, so below
-        (d - 1) log2(l_0 + 1) = 1000, l_0 the block's largest, they stay
-        under 2^1000: only a block at or above that bound tests them for
-        finiteness and takes the log-space fallback, with numpy's overflow
-        and invalid-value warnings off.
-        """
-        l = self._shifted
-        d, rows = l.shape
-        factors = np.empty_like(l[1:])
-        num, den, root, total = np.empty(rows), np.empty(rows), np.empty(rows), np.zeros(rows)
-        guarded = (d - 1) * math.log2(l[0].max(initial=0.0) + 1) >= 1000
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore") if guarded else nullcontext():
-            for i, li in enumerate(l):
-                np.add(li, 1, out=root)
-                if i:  # g_k + 1 for k < i, then for k > i, skipping empty slices: a call costs as much as on a row
-                    np.subtract(root, l[:i], out=factors[:i])
-                if i < d - 1:
-                    np.subtract(root, l[i + 1:], out=factors[i:])
-                np.multiply.reduce(factors, axis=0, out=num)
-                factors -= 1
-                np.multiply.reduce(factors, axis=0, out=den)
-                if guarded:
-                    wide = ~(np.isfinite(num) & np.isfinite(den))  # inf * 0 is NaN where alpha + e_i is no frame
-                # R_i >= 0: both products have the sign (-1)^i, or num is a zero, which adds nothing to total
-                np.divide(num, den, out=num)
-                if guarded and wide.any():
-                    num[wide] = np.exp(np.log1p(1 / factors[:, wide]).sum(axis=0))
-                num /= np.sqrt(root, out=root)
-                total += num
-        total *= np.sqrt(np.asarray(self.block.ports) / d)
-        return total
-
-
 def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """S(alpha)/sqrt(p(alpha)) per row of a frame table of N-1 boxes: sqrt(N/d) sum_i |R_i|/sqrt(l_i + 1).
 
     ``N`` is one port count or one per row.  With g_k = l_i - l_k,
     R_i = prod_{k != i} (g_k + 1) / prod_{k != i} g_k.  Each product is taken
     along k != i over the kernel's C-ordered (d, rows) shifted rows
-    (``_Kernel``), in k order; products of integers are exact below 2^53,
-    and R_i is their quotient wherever both are finite.  A product has
-    d - 1 factors of up to l_0 + 1, so it can leave the float range only in
-    a block where (d - 1) log2(l_0 + 1) >= 1000 (every block from d = 142
-    on, since l_0 >= d - 1).  There, in a column where either product is not
-    finite, |R_i| = exp sum_{k != i} log1p(1/g_k) instead, a moderate
-    number: g_k = -1, where alpha + e_i is no frame, gives -inf there and so
-    R_i = 0, as the product's exact 0 does elsewhere.  Any other block runs
-    with numpy's floating-point warnings as the caller set them.
+    (``partitions._Kernel``), in k order; products of integers are exact
+    below 2^53, and R_i is their quotient wherever both are finite.  A
+    product has d - 1 factors of up to l_0 + 1, so it can leave the float
+    range only in a block where (d - 1) log2(l_0 + 1) >= 1000 (every block
+    from d = 142 on, since l_0 >= d - 1).  There, in a column where either
+    product is not finite, |R_i| = exp sum_{k != i} log1p(1/g_k) instead, a
+    moderate number: g_k = -1, where alpha + e_i is no frame, gives -inf
+    there and so R_i = 0, as the product's exact 0 does elsewhere.  Any other
+    block runs with numpy's floating-point warnings as the caller set them.
     """
-    return _Kernel(_Block(alphas, N)).s_over_sqrt_p()
+    return _Block(alphas, N).kernel.s_over_sqrt_p
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
     """c(alpha) per row: 1/sqrt(1 - prod_i h_i/(h_i+1)) at height d, else 1.
 
-    The hooks h_i are the shifted rows l_i of the kernel (``_Kernel``), and
-    sum_i log1p(1/h_i) is taken down their columns in the order numpy sums a
-    row (``partitions._row_order_sum``), so a row has the same bits in any
-    table.  Below height d the last hook h is 0, and 1/h = inf carries
-    through to exactly 1.
+    The hooks h_i are the shifted rows l_i of the kernel
+    (``partitions._Kernel``), and sum_i log1p(1/h_i) is taken down their
+    columns in the order numpy sums a row (``partitions._row_order_sum``), so
+    a row has the same bits in any table.  Below height d the last hook h is
+    0, and 1/h = inf carries through to exactly 1.
     """
     if alphas.shape[1] != d:
         raise ValueError(f"frame table must have {d} columns")
-    return _Kernel(_Block(alphas)).c
+    return _Block(alphas).kernel.c
 
 
 def _recycling_terms(block) -> np.ndarray:
     """c(alpha) S(alpha)^2 per row of a ``partitions._Block`` of frames alpha of N-1 boxes, N its ports."""
-    kernel = _Kernel(block)
+    kernel = block.kernel
     terms = np.exp(kernel.ln_p)  # p first: ln p's temporaries are freed before the shifted rows are built
     terms *= kernel.c
-    s = kernel.s_over_sqrt_p()
-    s *= s
-    terms *= s
+    terms *= np.multiply(kernel.s_over_sqrt_p, kernel.s_over_sqrt_p)  # a fresh square: the kernel's S/sqrt(p) is held
     return terms
 
 

@@ -564,9 +564,11 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
 
 @pytest.mark.parametrize("N,d", [(3, 3), (2, 4)])
 def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp_path, N, d):
-    # a second op with the same files at a point enumerates no frame and takes no
+    # a second op with the same files at a point enumerates no frame, takes no
     # gather over the packed entries (partial traces, swaps) or signal gather again,
-    # and prints the same bytes
+    # and makes no pass of the kernel's c or S/sqrt(p), and prints the same bytes
+    from functools import cached_property
+
     from pbt_recycling import optimal, oracle, partitions
 
     calls = []
@@ -578,8 +580,18 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
+    for name in ("c", "s_over_sqrt_p"):
+        real = vars(partitions._Kernel)[name].func
+
+        def factor_spy(kernel, _real=real, _name=name):
+            calls.append(_name)
+            return _real(kernel)
+
+        factor = cached_property(factor_spy)
+        factor.__set_name__(partitions._Kernel, name)
+        monkeypatch.setattr(partitions._Kernel, name, factor)
     for memo in (partitions.frame_table, partitions.frame_count, optimal.one_box_ranks, optimal._frame_rows,
-                 oracle._srm_bundle, oracle._young_projectors):
+                 partitions._point_block, oracle._srm_bundle, oracle._young_projectors):
         memo.cache_clear()
     rng = np.random.default_rng(N * 10 + d)
     files = []
@@ -592,7 +604,7 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp
     calls.clear()
     first = invoke(capsys, *argv)
     assert first[0] == EXIT_OK
-    assert set(calls) == {"_frame_tables", "over_entries", "_summed_rows"}
+    assert set(calls) == {"_frame_tables", "over_entries", "_summed_rows", "c", "s_over_sqrt_p"}
     calls.clear()
     assert invoke(capsys, *argv) == first
     assert calls == []

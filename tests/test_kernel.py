@@ -141,14 +141,15 @@ def test_tables_stay_within_the_entry_count(monkeypatch):
         return remainder(x)
 
     entries = []
+    kernel = partitions._ln_schur_weyl_probability
 
     def kernel_spy(table, d, chunk=None):
         entries.append(np.size(table))
-        return partitions._ln_schur_weyl_probability(table, d, chunk)
+        return kernel(table, d, chunk)
 
     monkeypatch.setattr(partitions, "_bd0", bd0_spy)
     monkeypatch.setattr(partitions, "_ln_factorial_remainder", remainder_spy)
-    monkeypatch.setattr(recycling, "_ln_schur_weyl_probability", kernel_spy)
+    monkeypatch.setattr(partitions, "_ln_schur_weyl_probability", kernel_spy)
     partitions._loader_tables.cache_clear()  # every table alone below builds its tables
     for table, d in [(frame_table(1999, 3), 3), (partitions._frame_tables(range(1, 128), 2)[0], 2)]:
         evaluations.update(bd0=0, remainder=0)
@@ -191,7 +192,7 @@ def test_blocks_walked_by_hand_share_one_loader_build(monkeypatch):
     builds = _spy_on_builds(monkeypatch)
     blocks = list(partitions._frame_blocks(1, 89, 3))
     for block in blocks:
-        recycling._Kernel(block).ln_p
+        block.kernel.ln_p
     assert len(blocks) == 6
     assert builds == [(sum(range(2, 91)), 89)]  # lengths 0..m of each m = 1..89
 
@@ -400,6 +401,78 @@ def test_kernel_holds_a_few_arrays_of_shifted_rows(n, d):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * d * len(t) * 8
+
+
+@pytest.mark.parametrize("block_rows", [4096, 64])
+@pytest.mark.parametrize("N,d", [(6, 2), (40, 3), (12, 4)])
+def test_held_blocks_keep_the_bits_and_hold_read_only_results(monkeypatch, block_rows, N, d):
+    # a cold call, a repeat call on the held blocks and a call after as many other points as the
+    # memo holds have evicted them give the same bits; what a held kernel exposes cannot be written
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(N * d)
+
+    def weights(n):
+        w = rng.uniform(0.0, 1.0, frame_count(n, d))
+        w[rng.integers(len(w))] = 0.0
+        return VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w))
+
+    pairs = [(v_optimal(N, d), v_optimal(N - 1, d)), (weights(N), weights(N - 1))]
+    walks = [(N - 1, False), (N - 1, True), (N, False)]
+
+    def values():
+        recycling._recycling_sum.cache_clear()  # frec reads its block's kernel, not the sum's memo
+        floats = [frec(N, d).value]
+        for vN, vNm1 in pairs:
+            floats += [frec_optimal(N, d, vN, vNm1).value, resource_state_fidelity(N, d, vN).value]
+        return [x.hex() for x in floats + VCoefficients.uniform(N, d).entries.tolist()]
+
+    def held():
+        return [next(partitions._frame_blocks(n, n, d, extend)) for n, extend in walks]
+
+    partitions._point_block.cache_clear()
+    cold = values()
+    blocks = held()
+    assert values() == cold
+    whole = [frame_count(n, d) <= block_rows for n, _ in walks]
+    assert [a is b for a, b in zip(held(), blocks)] == whole
+    for m in range(N + 2, N + 2 + partitions._MEMO_ENTRIES):
+        frec_optimal(m, d, VCoefficients.uniform(m, d), VCoefficients.uniform(m - 1, d))
+    assert values() == cold
+    assert not any(a is b for a, b in zip(held(), blocks))
+    exposed = [{"ln_p", "c", "s_over_sqrt_p"}, {"c", "s_over_sqrt_p", "ranks"}, {"ln_p"}]
+    for block, names, kept in zip(blocks, exposed, whole):
+        if kept:
+            arrays = {name: a for name, a in vars(block.kernel).items() if isinstance(a, np.ndarray)}
+            assert names <= arrays.keys()
+            for a in arrays.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    a *= 1
+
+
+@pytest.mark.parametrize("N,d", [(20, 60), (25, 120)])
+def test_a_held_block_keeps_no_array_of_shifted_rows(N, d):
+    # the held block keeps its table and extension ranks (also memoised) and its kernel the
+    # transposed ranks and a few rows: no (d, rows) float array, such as the shifted rows
+    rng = np.random.default_rng(N)
+
+    def weights(n):
+        w = rng.uniform(0.1, 1.0, frame_count(n, d))
+        return VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w))
+
+    vN, vNm1 = weights(N), weights(N - 1)
+    for memo in (frame_table, one_box_ranks, partitions._point_block):
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        frec_optimal(N, d, vN, vNm1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kernel = next(partitions._frame_blocks(N - 1, N - 1, d, extend=True)).kernel
+    arrays = [a for a in vars(kernel).values() if isinstance(a, np.ndarray)]
+    assert {"c", "s_over_sqrt_p", "ranks"} <= vars(kernel).keys()
+    assert not any(a.ndim == 2 and a.dtype.kind == "f" for a in arrays)
+    assert kept < 3.5 * d * len(kernel.table) * 8
 
 
 def test_optimal_and_resource_fidelity_match_mpmath():

@@ -140,13 +140,13 @@ def test_frec_values_are_frec_bit_for_bit(n_min, n_max, d, qubit_sweep):
 def _spy_on_kernel_passes(monkeypatch) -> list[tuple[int, int, int]]:
     """Record (rows, distinct box counts, distinct first parts) of each table the recycling sum gives the kernel."""
     seen = []
-    kernel = recycling._ln_schur_weyl_probability
+    kernel = partitions._ln_schur_weyl_probability
 
     def spy(table, d, chunk):
         seen.append((len(table), len(np.unique(table.sum(axis=1))), len(np.unique(table[:, 0]))))
         return kernel(table, d, chunk)
 
-    monkeypatch.setattr(recycling, "_ln_schur_weyl_probability", spy)
+    monkeypatch.setattr(partitions, "_ln_schur_weyl_probability", spy)
     return seen
 
 
