@@ -17,13 +17,17 @@ extension rows.  V(alpha) below adds its d weights down the columns of the
 transposed extension ranks, in the order numpy sums a row
 (``partitions._row_order_sum``), so no sum runs along a row.  The weights
 enter only through v_alpha and V(alpha); c and S/sqrt(p), and the
-transposed ranks, depend on the point alone and are kept by the block's
-kernel (``partitions._Kernel``).  A point whose frames fit in one block holds
-that block, so a repeat evaluation there with new weights is one gather of
+transposed ranks, depend on the point alone and are kept by the block
+itself (``partitions._Block``).  A point whose frames fit in one block holds
+that one block, the one ``recycling.frec`` reads there too, so the two share
+c and S/sqrt(p), and a repeat evaluation with new weights is one gather of
 V's weights, one column sum, the products and the run sums.  The terms are
 nonnegative; each run of frames that share a first part is added first
 (within (r - 1) u relative for r terms, u = 2^-53), then one ``math.fsum``
 per point adds the run sums, so the value is the same in any block layout.
+A coefficient document's entries are looked up in the point's frame map
+(``_frame_rows``); only an entry that is not there is checked part by part
+(``partitions.frame_parts``), to name its fault.
 
 Both fidelities are sums over frames (weights v_mu over frames of N boxes,
 v_alpha over frames of N-1 boxes):
@@ -129,7 +133,7 @@ class VCoefficients:
 
 def _sqrt_p(block) -> np.ndarray:
     """sqrt(p(mu)) per row of a ``partitions._Block``."""
-    return np.exp(0.5 * block.kernel.ln_p)
+    return np.exp(0.5 * block.ln_p)
 
 
 def _is_json_int(x) -> bool:
@@ -158,18 +162,25 @@ def parse_v_coefficients(document) -> VCoefficients:
     N, d = document["N"], document["d"]
     if not _is_json_int(N) or not _is_json_int(d) or N < 1 or d < 1:
         raise CoefficientError("wrong N or d")
-    entries = {}
     if not isinstance(document["entries"], list):
         raise CoefficientError("entries must be a list")
+    try:
+        rows = _frame_rows(N, d)
+    except ValueError:  # over the frame budget: every entry takes the checks, and the error waits for the loop's end
+        rows = {}
+    entries = {}
     for item in document["entries"]:
         if not isinstance(item, dict) or "partition" not in item or "v" not in item:
             raise CoefficientError("each entry needs 'partition' and 'v'")
-        try:
-            p = frame_parts(item["partition"])
-        except (TypeError, ValueError) as e:
-            raise CoefficientError(f"bad partition {item['partition']}: {e}") from e
-        if sum(p) != N:
-            raise CoefficientError(f"partition {frame_text(p)} does not have {N} boxes")
+        parts = item["partition"]
+        # a list of exact ints that is a frame of the point is one; bool, float and numpy parts hash as ints do
+        if not (type(parts) is list and all(type(x) is int for x in parts) and (p := tuple(parts)) in rows):
+            try:
+                p = frame_parts(parts)
+            except (TypeError, ValueError) as e:
+                raise CoefficientError(f"bad partition {parts}: {e}") from e
+            if sum(p) != N:
+                raise CoefficientError(f"partition {frame_text(p)} does not have {N} boxes")
         if p in entries:
             raise CoefficientError(f"duplicate partition {frame_text(p)}")
         v = item["v"]
@@ -267,9 +278,8 @@ def frec_optimal(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> Fide
     extended = np.append(vN.entries, 0.0)  # rank -1, off the frames, gathers the 0
 
     def terms(block):
-        kernel = block.kernel
-        big_v = _row_order_sum(extended[kernel.ranks])
-        return vNm1.entries[block.start: block.start + len(block.table)] * kernel.c * kernel.s_over_sqrt_p * big_v
+        big_v = _row_order_sum(extended[block.rank_lines])
+        return vNm1.entries[block.start: block.start + len(block.table)] * block.c * block.s_over_sqrt_p * big_v
 
     value = _frame_sums(N - 1, N - 1, d, terms, extend=True)[0] / (d * sqrt(N))
     return FidelityReport(value=value, method="optimal_general", ports=N, dim=d)

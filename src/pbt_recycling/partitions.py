@@ -26,33 +26,33 @@ terms a run of r terms is within (r - 1) u relative of its exact sum (u the
 unit roundoff, 2^-53), and ``fsum`` rounds the sum of the run sums once, so
 an n's sum is within (r_max - 1) u + u relative of the exact one, r_max its
 longest run; at d <= 2 each run is one row, and the sum is the exact sum
-rounded once.  No block splits a first part, and the kernel gives a row the
-same bits in any table, so no value depends on the blocks.  A block carries
-what the walk knows of its rows, and the kernel (``_Kernel``, the per-row
-factors of the closed forms in ``recycling``) reads it from there: the port
-count of each row, the rows that open its runs, and its Loader chunk, the
-consecutive box counts that key its Loader build (``_loader_tables``).  The
-walk assigns the chunks: one opens at the n of the first block it does not
-cover and extends while its deviance runs, sum (m + 1) values, fit in
+rounded once.  No block splits a first part, and a block's factors give a
+row the same bits in any table, so no value depends on the blocks.  A block
+(``_Block``) carries what the walk knows of its rows: the port count of each
+row, the rows that open its runs, and its Loader chunk, the consecutive box
+counts that key its Loader build (``_loader_tables``).  From these it
+computes the per-row factors of the closed forms in ``recycling`` and
+``optimal`` (ln p, c, S/sqrt(p) and its transposed extension ranks), each on
+first read and once, so they live as long as the block.  The walk assigns
+the chunks: one opens at the n of the first block it does not cover and
+extends while its deviance runs, sum (m + 1) values, fit in
 ``_BLOCK_ROWS * d``, the entries a block may hold (one n may hold more).
 Every block of a chunk reads its one build, whoever walks the blocks:
 ``sweep`` to 90 ports at d = 3 builds once, not once for each of its 6
 blocks, while at d = 2, whose blocks hold about as many values as the bound,
-a sweep still builds once per block.  A block owns one kernel
-(``_Block.kernel``), defined here beside the block that builds it, so what
-the kernel computes lives as long as the block.  Stacked blocks, first-part
-blocks and sweeps are made afresh on every walk; a one-point walk whose n
-fits in one block yields that n's held block (``_point_block``), and with it
-the kernel's results, so a repeat evaluation at a point computes only what
-reads its weights.
+a sweep still builds once per block.  Stacked blocks, first-part blocks and
+sweeps are made afresh on every walk; a one-point walk whose n fits in one
+block yields that n's held block (``_point_block``) whatever the walk asks
+of it, and with it the factors it has computed, so the closed forms at one
+point share one c and one S/sqrt(p), and a repeat evaluation there computes
+only what reads its weights.
 
 ``frame_table``, ``frame_count`` and ``one_box_ranks`` are memoised
 (``_memo``), as is the weight layer's frame map, each on its
 ``_MEMO_ENTRIES`` latest (n, d) points, and so is the held block of a
-one-point walk, on its latest (n, d, extend); a held array is read-only, so
-no caller changes what the next one reads.  A block that is one whole n
-reads them, so a repeat point enumerates no frame.  ``partitions_bounded``
-lists the held table's rows afresh per call.
+one-point walk; a held array is read-only, so no caller changes what the
+next one reads.  A held block reads them, so a repeat point enumerates no
+frame.  ``partitions_bounded`` lists the held table's rows afresh per call.
 """
 
 from __future__ import annotations
@@ -271,34 +271,6 @@ def one_box_ranks(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class _Block:
-    """Rows of a frame table and what is known of them: the one object a kernel (``_Kernel``) reads.
-
-    A block of ``_frame_blocks`` knows every field (``ranks`` only with
-    ``extend``): ``table`` holds ``sizes[j]`` frames of n + j boxes, from
-    row ``start`` of ``frame_table(n, d)`` on.  A table outside a walk knows
-    its rows and at most its ports, and reads a Loader build for its own
-    distinct box counts.  The block owns one kernel (``kernel``), built on
-    first read, so what the kernel computes lives as long as the block: a
-    one-point walk's block is held (``_point_block``), and with it its kernel.
-    """
-
-    table: np.ndarray
-    ports: int | np.ndarray | None = None  # N of each row, a frame of N - 1 boxes: one count or one per row
-    chunk: tuple[int, ...] | None = None  # box counts, covering the table's, that key its Loader build
-    runs: np.ndarray | None = None  # the row that opens each run of rows sharing a first part
-    ranks: np.ndarray | None = None  # with ``extend``, the row of alpha + e_i in frame_table(n + 1, d) or -1
-    n: int | None = None
-    sizes: list | None = None
-    start: int = 0
-
-    @cached_property
-    def kernel(self):
-        """The kernel on these rows, ``_Kernel(self)``, built on first read."""
-        return _Kernel(self)
-
-
 def _run_starts(table: np.ndarray) -> np.ndarray:
     """The row that opens each run of rows sharing a first part."""
     first = table[:, 0]
@@ -308,7 +280,7 @@ def _run_starts(table: np.ndarray) -> np.ndarray:
 
 
 def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
-    """The frames of n = n_min..n_max boxes, height <= d, as ``_Block``s in order; ``extend`` stacks none.
+    """The frames of n = n_min..n_max boxes, height <= d, as ``_Block``s in order.
 
     No block boundary falls inside a run of rows that share a first part.
     ``_frame_sums`` relies on this: its run sums, so its results, have the
@@ -317,41 +289,35 @@ def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
     takes the last block's Loader chunk when it covers the block's box
     counts, else a new one from its n (``_loader_chunk``).  A one-point walk
     (n_min = n_max) whose n fits in one block yields its held block
-    (``_point_block``), with the kernel it holds; every other block is new.
+    (``_point_block``), with the factors it holds; every other block is new.
+    ``extend`` gives the first-part blocks of a split n their extension
+    ranks (``_Block.ranks``); a held block reads its own.
     """
     counts = [frame_count(n_max, d)] if n_min == n_max else _frame_counts(n_max, d)[n_min:].tolist()
     n, chunk = n_min, ()
     while n <= n_max:
         stop, rows = n, counts[n - n_min]
-        while not extend and stop < n_max and rows + counts[stop + 1 - n_min] <= _BLOCK_ROWS:
+        while stop < n_max and rows + counts[stop + 1 - n_min] <= _BLOCK_ROWS:
             stop += 1
             rows += counts[stop - n_min]
         if not chunk or chunk[-1] < stop:  # chunks open at ascending n, so chunk[0] <= n
             chunk = _loader_chunk(n, n_max, d)
         if rows > _BLOCK_ROWS:
             yield from _first_part_blocks(n, d, extend, chunk)
-        elif stop > n:
+        elif n_min == n_max:
+            yield _point_block(n, d)
+        else:
             table, sizes = _frame_tables(range(n, stop + 1), d)
             ports = np.repeat(np.arange(n + 1, stop + 2), sizes)
-            yield _Block(table, ports, chunk, _run_starts(table), None, n, sizes.tolist())
-        elif n_min == n_max:
-            yield _point_block(n, d, extend)
-        else:
-            yield _whole_block(n, d, extend, chunk)
+            yield _Block(table, ports, chunk, _run_starts(table), n, sizes.tolist())
         n = stop + 1
 
 
-def _whole_block(n: int, d: int, extend: bool, chunk: tuple[int, ...]) -> _Block:
-    """The frames of n boxes in one block, on the memoised table (and ranks, with ``extend``)."""
-    table = frame_table(n, d)
-    ranks = one_box_ranks(n + 1, d)[1] if extend else None
-    return _Block(table, n + 1, chunk, _read_only(_run_starts(table)), ranks, n, [len(table)])
-
-
 @_memo(_MEMO_ENTRIES)
-def _point_block(n: int, d: int, extend: bool) -> _Block:
-    """The one block of a one-point walk, whose chunk is its own n; memoised, so its kernel is too."""
-    return _whole_block(n, d, extend, (n,))
+def _point_block(n: int, d: int) -> _Block:
+    """The one block of a one-point walk, on the memoised table, with its own n as chunk; memoised, factors and all."""
+    table = frame_table(n, d)
+    return _Block(table, n + 1, (n,), _read_only(_run_starts(table)), n, [len(table)])
 
 
 def _first_part_blocks(n: int, d: int, extend: bool, chunk: tuple[int, ...]):
@@ -371,7 +337,7 @@ def _first_part_blocks(n: int, d: int, extend: bool, chunk: tuple[int, ...]):
             ext -= int(sizes[0]) if start else 0  # this range opens on the last one's tail
             ranks[ranks >= 0] += ext
             ext = int(ranks.max()) + 1
-        yield _Block(table, n + 1, chunk, np.cumsum(sizes) - sizes, ranks, n, [len(table)], start)
+        yield _Block(table, n + 1, chunk, np.cumsum(sizes) - sizes, n, [len(table)], start, ranks)
         start += len(table)
         top = k - 1
 
@@ -409,7 +375,7 @@ def _frame_sums(n_min: int, n_max: int, d: int, term, extend: bool = False) -> l
     for n, run in groupby(_frame_blocks(n_min, n_max, d, extend), attrgetter("n")):
         first = next(run)
         values, last, stop = run_sums(first), n + len(first.sizes) - 1, 0
-        del first  # its kernel's rows, held with the block, need not outlive a split n's walk
+        del first  # its factors, held with the block, need not outlive a split n's walk
         for m in range(n, last):
             runs = m + 1 + -m // d  # first parts ceil(m / d)..m
             sums.append(math.fsum(values[stop: stop + runs]))
@@ -533,10 +499,10 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     runs laid end to end; a presence map of the box counts (``np.bincount``)
     finds them, with no sort.  The tables are memoised per (box counts, d),
     and this call builds them for the table's own distinct counts.  A block
-    of a walk reads the build its Loader chunk keys instead
-    (``_ln_schur_weyl_probability``), so the blocks of a sweep, or of a
-    split n, share one build per chunk.  A table entry depends on
-    (m, length, d) alone, so both builds give it the same bits.
+    of a walk reads the build its Loader chunk keys instead (``_Block.ln_p``),
+    so the blocks of a sweep, or of a split n, share one build per chunk.  A
+    table entry depends on (m, length, d) alone, so both builds give it the
+    same bits.
     A build costs O(max n + sum over its counts m of m): a chunk's runs hold
     at most a block's entries (``_loader_chunk``), and on a full frame table
     of height >= 2 the table's own runs hold no more values than the table.
@@ -549,95 +515,107 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     in the order g[n] - sum g - sum b + Weyl logs.  A row gets the same bits
     in any table, in any memory layout: each gathered column sum is taken in
     the order numpy sums a row (``_row_order_sum``), and the Weyl logs are
-    added left to right, pair by pair.
-    """
-    return _ln_schur_weyl_probability(table, d, None)
-
-
-def _ln_schur_weyl_probability(table: np.ndarray, d: int, chunk: tuple[int, ...] | None) -> np.ndarray:
-    """``ln_schur_weyl_probability`` on the Loader build keyed by ``chunk``, box counts covering the table's.
-
-    ``chunk`` None keys the build by the table's own distinct box counts.
+    added left to right, pair by pair.  The result is read-only.
     """
     lam = np.asarray(table, dtype=np.int64)
     if lam.ndim != 2 or lam.shape[1] != d:
         raise ValueError(f"frame table must have {d} columns")
-    cols = lam.T.copy()  # one contiguous line per column
-    if (cols[-1:] < 0).any() or (cols[:-1] < cols[1:]).any():
-        raise ValueError("frame table rows must be nonnegative and weakly decreasing")
-    n = cols.sum(axis=0)
-    if chunk is None:
-        chunk = tuple(np.flatnonzero(np.bincount(n)).tolist())  # the distinct box counts, ascending
-    g, b, offset = _loader_tables(chunk, d)
-    lines = cols.astype(float)  # integers below 2^53: each product and quotient rounds as the int one does
-    nums, dens = np.empty_like(lines[1:]), np.empty_like(lines[1:])
-    gaps = np.arange(1.0, d)[:, None]  # j - i for the columns j > i
-    weyl = np.zeros(len(lam))
-    for i in range(d - 1):
-        num, den, gap = nums[i:], dens[i:], gaps[: d - 1 - i]
-        np.subtract(lines[i], lines[i + 1:], out=num)
-        num += gap
-        num *= num
-        np.add(lines[i], gap, out=den)
-        den *= gap
-        num /= den
-        for logs in np.log(num, out=num):  # pair by pair: one order in any table
-            weyl += logs
-    del lines, nums, dens  # before the gathers' (d, rows) arrays
-    ln_p = np.take(g, n)
-    ln_p -= _row_order_sum(np.take(g, cols))
-    cols += offset[n]
-    ln_p -= _row_order_sum(np.take(b, cols))
-    ln_p += weyl
-    return ln_p
+    return _Block(lam).ln_p
 
 
-class _Kernel:
-    """The kernel trio over the rows of one frame block: ln p, c and S/sqrt(p), each computed when first read.
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Rows of a frame table, what is known of them, and the per-row factors of the closed forms.
 
-    The quantities are those of the ``recycling`` docstring.  Every closed
-    form takes its per-row factors from here, one instance per ``_Block``
-    (its ``kernel``), and the block is all it reads: ln p keys its Loader
-    build by the block's chunk, and S/sqrt(p) is taken at the block's port
-    counts (frames of N - 1 boxes at N ports).  Each result is a read-only
-    row vector that lives as long as the block, as do the transposed
-    extension ranks (``ranks``); a repeat read computes nothing.  c and S/sqrt(p) share one C-ordered (d, rows) float array of
-    the shifted rows, l_k = alpha_k + d - 1 - k in row k, so every step runs
-    on contiguous lines and no sum runs along a row of d entries; the
-    second of the two to be read drops it, so the kernel keeps no 2-D float
-    array.  ln p transposes the table into int columns of its own
-    (``ln_schur_weyl_probability``), and only ln p checks that the rows are
-    frames.  Each factor runs its ufuncs in place (``out=``) on buffers it
-    reuses, in the order and rounding of the per-row arithmetic they
-    replace: besides the shifted rows, c holds one (d, rows) array, and
-    S/sqrt(p) one (d - 1, rows) array and four rows.
+    A block of ``_frame_blocks`` knows every field (``split_ranks`` only as
+    a first-part block of an ``extend`` walk): ``table`` holds ``sizes[j]``
+    frames of n + j boxes, from row ``start`` of ``frame_table(n, d)`` on.
+    A table outside a walk knows its rows and at most its ports, and reads a
+    Loader build for its own distinct box counts.
+
+    The factors are those of the ``recycling`` docstring: ln p keys its
+    Loader build by the block's chunk, and S/sqrt(p) is taken at the block's
+    port counts (frames of N - 1 boxes at N ports).  Each is a read-only row
+    vector computed on first read (``cached_property``) that lives as long as
+    the block, as do the transposed extension ranks (``rank_lines``); a
+    repeat read computes nothing.  c and S/sqrt(p) share one C-ordered
+    (d, rows) float array of the shifted rows, l_k = alpha_k + d - 1 - k in
+    row k, so every step runs on contiguous lines and no sum runs along a
+    row of d entries; the second of the two to be read drops it, so the
+    block keeps no 2-D float array.  ln p transposes the table into int
+    columns of its own (``ln_schur_weyl_probability``), and only ln p checks
+    that the rows are frames.  Each factor runs its ufuncs in place
+    (``out=``) on buffers it reuses, in the order and rounding of the
+    per-row arithmetic they replace: besides the shifted rows, c holds one
+    (d, rows) array, and S/sqrt(p) one (d - 1, rows) array and four rows.
     """
 
-    def __init__(self, block: _Block):
-        # the block's fields, not the block, which holds this kernel: no cycle keeps a walked block alive
-        self.table, self.ports, self.chunk, self.block_ranks = block.table, block.ports, block.chunk, block.ranks
-        self.d = self.table.shape[1]
+    table: np.ndarray
+    ports: int | np.ndarray | None = None  # N of each row, a frame of N - 1 boxes: one count or one per row
+    chunk: tuple[int, ...] | None = None  # box counts, covering the table's, that key its Loader build
+    runs: np.ndarray | None = None  # the row that opens each run of rows sharing a first part
+    n: int | None = None
+    sizes: list | None = None
+    start: int = 0
+    split_ranks: np.ndarray | None = None  # a first-part block's ``ranks``, from an ``extend`` walk
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """The row of each alpha + e_i in ``frame_table(n + 1, d)`` or -1, a whole n's read from ``one_box_ranks``."""
+        if self.split_ranks is None:
+            return one_box_ranks(self.n + 1, self.table.shape[1])[1]
+        return self.split_ranks
+
+    @cached_property
+    def rank_lines(self) -> np.ndarray:
+        """The extension ranks, transposed: one contiguous line per column."""
+        return _read_only(self.ranks.T.copy())
 
     @cached_property
     def ln_p(self) -> np.ndarray:
-        return _read_only(_ln_schur_weyl_probability(self.table, self.d, self.chunk))
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """The block's extension ranks, transposed: one contiguous line per column."""
-        return _read_only(self.block_ranks.T.copy())
+        """``ln_schur_weyl_probability`` of the int64 rows, on the chunk's Loader build, else the rows' own."""
+        rows, d = self.table.shape
+        cols = self.table.T.copy()  # one contiguous line per column
+        if (cols[-1:] < 0).any() or (cols[:-1] < cols[1:]).any():
+            raise ValueError("frame table rows must be nonnegative and weakly decreasing")
+        n = cols.sum(axis=0)
+        chunk = self.chunk
+        if chunk is None:
+            chunk = tuple(np.flatnonzero(np.bincount(n)).tolist())  # the distinct box counts, ascending
+        g, b, offset = _loader_tables(chunk, d)
+        lines = cols.astype(float)  # integers below 2^53: each product and quotient rounds as the int one does
+        nums, dens = np.empty_like(lines[1:]), np.empty_like(lines[1:])
+        gaps = np.arange(1.0, d)[:, None]  # j - i for the columns j > i
+        weyl = np.zeros(rows)
+        for i in range(d - 1):
+            num, den, gap = nums[i:], dens[i:], gaps[: d - 1 - i]
+            np.subtract(lines[i], lines[i + 1:], out=num)
+            num += gap
+            num *= num
+            np.add(lines[i], gap, out=den)
+            den *= gap
+            num /= den
+            for logs in np.log(num, out=num):  # pair by pair: one order in any table
+                weyl += logs
+        del lines, nums, dens  # before the gathers' (d, rows) arrays
+        ln_p = np.take(g, n)
+        ln_p -= _row_order_sum(np.take(g, cols))
+        cols += offset[n]
+        ln_p -= _row_order_sum(np.take(b, cols))
+        ln_p += weyl
+        return _read_only(ln_p)
 
     @cached_property
     def _shifted(self) -> np.ndarray:
         l = self.table.T.copy()  # int lines first: one strided read, then contiguous passes
-        l += np.arange(self.d - 1, -1, -1)[:, None]
+        l += np.arange(self.table.shape[1] - 1, -1, -1)[:, None]
         return l.astype(float)
 
     def _shifted_for(self, other: str) -> np.ndarray:
-        """The shifted rows, dropped from the kernel once ``other``, their other reader, holds its result."""
+        """The shifted rows, dropped from the block once ``other``, their other reader, holds its result."""
         l = self._shifted
         if other in vars(self):
-            del self._shifted
+            del vars(self)["_shifted"]  # a frozen dataclass refuses ``del self._shifted``
         return l
 
     @cached_property

@@ -34,33 +34,34 @@ reproduces F.
 
 Evaluation: ``partitions._frame_sums`` walks the frames of every N in blocks
 of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split by
-first part), each taking one pass of ln p, c and S/sqrt(p) through the
-block's one kernel (``partitions._Kernel``, read as ``_Block.kernel``), on
-(d, rows) columns.  The kernel reads all it needs from its block
-(``partitions._Block``): the rows, the port count N of each row, and the
-Loader chunk, consecutive box counts whose runs hold at most a block's
-entries of values, which keys the build of ln p's saddle-point tables.
+first part), and each block (``partitions._Block``) computes ln p, c and
+S/sqrt(p) itself, each once, on (d, rows) columns.  It reads all it needs
+from its own fields: the rows, the port count N of each row, and the Loader
+chunk, consecutive box counts whose runs hold at most a block's entries of
+values, which keys the build of ln p's saddle-point tables.
 The walk gives one chunk to every block it covers, so the d = 3 and d = 4
 sweeps of the figure data build once each.
-The kernel's results are read-only rows that live as long as their block: a
-one-point walk's block is held (``partitions._point_block``), so a repeat
-evaluation at a point reads them and computes none again, and a term that
-works on one (the square of S/sqrt(p) here) writes a fresh array.  One float
-array of the shifted rows per block feeds both c and S/sqrt(p), and the
-kernel drops it once both are computed; ln p gathers its saddle-point terms
-on int columns of its own.  Each factor runs its ufuncs in place on arrays it
-reuses, in the order and rounding of the frozen per-row kernel of the tests,
-so every value keeps that kernel's bits: ln p takes its Weyl factors on
-float copies of its int columns, S/sqrt(p) forms R_i's two products of
-integers in one loop over i on one reused (d - 1, rows) array, and c and the
-terms work on their own results.  S/sqrt(p) tests its products for
-finiteness, and goes to log space in the columns where one leaves the float
-range, only in a block whose bound (d - 1) log2(l_0 + 1) reaches 1000
-(``s_over_sqrt_p``).  The terms c p (S/sqrt(p))^2 are nonnegative.  Each run
-of frames that share a first part, from the run starts the block carries, is
-added first (``np.add.reduceat``: within (r - 1) u relative for a run of r
-terms, u = 2^-53), then one ``fsum`` per N adds the run sums and rounds
-once; at d = 2 every run is one frame, which ``reduceat`` returns as it is.
+A block's factors are read-only rows that live as long as it does: a
+one-point walk's block is held (``partitions._point_block``), whatever the
+walk asks of it, so ``frec``, ``trace_sqrt_povm_signal`` and the optimal
+fidelity at one point share one c and one S/sqrt(p), a repeat evaluation
+there computes none again, and a term that works on one (the square of
+S/sqrt(p) here) writes a fresh array.  One float array of the shifted rows
+per block feeds both c and S/sqrt(p), and the block drops it once both are
+computed; ln p gathers its saddle-point terms on int columns of its own.
+Each factor runs its ufuncs in place on arrays it reuses, in the order and
+rounding of the frozen per-row kernel of the tests, so every value keeps
+that kernel's bits: ln p takes its Weyl factors on float copies of its int
+columns, S/sqrt(p) forms R_i's two products of integers in one loop over i
+on one reused (d - 1, rows) array, and c and the terms work on their own
+results.  S/sqrt(p) tests its products for finiteness, and goes to log space
+in the columns where one leaves the float range, only in a block whose bound
+(d - 1) log2(l_0 + 1) reaches 1000 (``s_over_sqrt_p``).  The terms
+c p (S/sqrt(p))^2 are nonnegative.  Each run of frames that share a first
+part, from the run starts the block carries, is added first
+(``np.add.reduceat``: within (r - 1) u relative for a run of r terms,
+u = 2^-53), then one ``fsum`` per N adds the run sums and rounds once; at
+d = 2 every run is one frame, which ``reduceat`` returns as it is.
 A term depends on its own row and N only, and no block splits a run, so a
 result has the same bits in any block layout, and ``frec(N, d)`` has the
 same bits as the one-N case of ``frec_values``.
@@ -88,8 +89,8 @@ def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
     ``N`` is one port count or one per row.  With g_k = l_i - l_k,
     R_i = prod_{k != i} (g_k + 1) / prod_{k != i} g_k.  Each product is taken
-    along k != i over the kernel's C-ordered (d, rows) shifted rows
-    (``partitions._Kernel``), in k order; products of integers are exact
+    along k != i over the block's C-ordered (d, rows) shifted rows
+    (``partitions._Block``), in k order; products of integers are exact
     below 2^53, and R_i is their quotient wherever both are finite.  A
     product has d - 1 factors of up to l_0 + 1, so it can leave the float
     range only in a block where (d - 1) log2(l_0 + 1) >= 1000 (every block
@@ -99,29 +100,28 @@ def s_over_sqrt_p(N: int | np.ndarray, alphas: np.ndarray) -> np.ndarray:
     there and so R_i = 0, as the product's exact 0 does elsewhere.  Any other
     block runs with numpy's floating-point warnings as the caller set them.
     """
-    return _Block(alphas, N).kernel.s_over_sqrt_p
+    return _Block(alphas, N).s_over_sqrt_p
 
 
 def height_correction(alphas: np.ndarray, d: int) -> np.ndarray:
     """c(alpha) per row: 1/sqrt(1 - prod_i h_i/(h_i+1)) at height d, else 1.
 
-    The hooks h_i are the shifted rows l_i of the kernel
-    (``partitions._Kernel``), and sum_i log1p(1/h_i) is taken down their
+    The hooks h_i are the shifted rows l_i of a block
+    (``partitions._Block``), and sum_i log1p(1/h_i) is taken down their
     columns in the order numpy sums a row (``partitions._row_order_sum``), so
     a row has the same bits in any table.  Below height d the last hook h is
     0, and 1/h = inf carries through to exactly 1.
     """
     if alphas.shape[1] != d:
         raise ValueError(f"frame table must have {d} columns")
-    return _Block(alphas).kernel.c
+    return _Block(alphas).c
 
 
 def _recycling_terms(block) -> np.ndarray:
     """c(alpha) S(alpha)^2 per row of a ``partitions._Block`` of frames alpha of N-1 boxes, N its ports."""
-    kernel = block.kernel
-    terms = np.exp(kernel.ln_p)  # p first: ln p's temporaries are freed before the shifted rows are built
-    terms *= kernel.c
-    terms *= np.multiply(kernel.s_over_sqrt_p, kernel.s_over_sqrt_p)  # a fresh square: the kernel's S/sqrt(p) is held
+    terms = np.exp(block.ln_p)  # p first: ln p's temporaries are freed before the shifted rows are built
+    terms *= block.c
+    terms *= np.multiply(block.s_over_sqrt_p, block.s_over_sqrt_p)  # a fresh square: the block's S/sqrt(p) is held
     return terms
 
 

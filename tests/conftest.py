@@ -1,4 +1,5 @@
 import json
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -30,3 +31,22 @@ def vcoeff_path():
         return Path(__file__).resolve().parent / "fixtures" / f"v_n{N}_d{d}.json"
 
     return path_for
+
+
+@pytest.fixture
+def spy_on_block_factor(monkeypatch):
+    """``spy(name, record)``: each computation of a frame block's cached factor ``name`` calls ``record(block)``."""
+    from pbt_recycling import partitions
+
+    def spy(name, record):
+        real = vars(partitions._Block)[name].func
+
+        def factor(block):
+            record(block)
+            return real(block)
+
+        wrapped = cached_property(factor)
+        wrapped.__set_name__(partitions._Block, name)
+        monkeypatch.setattr(partitions._Block, name, wrapped)
+
+    return spy

@@ -563,12 +563,11 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("N,d", [(3, 3), (2, 4)])
-def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp_path, N, d):
+def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, spy_on_block_factor, tmp_path, N, d):
     # a second op with the same files at a point enumerates no frame, takes no
     # gather over the packed entries (partial traces, swaps) or signal gather again,
-    # and makes no pass of the kernel's c or S/sqrt(p), and prints the same bytes
-    from functools import cached_property
-
+    # and makes no pass of the block's c or S/sqrt(p), and prints the same bytes;
+    # the first op's frec and frec_optimal read one held block, so each factor is computed once
     from pbt_recycling import optimal, oracle, partitions
 
     calls = []
@@ -581,15 +580,7 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp
 
         monkeypatch.setattr(module, name, spy)
     for name in ("c", "s_over_sqrt_p"):
-        real = vars(partitions._Kernel)[name].func
-
-        def factor_spy(kernel, _real=real, _name=name):
-            calls.append(_name)
-            return _real(kernel)
-
-        factor = cached_property(factor_spy)
-        factor.__set_name__(partitions._Kernel, name)
-        monkeypatch.setattr(partitions._Kernel, name, factor)
+        spy_on_block_factor(name, lambda block, _name=name: calls.append(_name))
     for memo in (partitions.frame_table, partitions.frame_count, optimal.one_box_ranks, optimal._frame_rows,
                  partitions._point_block, oracle._srm_bundle, oracle._young_projectors):
         memo.cache_clear()
@@ -605,6 +596,7 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, tmp
     first = invoke(capsys, *argv)
     assert first[0] == EXIT_OK
     assert set(calls) == {"_frame_tables", "over_entries", "_summed_rows", "c", "s_over_sqrt_p"}
+    assert calls.count("c") == calls.count("s_over_sqrt_p") == 1
     calls.clear()
     assert invoke(capsys, *argv) == first
     assert calls == []

@@ -126,7 +126,7 @@ def test_a_row_gets_the_same_bits_in_any_table(n, d):
     assert alone == ln_schur_weyl_probability(table, d).tolist()
 
 
-def test_tables_stay_within_the_entry_count(monkeypatch):
+def test_tables_stay_within_the_entry_count(monkeypatch, spy_on_block_factor):
     # Loader's terms are evaluated at most once per table entry on full frame tables of height >= 2:
     # per call on a table alone, and summed over a sweep, whose blocks share their builds
     evaluations = {}
@@ -141,19 +141,13 @@ def test_tables_stay_within_the_entry_count(monkeypatch):
         return remainder(x)
 
     entries = []
-    kernel = partitions._ln_schur_weyl_probability
-
-    def kernel_spy(table, d, chunk=None):
-        entries.append(np.size(table))
-        return kernel(table, d, chunk)
-
     monkeypatch.setattr(partitions, "_bd0", bd0_spy)
     monkeypatch.setattr(partitions, "_ln_factorial_remainder", remainder_spy)
-    monkeypatch.setattr(partitions, "_ln_schur_weyl_probability", kernel_spy)
+    spy_on_block_factor("ln_p", lambda block: entries.append(np.size(block.table)))
     partitions._loader_tables.cache_clear()  # every table alone below builds its tables
     for table, d in [(frame_table(1999, 3), 3), (partitions._frame_tables(range(1, 128), 2)[0], 2)]:
         evaluations.update(bd0=0, remainder=0)
-        kernel_spy(table, d)
+        ln_schur_weyl_probability(table, d)
         assert 0 < evaluations["bd0"] <= np.size(table)
         assert 0 < evaluations["remainder"] <= np.size(table)
     evaluations.update(bd0=0, remainder=0)
@@ -188,11 +182,11 @@ def test_a_sweep_builds_its_loader_tables_once(monkeypatch, n_max, d):
 
 
 def test_blocks_walked_by_hand_share_one_loader_build(monkeypatch):
-    # a block carries its Loader chunk, so its kernel reads the chunk's build outside any frame sum too
+    # a block carries its Loader chunk, so its ln p reads the chunk's build outside any frame sum too
     builds = _spy_on_builds(monkeypatch)
     blocks = list(partitions._frame_blocks(1, 89, 3))
     for block in blocks:
-        block.kernel.ln_p
+        block.ln_p
     assert len(blocks) == 6
     assert builds == [(sum(range(2, 91)), 89)]  # lengths 0..m of each m = 1..89
 
@@ -407,7 +401,7 @@ def test_kernel_holds_a_few_arrays_of_shifted_rows(n, d):
 @pytest.mark.parametrize("N,d", [(6, 2), (40, 3), (12, 4)])
 def test_held_blocks_keep_the_bits_and_hold_read_only_results(monkeypatch, block_rows, N, d):
     # a cold call, a repeat call on the held blocks and a call after as many other points as the
-    # memo holds have evicted them give the same bits; what a held kernel exposes cannot be written
+    # memo holds have evicted them give the same bits; no array a held block holds can be written
     monkeypatch.setattr(partitions, "_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(N * d)
 
@@ -420,7 +414,7 @@ def test_held_blocks_keep_the_bits_and_hold_read_only_results(monkeypatch, block
     walks = [(N - 1, False), (N - 1, True), (N, False)]
 
     def values():
-        recycling._recycling_sum.cache_clear()  # frec reads its block's kernel, not the sum's memo
+        recycling._recycling_sum.cache_clear()  # frec reads its held block's factors, not the sum's memo
         floats = [frec(N, d).value]
         for vN, vNm1 in pairs:
             floats += [frec_optimal(N, d, vN, vNm1).value, resource_state_fidelity(N, d, vN).value]
@@ -435,14 +429,14 @@ def test_held_blocks_keep_the_bits_and_hold_read_only_results(monkeypatch, block
     assert values() == cold
     whole = [frame_count(n, d) <= block_rows for n, _ in walks]
     assert [a is b for a, b in zip(held(), blocks)] == whole
-    for m in range(N + 2, N + 2 + partitions._MEMO_ENTRIES):
-        frec_optimal(m, d, VCoefficients.uniform(m, d), VCoefficients.uniform(m - 1, d))
+    for m in range(2, 2 + partitions._MEMO_ENTRIES):  # one-block points (m - 1, d + 1) and (m, d + 1)
+        frec_optimal(m, d + 1, VCoefficients.uniform(m, d + 1), VCoefficients.uniform(m - 1, d + 1))
     assert values() == cold
     assert not any(a is b for a, b in zip(held(), blocks))
-    exposed = [{"ln_p", "c", "s_over_sqrt_p"}, {"c", "s_over_sqrt_p", "ranks"}, {"ln_p"}]
+    exposed = [{"ln_p", "c", "s_over_sqrt_p"}, {"c", "s_over_sqrt_p", "rank_lines"}, {"ln_p"}]
     for block, names, kept in zip(blocks, exposed, whole):
         if kept:
-            arrays = {name: a for name, a in vars(block.kernel).items() if isinstance(a, np.ndarray)}
+            arrays = {name: a for name, a in vars(block).items() if isinstance(a, np.ndarray)}
             assert names <= arrays.keys()
             for a in arrays.values():
                 with pytest.raises(ValueError, match="read-only"):
@@ -451,8 +445,8 @@ def test_held_blocks_keep_the_bits_and_hold_read_only_results(monkeypatch, block
 
 @pytest.mark.parametrize("N,d", [(20, 60), (25, 120)])
 def test_a_held_block_keeps_no_array_of_shifted_rows(N, d):
-    # the held block keeps its table and extension ranks (also memoised) and its kernel the
-    # transposed ranks and a few rows: no (d, rows) float array, such as the shifted rows
+    # the held block keeps its table and extension ranks (also memoised), the transposed
+    # ranks and a few rows: no (d, rows) float array, such as the shifted rows
     rng = np.random.default_rng(N)
 
     def weights(n):
@@ -468,11 +462,32 @@ def test_a_held_block_keeps_no_array_of_shifted_rows(N, d):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    kernel = next(partitions._frame_blocks(N - 1, N - 1, d, extend=True)).kernel
-    arrays = [a for a in vars(kernel).values() if isinstance(a, np.ndarray)]
-    assert {"c", "s_over_sqrt_p", "ranks"} <= vars(kernel).keys()
+    block = next(partitions._frame_blocks(N - 1, N - 1, d, extend=True))
+    arrays = [a for a in vars(block).values() if isinstance(a, np.ndarray)]
+    assert {"c", "s_over_sqrt_p", "rank_lines"} <= vars(block).keys()
     assert not any(a.ndim == 2 and a.dtype.kind == "f" for a in arrays)
-    assert kept < 3.5 * d * len(kernel.table) * 8
+    assert kept < 3.5 * d * len(block.table) * 8
+
+
+@pytest.mark.parametrize("N,d", [(3, 3), (2, 4), (40, 3), (12, 4)])
+def test_a_point_holds_one_block_and_computes_its_factors_once(spy_on_block_factor, N, d):
+    # frec, the trace and frec_optimal at one point read one held block, whatever the walk asks
+    # of it, so c and S/sqrt(p) are each computed once; a repeat computes neither again
+    computed = []
+    for name in ("c", "s_over_sqrt_p"):
+        spy_on_block_factor(name, lambda block, _name=name: computed.append(_name))
+    vN, vNm1 = VCoefficients.uniform(N, d), VCoefficients.uniform(N - 1, d)
+    partitions._point_block.cache_clear()
+    recycling._recycling_sum.cache_clear()
+    for n in (N - 1, N):
+        assert frame_count(n, d) <= partitions._BLOCK_ROWS
+        assert next(partitions._frame_blocks(n, n, d)) is next(partitions._frame_blocks(n, n, d, True))
+    for _ in range(2):
+        frec(N, d)
+        trace_sqrt_povm_signal(N, d)
+        frec_optimal(N, d, vN, vNm1)
+        recycling._recycling_sum.cache_clear()
+    assert sorted(computed) == ["c", "s_over_sqrt_p"]
 
 
 def test_optimal_and_resource_fidelity_match_mpmath():

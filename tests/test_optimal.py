@@ -268,6 +268,65 @@ def test_parse_rejects_json_booleans(doc):
         parse_v_coefficients(json.dumps(doc))
 
 
+def _entries(*pairs, N=3, d=2):
+    """A coefficient document at (N, d) of (partition, v) pairs, as a dict."""
+    return _document(N, d, [{"partition": p, "v": v} for p, v in pairs])
+
+
+_VALID = VCoefficients(ports=3, dim=2, entries=[0.6, 0.8])
+
+#: Documents at (3, 2), whose frames are (3) and (2, 1), and what each parses to: weights or the error in full.
+_WEIGHT_DOCUMENTS = [
+    (_entries(([3], 0.6), ([2, 1], 0.8)), _VALID),
+    (json.dumps(_entries(([3], 0.6), ([2, 1], 0.8))), _VALID),
+    (_entries(([np.int64(3)], 0.6), ([np.int64(2), np.int64(1)], 0.8)), _VALID),
+    (_entries(((3,), 0.6), ((2, 1), 0.8)), _VALID),
+    (_entries(([3.0], 0.6), ([2, 1], 0.8)), "bad partition [3.0]: partition parts must be integers: (3.0,)"),
+    (_entries(([3], 0.6), ([2, 1.0], 0.8)), "bad partition [2, 1.0]: partition parts must be integers: (2, 1.0)"),
+    (_entries(([3], 0.6), ([2, True], 0.8)), "bad partition [2, True]: partition parts must be integers: (2, True)"),
+    (_entries(([True], 1.0), N=1), "bad partition [True]: partition parts must be integers: (True,)"),
+    (_entries(([[3]], 0.6), ([2, 1], 0.8)), "bad partition [[3]]: partition parts must be integers: ([3],)"),
+    (_entries(([3, 0], 0.6), ([2, 1], 0.8)), "bad partition [3, 0]: partition parts must be positive: (3, 0)"),
+    (_entries(([3], 0.6), ([1, 2], 0.8)), "bad partition [1, 2]: partition parts must be weakly decreasing: (1, 2)"),
+    (_entries(([3], 0.6), ([2, 2], 0.8)), "partition 2,2 does not have 3 boxes"),
+    (_entries(([3], 0.6), ([2, 1], 0.8), ([1, 1, 1], 0.0)), "incomplete support: missing=[] unexpected=['1,1,1']"),
+    (_entries(([3], 0.6), ([3], 0.8)), "duplicate partition 3"),
+    (_entries(([1, 1, 1], 0.6), ([1, 1, 1], 0.8)), "duplicate partition 1,1,1"),
+    (_entries(([3], 0.6), ([3], "x")), "duplicate partition 3"),
+    (_entries(([3], 0.6), ([2, 1], True)), "bad coefficient for 2,1"),
+    (_entries(([3], 1.0)), "incomplete support: missing=['2,1'] unexpected=[]"),
+    # more frames than the partition budget: the entry's own error still comes first
+    (_entries(([1.5], 1.0), N=10_000, d=3), "bad partition [1.5]: partition parts must be integers: (1.5,)"),
+]
+
+
+@pytest.mark.parametrize("document,expected", _WEIGHT_DOCUMENTS)
+def test_parse_gives_the_same_weights_or_error(document, expected):
+    if isinstance(expected, VCoefficients):
+        assert parse_v_coefficients(document) == expected
+    else:
+        with pytest.raises(CoefficientError) as error:
+            parse_v_coefficients(document)
+        assert str(error.value) == expected
+
+
+def test_a_valid_document_checks_no_partition(monkeypatch):
+    # an exact-int list that is a frame of the point is looked up, not checked; only an entry that misses is
+    from pbt_recycling import optimal
+
+    checked = []
+    real = optimal.frame_parts
+    monkeypatch.setattr(optimal, "frame_parts", lambda parts: checked.append(parts) or real(parts))
+    text = json.dumps(VCoefficients.uniform(40, 3).as_document())
+    assert parse_v_coefficients(text) == VCoefficients.uniform(40, 3)
+    assert checked == []
+    document = json.loads(text)
+    document["entries"][5]["partition"].append(0)
+    with pytest.raises(CoefficientError, match="must be positive"):
+        parse_v_coefficients(document)
+    assert len(checked) == 1
+
+
 def test_uniform_coefficients_valid():
     for N, d in [(4, 2), (3, 3), (5, 4)]:
         VCoefficients.uniform(N, d)  # must not raise

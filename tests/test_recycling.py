@@ -137,29 +137,28 @@ def test_frec_values_are_frec_bit_for_bit(n_min, n_max, d, qubit_sweep):
     assert values == [frec(N, d).value for N in range(n_min, n_max + 1)]
 
 
-def _spy_on_kernel_passes(monkeypatch) -> list[tuple[int, int, int]]:
-    """Record (rows, distinct box counts, distinct first parts) of each table the recycling sum gives the kernel."""
+def _spy_on_kernel_passes(spy_on_block_factor) -> list[tuple[int, int, int]]:
+    """Record (rows, distinct box counts, distinct first parts) of each block whose ln p the recycling sum reads."""
     seen = []
-    kernel = partitions._ln_schur_weyl_probability
 
-    def spy(table, d, chunk):
+    def record(block):
+        table = block.table
         seen.append((len(table), len(np.unique(table.sum(axis=1))), len(np.unique(table[:, 0]))))
-        return kernel(table, d, chunk)
 
-    monkeypatch.setattr(partitions, "_ln_schur_weyl_probability", spy)
+    spy_on_block_factor("ln_p", record)
     return seen
 
 
-def test_frec_values_blocks_hold_at_most_block_rows(monkeypatch):
-    seen = _spy_on_kernel_passes(monkeypatch)
+def test_frec_values_blocks_hold_at_most_block_rows(spy_on_block_factor):
+    seen = _spy_on_kernel_passes(spy_on_block_factor)
     frec_values(2, 200, 3)
     assert len(seen) > 1 and sum(rows for rows, _, _ in seen) == sum(frame_count(N - 1, 3) for N in range(2, 201))
     assert all(rows <= partitions._BLOCK_ROWS for rows, _, _ in seen)
 
 
-def test_frec_values_give_a_block_over_the_cap_one_first_part(monkeypatch):
+def test_frec_values_give_a_block_over_the_cap_one_first_part(monkeypatch, spy_on_block_factor):
     expected = frec_values(2, 40, 4)
-    seen = _spy_on_kernel_passes(monkeypatch)
+    seen = _spy_on_kernel_passes(spy_on_block_factor)
     monkeypatch.setattr(partitions, "_BLOCK_ROWS", 30)
     assert frec_values(2, 40, 4) == expected
     assert all(rows <= 30 or (sizes, firsts) == (1, 1) for rows, sizes, firsts in seen)
