@@ -6,6 +6,9 @@ Values are printed with 12 significant digits (scientific notation below
 
 A call builds the parser of its own command only and imports the oracle only
 for ``oracle verify``; help and usage errors read as from one whole parser.
+``oracle verify`` loads the weights and prints the one report of
+``oracle.verify_suite``, which owns every check; ``--optimal`` passes the
+weights for N - 1 ports as its ``v_prev``.
 """
 
 from __future__ import annotations
@@ -177,23 +180,12 @@ def _cmd_oracle_verify(args) -> int:
         _usage_error(f"--tol must be finite and at least 0, got {args.tol!r}")
     if args.optimal:
         v, v_prev = _weight_pair(args)
-    elif args.vfile:
-        v = _load_weights(args.vfile, args.ports, args.dim)
     else:
-        v = opt.v_optimal(args.ports, args.dim)
+        v = _load_weights(args.vfile, args.ports, args.dim) if args.vfile else opt.v_optimal(args.ports, args.dim)
+        v_prev = None
     from . import oracle as orc  # the one command that reads the oracle
 
-    report = orc.verify_suite(args.ports, args.dim, tol=args.tol, v=v)
-
-    # formula-versus-oracle comparisons at the same point
-    f_closed = rec.frec(args.ports, args.dim).value
-    f_oracle = orc.frec_oracle(args.ports, args.dim).value
-    report.add("frec_formula_vs_oracle", abs(f_closed - f_oracle))
-    if args.optimal:
-        fq = opt.frec_optimal(args.ports, args.dim, v, v_prev).value
-        fo = orc.frec_optimal_oracle(args.ports, args.dim, v, v_prev).value
-        report.add("frec_optimal_formula_vs_oracle", abs(fq - fo))
-
+    report = orc.verify_suite(args.ports, args.dim, tol=args.tol, v=v, v_prev=v_prev)
     if args.format == "json":
         print(json.dumps(report.as_dict(), sort_keys=True))
     else:

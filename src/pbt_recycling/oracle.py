@@ -94,20 +94,23 @@ as ``frec_optimal`` does.
 What reads no weight is a cached property of the record, computed on first
 read and kept on it, read-only: ``frec_oracle``'s value, the root's rows
 summed over Q_N's columns, the index pair of the partial trace over the
-input, both spectral reports, and nine of ``verify_suite``'s checks.  A
+input, both spectral reports, and ten of ``verify_suite``'s checks, the
+last ``frec``'s closed form against ``frec_oracle``'s value.  A
 cached value lives and dies with its record: the memo drops the old record
 before it builds a new one, and a record substituted with
-``dataclasses.replace`` computes its own.  The one check that reads the
-rotation weights meets the d^N port space: vdot(c_a, (O O^T) (x) 1) =
+``dataclasses.replace`` computes its own.  The checks that read rotation
+weights meet the d^N port space.  One is vdot(c_a, (O O^T) (x) 1) =
 vdot(tr_in c_a, O O^T) for the completed elements c_a = pi_a + Delta/N, and
 tr_in c_a is nonzero only where a packed entry's row and column share the
 input digit: O O^T is gathered at those entries' port entries
 (``input_trace_entries``) into a packed buffer, zero elsewhere, and dotted
-with each packed pi_a and Delta.  So a repeat call at a point
-pays only for its rotation: it builds O_N and O_(N-1), contracts them with
-what the record holds, and allocates no D x D array.  The optimal
-fidelity's two rotations meet on port space: (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T
-= [O_N (O_(N-1) (x) 1)^T] (x) 1, one d^N x d^N product, read at Q_N's indices.
+with each packed pi_a and Delta.  The other, given weights for N - 1 ports,
+is the optimal fidelity, whose two rotations meet on port space:
+(O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T = [O_N (O_(N-1) (x) 1)^T] (x) 1, one
+d^N x d^N product, read at Q_N's indices (``_optimal_value``, which
+``frec_optimal_oracle`` calls too).  So a repeat ``verify_suite`` call at a
+point pays only for its rotations: one budget count, O_N and O_(N-1) built
+once each, contracted with what the record holds, and no D x D array.
 
 ``verify_suite`` checks covariance under the port group S(N) on its N - 1
 generators, the adjacent transpositions.  Conjugating by a permutation
@@ -132,9 +135,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .optimal import VCoefficients, _check_optimal_point
+from .optimal import VCoefficients, _check_optimal_point, frec_optimal
 from .partitions import _memo, _read_only, frame_table, one_box_ranks
-from .recycling import _check_point, trace_sqrt_povm_signal
+from .recycling import _check_point, frec, trace_sqrt_povm_signal
 from .reports import DimensionCapError, FidelityReport, VerifyReport
 
 #: Bytes of dense float64 arrays one oracle call may hold at once.
@@ -600,7 +603,7 @@ class _Measurement:
 
     @cached_property
     def checks(self) -> tuple[tuple[str, float, str], ...]:
-        """(name, deviation, detail) of the nine checks that read no weights, in ``verify_suite``'s order."""
+        """(name, deviation, detail) of the ten checks that read no weights, in ``verify_suite``'s order."""
         N, d, delta, root, packing = self.N, self.d, self.delta, self.root, self.packing
         n = N + 1
         diagonal = packing.diagonal
@@ -667,6 +670,7 @@ class _Measurement:
         # is zero (excess_signal_orthogonal): this is the trace of the bare root.
         tr_direct = float(root[at].sum())
         add("sqrt_povm_signal_trace", abs(tr_direct - trace_sqrt_povm_signal(N, d)), f"oracle={tr_direct!r}")
+        add("frec_formula_vs_oracle", abs(frec(N, d).value - self.frec_value))
         return tuple(checks)
 
 
@@ -834,6 +838,32 @@ def frec_oracle(N: int, d: int) -> FidelityReport:
     return FidelityReport(value=_srm_bundle(N, d).frec_value, method="oracle", ports=N, dim=d)
 
 
+def _optimal_use(N: int, d: int) -> tuple[int, tuple]:
+    """``_optimal_value``'s ``_srm_blocks`` use.
+
+    The root's summed rows, kept on the record, with their gather; the two
+    rotations with their eigenbases and their product.
+    """
+    return 3, ((_YOUNG_BASIS_ARRAYS + 3, d**N), (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1)))
+
+
+def _optimal_value(measurement: _Measurement, o: np.ndarray, vNm1: VCoefficients) -> float:
+    """The optimal fidelity's trace expression for the rotation ``o`` on N ports and ``vNm1``'s on N - 1."""
+    N, d = measurement.N, measurement.d
+    # (O_N (x) 1)(O_{N-1} (x) 1 (x) 1)^T = [O_N (O_{N-1} (x) 1)^T] (x) 1, the last
+    # factor the input system: one product on the ports
+    ports = o @ _embed_ports_operator(build_optimizing_operator(N - 1, d, vNm1), d).T
+    # tr(sig root O Q^T) = vdot(root sig, O Q^T).  Every column of root sig at an index
+    # of column j of Q_N is d^(-N) times the sum of root's columns there, so the vdot is
+    # d^(-N) times that sum against the sum of O Q^T's columns there, over every j.
+    # O Q^T = ports (x) 1, and column j of Q_N sits at the indices (q_j + k) d + k,
+    # k = 0..d-1, q_j its port index with port N's digit 0: the summed column is
+    # ports[i, q_j + k] at index i d + k
+    sums, flat = measurement.root_signal_sums
+    overlap = np.vdot(sums, ports.ravel()[flat]) / d**N
+    return float((sqrt(N) / d) * abs(overlap))
+
+
 def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
     """Optimal-protocol recycling fidelity from its defining trace expression.
 
@@ -843,24 +873,9 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     _check_optimal_point(N, d)
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
-    # the root's summed rows, kept on the record, with their gather; the two
-    # rotations with their eigenbases and their product
-    _require(*_srm_blocks(N, d, (3, ((_YOUNG_BASIS_ARRAYS + 3, d**N), (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1))))))
-    measurement = _srm_bundle(N, d)
-    # (O_N (x) 1)(O_{N-1} (x) 1 (x) 1)^T = [O_N (O_{N-1} (x) 1)^T] (x) 1, the last
-    # factor the input system: one product on the ports
-    ports = build_optimizing_operator(N, d, vN)
-    ports = ports @ _embed_ports_operator(build_optimizing_operator(N - 1, d, vNm1), d).T
-    # tr(sig root O Q^T) = vdot(root sig, O Q^T).  Every column of root sig at an index
-    # of column j of Q_N is d^(-N) times the sum of root's columns there, so the vdot is
-    # d^(-N) times that sum against the sum of O Q^T's columns there, over every j.
-    # O Q^T = ports (x) 1, and column j of Q_N sits at the indices (q_j + k) d + k,
-    # k = 0..d-1, q_j its port index with port N's digit 0: the summed column is
-    # ports[i, q_j + k] at index i d + k
-    sums, flat = measurement.root_signal_sums
-    overlap = np.vdot(sums, ports.ravel()[flat]) / d**N
-    value = (sqrt(N) / d) * abs(overlap)
-    return FidelityReport(value=float(value), method="oracle", ports=N, dim=d)
+    _require(*_srm_blocks(N, d, _optimal_use(N, d)))
+    value = _optimal_value(_srm_bundle(N, d), build_optimizing_operator(N, d, vN), vNm1)
+    return FidelityReport(value=value, method="oracle", ports=N, dim=d)
 
 
 def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = None) -> float:
@@ -975,36 +990,43 @@ def verify_suite(
     d: int,
     tol: float = 1e-9,
     v: Optional[VCoefficients] = None,
+    v_prev: Optional[VCoefficients] = None,
 ) -> VerifyReport:
     """Run every protocol invariant check at one parameter point; failures are reported, not raised.
 
-    ``tol`` is applied per call, to the nine checks kept on the measurement record and to
-    ``rotated_completed_trace``: tr(O^T c_a O) = d^(N+1)/N for c_a = pi_a + Delta/N and
-    the rotation O of ``v``'s weights (uniform when omitted), taken on the ports (module docstring).
+    The report holds, in order: ``povm_completeness``, ``excess_idempotent``,
+    ``excess_signal_orthogonal``, ``signal_and_povm_covariance``, ``completed_trace``,
+    ``rotated_completed_trace``, ``rho_spectrum``, ``povm_spectrum``,
+    ``signal_is_transposed_swap``, ``sqrt_povm_signal_trace`` and ``frec_formula_vs_oracle``,
+    then, when ``v_prev`` is given, ``frec_optimal_formula_vs_oracle``.  All but the
+    rotated trace and the last are kept on the measurement record.  ``rotated_completed_trace``
+    checks tr(O^T c_a O) = d^(N+1)/N for c_a = pi_a + Delta/N and the rotation O of ``v``'s
+    weights (uniform when omitted), taken on the ports (module docstring).  ``v_prev``, weights
+    for N - 1 ports, adds ``frec_optimal`` against ``frec_optimal_oracle`` for the pair
+    (v, v_prev), the oracle side on the same O.  ``tol`` is applied per call.
     """
     N, d = operator.index(N), operator.index(d)
-    _check_point(N, d)
+    (_check_point if v_prev is None else _check_optimal_point)(N, d)
     dim = d ** (N + 1)
     # one after another: the record's checks, which outlast the build of the index pair
     # kept on the record, with up to N + 12 entries per basis index (the transposed swap's
     # index arrays, rho's predicted spectrum expanded, the closed form's pair table); the
-    # rotation with its eigenbasis, beside the pair; and U, O and O O^T, then the pair,
-    # O O^T gathered at it and the packed buffer that takes the gather
-    _require(*_srm_blocks(
-        N, d,
-        (2 * N + 4, (((N + 12) * dim, 1),)),
-        (2, ((_YOUNG_BASIS_ARRAYS + 2, d**N),)),
-        (4, ((3, d**N),)),
-    ))
+    # rotation with its eigenbasis, beside the pair; U, O and O O^T, then the pair,
+    # O O^T gathered at it and the packed buffer that takes the gather; and the optimal
+    # fidelity's rotations
+    uses = [(2 * N + 4, (((N + 12) * dim, 1),)), (2, ((_YOUNG_BASIS_ARRAYS + 2, d**N),)), (4, ((3, d**N),))]
+    if v_prev is not None:
+        uses.append(_optimal_use(N, d))
+    _require(*_srm_blocks(N, d, *uses))
     measurement = _srm_bundle(N, d)
     checks = measurement.checks
     kept, port = measurement.input_trace_entries
-    o = build_optimizing_operator(N, d, v if v is not None else VCoefficients.uniform(N, d))
+    v = v if v is not None else VCoefficients.uniform(N, d)
+    o = build_optimizing_operator(N, d, v)
     # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric,
     # and tr_in c meets O O^T at the packed entries that share the input digit, zero elsewhere
     gram = np.zeros(measurement.packing.size)
     gram[kept] = (o @ o.T).ravel()[port]
-    del o
     excess = np.vdot(measurement.delta, gram) / N
     dev_rot = max(abs(np.vdot(pi, gram) + excess - dim / N) for pi in measurement.pis)
     del gram
@@ -1014,4 +1036,7 @@ def verify_suite(
         report.add(name, deviation, detail)
         if name == "completed_trace":
             report.add("rotated_completed_trace", dev_rot)
+    if v_prev is not None:
+        closed = frec_optimal(N, d, v, v_prev).value
+        report.add("frec_optimal_formula_vs_oracle", abs(closed - _optimal_value(measurement, o, v_prev)))
     return report

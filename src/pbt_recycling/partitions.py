@@ -21,7 +21,7 @@ opens t rows before the previous run's range ends, t the run's frames with
 first part b (alpha + e_0 maps them onto that tail).  ``_frame_sums`` sums
 in two stages: first each run of rows that share a first part, with one
 ``np.add.reduceat`` per block, then one ``math.fsum`` per n over that n's
-run sums (a split n's as a lazy chain of per-block lists).  For nonnegative
+run sums, largest first (a split n's from all its blocks).  For nonnegative
 terms a run of r terms is within (r - 1) u relative of its exact sum (u the
 unit roundoff, 2^-53), and ``fsum`` rounds the sum of the run sums once, so
 an n's sum is within (r_max - 1) u + u relative of the exact one, r_max its
@@ -363,9 +363,11 @@ def _frame_sums(n_min: int, n_max: int, d: int, term, extend: bool = False) -> l
     first value plus numpy's pairwise sum of the rest), so it depends on the
     run's values alone; a run of one row (every run at d = 2) keeps its
     value.  No run spans two n: the next n opens with a larger first part.
-    A split n's run sums reach its ``fsum`` as a lazy chain of per-block
-    lists.  Each term reads its block's Loader chunk from the block, so the
-    walk builds its Loader tables once per chunk, not once per block.
+    ``fsum`` takes an n's run sums largest first, a split n's gathered from
+    all its blocks; it rounds their exact sum once, so the order moves no
+    bit, and largest first keeps its partials few.  Each term reads its
+    block's Loader chunk from the block, so the walk builds its Loader
+    tables once per chunk, not once per block.
     """
 
     def run_sums(block):
@@ -378,10 +380,10 @@ def _frame_sums(n_min: int, n_max: int, d: int, term, extend: bool = False) -> l
         del first  # its factors, held with the block, need not outlive a split n's walk
         for m in range(n, last):
             runs = m + 1 + -m // d  # first parts ceil(m / d)..m
-            sums.append(math.fsum(values[stop: stop + runs]))
+            sums.append(math.fsum(sorted(values[stop: stop + runs], reverse=True)))
             stop += runs
         rest = chain.from_iterable(map(run_sums, run))
-        sums.append(math.fsum(chain(values[stop:], rest)))
+        sums.append(math.fsum(sorted(chain(values[stop:], rest), reverse=True)))
     return sums
 
 

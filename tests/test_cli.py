@@ -602,6 +602,49 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, spy
     assert calls == []
 
 
+def test_oracle_verify_builds_each_rotation_once(capsys, monkeypatch):
+    # one op builds O_N and O_(N-1) once each and counts its arrays once; the plain
+    # fidelity's closed form and oracle are a check kept on the measurement record
+    from pbt_recycling import oracle, recycling
+
+    calls = []
+    for module, name, tag in ((oracle, "build_optimizing_operator", "rotation"), (oracle, "_srm_blocks", "census"),
+                              (recycling, "frec", "frec"), (oracle, "frec", "frec"),
+                              (oracle, "frec_oracle", "frec_oracle")):
+        real = getattr(module, name)
+
+        def spy(N, d, *args, _real=real, _tag=tag):
+            calls.append((_tag, N, d))
+            return _real(N, d, *args)
+
+        monkeypatch.setattr(module, name, spy)
+    N, d = 3, 3
+    oracle._srm_bundle.cache_clear()
+    oracle._young_projectors.cache_clear()
+    argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
+    first = invoke(capsys, *argv)
+    assert first[0] == EXIT_OK
+    assert calls == [("census", N, d), ("frec", N, d), ("rotation", N, d), ("rotation", N - 1, d)]
+    calls.clear()
+    assert invoke(capsys, *argv) == first
+    assert calls == [("census", N, d), ("rotation", N, d), ("rotation", N - 1, d)]
+
+
+@pytest.mark.parametrize("N,d", [(2, 2), (3, 3)])
+def test_verify_suite_holds_the_checks_of_oracle_verify_optimal(capsys, N, d):
+    from pbt_recycling.oracle import verify_suite
+    from pbt_recycling.optimal import v_optimal
+
+    code, out, _ = invoke(capsys, "oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d),
+                          "--format", "json")
+    assert code == EXIT_OK
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    report = verify_suite(N, d, v=v_optimal(N, d), v_prev=v_optimal(N - 1, d))
+    assert [c.name for c in report.checks] == names
+    assert names[-2:] == ["frec_formula_vs_oracle", "frec_optimal_formula_vs_oracle"]
+    assert [c.name for c in verify_suite(N, d, v=v_optimal(N, d)).checks] == names[:-1]
+
+
 @pytest.mark.parametrize("N,d", [(3, 4), (4, 3), (2, 6)])
 def test_oracle_verify_repeat_op_allocates_less_than_one_dense_array(capsys, tmp_path, N, d):
     # a repeat op with new weights works on port space: no d^(N+1) x d^(N+1) scratch

@@ -583,3 +583,19 @@ def test_small_blocks_split_only_between_first_parts(monkeypatch, N, d):
     split = values()
     assert split[0] == whole[0]
     np.testing.assert_array_equal(split[1], whole[1])
+
+
+@pytest.mark.parametrize("d,n_max", [(2, 300), (3, 60), (4, 30)])
+def test_frame_sums_equal_fsum_of_the_run_sums_in_table_order(monkeypatch, d, n_max):
+    # fsum takes an n's run sums largest first, a split n's from all its blocks; it rounds their
+    # exact sum once, so each value is fsum's over the run sums in table order, bit for bit
+    def term(block):
+        return np.exp(block.ln_p) * (1.0 + block.table[:, 0])
+
+    monkeypatch.setattr(partitions, "_BLOCK_ROWS", 64)
+    assert frame_count(n_max, d) > 64  # the last n is split by first part
+    expected = []
+    for n in range(1, n_max + 1):
+        block = partitions._Block(frame_table(n, d), runs=partitions._run_starts(frame_table(n, d)))
+        expected.append(math.fsum(np.add.reduceat(term(block), block.runs).tolist()))
+    assert partitions._frame_sums(1, n_max, d, term) == expected

@@ -791,6 +791,7 @@ W = {N: v_optimal(N, 2) for N in (5, 6, 7)}
 #: Calls whose dense arrays are 128 x 128 (128 KiB each): d^(N+1) = 128, or d^N = 128.
 BUDGET_CALLS = {
     "verify_suite": lambda: verify_suite(6, 2, v=W[6]),
+    "verify_suite-optimal": lambda: verify_suite(6, 2, v=W[6], v_prev=W[5]),
     "frec_oracle": lambda: frec_oracle(6, 2),
     "frec_optimal_oracle": lambda: frec_optimal_oracle(6, 2, W[6], W[5]),
     "channel_fidelity_oracle": lambda: channel_fidelity_oracle(6, 2),
@@ -878,7 +879,7 @@ def test_budget_counts_cover_a_point_built_after_another(monkeypatch):
 MEASUREMENT_CHECKS = (
     "povm_completeness", "excess_idempotent", "excess_signal_orthogonal",
     "signal_and_povm_covariance", "completed_trace", "rho_spectrum", "povm_spectrum",
-    "signal_is_transposed_swap", "sqrt_povm_signal_trace",
+    "signal_is_transposed_swap", "sqrt_povm_signal_trace", "frec_formula_vs_oracle",
 )
 
 
