@@ -12,17 +12,20 @@ plain float64 ``np.ndarray``; the one eigensolve helper checks symmetry.
 The Young projectors come from box contents (Okounkov and Vershik,
 arXiv:math/0503040).  The central elements C1 = sum_{i<j} (i j) and
 C2 = sum_k X_k^2, X_k the Jucys-Murphy elements, act on the block of frame mu
-as the sums of c and c^2 over its boxes' contents c.  One eigensolve of
-A = K C1 + C2, a sum of permutation gathers, splits (C^d)^(x)n into the
-blocks: each eigenvector is labelled with the frame whose predicted
-eigenvalue lies nearest.  An eigenvalue far from every prediction raises
-``RuntimeError``, so the oracle tests the content theory it relies on.  The
-cache keeps the eigenvector matrix U and the labels, one frame row of
-``frame_table`` per column; no projector is stored.  A projector is
-U_mu U_mu^T over the columns labelled mu, and the sender rotation is
-U diag(scale[labels]) U^T.  Every call that needs U counts A and A's
-eigensolve against the budget, a fixed number of arrays whatever the frame
-count.
+as the sums of c and c^2 over its boxes' contents c.  A = K C1 + C2 is a sum
+of port permutations, which keep every digit count, so A is block diagonal by
+port weight, the digit counts of (C^d)^(x)n.  It is summed packed on those
+blocks (``_port_packing``, grouped by the code that groups the torus weights
+below) and solved by one stacked eigensolve per block size: at (6, 4) the
+largest block is 180 x 180, not 4096 x 4096.  Each eigenvector is labelled
+with the frame whose predicted eigenvalue lies nearest.  An eigenvalue far
+from every prediction raises ``RuntimeError``, so the oracle tests the
+content theory it relies on.  The cache keeps the packed eigenvectors U and
+the labels, one frame row of ``frame_table`` per eigenvector; no projector
+is stored.  A projector is U_mu U_mu^T over the eigenvectors labelled mu, and
+the sender rotation O is U diag(scale[labels]) U^T, block by block
+(``_rotation``).  Port operators have this one packed format; only
+``build_optimizing_operator`` unpacks O into a dense d^N x d^N array.
 
 The square-root measurement is built from the signals' factors.  With
 D = d^(N+1) and r = d^(N-1), sigma_a = d^(1-N) Q_a Q_a^T, where the D x r
@@ -61,25 +64,29 @@ measurement: ``rho_spectrum_report`` reads rho's eigenvalues, and
 ``povm_spectrum_deviation`` reads G's, the nonzero spectrum of pi_N.  So a
 fresh point costs its index tables, the stacked eigensolves of rho's and G's
 blocks and products on the blocks, besides the Young eigenbases of the
-rotation, and a cached point none; no call but the dense views of
-``srm_povm`` and ``channel_fidelity_oracle`` allocates a D x D array.
+rotation, and a cached point none.  No call but the dense views of
+``srm_povm`` and ``channel_fidelity_oracle`` allocates a D x D array, and
+none but ``build_optimizing_operator`` and its callers a d^N x d^N one.
 
 Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
 allocates, it counts the float64 arrays it will hold at once: operators,
 temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors;
-four per matrix of a stack, at the stack's size) and the cache entries it
-creates (``_srm_bundle`` keeps one (N, d) record and, on it, one index pair
-over the packed entries and the root's summed rows; ``_young_projectors``
-keeps two; a miss evicts the oldest first; cached arrays are read-only).  A
-packed operator counts as its entries, the sum of its blocks' s^2, taken from
-frame tables before any index array exists (``_packed_entries``), and an
-int64 array as many float64 entries as it has.  The index tables of a point
-count per basis index: the digits, the sort keys of the torus blocks, the
-five arrays of the ``_Packing`` and the signal columns (``_srm_blocks``); a
-new point's ``_Packing`` drops those of the last point before it allocates.  A
-call counts the larger of the record's build (its index tables, then N + 8
-packed operators beside those kept) and the record with what the call holds
-besides it; a point whose index tables alone are over counts them alone.
+four per matrix of a stack, at the stack's size) and what the caches may
+hold (``_srm_bundle`` keeps one (N, d) record and, on it, root sigma_N and
+the rotations' gather pairs; ``_young_projectors`` keeps two packed bases; a
+miss evicts the oldest first; cached arrays are read-only).  A packed
+operator counts as its entries, the sum of its blocks' s^2, taken from frame
+tables before any index array exists (``_packed_entries``, on the port
+blocks and, counted as N + 1 ports, the torus blocks), and an int64 array as many
+float64 entries as it has.  The index tables of a point count per basis
+index: the digits, the sort keys of the torus blocks, the five arrays of the
+``_Packing`` and the signal columns (``_srm_blocks``), and as many per port
+index for a Young basis (``_basis_entries``); a new point's torus
+``_Packing`` drops those of the last point, with its port packings and
+Young bases, before it allocates.  A call counts the larger of the record's
+build (its index tables, then N + 8 packed operators beside those kept) and
+the record with what the call holds besides it and what rotations at the
+point may have cached; a point whose index tables alone are over counts them alone.
 Over the budget a call raises ``DimensionCapError``, exit code 2 in the CLI;
 the class lives in ``reports`` and is re-exported here.
 
@@ -92,25 +99,26 @@ With a zero weight O is singular; the oracle then uses the plain measurement,
 as ``frec_optimal`` does.
 
 What reads no weight is a cached property of the record, computed on first
-read and kept on it, read-only: ``frec_oracle``'s value, the root's rows
-summed over Q_N's columns, the index pair of the partial trace over the
-input, both spectral reports, and ten of ``verify_suite``'s checks, the
-last ``frec``'s closed form against ``frec_oracle``'s value.  A
-cached value lives and dies with its record: the memo drops the old record
-before it builds a new one, and a record substituted with
-``dataclasses.replace`` computes its own.  The checks that read rotation
-weights meet the d^N port space.  One is vdot(c_a, (O O^T) (x) 1) =
-vdot(tr_in c_a, O O^T) for the completed elements c_a = pi_a + Delta/N, and
-tr_in c_a is nonzero only where a packed entry's row and column share the
-input digit: O O^T is gathered at those entries' port entries
-(``input_trace_entries``) into a packed buffer, zero elsewhere, and dotted
-with each packed pi_a and Delta.  The other, given weights for N - 1 ports,
-is the optimal fidelity, whose two rotations meet on port space:
-(O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T = [O_N (O_(N-1) (x) 1)^T] (x) 1, one
-d^N x d^N product, read at Q_N's indices (``_optimal_value``, which
-``frec_optimal_oracle`` calls too).  So a repeat ``verify_suite`` call at a
-point pays only for its rotations: one budget count, O_N and O_(N-1) built
-once each, contracted with what the record holds, and no D x D array.
+read and kept on it, read-only: ``frec_oracle``'s value, root sigma_N, the
+rotations' gather pairs, both spectral reports, and ten of
+``verify_suite``'s checks, the last ``frec``'s closed form against
+``frec_oracle``'s value.  A cached value lives and dies with its record: the
+memo drops the old record before it builds a new one, and a record
+substituted with ``dataclasses.replace`` computes its own.  The checks that
+read rotation weights hold the rotations on the torus blocks.  O (x) 1 and
+O_(N-1) (x) 1 (x) 1 commute with U^(x)N (x) conj(U) for diagonal U, so each
+is block diagonal by torus weight: entry (m, n) is the rotation's entry
+(m // q, n // q), q = d or d^2, where m and n share the input digit (and
+port N's), else 0, and those two port indices share one port weight.  Each
+is one gather of the packed rotation, at index pairs kept on the record per
+q (``_Measurement.embedded``).  One check is vdot(c_a, (O (x) 1)(O (x) 1)^T)
+for the completed elements c_a = pi_a + Delta/N; the other, given weights
+for N - 1 ports, is the optimal fidelity, a vdot of root sigma_N with
+(O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T (``_optimal_value``, which
+``frec_optimal_oracle`` calls too): stacked products on the record's views.
+So a repeat ``verify_suite`` call at a point pays only for its rotations:
+one budget count, O_N and O_(N-1) built once each on the port blocks, two
+gathers and two products on the torus blocks, and no D x D array.
 
 ``verify_suite`` checks covariance under the port group S(N) on its N - 1
 generators, the adjacent transpositions.  Conjugating by a permutation
@@ -128,7 +136,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import sqrt
 from typing import NamedTuple, Optional
@@ -154,9 +162,6 @@ CONTENT_TOL = 1e-10
 
 #: Dense arrays one eigensolve holds besides its input: LAPACK's copy, workspace and eigenvectors.
 _EIGH_ARRAYS = 4
-
-#: Dense d^n x d^n arrays held while building the Young eigenbasis: A and A's eigensolve.
-_YOUNG_BASIS_ARRAYS = 1 + _EIGH_ARRAYS
 
 
 def _require(*blocks: tuple[int, int]) -> None:
@@ -280,14 +285,21 @@ def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
         absent = np.where(j == above, -2 - k, ports[j - 1])
         key[j] = np.where(j < above, ports[j], np.where(present, ports[j + 1], absent))
     del ports, above, present
+    return _grouped(key)
+
+
+def _grouped(key: np.ndarray) -> list[np.ndarray]:
+    """The basis indices grouped by equal columns of ``key``, one k x s array per block size s, sizes ascending.
+
+    Blocks are sorted by their key, read from its first row down.
+    """
     order = np.lexsort(key[::-1])
     change = np.zeros(len(order) - 1, dtype=bool)
     for row in key:
         row = row[order]
         change |= row[1:] != row[:-1]
-    del key
-    starts = np.flatnonzero(np.r_[True, change])
-    sizes = np.diff(np.r_[starts, len(order)])
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    sizes = np.diff(starts, append=len(order))
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.flatnonzero(np.bincount(sizes)).tolist()]
 
 
@@ -299,30 +311,27 @@ def _multinomial(tally: Counter) -> int:
 
 
 @_memo(4)
-def _packed_entries(N: int, d: int) -> int:
-    """Entries of a packed operator, sum s^2 over the ``_torus_blocks``, from frame tables alone.
+def _packed_entries(n: int, d: int) -> int:
+    """Entries of a packed operator on the port weights of n factors, sum multinomial(n; c)^2 over compositions c.
 
-    A weight w = c - e_k (c the port digit counts, k the input digit) either
-    is a composition u of N - 1, whose block has sum_j multinomial(N; u + e_j)
-    = sum_j multinomial(N - 1; u) N / (u_j + 1) indices, or has w_k = -1, and
-    then its block is the multinomial(N; c) indices of one c with c_k = 0.  A
-    size depends on a composition only through its frame, whose
-    d!/prod(multiplicity!) arrangements are counted.
+    Taken from the frame table alone: multinomial(n; c) depends on c only
+    through its frame, whose d!/prod(multiplicity!) arrangements are counted.
+    The ``_torus_blocks`` of (N, d) hold as many entries as the port weights of
+    N + 1 factors: exchanging the input digits of two indices maps the pairs
+    with one torus weight one to one onto the pairs with one digit count.
     """
     total = 0
-    for u in frame_table(N - 1, d).tolist():
-        tally = Counter(u)
-        grown = _multinomial(tally) * N
-        size = sum(m * grown // (p + 1) for p, m in tally.items())
-        total += _multinomial(Counter(tally.values())) * size**2
-    for c in frame_table(N, d).tolist():
+    for c in frame_table(n, d).tolist():
         tally = Counter(c)
-        total += _multinomial(Counter(tally.values())) * tally[0] * _multinomial(tally) ** 2
+        total += _multinomial(Counter(tally.values())) * _multinomial(tally) ** 2
     return total
 
 
 class _Packing(NamedTuple):
-    """Where a block-diagonal operator on the ``_torus_blocks`` sits in one flat float64 buffer, its packed form.
+    """Where a block-diagonal operator sits in one flat float64 buffer, its packed form.
+
+    The blocks are ``_grouped`` basis indices: the ``_torus_blocks`` of the
+    measurement (``_packing``), or the port weights of a Young basis (``_port_packing``).
 
     The blocks of one size s follow each other, each s x s and row-major,
     sizes ascending; ``views`` gives one (k, s, s) view per size.  Per basis
@@ -345,11 +354,11 @@ class _Packing(NamedTuple):
         return self.start + self.pos
 
     def views(self, buf: np.ndarray) -> list[np.ndarray]:
-        """The (..., k, s, s) view of each block size of ``buf``, packed operators on its last axis."""
+        """The (k, s, s) view of each block size of a packed operator ``buf``."""
         views, offset = [], 0
         for b in self.blocks:
             k, s = b.shape
-            views.append(buf[..., offset:offset + k * s * s].reshape(buf.shape[:-1] + (k, s, s)))
+            views.append(buf[offset:offset + k * s * s].reshape(k, s, s))
             offset += k * s * s
         return views
 
@@ -378,17 +387,35 @@ class _Packing(NamedTuple):
         one[self.diagonal] = 1.0
         return one
 
+    def product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x y^T of two packed operators, packed: one stacked ``matmul`` per block size."""
+        out = np.empty(self.size)
+        for o, a, b in zip(self.views(out), self.views(x), self.views(y)):
+            np.matmul(a, b.transpose(0, 2, 1), out=o)
+        return out
+
 
 @_memo(1)
 def _packing(N: int, d: int) -> _Packing:
-    """The ``_Packing`` of (N, d) (read-only); its blocks are views of ``order``.
+    """The ``_Packing`` of (N, d)'s ``_torus_blocks`` (read-only).
 
-    A miss first drops the index tables memoised at other points (``_digits``
-    and ``_signal_blocks``), so those of one point at most are held.
+    A miss first drops the index tables memoised at other points (``_digits``,
+    ``_signal_blocks``, ``_port_packing``) and the Young bases, so those of
+    one point at most are held.
     """
-    _digits.cache_clear()
-    _signal_blocks.cache_clear()
-    blocks = _torus_blocks(N, d)
+    for memo in (_digits, _signal_blocks, _port_packing, _young_projectors):
+        memo.cache_clear()
+    return _pack(_torus_blocks(N, d))
+
+
+@_memo(2)
+def _port_packing(n: int, d: int) -> _Packing:
+    """The ``_Packing`` of (C^d)^(x)n by port weight, the digit counts, which port permutations keep (read-only)."""
+    return _pack(_grouped(np.sort(_digits(d, n), axis=1).T))
+
+
+def _pack(blocks: list[np.ndarray]) -> _Packing:
+    """The ``_Packing`` of blocks from ``_grouped``; its blocks are views of ``order``."""
     order = np.concatenate([b.ravel() for b in blocks])
     bounds = np.cumsum([0] + [b.size for b in blocks])
     blocks = [order[lo:hi].reshape(b.shape) for lo, hi, b in zip(bounds, bounds[1:], blocks)]
@@ -504,19 +531,51 @@ def _srm_blocks(N: int, d: int, *uses: tuple[int, tuple]) -> tuple[tuple[int, in
     bare elements, the excess and the root, with the gathers and products of
     one block size and column count of ``_signal_blocks``; rho with its
     eigensolves holds fewer.  A use is (packed, dense): that many packed
-    operators and those ``_require`` blocks besides the kept tables and the
-    record's N + 2.  Where the tables alone are over the budget they are
-    counted alone: such a point's frame tables can be too long to walk.
+    operators and those ``_require`` blocks besides the kept tables, the
+    record's N + 2 and what rotations at the point may have cached: the Young
+    bases of N and N - 1 ports (``_basis_entries``), and on the record root
+    sigma_N, one more packed operator, and the gather pairs, two int64 arrays
+    of d^held entries per port entry of each basis.  A new point's build follows a ``_packing`` miss,
+    which drops the bases, and a new record has none of its own cache.  Where
+    the tables alone are over the budget they are counted alone: such a
+    point's frame tables can be too long to walk.
     """
     N, d = operator.index(N), operator.index(d)
     tables = (((3 * N + 8) * d ** (N + 1), 1),)  # an index entry counts as one 1 x 1 array
     if _nbytes(tables) > ORACLE_BYTE_BUDGET:
         return tables
     kept = ((N + 6) * d ** (N + 1) + N * d**N, 1)
-    entries = _packed_entries(N, d)  # a packed operator counts as that many 1 x 1 arrays
+    entries = _packed_entries(N + 1, d)  # a packed operator counts as that many 1 x 1 arrays
+    cached = sum(_basis_entries(n, d)[0] + 2 * d ** (N + 1 - n) * _packed_entries(n, d) for n in {N, max(N - 1, 1)})
     phases = [tables, (kept, ((N + 8) * entries, 1))]
-    phases += [(kept, ((N + 2 + packed) * entries, 1)) + dense for packed, dense in uses]
+    phases += [(kept, ((N + 3 + packed) * entries + cached, 1)) + dense for packed, dense in uses]
     return max(phases, key=_nbytes)
+
+
+def _basis_entries(n: int, d: int) -> tuple[int, int]:
+    """(entries a Young basis of n ports keeps, entries its build or a rotation on it holds besides).
+
+    It keeps its ``_port_packing``, n digits and five arrays per index, U and
+    a label per packed entry.  The build holds up to 3n + 8 index entries per
+    index (those of ``_grouped``, as in ``_torus_blocks``, then the
+    permutation indices), two distances per frame and index while labelling,
+    and A with one stacked eigensolve, at most ``_EIGH_ARRAYS`` + 1 packed
+    operators; a rotation holds two.
+    """
+    packed = _packed_entries(n, d)
+    return (n + 5) * d**n + 2 * packed, (3 * n + 8 + 2 * len(frame_table(n, d))) * d**n + (_EIGH_ARRAYS + 1) * packed
+
+
+def _rotation_use(N: int, d: int) -> tuple[int, tuple]:
+    """The ``_srm_blocks`` use of the rotations of ``verify_suite`` and ``frec_optimal_oracle``.
+
+    Five packed operators: O_N (x) 1 with (O_N (x) 1)(O_N (x) 1)^T, or with
+    O_(N-1) (x) 1 (x) 1 and their product, and sigma_N while root sigma_N is
+    built; or beside O_N (x) 1, a gather pair's build (its index arrays over
+    the packed entries and the temporaries of one block size).  Besides them, the two packed
+    rotations and the build of the larger Young basis.
+    """
+    return 5, ((2 * _packed_entries(N, d) + _basis_entries(N, d)[1], 1),)
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,7 +583,8 @@ class _Measurement:
     """The square-root measurement at one (N, d) point and what it alone determines (module docstring).
 
     ``pis``, ``delta`` and ``root`` are packed (``_Packing``).  Every array on
-    it is read-only, also in its cached properties; both spectra are ascending.
+    it is read-only, also in its cached properties and in ``gather_pairs``,
+    which ``embedded`` fills; both spectra are ascending.
     """
 
     N: int
@@ -534,6 +594,7 @@ class _Measurement:
     root: np.ndarray
     rho_eigenvalues: np.ndarray
     gram_eigenvalues: np.ndarray
+    gather_pairs: dict = field(default_factory=dict, init=False, repr=False)  # held factors -> index pair
 
     def __post_init__(self):
         _read_only((self.pis, self.delta, self.root, self.rho_eigenvalues, self.gram_eigenvalues))
@@ -557,32 +618,29 @@ class _Measurement:
         return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
 
     @cached_property
-    def root_signal_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """(root's rows summed over each column j of Q_N, where each entry meets a port operator), flattened.
+    def root_signal(self) -> np.ndarray:
+        """root sigma_N, packed: the weightless factor of the optimal fidelity (``_optimal_value``)."""
+        packing = self.packing
+        return _read_only(packing.product(self.root, _packed_signal(packing, (self.N,), self.N, self.d)))
 
-        A sum holds the s entries of its column's block.  Entry m of column j's
-        sum meets ports[m // d, q_j + m % d], q_j the port index of the column's
-        first nonzero: flat index m // d * d^N + q_j + m % d.
+    def embedded(self, rotation: np.ndarray, held: int) -> np.ndarray:
+        """rotation (x) 1 on the last ``held`` factors, packed, from a rotation on ``_port_packing(N + 1 - held, d)``.
+
+        Entry (m, n) is rotation[m // q, n // q], q = d^held, where m and n
+        share their last ``held`` digits, else 0.  Two such indices of one
+        torus block have one port weight on the first N + 1 - held factors,
+        so the entry sits in one port block: one gather at the packed entries
+        (m, n) with m = n mod q, from start[m // q] + pos[n // q] of the port packing.
         """
-        N, d, packing = self.N, self.d, self.packing
-        sums, flat = [], []
-        for cols in _signal_blocks(N, N, d):
-            summed = _summed_rows(packing, self.root, cols)
-            members = packing.order[packing.first[cols[:, :1, 0]][..., None] + np.arange(summed.shape[-1])]
-            sums.append(summed.ravel())
-            flat.append((members // d * d**N + cols[..., :1] // d + members % d).ravel())
-        return _read_only((np.concatenate(sums), np.concatenate(flat)))
-
-    @cached_property
-    def input_trace_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the packed entries (m, n) whose row and column share the input digit, the flat port entry of each).
-
-        Entry (m, n) adds to port entry (m // d, n // d), flat m // d * d^N + n // d, of a trace over the input.
-        """
-        N, d, packing = self.N, self.d, self.packing
-        kept = np.flatnonzero(packing.over_entries(lambda m, n: m % d == n % d, bool))
-        port = packing.over_entries(lambda m, n: m // d * d**N + n // d, np.int64)[kept]
-        return _read_only((kept, port))
+        if held not in self.gather_pairs:
+            q, packing, ports = self.d**held, self.packing, _port_packing(self.N + 1 - held, self.d)
+            kept = np.flatnonzero(packing.over_entries(lambda m, n: m % q == n % q, bool))
+            source = packing.over_entries(lambda m, n: ports.start[m // q] + ports.pos[n // q], np.int64)[kept]
+            self.gather_pairs[held] = _read_only((kept, source))
+        kept, source = self.gather_pairs[held]
+        out = np.zeros(self.packing.size)
+        out[kept] = rotation[source]
+        return out
 
     @cached_property
     def rho_spectrum_report(self) -> SpectrumReport:
@@ -760,32 +818,39 @@ def _dims_and_multiplicities(table: np.ndarray, d: int) -> tuple[np.ndarray, np.
 
 @_memo(2)
 def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(frames, U, labels), read-only: the Young eigenbasis of frames of n boxes and height <= d.
+    """(frames, U, labels), read-only: the Young eigenbasis of frames of n boxes and height <= d, packed.
 
-    ``frames`` is ``frame_table(n, d)``, U the eigenvectors of A = K C1 + C2
-    and ``labels`` the row of each column's frame.  A acts on frame mu's block
-    as e(mu) = K sum c + sum c^2 over the contents of ``_box_grid``; K = n^3 + 1
-    exceeds every sum c^2, so frames with distinct content sums get distinct e,
-    and a frame left without eigenvectors raises.  Taller frames vanish on (C^d)^(x)n.
+    ``frames`` is ``frame_table(n, d)``.  A = K C1 + C2 is a sum of port
+    permutations, which keep digit counts, so it is summed packed on
+    ``_port_packing(n, d)`` and solved by one stacked eigensolve per block
+    size.  U holds each block's eigenvectors as its columns, packed, and
+    ``labels`` the frame row of each packed entry's column, its eigenvector's;
+    the diagonal entries, ``labels[packing.diagonal]``, label each eigenvector
+    once.  A acts on frame mu's block as e(mu) = K sum c + sum c^2 over the
+    contents of ``_box_grid``; K = n^3 + 1 exceeds every sum c^2, so frames
+    with distinct content sums get distinct e, and a frame left without
+    eigenvectors in every block raises.  Taller frames vanish on (C^d)^(x)n.
     """
     frames = frame_table(n, d)
     k = n**3 + 1
     contents = _box_grid(frames)[1]
     predicted = (k * contents.sum(axis=(1, 2)) + (contents**2).sum(axis=(1, 2))).astype(float)
-    dim = d**n
-    a = np.zeros((dim, dim))
-    cols = np.arange(dim)
+    packing = _port_packing(n, d)
+    a = np.zeros(packing.size)
     for j in range(1, n):
-        # X_j = sum_{i<j} (i j) adds K X_j to C1; X_j^2 = j + sum_{i != h < j} (i j)(h j)
+        # X_j = sum_{i<j} (i j) adds K X_j to C1; X_j^2 = j + sum_{i != h < j} (i j)(h j).
+        # A permutation's entries (rows[c], c) sit at start[rows] + pos in the packed buffer
         swaps = [_permuted_indices(transposition(i, j, n), d, n) for i in range(j)]
-        a[cols, cols] += j
+        a[packing.diagonal] += j
         for i, rows in enumerate(swaps):
-            a[rows, cols] += k
+            a[packing.start[rows] + packing.pos] += k
             for h, other in enumerate(swaps):
                 if h != i:
-                    a[rows[other], cols] += 1.0
-    w, u = _eigh(a)
+                    a[packing.start[rows[other]] + packing.pos] += 1.0
+    solved = [_eigh(m) for m in packing.views(a)]
     del a
+    w = np.concatenate([values.ravel() for values, _ in solved])
+    u = np.concatenate([vectors.ravel() for _, vectors in solved])
     nearest = np.abs(w[:, None] - predicted).argmin(axis=1)
     dev = float(np.abs(w - predicted[nearest]).max())
     counts = np.bincount(nearest, minlength=len(frames))
@@ -794,11 +859,12 @@ def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             f"spectrum of K C1 + C2 at ({n}, {d}) breaks the content prediction: "
             f"deviation {dev}, eigenvectors per frame {counts.tolist()}"
         )
-    return frames, u, nearest
+    # a block's column c holds the eigenvector at first[c] + pos[c] of ``order``
+    return frames, u, nearest[packing.over_entries(lambda m, c: packing.first[c] + packing.pos[c], np.int64)]
 
 
-def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
-    """Sender rotation: sqrt(d^N) sum of v-weighted, rank-normalized projectors.
+def _rotation(N: int, d: int, v: VCoefficients) -> np.ndarray:
+    """Sender rotation, packed on ``_port_packing(N, d)``: sqrt(d^N) sum of v-weighted, rank-normalized projectors.
 
     That is U diag(scale[labels]) U^T over the Young eigenbasis, with
     scale = sqrt(d^N) v / sqrt(rank).  A projector's rank d_mu m_mu is the
@@ -807,27 +873,20 @@ def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
     """
     if v.ports != N or v.dim != d:
         raise ValueError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    _require((_YOUNG_BASIS_ARRAYS + 2, d**N))  # the eigenbasis's build, then O and one scaled copy of U
     _, u, labels = _young_projectors(N, d)
-    scale = sqrt(d**N) * v.entries / np.sqrt(np.bincount(labels))
-    o = (u * scale[labels]) @ u.T
+    packing = _port_packing(N, d)
+    scale = sqrt(d**N) * v.entries / np.sqrt(np.bincount(labels[packing.diagonal]))
+    o = packing.product(u * scale[labels], u)  # U's columns scaled, times U^T
     trace = np.vdot(o, o)
     if abs(trace - d**N) > 1e-8 * d**N:
         raise RuntimeError(f"normalization broken: tr(O^T O) = {trace}, want {d**N}")
     return o
 
 
-def _embed_ports_operator(o: np.ndarray, d: int) -> np.ndarray:
-    """Extend an operator on the ports by identity on the input system: ``np.kron(o, np.eye(d))``.
-
-    Entry (i d + k, j d + l) is o[i, j] when k = l and 0 otherwise, so each of
-    the d diagonal (k, k) slices of a zero (n, d, n, d) array is a copy of o.
-    """
-    n = len(o)
-    out = np.zeros((n, d, n, d))
-    for k in range(d):
-        out[:, k, :, k] = o
-    return out.reshape(n * d, n * d)
+def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
+    """Sender rotation on the ports, a fresh dense d^N x d^N array unpacked from ``_rotation``."""
+    _require((sum(_basis_entries(N, d)), 1), (1, d**N))  # the packed rotation's build, then the dense one
+    return _port_packing(N, d).unpack(_rotation(N, d, v))
 
 
 def frec_oracle(N: int, d: int) -> FidelityReport:
@@ -838,30 +897,13 @@ def frec_oracle(N: int, d: int) -> FidelityReport:
     return FidelityReport(value=_srm_bundle(N, d).frec_value, method="oracle", ports=N, dim=d)
 
 
-def _optimal_use(N: int, d: int) -> tuple[int, tuple]:
-    """``_optimal_value``'s ``_srm_blocks`` use.
-
-    The root's summed rows, kept on the record, with their gather; the two
-    rotations with their eigenbases and their product.
-    """
-    return 3, ((_YOUNG_BASIS_ARRAYS + 3, d**N), (_YOUNG_BASIS_ARRAYS + 2, d ** (N - 1)))
-
-
-def _optimal_value(measurement: _Measurement, o: np.ndarray, vNm1: VCoefficients) -> float:
-    """The optimal fidelity's trace expression for the rotation ``o`` on N ports and ``vNm1``'s on N - 1."""
-    N, d = measurement.N, measurement.d
-    # (O_N (x) 1)(O_{N-1} (x) 1 (x) 1)^T = [O_N (O_{N-1} (x) 1)^T] (x) 1, the last
-    # factor the input system: one product on the ports
-    ports = o @ _embed_ports_operator(build_optimizing_operator(N - 1, d, vNm1), d).T
-    # tr(sig root O Q^T) = vdot(root sig, O Q^T).  Every column of root sig at an index
-    # of column j of Q_N is d^(-N) times the sum of root's columns there, so the vdot is
-    # d^(-N) times that sum against the sum of O Q^T's columns there, over every j.
-    # O Q^T = ports (x) 1, and column j of Q_N sits at the indices (q_j + k) d + k,
-    # k = 0..d-1, q_j its port index with port N's digit 0: the summed column is
-    # ports[i, q_j + k] at index i d + k
-    sums, flat = measurement.root_signal_sums
-    overlap = np.vdot(sums, ports.ravel()[flat]) / d**N
-    return float((sqrt(N) / d) * abs(overlap))
+def _optimal_value(measurement: _Measurement, rotated: np.ndarray, vNm1: VCoefficients) -> float:
+    """The optimal fidelity's trace expression for ``rotated`` = O_N (x) 1, packed, and ``vNm1``'s rotation."""
+    N, d, packing = measurement.N, measurement.d, measurement.packing
+    # sqrt(N)/d |tr(sigma_N root (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T)|, and tr(sigma root X) = vdot(root sigma, X)
+    # as sigma_N and root are symmetric (product gives root sigma_N^T); every factor is block diagonal by torus weight
+    rotations = packing.product(rotated, measurement.embedded(_rotation(N - 1, d, vNm1), 2))
+    return float((sqrt(N) / d) * abs(np.vdot(measurement.root_signal, rotations)))
 
 
 def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
@@ -873,8 +915,9 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     _check_optimal_point(N, d)
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
-    _require(*_srm_blocks(N, d, _optimal_use(N, d)))
-    value = _optimal_value(_srm_bundle(N, d), build_optimizing_operator(N, d, vN), vNm1)
+    _require(*_srm_blocks(N, d, _rotation_use(N, d)))
+    measurement = _srm_bundle(N, d)
+    value = _optimal_value(measurement, measurement.embedded(_rotation(N, d, vN), 1), vNm1)
     return FidelityReport(value=value, method="oracle", ports=N, dim=d)
 
 
@@ -890,7 +933,7 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     # packed and dense, with unpacking's broadcast index arrays
     _require(*_srm_blocks(N, d, (3, ((5, d ** (N + 1)),))))
     measurement = _srm_bundle(N, d)
-    o = None if rotation is None else _embed_ports_operator(rotation, d)
+    o = None if rotation is None else np.kron(rotation, np.eye(d))
     total = 0.0
     for a in range(1, N + 1):
         sig = measurement.dense(_packed_signal(measurement.packing, (a,), N, d))
@@ -908,7 +951,7 @@ def resource_fidelity_oracle(N: int, d: int, v: VCoefficients) -> float:
     the rotation to the sender half; no trace shortcut is taken.
     """
     dim = d**N
-    _require((_YOUNG_BASIS_ARRAYS + 3, dim))  # the eigenbasis's build, O, the state and its image
+    _require((sum(_basis_entries(N, d)), 1), (3, dim))  # the rotation's build, then O, the state and its image
     o = build_optimizing_operator(N, d, v)
     phi = np.zeros(dim * dim)
     phi[:: dim + 1] = 1.0 / sqrt(dim)  # sum_i |i>_ports |i>_receiver
@@ -1008,25 +1051,16 @@ def verify_suite(
     N, d = operator.index(N), operator.index(d)
     (_check_point if v_prev is None else _check_optimal_point)(N, d)
     dim = d ** (N + 1)
-    # one after another: the record's checks, which outlast the build of the index pair
-    # kept on the record, with up to N + 12 entries per basis index (the transposed swap's
-    # index arrays, rho's predicted spectrum expanded, the closed form's pair table); the
-    # rotation with its eigenbasis, beside the pair; U, O and O O^T, then the pair,
-    # O O^T gathered at it and the packed buffer that takes the gather; and the optimal
-    # fidelity's rotations
-    uses = [(2 * N + 4, (((N + 12) * dim, 1),)), (2, ((_YOUNG_BASIS_ARRAYS + 2, d**N),)), (4, ((3, d**N),))]
-    if v_prev is not None:
-        uses.append(_optimal_use(N, d))
-    _require(*_srm_blocks(N, d, *uses))
+    # one after another: the record's checks, with up to N + 12 entries per basis index (the
+    # transposed swap's index arrays, rho's predicted spectrum expanded, the closed form's
+    # pair table), then the rotations
+    _require(*_srm_blocks(N, d, (2 * N + 4, (((N + 12) * dim, 1),)), _rotation_use(N, d)))
     measurement = _srm_bundle(N, d)
     checks = measurement.checks
-    kept, port = measurement.input_trace_entries
     v = v if v is not None else VCoefficients.uniform(N, d)
-    o = build_optimizing_operator(N, d, v)
-    # tr(O^T c O) = vdot(c, (O O^T) (x) 1) = vdot(tr_in c, O O^T) because c is symmetric,
-    # and tr_in c meets O O^T at the packed entries that share the input digit, zero elsewhere
-    gram = np.zeros(measurement.packing.size)
-    gram[kept] = (o @ o.T).ravel()[port]
+    rotated = measurement.embedded(_rotation(N, d, v), 1)
+    # tr(O^T c O) = vdot(c, (O (x) 1)(O (x) 1)^T) because c is symmetric
+    gram = measurement.packing.product(rotated, rotated)
     excess = np.vdot(measurement.delta, gram) / N
     dev_rot = max(abs(np.vdot(pi, gram) + excess - dim / N) for pi in measurement.pis)
     del gram
@@ -1038,5 +1072,5 @@ def verify_suite(
             report.add("rotated_completed_trace", dev_rot)
     if v_prev is not None:
         closed = frec_optimal(N, d, v, v_prev).value
-        report.add("frec_optimal_formula_vs_oracle", abs(closed - _optimal_value(measurement, o, v_prev)))
+        report.add("frec_optimal_formula_vs_oracle", abs(closed - _optimal_value(measurement, rotated, v_prev)))
     return report

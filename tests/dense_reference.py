@@ -70,17 +70,17 @@ def young_projector(mu, d: int) -> np.ndarray:
     """Projector onto the isotypic block of frame ``mu`` in (C^d)^(x)n (zero when taller than d).
 
     The group average (d_mu / n!) sum_sigma chi_mu(sigma) V_sigma, built from
-    box contents instead (see the oracle's docstring) as a fresh U_mu U_mu^T
-    over the eigenvectors labelled mu.  ``mu`` is any parts ``frame_parts``
-    accepts.
+    box contents instead (see the oracle's docstring) as U_mu U_mu^T over the
+    eigenvectors labelled mu, block by block on the port packing, then
+    unpacked into a fresh array.  ``mu`` is any parts ``frame_parts`` accepts.
     """
     p = frame_parts(mu)
     n = sum(p)
     if len(p) > d:
         oracle._require((1, d**n))
         return np.zeros((d**n, d**n))
-    oracle._require((oracle._YOUNG_BASIS_ARRAYS, d**n))
+    oracle._require((sum(oracle._basis_entries(n, d)), 1), (1, d**n))  # the packed projector, then the dense one
     frames, u, labels = oracle._young_projectors(n, d)
     row = frames.tolist().index(list(p) + [0] * (d - len(p)))
-    block = u[:, labels == row]
-    return block @ block.T
+    packing = oracle._port_packing(n, d)
+    return packing.unpack(packing.product(u * (labels == row), u))

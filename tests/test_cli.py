@@ -501,7 +501,8 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
         assert invoke(capsys, *argv)[0] == EXIT_OK
         # rho's torus-weight blocks, one stack per block size that is not all
         # zero, port N's Gram matrix, one stack per block size and column count,
-        # r = d^(N-1) rows in all, and the Young bases for N and N - 1 ports
+        # r = d^(N-1) rows in all, then the Young bases for N and N - 1 ports,
+        # one stack per block size of their port packings, d^N and d^(N-1) rows
         blocks = oracle._torus_blocks(N, d)
         assert sum(b.size for b in blocks) == d ** (N + 1)
         assert len(set(solved)) == len(solved)
@@ -510,9 +511,13 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
             stack = rho[b[:, :, None], b[:, None, :]]
             if np.any(stack):
                 solved.remove((stack.shape, stack.tobytes()))
-        matrices = sorted(shape for shape, _ in solved if len(shape) == 2)
-        assert matrices == sorted((d**k, d**k) for k in (N, N - 1))
-        assert sum(shape[0] * shape[1] for shape, _ in solved if len(shape) == 3) == d ** (N - 1)
+        assert all(len(shape) == 3 for shape, _ in solved)
+        for n in (N - 1, N):
+            young = [(*b.shape, b.shape[1]) for b in oracle._port_packing(n, d).blocks]
+            assert [shape for shape, _ in solved[-len(young):]] == young
+            assert sum(k * s for k, s, _ in young) == d**n
+            del solved[-len(young):]
+        assert sum(shape[0] * shape[1] for shape, _ in solved) == d ** (N - 1)
 
     # a second op at the last point reuses the bundle and both Young bases
     solved.clear()
@@ -553,11 +558,12 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
         if op == 0:
             # one eigensolve per block size of rho where it is not all zero, two of
             # the Gram matrix (its blocks of the frames (2) and (1, 1) of N - 1
-            # boxes) and two Young bases
+            # boxes) and one per block size of the Young bases' port packings,
+            # of sizes 1, 3 and 6 for 3 ports and 1 and 2 for 2 ports
             rho = rho_operator(N, d)
             live = sum(bool(np.any(rho[b[:, :, None], b[:, None, :]])) for b in oracle._torus_blocks(N, d))
             assert live == 2
-            assert calls.count("_eigh") == live + 4
+            assert calls.count("_eigh") == live + 2 + 3 + 2
             assert calls.count("_swap_gather") == N - 1
     assert calls == []
 
@@ -608,7 +614,7 @@ def test_oracle_verify_builds_each_rotation_once(capsys, monkeypatch):
     from pbt_recycling import oracle, recycling
 
     calls = []
-    for module, name, tag in ((oracle, "build_optimizing_operator", "rotation"), (oracle, "_srm_blocks", "census"),
+    for module, name, tag in ((oracle, "_rotation", "rotation"), (oracle, "_srm_blocks", "census"),
                               (recycling, "frec", "frec"), (oracle, "frec", "frec"),
                               (oracle, "frec_oracle", "frec_oracle")):
         real = getattr(module, name)

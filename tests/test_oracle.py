@@ -373,9 +373,22 @@ def test_young_projector_frame_arguments():
 
 
 def test_projector_byte_budget():
-    # the Young eigenbasis of 8 boxes at d = 3 counts 5 dense 6561^2 arrays, about 1.7 GB
+    # the dense projector of 9 boxes at d = 3 is one 19683^2 array, about 3.1 GB
     with pytest.raises(DimensionCapError, match="budget"):
-        young_projector((8,), 3)
+        young_projector((9,), 3)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_port_weight_eigenbasis_labels_the_rank_of_each_frame(n):
+    # at every d with d^n <= 4096: d_mu m_mu eigenvectors per frame, counted over every port-weight block
+    for d in range(1, 4097):
+        if d**n > 4096:
+            break
+        frames, u, labels = oracle._young_projectors(n, d)
+        packing = oracle._port_packing(n, d)
+        dims, mults = oracle._dims_and_multiplicities(frames, d)
+        assert np.bincount(labels[packing.diagonal], minlength=len(frames)).tolist() == (dims * mults).tolist()
+        assert u.shape == labels.shape == (packing.size,)
 
 
 # -- oracle fidelities ---------------------------------------------------------------------
@@ -605,8 +618,11 @@ def test_torus_blocks_partition_the_basis_by_weight(N, d):
             }
             assert len(weights) == 1 and not weights & seen  # one weight per block, one block per weight
             seen |= weights
-    # the budget counts a packed operator's entries from frame tables alone
-    assert oracle._packed_entries(N, d) == sum(b.size * b.shape[1] for b in blocks)
+    # the budget counts a packed operator's entries from frame tables alone, on the port packing of N and
+    # N + 1 ports, and on the torus blocks as many as on the port packing of N + 1
+    for n in (N, N + 1):
+        assert oracle._packed_entries(n, d) == sum(b.size * b.shape[1] for b in oracle._port_packing(n, d).blocks)
+    assert oracle._packed_entries(N + 1, d) == sum(b.size * b.shape[1] for b in blocks)
 
 
 @pytest.mark.parametrize(
@@ -749,12 +765,13 @@ def test_operators_are_float64():
 
 def test_cached_arrays_are_read_only():
     bare, excess, completed = srm_povm(2, 2, 2)
-    _, u, labels = oracle._young_projectors(2, 2)
     measurement = oracle._srm_bundle(2, 2)
+    frec_optimal_oracle(2, 2, v_optimal(2, 2), v_optimal(1, 2))  # builds both bases, root sigma_N and both gather pairs
+    bases = [array for n in (2, 1) for array in oracle._young_projectors(n, 2)[1:]]
     for cached in (
-        u, labels, *measurement.pis, measurement.delta, measurement.root,
-        measurement.rho_eigenvalues, measurement.gram_eigenvalues,
-        *measurement.input_trace_entries, *measurement.root_signal_sums,
+        *bases, *measurement.pis, measurement.delta, measurement.root,
+        measurement.rho_eigenvalues, measurement.gram_eigenvalues, measurement.root_signal,
+        *measurement.gather_pairs[1], *measurement.gather_pairs[2],
     ):
         with pytest.raises(ValueError, match="read-only"):
             cached[:] = 0
@@ -765,8 +782,8 @@ def test_cached_arrays_are_read_only():
 
 def _clear_memos():
     """Empty every oracle cache, index tables included."""
-    for memo in (oracle._srm_bundle, oracle._young_projectors, oracle._packing, oracle._signal_blocks,
-                 oracle._digits):
+    for memo in (oracle._srm_bundle, oracle._young_projectors, oracle._packing, oracle._port_packing,
+                 oracle._signal_blocks, oracle._digits):
         memo.cache_clear()
 
 
@@ -847,6 +864,24 @@ def test_budget_counts_cover_traced_peak(monkeypatch, name):
         monkeypatch.setattr(oracle, "ORACLE_BYTE_BUDGET", counted[0] - 1)
         error, peak = _traced(TABLE_CALLS[name])
         assert isinstance(error, DimensionCapError) and peak < 1 << 14
+
+
+def test_verify_suite_counts_fit_the_budget_at_6_4_not_8_3(monkeypatch):
+    # the first count of verify_suite with both weight sets, read before anything is allocated
+    counted = []
+
+    class Counted(Exception):
+        pass
+
+    def spy(*blocks):
+        counted.append(oracle._nbytes(blocks))
+        raise Counted
+
+    monkeypatch.setattr(oracle, "_require", spy)
+    for N, d in [(6, 4), (8, 3)]:
+        with pytest.raises(Counted):
+            verify_suite(N, d, v=VCoefficients.uniform(N, d), v_prev=VCoefficients.uniform(N - 1, d))
+    assert counted[0] <= oracle.ORACLE_BYTE_BUDGET < counted[1]
 
 
 def test_budget_counts_cover_a_point_built_after_another(monkeypatch):
@@ -935,12 +970,6 @@ def test_check_cache_rechecks_a_substituted_bundle(monkeypatch):
 
 
 # -- the rotation on port space ------------------------------------------------------------------
-
-@pytest.mark.parametrize("n,d", [(1, 1), (3, 1), (1, 2), (4, 2), (6, 3), (9, 4)])
-def test_embed_ports_operator_is_the_kronecker_product(n, d):
-    o = np.random.default_rng(n * 10 + d).standard_normal((n, n))
-    assert np.array_equal(oracle._embed_ports_operator(o, d), np.kron(o, np.eye(d)))
-
 
 def _random_weights_with_a_zero(N, d, rng):
     w = rng.uniform(0.25, 1.0, len(partitions_bounded(N, d)))
