@@ -15,12 +15,12 @@ C2 = sum_k X_k^2, X_k the Jucys-Murphy elements, act on the block of frame mu
 as the sums of c and c^2 over its boxes' contents c.  A = K C1 + C2 is a sum
 of port permutations, which keep every digit count, so A is block diagonal by
 port weight, the digit counts of (C^d)^(x)n.  It is summed packed on those
-blocks (``_port_packing``, grouped by the code that groups the torus weights
+blocks (``_young_basis``, grouped by the code that groups the torus weights
 below) and solved by one stacked eigensolve per block size: at (6, 4) the
 largest block is 180 x 180, not 4096 x 4096.  Each eigenvector is labelled
 with the frame whose predicted eigenvalue lies nearest.  An eigenvalue far
 from every prediction raises ``RuntimeError``, so the oracle tests the
-content theory it relies on.  The cache keeps the packed eigenvectors U and
+content theory it relies on.  A basis keeps the packed eigenvectors U and
 the labels, one frame row of ``frame_table`` per eigenvector; no projector
 is stored.  A projector is U_mu U_mu^T over the eigenvectors labelled mu, and
 the sender rotation O is U diag(scale[labels]) U^T, block by block
@@ -39,7 +39,7 @@ the measurement is held packed (``_Packing``): one flat float64 buffer per
 operator holding every block, with one (k, s, s) view per block size s for
 stacked ``matmul`` and ``eigh``.  One premise is checked exactly, before
 any signal is summed: each column of every Q_a lies inside one block, else
-``RuntimeError`` (``_signal_blocks``).  rho = d^(1-N) sum_a Q_a Q_a^T is then
+``RuntimeError`` (``_Point.signal_blocks``).  rho = d^(1-N) sum_a Q_a Q_a^T is then
 a sum of outer products of vectors that each lie in one block, so it has no
 entry off the blocks, and it is summed packed, column by column
 (``_packed_signal``), with the bits of the dense sum.  The torus weights are
@@ -54,8 +54,8 @@ projects onto ker rho.  Port N's completed element pi_N + Delta/N has the
 root sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho, and the
 polar identity sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T takes sqrt(pi_N) from the
 r_b x r_b blocks of the Gram matrix G = Y_N^T Y_N, one stacked eigensolve per
-block size and column count (``_signal_blocks``).  ``_srm_bundle`` returns
-one read-only record, ``_Measurement``: the N bare elements, Delta and that
+block size and column count (``_Point.signal_blocks``).  The measurement is
+one read-only ``_Measurement``: the N bare elements, Delta and that
 completed root (the operator behind every recycling fidelity), all packed,
 with rho's eigenvalues and G's.  It is built once per (N, d) and shared by
 every call; ``srm_povm`` and ``channel_fidelity_oracle`` unpack what they
@@ -68,27 +68,32 @@ rotation, and a cached point none.  No call but the dense views of
 ``srm_povm`` and ``channel_fidelity_oracle`` allocates a D x D array, and
 none but ``build_optimizing_operator`` and its callers a d^N x d^N one.
 
+Everything the oracle keeps at (N, d) lives on one record, ``_Point``, each
+part a cached property built on first read and read-only: the digit table
+of N + 1 factors, whose first d^n rows and last n columns are the digits of
+n factors; the torus ``_Packing`` and every port's signal blocks; the
+measurement with what it caches; the Young bases of N and N - 1 ports on
+their port packings; and the gather pairs of ``_Point.embedded``.  Every
+public call reaches its state through the record at its own point, which
+``_point`` holds alone: a call at a new point drops the record at the old
+one, with its measurement, bases and tables, before it allocates, so
+interleaving two points rebuilds each at every switch.
+
 Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
-allocates, it counts the float64 arrays it will hold at once: operators,
-temporaries, four per eigensolve (LAPACK's copy, workspace and eigenvectors;
-four per matrix of a stack, at the stack's size) and what the caches may
-hold (``_srm_bundle`` keeps one (N, d) record and, on it, root sigma_N and
-the rotations' gather pairs; ``_young_projectors`` keeps two packed bases; a
-miss evicts the oldest first; cached arrays are read-only).  A packed
-operator counts as its entries, the sum of its blocks' s^2, taken from frame
-tables before any index array exists (``_packed_entries``, on the port
-blocks and, counted as N + 1 ports, the torus blocks), and an int64 array as many
-float64 entries as it has.  The index tables of a point count per basis
-index: the digits, the sort keys of the torus blocks, the five arrays of the
-``_Packing`` and the signal columns (``_srm_blocks``), and as many per port
-index for a Young basis (``_basis_entries``); a new point's torus
-``_Packing`` drops those of the last point, with its port packings and
-Young bases, before it allocates.  A call counts the larger of the record's
-build (its index tables, then N + 8 packed operators beside those kept) and
-the record with what the call holds besides it and what rotations at the
-point may have cached; a point whose index tables alone are over counts them alone.
-Over the budget a call raises ``DimensionCapError``, exit code 2 in the CLI;
-the class lives in ``reports`` and is re-exported here.
+allocates, it counts the bytes it will hold at once (``_srm_blocks``): what
+the record it finds at its point keeps in the properties it has built, or
+nothing when the record is at another point; then, in build order, each
+property the call reads and the record lacks, what it holds while built
+beside what is kept and then what it keeps; last, what the call holds beside
+them: operators, temporaries, four arrays per eigensolve (LAPACK's copy,
+workspace and eigenvectors; four per matrix of a stack, at the stack's size)
+and dense arrays.  A packed operator counts as its
+entries, the sum of its blocks' s^2, an exact integer sum taken before any
+index array exists (``_packed_entries``, on the port blocks and, counted as
+N + 1 ports, the torus blocks), and an int64 array as many float64 entries
+as it has.  A point whose digit table alone is over counts it alone.  Over
+the budget a call raises ``DimensionCapError``, exit code 2 in the CLI; the
+class lives in ``reports`` and is re-exported here.
 
 One measurement serves the optimal protocol too.  Its sender rotation
 O (x) 1 is a weighted sum of port Young projectors, so it commutes with
@@ -98,20 +103,20 @@ signals sum to O rho O^T = O^2 rho, and whitening undoes the rotation:
 With a zero weight O is singular; the oracle then uses the plain measurement,
 as ``frec_optimal`` does.
 
-What reads no weight is a cached property of the record, computed on first
-read and kept on it, read-only: ``frec_oracle``'s value, root sigma_N, the
-rotations' gather pairs, both spectral reports, and ten of
-``verify_suite``'s checks, the last ``frec``'s closed form against
-``frec_oracle``'s value.  A cached value lives and dies with its record: the
-memo drops the old record before it builds a new one, and a record
-substituted with ``dataclasses.replace`` computes its own.  The checks that
+What reads no weight is a cached property of the measurement, computed on
+first read and kept on it, read-only: ``frec_oracle``'s value, root sigma_N,
+both spectral reports, and ten of ``verify_suite``'s checks, the last
+``frec``'s closed form against ``frec_oracle``'s value.  A cached value lives
+and dies with its record: the memo drops the old record before it builds a
+new one, and a measurement substituted with ``dataclasses.replace`` computes
+its own, on the index tables of the record at its point.  The checks that
 read rotation weights hold the rotations on the torus blocks.  O (x) 1 and
 O_(N-1) (x) 1 (x) 1 commute with U^(x)N (x) conj(U) for diagonal U, so each
 is block diagonal by torus weight: entry (m, n) is the rotation's entry
 (m // q, n // q), q = d or d^2, where m and n share the input digit (and
 port N's), else 0, and those two port indices share one port weight.  Each
 is one gather of the packed rotation, at index pairs kept on the record per
-q (``_Measurement.embedded``).  One check is vdot(c_a, (O (x) 1)(O (x) 1)^T)
+q (``_Point.embedded``).  One check is vdot(c_a, (O (x) 1)(O (x) 1)^T)
 for the completed elements c_a = pi_a + Delta/N; the other, given weights
 for N - 1 ports, is the optimal fidelity, a vdot of root sigma_N with
 (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T (``_optimal_value``, which
@@ -135,8 +140,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import sqrt
 from typing import NamedTuple, Optional
@@ -144,7 +148,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .optimal import VCoefficients, _check_optimal_point, frec_optimal
-from .partitions import _memo, _read_only, frame_table, one_box_ranks
+from .partitions import _memo, _read_only, frame_count, frame_table, one_box_ranks
 from .recycling import _check_point, frec, trace_sqrt_povm_signal
 from .reports import DimensionCapError, FidelityReport, VerifyReport
 
@@ -171,9 +175,7 @@ def _require(*blocks: tuple[int, int]) -> None:
     """
     nbytes = _nbytes(blocks)
     if nbytes > ORACLE_BYTE_BUDGET:
-        raise DimensionCapError(
-            f"dense arrays of {nbytes} bytes: exceeds cap, the byte budget is {ORACLE_BYTE_BUDGET}"
-        )
+        raise DimensionCapError(f"dense arrays of {nbytes} bytes: exceeds cap, the byte budget is {ORACLE_BYTE_BUDGET}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,21 +187,20 @@ class SpectrumReport:
     max_deviation: float
 
 
-@_memo(4)
 def _digits(d: int, n: int) -> np.ndarray:
-    """Base-d digits of every basis index of (C^d)^(x)n, most significant first (read-only)."""
+    """Base-d digits of every basis index of (C^d)^(x)n, most significant first."""
     return (np.arange(d**n)[:, None] // d ** np.arange(n - 1, -1, -1)) % d
 
 
-def _permuted_indices(perm, d: int, n: int) -> np.ndarray:
-    """Where each basis index goes when factor ``k`` becomes factor ``perm[k]``.
+def _permuted_indices(perm, digits: np.ndarray, d: int) -> np.ndarray:
+    """Where each basis index goes when factor ``k`` becomes factor ``perm[k]``, from the ``_digits`` of n factors.
 
     The permutation operator V has V[rows[j], j] = 1, so (V X V^T)[rows][:, rows] = X.
     """
-    perm = tuple(perm)
+    perm, n = tuple(perm), digits.shape[1]
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    return _digits(d, n)[:, np.argsort(perm)] @ d ** np.arange(n - 1, -1, -1)
+    return digits[:, np.argsort(perm)] @ d ** np.arange(n - 1, -1, -1)
 
 
 def transposition(i: int, j: int, n: int) -> tuple[int, ...]:
@@ -209,15 +210,15 @@ def transposition(i: int, j: int, n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _signal_columns(a: int, N: int, d: int) -> np.ndarray:
+def _signal_columns(a: int, digits: np.ndarray, d: int) -> np.ndarray:
     """Where signal ``a``'s factor is nonzero: a d^(N-1) x d array, one row per column of Q_a.
 
-    sigma_a = d^(1-N) Q_a Q_a^T, and column j of the isometry Q_a is
+    ``digits`` are the ``_digits`` of N + 1 factors.  sigma_a = d^(1-N) Q_a Q_a^T, and column j of the isometry Q_a is
     |phi+> on (port a, input) times basis state j on the other ports: it is
     d^(-1/2) at the d indices whose port-a and input digits agree and whose
     other digits spell j.  Adding 1 to both digits adds d^(N+1-a) + 1.
     """
-    digits = _digits(d, N + 1)
+    N = digits.shape[1] - 1
     base = np.flatnonzero((digits[:, a - 1] == 0) & (digits[:, N] == 0))
     return base[:, None] + np.arange(d) * (d ** (N + 1 - a) + 1)
 
@@ -257,14 +258,14 @@ def _psd_function(stacks: list, f, tol: float) -> tuple[list, list]:
     return values, spectra
 
 
-def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
+def _torus_blocks(digits: np.ndarray) -> list[np.ndarray]:
     """The basis indices of rho's diagonal blocks, one k x s array per block size s, sizes ascending.
 
-    A row of an array is one block: the indices of one torus weight, the
-    digit counts of the ports minus the unit vector of the input digit.
-    rho commutes with U^(x)N (x) conj(U) for every diagonal unitary U, which
-    multiplies a basis state by its weight's character, so rho has no entry
-    between two weights.
+    ``digits`` are the ``_digits`` of N + 1 factors.  A row of an array is
+    one block: the indices of one torus weight, the digit counts of the ports
+    minus the unit vector of the input digit.  rho commutes with
+    U^(x)N (x) conj(U) for every diagonal unitary U, which multiplies a basis
+    state by its weight's character, so rho has no entry between two weights.
 
     Weights are grouped by sorting N + 1 digits per index, a key that orders
     them as their entries do read from digit d - 1 down.  Where the input
@@ -274,7 +275,7 @@ def _torus_blocks(N: int, d: int) -> list[np.ndarray]:
     between those above k and those below, the -1 at k ranking below every
     count, and a -1 further down below one nearer the top.
     """
-    digits = _digits(d, N + 1)
+    N = digits.shape[1] - 1
     k = digits[:, N]
     ports = np.full((N + 2, len(digits)), -1)  # the port digits descending, two -1s after
     ports[:N] = np.sort(digits[:, :N], axis=1)[:, ::-1].T
@@ -303,35 +304,26 @@ def _grouped(key: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.flatnonzero(np.bincount(sizes)).tolist()]
 
 
-def _multinomial(tally: Counter) -> int:
-    """The multinomial coefficient of the parts tallied in ``tally`` (part -> how many times)."""
-    return math.factorial(sum(p * m for p, m in tally.items())) // math.prod(
-        math.factorial(p) ** m for p, m in tally.items()
-    )
-
-
-@_memo(4)
 def _packed_entries(n: int, d: int) -> int:
-    """Entries of a packed operator on the port weights of n factors, sum multinomial(n; c)^2 over compositions c.
+    """Entries of a packed operator on the port weights of n factors: S_d(n), in d n^2 steps of exact integers.
 
-    Taken from the frame table alone: multinomial(n; c) depends on c only
-    through its frame, whose d!/prod(multiplicity!) arrangements are counted.
-    The ``_torus_blocks`` of (N, d) hold as many entries as the port weights of
-    N + 1 factors: exchanging the input digits of two indices maps the pairs
-    with one torus weight one to one onto the pairs with one digit count.
+    S_j(m) sums multinomial(m; c)^2 over the compositions c of m into j parts,
+    so S_0(m) = [m = 0] and S_j(m) = sum_k C(m, k)^2 S_(j-1)(m - k), k the last
+    part.  The ``_torus_blocks`` of (N, d) hold as many entries as the port
+    weights of N + 1 factors: exchanging the input digits of two indices maps
+    the pairs with one torus weight one to one onto the pairs with one digit count.
     """
-    total = 0
-    for c in frame_table(n, d).tolist():
-        tally = Counter(c)
-        total += _multinomial(Counter(tally.values())) * _multinomial(tally) ** 2
-    return total
+    s = [1] + [0] * n
+    for _ in range(d):
+        s = [sum(math.comb(m, k) ** 2 * s[m - k] for k in range(m + 1)) for m in range(n + 1)]
+    return s[n]
 
 
 class _Packing(NamedTuple):
     """Where a block-diagonal operator sits in one flat float64 buffer, its packed form.
 
     The blocks are ``_grouped`` basis indices: the ``_torus_blocks`` of the
-    measurement (``_packing``), or the port weights of a Young basis (``_port_packing``).
+    measurement (``_Point.packing``), or the port weights of a Young basis (``_young_basis``).
 
     The blocks of one size s follow each other, each s x s and row-major,
     sizes ascending; ``views`` gives one (k, s, s) view per size.  Per basis
@@ -349,9 +341,7 @@ class _Packing(NamedTuple):
     first: np.ndarray
     size: int
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.start + self.pos
+    diagonal = property(lambda self: self.start + self.pos)
 
     def views(self, buf: np.ndarray) -> list[np.ndarray]:
         """The (k, s, s) view of each block size of a packed operator ``buf``."""
@@ -395,25 +385,6 @@ class _Packing(NamedTuple):
         return out
 
 
-@_memo(1)
-def _packing(N: int, d: int) -> _Packing:
-    """The ``_Packing`` of (N, d)'s ``_torus_blocks`` (read-only).
-
-    A miss first drops the index tables memoised at other points (``_digits``,
-    ``_signal_blocks``, ``_port_packing``) and the Young bases, so those of
-    one point at most are held.
-    """
-    for memo in (_digits, _signal_blocks, _port_packing, _young_projectors):
-        memo.cache_clear()
-    return _pack(_torus_blocks(N, d))
-
-
-@_memo(2)
-def _port_packing(n: int, d: int) -> _Packing:
-    """The ``_Packing`` of (C^d)^(x)n by port weight, the digit counts, which port permutations keep (read-only)."""
-    return _pack(_grouped(np.sort(_digits(d, n), axis=1).T))
-
-
 def _pack(blocks: list[np.ndarray]) -> _Packing:
     """The ``_Packing`` of blocks from ``_grouped``; its blocks are views of ``order``."""
     order = np.concatenate([b.ravel() for b in blocks])
@@ -432,44 +403,21 @@ def _pack(blocks: list[np.ndarray]) -> _Packing:
     return _Packing(tuple(blocks), order, start, pos, width, first, offset)
 
 
-def _packed_signal(packing: _Packing, ports, N: int, d: int) -> np.ndarray:
-    """The sum of sigma_a over ``ports``, packed: d^(-N) at every pair of indices in one column of Q_a, port by port.
+def _packed_signal(point: _Point, ports) -> np.ndarray:
+    """The sum of sigma_a over ``ports``, on ``point``'s torus blocks: d^(-N) at each index pair of a column of Q_a.
 
-    Each port's columns come from ``_signal_blocks``, which first checks that
-    each lies inside one block: one that does not raises before its port adds any.
+    Each port's columns come from ``_Point.signal_blocks``, which first checks
+    that each lies inside one block: one that does not raises before any is added.
     """
-    buf = np.zeros(packing.size)
+    buf, packing = np.zeros(point.packing.size), point.packing
     for a in ports:
-        for cols in _signal_blocks(a, N, d):
-            buf[packing.start[cols][..., None] + packing.pos[cols][..., None, :]] += 1.0 / d**N
+        for cols in point.signal_blocks[a - 1]:
+            buf[packing.start[cols][..., None] + packing.pos[cols][..., None, :]] += 1.0 / point.d**point.N
     return buf
 
 
-@_memo(16)
-def _signal_blocks(a: int, N: int, d: int) -> tuple[np.ndarray, ...]:
-    """Q_a's columns (``_signal_columns``) by torus block: one k x r x d array per (block size, columns per block).
-
-    Row i of an array holds the r columns inside its i-th block; blocks holding
-    none are left out.  Raises ``RuntimeError`` unless each column lies inside
-    one block.  Memoised, read-only: the build and the checks share it.
-    """
-    packing = _packing(N, d)
-    cols = _signal_columns(a, N, d)
-    blocks = packing.first[cols]
-    if not (blocks == blocks[:, :1]).all():
-        raise RuntimeError(f"a column of signal {a}'s factor at ({N}, {d}) spans two torus-weight blocks")
-    order = np.argsort(blocks[:, 0], kind="stable")
-    cols, blocks = cols[order], blocks[order, 0]
-    counts = np.bincount(blocks)[blocks]  # of each column's block
-    widths = packing.width[cols[:, 0]]
-    return tuple(
-        cols[(widths == s) & (counts == r)].reshape(-1, r, d)
-        for s, r in sorted(set(zip(widths.tolist(), counts.tolist())))
-    )
-
-
 def _summed_rows(packing: _Packing, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Packed x's rows summed over the d indices of each column of a ``_signal_blocks`` array: k x r x s.
+    """Packed x's rows summed over the d indices of each column of a ``_Point.signal_blocks`` array: k x r x s.
 
     Each sum is the s entries of the column's block.  For symmetric x the sums
     over Q_a's columns are d^(1/2) Q_a^T x, and x sigma_a is d^(-N) times them at each index of the column.
@@ -479,31 +427,30 @@ def _summed_rows(packing: _Packing, x: np.ndarray, cols: np.ndarray) -> np.ndarr
 
 
 def _block_entries(packing: _Packing, cols: np.ndarray) -> np.ndarray:
-    """Where each block of a ``_signal_blocks`` array sits in a packed buffer: k x s^2."""
+    """Where each block of a ``_Point.signal_blocks`` array sits in a packed buffer: k x s^2."""
     head = cols[:, 0, 0]
     s = packing.width[head[0]]
     return (packing.start[head] - s * packing.pos[head])[:, None] + np.arange(s * s)
 
 
-def _swap_gather(packing: _Packing, perm, d: int, n: int) -> np.ndarray:
+def _swap_gather(packing: _Packing, perm, digits: np.ndarray, d: int) -> np.ndarray:
     """The gather g of packed operators with (V X V^T) packed = X[g], V the port permutation operator of ``perm``.
 
     (V X V^T)[m, n] = X[p[m], p[n]] with p the inverse of ``_permuted_indices``;
     a port permutation keeps every digit count, so p maps each block to itself.
     """
-    inverse = np.argsort(_permuted_indices(perm, d, n))
+    inverse = np.argsort(_permuted_indices(perm, digits, d))
     return packing.over_entries(lambda m, c: packing.start[inverse[m]] + packing.pos[inverse[c]], np.int64)
 
 
-def _blocked_inverse_root(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _blocked_inverse_root(point: _Point) -> tuple[np.ndarray, np.ndarray]:
     """(W = rho^(-1/2) on the support, packed; rho's eigenvalues ascending), one stacked eigensolve per block size.
 
     rho is summed packed (``_packed_signal``).  A stack that is all zero
     (torus weights no signal reaches) is not solved.
     """
-    packing = _packing(N, d)
-    rho = _packed_signal(packing, range(1, N + 1), N, d)
-    roots, spectra = _psd_function(packing.views(rho), lambda w: 1.0 / np.sqrt(w), SUPPORT_TOL)
+    rho = _packed_signal(point, range(1, point.N + 1))
+    roots, spectra = _psd_function(point.packing.views(rho), lambda w: 1.0 / np.sqrt(w), SUPPORT_TOL)
     del rho
     return np.concatenate([m.ravel() for m in roots]), np.sort(np.concatenate([w.ravel() for w in spectra]))
 
@@ -520,71 +467,199 @@ def _nbytes(blocks) -> int:
     return sum(int(count) * int(dim) ** 2 * 8 for count, dim in blocks)
 
 
-def _srm_blocks(N: int, d: int, *uses: tuple[int, tuple]) -> tuple[tuple[int, int], ...]:
-    """``_require`` blocks of a call that builds the record, or holds it with the most of one of ``uses``.
+#: The record properties the measurement reads, in build order.
+_MEASURED = ("digit_table", "packing", "signal_blocks", "measurement")
 
-    With D = d^(N+1), the build first makes its index tables, up to 3N + 8
-    int64 entries per basis index at once (``_digits``, and the key of
-    ``_torus_blocks`` with its sort), and keeps N + 6 per index, N + 1 digits
-    and the five arrays of ``_Packing``, with the N d^N signal columns of
-    ``_signal_blocks``.  Beside them it holds N + 8 packed operators: W, the N
-    bare elements, the excess and the root, with the gathers and products of
-    one block size and column count of ``_signal_blocks``; rho with its
-    eigensolves holds fewer.  A use is (packed, dense): that many packed
-    operators and those ``_require`` blocks besides the kept tables, the
-    record's N + 2 and what rotations at the point may have cached: the Young
-    bases of N and N - 1 ports (``_basis_entries``), and on the record root
-    sigma_N, one more packed operator, and the gather pairs, two int64 arrays
-    of d^held entries per port entry of each basis.  A new point's build follows a ``_packing`` miss,
-    which drops the bases, and a new record has none of its own cache.  Where
-    the tables alone are over the budget they are counted alone: such a
-    point's frame tables can be too long to walk.
+#: Those the rotations of ``frec_optimal_oracle`` read, in build order; O_N (x) 1 alone reads the first two.
+_ROTATED = ("young", "gather", "prev_young", "prev_gather", "root_signal")
+
+#: The measurement's cached values that its public readers return, each read alone.
+_REPORTS = ("frec_value", "rho_spectrum_report", "povm_spectrum_deviation")
+
+
+def _srm_blocks(N: int, d: int, names: tuple[str, ...], packed: int = 0, ports: int = 0, dense=()) -> tuple:
+    """``_require`` blocks of a call at (N, d) that reads the record's properties ``names``, in build order.
+
+    The record at (N, d) counts as what its built properties keep: nothing
+    when ``_point`` held a record at another point, which it drops here.
+    Each of ``names`` the record lacks is then built in turn, holding at most
+    the entries ``sizes`` gives beside those kept, then keeping its
+    own.  Last, the call holds ``packed`` operators on the torus blocks,
+    ``ports`` on the port blocks of N ports and the ``dense`` blocks beside
+    all that is kept.  With D = d^(N+1) and P_n the entries of a packed
+    operator on n factors (P_(N+1) on the torus blocks): the digit table holds
+    two tables and an index column while built; the torus packing's build
+    (``_torus_blocks``, ``_grouped``, ``_pack``) up to 2N + 8 index entries
+    per basis index, and it keeps five; the signal blocks keep N d^N columns;
+    the measurement holds N + 8 packed operators (W, the N bare elements, the
+    excess and the root, with the gathers and products of one
+    ``signal_blocks`` array; rho with its eigensolves holds fewer) and keeps
+    N + 2 with both spectra; the checks hold 2N + 4 packed operators and
+    N + 12 index entries per basis index; a Young basis of n ports keeps its
+    port packing, U and a label per packed entry, and its build holds the
+    sort and group tables and the permutation indices, two distances per
+    frame and index while labelling, and A with one stacked eigensolve; a
+    gather pair keeps two int64 arrays of d^held entries per port entry.
+    Where the digit table's build alone is over the budget it is counted
+    alone: such a point's P_n take d n^2 steps to sum.
     """
     N, d = operator.index(N), operator.index(d)
-    tables = (((3 * N + 8) * d ** (N + 1), 1),)  # an index entry counts as one 1 x 1 array
-    if _nbytes(tables) > ORACLE_BYTE_BUDGET:
-        return tables
-    kept = ((N + 6) * d ** (N + 1) + N * d**N, 1)
-    entries = _packed_entries(N + 1, d)  # a packed operator counts as that many 1 x 1 arrays
-    cached = sum(_basis_entries(n, d)[0] + 2 * d ** (N + 1 - n) * _packed_entries(n, d) for n in {N, max(N - 1, 1)})
-    phases = [tables, (kept, ((N + 8) * entries, 1))]
-    phases += [(kept, ((N + 3 + packed) * entries + cached, 1)) + dense for packed, dense in uses]
-    return max(phases, key=_nbytes)
+    point = _point(N, d)  # a call at another point drops the record held there now, before it allocates
+    built = set(vars(point))
+    if "measurement" in built:
+        built |= set(vars(point.measurement))
+    D, p, r = d ** (N + 1), d**N, d ** (N - 1)
+    if "digit_table" not in built and _nbytes([((2 * N + 3) * D, 1)]) > ORACLE_BYTE_BUDGET:
+        return (((2 * N + 3) * D, 1),)
+    P, Pn, Pm = point.packed_entries
+    sizes = {  # property: (entries it keeps, entries it holds at most while built, those included)
+        "digit_table": ((N + 1) * D, (2 * N + 3) * D),
+        "packing": (5 * D, (2 * N + 8) * D),
+        "signal_blocks": (N * p, (N + 6) * p + 2 * D),
+        "measurement": ((N + 2) * P + D + r, (N + 8) * P),
+        "checks": (0, (2 * N + 4) * P + (N + 12) * D),
+        # ``frec_oracle``'s value, the rho spectrum report, the POVM spectrum deviation
+        **dict.fromkeys(_REPORTS, (0, P + 4 * D + (2 * frame_count(N - 1, d) + 3) * r)),
+        # the rotations' builds with what their callers hold beside them: O_N (x) 1 from ``prev_young``
+        # on, and with it the product of the two rotations beside ``root_signal``
+        "young": (5 * p + 2 * Pn, (3 * N + 13 + 2 * frame_count(N, d)) * p + (_EIGH_ARRAYS + 3) * Pn),
+        "gather": (2 * d * Pn, 3 * P + 2 * d * Pn),
+        "prev_young": (5 * r + 2 * Pm, (3 * N + 10 + 2 * frame_count(N - 1, d)) * r + (_EIGH_ARRAYS + 3) * Pm + P),
+        "prev_gather": (2 * d * d * Pm, 4 * P + 2 * d * d * Pm),
+        "root_signal": (P, 4 * P + 2 * D),
+    }
+    kept = sum(sizes[name][0] for name in built & sizes.keys())
+    steps = []
+    for name in names:
+        if name not in built:
+            steps.append(((kept + sizes[name][1], 1),))
+            kept += sizes[name][0]
+    return max(steps + [((kept + packed * P + ports * Pn, 1),) + tuple(dense)], key=_nbytes)
 
 
-def _basis_entries(n: int, d: int) -> tuple[int, int]:
-    """(entries a Young basis of n ports keeps, entries its build or a rotation on it holds besides).
+#: The Young eigenbasis of n ports, read-only (``_young_basis``): U and its labels, packed on ``packing``.
+_Young = NamedTuple("_Young", [("packing", _Packing)] + [(name, np.ndarray) for name in ("frames", "u", "labels")])
 
-    It keeps its ``_port_packing``, n digits and five arrays per index, U and
-    a label per packed entry.  The build holds up to 3n + 8 index entries per
-    index (those of ``_grouped``, as in ``_torus_blocks``, then the
-    permutation indices), two distances per frame and index while labelling,
-    and A with one stacked eigensolve, at most ``_EIGH_ARRAYS`` + 1 packed
-    operators; a rotation holds two.
+
+class _Point:
+    """Everything the oracle keeps at one (N, d), each part a cached property, built on first read and read-only.
+
+    They are the (N + 1)-digit table and the torus ``_Packing``; every port's
+    signal blocks; the ``_Measurement``, with what it caches; the Young bases
+    of N and N - 1 ports with their port packings; and the two gather pairs of
+    ``embedded``.  ``_point`` holds one record, so a call at another point
+    drops this one, with all it holds, before it builds.
     """
-    packed = _packed_entries(n, d)
-    return (n + 5) * d**n + 2 * packed, (3 * n + 8 + 2 * len(frame_table(n, d))) * d**n + (_EIGH_ARRAYS + 1) * packed
+
+    def __init__(self, N: int, d: int):
+        self.N, self.d = N, d
+
+    # the digits of N + 1 factors and the ``_Packing`` of their ``_torus_blocks``; the Young bases
+    # of N and N - 1 ports, on the digits of n factors, the first d^n rows and last n columns of
+    # the table; and ``embedded``'s index pairs for their rotations
+    digit_table = cached_property(lambda self: _read_only(_digits(self.d, self.N + 1)))
+    packing = cached_property(lambda self: _read_only(_pack(_torus_blocks(self.digit_table))))
+    young = cached_property(lambda self: _young_basis(self.digit_table[: self.d**self.N, 1:], self.d))
+    prev_young = cached_property(lambda self: _young_basis(self.digit_table[: self.d ** (self.N - 1), 2:], self.d))
+    gather = cached_property(lambda self: self._gather_pair(1, self.young.packing))
+    prev_gather = cached_property(lambda self: self._gather_pair(2, self.prev_young.packing))
+    # what ``_srm_blocks`` counts a packed operator as: on the torus blocks, on N and on N - 1 ports
+    packed_entries = cached_property(lambda self: [_packed_entries(self.N + k, self.d) for k in (1, 0, -1)])
+
+    @cached_property
+    def signal_blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per port, Q_a's columns (``_signal_columns``) by torus block: k x r x d per (block size, columns per block).
+
+        Row i of an array holds the r columns inside its i-th block; blocks
+        holding none are left out.  Port by port, raises ``RuntimeError``
+        unless each column lies inside one block.
+        """
+        N, d, packing = self.N, self.d, self.packing
+        ports = []
+        for a in range(1, N + 1):
+            cols = _signal_columns(a, self.digit_table, d)
+            blocks = packing.first[cols]
+            if not (blocks == blocks[:, :1]).all():
+                raise RuntimeError(f"a column of signal {a}'s factor at ({N}, {d}) spans two torus-weight blocks")
+            order = np.argsort(blocks[:, 0], kind="stable")
+            cols, blocks = cols[order], blocks[order, 0]
+            counts = np.bincount(blocks)[blocks]  # of each column's block
+            widths = packing.width[cols[:, 0]]
+            ports.append(tuple(
+                cols[(widths == s) & (counts == r)].reshape(-1, r, d)
+                for s, r in sorted(set(zip(widths.tolist(), counts.tolist())))
+            ))
+        return _read_only(tuple(ports))
+
+    @cached_property
+    def measurement(self) -> _Measurement:
+        """The ``_Measurement``, as the module docstring builds it.
+
+        On each block, pi_a = Y Y^T with Y = d^(-N/2) W Q_a' (Q_a' the 0/1
+        pattern of Q_a's columns there), a gather of rows of the symmetric W, and
+        sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from G = Y_N^T Y_N = V Lambda V^T,
+        positive definite as W is invertible on supp rho: one stacked eigensolve per
+        ``signal_blocks`` array.  G is block diagonal, so its spectrum is its blocks'.
+        """
+        N, d, packing = self.N, self.d, self.packing
+        whiten, rho_eigenvalues = _blocked_inverse_root(self)
+        pis = np.zeros((N, packing.size))
+        for a, port in enumerate(self.signal_blocks, start=1):
+            factors = []  # (columns, Y^T) per ``signal_blocks`` array
+            for cols in port:
+                factors.append((cols, _summed_rows(packing, whiten, cols) * d ** (-N / 2)))
+                pis[a - 1, _block_entries(packing, cols)] = _symmetric_gram(factors[-1][1]).reshape(len(cols), -1)
+        del whiten
+        delta = packing.eye()
+        delta -= pis.sum(axis=0)
+        grams = [_eigh(yt @ np.swapaxes(yt, -1, -2)) for _, yt in factors]  # the loop leaves port N's factors
+        lam = np.sort(np.concatenate([w.ravel() for w, _ in grams]))
+        if not lam[0] > SUPPORT_TOL * lam[-1]:
+            raise RuntimeError(f"Gram matrix of port {N}'s whitened signal is singular: eigenvalue {lam[0]}")
+        root = delta / sqrt(N)
+        for (cols, yt), (w, v) in zip(factors, grams):
+            half = np.swapaxes(v * w[:, None, :] ** -0.25, -1, -2) @ yt  # Lambda^(-1/4) V^T Y^T
+            root[_block_entries(packing, cols)] += _symmetric_gram(half).reshape(len(cols), -1)
+        return _Measurement(N, d, tuple(pis), delta, root, rho_eigenvalues, gram_eigenvalues=lam)
+
+    def _gather_pair(self, held: int, ports: _Packing) -> tuple[np.ndarray, np.ndarray]:
+        q, packing = self.d**held, self.packing
+        kept = np.flatnonzero(packing.over_entries(lambda m, n: m % q == n % q, bool))
+        source = packing.over_entries(lambda m, n: ports.start[m // q] + ports.pos[n // q], np.int64)[kept]
+        return _read_only((kept, source))
+
+    def embedded(self, v: VCoefficients, held: int) -> np.ndarray:
+        """The ``_rotation`` of ``v``'s weights on N + 1 - held ports, (x) 1 on the last ``held`` factors, packed.
+
+        Entry (m, n) is the rotation's entry (m // q, n // q), q = d^held,
+        where m and n share their last ``held`` digits, else 0.  Two such
+        indices of one torus block have one port weight on the first
+        N + 1 - held factors, so the entry sits in one port block: one gather
+        at the packed entries (m, n) with m = n mod q, from
+        start[m // q] + pos[n // q] of the port packing.
+        """
+        young, (kept, source) = (self.young, self.gather) if held == 1 else (self.prev_young, self.prev_gather)
+        out = np.zeros(self.packing.size)
+        out[kept] = _rotation(self.N + 1 - held, self.d, v, young)[source]
+        return out
 
 
-def _rotation_use(N: int, d: int) -> tuple[int, tuple]:
-    """The ``_srm_blocks`` use of the rotations of ``verify_suite`` and ``frec_optimal_oracle``.
+#: The record at (N, d); a miss drops the record at another point, and all it holds, before it builds.
+_point = _memo(1)(_Point)
 
-    Five packed operators: O_N (x) 1 with (O_N (x) 1)(O_N (x) 1)^T, or with
-    O_(N-1) (x) 1 (x) 1 and their product, and sigma_N while root sigma_N is
-    built; or beside O_N (x) 1, a gather pair's build (its index arrays over
-    the packed entries and the temporaries of one block size).  Besides them, the two packed
-    rotations and the build of the larger Young basis.
-    """
-    return 5, ((2 * _packed_entries(N, d) + _basis_entries(N, d)[1], 1),)
+
+def _srm_bundle(N: int, d: int) -> _Measurement:
+    """The ``_Measurement`` at (N, d), kept on its record."""
+    return _point(N, d).measurement
 
 
 @dataclass(frozen=True, eq=False)
 class _Measurement:
     """The square-root measurement at one (N, d) point and what it alone determines (module docstring).
 
-    ``pis``, ``delta`` and ``root`` are packed (``_Packing``).  Every array on
-    it is read-only, also in its cached properties and in ``gather_pairs``,
-    which ``embedded`` fills; both spectra are ascending.
+    ``pis``, ``delta`` and ``root`` are packed on the record's torus
+    ``_Packing``.  Every array on it is read-only, also in its cached
+    properties; both spectra are ascending.
     """
 
     N: int
@@ -594,14 +669,13 @@ class _Measurement:
     root: np.ndarray
     rho_eigenvalues: np.ndarray
     gram_eigenvalues: np.ndarray
-    gather_pairs: dict = field(default_factory=dict, init=False, repr=False)  # held factors -> index pair
+
+    # the record at (N, d), whose index tables and rotations the measurement reads, and its torus packing
+    point = property(lambda self: _point(self.N, self.d))
+    packing = property(lambda self: self.point.packing)
 
     def __post_init__(self):
         _read_only((self.pis, self.delta, self.root, self.rho_eigenvalues, self.gram_eigenvalues))
-
-    @property
-    def packing(self) -> _Packing:
-        return _packing(self.N, self.d)
 
     def dense(self, packed: np.ndarray) -> np.ndarray:
         """A fresh dense D x D array of one of the record's packed operators."""
@@ -610,37 +684,16 @@ class _Measurement:
     @cached_property
     def frec_value(self) -> float:
         """``frec_oracle``'s value: its defining trace expression on the completed root."""
-        N, d, packing = self.N, self.d, self.packing
-        diagonal = packing.diagonal
+        N, d, diagonal = self.N, self.d, self.packing.diagonal
         norm = sqrt(self.pis[N - 1][diagonal].sum() + self.delta[diagonal].sum() / N)
         # tr(sigma_N root) = vdot(sigma_N, root): both are symmetric, and both packed
-        overlap = abs(np.vdot(_packed_signal(packing, (N,), N, d), self.root))
+        overlap = abs(np.vdot(_packed_signal(self.point, (N,)), self.root))
         return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
 
     @cached_property
     def root_signal(self) -> np.ndarray:
         """root sigma_N, packed: the weightless factor of the optimal fidelity (``_optimal_value``)."""
-        packing = self.packing
-        return _read_only(packing.product(self.root, _packed_signal(packing, (self.N,), self.N, self.d)))
-
-    def embedded(self, rotation: np.ndarray, held: int) -> np.ndarray:
-        """rotation (x) 1 on the last ``held`` factors, packed, from a rotation on ``_port_packing(N + 1 - held, d)``.
-
-        Entry (m, n) is rotation[m // q, n // q], q = d^held, where m and n
-        share their last ``held`` digits, else 0.  Two such indices of one
-        torus block have one port weight on the first N + 1 - held factors,
-        so the entry sits in one port block: one gather at the packed entries
-        (m, n) with m = n mod q, from start[m // q] + pos[n // q] of the port packing.
-        """
-        if held not in self.gather_pairs:
-            q, packing, ports = self.d**held, self.packing, _port_packing(self.N + 1 - held, self.d)
-            kept = np.flatnonzero(packing.over_entries(lambda m, n: m % q == n % q, bool))
-            source = packing.over_entries(lambda m, n: ports.start[m // q] + ports.pos[n // q], np.int64)[kept]
-            self.gather_pairs[held] = _read_only((kept, source))
-        kept, source = self.gather_pairs[held]
-        out = np.zeros(self.packing.size)
-        out[kept] = rotation[source]
-        return out
+        return _read_only(self.packing.product(self.root, _packed_signal(self.point, (self.N,))))
 
     @cached_property
     def rho_spectrum_report(self) -> SpectrumReport:
@@ -662,10 +715,10 @@ class _Measurement:
     @cached_property
     def checks(self) -> tuple[tuple[str, float, str], ...]:
         """(name, deviation, detail) of the ten checks that read no weights, in ``verify_suite``'s order."""
-        N, d, delta, root, packing = self.N, self.d, self.delta, self.root, self.packing
-        n = N + 1
+        N, d, delta, root, point = self.N, self.d, self.delta, self.root, self.point
+        n, packing = N + 1, point.packing
         diagonal = packing.diagonal
-        sigs = [_packed_signal(packing, (a,), N, d) for a in range(1, N + 1)]
+        sigs = [_packed_signal(point, (a,)) for a in range(1, N + 1)]
         checks = []
 
         def add(name: str, deviation, detail: str = ""):
@@ -684,7 +737,7 @@ class _Measurement:
         dev_orth = max(
             np.abs(_summed_rows(packing, delta, cols)).max()
             for s in range(1, N + 1)
-            for cols in _signal_blocks(s, N, d)
+            for cols in point.signal_blocks[s - 1]
         )
         add("excess_signal_orthogonal", dev_orth / d**N)
 
@@ -693,7 +746,7 @@ class _Measurement:
         dev_cov = 0.0
         for i in range(N - 1):
             perm = transposition(i, i + 1, N)
-            swap = _swap_gather(packing, transposition(i, i + 1, n), d, n)
+            swap = _swap_gather(packing, transposition(i, i + 1, n), point.digit_table, d)
             for a in range(1, N + 1):
                 b = perm[a - 1] + 1
                 for x in (sigs, completed):
@@ -712,7 +765,7 @@ class _Measurement:
         # signal N equals the partially transposed port<->input swap v' over d^N.  The swap
         # V has V[rows[j], j] = 1; the partial transpose exchanges the input digits of
         # each entry's row and column.  A nonzero of v' outside the blocks meets a zero
-        rows, cols = _permuted_indices(transposition(N - 1, N, n), d, n), np.arange(d**n)
+        rows, cols = _permuted_indices(transposition(N - 1, N, n), point.digit_table, d), np.arange(d**n)
         rows, cols = rows - rows % d + cols % d, cols - cols % d + rows % d
         inside = packing.first[rows] == packing.first[cols]
         at = packing.start[rows[inside]] + packing.pos[cols[inside]]
@@ -732,36 +785,12 @@ class _Measurement:
         return tuple(checks)
 
 
-@_memo(1)
-def _srm_bundle(N: int, d: int) -> _Measurement:
-    """The ``_Measurement`` at (N, d), as the module docstring builds it: peak ``_srm_blocks``, N + 2 packed after.
-
-    On each block, pi_a = Y Y^T with Y = d^(-N/2) W Q_a' (Q_a' the 0/1
-    pattern of Q_a's columns there), a gather of rows of the symmetric W, and
-    sqrt(pi_N) = Y V Lambda^(-1/2) V^T Y^T from G = Y_N^T Y_N = V Lambda V^T,
-    positive definite as W is invertible on supp rho: one stacked eigensolve per
-    ``_signal_blocks`` array.  G is block diagonal, so its spectrum is its blocks'.
-    """
-    packing = _packing(N, d)
-    whiten, rho_eigenvalues = _blocked_inverse_root(N, d)
-    pis = np.zeros((N, packing.size))
-    for a in range(1, N + 1):
-        factors = []  # (columns, Y^T) per ``_signal_blocks`` array
-        for cols in _signal_blocks(a, N, d):
-            factors.append((cols, _summed_rows(packing, whiten, cols) * d ** (-N / 2)))
-            pis[a - 1, _block_entries(packing, cols)] = _symmetric_gram(factors[-1][1]).reshape(len(cols), -1)
-    del whiten
-    delta = packing.eye()
-    delta -= pis.sum(axis=0)
-    grams = [_eigh(yt @ np.swapaxes(yt, -1, -2)) for _, yt in factors]  # the loop leaves port N's factors
-    lam = np.sort(np.concatenate([w.ravel() for w, _ in grams]))
-    if not lam[0] > SUPPORT_TOL * lam[-1]:
-        raise RuntimeError(f"Gram matrix of port {N}'s whitened signal is singular: eigenvalue {lam[0]}")
-    root = delta / sqrt(N)
-    for (cols, yt), (w, v) in zip(factors, grams):
-        half = np.swapaxes(v * w[:, None, :] ** -0.25, -1, -2) @ yt  # Lambda^(-1/4) V^T Y^T
-        root[_block_entries(packing, cols)] += _symmetric_gram(half).reshape(len(cols), -1)
-    return _Measurement(N, d, tuple(pis), delta, root, rho_eigenvalues, gram_eigenvalues=lam)
+def _measured(N: int, d: int, names: tuple[str, ...] = (), check=_check_point, **use) -> _Measurement:
+    """The measurement at (N, d), once ``check`` passes the point and the budget the ``_srm_blocks`` of ``names``."""
+    N, d = operator.index(N), operator.index(d)
+    check(N, d)
+    _require(*_srm_blocks(N, d, _MEASURED + names, **use))
+    return _srm_bundle(N, d)
 
 
 def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -776,8 +805,7 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
     # the three arrays and a temporary, and unpacking's broadcast index arrays
-    _require(*_srm_blocks(N, d, (2, ((4, d ** (N + 1)),))))
-    measurement = _srm_bundle(N, d)
+    measurement = _measured(N, d, packed=2, dense=((4, d ** (N + 1)),))
     bare, excess = measurement.dense(measurement.pis[a - 1]), measurement.dense(measurement.delta)
     return bare, excess, bare + excess / N
 
@@ -816,31 +844,32 @@ def _dims_and_multiplicities(table: np.ndarray, d: int) -> tuple[np.ndarray, np.
     )
 
 
-@_memo(2)
-def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(frames, U, labels), read-only: the Young eigenbasis of frames of n boxes and height <= d, packed.
+def _young_basis(digits: np.ndarray, d: int) -> _Young:
+    """The Young eigenbasis of frames of n boxes and height <= d, packed, from the ``_digits`` of n factors.
 
     ``frames`` is ``frame_table(n, d)``.  A = K C1 + C2 is a sum of port
-    permutations, which keep digit counts, so it is summed packed on
-    ``_port_packing(n, d)`` and solved by one stacked eigensolve per block
-    size.  U holds each block's eigenvectors as its columns, packed, and
-    ``labels`` the frame row of each packed entry's column, its eigenvector's;
-    the diagonal entries, ``labels[packing.diagonal]``, label each eigenvector
-    once.  A acts on frame mu's block as e(mu) = K sum c + sum c^2 over the
-    contents of ``_box_grid``; K = n^3 + 1 exceeds every sum c^2, so frames
-    with distinct content sums get distinct e, and a frame left without
-    eigenvectors in every block raises.  Taller frames vanish on (C^d)^(x)n.
+    permutations, which keep digit counts, so it is summed packed on the
+    ``_Packing`` of (C^d)^(x)n by port weight, the digit counts, and solved
+    by one stacked eigensolve per block size.  U holds each block's
+    eigenvectors as its columns, packed, and ``labels`` the frame row of each
+    packed entry's column, its eigenvector's; the diagonal entries,
+    ``labels[packing.diagonal]``, label each eigenvector once.  A acts on
+    frame mu's block as e(mu) = K sum c + sum c^2 over the contents of
+    ``_box_grid``; K = n^3 + 1 exceeds every sum c^2, so frames with distinct
+    content sums get distinct e, and a frame left without eigenvectors in
+    every block raises.  Taller frames vanish on (C^d)^(x)n.
     """
+    n = digits.shape[1]
     frames = frame_table(n, d)
     k = n**3 + 1
     contents = _box_grid(frames)[1]
     predicted = (k * contents.sum(axis=(1, 2)) + (contents**2).sum(axis=(1, 2))).astype(float)
-    packing = _port_packing(n, d)
+    packing = _pack(_grouped(np.sort(digits, axis=1).T))
     a = np.zeros(packing.size)
     for j in range(1, n):
         # X_j = sum_{i<j} (i j) adds K X_j to C1; X_j^2 = j + sum_{i != h < j} (i j)(h j).
         # A permutation's entries (rows[c], c) sit at start[rows] + pos in the packed buffer
-        swaps = [_permuted_indices(transposition(i, j, n), d, n) for i in range(j)]
+        swaps = [_permuted_indices(transposition(i, j, n), digits, d) for i in range(j)]
         a[packing.diagonal] += j
         for i, rows in enumerate(swaps):
             a[packing.start[rows] + packing.pos] += k
@@ -860,11 +889,12 @@ def _young_projectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
             f"deviation {dev}, eigenvectors per frame {counts.tolist()}"
         )
     # a block's column c holds the eigenvector at first[c] + pos[c] of ``order``
-    return frames, u, nearest[packing.over_entries(lambda m, c: packing.first[c] + packing.pos[c], np.int64)]
+    labels = nearest[packing.over_entries(lambda m, c: packing.first[c] + packing.pos[c], np.int64)]
+    return _read_only(_Young(packing, frames, u, labels))
 
 
-def _rotation(N: int, d: int, v: VCoefficients) -> np.ndarray:
-    """Sender rotation, packed on ``_port_packing(N, d)``: sqrt(d^N) sum of v-weighted, rank-normalized projectors.
+def _rotation(N: int, d: int, v: VCoefficients, young: _Young) -> np.ndarray:
+    """Sender rotation, packed on ``young``'s port packing: sqrt(d^N) sum of v-weighted, rank-normalized projectors.
 
     That is U diag(scale[labels]) U^T over the Young eigenbasis, with
     scale = sqrt(d^N) v / sqrt(rank).  A projector's rank d_mu m_mu is the
@@ -873,8 +903,7 @@ def _rotation(N: int, d: int, v: VCoefficients) -> np.ndarray:
     """
     if v.ports != N or v.dim != d:
         raise ValueError(f"coefficient set is labeled ({v.ports}, {v.dim})")
-    _, u, labels = _young_projectors(N, d)
-    packing = _port_packing(N, d)
+    packing, _, u, labels = young
     scale = sqrt(d**N) * v.entries / np.sqrt(np.bincount(labels[packing.diagonal]))
     o = packing.product(u * scale[labels], u)  # U's columns scaled, times U^T
     trace = np.vdot(o, o)
@@ -885,39 +914,36 @@ def _rotation(N: int, d: int, v: VCoefficients) -> np.ndarray:
 
 def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
     """Sender rotation on the ports, a fresh dense d^N x d^N array unpacked from ``_rotation``."""
-    _require((sum(_basis_entries(N, d)), 1), (1, d**N))  # the packed rotation's build, then the dense one
-    return _port_packing(N, d).unpack(_rotation(N, d, v))
+    _require(*_srm_blocks(N, d, ("digit_table", "young"), ports=3, dense=((1, d**N),)))  # a rotation's build, then O
+    young = _point(N, d).young
+    return young.packing.unpack(_rotation(N, d, v, young))
 
 
 def frec_oracle(N: int, d: int) -> FidelityReport:
     """One-round recycling fidelity from the defining trace expression, kept on the measurement record."""
-    N, d = operator.index(N), operator.index(d)
-    _check_point(N, d)
-    _require(*_srm_blocks(N, d))  # then the record
-    return FidelityReport(value=_srm_bundle(N, d).frec_value, method="oracle", ports=N, dim=d)
+    measurement = _measured(N, d, ("frec_value",))
+    return FidelityReport(value=measurement.frec_value, method="oracle", ports=measurement.N, dim=measurement.d)
 
 
 def _optimal_value(measurement: _Measurement, rotated: np.ndarray, vNm1: VCoefficients) -> float:
     """The optimal fidelity's trace expression for ``rotated`` = O_N (x) 1, packed, and ``vNm1``'s rotation."""
-    N, d, packing = measurement.N, measurement.d, measurement.packing
     # sqrt(N)/d |tr(sigma_N root (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T)|, and tr(sigma root X) = vdot(root sigma, X)
     # as sigma_N and root are symmetric (product gives root sigma_N^T); every factor is block diagonal by torus weight
-    rotations = packing.product(rotated, measurement.embedded(_rotation(N - 1, d, vNm1), 2))
-    return float((sqrt(N) / d) * abs(np.vdot(measurement.root_signal, rotations)))
+    rotations = measurement.packing.product(rotated, measurement.point.embedded(vNm1, 2))
+    return float((sqrt(measurement.N) / measurement.d) * abs(np.vdot(measurement.root_signal, rotations)))
 
 
 def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
     """Optimal-protocol recycling fidelity from its defining trace expression.
 
-    The measurement is the plain one of ``_srm_bundle``, for any weights (see the module docstring).
+    The measurement is the plain one of the record, for any weights (see the module docstring).
     """
     N, d = operator.index(N), operator.index(d)
     _check_optimal_point(N, d)
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
-    _require(*_srm_blocks(N, d, _rotation_use(N, d)))
-    measurement = _srm_bundle(N, d)
-    value = _optimal_value(measurement, measurement.embedded(_rotation(N, d, vN), 1), vNm1)
+    measurement = _measured(N, d, _ROTATED, packed=5, ports=3)
+    value = _optimal_value(measurement, measurement.point.embedded(vN, 1), vNm1)
     return FidelityReport(value=value, method="oracle", ports=N, dim=d)
 
 
@@ -928,15 +954,13 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     extended by identity on the input system.
     """
     N, d = operator.index(N), operator.index(d)
-    _check_point(N, d)
     # the rotation and a signal with its two products, then a completed element,
     # packed and dense, with unpacking's broadcast index arrays
-    _require(*_srm_blocks(N, d, (3, ((5, d ** (N + 1)),))))
-    measurement = _srm_bundle(N, d)
+    measurement = _measured(N, d, packed=3, dense=((5, d ** (N + 1)),))
     o = None if rotation is None else np.kron(rotation, np.eye(d))
     total = 0.0
     for a in range(1, N + 1):
-        sig = measurement.dense(_packed_signal(measurement.packing, (a,), N, d))
+        sig = measurement.dense(_packed_signal(measurement.point, (a,)))
         if o is not None:
             sig = o @ sig @ o.T
         # tr(O^T pi O sig) = vdot(pi, O sig O^T) because pi is symmetric
@@ -951,7 +975,7 @@ def resource_fidelity_oracle(N: int, d: int, v: VCoefficients) -> float:
     the rotation to the sender half; no trace shortcut is taken.
     """
     dim = d**N
-    _require((sum(_basis_entries(N, d)), 1), (3, dim))  # the rotation's build, then O, the state and its image
+    _require(*_srm_blocks(N, d, ("digit_table", "young"), ports=3, dense=((3, dim),)))  # O, the state and its image
     o = build_optimizing_operator(N, d, v)
     phi = np.zeros(dim * dim)
     phi[:: dim + 1] = 1.0 / sqrt(dim)  # sum_i |i>_ports |i>_receiver
@@ -981,12 +1005,9 @@ def _rho_spectrum_prediction(N: int, d: int) -> list[tuple[float, int]]:
 def rho_spectrum_report(N: int, d: int) -> SpectrumReport:
     """Oracle spectrum of the summed signals against the block prediction, no eigensolve of its own.
 
-    The eigenvalues are those ``_srm_bundle`` solved for rho; ``_rho_spectrum_prediction`` reads int64 tables.
+    The eigenvalues are those the record's measurement solved for rho; ``_rho_spectrum_prediction`` reads int64 tables.
     """
-    N, d = operator.index(N), operator.index(d)
-    _check_point(N, d)
-    _require(*_srm_blocks(N, d))
-    return _srm_bundle(N, d).rho_spectrum_report
+    return _measured(N, d, ("rho_spectrum_report",)).rho_spectrum_report
 
 
 def _povm_block_factors(N: int, d: int) -> list[float]:
@@ -1012,7 +1033,7 @@ def povm_spectrum_deviation(N: int, d: int) -> float:
     """Worst distance of any bare-element eigenvalue from its allowed set.
 
     Reads the spectrum of port N's r x r Gram matrix G = Y_N^T Y_N, block
-    diagonal by torus weight, from ``_srm_bundle``; no eigensolve of its own.  Those r = d^(N-1) eigenvalues
+    diagonal by torus weight, from the record's measurement; no eigensolve of its own.  Those r = d^(N-1) eigenvalues
     are the nonzero spectrum of pi_N = Y_N Y_N^T, and its other D - r are zero
     because rank pi_N <= r; zero is allowed, and so is each frame's
     ``_povm_block_factors`` entry, exact integer arithmetic on the frame
@@ -1022,10 +1043,7 @@ def povm_spectrum_deviation(N: int, d: int) -> float:
     covariance (``signal_and_povm_covariance``), and by Weyl's inequality a
     covariance deviation e moves no eigenvalue by more than D e.
     """
-    N, d = operator.index(N), operator.index(d)
-    _check_point(N, d)
-    _require(*_srm_blocks(N, d))
-    return _srm_bundle(N, d).povm_spectrum_deviation
+    return _measured(N, d, ("povm_spectrum_deviation",)).povm_spectrum_deviation
 
 
 def verify_suite(
@@ -1049,20 +1067,16 @@ def verify_suite(
     (v, v_prev), the oracle side on the same O.  ``tol`` is applied per call.
     """
     N, d = operator.index(N), operator.index(d)
-    (_check_point if v_prev is None else _check_optimal_point)(N, d)
-    dim = d ** (N + 1)
-    # one after another: the record's checks, with up to N + 12 entries per basis index (the
-    # transposed swap's index arrays, rho's predicted spectrum expanded, the closed form's
-    # pair table), then the rotations
-    _require(*_srm_blocks(N, d, (2 * N + 4, (((N + 12) * dim, 1),)), _rotation_use(N, d)))
-    measurement = _srm_bundle(N, d)
+    # one after another: the record's checks, then the rotations, O_(N-1)'s only under v_prev
+    rotations, check = (_ROTATED[:2], _check_point) if v_prev is None else (_ROTATED, _check_optimal_point)
+    measurement = _measured(N, d, ("checks",) + rotations, check, packed=5, ports=3)
     checks = measurement.checks
     v = v if v is not None else VCoefficients.uniform(N, d)
-    rotated = measurement.embedded(_rotation(N, d, v), 1)
+    rotated = measurement.point.embedded(v, 1)
     # tr(O^T c O) = vdot(c, (O (x) 1)(O (x) 1)^T) because c is symmetric
     gram = measurement.packing.product(rotated, rotated)
     excess = np.vdot(measurement.delta, gram) / N
-    dev_rot = max(abs(np.vdot(pi, gram) + excess - dim / N) for pi in measurement.pis)
+    dev_rot = max(abs(np.vdot(pi, gram) + excess - d ** (N + 1) / N) for pi in measurement.pis)
     del gram
 
     report = VerifyReport(ports=N, dim=d, tol=tol)

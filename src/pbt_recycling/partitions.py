@@ -513,6 +513,9 @@ def ln_schur_weyl_probability(table: np.ndarray, d: int) -> np.ndarray:
     int columns, one i at a time against all j > i, in place on two reused
     (d - 1, rows) buffers; every value is an integer below 2^53, so each
     product and quotient rounds as the int/int ones of the per-row form do.
+    The loop stops at the table's height: past it both parts of a pair are 0
+    in every row, its factor is exactly 1 and its log adds +0.0, which moves
+    no bit, so a block's cost is set by its height, not by d.
     The two Loader gathers (``np.take``) are subtracted from g[n] in place,
     in the order g[n] - sum g - sum b + Weyl logs.  A row gets the same bits
     in any table, in any memory layout: each gathered column sum is taken in
@@ -589,7 +592,8 @@ class _Block:
         nums, dens = np.empty_like(lines[1:]), np.empty_like(lines[1:])
         gaps = np.arange(1.0, d)[:, None]  # j - i for the columns j > i
         weyl = np.zeros(rows)
-        for i in range(d - 1):
+        top = np.count_nonzero(cols.any(axis=1))  # columns past it are 0 in every row: their pairs add log 1 = +0.0
+        for i in range(min(top, d - 1)):
             num, den, gap = nums[i:], dens[i:], gaps[: d - 1 - i]
             np.subtract(lines[i], lines[i + 1:], out=num)
             num += gap

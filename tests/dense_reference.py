@@ -19,7 +19,7 @@ def permutation_operator(perm, d: int, n: int) -> np.ndarray:
     """
     oracle._require((1, d**n))
     m = np.zeros((d**n, d**n))
-    m[oracle._permuted_indices(perm, d, n), np.arange(d**n)] = 1.0
+    m[oracle._permuted_indices(perm, oracle._digits(d, n), d), np.arange(d**n)] = 1.0
     return m
 
 
@@ -33,9 +33,10 @@ def _signal_sum(ports, N: int, d: int) -> np.ndarray:
     """Sum of the signal states of ``ports``, built entry by entry."""
     oracle._require((1, d ** (N + 1)))
     m = np.zeros((d ** (N + 1),) * 2)
+    digits = oracle._digits(d, N + 1)
     for a in ports:
         # d^(1-N) Q_a Q_a^T is d^(-N) on every pair of indices in one column of Q_a
-        cols = oracle._signal_columns(a, N, d)
+        cols = oracle._signal_columns(a, digits, d)
         m[cols[:, :, None], cols[:, None, :]] += 1.0 / d**N
     return m
 
@@ -71,16 +72,17 @@ def young_projector(mu, d: int) -> np.ndarray:
 
     The group average (d_mu / n!) sum_sigma chi_mu(sigma) V_sigma, built from
     box contents instead (see the oracle's docstring) as U_mu U_mu^T over the
-    eigenvectors labelled mu, block by block on the port packing, then
-    unpacked into a fresh array.  ``mu`` is any parts ``frame_parts`` accepts.
+    eigenvectors labelled mu, block by block on the port packing of the
+    oracle's record at (|mu|, d), then unpacked into a fresh array.  ``mu`` is
+    any parts ``frame_parts`` accepts.
     """
     p = frame_parts(mu)
     n = sum(p)
     if len(p) > d:
         oracle._require((1, d**n))
         return np.zeros((d**n, d**n))
-    oracle._require((sum(oracle._basis_entries(n, d)), 1), (1, d**n))  # the packed projector, then the dense one
-    frames, u, labels = oracle._young_projectors(n, d)
+    # the basis, then the packed projector's build and the dense projector
+    oracle._require(*oracle._srm_blocks(n, d, ("digit_table", "young"), ports=3, dense=((1, d**n),)))
+    packing, frames, u, labels = oracle._point(n, d).young
     row = frames.tolist().index(list(p) + [0] * (d - len(p)))
-    packing = oracle._port_packing(n, d)
     return packing.unpack(packing.product(u * (labels == row), u))

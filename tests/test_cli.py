@@ -495,15 +495,15 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "_eigh", spy)
     for N, d in [(3, 3), (4, 2), (2, 4)]:
         solved.clear()
-        oracle._srm_bundle.cache_clear()
-        oracle._young_projectors.cache_clear()
+        oracle._point.cache_clear()
         argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
         assert invoke(capsys, *argv)[0] == EXIT_OK
         # rho's torus-weight blocks, one stack per block size that is not all
         # zero, port N's Gram matrix, one stack per block size and column count,
         # r = d^(N-1) rows in all, then the Young bases for N and N - 1 ports,
         # one stack per block size of their port packings, d^N and d^(N-1) rows
-        blocks = oracle._torus_blocks(N, d)
+        point = oracle._point(N, d)
+        blocks = point.packing.blocks
         assert sum(b.size for b in blocks) == d ** (N + 1)
         assert len(set(solved)) == len(solved)
         rho = rho_operator(N, d)
@@ -512,8 +512,8 @@ def test_oracle_verify_eigensolves_each_matrix_once(capsys, monkeypatch):
             if np.any(stack):
                 solved.remove((stack.shape, stack.tobytes()))
         assert all(len(shape) == 3 for shape, _ in solved)
-        for n in (N - 1, N):
-            young = [(*b.shape, b.shape[1]) for b in oracle._port_packing(n, d).blocks]
+        for n, basis in ((N - 1, point.prev_young), (N, point.young)):
+            young = [(*b.shape, b.shape[1]) for b in basis.packing.blocks]
             assert [shape for shape, _ in solved[-len(young):]] == young
             assert sum(k * s for k, s, _ in young) == d**n
             del solved[-len(young):]
@@ -544,8 +544,7 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
         monkeypatch.setattr(oracle, name, spy)
     N, d = 3, 3
     rng = np.random.default_rng(5)
-    oracle._srm_bundle.cache_clear()
-    oracle._young_projectors.cache_clear()
+    oracle._point.cache_clear()
     for op in range(2):
         files = []
         for n in (N, N - 1):
@@ -561,7 +560,7 @@ def test_oracle_verify_repeat_op_pays_only_for_its_rotation(capsys, monkeypatch,
             # boxes) and one per block size of the Young bases' port packings,
             # of sizes 1, 3 and 6 for 3 ports and 1 and 2 for 2 ports
             rho = rho_operator(N, d)
-            live = sum(bool(np.any(rho[b[:, :, None], b[:, None, :]])) for b in oracle._torus_blocks(N, d))
+            live = sum(bool(np.any(rho[b[:, :, None], b[:, None, :]])) for b in oracle._point(N, d).packing.blocks)
             assert live == 2
             assert calls.count("_eigh") == live + 2 + 3 + 2
             assert calls.count("_swap_gather") == N - 1
@@ -588,7 +587,7 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, spy
     for name in ("c", "s_over_sqrt_p"):
         spy_on_block_factor(name, lambda block, _name=name: calls.append(_name))
     for memo in (partitions.frame_table, partitions.frame_count, optimal.one_box_ranks, optimal._frame_rows,
-                 partitions._point_block, oracle._srm_bundle, oracle._young_projectors):
+                 partitions._point_block, oracle._point):
         memo.cache_clear()
     rng = np.random.default_rng(N * 10 + d)
     files = []
@@ -619,14 +618,13 @@ def test_oracle_verify_builds_each_rotation_once(capsys, monkeypatch):
                               (oracle, "frec_oracle", "frec_oracle")):
         real = getattr(module, name)
 
-        def spy(N, d, *args, _real=real, _tag=tag):
+        def spy(N, d, *args, _real=real, _tag=tag, **kwargs):
             calls.append((_tag, N, d))
-            return _real(N, d, *args)
+            return _real(N, d, *args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
     N, d = 3, 3
-    oracle._srm_bundle.cache_clear()
-    oracle._young_projectors.cache_clear()
+    oracle._point.cache_clear()
     argv = ("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d))
     first = invoke(capsys, *argv)
     assert first[0] == EXIT_OK
@@ -670,7 +668,7 @@ def test_oracle_verify_repeat_op_allocates_less_than_one_dense_array(capsys, tmp
             save_v_coefficients(VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w)), files[-1])
         argvs.append(("oracle", "verify", "--optimal", "--ports", str(N), "--dim", str(d),
                       "--vfile", files[0], "--vfile-prev", files[1]))
-    oracle._srm_bundle.cache_clear()
+    oracle._point.cache_clear()
     assert invoke(capsys, *argvs[0])[0] == EXIT_OK
     tracemalloc.start()
     try:

@@ -229,7 +229,7 @@ def _admissible_points():
     for d in itertools.count(2):
         for N in itertools.count(1):
             try:
-                oracle._require(*oracle._srm_blocks(N, d))
+                oracle._require(*oracle._srm_blocks(N, d, oracle._MEASURED))
             except DimensionCapError:
                 break
             points.append((N, d))
@@ -344,9 +344,8 @@ def test_young_projectors_check_the_content_prediction(monkeypatch):
         return inside, -contents, hooks
 
     monkeypatch.setattr(oracle, "_box_grid", conjugate_contents)
-    oracle._young_projectors.cache_clear()
     with pytest.raises(RuntimeError, match="content prediction"):
-        oracle._young_projectors(3, 2)
+        oracle._young_basis(oracle._digits(2, 3), 2)
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -384,8 +383,7 @@ def test_port_weight_eigenbasis_labels_the_rank_of_each_frame(n):
     for d in range(1, 4097):
         if d**n > 4096:
             break
-        frames, u, labels = oracle._young_projectors(n, d)
-        packing = oracle._port_packing(n, d)
+        packing, frames, u, labels = oracle._young_basis(oracle._digits(d, n), d)
         dims, mults = oracle._dims_and_multiplicities(frames, d)
         assert np.bincount(labels[packing.diagonal], minlength=len(frames)).tolist() == (dims * mults).tolist()
         assert u.shape == labels.shape == (packing.size,)
@@ -513,13 +511,13 @@ def _all_permutation_covariance(N, d, sigs, completed):
 @pytest.mark.parametrize("N,d", [(3, 2), (5, 2), (3, 3), (4, 3), (3, 4)])
 def test_swap_gather_conjugates_by_the_transposition(N, d):
     # a random block-diagonal X, packed: the gather of each adjacent port swap is V X V^T exactly
-    packing = oracle._packing(N, d)
+    packing = oracle._point(N, d).packing
     x = np.random.default_rng(N * 10 + d).standard_normal(packing.size)
     dense = packing.unpack(x)
     n = N + 1
     for i in range(N - 1):
         V = permutation_operator(transposition(i, i + 1, n), d, n)
-        swapped = packing.unpack(x[oracle._swap_gather(packing, transposition(i, i + 1, n), d, n)])
+        swapped = packing.unpack(x[oracle._swap_gather(packing, transposition(i, i + 1, n), oracle._digits(d, n), d)])
         assert np.array_equal(swapped, V @ dense @ V.T)
 
 
@@ -589,13 +587,13 @@ def test_bundle_keeps_the_spectrum_of_rho(N, d):
 )
 def test_all_zero_stacks_of_rho_are_not_solved(monkeypatch, N, d, zero):
     # a torus weight with a -1 entry that no port digit can cancel has rho, so W, zero on its block
-    packing = oracle._packing(N, d)
+    packing = oracle._point(N, d).packing
     views = packing.views(packing.pack(rho_operator(N, d)))
     assert [m.shape for m in views if not np.any(m)] == zero
     solved = []
     eigh = oracle._eigh
     monkeypatch.setattr(oracle, "_eigh", lambda m: solved.append(m.shape) or eigh(m))
-    whiten, spectrum = oracle._blocked_inverse_root(N, d)
+    whiten, spectrum = oracle._blocked_inverse_root(oracle._point(N, d))
     assert solved == [m.shape for m in views if np.any(m)]
     for m, w in zip(views, packing.views(whiten)):
         assert np.any(m) or not np.any(w)
@@ -604,11 +602,11 @@ def test_all_zero_stacks_of_rho_are_not_solved(monkeypatch, N, d, zero):
 
 @pytest.mark.parametrize("N,d", [(1, 2), (3, 2), (6, 2), (2, 3), (4, 3), (3, 4), (2, 6)])
 def test_torus_blocks_partition_the_basis_by_weight(N, d):
-    blocks = oracle._torus_blocks(N, d)
+    digits = oracle._digits(d, N + 1)
+    blocks = oracle._torus_blocks(digits)
     assert np.array_equal(np.sort(np.concatenate([b.ravel() for b in blocks])), np.arange(d ** (N + 1)))
     sizes = [b.shape[1] for b in blocks]
     assert sizes == sorted(set(sizes))
-    digits = oracle._digits(d, N + 1)
     seen = set()
     for b in blocks:
         for row in b.tolist():
@@ -621,7 +619,8 @@ def test_torus_blocks_partition_the_basis_by_weight(N, d):
     # the budget counts a packed operator's entries from frame tables alone, on the port packing of N and
     # N + 1 ports, and on the torus blocks as many as on the port packing of N + 1
     for n in (N, N + 1):
-        assert oracle._packed_entries(n, d) == sum(b.size * b.shape[1] for b in oracle._port_packing(n, d).blocks)
+        ports = oracle._point(n, d).young.packing
+        assert oracle._packed_entries(n, d) == sum(b.size * b.shape[1] for b in ports.blocks)
     assert oracle._packed_entries(N + 1, d) == sum(b.size * b.shape[1] for b in blocks)
 
 
@@ -630,10 +629,10 @@ def test_torus_blocks_partition_the_basis_by_weight(N, d):
 )
 def test_packed_rho_is_the_packed_dense_sum(N, d):
     # summed block by block, rho has the bits of the dense sum, and the dense sum has no entry off the blocks
-    packing = oracle._packing(N, d)
+    point = oracle._point(N, d)
     dense = rho_operator(N, d)
-    packed = packing.pack(dense)
-    assert np.array_equal(oracle._packed_signal(packing, range(1, N + 1), N, d), packed)
+    packed = point.packing.pack(dense)
+    assert np.array_equal(oracle._packed_signal(point, range(1, N + 1)), packed)
     assert np.count_nonzero(packed) == np.count_nonzero(dense)
 
 
@@ -643,16 +642,15 @@ def test_signal_column_across_blocks_raises(monkeypatch):
     columns = oracle._signal_columns
     checked, added = [], []
 
-    def crossed(a, N, d):
+    def crossed(a, digits, d):
         checked.append(a)
-        cols = columns(a, N, d).copy()
+        cols = columns(a, digits, d).copy()
         cols[0, 0], cols[-1, 0] = cols[-1, 0], cols[0, 0]
         return cols
 
     monkeypatch.setattr(oracle, "_signal_columns", crossed)
     monkeypatch.setattr(oracle, "_psd_function", lambda *args: added.append(args))
-    oracle._srm_bundle.cache_clear()
-    oracle._signal_blocks.cache_clear()
+    oracle._point.cache_clear()
     with pytest.raises(RuntimeError, match="spans two torus-weight blocks"):
         oracle._srm_bundle(N, d)
     # port 1's check raised before rho was summed: no other port's columns were read, nothing was solved
@@ -693,8 +691,8 @@ def test_transposed_swap_counts_a_nonzero_outside_the_blocks(monkeypatch):
     measurement = dataclasses.replace(oracle._srm_bundle(N, d))
     permuted_indices = oracle._permuted_indices
 
-    def exchanged(perm, d, n):
-        rows = permuted_indices(perm, d, n)
+    def exchanged(perm, digits, d):
+        rows = permuted_indices(perm, digits, d)
         if tuple(perm) == transposition(N - 1, N, n):
             rows = rows.copy()
             rows[[0, -1]] = rows[[-1, 0]]
@@ -708,7 +706,7 @@ def test_transposed_swap_counts_a_nonzero_outside_the_blocks(monkeypatch):
 
 def test_singular_gram_matrix_raises(monkeypatch):
     # a zero eigenvalue of port N's Gram matrix has no inverse fourth root; rho is solved before the flattening
-    whitened = oracle._blocked_inverse_root(3, 2)
+    whitened = oracle._blocked_inverse_root(oracle._point(3, 2))
     eigh = oracle._eigh
 
     def flatten_gram(m):
@@ -717,7 +715,7 @@ def test_singular_gram_matrix_raises(monkeypatch):
 
     monkeypatch.setattr(oracle, "_blocked_inverse_root", lambda *point: whitened)
     monkeypatch.setattr(oracle, "_eigh", flatten_gram)
-    oracle._srm_bundle.cache_clear()
+    oracle._point.cache_clear()
     with pytest.raises(RuntimeError, match="singular"):
         oracle._srm_bundle(3, 2)
 
@@ -727,7 +725,7 @@ def test_oracle_cap_errors(monkeypatch):
         frec_oracle(20, 2)
     # a numpy-integer N is counted exactly, not in wrapping int64
     with pytest.raises(DimensionCapError, match="budget"):
-        oracle._require(*oracle._srm_blocks(np.int64(40), 2))
+        oracle._require(*oracle._srm_blocks(np.int64(40), 2, oracle._MEASURED))
     with pytest.raises(DimensionCapError, match="budget"):
         frec_oracle(np.int64(40), 2)
     # nor are the dimensions it makes: 2**71 wraps to 0 in int64
@@ -767,11 +765,12 @@ def test_cached_arrays_are_read_only():
     bare, excess, completed = srm_povm(2, 2, 2)
     measurement = oracle._srm_bundle(2, 2)
     frec_optimal_oracle(2, 2, v_optimal(2, 2), v_optimal(1, 2))  # builds both bases, root sigma_N and both gather pairs
-    bases = [array for n in (2, 1) for array in oracle._young_projectors(n, 2)[1:]]
+    point = oracle._point(2, 2)
+    bases = [array for young in (point.young, point.prev_young) for array in (young.u, young.labels)]
     for cached in (
         *bases, *measurement.pis, measurement.delta, measurement.root,
         measurement.rho_eigenvalues, measurement.gram_eigenvalues, measurement.root_signal,
-        *measurement.gather_pairs[1], *measurement.gather_pairs[2],
+        *point.gather, *point.prev_gather, point.digit_table, *point.packing[1:-1],
     ):
         with pytest.raises(ValueError, match="read-only"):
             cached[:] = 0
@@ -781,10 +780,8 @@ def test_cached_arrays_are_read_only():
 
 
 def _clear_memos():
-    """Empty every oracle cache, index tables included."""
-    for memo in (oracle._srm_bundle, oracle._young_projectors, oracle._packing, oracle._port_packing,
-                 oracle._signal_blocks, oracle._digits):
-        memo.cache_clear()
+    """Drop the oracle's record, and all it holds, index tables included."""
+    oracle._point.cache_clear()
 
 
 def _traced(call):
@@ -803,7 +800,7 @@ def _traced(call):
 
 
 #: Qubit weights of the calls below, solved before any tracing.
-W = {N: v_optimal(N, 2) for N in (5, 6, 7)}
+W = {N: v_optimal(N, 2) for N in (5, 6, 7, 9, 11)}
 
 #: Calls whose dense arrays are 128 x 128 (128 KiB each): d^(N+1) = 128, or d^N = 128.
 BUDGET_CALLS = {
@@ -885,27 +882,71 @@ def test_verify_suite_counts_fit_the_budget_at_6_4_not_8_3(monkeypatch):
 
 
 def test_budget_counts_cover_a_point_built_after_another(monkeypatch):
-    # index tables memoised at one point are dropped when the next is built, not held beside it uncounted
+    # the record of one point is dropped when the next is built, not held beside it uncounted
     counted = []
     check = oracle._require
+    init = oracle._Point.__init__
 
     def spy(*blocks):
         counted.append(sum(count * dim * dim * 8 for count, dim in blocks))
         check(*blocks)
 
+    def fresh(self, N, d):  # the memo has dropped the record at (1, 160) by now: the peak counts from here
+        tracemalloc.reset_peak()
+        init(self, N, d)
+
     _clear_memos()
     tracemalloc.start()
     try:
         frec_oracle(1, 160)  # its 25600 x 2 digit table is half the count of the call below
-        for memo in (oracle._srm_bundle, oracle._packing):  # what a miss evicts before it builds
-            memo.cache_clear()
-        tracemalloc.reset_peak()
+        monkeypatch.setattr(oracle._Point, "__init__", fresh)
         monkeypatch.setattr(oracle, "_require", spy)
         frec_oracle(1, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= counted[0] + (1 << 16)
+
+
+#: (calls before, the last call): what the earlier calls leave held, the last call's count must cover or drop.
+HELD_SEQUENCES = {
+    # a Young basis of 11 ports held at another point, about 12 MB beside a count of under 1 MB at the parent
+    "young-basis-elsewhere": ((lambda: frec_oracle(6, 2), lambda: build_optimizing_operator(11, 2, W[11])),
+                              lambda: verify_suite(6, 2)),
+    # a measurement held at the point of a call that reads only its Young basis
+    "measurement-then-rotation": ((lambda: frec_oracle(9, 2),), lambda: build_optimizing_operator(9, 2, W[9])),
+    "measurement-then-resource": ((lambda: frec_oracle(9, 2),), lambda: resource_fidelity_oracle(9, 2, W[9])),
+    # controls: a repeat at one point, and a new point's build after a basis held elsewhere
+    "same-point": ((lambda: frec_oracle(6, 2),), lambda: verify_suite(6, 2)),
+    "new-point": ((lambda: build_optimizing_operator(11, 2, W[11]),), lambda: frec_oracle(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELD_SEQUENCES))
+def test_budget_counts_cover_what_earlier_calls_left_held(monkeypatch, name):
+    # the last call's first count covers what the record holds when it starts, or the call drops
+    # that record before it builds: its peak stays within what was held then or what it counts
+    earlier, last = HELD_SEQUENCES[name]
+    counted = []
+    check = oracle._require
+
+    def spy(*blocks):
+        counted.append(oracle._nbytes(blocks))
+        check(*blocks)
+
+    _clear_memos()
+    tracemalloc.start()
+    try:
+        for call in earlier:
+            call()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(oracle, "_require", spy)
+        last()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(held, counted[0]) + (1 << 16)
 
 
 # -- the measurement checks, once per measurement record -----------------------------------------
@@ -925,7 +966,7 @@ def _deviations(report):
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (5, 2), (7, 2), (8, 2), (2, 3), (4, 3), (3, 4)])
 def test_cached_measurement_checks_equal_fresh_ones(N, d):
     rng = np.random.default_rng(N * 10 + d)
-    oracle._srm_bundle.cache_clear()
+    oracle._point.cache_clear()
     assert "checks" not in vars(oracle._srm_bundle(N, d))
     reports = [verify_suite(N, d, v=random_v(N, d, rng)) for _ in range(3)]
     assert "checks" in vars(oracle._srm_bundle(N, d))
@@ -951,7 +992,7 @@ def test_check_cache_follows_the_bundle_memo(monkeypatch):
     assert dropped == [True]
     held = weakref.ref(oracle._srm_bundle(2, 2))
     assert "checks" not in vars(held())
-    oracle._srm_bundle.cache_clear()
+    oracle._point.cache_clear()
     assert held() is None
 
 
