@@ -55,11 +55,12 @@ root sqrt(pi_N) + Delta/sqrt(N), because pi_N lives on supp rho, and the
 polar identity sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T takes sqrt(pi_N) from the
 r_b x r_b blocks of the Gram matrix G = Y_N^T Y_N, one stacked eigensolve per
 block size and column count (``_Point.signal_blocks``).  The measurement is
-one read-only ``_Measurement``: the N bare elements, Delta and that
-completed root (the operator behind every recycling fidelity), all packed,
-with rho's eigenvalues and G's.  It is built once per (N, d) and shared by
-every call; ``srm_povm`` and ``channel_fidelity_oracle`` unpack what they
-read into dense arrays.  The record's eigensolves are the only ones of the
+one read-only ``_Measurement`` tuple on the record (``_Point.measurement``):
+the N bare elements, Delta and that completed root (the operator behind every
+recycling fidelity), all packed, with rho's eigenvalues and G's.  It is built
+once per (N, d) and shared by every call; ``srm_povm`` and
+``channel_fidelity_oracle`` unpack what they read into dense arrays through
+the record's packing.  Its eigensolves are the only ones of the
 measurement: ``rho_spectrum_report`` reads rho's eigenvalues, and
 ``povm_spectrum_deviation`` reads G's, the nonzero spectrum of pi_N.  So a
 fresh point costs its index tables, the stacked eigensolves of rho's and G's
@@ -70,14 +71,15 @@ none but ``build_optimizing_operator`` and its callers a d^N x d^N one.
 
 Everything the oracle keeps at (N, d) lives on one record, ``_Point``, each
 part a cached property built on first read and read-only: the digit table
-of N + 1 factors, whose first d^n rows and last n columns are the digits of
-n factors; the torus ``_Packing`` and every port's signal blocks; the
-measurement with what it caches; the Young bases of N and N - 1 ports on
-their port packings; and the gather pairs of ``_Point.embedded``.  Every
-public call reaches its state through the record at its own point, which
-``_point`` holds alone: a call at a new point drops the record at the old
-one, with its measurement, bases and tables, before it allocates, so
-interleaving two points rebuilds each at every switch.
+of N + 1 factors; the torus ``_Packing`` and every port's signal blocks; the
+measurement and each value read from it alone; the Young bases of N and
+N - 1 ports on their port packings, each built on its own digit table of n
+factors, so a call that reads only a rotation builds no table of N + 1; and
+the gather pairs of ``_Point.embedded``.  Every public call reaches its
+state through the record at its own point, which ``_point`` holds alone: a
+call at a new point drops the record at the old one, with its measurement,
+bases and tables, before it allocates, so interleaving two points rebuilds
+each at every switch.
 
 Memory has one limit, ``ORACLE_BYTE_BUDGET`` bytes.  Before a public call
 allocates, it counts the bytes it will hold at once (``_srm_blocks``): what
@@ -91,7 +93,8 @@ and dense arrays.  A packed operator counts as its
 entries, the sum of its blocks' s^2, an exact integer sum taken before any
 index array exists (``_packed_entries``, on the port blocks and, counted as
 N + 1 ports, the torus blocks), and an int64 array as many float64 entries
-as it has.  A point whose digit table alone is over counts it alone.  Over
+as it has.  A call whose first table, the digits of N + 1 factors or of a
+Young basis's N, is over the budget alone while built counts it alone.  Over
 the budget a call raises ``DimensionCapError``, exit code 2 in the CLI; the
 class lives in ``reports`` and is re-exported here.
 
@@ -103,13 +106,16 @@ signals sum to O rho O^T = O^2 rho, and whitening undoes the rotation:
 With a zero weight O is singular; the oracle then uses the plain measurement,
 as ``frec_optimal`` does.
 
-What reads no weight is a cached property of the measurement, computed on
-first read and kept on it, read-only: ``frec_oracle``'s value, root sigma_N,
-both spectral reports, and ten of ``verify_suite``'s checks, the last
-``frec``'s closed form against ``frec_oracle``'s value.  A cached value lives
-and dies with its record: the memo drops the old record before it builds a
-new one, and a measurement substituted with ``dataclasses.replace`` computes
-its own, on the index tables of the record at its point.  The checks that
+What reads no weight is a cached property of the record, computed on first
+read from its measurement and kept beside it, read-only: ``frec_oracle``'s
+value, root sigma_N, both spectral reports, and ten of ``verify_suite``'s
+checks, the last ``frec``'s closed form against ``frec_oracle``'s value.
+So every value the record caches sits in its one ``vars``, which
+``_srm_blocks`` counts.  A cached value lives and dies with its record, and
+reads the record's own measurement and tables, never the memo: the memo
+drops the old record before it builds a new one, a record it has dropped
+still computes on its own tables, and a fresh record given another
+measurement computes its own values from it.  The checks that
 read rotation weights hold the rotations on the torus blocks.  O (x) 1 and
 O_(N-1) (x) 1 (x) 1 commute with U^(x)N (x) conj(U) for diagonal U, so each
 is block diagonal by torus weight: entry (m, n) is the rotation's entry
@@ -304,19 +310,25 @@ def _grouped(key: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.flatnonzero(np.bincount(sizes)).tolist()]
 
 
-def _packed_entries(n: int, d: int) -> int:
-    """Entries of a packed operator on the port weights of n factors: S_d(n), in d n^2 steps of exact integers.
+def _packed_entries(n: int, d: int) -> list[int]:
+    """Entries of a packed operator on the port weights of m factors, S_d(m), for m = 0..n, in exact integers.
 
-    S_j(m) sums multinomial(m; c)^2 over the compositions c of m into j parts,
-    so S_0(m) = [m = 0] and S_j(m) = sum_k C(m, k)^2 S_(j-1)(m - k), k the last
-    part.  The ``_torus_blocks`` of (N, d) hold as many entries as the port
+    S_j(m) sums multinomial(m; c)^2 over the compositions c of m into j parts.
+    Splitting c into its first i parts and its last j, by the k factors they
+    hold, gives S_(i+j)(m) = sum_k C(m, k)^2 S_i(k) S_j(m - k); from
+    S_0(m) = [m = 0] and S_1(m) = 1 the bits of d take about 2 log2(d) of these
+    n^2 steps.  The ``_torus_blocks`` of (N, d) hold as many entries as the port
     weights of N + 1 factors: exchanging the input digits of two indices maps
     the pairs with one torus weight one to one onto the pairs with one digit count.
     """
+
+    def join(x, y):
+        return [sum(math.comb(m, k) ** 2 * x[k] * y[m - k] for k in range(m + 1)) for m in range(n + 1)]
+
     s = [1] + [0] * n
-    for _ in range(d):
-        s = [sum(math.comb(m, k) ** 2 * s[m - k] for k in range(m + 1)) for m in range(n + 1)]
-    return s[n]
+    for bit in bin(d)[2:]:
+        s = join(s, s) if bit == "0" else join(join(s, s), [1] * (n + 1))
+    return s
 
 
 class _Packing(NamedTuple):
@@ -473,44 +485,44 @@ _MEASURED = ("digit_table", "packing", "signal_blocks", "measurement")
 #: Those the rotations of ``frec_optimal_oracle`` read, in build order; O_N (x) 1 alone reads the first two.
 _ROTATED = ("young", "gather", "prev_young", "prev_gather", "root_signal")
 
-#: The measurement's cached values that its public readers return, each read alone.
+#: The record's cached values that its public readers return, each read alone.
 _REPORTS = ("frec_value", "rho_spectrum_report", "povm_spectrum_deviation")
 
 
 def _srm_blocks(N: int, d: int, names: tuple[str, ...], packed: int = 0, ports: int = 0, dense=()) -> tuple:
     """``_require`` blocks of a call at (N, d) that reads the record's properties ``names``, in build order.
 
-    The record at (N, d) counts as what its built properties keep: nothing
-    when ``_point`` held a record at another point, which it drops here.
-    Each of ``names`` the record lacks is then built in turn, holding at most
-    the entries ``sizes`` gives beside those kept, then keeping its
-    own.  Last, the call holds ``packed`` operators on the torus blocks,
-    ``ports`` on the port blocks of N ports and the ``dense`` blocks beside
-    all that is kept.  With D = d^(N+1) and P_n the entries of a packed
-    operator on n factors (P_(N+1) on the torus blocks): the digit table holds
-    two tables and an index column while built; the torus packing's build
-    (``_torus_blocks``, ``_grouped``, ``_pack``) up to 2N + 8 index entries
-    per basis index, and it keeps five; the signal blocks keep N d^N columns;
-    the measurement holds N + 8 packed operators (W, the N bare elements, the
-    excess and the root, with the gathers and products of one
-    ``signal_blocks`` array; rho with its eigensolves holds fewer) and keeps
-    N + 2 with both spectra; the checks hold 2N + 4 packed operators and
+    The record at (N, d) counts as what its built properties keep, every one
+    of them in its ``vars``: nothing when ``_point`` held a record at another
+    point, which it drops here.  Each of ``names`` the record lacks is then
+    built in turn, holding at most the entries ``sizes`` gives beside those
+    kept, then keeping its own.  Last, the call holds ``packed`` operators on
+    the torus blocks, ``ports`` on the port blocks of N ports and the
+    ``dense`` blocks beside all that is kept.  With D = d^(N+1) and P_n the
+    entries of a packed operator on n factors (P_(N+1) on the torus blocks):
+    the digit table holds two tables and an index column while built; the
+    torus packing's build (``_torus_blocks``, ``_grouped``, ``_pack``) up to
+    2N + 8 index entries per basis index, and it keeps five; the signal blocks
+    keep N d^N columns; the measurement holds N + 8 packed operators (W, the N
+    bare elements, the excess and the root, with the gathers and products of
+    one ``signal_blocks`` array; rho with its eigensolves holds fewer) and
+    keeps N + 2 with both spectra; the checks hold 2N + 4 packed operators and
     N + 12 index entries per basis index; a Young basis of n ports keeps its
-    port packing, U and a label per packed entry, and its build holds the
-    sort and group tables and the permutation indices, two distances per
-    frame and index while labelling, and A with one stacked eigensolve; a
-    gather pair keeps two int64 arrays of d^held entries per port entry.
-    Where the digit table's build alone is over the budget it is counted
-    alone: such a point's P_n take d n^2 steps to sum.
+    port packing, U and a label per packed entry, and its build holds its own
+    digit table of n factors, the sort and group tables and the permutation
+    indices, two distances per frame and index while labelling, and A with one
+    stacked eigensolve; a gather pair keeps two int64 arrays of d^held entries
+    per port entry.  Where the first table a call builds, the digits of N + 1
+    factors or of a Young basis's N, is over the budget alone while built, it
+    is counted alone: such a point's frame counts and P_n can take long to sum.
     """
     N, d = operator.index(N), operator.index(d)
     point = _point(N, d)  # a call at another point drops the record held there now, before it allocates
     built = set(vars(point))
-    if "measurement" in built:
-        built |= set(vars(point.measurement))
     D, p, r = d ** (N + 1), d**N, d ** (N - 1)
-    if "digit_table" not in built and _nbytes([((2 * N + 3) * D, 1)]) > ORACLE_BYTE_BUDGET:
-        return (((2 * N + 3) * D, 1),)
+    first = (2 * N + 3) * D if names[0] == "digit_table" else (2 * N + 1) * p  # the first table the call builds
+    if names[0] not in built and _nbytes([(first, 1)]) > ORACLE_BYTE_BUDGET:
+        return ((first, 1),)
     P, Pn, Pm = point.packed_entries
     sizes = {  # property: (entries it keeps, entries it holds at most while built, those included)
         "digit_table": ((N + 1) * D, (2 * N + 3) * D),
@@ -522,9 +534,9 @@ def _srm_blocks(N: int, d: int, names: tuple[str, ...], packed: int = 0, ports: 
         **dict.fromkeys(_REPORTS, (0, P + 4 * D + (2 * frame_count(N - 1, d) + 3) * r)),
         # the rotations' builds with what their callers hold beside them: O_N (x) 1 from ``prev_young``
         # on, and with it the product of the two rotations beside ``root_signal``
-        "young": (5 * p + 2 * Pn, (3 * N + 13 + 2 * frame_count(N, d)) * p + (_EIGH_ARRAYS + 3) * Pn),
+        "young": (5 * p + 2 * Pn, (4 * N + 13 + 2 * frame_count(N, d)) * p + (_EIGH_ARRAYS + 3) * Pn),
         "gather": (2 * d * Pn, 3 * P + 2 * d * Pn),
-        "prev_young": (5 * r + 2 * Pm, (3 * N + 10 + 2 * frame_count(N - 1, d)) * r + (_EIGH_ARRAYS + 3) * Pm + P),
+        "prev_young": (5 * r + 2 * Pm, (4 * N + 9 + 2 * frame_count(N - 1, d)) * r + (_EIGH_ARRAYS + 3) * Pm + P),
         "prev_gather": (2 * d * d * Pm, 4 * P + 2 * d * d * Pm),
         "root_signal": (P, 4 * P + 2 * D),
     }
@@ -540,31 +552,46 @@ def _srm_blocks(N: int, d: int, names: tuple[str, ...], packed: int = 0, ports: 
 #: The Young eigenbasis of n ports, read-only (``_young_basis``): U and its labels, packed on ``packing``.
 _Young = NamedTuple("_Young", [("packing", _Packing)] + [(name, np.ndarray) for name in ("frames", "u", "labels")])
 
+class _Measurement(NamedTuple):
+    """The square-root measurement at one point (``_Point.measurement``), read-only.
+
+    The N bare elements ``pis``, the excess ``delta`` and the completed
+    ``root`` are packed on the record's torus ``_Packing``; both spectra are ascending.
+    """
+
+    pis: tuple[np.ndarray, ...]
+    delta: np.ndarray
+    root: np.ndarray
+    rho_eigenvalues: np.ndarray
+    gram_eigenvalues: np.ndarray
+
 
 class _Point:
     """Everything the oracle keeps at one (N, d), each part a cached property, built on first read and read-only.
 
     They are the (N + 1)-digit table and the torus ``_Packing``; every port's
-    signal blocks; the ``_Measurement``, with what it caches; the Young bases
-    of N and N - 1 ports with their port packings; and the two gather pairs of
-    ``embedded``.  ``_point`` holds one record, so a call at another point
-    drops this one, with all it holds, before it builds.
+    signal blocks; the ``_Measurement`` and the values read from it alone
+    (``frec_oracle``'s value, root sigma_N, both spectral reports and the
+    weightless checks); the Young bases of N and N - 1 ports with their port
+    packings; and the two gather pairs of ``embedded``.  Each reads this
+    record's own tables, so a record that ``_point`` no longer holds still
+    computes on them.  ``_point`` holds one record, so a call at another
+    point drops this one, with all it holds, before it builds.
     """
 
     def __init__(self, N: int, d: int):
         self.N, self.d = N, d
 
     # the digits of N + 1 factors and the ``_Packing`` of their ``_torus_blocks``; the Young bases
-    # of N and N - 1 ports, on the digits of n factors, the first d^n rows and last n columns of
-    # the table; and ``embedded``'s index pairs for their rotations
+    # of N and N - 1 ports, each on its own digit table; and ``embedded``'s index pairs for their rotations
     digit_table = cached_property(lambda self: _read_only(_digits(self.d, self.N + 1)))
     packing = cached_property(lambda self: _read_only(_pack(_torus_blocks(self.digit_table))))
-    young = cached_property(lambda self: _young_basis(self.digit_table[: self.d**self.N, 1:], self.d))
-    prev_young = cached_property(lambda self: _young_basis(self.digit_table[: self.d ** (self.N - 1), 2:], self.d))
+    young = cached_property(lambda self: _young_basis(_digits(self.d, self.N), self.d))
+    prev_young = cached_property(lambda self: _young_basis(_digits(self.d, self.N - 1), self.d))
     gather = cached_property(lambda self: self._gather_pair(1, self.young.packing))
     prev_gather = cached_property(lambda self: self._gather_pair(2, self.prev_young.packing))
     # what ``_srm_blocks`` counts a packed operator as: on the torus blocks, on N and on N - 1 ports
-    packed_entries = cached_property(lambda self: [_packed_entries(self.N + k, self.d) for k in (1, 0, -1)])
+    packed_entries = cached_property(lambda self: _packed_entries(self.N + 1, self.d)[::-1][:3])
 
     @cached_property
     def signal_blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -620,7 +647,109 @@ class _Point:
         for (cols, yt), (w, v) in zip(factors, grams):
             half = np.swapaxes(v * w[:, None, :] ** -0.25, -1, -2) @ yt  # Lambda^(-1/4) V^T Y^T
             root[_block_entries(packing, cols)] += _symmetric_gram(half).reshape(len(cols), -1)
-        return _Measurement(N, d, tuple(pis), delta, root, rho_eigenvalues, gram_eigenvalues=lam)
+        return _read_only(_Measurement(tuple(pis), delta, root, rho_eigenvalues, lam))
+
+    @cached_property
+    def frec_value(self) -> float:
+        """``frec_oracle``'s value: its defining trace expression on the completed root."""
+        N, d, (pis, delta, root, *_), diagonal = self.N, self.d, self.measurement, self.packing.diagonal
+        norm = sqrt(pis[N - 1][diagonal].sum() + delta[diagonal].sum() / N)
+        # tr(sigma_N root) = vdot(sigma_N, root): both are symmetric, and both packed
+        overlap = abs(np.vdot(_packed_signal(self, (N,)), root))
+        return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
+
+    @cached_property
+    def root_signal(self) -> np.ndarray:
+        """root sigma_N, packed: the weightless factor of the optimal fidelity (``_optimal_value``)."""
+        return _read_only(self.packing.product(self.measurement.root, _packed_signal(self, (self.N,))))
+
+    @cached_property
+    def rho_spectrum_report(self) -> SpectrumReport:
+        """rho's eigenvalues against ``_rho_spectrum_prediction``."""
+        eigenvalues, predicted = self.measurement.rho_eigenvalues, _rho_spectrum_prediction(self.N, self.d)
+        expanded = np.sort(np.concatenate([np.full(m, lam) for lam, m in predicted]))
+        return SpectrumReport(
+            eigenvalues=eigenvalues,
+            predicted=tuple(sorted(predicted)),
+            max_deviation=float(np.abs(eigenvalues - expanded).max()),
+        )
+
+    @cached_property
+    def povm_spectrum_deviation(self) -> float:
+        """Worst distance of an eigenvalue of G from zero and the ``_povm_block_factors``."""
+        allowed = np.array([0.0] + _povm_block_factors(self.N, self.d))
+        return float(np.abs(self.measurement.gram_eigenvalues[:, None] - allowed).min(axis=1).max())
+
+    @cached_property
+    def checks(self) -> tuple[tuple[str, float, str], ...]:
+        """(name, deviation, detail) of the ten checks that read no weights, in ``verify_suite``'s order."""
+        N, d, packing, (pis, delta, root, *_) = self.N, self.d, self.packing, self.measurement
+        n, diagonal = N + 1, packing.diagonal
+        sigs = [_packed_signal(self, (a,)) for a in range(1, N + 1)]
+        checks = []
+
+        def add(name: str, deviation, detail: str = ""):
+            checks.append((name, float(deviation), detail))
+
+        excess = delta / N
+        completed = [pi + excess for pi in pis]
+        del excess
+        total = sum(completed[1:], completed[0].copy())
+        total[diagonal] -= 1.0
+        add("povm_completeness", np.abs(total).max())
+        del total
+        add("excess_idempotent", max(np.abs(m @ m - m).max() for m in packing.views(delta)))
+        # every column of delta sigma_s at an index of column j of Q_s is d^(-N) times
+        # the sum of delta's columns there, its rows as delta is symmetric
+        dev_orth = max(
+            np.abs(_summed_rows(packing, delta, cols)).max()
+            for s in range(1, N + 1)
+            for cols in self.signal_blocks[s - 1]
+        )
+        add("excess_signal_orthogonal", dev_orth / d**N)
+
+        # covariance under the adjacent port transpositions (acting trivially on the input);
+        # a word of at most N(N - 1)/2 of them reaches any permutation, and its deviations add up
+        dev_cov = 0.0
+        for i in range(N - 1):
+            perm = transposition(i, i + 1, N)
+            swap = _swap_gather(packing, transposition(i, i + 1, n), self.digit_table, d)
+            for a in range(1, N + 1):
+                b = perm[a - 1] + 1
+                for x in (sigs, completed):
+                    diff = x[b - 1][swap]
+                    diff -= x[a - 1]
+                    dev_cov = max(dev_cov, float(np.abs(diff, out=diff).max()))
+            del swap, diff
+        add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
+
+        add("completed_trace", max(abs(c[diagonal].sum() - d ** (N + 1) / N) for c in completed))
+        del completed
+
+        add("rho_spectrum", self.rho_spectrum_report.max_deviation)
+        add("povm_spectrum", self.povm_spectrum_deviation)
+
+        # signal N equals the partially transposed port<->input swap v' over d^N.  The swap
+        # V has V[rows[j], j] = 1; the partial transpose exchanges the input digits of
+        # each entry's row and column.  A nonzero of v' outside the blocks meets a zero
+        rows, cols = _permuted_indices(transposition(N - 1, N, n), self.digit_table, d), np.arange(d**n)
+        rows, cols = rows - rows % d + cols % d, cols - cols % d + rows % d
+        inside = packing.first[rows] == packing.first[cols]
+        at = packing.start[rows[inside]] + packing.pos[cols[inside]]
+        v_prime = np.zeros(packing.size)
+        v_prime[at] = 1.0 / d**N
+        dev_swap = np.abs(sigs[N - 1] - v_prime).max()
+        add("signal_is_transposed_swap", dev_swap if inside.all() else max(dev_swap, 1.0 / d**N))
+        del sigs, v_prime
+
+        # tr(root v') is vdot(root, v') because root is symmetric.  The completed
+        # root is sqrt(pi_N) + delta / sqrt(N), since pi_N lives on the support of rho
+        # and delta projects onto its kernel, and tr(delta v') = d^N tr(delta sigma_N)
+        # is zero (excess_signal_orthogonal): this is the trace of the bare root.
+        tr_direct = float(root[at].sum())
+        add("sqrt_povm_signal_trace", abs(tr_direct - trace_sqrt_povm_signal(N, d)), f"oracle={tr_direct!r}")
+        add("frec_formula_vs_oracle", abs(frec(N, d).value - self.frec_value))
+        return tuple(checks)
 
     def _gather_pair(self, held: int, ports: _Packing) -> tuple[np.ndarray, np.ndarray]:
         q, packing = self.d**held, self.packing
@@ -648,149 +777,17 @@ class _Point:
 _point = _memo(1)(_Point)
 
 
-def _srm_bundle(N: int, d: int) -> _Measurement:
-    """The ``_Measurement`` at (N, d), kept on its record."""
-    return _point(N, d).measurement
+def _measured(N: int, d: int, names: tuple[str, ...] = (), check=_check_point, **use) -> _Point:
+    """The record at (N, d), its measurement built, once ``check`` passes the point and the budget ``names``.
 
-
-@dataclass(frozen=True, eq=False)
-class _Measurement:
-    """The square-root measurement at one (N, d) point and what it alone determines (module docstring).
-
-    ``pis``, ``delta`` and ``root`` are packed on the record's torus
-    ``_Packing``.  Every array on it is read-only, also in its cached
-    properties; both spectra are ascending.
+    The budget counts the ``_srm_blocks`` of the measurement's properties, then of ``names``.
     """
-
-    N: int
-    d: int
-    pis: tuple[np.ndarray, ...]
-    delta: np.ndarray
-    root: np.ndarray
-    rho_eigenvalues: np.ndarray
-    gram_eigenvalues: np.ndarray
-
-    # the record at (N, d), whose index tables and rotations the measurement reads, and its torus packing
-    point = property(lambda self: _point(self.N, self.d))
-    packing = property(lambda self: self.point.packing)
-
-    def __post_init__(self):
-        _read_only((self.pis, self.delta, self.root, self.rho_eigenvalues, self.gram_eigenvalues))
-
-    def dense(self, packed: np.ndarray) -> np.ndarray:
-        """A fresh dense D x D array of one of the record's packed operators."""
-        return self.packing.unpack(packed)
-
-    @cached_property
-    def frec_value(self) -> float:
-        """``frec_oracle``'s value: its defining trace expression on the completed root."""
-        N, d, diagonal = self.N, self.d, self.packing.diagonal
-        norm = sqrt(self.pis[N - 1][diagonal].sum() + self.delta[diagonal].sum() / N)
-        # tr(sigma_N root) = vdot(sigma_N, root): both are symmetric, and both packed
-        overlap = abs(np.vdot(_packed_signal(self.point, (N,)), self.root))
-        return float((N / d) * norm / sqrt(d ** (N + 1)) * overlap)
-
-    @cached_property
-    def root_signal(self) -> np.ndarray:
-        """root sigma_N, packed: the weightless factor of the optimal fidelity (``_optimal_value``)."""
-        return _read_only(self.packing.product(self.root, _packed_signal(self.point, (self.N,))))
-
-    @cached_property
-    def rho_spectrum_report(self) -> SpectrumReport:
-        """rho's eigenvalues against ``_rho_spectrum_prediction``."""
-        predicted = _rho_spectrum_prediction(self.N, self.d)
-        expanded = np.sort(np.concatenate([np.full(m, lam) for lam, m in predicted]))
-        return SpectrumReport(
-            eigenvalues=self.rho_eigenvalues,
-            predicted=tuple(sorted(predicted)),
-            max_deviation=float(np.abs(self.rho_eigenvalues - expanded).max()),
-        )
-
-    @cached_property
-    def povm_spectrum_deviation(self) -> float:
-        """Worst distance of an eigenvalue of G from zero and the ``_povm_block_factors``."""
-        allowed = np.array([0.0] + _povm_block_factors(self.N, self.d))
-        return float(np.abs(self.gram_eigenvalues[:, None] - allowed).min(axis=1).max())
-
-    @cached_property
-    def checks(self) -> tuple[tuple[str, float, str], ...]:
-        """(name, deviation, detail) of the ten checks that read no weights, in ``verify_suite``'s order."""
-        N, d, delta, root, point = self.N, self.d, self.delta, self.root, self.point
-        n, packing = N + 1, point.packing
-        diagonal = packing.diagonal
-        sigs = [_packed_signal(point, (a,)) for a in range(1, N + 1)]
-        checks = []
-
-        def add(name: str, deviation, detail: str = ""):
-            checks.append((name, float(deviation), detail))
-
-        excess = delta / N
-        completed = [pi + excess for pi in self.pis]
-        del excess
-        total = sum(completed[1:], completed[0].copy())
-        total[diagonal] -= 1.0
-        add("povm_completeness", np.abs(total).max())
-        del total
-        add("excess_idempotent", max(np.abs(m @ m - m).max() for m in packing.views(delta)))
-        # every column of delta sigma_s at an index of column j of Q_s is d^(-N) times
-        # the sum of delta's columns there, its rows as delta is symmetric
-        dev_orth = max(
-            np.abs(_summed_rows(packing, delta, cols)).max()
-            for s in range(1, N + 1)
-            for cols in point.signal_blocks[s - 1]
-        )
-        add("excess_signal_orthogonal", dev_orth / d**N)
-
-        # covariance under the adjacent port transpositions (acting trivially on the input);
-        # a word of at most N(N - 1)/2 of them reaches any permutation, and its deviations add up
-        dev_cov = 0.0
-        for i in range(N - 1):
-            perm = transposition(i, i + 1, N)
-            swap = _swap_gather(packing, transposition(i, i + 1, n), point.digit_table, d)
-            for a in range(1, N + 1):
-                b = perm[a - 1] + 1
-                for x in (sigs, completed):
-                    diff = x[b - 1][swap]
-                    diff -= x[a - 1]
-                    dev_cov = max(dev_cov, float(np.abs(diff, out=diff).max()))
-            del swap, diff
-        add("signal_and_povm_covariance", dev_cov * N * (N - 1) / 2)
-
-        add("completed_trace", max(abs(c[diagonal].sum() - d ** (N + 1) / N) for c in completed))
-        del completed
-
-        add("rho_spectrum", self.rho_spectrum_report.max_deviation)
-        add("povm_spectrum", self.povm_spectrum_deviation)
-
-        # signal N equals the partially transposed port<->input swap v' over d^N.  The swap
-        # V has V[rows[j], j] = 1; the partial transpose exchanges the input digits of
-        # each entry's row and column.  A nonzero of v' outside the blocks meets a zero
-        rows, cols = _permuted_indices(transposition(N - 1, N, n), point.digit_table, d), np.arange(d**n)
-        rows, cols = rows - rows % d + cols % d, cols - cols % d + rows % d
-        inside = packing.first[rows] == packing.first[cols]
-        at = packing.start[rows[inside]] + packing.pos[cols[inside]]
-        v_prime = np.zeros(packing.size)
-        v_prime[at] = 1.0 / d**N
-        dev_swap = np.abs(sigs[N - 1] - v_prime).max()
-        add("signal_is_transposed_swap", dev_swap if inside.all() else max(dev_swap, 1.0 / d**N))
-        del sigs, v_prime
-
-        # tr(root v') is vdot(root, v') because root is symmetric.  The completed
-        # root is sqrt(pi_N) + delta / sqrt(N), since pi_N lives on the support of rho
-        # and delta projects onto its kernel, and tr(delta v') = d^N tr(delta sigma_N)
-        # is zero (excess_signal_orthogonal): this is the trace of the bare root.
-        tr_direct = float(root[at].sum())
-        add("sqrt_povm_signal_trace", abs(tr_direct - trace_sqrt_povm_signal(N, d)), f"oracle={tr_direct!r}")
-        add("frec_formula_vs_oracle", abs(frec(N, d).value - self.frec_value))
-        return tuple(checks)
-
-
-def _measured(N: int, d: int, names: tuple[str, ...] = (), check=_check_point, **use) -> _Measurement:
-    """The measurement at (N, d), once ``check`` passes the point and the budget the ``_srm_blocks`` of ``names``."""
     N, d = operator.index(N), operator.index(d)
     check(N, d)
     _require(*_srm_blocks(N, d, _MEASURED + names, **use))
-    return _srm_bundle(N, d)
+    point = _point(N, d)
+    point.measurement  # built before the properties ``names`` adds, in the order ``_srm_blocks`` counts
+    return point
 
 
 def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -805,8 +802,8 @@ def srm_povm(a: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if not 1 <= a <= N:
         raise ValueError(f"port index {a} out of range 1..{N}")
     # the three arrays and a temporary, and unpacking's broadcast index arrays
-    measurement = _measured(N, d, packed=2, dense=((4, d ** (N + 1)),))
-    bare, excess = measurement.dense(measurement.pis[a - 1]), measurement.dense(measurement.delta)
+    point = _measured(N, d, packed=2, dense=((4, d ** (N + 1)),))
+    bare, excess = (point.packing.unpack(x) for x in (point.measurement.pis[a - 1], point.measurement.delta))
     return bare, excess, bare + excess / N
 
 
@@ -914,23 +911,23 @@ def _rotation(N: int, d: int, v: VCoefficients, young: _Young) -> np.ndarray:
 
 def build_optimizing_operator(N: int, d: int, v: VCoefficients) -> np.ndarray:
     """Sender rotation on the ports, a fresh dense d^N x d^N array unpacked from ``_rotation``."""
-    _require(*_srm_blocks(N, d, ("digit_table", "young"), ports=3, dense=((1, d**N),)))  # a rotation's build, then O
+    _require(*_srm_blocks(N, d, ("young",), ports=3, dense=((1, d**N),)))  # a rotation's build, then O
     young = _point(N, d).young
     return young.packing.unpack(_rotation(N, d, v, young))
 
 
 def frec_oracle(N: int, d: int) -> FidelityReport:
-    """One-round recycling fidelity from the defining trace expression, kept on the measurement record."""
-    measurement = _measured(N, d, ("frec_value",))
-    return FidelityReport(value=measurement.frec_value, method="oracle", ports=measurement.N, dim=measurement.d)
+    """One-round recycling fidelity from the defining trace expression, kept on the record at its point."""
+    point = _measured(N, d, ("frec_value",))
+    return FidelityReport(value=point.frec_value, method="oracle", ports=point.N, dim=point.d)
 
 
-def _optimal_value(measurement: _Measurement, rotated: np.ndarray, vNm1: VCoefficients) -> float:
+def _optimal_value(point: _Point, rotated: np.ndarray, vNm1: VCoefficients) -> float:
     """The optimal fidelity's trace expression for ``rotated`` = O_N (x) 1, packed, and ``vNm1``'s rotation."""
     # sqrt(N)/d |tr(sigma_N root (O_N (x) 1)(O_(N-1) (x) 1 (x) 1)^T)|, and tr(sigma root X) = vdot(root sigma, X)
     # as sigma_N and root are symmetric (product gives root sigma_N^T); every factor is block diagonal by torus weight
-    rotations = measurement.packing.product(rotated, measurement.point.embedded(vNm1, 2))
-    return float((sqrt(measurement.N) / measurement.d) * abs(np.vdot(measurement.root_signal, rotations)))
+    rotations = point.packing.product(rotated, point.embedded(vNm1, 2))
+    return float((sqrt(point.N) / point.d) * abs(np.vdot(point.root_signal, rotations)))
 
 
 def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) -> FidelityReport:
@@ -942,8 +939,8 @@ def frec_optimal_oracle(N: int, d: int, vN: VCoefficients, vNm1: VCoefficients) 
     _check_optimal_point(N, d)
     if vN.ports != N or vN.dim != d or vNm1.ports != N - 1 or vNm1.dim != d:
         raise ValueError("coefficient sets must be labeled (N, d) and (N-1, d)")
-    measurement = _measured(N, d, _ROTATED, packed=5, ports=3)
-    value = _optimal_value(measurement, measurement.point.embedded(vN, 1), vNm1)
+    point = _measured(N, d, _ROTATED, packed=5, ports=3)
+    value = _optimal_value(point, point.embedded(vN, 1), vNm1)
     return FidelityReport(value=value, method="oracle", ports=N, dim=d)
 
 
@@ -956,15 +953,16 @@ def channel_fidelity_oracle(N: int, d: int, rotation: Optional[np.ndarray] = Non
     N, d = operator.index(N), operator.index(d)
     # the rotation and a signal with its two products, then a completed element,
     # packed and dense, with unpacking's broadcast index arrays
-    measurement = _measured(N, d, packed=3, dense=((5, d ** (N + 1)),))
+    point = _measured(N, d, packed=3, dense=((5, d ** (N + 1)),))
+    (pis, delta, *_), unpack = point.measurement, point.packing.unpack
     o = None if rotation is None else np.kron(rotation, np.eye(d))
     total = 0.0
     for a in range(1, N + 1):
-        sig = measurement.dense(_packed_signal(measurement.point, (a,)))
+        sig = unpack(_packed_signal(point, (a,)))
         if o is not None:
             sig = o @ sig @ o.T
         # tr(O^T pi O sig) = vdot(pi, O sig O^T) because pi is symmetric
-        total += np.vdot(measurement.dense(measurement.pis[a - 1] + measurement.delta / N), sig)
+        total += np.vdot(unpack(pis[a - 1] + delta / N), sig)
     return float(total) / d**2
 
 
@@ -975,7 +973,7 @@ def resource_fidelity_oracle(N: int, d: int, v: VCoefficients) -> float:
     the rotation to the sender half; no trace shortcut is taken.
     """
     dim = d**N
-    _require(*_srm_blocks(N, d, ("digit_table", "young"), ports=3, dense=((3, dim),)))  # O, the state and its image
+    _require(*_srm_blocks(N, d, ("young",), ports=3, dense=((3, dim),)))  # O, the state and its image
     o = build_optimizing_operator(N, d, v)
     phi = np.zeros(dim * dim)
     phi[:: dim + 1] = 1.0 / sqrt(dim)  # sum_i |i>_ports |i>_receiver
@@ -1060,7 +1058,7 @@ def verify_suite(
     ``rotated_completed_trace``, ``rho_spectrum``, ``povm_spectrum``,
     ``signal_is_transposed_swap``, ``sqrt_povm_signal_trace`` and ``frec_formula_vs_oracle``,
     then, when ``v_prev`` is given, ``frec_optimal_formula_vs_oracle``.  All but the
-    rotated trace and the last are kept on the measurement record.  ``rotated_completed_trace``
+    rotated trace and the last are kept on the record at the point.  ``rotated_completed_trace``
     checks tr(O^T c_a O) = d^(N+1)/N for c_a = pi_a + Delta/N and the rotation O of ``v``'s
     weights (uniform when omitted), taken on the ports (module docstring).  ``v_prev``, weights
     for N - 1 ports, adds ``frec_optimal`` against ``frec_optimal_oracle`` for the pair
@@ -1069,14 +1067,14 @@ def verify_suite(
     N, d = operator.index(N), operator.index(d)
     # one after another: the record's checks, then the rotations, O_(N-1)'s only under v_prev
     rotations, check = (_ROTATED[:2], _check_point) if v_prev is None else (_ROTATED, _check_optimal_point)
-    measurement = _measured(N, d, ("checks",) + rotations, check, packed=5, ports=3)
-    checks = measurement.checks
+    point = _measured(N, d, ("checks",) + rotations, check, packed=5, ports=3)
+    checks, (pis, delta, *_) = point.checks, point.measurement
     v = v if v is not None else VCoefficients.uniform(N, d)
-    rotated = measurement.point.embedded(v, 1)
+    rotated = point.embedded(v, 1)
     # tr(O^T c O) = vdot(c, (O (x) 1)(O (x) 1)^T) because c is symmetric
-    gram = measurement.packing.product(rotated, rotated)
-    excess = np.vdot(measurement.delta, gram) / N
-    dev_rot = max(abs(np.vdot(pi, gram) + excess - d ** (N + 1) / N) for pi in measurement.pis)
+    gram = point.packing.product(rotated, rotated)
+    excess = np.vdot(delta, gram) / N
+    dev_rot = max(abs(np.vdot(pi, gram) + excess - d ** (N + 1) / N) for pi in pis)
     del gram
 
     report = VerifyReport(ports=N, dim=d, tol=tol)
@@ -1086,5 +1084,5 @@ def verify_suite(
             report.add("rotated_completed_trace", dev_rot)
     if v_prev is not None:
         closed = frec_optimal(N, d, v, v_prev).value
-        report.add("frec_optimal_formula_vs_oracle", abs(closed - _optimal_value(measurement, rotated, v_prev)))
+        report.add("frec_optimal_formula_vs_oracle", abs(closed - _optimal_value(point, rotated, v_prev)))
     return report

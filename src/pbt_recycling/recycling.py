@@ -73,7 +73,7 @@ import math
 
 import numpy as np
 
-from .partitions import _MEMO_ENTRIES, _Block, _frame_sums, _memo
+from .partitions import _Block, _frame_sums
 from .reports import FidelityReport
 
 
@@ -125,7 +125,6 @@ def _recycling_terms(block) -> np.ndarray:
     return terms
 
 
-@_memo(_MEMO_ENTRIES)
 def _recycling_sum(N: int, d: int) -> float:
     """sum_alpha c(alpha) S(alpha)^2 (``frec`` and the trace share it)."""
     return _frame_sums(N - 1, N - 1, d, _recycling_terms)[0]

@@ -82,7 +82,7 @@ def young_projector(mu, d: int) -> np.ndarray:
         oracle._require((1, d**n))
         return np.zeros((d**n, d**n))
     # the basis, then the packed projector's build and the dense projector
-    oracle._require(*oracle._srm_blocks(n, d, ("digit_table", "young"), ports=3, dense=((1, d**n),)))
+    oracle._require(*oracle._srm_blocks(n, d, ("young",), ports=3, dense=((1, d**n),)))
     packing, frames, u, labels = oracle._point(n, d).young
     row = frames.tolist().index(list(p) + [0] * (d - len(p)))
     return packing.unpack(packing.product(u * (labels == row), u))

@@ -210,7 +210,6 @@ def test_split_n_builds_its_loader_tables_once(monkeypatch, N, d):
     bd0 = partitions._bd0
     monkeypatch.setattr(partitions, "_bd0", lambda x, n, d: builds.append(np.size(x)) or bd0(x, n, d))
     partitions._loader_tables.cache_clear()
-    recycling._recycling_sum.cache_clear()
     frec(N, d)
     assert len(list(partitions._frame_blocks(N - 1, N - 1, d))) > 20
     assert builds == [N]  # lengths 0..N - 1 of the one box count N - 1
@@ -414,7 +413,6 @@ def test_held_blocks_keep_the_bits_and_hold_read_only_results(monkeypatch, block
     walks = [(N - 1, False), (N - 1, True), (N, False)]
 
     def values():
-        recycling._recycling_sum.cache_clear()  # frec reads its held block's factors, not the sum's memo
         floats = [frec(N, d).value]
         for vN, vNm1 in pairs:
             floats += [frec_optimal(N, d, vN, vNm1).value, resource_state_fidelity(N, d, vN).value]
@@ -478,7 +476,6 @@ def test_a_point_holds_one_block_and_computes_its_factors_once(spy_on_block_fact
         spy_on_block_factor(name, lambda block, _name=name: computed.append(_name))
     vN, vNm1 = VCoefficients.uniform(N, d), VCoefficients.uniform(N - 1, d)
     partitions._point_block.cache_clear()
-    recycling._recycling_sum.cache_clear()
     for n in (N - 1, N):
         assert frame_count(n, d) <= partitions._BLOCK_ROWS
         assert next(partitions._frame_blocks(n, n, d)) is next(partitions._frame_blocks(n, n, d, True))
@@ -486,7 +483,6 @@ def test_a_point_holds_one_block_and_computes_its_factors_once(spy_on_block_fact
         frec(N, d)
         trace_sqrt_povm_signal(N, d)
         frec_optimal(N, d, vN, vNm1)
-        recycling._recycling_sum.cache_clear()
     assert sorted(computed) == ["c", "s_over_sqrt_p"]
 
 
@@ -522,7 +518,6 @@ def test_split_frame_walks_give_the_same_bits(monkeypatch, N, d):
     wN, wNm1 = weights(N), weights(N - 1)
 
     def values():
-        recycling._recycling_sum.cache_clear()
         vN, vNm1 = v_optimal(N, d), v_optimal(N - 1, d)
         floats = [
             frec(N, d).value,
@@ -558,7 +553,6 @@ def test_small_blocks_split_only_between_first_parts(monkeypatch, N, d):
     wN, wNm1 = weights(N), weights(N - 1)
 
     def values():
-        recycling._recycling_sum.cache_clear()
         vN, vNm1 = v_optimal(N, d), v_optimal(N - 1, d)
         floats = [
             frec(N, d).value,

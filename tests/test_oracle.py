@@ -1,10 +1,9 @@
-import dataclasses
 import itertools
 import re
 import tracemalloc
 import weakref
 from fractions import Fraction
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -491,10 +490,17 @@ def test_verify_suite_passes(N, d):
     assert report.all_passed, failing
 
 
-def _block_perturbation(measurement, rng):
+def _block_perturbation(point, rng):
     """A random symmetric operator inside the record's torus blocks, packed."""
-    e = rng.standard_normal((measurement.d ** (measurement.N + 1),) * 2)
-    return measurement.packing.pack(e + e.T)
+    e = rng.standard_normal((point.d ** (point.N + 1),) * 2)
+    return point.packing.pack(e + e.T)
+
+
+def _substituted(N, d, **fields):
+    """A fresh record at (N, d) whose measurement is the held record's with ``fields`` replaced."""
+    point = oracle._Point(N, d)
+    point.measurement = oracle._point(N, d).measurement._replace(**fields)
+    return point
 
 
 def _all_permutation_covariance(N, d, sigs, completed):
@@ -524,21 +530,21 @@ def test_swap_gather_conjugates_by_the_transposition(N, d):
 @pytest.mark.parametrize("N,d", [(4, 2), (3, 3)])
 @pytest.mark.parametrize("perturbation", ["none", "one", "graded"])
 def test_covariance_bound_covers_every_permutation(monkeypatch, N, d, perturbation):
-    measurement = oracle._srm_bundle(N, d)
-    pis, delta = measurement.pis, measurement.delta
+    point = oracle._point(N, d)
+    pis, delta = point.measurement.pis, point.measurement.delta
     if perturbation == "one":
         # a random symmetric perturbation of size 1e-7 on the first bare element, inside the torus blocks
-        e = _block_perturbation(measurement, np.random.default_rng(3))
+        e = _block_perturbation(point, np.random.default_rng(3))
         pis = (pis[0] + 1e-7 / np.abs(e).max() * e, *pis[1:])
     elif perturbation == "graded":
         # a * 1e-7 * identity on element a: each generator moves it by 1e-7,
         # the cycle taking port 1 to port N by (N - 1) * 1e-7
-        pis = tuple(pi + a * 1e-7 * measurement.packing.eye() for a, pi in enumerate(pis))
-    substituted = dataclasses.replace(measurement, pis=pis)
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
+        pis = tuple(pi + a * 1e-7 * point.packing.eye() for a, pi in enumerate(pis))
+    substituted = _substituted(N, d, pis=pis)
+    monkeypatch.setattr(oracle, "_point", lambda *point: substituted)
     check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["signal_and_povm_covariance"]
     sigs = [signal_state(a, N, d) for a in range(1, N + 1)]
-    brute = _all_permutation_covariance(N, d, sigs, [measurement.dense(pi + delta / N) for pi in pis])
+    brute = _all_permutation_covariance(N, d, sigs, [point.packing.unpack(pi + delta / N) for pi in pis])
     assert check.max_deviation >= brute
     assert check.passed is (perturbation == "none")
     if perturbation != "none":
@@ -551,8 +557,8 @@ def test_completed_root_gives_the_bare_root_trace(N, d):
     n = N + 1
     v_prime = partial_transpose_last(permutation_operator(transposition(N - 1, n - 1, n), d, n), d, n)
     bare_root = sqrt_psd(srm_povm(N, N, d)[0])
-    measurement = oracle._srm_bundle(N, d)
-    completed_root = measurement.dense(measurement.root)
+    point = oracle._point(N, d)
+    completed_root = point.packing.unpack(point.measurement.root)
     assert np.vdot(completed_root, v_prime) == pytest.approx(np.vdot(bare_root, v_prime), rel=0, abs=1e-12)
 
 
@@ -564,16 +570,16 @@ FACTOR_GRID = [(N, 2) for N in range(2, 8)] + [(N, 3) for N in range(2, 5)] + [(
 def test_factored_root_matches_the_dense_root(N, d):
     # sqrt(Y Y^T) = Y (Y^T Y)^(-1/2) Y^T, completed by delta / sqrt(N) on ker rho
     dense = sqrt_psd(srm_povm(N, N, d)[2])
-    measurement = oracle._srm_bundle(N, d)
-    assert np.abs(measurement.dense(measurement.root) - dense).max() <= 1e-12
+    point = oracle._point(N, d)
+    assert np.abs(point.packing.unpack(point.measurement.root) - dense).max() <= 1e-12
     # the record holds its operators packed, no D x D array
-    packed = (*measurement.pis, measurement.delta, measurement.root)
-    assert {x.shape for x in packed} == {(measurement.packing.size,)}
+    packed = (*point.measurement.pis, point.measurement.delta, point.measurement.root)
+    assert {x.shape for x in packed} == {(point.packing.size,)}
 
 
 @pytest.mark.parametrize("N,d", FACTOR_GRID + [(8, 2), (5, 3)])
 def test_bundle_keeps_the_spectrum_of_rho(N, d):
-    rho_eigenvalues = oracle._srm_bundle(N, d).rho_eigenvalues
+    rho_eigenvalues = oracle._point(N, d).measurement.rho_eigenvalues
     assert np.abs(rho_eigenvalues - np.linalg.eigvalsh(rho_operator(N, d))).max() <= 1e-13
 
 
@@ -620,8 +626,17 @@ def test_torus_blocks_partition_the_basis_by_weight(N, d):
     # N + 1 ports, and on the torus blocks as many as on the port packing of N + 1
     for n in (N, N + 1):
         ports = oracle._point(n, d).young.packing
-        assert oracle._packed_entries(n, d) == sum(b.size * b.shape[1] for b in ports.blocks)
-    assert oracle._packed_entries(N + 1, d) == sum(b.size * b.shape[1] for b in blocks)
+        assert oracle._packed_entries(n, d)[n] == sum(b.size * b.shape[1] for b in ports.blocks)
+    assert oracle._packed_entries(N + 1, d)[N + 1] == sum(b.size * b.shape[1] for b in blocks)
+
+
+def test_packed_entries_square_in_d():
+    # squaring over the bits of d gives the values of the recurrence that adds one part at a time
+    for d in [*range(1, 12), 100, 257, 2317]:
+        s = [1] + [0] * 13
+        for _ in range(d):
+            s = [sum(comb(m, k) ** 2 * s[m - k] for k in range(m + 1)) for m in range(14)]
+        assert oracle._packed_entries(13, d) == s
 
 
 @pytest.mark.parametrize(
@@ -652,7 +667,7 @@ def test_signal_column_across_blocks_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_psd_function", lambda *args: added.append(args))
     oracle._point.cache_clear()
     with pytest.raises(RuntimeError, match="spans two torus-weight blocks"):
-        oracle._srm_bundle(N, d)
+        oracle._point(N, d).measurement
     # port 1's check raised before rho was summed: no other port's columns were read, nothing was solved
     assert checked == [1] and added == []
 
@@ -661,11 +676,10 @@ def test_signal_column_across_blocks_raises(monkeypatch):
 @pytest.mark.parametrize("field,name", [("rho_eigenvalues", "rho_spectrum"), ("gram_eigenvalues", "povm_spectrum")])
 def test_spectral_checks_catch_a_moved_eigenvalue(monkeypatch, N, d, field, name):
     # the spectral checks read the record's eigenvalues: moving one by 1e-6 must fail its check only
-    measurement = oracle._srm_bundle(N, d)
-    moved = getattr(measurement, field).copy()
+    moved = getattr(oracle._point(N, d).measurement, field).copy()
     moved[len(moved) // 2] += 1e-6
-    substituted = dataclasses.replace(measurement, **{field: moved})
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
+    substituted = _substituted(N, d, **{field: moved})
+    monkeypatch.setattr(oracle, "_point", lambda *point: substituted)
     failing = [c.name for c in verify_suite(N, d, tol=1e-9).checks if not c.passed]
     assert failing == [name]
 
@@ -673,12 +687,12 @@ def test_spectral_checks_catch_a_moved_eigenvalue(monkeypatch, N, d, field, name
 @pytest.mark.parametrize("N,d", [(3, 2), (2, 3)])
 def test_excess_signal_orthogonal_matches_the_dense_product(monkeypatch, N, d):
     # the check gathers delta's columns; a perturbed excess must read as max |delta sigma_s|
-    measurement = oracle._srm_bundle(N, d)
-    delta = measurement.delta + 1e-6 * _block_perturbation(measurement, np.random.default_rng(N * 10 + d))
-    substituted = dataclasses.replace(measurement, delta=delta)
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
+    point = oracle._point(N, d)
+    delta = point.measurement.delta + 1e-6 * _block_perturbation(point, np.random.default_rng(N * 10 + d))
+    substituted = _substituted(N, d, delta=delta)
+    monkeypatch.setattr(oracle, "_point", lambda *point: substituted)
     check = {c.name: c for c in verify_suite(N, d, tol=1e-9).checks}["excess_signal_orthogonal"]
-    dense = max(np.abs(measurement.dense(delta) @ signal_state(a, N, d)).max() for a in range(1, N + 1))
+    dense = max(np.abs(point.packing.unpack(delta) @ signal_state(a, N, d)).max() for a in range(1, N + 1))
     assert check.max_deviation == pytest.approx(dense, rel=1e-12)
     assert not check.passed
 
@@ -688,7 +702,7 @@ def test_transposed_swap_counts_a_nonzero_outside_the_blocks(monkeypatch):
     # between blocks, where sigma_N is zero: the check must read at least d^(-N)
     N, d = 3, 2
     n = N + 1
-    measurement = dataclasses.replace(oracle._srm_bundle(N, d))
+    point = _substituted(N, d)
     permuted_indices = oracle._permuted_indices
 
     def exchanged(perm, digits, d):
@@ -699,7 +713,7 @@ def test_transposed_swap_counts_a_nonzero_outside_the_blocks(monkeypatch):
         return rows
 
     monkeypatch.setattr(oracle, "_permuted_indices", exchanged)
-    deviations = {name: deviation for name, deviation, _ in measurement.checks}
+    deviations = {name: deviation for name, deviation, _ in point.checks}
     assert deviations["signal_is_transposed_swap"] >= 1 / d**N
     assert deviations["signal_and_povm_covariance"] <= 1e-12
 
@@ -717,7 +731,7 @@ def test_singular_gram_matrix_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_eigh", flatten_gram)
     oracle._point.cache_clear()
     with pytest.raises(RuntimeError, match="singular"):
-        oracle._srm_bundle(3, 2)
+        oracle._point(3, 2).measurement
 
 
 def test_oracle_cap_errors(monkeypatch):
@@ -763,13 +777,13 @@ def test_operators_are_float64():
 
 def test_cached_arrays_are_read_only():
     bare, excess, completed = srm_povm(2, 2, 2)
-    measurement = oracle._srm_bundle(2, 2)
     frec_optimal_oracle(2, 2, v_optimal(2, 2), v_optimal(1, 2))  # builds both bases, root sigma_N and both gather pairs
     point = oracle._point(2, 2)
+    measurement = point.measurement
     bases = [array for young in (point.young, point.prev_young) for array in (young.u, young.labels)]
     for cached in (
         *bases, *measurement.pis, measurement.delta, measurement.root,
-        measurement.rho_eigenvalues, measurement.gram_eigenvalues, measurement.root_signal,
+        measurement.rho_eigenvalues, measurement.gram_eigenvalues, point.root_signal,
         *point.gather, *point.prev_gather, point.digit_table, *point.packing[1:-1],
     ):
         with pytest.raises(ValueError, match="read-only"):
@@ -908,6 +922,24 @@ def test_budget_counts_cover_a_point_built_after_another(monkeypatch):
     assert peak <= counted[0] + (1 << 16)
 
 
+def test_young_only_calls_build_no_torus_digit_table(monkeypatch):
+    # a rotation reads the digits of N factors, which its Young basis builds: the digit table of
+    # N + 1 factors, 4.2 M rows at (1, 2048), is neither built nor counted beside the dense O
+    counted = []
+    check = oracle._require
+
+    def spy(*blocks):
+        counted.append(oracle._nbytes(blocks))
+        check(*blocks)
+
+    N, d = 1, 2048
+    _clear_memos()
+    monkeypatch.setattr(oracle, "_require", spy)
+    build_optimizing_operator(N, d, VCoefficients.uniform(N, d))
+    assert "digit_table" not in vars(oracle._point(N, d))
+    assert counted[0] < 2 * oracle._nbytes([(1, d**N)])
+
+
 #: (calls before, the last call): what the earlier calls leave held, the last call's count must cover or drop.
 HELD_SEQUENCES = {
     # a Young basis of 11 ports held at another point, about 12 MB beside a count of under 1 MB at the parent
@@ -967,10 +999,10 @@ def _deviations(report):
 def test_cached_measurement_checks_equal_fresh_ones(N, d):
     rng = np.random.default_rng(N * 10 + d)
     oracle._point.cache_clear()
-    assert "checks" not in vars(oracle._srm_bundle(N, d))
+    assert "checks" not in vars(oracle._point(N, d))
     reports = [verify_suite(N, d, v=random_v(N, d, rng)) for _ in range(3)]
-    assert "checks" in vars(oracle._srm_bundle(N, d))
-    fresh = list(dataclasses.replace(oracle._srm_bundle(N, d)).checks)
+    assert "checks" in vars(oracle._point(N, d))
+    fresh = list(_substituted(N, d).checks)
     assert [name for name, _, _ in fresh] == list(MEASUREMENT_CHECKS)
     for report in reports:
         assert report.all_passed
@@ -979,7 +1011,7 @@ def test_cached_measurement_checks_equal_fresh_ones(N, d):
 
 def test_check_cache_follows_the_bundle_memo(monkeypatch):
     verify_suite(3, 2)
-    held = weakref.ref(oracle._srm_bundle(3, 2))
+    held = weakref.ref(oracle._point(3, 2))
     assert "checks" in vars(held())
     dropped = []
 
@@ -988,22 +1020,33 @@ def test_check_cache_follows_the_bundle_memo(monkeypatch):
         return _build(*point)
 
     monkeypatch.setattr(oracle, "_blocked_inverse_root", spy)
-    oracle._srm_bundle(2, 2)  # a build at another point drops the record, and its checks, before it allocates
+    oracle._point(2, 2).measurement  # a build at another point drops the record, and its checks, before it allocates
     assert dropped == [True]
-    held = weakref.ref(oracle._srm_bundle(2, 2))
+    held = weakref.ref(oracle._point(2, 2))
     assert "checks" not in vars(held())
     oracle._point.cache_clear()
     assert held() is None
 
 
+def test_a_dropped_record_reads_only_its_own_tables():
+    # a record the memo has dropped computes its checks on its own tables: it builds no record at
+    # its point, so the one held at another point stays held
+    point = oracle._point(3, 2)
+    point.measurement
+    frec_oracle(2, 2)
+    held = oracle._point(2, 2)
+    checks = list(point.checks)
+    assert oracle._point(2, 2) is held
+    assert _deviations(verify_suite(3, 2)) == checks
+
+
 def test_check_cache_rechecks_a_substituted_bundle(monkeypatch):
     # measurement checks kept on the held record must not answer for another one at the same point
     assert verify_suite(3, 2).all_passed
-    measurement = oracle._srm_bundle(3, 2)
-    moved = measurement.rho_eigenvalues.copy()
+    moved = oracle._point(3, 2).measurement.rho_eigenvalues.copy()
     moved[len(moved) // 2] += 1e-6
-    substituted = dataclasses.replace(measurement, rho_eigenvalues=moved)
-    monkeypatch.setattr(oracle, "_srm_bundle", lambda *point: substituted)
+    substituted = _substituted(3, 2, rho_eigenvalues=moved)
+    monkeypatch.setattr(oracle, "_point", lambda *point: substituted)
     failing = [c.name for c in verify_suite(3, 2, tol=1e-9).checks if not c.passed]
     assert failing == ["rho_spectrum"]
     monkeypatch.undo()
@@ -1021,8 +1064,8 @@ def _random_weights_with_a_zero(N, d, rng):
 
 def _frec_optimal_dense(N, d, vN, vNm1):
     """sqrt(N)/d |tr(sigma_N root O Q^T)| with O Q^T the D x D product of the two embedded rotations."""
-    measurement = oracle._srm_bundle(N, d)
-    root = measurement.dense(measurement.root)
+    point = oracle._point(N, d)
+    root = point.packing.unpack(point.measurement.root)
     o_full = np.kron(build_optimizing_operator(N, d, vN), np.eye(d))
     rotation = o_full @ np.kron(build_optimizing_operator(N - 1, d, vNm1), np.eye(d * d)).T
     return sqrt(N) / d * abs(np.vdot(root @ signal_state(N, N, d), rotation))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from qubit_two_row import frec_qubit, trace_qubit
 
-from pbt_recycling import oracle, partitions, recycling
+from pbt_recycling import oracle, partitions
 from pbt_recycling.partitions import frame_count, partitions_bounded
 from pbt_recycling.recycling import frec, frec_values, kround_lower_bound, lower_bound_qubit, trace_sqrt_povm_signal
 
@@ -171,7 +171,6 @@ def test_split_frec_holds_one_block_at_a_time(monkeypatch):
     import tracemalloc
 
     def peak():
-        recycling._recycling_sum.cache_clear()
         partitions.frame_table.cache_clear()
         tracemalloc.start()
         try:
