@@ -11,23 +11,17 @@ v_mu = 2/sqrt(N+2) sin(pi (mu_1 - mu_2 + 1)/(N+2)); above, ``v_optimal``
 solves for it.  Weights are arrays in ``frame_table`` row order.  This
 module also carries the optimal-protocol recycling fidelity and the overlap
 between the optimal and plain resource states.  B, the uniform weights and
-both fidelities walk their frames in blocks (``partitions._frame_blocks``):
-a fidelity is a per-row term gathering weights at the block's rows and
-extension rows.  V(alpha) below adds its d weights down the columns of the
-transposed extension ranks, in the order numpy sums a row
-(``partitions._row_order_sum``), so no sum runs along a row.  The weights
-enter only through v_alpha and V(alpha); c and S/sqrt(p), and the
-transposed ranks, depend on the point alone and are kept by the block
-itself (``partitions._Block``).  A point whose frames fit in one block holds
-that one block, the one ``recycling.frec`` reads there too, so the two share
-c and S/sqrt(p), and a repeat evaluation with new weights is one gather of
-V's weights, one column sum, the products and the run sums.  The terms are
-nonnegative; each run of frames that share a first part is added first
-(within (r - 1) u relative for r terms, u = 2^-53), then one ``math.fsum``
-per point adds the run sums, so the value is the same in any block layout.
-A coefficient document's entries are looked up in the point's frame map
-(``_frame_rows``); only an entry that is not there is checked part by part
-(``partitions.frame_parts``), to name its fault.
+both fidelities are per-row terms over the frame walk of ``partitions``,
+whose module docstring describes the blocks, the held record of a point and
+the run sums: a fidelity gathers weights at a block's rows and extension
+rows, and V(alpha) below adds its d weights down the columns of the
+transposed extension ranks (``partitions._row_order_sum``), so no sum runs
+along a row.  The weights enter only through v_alpha and V(alpha), so a
+repeat evaluation with new weights at a held point computes only those.  A
+coefficient document's entries are looked up in the frame map of the
+point's record (``partitions._Block.frame_rows``); only an entry that is not
+there is checked part by part (``partitions.frame_parts``), to name its
+fault.
 
 Both fidelities are sums over frames (weights v_mu over frames of N boxes,
 v_alpha over frames of N-1 boxes):
@@ -54,16 +48,15 @@ from math import sqrt
 import numpy as np
 
 from .partitions import (
-    _MEMO_ENTRIES,
     _frame_blocks,
     _frame_sums,
-    _memo,
+    _listing_height,
+    _point_block,
     _row_order_sum,
     frame_count,
     frame_parts,
     frame_table,
     frame_text,
-    one_box_ranks,
     partitions_bounded,
 )
 from .recycling import _check_point
@@ -141,12 +134,6 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@_memo(_MEMO_ENTRIES)
-def _frame_rows(N: int, d: int) -> dict:
-    """The row of each frame of ``partitions_bounded(N, d)``, keyed by the frame, in row order."""
-    return {p: row for row, p in enumerate(partitions_bounded(N, d))}
-
-
 def parse_v_coefficients(document) -> VCoefficients:
     """Validate a coefficient document (dict or JSON text) into VCoefficients."""
     if isinstance(document, (str, bytes)):
@@ -164,8 +151,8 @@ def parse_v_coefficients(document) -> VCoefficients:
         raise CoefficientError("wrong N or d")
     if not isinstance(document["entries"], list):
         raise CoefficientError("entries must be a list")
-    try:
-        rows = _frame_rows(N, d)
+    try:  # the frame map of the point's record at the listing height, which checks the byte budget
+        rows = _point_block(N, _listing_height(N, d)).frame_rows
     except ValueError:  # over the frame budget: every entry takes the checks, and the error waits for the loop's end
         rows = {}
     entries = {}
@@ -187,7 +174,7 @@ def parse_v_coefficients(document) -> VCoefficients:
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise CoefficientError(f"bad coefficient for {frame_text(p)}")
         entries[p] = float(v)
-    rows = _frame_rows(N, d)
+    rows = rows or _point_block(N, _listing_height(N, d)).frame_rows  # {} only over the budget: raise its error now
     extra = [p for p in entries if p not in rows]
     if extra or len(entries) != len(rows):
         missing = [p for p in rows if p not in entries]

@@ -154,7 +154,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .optimal import VCoefficients, _check_optimal_point, frec_optimal
-from .partitions import _memo, _read_only, frame_count, frame_table, one_box_ranks
+from .partitions import _memo, _point_block, _read_only, frame_count, frame_table
 from .recycling import _check_point, frec, trace_sqrt_povm_signal
 from .reports import DimensionCapError, FidelityReport, VerifyReport
 
@@ -985,12 +985,14 @@ def _rho_spectrum_prediction(N: int, d: int) -> list[tuple[float, int]]:
     """(eigenvalue, multiplicity) of rho per block (alpha, nu), then (0, the rest of d^(N+1)).
 
     alpha runs over ``frame_table(N - 1, d)`` and nu = alpha + e_i over its
-    extensions of height <= d (``one_box_ranks``).  The eigenvalue is
+    extensions of height <= d, ranked by the record of (N - 1, d)
+    (``partitions._Block.ranks``).  The eigenvalue is
     N m_nu d_alpha / (d^N m_alpha d_nu) = (d + c)/d^N, c = alpha_i - i the
     content of the added box, one correctly rounded division of integers;
     the multiplicity is m_alpha d_nu, from ``_dims_and_multiplicities``.
     """
-    alphas, ranks = one_box_ranks(N, d)
+    record = _point_block(N - 1, d)
+    alphas, ranks = record.table, record.ranks
     f, i = np.nonzero(ranks >= 0)
     m_alpha = _dims_and_multiplicities(alphas, d)[1]
     d_nu = _dims_and_multiplicities(frame_table(N, d), d)[0]

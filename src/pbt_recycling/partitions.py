@@ -47,12 +47,15 @@ of it, and with it the factors it has computed, so the closed forms at one
 point share one c and one S/sqrt(p), and a repeat evaluation there computes
 only what reads its weights.
 
-``frame_table``, ``frame_count`` and ``one_box_ranks`` are memoised
-(``_memo``), as is the weight layer's frame map, each on its
-``_MEMO_ENTRIES`` latest (n, d) points, and so is the held block of a
-one-point walk; a held array is read-only, so no caller changes what the
-next one reads.  A held block reads them, so a repeat point enumerates no
-frame.  ``partitions_bounded`` lists the held table's rows afresh per call.
+The held block of (n, d) is the closed-form layer's one record of that
+point, memoised (``_memo``) on the ``_MEMO_ENTRIES`` points read last: its
+table is ``frame_table(n, d)``, and it computes its extension ranks and the
+weight layer's frame map on first read, so they live and die with it; a
+held array is read-only and the map is a read-only view, so no caller
+changes what the next one reads.  A repeat point enumerates no frame.
+``frame_count`` keeps its own memo of ints, since it counts points whose
+table is never built, and ``partitions_bounded`` builds a table of its own
+per call and drops it.
 """
 
 from __future__ import annotations
@@ -64,13 +67,14 @@ from functools import cached_property, wraps
 from itertools import chain, groupby
 from numbers import Integral
 from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
-#: Bytes ``partitions_bounded`` may hold at once: the frame table and its rows as tuples.
+#: Bytes a listing of frames as tuples may hold at once (``_listing_height``): the frame table and its tuples.
 PARTITIONS_BYTE_BUDGET = 1 << 30
 
-#: (n, d) points each frame memo holds; a miss at a new point evicts the oldest.
+#: (n, d) points each point memo holds; a miss at a new point evicts the least recently used.
 _MEMO_ENTRIES = 8
 
 
@@ -85,10 +89,12 @@ def _read_only(value):
 
 
 def _memo(size: int):
-    """Memoise on the arguments; a miss first evicts the oldest entries, so at most ``size`` are held.
+    """Memoise on the arguments; a miss first evicts the least recently used entries, so at most ``size`` are held.
 
     Every array a value holds, alone or in tuples, is made read-only (``_read_only``).
     Keyword arguments key as (name, value) pairs after the positional ones.
+    A hit makes its entry the newest, so a point whose records are read
+    again keeps them while a call there reads other points too.
     """
 
     def decorate(build):
@@ -97,7 +103,9 @@ def _memo(size: int):
         @wraps(build)
         def cached(*args, **kwargs):
             key = args + tuple(kwargs.items())
-            if key not in held:
+            if key in held:
+                held[key] = held.pop(key)
+            else:
                 while len(held) >= size:
                     del held[next(iter(held))]
                 held[key] = _read_only(build(*args, **kwargs))
@@ -139,16 +147,14 @@ def _check_frame_bounds(n: int, max_height: int) -> None:
         raise ValueError("max_height must be positive")
 
 
-def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
-    """All partitions of ``n`` with height <= ``max_height``, descending lexicographic.
+def _listing_height(n: int, max_height: int) -> int:
+    """The height h = max(1, min(max_height, n)) at which the frames of ``n`` boxes are listed as tuples.
 
-    The rows of ``frame_table``, read at h = max(1, min(max_height, n))
-    columns (no frame of n boxes is taller than n), as tuples of their
-    positive parts in a fresh list per call; ``n = 0`` gives [()].  A frame
-    costs at most 32 h + 128 bytes: its table row and fill maps, the row as
-    a list and as a tuple of ints, and two list slots.  The frames are
-    counted first, and ValueError is raised before anything is built when
-    they would take more than ``PARTITIONS_BYTE_BUDGET`` bytes.
+    No frame of n boxes is taller than n.  A listed frame costs at most
+    32 h + 128 bytes: its table row and fill maps, the row as a list and as
+    a tuple of ints, and two list or map slots.  The frames are counted
+    first, and ValueError is raised before anything is built when they would
+    take more than ``PARTITIONS_BYTE_BUDGET`` bytes.
     """
     _check_frame_bounds(n, max_height)
     height = max(1, min(max_height, n))
@@ -159,7 +165,18 @@ def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
             f"{count} frames of {n} boxes and height <= {max_height} need {nbytes} bytes, "
             f"over the budget of {PARTITIONS_BYTE_BUDGET}"
         )
-    table = frame_table(n, height)
+    return height
+
+
+def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
+    """All partitions of ``n`` with height <= ``max_height``, descending lexicographic.
+
+    The rows of ``frame_table`` at the listing height (``_listing_height``,
+    which also checks the byte budget), as tuples of their positive parts in
+    a fresh list per call; ``n = 0`` gives [()].  The table is built for the
+    call and dropped, so no listing outlives its list.
+    """
+    table = _frame_tables([n], _listing_height(n, max_height))[0]
     return [tuple(filter(None, row)) for row in table.tolist()]
 
 
@@ -229,17 +246,17 @@ def _frame_tables(sizes, d: int, largest=None) -> tuple[np.ndarray, np.ndarray]:
     return table, np.bincount(rows, minlength=len(sizes))
 
 
-@_memo(_MEMO_ENTRIES)
 def frame_table(n: int, d: int) -> np.ndarray:
     """The frames of ``n`` boxes and height <= ``d``, descending lexicographic, as an int table.
 
     One row per frame, zero-padded to ``d`` columns: the one-size case of
     ``_frame_tables``.  This is the package's one frame order: every weight
     array indexes frames by row of this table, and ``partitions_bounded``
-    lists the same rows as tuples.  Memoised: every call at (n, d) returns
-    the same read-only table.
+    lists the same rows as tuples.  The read-only table of the point's
+    record (``_point_block``), so a call returns the same table while the
+    record is held.
     """
-    return _frame_tables([n], d)[0]
+    return _point_block(n, d).table
 
 
 def _extension_ranks(alphas: np.ndarray) -> np.ndarray:
@@ -258,13 +275,6 @@ def _extension_ranks(alphas: np.ndarray) -> np.ndarray:
     ranks = np.full(alphas.shape, -1, dtype=np.int64)
     ranks[valid] = ascending.max() - ascending
     return ranks
-
-
-@_memo(_MEMO_ENTRIES)
-def one_box_ranks(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``frame_table(N - 1, d)`` and the row of each alpha + e_i in ``frame_table(N, d)`` or -1; memoised."""
-    alphas = frame_table(N - 1, d)
-    return alphas, _extension_ranks(alphas)  # every frame of N boxes extends one of N - 1
 
 
 #: Most rows in a block of ``_frame_blocks``, unless one first part has more.
@@ -291,7 +301,7 @@ def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
     (n_min = n_max) whose n fits in one block yields its held block
     (``_point_block``), with the factors it holds; every other block is new.
     ``extend`` gives the first-part blocks of a split n their extension
-    ranks (``_Block.ranks``); a held block reads its own.
+    ranks (``_Block.ranks``); a held block computes its own.
     """
     counts = [frame_count(n_max, d)] if n_min == n_max else _frame_counts(n_max, d)[n_min:].tolist()
     n, chunk = n_min, ()
@@ -315,8 +325,8 @@ def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
 
 @_memo(_MEMO_ENTRIES)
 def _point_block(n: int, d: int) -> _Block:
-    """The one block of a one-point walk, on the memoised table, with its own n as chunk; memoised, factors and all."""
-    table = frame_table(n, d)
+    """The record of the point (n, d): the block of a one-point walk, with its own n as chunk; memoised, factors and all."""
+    table = _read_only(_frame_tables([n], d)[0])
     return _Block(table, n + 1, (n,), _read_only(_run_starts(table)), n, [len(table)])
 
 
@@ -542,8 +552,9 @@ class _Block:
     Loader build by the block's chunk, and S/sqrt(p) is taken at the block's
     port counts (frames of N - 1 boxes at N ports).  Each is a read-only row
     vector computed on first read (``cached_property``) that lives as long as
-    the block, as do the transposed extension ranks (``rank_lines``); a
-    repeat read computes nothing.  c and S/sqrt(p) share one C-ordered
+    the block, as do the extension ranks and their transpose (``ranks``,
+    ``rank_lines``) and the frame map (``frame_rows``); a repeat read
+    computes nothing.  c and S/sqrt(p) share one C-ordered
     (d, rows) float array of the shifted rows, l_k = alpha_k + d - 1 - k in
     row k, so every step runs on contiguous lines and no sum runs along a
     row of d entries; the second of the two to be read drops it, so the
@@ -564,17 +575,22 @@ class _Block:
     start: int = 0
     split_ranks: np.ndarray | None = None  # a first-part block's ``ranks``, from an ``extend`` walk
 
-    @property
+    @cached_property
     def ranks(self) -> np.ndarray:
-        """The row of each alpha + e_i in ``frame_table(n + 1, d)`` or -1, a whole n's read from ``one_box_ranks``."""
-        if self.split_ranks is None:
-            return one_box_ranks(self.n + 1, self.table.shape[1])[1]
+        """The row of each alpha + e_i in ``frame_table(n + 1, d)`` or -1: a whole n's from its table, else the walk's."""
+        if self.split_ranks is None:  # every frame of n + 1 boxes extends one of n
+            return _read_only(_extension_ranks(self.table))
         return self.split_ranks
 
     @cached_property
     def rank_lines(self) -> np.ndarray:
         """The extension ranks, transposed: one contiguous line per column."""
         return _read_only(self.ranks.T.copy())
+
+    @cached_property
+    def frame_rows(self) -> MappingProxyType:
+        """The row of each frame, keyed by the tuple of its positive parts, in row order; a read-only view."""
+        return MappingProxyType({tuple(filter(None, row)): i for i, row in enumerate(self.table.tolist())})
 
     @cached_property
     def ln_p(self) -> np.ndarray:

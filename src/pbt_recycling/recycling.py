@@ -32,39 +32,16 @@ normalisation is 1/(sqrt(N) d^(N+1)); sqrt(N)/d^(N+1) there would exceed 1
 already at N = d = 2.  F = 1/d at N = 1, and the dense-matrix oracle
 reproduces F.
 
-Evaluation: ``partitions._frame_sums`` walks the frames of every N in blocks
-of at most ``_BLOCK_ROWS`` rows (a sweep's N stacked, a large N split by
-first part), and each block (``partitions._Block``) computes ln p, c and
-S/sqrt(p) itself, each once, on (d, rows) columns.  It reads all it needs
-from its own fields: the rows, the port count N of each row, and the Loader
-chunk, consecutive box counts whose runs hold at most a block's entries of
-values, which keys the build of ln p's saddle-point tables.
-The walk gives one chunk to every block it covers, so the d = 3 and d = 4
-sweeps of the figure data build once each.
-A block's factors are read-only rows that live as long as it does: a
-one-point walk's block is held (``partitions._point_block``), whatever the
-walk asks of it, so ``frec``, ``trace_sqrt_povm_signal`` and the optimal
-fidelity at one point share one c and one S/sqrt(p), a repeat evaluation
-there computes none again, and a term that works on one (the square of
-S/sqrt(p) here) writes a fresh array.  One float array of the shifted rows
-per block feeds both c and S/sqrt(p), and the block drops it once both are
-computed; ln p gathers its saddle-point terms on int columns of its own.
-Each factor runs its ufuncs in place on arrays it reuses, in the order and
-rounding of the frozen per-row kernel of the tests, so every value keeps
-that kernel's bits: ln p takes its Weyl factors on float copies of its int
-columns, S/sqrt(p) forms R_i's two products of integers in one loop over i
-on one reused (d - 1, rows) array, and c and the terms work on their own
-results.  S/sqrt(p) tests its products for finiteness, and goes to log space
-in the columns where one leaves the float range, only in a block whose bound
-(d - 1) log2(l_0 + 1) reaches 1000 (``s_over_sqrt_p``).  The terms
-c p (S/sqrt(p))^2 are nonnegative.  Each run of frames that share a first
-part, from the run starts the block carries, is added first
-(``np.add.reduceat``: within (r - 1) u relative for a run of r terms,
-u = 2^-53), then one ``fsum`` per N adds the run sums and rounds once; at
-d = 2 every run is one frame, which ``reduceat`` returns as it is.
-A term depends on its own row and N only, and no block splits a run, so a
-result has the same bits in any block layout, and ``frec(N, d)`` has the
-same bits as the one-N case of ``frec_values``.
+Evaluation: ``partitions._frame_sums`` walks the frames of every N and sums
+the nonnegative terms c p (S/sqrt(p))^2 per row.  The ``partitions`` module
+docstring describes the walk's blocks, the held record of a point (so
+``frec``, ``trace_sqrt_povm_signal`` and the optimal fidelity at one point
+share one c and one S/sqrt(p)), its memo and the run sums, whose bits do not
+depend on the blocks; ``partitions._Block`` computes the factors, each with
+the bits of the frozen per-row kernel of the tests.  A term depends on its
+own row and N only, so ``frec(N, d)`` has the same bits as the one-N case of
+``frec_values``; a term that works on a held factor (the square of S/sqrt(p)
+here) writes a fresh array.
 """
 
 from __future__ import annotations

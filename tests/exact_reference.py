@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from pbt_recycling.partitions import _bd0, _ln_factorial_remainder, one_box_ranks
+from pbt_recycling.partitions import _bd0, _ln_factorial_remainder, _point_block
 
 
 @cache
@@ -132,7 +132,8 @@ def height_correction(alphas, d: int):
 
 def frec_optimal(N: int, d: int, vN, vNm1) -> float:
     """The optimal-protocol recycling fidelity from weight arrays, V(alpha) summed along each row of d ranks."""
-    alphas, ranks = one_box_ranks(N, d)
+    record = _point_block(N - 1, d)
+    alphas, ranks = record.table, record.ranks
     big_v = np.where(ranks >= 0, vN[ranks], 0.0).sum(axis=1)
     terms = vNm1 * height_correction(alphas, d) * s_over_sqrt_p(N, alphas) * big_v
     first = alphas[:, 0]

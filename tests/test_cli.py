@@ -586,8 +586,7 @@ def test_oracle_verify_repeat_op_reads_only_its_weights(capsys, monkeypatch, spy
         monkeypatch.setattr(module, name, spy)
     for name in ("c", "s_over_sqrt_p"):
         spy_on_block_factor(name, lambda block, _name=name: calls.append(_name))
-    for memo in (partitions.frame_table, partitions.frame_count, optimal.one_box_ranks, optimal._frame_rows,
-                 partitions._point_block, oracle._point):
+    for memo in (partitions.frame_count, partitions._point_block, oracle._point):
         memo.cache_clear()
     rng = np.random.default_rng(N * 10 + d)
     files = []

@@ -10,7 +10,7 @@ import exact_reference
 from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 
 from pbt_recycling import optimal, partitions, recycling
-from pbt_recycling.optimal import VCoefficients, frec_optimal, one_box_ranks, resource_state_fidelity, v_optimal
+from pbt_recycling.optimal import VCoefficients, frec_optimal, resource_state_fidelity, v_optimal
 from pbt_recycling.partitions import frame_count, frame_table, ln_schur_weyl_probability, partitions_bounded
 from pbt_recycling.recycling import frec, frec_values, s_over_sqrt_p, trace_sqrt_povm_signal
 
@@ -42,7 +42,8 @@ ONE_BOX_GRID = [(N, d) for d, top in ((2, 30), (3, 15), (4, 10), (5, 8)) for N i
 
 @pytest.mark.parametrize("N,d", ONE_BOX_GRID)
 def test_one_box_ranks_match_brute_force(N, d):
-    alphas, ranks = one_box_ranks(N, d)
+    record = partitions._point_block(N - 1, d)
+    alphas, ranks = record.table, record.ranks
     np.testing.assert_array_equal(alphas, frame_table(N - 1, d))
     frames = partitions_bounded(N, d)
     expected = np.full(alphas.shape, -1)
@@ -443,7 +444,7 @@ def test_held_blocks_keep_the_bits_and_hold_read_only_results(monkeypatch, block
 
 @pytest.mark.parametrize("N,d", [(20, 60), (25, 120)])
 def test_a_held_block_keeps_no_array_of_shifted_rows(N, d):
-    # the held block keeps its table and extension ranks (also memoised), the transposed
+    # the held block keeps its table and extension ranks, the transposed
     # ranks and a few rows: no (d, rows) float array, such as the shifted rows
     rng = np.random.default_rng(N)
 
@@ -452,8 +453,7 @@ def test_a_held_block_keeps_no_array_of_shifted_rows(N, d):
         return VCoefficients(ports=n, dim=d, entries=w / np.linalg.norm(w))
 
     vN, vNm1 = weights(N), weights(N - 1)
-    for memo in (frame_table, one_box_ranks, partitions._point_block):
-        memo.cache_clear()
+    partitions._point_block.cache_clear()
     tracemalloc.start()
     try:
         frec_optimal(N, d, vN, vNm1)

@@ -327,6 +327,37 @@ def test_a_valid_document_checks_no_partition(monkeypatch):
     assert len(checked) == 1
 
 
+def test_two_parses_at_one_point_build_the_frame_map_once(monkeypatch):
+    # the map lives on the point's record, so a second document at the point reads it
+    from pbt_recycling import partitions
+
+    built = []
+    real = partitions.MappingProxyType
+    monkeypatch.setattr(partitions, "MappingProxyType", lambda rows: built.append(len(rows)) or real(rows))
+    partitions._point_block.cache_clear()
+    text = json.dumps(VCoefficients.uniform(12, 3).as_document())
+    for _ in range(2):
+        assert parse_v_coefficients(text) == VCoefficients.uniform(12, 3)
+    assert built == [partitions.frame_count(12, 3)]
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_the_perron_walk_frec_optimal_and_the_rho_spectrum_rank_a_point_once(monkeypatch, N):
+    # each reads the extension ranks of the frames of N - 1 boxes from that point's record
+    from pbt_recycling import oracle, partitions
+
+    ranked = []
+    real = partitions._extension_ranks
+    monkeypatch.setattr(partitions, "_extension_ranks", lambda table: ranked.append(int(table[0].sum())) or real(table))
+    partitions._point_block.cache_clear()
+    oracle._point.cache_clear()
+    assert partitions.frame_count(N - 1, 3) <= partitions._BLOCK_ROWS
+    vN, vNm1 = v_optimal(N, 3), v_optimal(N - 1, 3)
+    frec_optimal(N, 3, vN, vNm1)
+    oracle.rho_spectrum_report(N, 3)
+    assert sorted(ranked) == [N - 2, N - 1]
+
+
 def test_uniform_coefficients_valid():
     for N, d in [(4, 2), (3, 3), (5, 4)]:
         VCoefficients.uniform(N, d)  # must not raise

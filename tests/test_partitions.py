@@ -7,7 +7,6 @@ import pytest
 from exact_reference import add_box, dim_irrep, mult_schur_weyl, theta_dim
 
 from pbt_recycling import partitions
-from pbt_recycling.optimal import one_box_ranks
 from pbt_recycling.partitions import (
     _frame_blocks,
     _frame_counts,
@@ -131,7 +130,8 @@ def test_partitions_bounded_count_matches_generating_function():
 def test_memoised_frames_are_read_only_and_lists_are_fresh():
     table = frame_table(7, 3)
     assert frame_table(7, 3) is table
-    ranks = one_box_ranks(7, 3)
+    record = partitions._point_block(6, 3)
+    ranks = (record.table, record.ranks)
     for held in (table, *ranks):
         with pytest.raises(ValueError, match="read-only"):
             held[0, 0] = 99
@@ -141,6 +141,53 @@ def test_memoised_frames_are_read_only_and_lists_are_fresh():
     frames.append((1,))
     assert partitions_bounded(7, 3) == expected
     assert frame_table(7, 3).tolist() == [list(p) + [0] * (3 - len(p)) for p in expected]
+
+
+def test_frame_table_is_the_point_records_table():
+    # the record of (n, d) owns the table: dropping the records drops it, with no second memo behind them
+    table = frame_table(7, 3)
+    assert partitions._point_block(7, 3).table is table
+    partitions._point_block.cache_clear()
+    assert frame_table(7, 3) is not table
+    np.testing.assert_array_equal(frame_table(7, 3), table)
+
+
+def test_a_record_read_again_outlives_newer_points():
+    # the memo drops the least recently used record, so a point read between others keeps its own
+    partitions._point_block.cache_clear()
+    record = partitions._point_block(1, 2)
+    for n in range(2, 2 + partitions._MEMO_ENTRIES):
+        partitions._point_block(n, 2)
+        assert partitions._point_block(1, 2) is record
+    for n in range(2 + partitions._MEMO_ENTRIES, 2 + 2 * partitions._MEMO_ENTRIES):
+        partitions._point_block(n, 2)
+    assert partitions._point_block(1, 2) is not record
+
+
+def test_a_listing_keeps_no_table():
+    import tracemalloc
+
+    table_bytes = frame_count(300, 4) * 4 * 8
+    tracemalloc.start()
+    try:
+        frames = partitions_bounded(300, 4)
+        assert len(frames) == frame_count(300, 4)
+        del frames
+        # array buffers only: CPython's tuple free lists keep a few thousand freed rows, which are no table
+        arrays = tracemalloc.take_snapshot().filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    assert sum(trace.size for trace in arrays.traces) < 0.01 * table_bytes
+
+
+def test_the_frame_map_is_read_only():
+    rows = partitions._point_block(5, 3).frame_rows
+    assert list(rows) == partitions_bounded(5, 3) and list(rows.values()) == list(range(len(rows)))
+    with pytest.raises(TypeError):
+        rows[(5,)] = 1
+    with pytest.raises(TypeError):
+        rows[(9, 9)] = 0
+    assert rows[(5,)] == 0 and (9, 9) not in rows
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -162,7 +209,8 @@ def test_frame_blocks_concatenate_to_the_tables_and_their_ranks(monkeypatch, cap
     # n = 0 (N = 1), d > n, and n with more frames than a block, split into runs of first parts
     for n in sorted({0, 1, d - 1, d, d + 1, 12, 25}):
         blocks = list(_frame_blocks(n, n, d, extend=True))
-        alphas, ranks = one_box_ranks(n + 1, d)
+        record = partitions._point_block(n, d)
+        alphas, ranks = record.table, record.ranks
         np.testing.assert_array_equal(np.concatenate([b.table for b in blocks]), alphas)
         np.testing.assert_array_equal(np.concatenate([b.ranks for b in blocks]), ranks)
         assert [b.start for b in blocks] == np.cumsum([0] + [len(b.table) for b in blocks[:-1]]).tolist()

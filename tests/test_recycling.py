@@ -171,7 +171,7 @@ def test_split_frec_holds_one_block_at_a_time(monkeypatch):
     import tracemalloc
 
     def peak():
-        partitions.frame_table.cache_clear()
+        partitions._point_block.cache_clear()
         tracemalloc.start()
         try:
             value = frec(200, 4).value
