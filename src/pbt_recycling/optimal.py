@@ -18,10 +18,13 @@ rows, and V(alpha) below adds its d weights down the columns of the
 transposed extension ranks (``partitions._row_order_sum``), so no sum runs
 along a row.  The weights enter only through v_alpha and V(alpha), so a
 repeat evaluation with new weights at a held point computes only those.  A
-coefficient document's entries are looked up in the frame map of the
-point's record (``partitions._Block.frame_rows``); only an entry that is not
-there is checked part by part (``partitions.frame_parts``), to name its
-fault.
+coefficient document is checked entry by entry, each a frame of N boxes
+(``partitions.frame_parts``), not repeated, with a finite weight; its
+distinct frames, none taller than d, are then all the point's exactly when
+there are ``frame_count(N, d)`` of them, and in descending tuple order they
+fall in ``frame_table`` row order.  So a complete document builds no frame
+table; only an incomplete one lists the point's frames, to name the
+missing ones.
 
 Both fidelities are sums over frames (weights v_mu over frames of N boxes,
 v_alpha over frames of N-1 boxes):
@@ -50,8 +53,6 @@ import numpy as np
 from .partitions import (
     _frame_blocks,
     _frame_sums,
-    _listing_height,
-    _point_block,
     _row_order_sum,
     frame_count,
     frame_parts,
@@ -151,38 +152,34 @@ def parse_v_coefficients(document) -> VCoefficients:
         raise CoefficientError("wrong N or d")
     if not isinstance(document["entries"], list):
         raise CoefficientError("entries must be a list")
-    try:  # the frame map of the point's record at the listing height, which checks the byte budget
-        rows = _point_block(N, _listing_height(N, d)).frame_rows
-    except ValueError:  # over the frame budget: every entry takes the checks, and the error waits for the loop's end
-        rows = {}
     entries = {}
     for item in document["entries"]:
         if not isinstance(item, dict) or "partition" not in item or "v" not in item:
             raise CoefficientError("each entry needs 'partition' and 'v'")
         parts = item["partition"]
-        # a list of exact ints that is a frame of the point is one; bool, float and numpy parts hash as ints do
-        if not (type(parts) is list and all(type(x) is int for x in parts) and (p := tuple(parts)) in rows):
-            try:
-                p = frame_parts(parts)
-            except (TypeError, ValueError) as e:
-                raise CoefficientError(f"bad partition {parts}: {e}") from e
-            if sum(p) != N:
-                raise CoefficientError(f"partition {frame_text(p)} does not have {N} boxes")
+        try:
+            p = frame_parts(parts)
+        except (TypeError, ValueError) as e:
+            raise CoefficientError(f"bad partition {parts}: {e}") from e
+        if sum(p) != N:
+            raise CoefficientError(f"partition {frame_text(p)} does not have {N} boxes")
         if p in entries:
             raise CoefficientError(f"duplicate partition {frame_text(p)}")
         v = item["v"]
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        try:  # float() of an int beyond the float range raises OverflowError
+            v = float(v) if isinstance(v, float) or _is_json_int(v) else math.nan
+        except OverflowError:
+            v = math.nan
+        if not math.isfinite(v):
             raise CoefficientError(f"bad coefficient for {frame_text(p)}")
-        entries[p] = float(v)
-    rows = rows or _point_block(N, _listing_height(N, d)).frame_rows  # {} only over the budget: raise its error now
-    extra = [p for p in entries if p not in rows]
-    if extra or len(entries) != len(rows):
-        missing = [p for p in rows if p not in entries]
+        entries[p] = v
+    if max(map(len, entries), default=0) > d or len(entries) != frame_count(N, d):
+        frames = partitions_bounded(N, d)  # listed only to name the missing ones
         raise CoefficientError(
-            f"incomplete support: missing={[frame_text(p) for p in missing]} "
-            f"unexpected={[frame_text(p) for p in extra]}"
+            f"incomplete support: missing={[frame_text(p) for p in frames if p not in entries]} "
+            f"unexpected={[frame_text(p) for p in entries if len(p) > d]}"
         )
-    return VCoefficients(ports=N, dim=d, entries=np.array([entries[p] for p in rows]))
+    return VCoefficients(ports=N, dim=d, entries=np.array([v for _, v in sorted(entries.items(), reverse=True)]))
 
 
 def load_v_coefficients(path) -> VCoefficients:

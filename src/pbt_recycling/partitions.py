@@ -49,29 +49,30 @@ only what reads its weights.
 
 The held block of (n, d) is the closed-form layer's one record of that
 point, memoised (``_memo``) on the ``_MEMO_ENTRIES`` points read last: its
-table is ``frame_table(n, d)``, and it computes its extension ranks and the
-weight layer's frame map on first read, so they live and die with it; a
-held array is read-only and the map is a read-only view, so no caller
+table is ``frame_table(n, d)``, and it computes its extension ranks on first
+read, so they live and die with it; a held array is read-only, so no caller
 changes what the next one reads.  A repeat point enumerates no frame.
 ``frame_count`` keeps its own memo of ints, since it counts points whose
-table is never built, and ``partitions_bounded`` builds a table of its own
-per call and drops it.
+table is never built (a weight document is checked against the count), and
+``partitions_bounded`` builds a table of its own per call and drops it.
+Counts, tables and listings are sized before they are built, and one over
+``PARTITIONS_BYTE_BUDGET`` raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import chain, groupby
 from numbers import Integral
-from operator import attrgetter
-from types import MappingProxyType
+from operator import attrgetter, ge
 
 import numpy as np
 
-#: Bytes a listing of frames as tuples may hold at once (``_listing_height``): the frame table and its tuples.
+#: Bytes a frame listing (``partitions_bounded``), a frame table or an array of frame counts may hold.
 PARTITIONS_BYTE_BUDGET = 1 << 30
 
 #: (n, d) points each point memo holds; a miss at a new point evicts the least recently used.
@@ -125,12 +126,13 @@ def frame_parts(parts) -> tuple[int, ...]:
     weakly decreasing.
     """
     p = tuple(parts)
-    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in p):
-        raise TypeError(f"partition parts must be integers: {p!r}")
-    p = tuple(map(int, p))
-    if any(x <= 0 for x in p):
+    if not {int}.issuperset(map(type, p)):  # exact ints are kept as they are; other integers become ints
+        if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in p):
+            raise TypeError(f"partition parts must be integers: {p!r}")
+        p = tuple(map(int, p))
+    if p and min(p) <= 0:
         raise ValueError(f"partition parts must be positive: {p}")
-    if any(a < b for a, b in zip(p, p[1:])):
+    if not all(map(ge, p, p[1:])):
         raise ValueError(f"partition parts must be weakly decreasing: {p}")
     return p
 
@@ -147,36 +149,29 @@ def _check_frame_bounds(n: int, max_height: int) -> None:
         raise ValueError("max_height must be positive")
 
 
-def _listing_height(n: int, max_height: int) -> int:
-    """The height h = max(1, min(max_height, n)) at which the frames of ``n`` boxes are listed as tuples.
-
-    No frame of n boxes is taller than n.  A listed frame costs at most
-    32 h + 128 bytes: its table row and fill maps, the row as a list and as
-    a tuple of ints, and two list or map slots.  The frames are counted
-    first, and ValueError is raised before anything is built when they would
-    take more than ``PARTITIONS_BYTE_BUDGET`` bytes.
-    """
-    _check_frame_bounds(n, max_height)
-    height = max(1, min(max_height, n))
-    count = frame_count(n, height)
-    nbytes = count * (32 * height + 128)
+def _check_bytes(nbytes: int, what: str) -> None:
+    """ValueError naming ``what`` when ``nbytes`` exceeds ``PARTITIONS_BYTE_BUDGET``."""
     if nbytes > PARTITIONS_BYTE_BUDGET:
-        raise ValueError(
-            f"{count} frames of {n} boxes and height <= {max_height} need {nbytes} bytes, "
-            f"over the budget of {PARTITIONS_BYTE_BUDGET}"
-        )
-    return height
+        raise ValueError(f"{what} need {nbytes} bytes, over the budget of {PARTITIONS_BYTE_BUDGET}")
 
 
 def partitions_bounded(n: int, max_height: int) -> list[tuple[int, ...]]:
     """All partitions of ``n`` with height <= ``max_height``, descending lexicographic.
 
-    The rows of ``frame_table`` at the listing height (``_listing_height``,
-    which also checks the byte budget), as tuples of their positive parts in
-    a fresh list per call; ``n = 0`` gives [()].  The table is built for the
-    call and dropped, so no listing outlives its list.
+    The rows of ``frame_table`` at the height h = max(1, min(max_height, n)),
+    since no frame of n boxes is taller than n, as tuples of their positive
+    parts in a fresh list per call; ``n = 0`` gives [()].  A listed frame
+    costs at most 32 h + 128 bytes: its table row and fill maps, the row as a
+    list and as a tuple of ints, and two list or map slots.  The frames are
+    counted first, and ValueError is raised before anything is built when
+    they would take more than ``PARTITIONS_BYTE_BUDGET`` bytes.  The table is
+    built for the call and dropped, so no listing outlives its list.
     """
-    table = _frame_tables([n], _listing_height(n, max_height))[0]
+    _check_frame_bounds(n, max_height)
+    height = max(1, min(max_height, n))
+    count = frame_count(n, height)
+    _check_bytes(count * (32 * height + 128), f"{count} frames of {n} boxes and height <= {max_height}")
+    table = _frame_tables([n], height)[0]
     return [tuple(filter(None, row)) for row in table.tolist()]
 
 
@@ -188,11 +183,21 @@ def _frame_counts(n: int, max_height: int) -> np.ndarray:
     running sum along each residue class mod k, a column when the counts are
     laid out k to a row, so one ``cumsum`` per k; padding past n feeds no
     m <= n.  No entry, padding included, exceeds C(n + 2h, h), a bound on
-    weak compositions, so below 2^63 the int64 counts are exact.
+    weak compositions, so below 2^63 the int64 counts are exact.  An entry
+    costs its array slot and, in a ``.tolist()`` copy, a list slot and an
+    int: 52 bytes for an int below 2^63, checked before the bound is
+    computed, since its cost grows with n and h; in an object array, 16
+    bytes and the size of the bound.  ValueError is raised before the array
+    is built when the entries take more than ``PARTITIONS_BYTE_BUDGET`` bytes.
     """
     height = min(n, max_height)
-    exact = math.comb(n + 2 * height, height) < 1 << 63
-    counts = np.zeros(n + height + 1, dtype=np.int64 if exact else object)
+    size, what = n + height + 1, f"the frame counts of 0..{n} boxes and height <= {max_height}"
+    _check_bytes(size * 52, what)
+    bound = math.comb(n + 2 * height, height)
+    exact = bound < 1 << 63
+    if not exact:
+        _check_bytes(size * (16 + sys.getsizeof(bound)), what)
+    counts = np.zeros(size, dtype=np.int64 if exact else object)
     counts[0] = 1
     for k in range(1, height + 1):
         grid = counts[: -(-(n + 1) // k) * k].reshape(-1, k)
@@ -254,8 +259,12 @@ def frame_table(n: int, d: int) -> np.ndarray:
     array indexes frames by row of this table, and ``partitions_bounded``
     lists the same rows as tuples.  The read-only table of the point's
     record (``_point_block``), so a call returns the same table while the
-    record is held.
+    record is held.  The frames are counted first, and ValueError is raised
+    before the table is built when it would take more than
+    ``PARTITIONS_BYTE_BUDGET`` bytes, 8 d a frame.
     """
+    count = frame_count(n, d)
+    _check_bytes(count * d * 8, f"{count} frames of {n} boxes and height <= {d} as a table")
     return _point_block(n, d).table
 
 
@@ -553,17 +562,17 @@ class _Block:
     port counts (frames of N - 1 boxes at N ports).  Each is a read-only row
     vector computed on first read (``cached_property``) that lives as long as
     the block, as do the extension ranks and their transpose (``ranks``,
-    ``rank_lines``) and the frame map (``frame_rows``); a repeat read
-    computes nothing.  c and S/sqrt(p) share one C-ordered
-    (d, rows) float array of the shifted rows, l_k = alpha_k + d - 1 - k in
-    row k, so every step runs on contiguous lines and no sum runs along a
-    row of d entries; the second of the two to be read drops it, so the
-    block keeps no 2-D float array.  ln p transposes the table into int
-    columns of its own (``ln_schur_weyl_probability``), and only ln p checks
-    that the rows are frames.  Each factor runs its ufuncs in place
-    (``out=``) on buffers it reuses, in the order and rounding of the
-    per-row arithmetic they replace: besides the shifted rows, c holds one
-    (d, rows) array, and S/sqrt(p) one (d - 1, rows) array and four rows.
+    ``rank_lines``); a repeat read computes nothing.  c and S/sqrt(p) share
+    one C-ordered (d, rows) float array of the shifted rows,
+    l_k = alpha_k + d - 1 - k in row k, so every step runs on contiguous
+    lines and no sum runs along a row of d entries; the second of the two to
+    be read drops it, so the block keeps no 2-D float array.  ln p
+    transposes the table into int columns of its own
+    (``ln_schur_weyl_probability``), and only ln p checks that the rows are
+    frames.  Each factor runs its ufuncs in place (``out=``) on buffers it
+    reuses, in the order and rounding of the per-row arithmetic they
+    replace: besides the shifted rows, c holds one (d, rows) array, and
+    S/sqrt(p) one (d - 1, rows) array and four rows.
     """
 
     table: np.ndarray
@@ -586,11 +595,6 @@ class _Block:
     def rank_lines(self) -> np.ndarray:
         """The extension ranks, transposed: one contiguous line per column."""
         return _read_only(self.ranks.T.copy())
-
-    @cached_property
-    def frame_rows(self) -> MappingProxyType:
-        """The row of each frame, keyed by the tuple of its positive parts, in row order; a read-only view."""
-        return MappingProxyType({tuple(filter(None, row)): i for i, row in enumerate(self.table.tolist())})
 
     @cached_property
     def ln_p(self) -> np.ndarray:

@@ -213,6 +213,8 @@ def _entries(*pairs):
         (json.dumps({"N": 2, "d": 2, "entries": _entries(([2], 0.6), ([2], 0.8))}), "duplicate partition 2"),
         (json.dumps({"N": 2, "d": 2, "entries": _entries(([1, 1], "x"))}), "bad coefficient for 1,1"),
         ('{"N": 2, "d": 2, "entries": [{"partition": [2], "v": NaN}]}', "bad coefficient for 2"),
+        pytest.param('{"N": 2, "d": 2, "entries": [{"partition": [2], "v": 1' + "0" * 400 + "}]}",
+                     "bad coefficient for 2", id="an int beyond the float range"),
         (json.dumps({"N": 2, "d": 2, "entries": _entries(([2], 1.0))}),
          "incomplete support: missing=['1,1'] unexpected=[]"),
         (json.dumps({"N": 3, "d": 2, "entries": _entries(([3], 0.6), ([2, 1], 0.8), ([1, 1, 1], 0.0))}),
@@ -227,6 +229,28 @@ def test_coefficient_file_error_messages_in_full(capsys, tmp_path, text, message
     path = tmp_path / "v.json"
     path.write_text(text)
     assert invoke(capsys, "resource-fidelity", "--vfile", str(path)) == (EXIT_DATA, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frec", "--ports", "1000000000000", "--dim", "2"],
+        ["sweep", "--dim", "3", "--ports-min", "1", "--ports-max", "1000000000000"],
+        ["resource-fidelity", "--ports", "1000000000000"],
+        ["resource-fidelity", "--vfile"],
+    ],
+)
+def test_a_point_past_the_byte_budget_exits_2_before_allocating(capsys, tmp_path, argv):
+    # 10^12 boxes: the frame counts alone would take terabytes, so they are sized and refused first
+    if argv[-1] == "--vfile":
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"N": 10**12, "d": 1, "entries": [{"partition": [10**12], "v": 1.0}]}))
+        argv = [*argv, str(path)]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and "budget" in err
 
 
 def test_unknown_flag_exits_2():

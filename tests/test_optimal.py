@@ -275,7 +275,8 @@ def _entries(*pairs, N=3, d=2):
 
 _VALID = VCoefficients(ports=3, dim=2, entries=[0.6, 0.8])
 
-#: Documents at (3, 2), whose frames are (3) and (2, 1), and what each parses to: weights or the error in full.
+#: Documents at (3, 2), whose frames are (3) and (2, 1), unless they say otherwise, and what each parses to:
+#: weights or the error in full.
 _WEIGHT_DOCUMENTS = [
     (_entries(([3], 0.6), ([2, 1], 0.8)), _VALID),
     (json.dumps(_entries(([3], 0.6), ([2, 1], 0.8))), _VALID),
@@ -297,6 +298,9 @@ _WEIGHT_DOCUMENTS = [
     (_entries(([3], 1.0)), "incomplete support: missing=['2,1'] unexpected=[]"),
     # more frames than the partition budget: the entry's own error still comes first
     (_entries(([1.5], 1.0), N=10_000, d=3), "bad partition [1.5]: partition parts must be integers: (1.5,)"),
+    (_entries(([2, 1], 0.8), ([3], 0.6)), _VALID),  # in reverse row order
+    (_entries(([1, 1, 1], 0.0), ([3], 0.6), ([2, 1], 0.8), d=4), VCoefficients(ports=3, dim=4, entries=[0.6, 0.8, 0.0])),
+    (_entries(([3], 10**400), ([2, 1], 0.8)), "bad coefficient for 3"),  # an int beyond the float range
 ]
 
 
@@ -310,35 +314,33 @@ def test_parse_gives_the_same_weights_or_error(document, expected):
         assert str(error.value) == expected
 
 
-def test_a_valid_document_checks_no_partition(monkeypatch):
-    # an exact-int list that is a frame of the point is looked up, not checked; only an entry that misses is
-    from pbt_recycling import optimal
-
-    checked = []
-    real = optimal.frame_parts
-    monkeypatch.setattr(optimal, "frame_parts", lambda parts: checked.append(parts) or real(parts))
-    text = json.dumps(VCoefficients.uniform(40, 3).as_document())
-    assert parse_v_coefficients(text) == VCoefficients.uniform(40, 3)
-    assert checked == []
-    document = json.loads(text)
-    document["entries"][5]["partition"].append(0)
-    with pytest.raises(CoefficientError, match="must be positive"):
-        parse_v_coefficients(document)
-    assert len(checked) == 1
-
-
-def test_two_parses_at_one_point_build_the_frame_map_once(monkeypatch):
-    # the map lives on the point's record, so a second document at the point reads it
+@pytest.mark.parametrize("N,d", [(12, 3), (3, 4)])
+def test_a_valid_document_builds_no_frame_table(monkeypatch, N, d):
+    # a complete document is checked against the point's frame count: nothing lists its frames or reads its record
     from pbt_recycling import partitions
 
-    built = []
-    real = partitions.MappingProxyType
-    monkeypatch.setattr(partitions, "MappingProxyType", lambda rows: built.append(len(rows)) or real(rows))
+    text = json.dumps(VCoefficients.uniform(N, d).as_document())
+    expected = VCoefficients.uniform(N, d)
     partitions._point_block.cache_clear()
-    text = json.dumps(VCoefficients.uniform(12, 3).as_document())
-    for _ in range(2):
-        assert parse_v_coefficients(text) == VCoefficients.uniform(12, 3)
-    assert built == [partitions.frame_count(12, 3)]
+    called = []
+    for name in ("_frame_tables", "_point_block"):
+        real = getattr(partitions, name)
+        monkeypatch.setattr(partitions, name, lambda *args, name=name, real=real: called.append(name) or real(*args))
+    assert parse_v_coefficients(text) == expected
+    assert called == []
+
+
+def test_only_an_incomplete_document_lists_the_frames_under_the_byte_budget(monkeypatch):
+    # the count settles a complete document; the listing that names missing frames checks the budget
+    from pbt_recycling import partitions
+
+    document = VCoefficients.uniform(12, 3).as_document()
+    expected = VCoefficients.uniform(12, 3)
+    monkeypatch.setattr(partitions, "PARTITIONS_BYTE_BUDGET", 1000)  # the counts' 832 bytes fit, the listing's do not
+    assert parse_v_coefficients(document) == expected
+    del document["entries"][0]
+    with pytest.raises(ValueError, match="^19 frames of 12 boxes and height <= 3 need 4256 bytes, over the budget"):
+        parse_v_coefficients(document)
 
 
 @pytest.mark.parametrize("N", [4, 5])

@@ -1,4 +1,5 @@
 import itertools
+import time
 import timeit
 from math import comb
 
@@ -127,6 +128,14 @@ def test_partitions_bounded_count_matches_generating_function():
         assert _frame_counts(n, h).tolist() == counts[: n + 1]
 
 
+def test_object_counts_are_sized_by_the_bound_before_they_are_built():
+    # 100,001 object entries up to C(150000, 50000), about 137,000 bits each, take far more than the budget
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^the frame counts of 0..50000 boxes and height <= 50000 need"):
+        frame_count(50000, 50000)
+    assert time.perf_counter() - start < 1
+
+
 def test_memoised_frames_are_read_only_and_lists_are_fresh():
     table = frame_table(7, 3)
     assert frame_table(7, 3) is table
@@ -178,16 +187,6 @@ def test_a_listing_keeps_no_table():
     finally:
         tracemalloc.stop()
     assert sum(trace.size for trace in arrays.traces) < 0.01 * table_bytes
-
-
-def test_the_frame_map_is_read_only():
-    rows = partitions._point_block(5, 3).frame_rows
-    assert list(rows) == partitions_bounded(5, 3) and list(rows.values()) == list(range(len(rows)))
-    with pytest.raises(TypeError):
-        rows[(5,)] = 1
-    with pytest.raises(TypeError):
-        rows[(9, 9)] = 0
-    assert rows[(5,)] == 0 and (9, 9) not in rows
 
 
 @pytest.mark.parametrize("d", range(1, 7))
