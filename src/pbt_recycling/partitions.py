@@ -32,8 +32,11 @@ row the same bits in any table, so no value depends on the blocks.  A block
 row, the rows that open its runs, and its Loader chunk, the consecutive box
 counts that key its Loader build (``_loader_tables``).  From these it
 computes the per-row factors of the closed forms in ``recycling`` and
-``optimal`` (ln p, c, S/sqrt(p) and its transposed extension ranks), each on
-first read and once, so they live as long as the block.  The walk assigns
+``optimal`` (ln p, c, S/sqrt(p) and its extension ranks), each on first read
+and once, so they live as long as the block: c and S/sqrt(p) from one pass
+over the shifted rows, and the ranks as one (d, rows) array of rank lines.
+ln p's Weyl loop and S/sqrt(p)'s loop over i stop at the block's height, so
+at large d they cost what the frames' height does.  The walk assigns
 the chunks: one opens at the n of the first block it does not cover and
 extends while its deviance runs, sum (m + 1) values, fit in
 ``_BLOCK_ROWS * d``, the entries a block may hold (one n may hold more).
@@ -55,7 +58,8 @@ changes what the next one reads.  A repeat point enumerates no frame.
 ``frame_count`` keeps its own memo of ints, since it counts points whose
 table is never built (a weight document is checked against the count), and
 ``partitions_bounded`` builds a table of its own per call and drops it.
-Counts, tables and listings are sized before they are built, and one over
+Counts, tables and listings are sized before they are built, a table by
+what its build holds at its peak, not by the table alone, and one over
 ``PARTITIONS_BYTE_BUDGET`` raises ValueError.
 """
 
@@ -66,9 +70,9 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from numbers import Integral
-from operator import attrgetter, ge
+from operator import attrgetter, ge, sub
 
 import numpy as np
 
@@ -182,27 +186,45 @@ def _frame_counts(n: int, max_height: int) -> np.ndarray:
     h, counted by c[m] += c[m - k] for k = 1..h, m ascending: for one k, a
     running sum along each residue class mod k, a column when the counts are
     laid out k to a row, so one ``cumsum`` per k; padding past n feeds no
-    m <= n.  No entry, padding included, exceeds C(n + 2h, h), a bound on
-    weak compositions, so below 2^63 the int64 counts are exact.  An entry
-    costs its array slot and, in a ``.tolist()`` copy, a list slot and an
-    int: 52 bytes for an int below 2^63, checked before the bound is
-    computed, since its cost grows with n and h; in an object array, 16
-    bytes and the size of the bound.  ValueError is raised before the array
-    is built when the entries take more than ``PARTITIONS_BYTE_BUDGET`` bytes.
+    m <= n.  At n <= 2h + 1 a part above h leaves fewer than it boxes, so
+    the frames of m boxes it opens are any frames of what is left, and the
+    count is p(m) - sum_{r < m - h} p(r), p from ``_partition_numbers`` in
+    O(n^1.5) additions, not O(n h).  No entry, padding included, exceeds
+    C(n + 2h, h), a bound on weak compositions, so below 2^63 the int64
+    counts are exact.  An entry costs its array slot and, in a ``.tolist()``
+    copy, a list slot and an int: 52 bytes for an int below 2^63, checked
+    before the bound is computed, since its cost grows with n and h; in an
+    object array, 16 bytes and the size of the bound.  ValueError is raised
+    before the array is built when the entries take more than
+    ``PARTITIONS_BYTE_BUDGET`` bytes.
     """
     height = min(n, max_height)
     size, what = n + height + 1, f"the frame counts of 0..{n} boxes and height <= {max_height}"
     _check_bytes(size * 52, what)
     bound = math.comb(n + 2 * height, height)
-    exact = bound < 1 << 63
-    if not exact:
+    dtype = np.int64 if bound < 1 << 63 else object
+    if dtype is object:
         _check_bytes(size * (16 + sys.getsizeof(bound)), what)
-    counts = np.zeros(size, dtype=np.int64 if exact else object)
+    if n <= 2 * height + 1:
+        p = _partition_numbers(n)
+        p[height:] = map(sub, p[height:], accumulate(p[: n - height], initial=0))
+        return np.array(p, dtype=dtype)
+    counts = np.zeros(size, dtype=dtype)
     counts[0] = 1
     for k in range(1, height + 1):
         grid = counts[: -(-(n + 1) // k) * k].reshape(-1, k)
         np.cumsum(grid, axis=0, out=grid)
     return counts[: n + 1]
+
+
+def _partition_numbers(n: int) -> list[int]:
+    """p(m) for m = 0..n, by Euler's pentagonal recurrence: p(m) = sum_k (-1)^(k+1) p(m - k(3k -+ 1)/2)."""
+    # k(3k - 1)/2 and k(3k + 1)/2 at odd k, then at even k; each k past sqrt(n) + 1 gives more than n
+    plus, minus = ([k * (3 * k + s) // 2 for k in range(j, math.isqrt(n) + 2, 2) for s in (-1, 1)] for j in (1, 2))
+    p = [1] + [0] * n
+    for m in range(1, n + 1):
+        p[m] = sum(p[m - g] for g in plus if g <= m) - sum(p[m - g] for g in minus if g <= m)
+    return p
 
 
 @_memo(_MEMO_ENTRIES)
@@ -216,23 +238,22 @@ def _frame_tables(sizes, d: int, largest=None) -> tuple[np.ndarray, np.ndarray]:
     """The frame tables of n boxes and height <= d for each n of ``sizes``, stacked in that order.
 
     ``largest`` (one per n, each at least n / d) caps the first part.
-    Returns the table and the row count of each n.  Column k is filled for
-    every prefix at once: a prefix with ``rem`` boxes left, last part
-    ``largest`` and ``d - k`` rows to go takes the parts min(rem, largest)
-    down to ceil(rem / (d - k)), so rows stay in descending lexicographic
-    order (a prefix with no box left takes the one part 0).  Each column
-    keeps the map from its rows to their parent prefixes, and the table is
-    filled through those maps once the last column fixes the rows.
+    Returns the table and the row count of each n.  Only the first h =
+    min(d, max n) columns are filled, since no frame is taller than its box
+    count; the rest stay 0.  Column k is filled for every prefix at once: a
+    prefix with ``rem`` boxes left, last part ``largest`` and ``h - k`` rows
+    to go takes the parts min(rem, largest) down to ceil(rem / (h - k)), so
+    rows stay in descending lexicographic order (a prefix with no box left
+    takes the one part 0).  Each column keeps the map from its rows to their
+    parent prefixes, and the table is filled through those maps once the
+    last column fixes the rows, each map dropped as the fill consumes it.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     _check_frame_bounds(int(sizes.min(initial=0)), d)
-    height = max(1, int(sizes.max(initial=0)))
-    if d > height:  # no frame is taller than its box count: fill that many columns, pad zeros
-        table, counts = _frame_tables(sizes, height, largest)
-        return np.pad(table, ((0, 0), (0, d - height))), counts
+    h = min(d, max(1, int(sizes.max(initial=0))))
     rem, largest = sizes, sizes if largest is None else np.asarray(largest, dtype=np.int64)
     parts, parents = [], []
-    for rows_left in range(d, 1, -1):
+    for rows_left in range(h, 1, -1):
         hi = np.minimum(rem, largest)
         width = hi - (rem + rows_left - 1) // rows_left + 1
         parent = np.repeat(np.arange(len(rem)), width)
@@ -242,12 +263,12 @@ def _frame_tables(sizes, d: int, largest=None) -> tuple[np.ndarray, np.ndarray]:
         rem = rem[parent] - largest
         parts.append(largest)
         parents.append(parent)
-    table = np.empty((len(rem), d), dtype=np.int64)
-    table[:, -1] = rem  # the last row takes what is left, which the bound keeps <= largest
+    table = np.zeros((len(rem), d), dtype=np.int64)
+    table[:, h - 1] = rem  # the last row takes what is left, which the bound keeps <= largest
     rows = np.arange(len(rem))
-    for k in range(d - 2, -1, -1):
-        table[:, k] = parts[k][rows]
-        rows = parents[k][rows]
+    for k in range(h - 2, -1, -1):
+        table[:, k] = parts.pop()[rows]
+        rows = parents.pop()[rows]
     return table, np.bincount(rows, minlength=len(sizes))
 
 
@@ -260,20 +281,24 @@ def frame_table(n: int, d: int) -> np.ndarray:
     lists the same rows as tuples.  The read-only table of the point's
     record (``_point_block``), so a call returns the same table while the
     record is held.  The frames are counted first, and ValueError is raised
-    before the table is built when it would take more than
-    ``PARTITIONS_BYTE_BUDGET`` bytes, 8 d a frame.
+    before the table is built when its build would take more than
+    ``PARTITIONS_BYTE_BUDGET`` bytes: 8 (d + 2h + 4) a frame, h the
+    max(1, min(d, n)) columns ``_frame_tables`` fills, for the table row, a part
+    and a parent entry in each of the h - 1 column maps (no map has more
+    entries than the table has rows), and six rows of scratch.
     """
     count = frame_count(n, d)
-    _check_bytes(count * d * 8, f"{count} frames of {n} boxes and height <= {d} as a table")
+    nbytes = count * (d + 2 * max(1, min(d, n)) + 4) * 8
+    _check_bytes(nbytes, f"{count} frames of {n} boxes and height <= {d} as a table")
     return _point_block(n, d).table
 
 
 def _extension_ranks(alphas: np.ndarray) -> np.ndarray:
-    """Rank of each alpha + e_i among the rows' distinct one-box extensions, descending; -1 off the frames."""
+    """Line i: the rank of each alpha + e_i among the rows' distinct one-box extensions, descending; -1 if no frame."""
     valid = np.ones(alphas.shape, dtype=bool)
     valid[:, 1:] = alphas[:, :-1] > alphas[:, 1:]
     row, i = np.nonzero(valid)
-    grown = alphas[row]
+    grown = alphas[row, : i.max() + 1]  # the columns past the height + 1 are 0 in every extension
     grown[np.arange(len(row)), i] += 1
     order = np.lexsort(grown.T[::-1])  # first column first
     grown = grown[order]
@@ -281,9 +306,9 @@ def _extension_ranks(alphas: np.ndarray) -> np.ndarray:
     new[1:] = (grown[1:] != grown[:-1]).any(axis=1)
     ascending = np.empty(len(grown), dtype=np.int64)
     ascending[order] = np.cumsum(new) - 1
-    ranks = np.full(alphas.shape, -1, dtype=np.int64)
-    ranks[valid] = ascending.max() - ascending
-    return ranks
+    lines = np.full(alphas.shape[::-1], -1, dtype=np.int64)
+    lines[i, row] = ascending.max() - ascending
+    return lines
 
 
 #: Most rows in a block of ``_frame_blocks``, unless one first part has more.
@@ -310,7 +335,7 @@ def _frame_blocks(n_min: int, n_max: int, d: int, extend: bool = False):
     (n_min = n_max) whose n fits in one block yields its held block
     (``_point_block``), with the factors it holds; every other block is new.
     ``extend`` gives the first-part blocks of a split n their extension
-    ranks (``_Block.ranks``); a held block computes its own.
+    ranks (``_Block.rank_lines``); a held block computes its own.
     """
     counts = [frame_count(n_max, d)] if n_min == n_max else _frame_counts(n_max, d)[n_min:].tolist()
     n, chunk = n_min, ()
@@ -351,12 +376,12 @@ def _first_part_blocks(n: int, d: int, extend: bool, chunk: tuple[int, ...]):
         firsts = np.arange(top, k - 1, -1)
         rest, sizes = _frame_tables(n - firsts, d - 1, firsts)
         table = np.column_stack([np.repeat(firsts, sizes), rest])
-        ranks = _extension_ranks(table) if extend else None
+        lines = _extension_ranks(table) if extend else None
         if extend:
             ext -= int(sizes[0]) if start else 0  # this range opens on the last one's tail
-            ranks[ranks >= 0] += ext
-            ext = int(ranks.max()) + 1
-        yield _Block(table, n + 1, chunk, np.cumsum(sizes) - sizes, n, [len(table)], start, ranks)
+            lines[lines >= 0] += ext
+            ext = int(lines.max()) + 1
+        yield _Block(table, n + 1, chunk, np.cumsum(sizes) - sizes, n, [len(table)], start, lines)
         start += len(table)
         top = k - 1
 
@@ -561,18 +586,19 @@ class _Block:
     Loader build by the block's chunk, and S/sqrt(p) is taken at the block's
     port counts (frames of N - 1 boxes at N ports).  Each is a read-only row
     vector computed on first read (``cached_property``) that lives as long as
-    the block, as do the extension ranks and their transpose (``ranks``,
-    ``rank_lines``); a repeat read computes nothing.  c and S/sqrt(p) share
-    one C-ordered (d, rows) float array of the shifted rows,
-    l_k = alpha_k + d - 1 - k in row k, so every step runs on contiguous
-    lines and no sum runs along a row of d entries; the second of the two to
-    be read drops it, so the block keeps no 2-D float array.  ln p
-    transposes the table into int columns of its own
-    (``ln_schur_weyl_probability``), and only ln p checks that the rows are
-    frames.  Each factor runs its ufuncs in place (``out=``) on buffers it
-    reuses, in the order and rounding of the per-row arithmetic they
-    replace: besides the shifted rows, c holds one (d, rows) array, and
-    S/sqrt(p) one (d - 1, rows) array and four rows.
+    the block, as do the extension ranks; a repeat read computes nothing.  A
+    block holds each array once: its table, its rank lines (``ranks`` is
+    their (rows, d) view) and rows, and no 2-D float array.  c and S/sqrt(p)
+    are read from one hook pass (``_hook_pass``) over a C-ordered (d, rows)
+    float array of the shifted rows, l_k = alpha_k + d - 1 - k in line k,
+    which it drops on return, so every step runs on contiguous lines and no
+    sum runs along a row of d entries; S/sqrt(p) applies its port factor
+    sqrt(N/d) on read, so c needs no port count.  ln p transposes the table
+    into int columns of its own (``ln_schur_weyl_probability``), and only ln
+    p checks that the rows are frames.  Each factor runs its ufuncs in place
+    (``out=``) on buffers it reuses, in the order and rounding of the
+    per-row arithmetic they replace: besides the shifted rows, the hook pass
+    holds one (d - 1, rows) array and four rows.
     """
 
     table: np.ndarray
@@ -582,19 +608,19 @@ class _Block:
     n: int | None = None
     sizes: list | None = None
     start: int = 0
-    split_ranks: np.ndarray | None = None  # a first-part block's ``ranks``, from an ``extend`` walk
+    split_ranks: np.ndarray | None = None  # a first-part block's ``rank_lines``, from an ``extend`` walk
 
     @cached_property
-    def ranks(self) -> np.ndarray:
-        """The row of each alpha + e_i in ``frame_table(n + 1, d)`` or -1: a whole n's from its table, else the walk's."""
+    def rank_lines(self) -> np.ndarray:
+        """Line i: each alpha + e_i's row in ``frame_table(n + 1, d)`` or -1; a whole n's, else the walk's."""
         if self.split_ranks is None:  # every frame of n + 1 boxes extends one of n
             return _read_only(_extension_ranks(self.table))
         return self.split_ranks
 
-    @cached_property
-    def rank_lines(self) -> np.ndarray:
-        """The extension ranks, transposed: one contiguous line per column."""
-        return _read_only(self.ranks.T.copy())
+    @property
+    def ranks(self) -> np.ndarray:
+        """The extension ranks as a (rows, d) view of ``rank_lines``: row f holds frame f's."""
+        return self.rank_lines.T
 
     @cached_property
     def ln_p(self) -> np.ndarray:
@@ -632,51 +658,36 @@ class _Block:
         return _read_only(ln_p)
 
     @cached_property
-    def _shifted(self) -> np.ndarray:
-        l = self.table.T.copy()  # int lines first: one strided read, then contiguous passes
-        l += np.arange(self.table.shape[1] - 1, -1, -1)[:, None]
-        return l.astype(float)
+    def _hook_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """c and sum_i R_i/sqrt(l_i + 1), S/sqrt(p) before its port factor, from one read of the shifted rows.
 
-    def _shifted_for(self, other: str) -> np.ndarray:
-        """The shifted rows, dropped from the block once ``other``, their other reader, holds its result."""
-        l = self._shifted
-        if other in vars(self):
-            del vars(self)["_shifted"]  # a frozen dataclass refuses ``del self._shifted``
-        return l
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        """``recycling.height_correction``, the shifted rows its hooks h_i: 1/h = inf gives exactly 1 below height d."""
-        with np.errstate(divide="ignore"):
-            logs = np.divide(1.0, self._shifted_for("s_over_sqrt_p"))
-            c = _row_order_sum(np.log1p(logs, out=logs))
-            np.negative(c, out=c)
-            np.expm1(c, out=c)
-            np.negative(c, out=c)
-            np.sqrt(c, out=c)
-            return _read_only(np.divide(1.0, c, out=c))
-
-    @cached_property
-    def s_over_sqrt_p(self) -> np.ndarray:
-        """``recycling.s_over_sqrt_p`` at the block's port counts.
-
-        One loop over i: the factors g_k + 1, then g_k, of R_i for k != i fill
-        one reused (d - 1, rows) array, each product is one reduction into a
-        row buffer, and R_i/sqrt(l_i + 1) is added to the total in place.
-        Both products have d - 1 factors of size at most l_0 + 1, so below
-        (d - 1) log2(l_0 + 1) = 1000, l_0 the block's largest, they stay
-        under 2^1000: only a block at or above that bound tests them for
-        finiteness and takes the log-space fallback, with numpy's overflow
-        and invalid-value warnings off.
+        The shifted rows l_k = alpha_k + d - 1 - k fill one C-ordered
+        (d, rows) float array, line k of it, in one strided read of the
+        table.  S/sqrt(p)'s loop over i reads them first: the factors g_k + 1,
+        then g_k, of R_i for k != i fill one reused (d - 1, rows) array, each
+        product is one reduction into a row buffer, and R_i/sqrt(l_i + 1) is
+        added to the total in place.  The loop stops at i = top, top the
+        block's count of nonzero columns: past it alpha_{i-1} = 0 in every
+        row, so g_{i-1} + 1 = 0 and R_i is exactly 0 (the guarded path's
+        log1p(-1) = -inf gives 0 too), and adding it would move no bit.  Both
+        products have d - 1 factors of size at most l_0 + 1, so below
+        (d - 1) log2(l_0 + 1) = 1000, l_0 the block's largest, they stay under
+        2^1000: only a block at or above that bound tests them for finiteness
+        and takes the log-space fallback, with numpy's overflow and
+        invalid-value warnings off.  c then takes the same lines in place as
+        its hooks h_k = l_k, so 1/h = inf gives exactly 1 below height d.
         """
-        l = self._shifted_for("c")
-        d, rows = l.shape
+        rows, d = self.table.shape
+        shifts = np.arange(d - 1, -1, -1)
+        l = np.add(self.table.T, shifts[:, None], out=np.empty((d, rows)))  # integers below 2^53, exact as floats
+        highest = l.max(axis=1, initial=0.0)
+        top = np.count_nonzero(highest > shifts)  # the columns nonzero in some row
         factors = np.empty_like(l[1:])
         num, den, root, total = np.empty(rows), np.empty(rows), np.empty(rows), np.zeros(rows)
-        guarded = (d - 1) * math.log2(l[0].max(initial=0.0) + 1) >= 1000
+        guarded = (d - 1) * math.log2(highest[0] + 1) >= 1000
         with np.errstate(over="ignore", invalid="ignore", divide="ignore") if guarded else nullcontext():
-            for i, li in enumerate(l):
-                np.add(li, 1, out=root)
+            for i in range(min(top + 1, d)):
+                np.add(l[i], 1, out=root)
                 if i:  # g_k + 1 for k < i, then for k > i, skipping empty slices: a call costs as much as on a row
                     np.subtract(root, l[:i], out=factors[:i])
                 if i < d - 1:
@@ -692,5 +703,17 @@ class _Block:
                     num[wide] = np.exp(np.log1p(1 / factors[:, wide]).sum(axis=0))
                 num /= np.sqrt(root, out=root)
                 total += num
-        total *= np.sqrt(np.asarray(self.ports) / d)
-        return _read_only(total)
+        del factors, num, den, root  # freed first, so c's column sums stay under the loop's peak
+        with np.errstate(divide="ignore"):
+            logs = _row_order_sum(np.log1p(np.divide(1.0, l, out=l), out=l))
+        return _read_only((1.0 / np.sqrt(-np.expm1(-logs)), total))
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """``recycling.height_correction``, from the hook pass."""
+        return self._hook_pass[0]
+
+    @cached_property
+    def s_over_sqrt_p(self) -> np.ndarray:
+        """``recycling.s_over_sqrt_p`` at the block's port counts: the hook pass's sum times sqrt(N/d)."""
+        return _read_only(self._hook_pass[1] * np.sqrt(np.asarray(self.ports) / self.table.shape[1]))

@@ -11,6 +11,7 @@ section), the reference for its bits.
 
 import math
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,12 +21,16 @@ from pbt_recycling.partitions import _bd0, _ln_factorial_remainder, _point_block
 @cache
 def dim_irrep(parts) -> int:
     """Number of standard Young tableaux of shape ``parts``: n! over the hook product."""
-    # Frobenius: prod of hooks = prod_i l_i! / prod_{i<j} (l_i - l_j), l_i = parts_i + k - 1 - i
+    # Frobenius: prod of hooks = prod_i l_i! / prod_{i<j} (l_i - l_j), l_i = parts_i + k - 1 - i.
+    # l_i! = parts_i! perm(l_i, k - 1 - i), and n! / prod_i parts_i! is the multinomial,
+    # a product of binomials over the partial sums of the parts
     k = len(parts)
     shifted = [row + k - 1 - i for i, row in enumerate(parts)]
-    num = math.prod(math.factorial(l) for l in shifted)
-    den = math.prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1:])
-    return math.factorial(sum(parts)) // (num // den)
+    num = math.prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1:])
+    num *= math.prod(math.comb(total, row) for total, row in zip(accumulate(parts), parts))
+    q, r = divmod(num, math.prod(math.perm(l, k - 1 - i) for i, l in enumerate(shifted)))
+    assert r == 0, "the hook-length formula is integral"
+    return q
 
 
 @cache
@@ -38,15 +43,16 @@ def mult_schur_weyl(parts, d: int) -> int:
     if len(parts) > d:
         return 0
     # Weyl dimension formula over the d rows, zero-padded: prod_{i<j} (r_i - r_j + j - i)/(j - i).
-    # A pair of two zero rows has factor 1, so i runs over the h nonzero rows, and
-    # prod_{i<h} prod_{j>i} (j - i) = prod_{i<h} (d - 1 - i)! is what is left of the
-    # denominator.  Against a zero row j >= h the factors r_i + j - i run consecutively
-    # from r_i + h - i to r_i + d - 1 - i, a ratio of two factorials
+    # A pair of two zero rows has factor 1, so i runs over the h nonzero rows.  Against the
+    # zero rows j = h..d-1, row i's factors (r_i + j - i)/(j - i) telescope to
+    # perm(r_i + d - 1 - i, r_i) / perm(r_i + h - 1 - i, r_i), falling factorials of r_i terms
     h = len(parts)
     num = math.prod(parts[i] - parts[j] + j - i for i in range(h) for j in range(i + 1, h))
+    den = math.prod(math.factorial(h - 1 - i) for i in range(h))  # prod_{i<j<h} (j - i)
     for i, row in enumerate(parts):
-        num *= math.factorial(row + d - 1 - i) // math.factorial(row + h - 1 - i)
-    q, r = divmod(num, math.prod(math.factorial(d - 1 - i) for i in range(h)))
+        num *= math.perm(row + d - 1 - i, row)
+        den *= math.perm(row + h - 1 - i, row)
+    q, r = divmod(num, den)
     assert r == 0, "the Weyl dimension formula is integral"
     return q
 

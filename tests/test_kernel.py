@@ -1,6 +1,7 @@
 """The Schur-Weyl-probability kernel against exact integers and mpmath."""
 
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -444,8 +445,8 @@ def test_held_blocks_keep_the_bits_and_hold_read_only_results(monkeypatch, block
 
 @pytest.mark.parametrize("N,d", [(20, 60), (25, 120)])
 def test_a_held_block_keeps_no_array_of_shifted_rows(N, d):
-    # the held block keeps its table and extension ranks, the transposed
-    # ranks and a few rows: no (d, rows) float array, such as the shifted rows
+    # the held block keeps its table, one copy of its extension ranks and a
+    # few rows: no (d, rows) float array, such as the shifted rows
     rng = np.random.default_rng(N)
 
     def weights(n):
@@ -464,7 +465,28 @@ def test_a_held_block_keeps_no_array_of_shifted_rows(N, d):
     arrays = [a for a in vars(block).values() if isinstance(a, np.ndarray)]
     assert {"c", "s_over_sqrt_p", "rank_lines"} <= vars(block).keys()
     assert not any(a.ndim == 2 and a.dtype.kind == "f" for a in arrays)
-    assert kept < 3.5 * d * len(block.table) * 8
+    assert kept < 2.5 * d * len(block.table) * 8
+
+
+@pytest.mark.parametrize("N,d", [(20, 60), (3, 3)])
+def test_a_block_holds_its_extension_ranks_once(N, d):
+    # ranks is a (rows, d) view of the rank lines, not a second copy
+    partitions._point_block.cache_clear()
+    block = partitions._point_block(N - 1, d)
+    assert block.ranks.shape == (len(block.table), d) and block.rank_lines.flags.c_contiguous
+    assert np.shares_memory(block.ranks, block.rank_lines)
+    block.c, block.s_over_sqrt_p
+    tables = [a for a in vars(block).values() if isinstance(a, np.ndarray) and a.ndim == 2]
+    assert len(tables) == 2 and tables[0] is block.table and tables[1] is block.rank_lines
+
+
+@pytest.mark.parametrize("N,d", [(2, 10000), (5, 3000)])
+def test_s_over_sqrt_p_stops_at_the_frames_height(N, d):
+    # a block of frames h high takes R_i for i <= h only: the rest are exactly 0
+    partitions._point_block.cache_clear()
+    start = time.perf_counter()
+    frec(N, d)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("N,d", [(3, 3), (2, 4), (40, 3), (12, 4)])

@@ -128,6 +128,23 @@ def test_partitions_bounded_count_matches_generating_function():
         assert _frame_counts(n, h).tolist() == counts[: n + 1]
 
 
+def test_tall_counts_equal_the_running_sums():
+    # at n <= 2h + 1 the counts come from the partition numbers, elsewhere from running sums; both agree
+    for h in range(1, 61):
+        counts = [1] + [0] * 60
+        for k in range(1, h + 1):
+            for m in range(k, 61):
+                counts[m] += counts[m - k]
+        for n in range(61):
+            assert _frame_counts(n, h).tolist() == counts[: n + 1], (n, h)
+    frame_count.cache_clear()
+    start = time.perf_counter()
+    assert frame_count(10000, 10000) == int(  # p(10000), every partition of 10,000
+        "36167251325636293988820471890953695495016030339315650422081868605887952568754066420592310556052906916435144"
+    )
+    assert time.perf_counter() - start < 0.5
+
+
 def test_object_counts_are_sized_by_the_bound_before_they_are_built():
     # 100,001 object entries up to C(150000, 50000), about 137,000 bits each, take far more than the budget
     start = time.perf_counter()
@@ -171,6 +188,28 @@ def test_a_record_read_again_outlives_newer_points():
     for n in range(2 + partitions._MEMO_ENTRIES, 2 + 2 * partitions._MEMO_ENTRIES):
         partitions._point_block(n, 2)
     assert partitions._point_block(1, 2) is not record
+
+
+@pytest.mark.parametrize("n,d", [(300, 4), (2000, 3), (30, 120)])
+def test_a_table_build_stays_within_its_counted_bytes(monkeypatch, n, d):
+    # the byte check counts the builder's column maps and scratch, not the table alone
+    import re
+    import tracemalloc
+
+    frame_count(n, d)  # memoised first: a zero budget would refuse the count itself
+    with monkeypatch.context() as patch:
+        patch.setattr(partitions, "PARTITIONS_BYTE_BUDGET", 0)
+        with pytest.raises(ValueError, match="as a table need") as refused:
+            frame_table(n, d)
+    counted = int(re.search(r"need (\d+) bytes", str(refused.value)).group(1))
+    partitions._point_block.cache_clear()
+    tracemalloc.start()
+    try:
+        frame_table(n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame_count(n, d) * d * 8 < peak <= counted
 
 
 def test_a_listing_keeps_no_table():
